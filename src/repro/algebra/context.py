@@ -3,7 +3,9 @@
 The context carries everything an expression may need beyond the current
 tuple: the scalar-function library, the data-source resolver that turns
 collection/document names into items, and an optional memory tracker that
-materializing evaluations charge.
+materializing evaluations charge.  It also owns the memo of compiled
+expressions (:meth:`EvaluationContext.compiled`), so one partition
+attempt compiles each expression of its plan at most once.
 """
 
 from __future__ import annotations
@@ -96,21 +98,32 @@ class EvaluationContext:
         self.profile = profile
         self.spill = spill
         self.limits = limits
+        # (id(node), as_condition) -> (node, closure).  Keyed by identity
+        # because nodes hash by type and compare structurally; the entry
+        # holds its node so the id cannot be reused while the memo lives.
+        self._compiled: dict = {}
 
-    def for_partition(
-        self, partition: int | None, memory: "MemoryTracker | None" = None
-    ) -> "EvaluationContext":
-        """A copy of this context bound to a specific partition."""
-        return EvaluationContext(
-            source=self.source,
-            functions=self.functions,
-            memory=memory if memory is not None else self.memory,
-            partition=partition,
-            stats=self.stats,
-            profile=self.profile,
-            spill=self.spill,
-            limits=self.limits,
-        )
+    def compiled(self, expression, as_condition: bool = False):
+        """The closure of *expression*, compiled at most once per context.
+
+        ``fn(tup, ctx) -> sequence``, or with *as_condition*
+        ``fn(tup, ctx) -> bool`` (the effective boolean value).  Physical
+        operators take their closures here once per run, so a nested plan
+        re-run per outer tuple, a retried partition attempt and a pool
+        worker holding an unpickled plan each compile a node once, and
+        plan nodes themselves stay free of runtime state.
+        """
+        key = (id(expression), as_condition)
+        entry = self._compiled.get(key)
+        if entry is None:
+            compile_node = (
+                expression.compile_condition
+                if as_condition
+                else expression.compile
+            )
+            entry = (expression, compile_node(self.functions))
+            self._compiled[key] = entry
+        return entry[1]
 
     def charge(self, n_bytes: int) -> None:
         """Charge *n_bytes* against the memory tracker, if any."""

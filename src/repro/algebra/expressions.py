@@ -6,6 +6,16 @@ Every value in the algebra is a **sequence** — a Python list of items —
 following the XQuery/JSONiq data model; a "scalar" is a singleton
 sequence.
 
+Evaluation is **compile-once**: :meth:`Expression.compile` turns a node
+into a closure ``fn(tup, ctx) -> sequence`` with everything static
+(variable name, step kind and key, operator, builtin, literal operands)
+resolved up front, and the runtime calls only that closure per tuple —
+the Algebricks/Hyracks split between building evaluators per job and
+calling them per tuple.  The closure is the one definition of a node's
+semantics; :meth:`Expression.evaluate` just compiles and calls it.
+Compiling never raises for a defect in the query (an unknown function,
+an unknown treat type): the closure raises when a tuple reaches it.
+
 The node vocabulary matches what the paper's plans use:
 
 - variable references and literals,
@@ -28,7 +38,8 @@ trees generically.
 from __future__ import annotations
 
 import datetime
-from typing import Iterable, Sequence as TypingSequence
+import operator
+from typing import Callable, Iterable, Sequence as TypingSequence
 
 from repro.errors import (
     ItemTypeError,
@@ -37,7 +48,7 @@ from repro.errors import (
     UnboundVariableError,
     UnknownFunctionError,
 )
-from repro.algebra.context import EvaluationContext
+from repro.algebra.context import EvaluationContext, charge_sequence
 from repro.jsonlib.items import Item, is_atomic, item_type_name
 from repro.jsonlib.path import (
     KeysOrMembers,
@@ -45,10 +56,15 @@ from repro.jsonlib.path import (
     PathStep,
     ValueByIndex,
     ValueByKey,
-    apply_step,
 )
 
 Tuple = dict  # variable name -> sequence (list of items)
+#: a compiled expression: ``fn(tup, ctx) -> sequence``
+Evaluator = Callable[[Tuple, EvaluationContext], list]
+#: a compiled condition: ``fn(tup, ctx) -> bool``
+Condition = Callable[[Tuple, EvaluationContext], bool]
+#: the builtin library a node compiles against: ``(name, arity) -> f``
+FunctionLibrary = dict
 
 
 class Expression:
@@ -66,9 +82,29 @@ class Expression:
         """Rebuild this node with new sub-expressions."""
         raise NotImplementedError
 
-    def evaluate(self, tup: Tuple, ctx: EvaluationContext) -> list:
-        """Evaluate against a tuple, returning a sequence."""
+    def compile(self, functions: FunctionLibrary) -> Evaluator:
+        """This node's evaluator ``fn(tup, ctx) -> sequence``.
+
+        Per-tuple callers take it from
+        :meth:`EvaluationContext.compiled`, which compiles a node at
+        most once per context; nothing is cached on the node itself,
+        which is pickled into work units, hashed and compared.
+        """
         raise NotImplementedError
+
+    def compile_condition(self, functions: FunctionLibrary) -> Condition:
+        """``fn(tup, ctx) -> bool``: this node's effective boolean value.
+
+        What SELECT, join residuals and the boolean operators call; the
+        comparison and boolean nodes override it to answer directly,
+        without building the singleton sequence first.
+        """
+        evaluator = self.compile(functions)
+        return lambda tup, ctx: effective_boolean_value(evaluator(tup, ctx))
+
+    def evaluate(self, tup: Tuple, ctx: EvaluationContext) -> list:
+        """Compile and evaluate once (one-off callers and tests)."""
+        return self.compile(ctx.functions)(tup, ctx)
 
     def to_string(self) -> str:
         """Paper-style rendering used by the plan printer."""
@@ -129,11 +165,16 @@ class VariableRef(Expression):
     def with_child_expressions(self, children):
         return self
 
-    def evaluate(self, tup, ctx):
-        try:
-            return tup[self.name]
-        except KeyError:
-            raise UnboundVariableError(self.name) from None
+    def compile(self, functions):
+        name = self.name
+
+        def variable(tup, ctx):
+            try:
+                return tup[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+
+        return variable
 
     def to_string(self):
         return f"${self.name}"
@@ -161,8 +202,9 @@ class Literal(Expression):
     def with_child_expressions(self, children):
         return self
 
-    def evaluate(self, tup, ctx):
-        return self.sequence
+    def compile(self, functions):
+        sequence = self.sequence
+        return lambda tup, ctx: sequence
 
     def to_string(self):
         if len(self.sequence) == 1:
@@ -212,14 +254,19 @@ class CollectionExpr(Expression):
     def with_child_expressions(self, children):
         return self
 
-    def evaluate(self, tup, ctx):
-        if ctx.source is None:
-            raise TranslationError("no data source configured for collection()")
-        items = ctx.source.read_collection(self.name, partition=ctx.partition)
-        from repro.algebra.context import charge_sequence
+    def compile(self, functions):
+        name = self.name
 
-        charge_sequence(ctx, items)
-        return items
+        def collection(tup, ctx):
+            if ctx.source is None:
+                raise TranslationError(
+                    "no data source configured for collection()"
+                )
+            items = ctx.source.read_collection(name, partition=ctx.partition)
+            charge_sequence(ctx, items)
+            return items
+
+        return collection
 
     def to_string(self):
         return f'collection("{self.name}")'
@@ -243,15 +290,19 @@ class JsonDocExpr(Expression):
         (uri_expr,) = children
         return JsonDocExpr(uri_expr)
 
-    def evaluate(self, tup, ctx):
-        if ctx.source is None:
-            raise TranslationError("no data source configured for json-doc()")
-        uris = self.uri_expr.evaluate(tup, ctx)
-        items = [ctx.source.read_document(uri) for uri in uris]
-        from repro.algebra.context import charge_sequence
+    def compile(self, functions):
+        uris = self.uri_expr.compile(functions)
 
-        charge_sequence(ctx, items)
-        return items
+        def json_doc(tup, ctx):
+            if ctx.source is None:
+                raise TranslationError(
+                    "no data source configured for json-doc()"
+                )
+            items = [ctx.source.read_document(uri) for uri in uris(tup, ctx)]
+            charge_sequence(ctx, items)
+            return items
+
+        return json_doc
 
     def to_string(self):
         return f"json-doc({self.uri_expr.to_string()})"
@@ -286,11 +337,42 @@ class PathStepExpr(Expression):
         (input_expr,) = children
         return PathStepExpr(input_expr, self.step)
 
-    def evaluate(self, tup, ctx):
-        out: list = []
-        for item in self.input.evaluate(tup, ctx):
-            out.extend(apply_step(item, self.step))
-        return out
+    def compile(self, functions):
+        # JSONiq navigation is forgiving (as in jsonlib.path.apply_step):
+        # a step over an item of the wrong type yields nothing.
+        source = self.input.compile(functions)
+        step = self.step
+        if isinstance(step, ValueByKey):
+            key = step.key
+
+            def value_by_key(tup, ctx):
+                out: list = []
+                for item in source(tup, ctx):
+                    if isinstance(item, dict) and key in item:
+                        out.append(item[key])
+                return out
+
+            return value_by_key
+        if isinstance(step, ValueByIndex):
+            position = step.index  # 1-based
+
+            def value_by_index(tup, ctx):
+                out: list = []
+                for item in source(tup, ctx):
+                    if isinstance(item, list) and 1 <= position <= len(item):
+                        out.append(item[position - 1])
+                return out
+
+            return value_by_index
+
+        def keys_or_members(tup, ctx):
+            out: list = []
+            for item in source(tup, ctx):
+                if isinstance(item, (list, dict)):
+                    out.extend(item)  # a dict iterates its keys
+            return out
+
+        return keys_or_members
 
     def to_string(self):
         return f"{self.input.to_string()}{self.step}"
@@ -337,6 +419,28 @@ _TYPE_PREDICATES = {
 }
 
 
+def _compile_type_check(
+    source: Evaluator, type_name: str, failure: Callable[[Item], str]
+) -> Evaluator:
+    """*source* as a checked identity: every item must be a *type_name*.
+
+    ``item`` accepts everything, so it compiles to *source* itself.  The
+    caller decides what an unknown *type_name* means.
+    """
+    if type_name == "item":
+        return source
+    predicate = _TYPE_PREDICATES[type_name]
+
+    def checked(tup, ctx):
+        sequence = source(tup, ctx)
+        for item in sequence:
+            if not predicate(item):
+                raise TypeCheckError(failure(item))
+        return sequence
+
+    return checked
+
+
 class PromoteExpr(Expression):
     """Type promotion inserted by the translator (e.g. around json-doc args).
 
@@ -357,16 +461,16 @@ class PromoteExpr(Expression):
         (input_expr,) = children
         return PromoteExpr(input_expr, self.type_name)
 
-    def evaluate(self, tup, ctx):
-        sequence = self.input.evaluate(tup, ctx)
-        predicate = _TYPE_PREDICATES.get(self.type_name)
-        if predicate is not None:
-            for item in sequence:
-                if not predicate(item):
-                    raise TypeCheckError(
-                        f"cannot promote {item_type_name(item)} to {self.type_name}"
-                    )
-        return sequence
+    def compile(self, functions):
+        source = self.input.compile(functions)
+        type_name = self.type_name
+        if type_name not in _TYPE_PREDICATES:
+            return source  # an unknown target type is not checked
+        return _compile_type_check(
+            source,
+            type_name,
+            lambda item: f"cannot promote {item_type_name(item)} to {type_name}",
+        )
 
     def to_string(self):
         return f"promote({self.input.to_string()}, {self.type_name})"
@@ -390,15 +494,19 @@ class DataExpr(Expression):
         (input_expr,) = children
         return DataExpr(input_expr)
 
-    def evaluate(self, tup, ctx):
-        out = []
-        for item in self.input.evaluate(tup, ctx):
-            if not is_atomic(item):
-                raise ItemTypeError(
-                    f"cannot atomize a {item_type_name(item)} item"
-                )
-            out.append(item)
-        return out
+    def compile(self, functions):
+        source = self.input.compile(functions)
+
+        def data(tup, ctx):
+            sequence = source(tup, ctx)
+            for item in sequence:
+                if not is_atomic(item):
+                    raise ItemTypeError(
+                        f"cannot atomize a {item_type_name(item)} item"
+                    )
+            return sequence
+
+        return data
 
     def to_string(self):
         return f"data({self.input.to_string()})"
@@ -427,18 +535,24 @@ class TreatExpr(Expression):
         (input_expr,) = children
         return TreatExpr(input_expr, self.type_name)
 
-    def evaluate(self, tup, ctx):
-        sequence = self.input.evaluate(tup, ctx)
-        predicate = _TYPE_PREDICATES.get(self.type_name)
-        if predicate is None:
-            raise TypeCheckError(f"unknown treat type {self.type_name!r}")
-        for item in sequence:
-            if not predicate(item):
-                raise TypeCheckError(
-                    f"treat as {self.type_name} failed on a "
-                    f"{item_type_name(item)} item"
-                )
-        return sequence
+    def compile(self, functions):
+        source = self.input.compile(functions)
+        type_name = self.type_name
+        if type_name not in _TYPE_PREDICATES:
+
+            def unknown_type(tup, ctx):
+                source(tup, ctx)
+                raise TypeCheckError(f"unknown treat type {type_name!r}")
+
+            return unknown_type
+        return _compile_type_check(
+            source,
+            type_name,
+            lambda item: (
+                f"treat as {type_name} failed on a "
+                f"{item_type_name(item)} item"
+            ),
+        )
 
     def to_string(self):
         return f"treat({self.input.to_string()}, {self.type_name})"
@@ -467,8 +581,8 @@ class IterateExpr(Expression):
         (input_expr,) = children
         return IterateExpr(input_expr)
 
-    def evaluate(self, tup, ctx):
-        return self.input.evaluate(tup, ctx)
+    def compile(self, functions):
+        return self.input.compile(functions)
 
     def to_string(self):
         return f"iterate({self.input.to_string()})"
@@ -497,12 +611,22 @@ class FunctionCallExpr(Expression):
     def with_child_expressions(self, children):
         return FunctionCallExpr(self.name, list(children))
 
-    def evaluate(self, tup, ctx):
-        function = ctx.functions.get((self.name, len(self.args)))
+    def compile(self, functions):
+        name, arity = self.name, len(self.args)
+        function = functions.get((name, arity))
         if function is None:
-            raise UnknownFunctionError(self.name, len(self.args))
-        values = [arg.evaluate(tup, ctx) for arg in self.args]
-        return function(values)
+
+            def unknown_function(tup, ctx):
+                raise UnknownFunctionError(name, arity)
+
+            return unknown_function
+        arguments = [arg.compile(functions) for arg in self.args]
+        if arity == 1:
+            (argument,) = arguments
+            return lambda tup, ctx: function([argument(tup, ctx)])
+        return lambda tup, ctx: function(
+            [argument(tup, ctx) for argument in arguments]
+        )
 
     def to_string(self):
         rendered = ", ".join(arg.to_string() for arg in self.args)
@@ -540,13 +664,19 @@ def effective_boolean_value(sequence: list) -> bool:
 
 
 _COMPARISON_OPS = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
 }
+
+
+#: item types whose values compare with another value of the same type
+_SELF_COMPARABLE = frozenset(
+    {bool, int, float, str, datetime.datetime, type(None)}
+)
 
 
 def _comparable(left: Item, right: Item) -> bool:
@@ -588,23 +718,72 @@ class ComparisonExpr(Expression):
         left, right = children
         return ComparisonExpr(self.op, left, right)
 
-    def evaluate(self, tup, ctx):
-        left = self.left.evaluate(tup, ctx)
-        right = self.right.evaluate(tup, ctx)
-        if not left or not right:
-            return []
-        if len(left) > 1 or len(right) > 1:
-            raise ItemTypeError(
-                f"value comparison {self.op!r} over a multi-item sequence"
-            )
-        lv, rv = left[0], right[0]
-        if not _comparable(lv, rv):
+    def compile(self, functions):
+        return self._compile(functions, as_condition=False)
+
+    def compile_condition(self, functions):
+        return self._compile(functions, as_condition=True)
+
+    def _compile(self, functions, as_condition: bool):
+        """The comparison closure; *as_condition* picks what it answers:
+        the boolean itself (the empty sequence reads false) or the
+        sequence holding it."""
+        op = self.op
+        holds = _COMPARISON_OPS[op]
+        multi_item = f"value comparison {op!r} over a multi-item sequence"
+
+        def compare_unlike(lv, rv):
+            """Two items not of one self-comparable type (the closures
+            below answer that case themselves with ``holds``)."""
+            if _comparable(lv, rv):
+                return holds(lv, rv)
             if lv is None or rv is None:
-                return [False if self.op == "eq" else self.op == "ne"]
+                return op == "ne"  # null against non-null: only ne holds
             raise ItemTypeError(
-                f"cannot compare {item_type_name(lv)} with {item_type_name(rv)}"
+                f"cannot compare {item_type_name(lv)} "
+                f"with {item_type_name(rv)}"
             )
-        return [_COMPARISON_OPS[self.op](lv, rv)]
+
+        left = self.left.compile(functions)
+        right_node = self.right
+        if isinstance(right_node, Literal) and len(right_node.sequence) == 1:
+            # ``expr op constant``: the right operand and its type are
+            # known now, so only the left side is evaluated and checked.
+            (rv,) = right_node.sequence
+            constant_kind = type(rv) if type(rv) in _SELF_COMPARABLE else None
+
+            def comparison_with_constant(tup, ctx):
+                lhs = left(tup, ctx)
+                if not lhs:
+                    return False if as_condition else []
+                if len(lhs) > 1:
+                    raise ItemTypeError(multi_item)
+                lv = lhs[0]
+                if type(lv) is constant_kind:
+                    result = holds(lv, rv)
+                else:
+                    result = compare_unlike(lv, rv)
+                return result if as_condition else [result]
+
+            return comparison_with_constant
+        right = right_node.compile(functions)
+
+        def comparison(tup, ctx):
+            lhs = left(tup, ctx)
+            rhs = right(tup, ctx)
+            if not lhs or not rhs:
+                return False if as_condition else []
+            if len(lhs) > 1 or len(rhs) > 1:
+                raise ItemTypeError(multi_item)
+            lv, rv = lhs[0], rhs[0]
+            kind = type(lv)
+            if kind is type(rv) and kind in _SELF_COMPARABLE:
+                result = holds(lv, rv)
+            else:
+                result = compare_unlike(lv, rv)
+            return result if as_condition else [result]
+
+        return comparison
 
     def to_string(self):
         return f"{self.left.to_string()} {self.op} {self.right.to_string()}"
@@ -613,7 +792,18 @@ class ComparisonExpr(Expression):
         return (self.op, self.left, self.right)
 
 
-class AndExpr(Expression):
+class _BooleanExpr(Expression):
+    """A node whose value is one boolean: it defines
+    ``compile_condition``, and its sequence form wraps that answer."""
+
+    __slots__ = ()
+
+    def compile(self, functions):
+        condition = self.compile_condition(functions)
+        return lambda tup, ctx: [condition(tup, ctx)]
+
+
+class AndExpr(_BooleanExpr):
     """Logical conjunction over effective boolean values."""
 
     __slots__ = ("operands",)
@@ -627,11 +817,18 @@ class AndExpr(Expression):
     def with_child_expressions(self, children):
         return AndExpr(list(children))
 
-    def evaluate(self, tup, ctx):
-        for operand in self.operands:
-            if not effective_boolean_value(operand.evaluate(tup, ctx)):
-                return [False]
-        return [True]
+    def compile_condition(self, functions):
+        conditions = [
+            operand.compile_condition(functions) for operand in self.operands
+        ]
+
+        def conjunction(tup, ctx):
+            for condition in conditions:
+                if not condition(tup, ctx):
+                    return False
+            return True
+
+        return conjunction
 
     def to_string(self):
         return " and ".join(o.to_string() for o in self.operands)
@@ -650,7 +847,7 @@ class AndExpr(Expression):
         return tuple(out)
 
 
-class OrExpr(Expression):
+class OrExpr(_BooleanExpr):
     """Logical disjunction over effective boolean values."""
 
     __slots__ = ("operands",)
@@ -664,11 +861,18 @@ class OrExpr(Expression):
     def with_child_expressions(self, children):
         return OrExpr(list(children))
 
-    def evaluate(self, tup, ctx):
-        for operand in self.operands:
-            if effective_boolean_value(operand.evaluate(tup, ctx)):
-                return [True]
-        return [False]
+    def compile_condition(self, functions):
+        conditions = [
+            operand.compile_condition(functions) for operand in self.operands
+        ]
+
+        def disjunction(tup, ctx):
+            for condition in conditions:
+                if condition(tup, ctx):
+                    return True
+            return False
+
+        return disjunction
 
     def to_string(self):
         return " or ".join(f"({o.to_string()})" for o in self.operands)
@@ -677,7 +881,7 @@ class OrExpr(Expression):
         return self.operands
 
 
-class NotExpr(Expression):
+class NotExpr(_BooleanExpr):
     """``not(...)`` over the effective boolean value."""
 
     __slots__ = ("input",)
@@ -692,8 +896,9 @@ class NotExpr(Expression):
         (input_expr,) = children
         return NotExpr(input_expr)
 
-    def evaluate(self, tup, ctx):
-        return [not effective_boolean_value(self.input.evaluate(tup, ctx))]
+    def compile_condition(self, functions):
+        condition = self.input.compile_condition(functions)
+        return lambda tup, ctx: not condition(tup, ctx)
 
     def to_string(self):
         return f"not({self.input.to_string()})"
@@ -711,12 +916,12 @@ def _as_number(item: Item) -> int | float:
 
 
 _ARITHMETIC_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "div": operator.truediv,
     "idiv": lambda a, b: int(a // b),
-    "mod": lambda a, b: a % b,
+    "mod": operator.mod,
 }
 
 
@@ -739,18 +944,25 @@ class ArithmeticExpr(Expression):
         left, right = children
         return ArithmeticExpr(self.op, left, right)
 
-    def evaluate(self, tup, ctx):
-        left = self.left.evaluate(tup, ctx)
-        right = self.right.evaluate(tup, ctx)
-        if not left or not right:
-            return []
-        if len(left) > 1 or len(right) > 1:
-            raise ItemTypeError("arithmetic over a multi-item sequence")
-        lv, rv = _as_number(left[0]), _as_number(right[0])
-        try:
-            return [_ARITHMETIC_OPS[self.op](lv, rv)]
-        except ZeroDivisionError:
-            raise ItemTypeError("division by zero") from None
+    def compile(self, functions):
+        apply = _ARITHMETIC_OPS[self.op]
+        left = self.left.compile(functions)
+        right = self.right.compile(functions)
+
+        def arithmetic(tup, ctx):
+            lhs = left(tup, ctx)
+            rhs = right(tup, ctx)
+            if not lhs or not rhs:
+                return []
+            if len(lhs) > 1 or len(rhs) > 1:
+                raise ItemTypeError("arithmetic over a multi-item sequence")
+            lv, rv = _as_number(lhs[0]), _as_number(rhs[0])
+            try:
+                return [apply(lv, rv)]
+            except ZeroDivisionError:
+                raise ItemTypeError("division by zero") from None
+
+        return arithmetic
 
     def to_string(self):
         return f"{self.left.to_string()} {self.op} {self.right.to_string()}"
@@ -772,6 +984,21 @@ def _singleton(sequence: list, what: str) -> Item:
     return sequence[0]
 
 
+def _compile_concatenation(
+    expressions: TypingSequence[Expression], functions: FunctionLibrary
+) -> Evaluator:
+    """One fresh list holding every expression's items, in order."""
+    evaluators = [expr.compile(functions) for expr in expressions]
+
+    def concatenation(tup, ctx):
+        out: list = []
+        for evaluator in evaluators:
+            out.extend(evaluator(tup, ctx))
+        return out
+
+    return concatenation
+
+
 class ObjectConstructorExpr(Expression):
     """JSONiq object constructor ``{ "k": expr, ... }``."""
 
@@ -787,12 +1014,21 @@ class ObjectConstructorExpr(Expression):
     def with_child_expressions(self, children):
         return ObjectConstructorExpr(list(zip(self.keys, children)))
 
-    def evaluate(self, tup, ctx):
-        obj = {}
-        for key, expr in zip(self.keys, self.value_exprs):
-            sequence = expr.evaluate(tup, ctx)
-            obj[key] = _singleton(sequence, f'object value for key "{key}"')
-        return [obj]
+    def compile(self, functions):
+        pairs = [
+            (key, expr.compile(functions), f'object value for key "{key}"')
+            for key, expr in zip(self.keys, self.value_exprs)
+        ]
+
+        def construct_object(tup, ctx):
+            return [
+                {
+                    key: _singleton(value(tup, ctx), what)
+                    for key, value, what in pairs
+                }
+            ]
+
+        return construct_object
 
     def to_string(self):
         inner = ", ".join(
@@ -822,11 +1058,9 @@ class ArrayConstructorExpr(Expression):
     def with_child_expressions(self, children):
         return ArrayConstructorExpr(list(children))
 
-    def evaluate(self, tup, ctx):
-        array: list = []
-        for member in self.members:
-            array.extend(member.evaluate(tup, ctx))
-        return [array]
+    def compile(self, functions):
+        concatenate = _compile_concatenation(self.members, functions)
+        return lambda tup, ctx: [concatenate(tup, ctx)]
 
     def to_string(self):
         return "[" + ", ".join(m.to_string() for m in self.members) + "]"
@@ -849,11 +1083,8 @@ class SequenceExpr(Expression):
     def with_child_expressions(self, children):
         return SequenceExpr(list(children))
 
-    def evaluate(self, tup, ctx):
-        out: list = []
-        for operand in self.operands:
-            out.extend(operand.evaluate(tup, ctx))
-        return out
+    def compile(self, functions):
+        return _compile_concatenation(self.operands, functions)
 
     def to_string(self):
         return "(" + ", ".join(o.to_string() for o in self.operands) + ")"
@@ -884,10 +1115,17 @@ class IfExpr(Expression):
         condition, then_branch, else_branch = children
         return IfExpr(condition, then_branch, else_branch)
 
-    def evaluate(self, tup, ctx):
-        if effective_boolean_value(self.condition.evaluate(tup, ctx)):
-            return self.then_branch.evaluate(tup, ctx)
-        return self.else_branch.evaluate(tup, ctx)
+    def compile(self, functions):
+        condition = self.condition.compile_condition(functions)
+        then_branch = self.then_branch.compile(functions)
+        else_branch = self.else_branch.compile(functions)
+
+        def conditional(tup, ctx):
+            if condition(tup, ctx):
+                return then_branch(tup, ctx)
+            return else_branch(tup, ctx)
+
+        return conditional
 
     def to_string(self):
         return (

@@ -11,24 +11,39 @@ tuples.
 ``sequence`` is the materializing aggregate (it collects every item);
 its accumulator charges the memory tracker, which is how the naive
 group-by plans show their memory cost.
+
+``sum``/``avg``/``min``/``max`` check every folded value exactly like
+their scalar builtins in :mod:`repro.jsoniq.functions` (same error
+class, same message), so a query answers — or fails — the same way
+whether or not the group-by rules pushed the aggregate into an
+accumulator.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 from repro.errors import PlanError
 from repro.algebra.context import EvaluationContext
+from repro.algebra.expressions import Evaluator
 from repro.algebra.operators import AggregateSpec
 from repro.hyracks.tuples import Tuple
+from repro.jsoniq.functions import as_numbers
 from repro.jsonlib.items import sizeof_item
 
 
 class Accumulator:
-    """Base class: fold tuples, expose a partial, finish to a sequence."""
+    """Base class: fold tuples, expose a partial, finish to a sequence.
 
-    __slots__ = ("spec",)
+    *argument* is the compiled closure of ``spec.argument``; an
+    accumulator never evaluates through the spec's expression node.
+    """
 
-    def __init__(self, spec: AggregateSpec):
+    __slots__ = ("spec", "argument")
+
+    def __init__(self, spec: AggregateSpec, argument: Evaluator):
         self.spec = spec
+        self.argument = argument
 
     def add(self, tup: Tuple, ctx: EvaluationContext) -> None:
         """Fold one input tuple."""
@@ -59,14 +74,14 @@ class SequenceAccumulator(Accumulator):
 
     __slots__ = ("items", "charged_bytes", "_store")
 
-    def __init__(self, spec: AggregateSpec):
-        super().__init__(spec)
+    def __init__(self, spec: AggregateSpec, argument: Evaluator):
+        super().__init__(spec, argument)
         self.items: list = []
         self.charged_bytes = 0
         self._store = None
 
     def add(self, tup, ctx):
-        values = self.spec.argument.evaluate(tup, ctx)
+        values = self.argument(tup, ctx)
         if (
             self._store is None
             and ctx.spill is not None
@@ -121,12 +136,12 @@ class CountAccumulator(Accumulator):
 
     __slots__ = ("n",)
 
-    def __init__(self, spec: AggregateSpec):
-        super().__init__(spec)
+    def __init__(self, spec: AggregateSpec, argument: Evaluator):
+        super().__init__(spec, argument)
         self.n = 0
 
     def add(self, tup, ctx):
-        self.n += len(self.spec.argument.evaluate(tup, ctx))
+        self.n += len(self.argument(tup, ctx))
 
     def partial(self):
         return self.n
@@ -143,12 +158,12 @@ class SumAccumulator(Accumulator):
 
     __slots__ = ("total",)
 
-    def __init__(self, spec: AggregateSpec):
-        super().__init__(spec)
+    def __init__(self, spec: AggregateSpec, argument: Evaluator):
+        super().__init__(spec, argument)
         self.total: int | float = 0
 
     def add(self, tup, ctx):
-        for value in self.spec.argument.evaluate(tup, ctx):
+        for value in as_numbers(self.argument(tup, ctx), "sum"):
             self.total += value
 
     def partial(self):
@@ -166,13 +181,13 @@ class AvgAccumulator(Accumulator):
 
     __slots__ = ("total", "n")
 
-    def __init__(self, spec: AggregateSpec):
-        super().__init__(spec)
+    def __init__(self, spec: AggregateSpec, argument: Evaluator):
+        super().__init__(spec, argument)
         self.total: int | float = 0
         self.n = 0
 
     def add(self, tup, ctx):
-        for value in self.spec.argument.evaluate(tup, ctx):
+        for value in as_numbers(self.argument(tup, ctx), "avg"):
             self.total += value
             self.n += 1
 
@@ -193,21 +208,17 @@ class AvgAccumulator(Accumulator):
 class MinMaxAccumulator(Accumulator):
     """``min(...)`` / ``max(...)``."""
 
-    __slots__ = ("best", "is_min")
+    __slots__ = ("best", "pick")
 
-    def __init__(self, spec: AggregateSpec):
-        super().__init__(spec)
+    def __init__(self, spec: AggregateSpec, argument: Evaluator):
+        super().__init__(spec, argument)
         self.best = None
-        self.is_min = spec.function == "min"
+        self.pick = min if spec.function == "min" else max
 
     def add(self, tup, ctx):
-        for value in self.spec.argument.evaluate(tup, ctx):
-            if self.best is None:
-                self.best = value
-            elif self.is_min:
-                self.best = min(self.best, value)
-            else:
-                self.best = max(self.best, value)
+        pick = self.pick
+        for value in as_numbers(self.argument(tup, ctx), self.spec.function):
+            self.best = value if self.best is None else pick(self.best, value)
 
     def partial(self):
         return self.best
@@ -217,10 +228,8 @@ class MinMaxAccumulator(Accumulator):
             return
         if self.best is None:
             self.best = partial
-        elif self.is_min:
-            self.best = min(self.best, partial)
         else:
-            self.best = max(self.best, partial)
+            self.best = self.pick(self.best, partial)
 
     def finish(self, ctx):
         return [] if self.best is None else [self.best]
@@ -236,14 +245,49 @@ _ACCUMULATORS = {
 }
 
 
-def make_accumulator(spec: AggregateSpec) -> Accumulator:
-    """Build the accumulator for an aggregate spec."""
-    try:
-        return _ACCUMULATORS[spec.function](spec)
-    except KeyError:
-        raise PlanError(f"no accumulator for {spec.function!r}") from None
+def accumulator_factory(
+    specs: Iterable[AggregateSpec], ctx: EvaluationContext
+) -> Callable[[], list[Accumulator]]:
+    """``new() -> [accumulator per spec, in order]``.
+
+    Each spec's accumulator class and compiled argument are resolved
+    here, once per operator run; a GROUP-BY then calls ``new()`` per
+    group without re-deriving either.
+    """
+    parts = []
+    for spec in specs:
+        try:
+            accumulator_class = _ACCUMULATORS[spec.function]
+        except KeyError:
+            raise PlanError(f"no accumulator for {spec.function!r}") from None
+        parts.append((accumulator_class, spec, ctx.compiled(spec.argument)))
+    return lambda: [cls(spec, argument) for cls, spec, argument in parts]
 
 
-def make_accumulators(specs) -> list[Accumulator]:
-    """Accumulators for a spec list, in order."""
-    return [make_accumulator(spec) for spec in specs]
+def make_accumulators(specs, ctx: EvaluationContext) -> list[Accumulator]:
+    """One accumulator list for *specs* (an ungrouped aggregate)."""
+    return accumulator_factory(specs, ctx)()
+
+
+def fold_stream(specs, stream: Iterable[Tuple], ctx) -> list[Accumulator]:
+    """Fold every tuple of *stream* into fresh accumulators for *specs*."""
+    accumulators = make_accumulators(specs, ctx)
+    limits = ctx.limits
+    for tup in stream:
+        if limits is not None:
+            limits.checkpoint()
+        for accumulator in accumulators:
+            accumulator.add(tup, ctx)
+    return accumulators
+
+
+def take_partials(accumulators: list[Accumulator], ctx) -> list:
+    """The accumulators' picklable partial states, with their memory
+    charges (and spilled run files) released: the partials leave the
+    partition, so nothing stays charged on their behalf."""
+    partials = [acc.partial() for acc in accumulators]
+    for acc in accumulators:
+        release = getattr(acc, "release_charges", None)
+        if release is not None:
+            release(ctx)
+    return partials

@@ -68,7 +68,7 @@ from repro.errors import (
 from repro.algebra.context import EvaluationContext
 from repro.algebra.operators import Aggregate, DataScan, GroupBy, Join, Operator
 from repro.algebra.plan import LogicalPlan
-from repro.hyracks.aggregates import make_accumulators
+from repro.hyracks.aggregates import fold_stream, take_partials
 from repro.hyracks.memory import MemoryTracker
 from repro.hyracks.operators import (
     canonical_key,
@@ -134,12 +134,7 @@ class GroupTableWork:
             ctx.profile.add(self.group_by, "groups", len(table))
         out: dict = {}
         for key, (key_values, accumulators) in table.items():
-            partials = [acc.partial() for acc in accumulators]
-            for acc in accumulators:
-                release = getattr(acc, "release_charges", None)
-                if release is not None:
-                    release(ctx)
-            out[key] = (key_values, partials)
+            out[key] = (key_values, take_partials(accumulators, ctx))
         if ctx.memory is not None:
             ctx.memory.release(GROUP_ENTRY_BYTES * len(table))
         return out
@@ -162,19 +157,10 @@ class FoldPartialsWork:
     aggregate: Aggregate
 
     def __call__(self, ctx: EvaluationContext):
-        accumulators = make_accumulators(self.aggregate.specs)
-        limits = ctx.limits
-        for tup in execute(self.aggregate.input_op, ctx):
-            if limits is not None:
-                limits.checkpoint()
-            for accumulator in accumulators:
-                accumulator.add(tup, ctx)
-        partials = [acc.partial() for acc in accumulators]
-        for acc in accumulators:
-            release = getattr(acc, "release_charges", None)
-            if release is not None:
-                release(ctx)
-        return partials
+        stream = execute(self.aggregate.input_op, ctx)
+        return take_partials(
+            fold_stream(self.aggregate.specs, stream, ctx), ctx
+        )
 
 
 def _join_side_counters(join: Join) -> tuple[str, str]:
@@ -214,12 +200,13 @@ class ExchangeWork:
         skew = set(self.join.skew_keys)
         spread: dict = {}
         build_is_left = self.join.build_side == "left"
-        for side, keys, target, counter, is_build in (
+        for side, key_exprs, target, counter, is_build in (
             (self.join.left, self.left_keys, local_left, left_counter,
              build_is_left),
             (self.join.right, self.right_keys, local_right, right_counter,
              not build_is_left),
         ):
+            keys = [ctx.compiled(expr) for expr in key_exprs]
             stream = execute(side, ctx)
             if ctx.profile is not None:
                 stream = ctx.profile.count_into(self.join, counter, stream)
@@ -228,7 +215,7 @@ class ExchangeWork:
                     limits.checkpoint()
                 # Tuples with an empty key sequence cannot join (x eq ()
                 # is false) — drop them here to match hash_join.
-                key = join_key(tup, list(keys), ctx, op=self.join)
+                key = join_key(tup, keys, ctx, op=self.join)
                 if key is None:
                     continue
                 n_bytes = sizeof_tuple(tup)
@@ -279,18 +266,19 @@ class BroadcastScanWork:
         local_rows: list = []
         broadcast_rows: list = []
         broadcast_bytes = 0
-        for side, keys, counter, is_broadcast in (
+        for side, key_exprs, counter, is_broadcast in (
             (self.join.left, self.left_keys, left_counter, broadcast_left),
             (self.join.right, self.right_keys, right_counter,
              not broadcast_left),
         ):
+            keys = [ctx.compiled(expr) for expr in key_exprs]
             stream = execute(side, ctx)
             if ctx.profile is not None:
                 stream = ctx.profile.count_into(self.join, counter, stream)
             for tup in stream:
                 if limits is not None:
                     limits.checkpoint()
-                key = join_key(tup, list(keys), ctx, op=self.join)
+                key = join_key(tup, keys, ctx, op=self.join)
                 if key is None:
                     continue
                 if is_broadcast:
@@ -326,19 +314,9 @@ class JoinBucketWork:
         )
         stream = run_chain(list(self.mid_ops), joined, ctx)
         if self.aggregate is not None:
-            accumulators = make_accumulators(self.aggregate.specs)
-            limits = ctx.limits
-            for tup in stream:
-                if limits is not None:
-                    limits.checkpoint()
-                for accumulator in accumulators:
-                    accumulator.add(tup, ctx)
-            partials = [acc.partial() for acc in accumulators]
-            for acc in accumulators:
-                release = getattr(acc, "release_charges", None)
-                if release is not None:
-                    release(ctx)
-            return partials
+            return take_partials(
+                fold_stream(self.aggregate.specs, stream, ctx), ctx
+            )
         return list(stream)
 
 

@@ -63,7 +63,7 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.algebra.plan import LogicalPlan
-from repro.hyracks.aggregates import make_accumulators
+from repro.hyracks.aggregates import accumulator_factory, make_accumulators
 from repro.hyracks.backends import (
     BroadcastScanWork,
     ExchangeWork,
@@ -697,6 +697,7 @@ class PartitionedExecutor:
         memory = self._tracker()
         ctx = self._context(None, memory, stats)
         started = time.perf_counter()
+        new_accumulators = accumulator_factory(nested.specs, ctx)
         combined: dict = {}
         for table in local_tables:
             # Workers ship plain partial values (picklable; spill-backed
@@ -704,7 +705,7 @@ class PartitionedExecutor:
             for key, (key_values, partials) in table.items():
                 state = combined.get(key)
                 if state is None:
-                    state = (key_values, make_accumulators(nested.specs))
+                    state = (key_values, new_accumulators())
                     combined[key] = state
                 for target, partial_value in zip(state[1], partials):
                     target.absorb(partial_value)
@@ -799,7 +800,7 @@ class PartitionedExecutor:
         memory = self._tracker()
         ctx = self._context(None, memory, stats)
         started = time.perf_counter()
-        accumulators = make_accumulators(aggregate.specs)
+        accumulators = make_accumulators(aggregate.specs, ctx)
         for partial in partials:
             for accumulator, value in zip(accumulators, partial):
                 accumulator.absorb(value)
@@ -1022,7 +1023,7 @@ class PartitionedExecutor:
         ctx = self._context(None, memory, stats)
         started = time.perf_counter()
         if use_two_step:
-            accumulators = make_accumulators(aggregate.specs)
+            accumulators = make_accumulators(aggregate.specs, ctx)
             for partial in partials:
                 for accumulator, value in zip(accumulators, partial):
                     accumulator.absorb(value)

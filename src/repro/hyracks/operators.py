@@ -8,6 +8,11 @@ GROUP-BY table, ``sequence`` aggregates, and the naive ``collection``
 expression — charge the context's memory tracker, which is what makes
 the paper's before/after memory comparisons measurable.
 
+No operator walks an expression tree per tuple: each takes the compiled
+closures of its expressions once per run from the context's memo
+(:meth:`~repro.algebra.context.EvaluationContext.compiled`) and calls
+only those in its loop.
+
 Entry points:
 
 - :func:`execute` — recursive execution of a (sub)plan,
@@ -25,8 +30,9 @@ from repro.errors import ItemTypeError, PlanError, RuntimeExecutionError
 from repro.algebra.context import EvaluationContext
 from repro.algebra.expressions import (
     ComparisonExpr,
+    Condition,
+    Evaluator,
     Expression,
-    effective_boolean_value,
 )
 from repro.algebra.operators import (
     Aggregate,
@@ -45,13 +51,13 @@ from repro.algebra.operators import (
 )
 from repro.algebra.plan import LogicalPlan
 from repro.algebra.rules.base import conjuncts, subtree_variables
-from repro.hyracks.aggregates import make_accumulators
+from repro.hyracks.aggregates import fold_stream
 from repro.hyracks.spill import (
     GROUP_ENTRY_BYTES as _GROUP_ENTRY_BYTES,
     fold_group_lists,
     fold_group_table,
 )
-from repro.hyracks.tuples import Tuple, extend_tuple, merge_tuples, sizeof_tuple
+from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple
 from repro.jsonlib.items import (
     Item,
     canonical_item,
@@ -228,43 +234,38 @@ def _execute_datascan(op: DataScan, ctx: EvaluationContext) -> Iterator[Tuple]:
 def _execute_assign(
     op: Assign, source: Iterable[Tuple], ctx: EvaluationContext
 ) -> Iterator[Tuple]:
-    expression = op.expression
+    evaluate = ctx.compiled(op.expression)
     variable = op.variable
     for tup in source:
-        yield extend_tuple(tup, variable, expression.evaluate(tup, ctx))
+        # a copy, so upstream operators can keep their tuple
+        yield {**tup, variable: evaluate(tup, ctx)}
 
 
 def _execute_unnest(
     op: Unnest, source: Iterable[Tuple], ctx: EvaluationContext
 ) -> Iterator[Tuple]:
-    expression = op.expression
+    evaluate = ctx.compiled(op.expression)
     variable = op.variable
     for tup in source:
-        for item in expression.evaluate(tup, ctx):
-            yield extend_tuple(tup, variable, [item])
+        for item in evaluate(tup, ctx):
+            yield {**tup, variable: [item]}
 
 
 def _execute_select(
     op: Select, source: Iterable[Tuple], ctx: EvaluationContext
 ) -> Iterator[Tuple]:
-    condition = op.condition
+    condition = ctx.compiled(op.condition, as_condition=True)
     for tup in source:
-        if effective_boolean_value(condition.evaluate(tup, ctx)):
+        if condition(tup, ctx):
             yield tup
 
 
 def _execute_aggregate(
     op: Aggregate, source: Iterable[Tuple], ctx: EvaluationContext
 ) -> Iterator[Tuple]:
-    accumulators = make_accumulators(op.specs)
-    limits = ctx.limits
-    for tup in source:
-        if limits is not None:
-            limits.checkpoint()
-        for accumulator in accumulators:
-            accumulator.add(tup, ctx)
     yield {
-        acc.spec.variable: acc.finish(ctx) for acc in accumulators
+        acc.spec.variable: acc.finish(ctx)
+        for acc in fold_stream(op.specs, source, ctx)
     }
 
 
@@ -373,8 +374,9 @@ def _execute_sort(
             charged = sum(sizeof_tuple(t) for t in tuples)
             ctx.charge(charged)
         for expression, descending in reversed(op.specs):
+            evaluate = ctx.compiled(expression)
             tuples.sort(
-                key=lambda tup: canonical_key(expression.evaluate(tup, ctx)),
+                key=lambda tup: canonical_key(evaluate(tup, ctx)),
                 reverse=descending,
             )
         yield from tuples
@@ -386,11 +388,11 @@ def _execute_sort(
 def _execute_distribute(
     op: DistributeResult, source: Iterable[Tuple], ctx: EvaluationContext
 ) -> Iterator[Tuple]:
-    expressions = op.expressions
+    evaluators = [ctx.compiled(expression) for expression in op.expressions]
     for tup in source:
         items: list[Item] = []
-        for expression in expressions:
-            items.extend(expression.evaluate(tup, ctx))
+        for evaluate in evaluators:
+            items.extend(evaluate(tup, ctx))
         yield {"__result__": items}
 
 
@@ -475,12 +477,15 @@ def _execute_join(op: Join, ctx: EvaluationContext) -> Iterator[Tuple]:
 
 def join_key(
     tup: Tuple,
-    keys: list[Expression],
+    keys: list[Evaluator],
     ctx: EvaluationContext,
     op: Operator | None = None,
 ):
     """Canonical equi-join key of *tup*, or None when any component is
     the empty sequence (``x eq ()`` is false, so the tuple cannot join).
+
+    *keys* are the compiled closures of the key expressions
+    (``ctx.compiled``), taken once per join run by the caller.
 
     A component evaluating to a *multi-item* sequence raises
     :class:`~repro.errors.ItemTypeError`, exactly like the ``eq`` value
@@ -492,8 +497,8 @@ def join_key(
     ``join_keys_dropped`` when a profile is attached.
     """
     key = []
-    for expr in keys:
-        value = expr.evaluate(tup, ctx)
+    for evaluate in keys:
+        value = evaluate(tup, ctx)
         if not value:
             if ctx.profile is not None and op is not None:
                 ctx.profile.add(op, "join_keys_dropped", 1)
@@ -504,6 +509,24 @@ def join_key(
             )
         key.append(canonical_key(value))
     return tuple(key)
+
+
+def _compile_residual(
+    conjuncts: list[Expression], ctx: EvaluationContext
+) -> Condition | None:
+    """One condition for a join's residual conjuncts (all must hold), or
+    None when there are none and every candidate pair joins."""
+    if not conjuncts:
+        return None
+    conditions = [ctx.compiled(c, as_condition=True) for c in conjuncts]
+
+    def residual(tup, ctx):
+        for condition in conditions:
+            if not condition(tup, ctx):
+                return False
+        return True
+
+    return residual
 
 
 def hash_join(
@@ -536,6 +559,9 @@ def hash_join(
     which re-emits results in probe order so the output stays
     byte-identical.
     """
+    left_keys = [ctx.compiled(expr) for expr in left_keys]
+    right_keys = [ctx.compiled(expr) for expr in right_keys]
+    residual = _compile_residual(residual, ctx)
     if build_side == "left":
         build_stream, build_keys = left_stream, left_keys
         probe_stream, probe_keys = right_stream, right_keys
@@ -591,10 +617,7 @@ def hash_join(
                 continue
             for match in table.get(key, ()):
                 joined = merge_tuples(tup, match)
-                if all(
-                    effective_boolean_value(conjunct.evaluate(joined, ctx))
-                    for conjunct in residual
-                ):
+                if residual is None or residual(joined, ctx):
                     yield joined
     finally:
         if charged:
@@ -614,7 +637,12 @@ def _nested_loop_join(
     ctx: EvaluationContext,
 ) -> Iterator[Tuple]:
     limits = ctx.limits
-    always_true = _is_always_true(op.condition)
+    # None: the condition is the literal true, every pair joins.
+    condition = (
+        None
+        if _is_always_true(op.condition)
+        else ctx.compiled(op.condition, as_condition=True)
+    )
     if ctx.spill is not None and ctx.memory is not None:
         from repro.hyracks.spill import SpilledSequence
 
@@ -629,9 +657,7 @@ def _nested_loop_join(
                     limits.checkpoint()
                 for right_tuple in right_seq:
                     joined = merge_tuples(left_tuple, right_tuple)
-                    if always_true or effective_boolean_value(
-                        op.condition.evaluate(joined, ctx)
-                    ):
+                    if condition is None or condition(joined, ctx):
                         yield joined
         finally:
             right_seq.close()
@@ -654,9 +680,7 @@ def _nested_loop_join(
                 limits.checkpoint()
             for right_tuple in right:
                 joined = merge_tuples(left_tuple, right_tuple)
-                if always_true or effective_boolean_value(
-                    op.condition.evaluate(joined, ctx)
-                ):
+                if condition is None or condition(joined, ctx):
                     yield joined
     finally:
         if charged:

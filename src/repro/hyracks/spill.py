@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.envutil import env_setting
 from repro.errors import SpillError
+from repro.hyracks.aggregates import accumulator_factory
 from repro.hyracks.frames import DEFAULT_FRAME_BYTES, FrameWriter
 from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple
 from repro.jsonlib.items import canonical_key
@@ -486,8 +487,8 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
     a spill manager, a declined charge flushes the table's partial
     states to salted key-bucket run files and recurses per bucket.
     """
-    from repro.hyracks.aggregates import make_accumulators
-
+    key_evaluators = [ctx.compiled(expr) for expr in key_exprs]
+    new_accumulators = accumulator_factory(specs, ctx)
     limits = ctx.limits
     spill = ctx.spill
     memory = ctx.memory
@@ -522,8 +523,8 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
     for tup in source:
         if limits is not None:
             limits.checkpoint()
-        key_values = [expr.evaluate(tup, ctx) for expr in key_exprs]
-        key = tuple(canonical_key(v) for v in key_values)
+        key_values = [evaluate(tup, ctx) for evaluate in key_evaluators]
+        key = tuple([canonical_key(v) for v in key_values])
         state = table.get(key)
         if state is None:
             if memory is not None:
@@ -534,7 +535,7 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
                         flush_to_buckets()
                     if not memory.try_allocate(GROUP_ENTRY_BYTES):
                         memory.force_allocate(GROUP_ENTRY_BYTES)
-            state = (key_values, make_accumulators(specs), seq)
+            state = (key_values, new_accumulators(), seq)
             table[key] = state
         for accumulator in state[1]:
             accumulator.add(tup, ctx)
@@ -550,7 +551,7 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
     handles = [writer.finish() for writer in writers]
     entries: list = []  # (first_seq, key, key_values, accumulators)
     for handle in handles:
-        _merge_group_bucket(handle, specs, ctx, op, 1, entries)
+        _merge_group_bucket(handle, new_accumulators, ctx, op, 1, entries)
         handle.delete()
     entries.sort(key=lambda entry: entry[0])
     merged: dict = {}
@@ -559,10 +560,10 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
     return merged
 
 
-def _merge_group_bucket(handle, specs, ctx, op, depth: int, entries: list):
+def _merge_group_bucket(
+    handle, new_accumulators, ctx, op, depth: int, entries: list
+):
     """Absorb one bucket's partial records; recurse when it overflows."""
-    from repro.hyracks.aggregates import make_accumulators
-
     limits = ctx.limits
     spill = ctx.spill
     memory = ctx.memory
@@ -613,7 +614,7 @@ def _merge_group_bucket(handle, specs, ctx, op, depth: int, entries: list):
                     )
                     continue
                 memory.force_allocate(GROUP_ENTRY_BYTES)
-            state = (key_values, make_accumulators(specs), first_seq)
+            state = (key_values, new_accumulators(), first_seq)
             table[key] = state
         elif first_seq < state[2]:
             state = (state[0], state[1], first_seq)
@@ -624,7 +625,9 @@ def _merge_group_bucket(handle, specs, ctx, op, depth: int, entries: list):
     if writers is not None:
         sub_handles = [writer.finish() for writer in writers]
         for sub in sub_handles:
-            _merge_group_bucket(sub, specs, ctx, op, depth + 1, entries)
+            _merge_group_bucket(
+                sub, new_accumulators, ctx, op, depth + 1, entries
+            )
             sub.delete()
         return
 
@@ -647,6 +650,7 @@ def fold_group_lists(key_exprs, source: Iterable[Tuple], ctx, finalize, op=None)
 
     Returns ``(outputs, group_count)``.
     """
+    key_evaluators = [ctx.compiled(expr) for expr in key_exprs]
     limits = ctx.limits
     spill = ctx.spill
     memory = ctx.memory
@@ -675,8 +679,8 @@ def fold_group_lists(key_exprs, source: Iterable[Tuple], ctx, finalize, op=None)
     for tup in source:
         if limits is not None:
             limits.checkpoint()
-        key_values = [expr.evaluate(tup, ctx) for expr in key_exprs]
-        key = tuple(canonical_key(v) for v in key_values)
+        key_values = [evaluate(tup, ctx) for evaluate in key_evaluators]
+        key = tuple([canonical_key(v) for v in key_values])
         state = table.get(key)
         if state is None:
             state = [key_values, [], seq, 0]
@@ -802,7 +806,9 @@ def grace_join_overflow(
 
     Called by :func:`~repro.hyracks.operators.hash_join` with the
     partially-built table, the not-yet-consumed remainder of the build
-    stream, and the untouched probe stream.  Both sides are partitioned
+    stream, and the untouched probe stream; the key and residual
+    arguments are the closures hash_join already compiled for this run
+    (*residual* is one condition, or None).  Both sides are partitioned
     into key-bucket run files; each bucket joins locally (recursing with
     a salted hash when a bucket itself overflows).  Probe tuples carry
     their arrival sequence number and the joined output is re-emitted in
@@ -861,8 +867,6 @@ def grace_join_overflow(
 
 def _join_bucket(build_handle, probe_handle, residual, ctx, op, depth, out):
     """Join one bucket pair; recurse with a salted hash on overflow."""
-    from repro.algebra.expressions import effective_boolean_value
-
     limits = ctx.limits
     spill = ctx.spill
     memory = ctx.memory
@@ -928,10 +932,7 @@ def _join_bucket(build_handle, probe_handle, residual, ctx, op, depth, out):
             limits.checkpoint()
         for match in table.get(key, ()):
             joined = merge_tuples(tup, match)
-            if all(
-                effective_boolean_value(conjunct.evaluate(joined, ctx))
-                for conjunct in residual
-            ):
+            if residual is None or residual(joined, ctx):
                 out.append((seq, joined))
     if memory is not None and charged:
         memory.release(charged)
@@ -966,8 +967,9 @@ class _OrderKey:
         return (_OrderKey, (self.value, self.descending))
 
 
-def sort_key_for(specs, tup: Tuple, ctx, seq: int) -> tuple:
-    """Composite comparable key for one tuple under *specs*.
+def sort_key_for(keys, tup: Tuple, ctx, seq: int) -> tuple:
+    """Composite comparable key for one tuple under *keys*, the sort
+    specs as ``(compiled closure, descending)`` pairs.
 
     Lexicographic comparison over per-spec :class:`_OrderKey` components
     with the arrival sequence as final tie-break reproduces exactly what
@@ -975,8 +977,8 @@ def sort_key_for(specs, tup: Tuple, ctx, seq: int) -> tuple:
     sort passes.
     """
     return tuple(
-        _OrderKey(canonical_key(expr.evaluate(tup, ctx)), descending)
-        for expr, descending in specs
+        _OrderKey(canonical_key(evaluate(tup, ctx)), descending)
+        for evaluate, descending in keys
     ) + (seq,)
 
 
@@ -988,6 +990,7 @@ def external_sort(specs, source: Iterable[Tuple], ctx, op=None) -> Iterator[Tupl
     ``heapq.merge`` over composite keys, streaming the result without
     ever re-materializing the whole input.
     """
+    keys = [(ctx.compiled(expr), descending) for expr, descending in specs]
     limits = ctx.limits
     spill = ctx.spill
     memory = ctx.memory
@@ -1016,7 +1019,7 @@ def external_sort(specs, source: Iterable[Tuple], ctx, op=None) -> Iterator[Tupl
         for tup in source:
             if limits is not None:
                 limits.checkpoint()
-            key = sort_key_for(specs, tup, ctx, seq)
+            key = sort_key_for(keys, tup, ctx, seq)
             seq += 1
             n_bytes = sizeof_tuple(tup)
             if memory is not None:

@@ -1,8 +1,9 @@
 """Tuple representation and size estimation.
 
 A runtime tuple is a mapping from variable names to sequences (lists of
-items).  Tuples are copied on extension (``extend_tuple``) so upstream
-operators can hold references safely; sequences themselves are shared.
+items).  Tuples are copied on extension (ASSIGN and UNNEST build
+``{**tup, variable: sequence}``) so upstream operators can hold
+references safely; sequences themselves are shared.
 """
 
 from __future__ import annotations
@@ -15,13 +16,6 @@ Tuple = dict
 
 _TUPLE_BASE = 64
 _PER_FIELD = 24
-
-
-def extend_tuple(tup: Tuple, variable: str, sequence: list) -> Tuple:
-    """A copy of *tup* with *variable* bound to *sequence*."""
-    extended = dict(tup)
-    extended[variable] = sequence
-    return extended
 
 
 def merge_tuples(left: Tuple, right: Mapping) -> Tuple:

@@ -78,7 +78,10 @@ def _string_arg(sequence: Sequence, function: str) -> str:
     return _as_string(item, function)
 
 
-def _numbers(sequence: Sequence, function: str) -> list:
+def as_numbers(sequence: Sequence, function: str) -> list:
+    """*sequence* checked item by item as numbers (booleans are not);
+    shared with the runtime's incremental aggregates so both forms of
+    ``sum``/``avg``/``min``/``max`` reject the same items the same way."""
     return [_as_number(item, function) for item in sequence]
 
 
@@ -94,12 +97,12 @@ def fn_count(args: list) -> Sequence:
 
 def fn_sum(args: list) -> Sequence:
     """``sum($seq)`` — numeric sum; 0 for the empty sequence."""
-    return [sum(_numbers(args[0], "sum"))]
+    return [sum(as_numbers(args[0], "sum"))]
 
 
 def fn_avg(args: list) -> Sequence:
     """``avg($seq)`` — numeric mean; empty for the empty sequence."""
-    values = _numbers(args[0], "avg")
+    values = as_numbers(args[0], "avg")
     if not values:
         return []
     return [sum(values) / len(values)]
@@ -107,13 +110,13 @@ def fn_avg(args: list) -> Sequence:
 
 def fn_min(args: list) -> Sequence:
     """``min($seq)``; empty for the empty sequence."""
-    values = _numbers(args[0], "min")
+    values = as_numbers(args[0], "min")
     return [min(values)] if values else []
 
 
 def fn_max(args: list) -> Sequence:
     """``max($seq)``; empty for the empty sequence."""
-    values = _numbers(args[0], "max")
+    values = as_numbers(args[0], "max")
     return [max(values)] if values else []
 
 

@@ -1,18 +1,29 @@
 """Unit tests for aggregate accumulators and their partial/combine split."""
 
+import json
+
 import pytest
 
+from repro import InMemorySource, JsonProcessor
 from repro.algebra.context import EvaluationContext
 from repro.algebra.expressions import VariableRef
 from repro.algebra.operators import AggregateSpec
-from repro.hyracks.aggregates import make_accumulator, make_accumulators
+from repro.algebra.rules import RewriteConfig
+from repro.errors import ItemTypeError, ReproError
+from repro.hyracks.aggregates import make_accumulators
 from repro.hyracks.memory import MemoryTracker
+from repro.jsoniq.functions import BUILTIN_FUNCTIONS
 
 CTX = EvaluationContext()
 
 
 def spec(function):
     return AggregateSpec("out", function, VariableRef("x"))
+
+
+def make_accumulator(aggregate_spec, ctx=CTX):
+    (accumulator,) = make_accumulators([aggregate_spec], ctx)
+    return accumulator
 
 
 def feed(accumulator, values, ctx=CTX):
@@ -110,5 +121,70 @@ class TestPartialCombine:
         assert acc.finish(CTX) == [7]
 
     def test_make_accumulators_order(self):
-        accs = make_accumulators([spec("count"), spec("sum")])
+        accs = make_accumulators([spec("count"), spec("sum")], CTX)
         assert [a.spec.function for a in accs] == ["count", "sum"]
+
+
+class TestTypeChecks:
+    """The accumulators check values like the scalar builtins do, so a
+    query answers the same whether or not the rewrite rules pushed its
+    aggregate into an accumulator (``RewriteConfig.all()`` vs
+    ``.none()``), on every backend."""
+
+    @pytest.mark.parametrize("function", ["sum", "avg", "min", "max"])
+    @pytest.mark.parametrize(
+        "value,type_name", [("x", "string"), (True, "boolean"), (None, "null")]
+    )
+    def test_accumulator_rejects_like_the_builtin(self, function, value, type_name):
+        message = rf"{function}\(\) expects a number, got {type_name}"
+        with pytest.raises(ItemTypeError, match=message):
+            BUILTIN_FUNCTIONS[(function, 1)]([[1, value]])
+        acc = make_accumulator(spec(function))
+        acc.add({"x": [1]}, CTX)
+        with pytest.raises(ItemTypeError, match=message):
+            acc.add({"x": [value]}, CTX)
+
+    QUERIES = {
+        "grouped": 'for $r in collection("/c") group by $k := $r("b") '
+        'return {function}($r("{key}"))',
+        "ungrouped": '{function}(for $r in collection("/c") return $r("{key}"))',
+    }
+
+    @staticmethod
+    def execute(query, config, backend):
+        rows = [{"a": "x", "n": 4, "b": 1}, {"a": "y", "n": 1.5, "b": 1}]
+        text = "\n".join(json.dumps(row) for row in rows)
+        source = InMemorySource(collections={"/c": [[text], [text]]})
+        with JsonProcessor(source=source, rewrite=config, backend=backend) as processor:
+            return processor.execute(query).items
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("rewrites", ["all", "none"])
+    @pytest.mark.parametrize("shape", ["grouped", "ungrouped"])
+    @pytest.mark.parametrize("function", ["sum", "avg", "min", "max"])
+    def test_query_over_strings_raises_item_type_error(
+        self, function, shape, rewrites, backend
+    ):
+        query = self.QUERIES[shape].replace("{function}", function).replace("{key}", "a")
+        config = getattr(RewriteConfig, rewrites)()
+        with pytest.raises(ReproError) as excinfo:
+            self.execute(query, config, backend)
+        # Raised at the coordinator it is the error itself; raised in a
+        # partition it arrives as the PartitionExecutionError's cause.
+        error = excinfo.value
+        if not isinstance(error, ItemTypeError):
+            error = error.__cause__
+        assert isinstance(error, ItemTypeError)
+        assert str(error) == f"{function}() expects a number, got string"
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("shape", ["grouped", "ungrouped"])
+    @pytest.mark.parametrize(
+        "function,expected", [("sum", 11), ("avg", 2.75), ("min", 1.5), ("max", 4)]
+    )
+    def test_numbers_answer_the_same_under_both_configs(
+        self, function, expected, shape, backend
+    ):
+        query = self.QUERIES[shape].replace("{function}", function).replace("{key}", "n")
+        for config in (RewriteConfig.all(), RewriteConfig.none()):
+            assert self.execute(query, config, backend) == [expected]

@@ -1,7 +1,6 @@
-"""Execution backends: three-way parity, picklability, and speedup."""
+"""Execution backends: three-way parity, picklability, and distribution."""
 
 import json
-import os
 import pickle
 
 import pytest
@@ -306,20 +305,21 @@ class TestSimulatedSeconds:
         )
 
 
-@pytest.mark.benchmark
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="speedup needs at least two cores",
-)
-class TestSpeedup:
-    def test_process_backend_speeds_up_q0(self, tmp_path):
+class TestDistribution:
+    """Deterministic evidence that the process backend spreads a query
+    over its partitions.  How much faster that makes it is a wall-clock
+    matter and is measured by ``hyracks.speedup_vs_sequential`` on the
+    ``parallel`` workload of ``perfbench``, never asserted in tier-1."""
+
+    def test_process_backend_distributes_q0(self, tmp_path):
         from repro.data.generator import SensorDataConfig, write_sensor_collection
 
+        partitions = 4
         write_sensor_collection(
             str(tmp_path),
             "sensors",
-            partitions=4,
-            bytes_per_partition=1 << 20,
+            partitions=partitions,
+            bytes_per_partition=64 << 10,
             config=SensorDataConfig(seed=42),
         )
         query = (
@@ -327,18 +327,44 @@ class TestSpeedup:
             'where $r("dataType") eq "TMIN" return $r("value")'
         )
 
-        def timed(backend):
+        def run(backend):
             with JsonProcessor.from_directory(
                 str(tmp_path), backend=backend
             ) as processor:
-                processor.execute(query)  # warm caches / pools
-                result = processor.execute(query)
-            return result
+                return processor.execute(query)
 
-        sequential = timed("sequential")
-        process = timed("process")
+        sequential = run("sequential")
+        process = run("process")
         assert process.items == sequential.items
-        speedup = (
-            sequential.parallel_wall_seconds / process.parallel_wall_seconds
+        assert process.backend == "process"
+        assert len(process.partition_seconds) == partitions
+
+        # One work unit per partition through the pool itself: every
+        # partition comes back as its own outcome, in partition order,
+        # with its own scan count and measured time.
+        catalog = CollectionCatalog(str(tmp_path))
+        plan = JsonProcessor(source=catalog).compile(query).plan
+        units = [
+            WorkUnit(
+                plan=plan,
+                partition=partition,
+                work=PipelinedWork(plan),
+                source=catalog,
+                functions=None,
+                memory_budget=None,
+                resilience=ResilienceConfig(),
+            )
+            for partition in range(partitions)
+        ]
+        with ProcessBackend(max_workers=2) as backend:
+            outcomes = list(backend.run_units(units))
+        assert [o.partition for o in outcomes] == list(range(partitions))
+        for outcome in outcomes:
+            assert outcome.error is None and not outcome.skipped
+            assert outcome.stats.items_scanned > 0
+            assert outcome.measured_seconds > 0.0
+        assert (
+            sum(o.stats.items_scanned for o in outcomes)
+            == sequential.stats.items_scanned
         )
-        assert speedup >= 1.5
+        assert [v for o in outcomes for v in o.value] == sequential.items

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import MemoryBudgetExceededError
 from repro.algebra.context import EvaluationContext
+from repro.algebra.expressions import VariableRef
 from repro.algebra.rules import RewriteConfig
 from repro.compiler.pipeline import compile_query
 from repro.data.catalog import InMemorySource
@@ -191,14 +192,7 @@ class TestExternalSort:
             {"v": [(i * 37) % 50], "s": [f"s{i % 3}"]} for i in range(200)
         ]
 
-        class Expr:
-            def __init__(self, var):
-                self.var = var
-
-            def evaluate(self, tup, ctx):
-                return tup[self.var]
-
-        specs = [(Expr("v"), True), (Expr("s"), False)]
+        specs = [(VariableRef("v"), True), (VariableRef("s"), False)]
         plain_ctx = EvaluationContext()
         expected = list(external_sort(specs, iter(tuples), plain_ctx))
         tracker = MemoryTracker(budget=512)

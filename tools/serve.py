@@ -209,6 +209,10 @@ def main(argv: list[str] | None = None) -> int:
                     "message": str(error),
                 })
                 continue
+            # Keep only the waiters of requests still in flight: a
+            # long-lived server must not hold one dead Thread per query
+            # ever served.  Shutdown joins whatever is left.
+            waiters = [waiter for waiter in waiters if waiter.is_alive()]
             waiter = threading.Thread(
                 target=await_ticket, args=(ticket, request_id)
             )
