@@ -2,12 +2,13 @@
 
 Scan modes select the per-record projector used by every DATASCAN:
 
-- ``ondemand`` (default) — the structural-index scanner
-  (:mod:`repro.jsonlib.tape`): one tokenizing pass builds a tape, the
-  projection navigates it lazily, non-projected subtrees are jumped by
-  offset arithmetic.
+- ``ondemand`` (default) — the single-pass navigator
+  (:mod:`repro.jsonlib.tape`): walks each record's text along the
+  projection path, hops everything else undecoded, and decodes each
+  match in place with the stdlib C scanner; an irregular record is
+  re-projected by ``text``.
 - ``text`` — the raw-text skipper (:mod:`repro.jsonlib.textscan`),
-  the canonical reference implementation.
+  the canonical reference implementation and fallback authority.
 - ``eager`` — parse every record fully, then navigate the materialized
   item (the pre-PR-7 naive baseline; kept for benchmarking and for the
   differential harness's scan-mode axis).

@@ -9,7 +9,7 @@ Runs each query through the full matrix of
   with :class:`EagerNavigationSource`: parse everything, then
   navigate — the definitional semantics),
 - scan modes (:data:`SCAN_MODE_AXIS`: ``eager`` parse-then-navigate,
-  ``ondemand`` structural-index tape, ``cached-warm`` on-demand through
+  ``ondemand`` single-pass navigator, ``cached-warm`` on-demand through
   the segment cache compared on the warm execution) — every projected
   cell runs all three and the items *and* degradation reports must be
   byte-identical, not merely canonically equal,

@@ -103,11 +103,19 @@ def _decode_string(raw: str, offset: int) -> str:
     return "".join(out)
 
 
-def _convert_number(text: str) -> int | float:
-    """Convert matched number text to int or float."""
+def _convert_number(text: str, offset: int) -> int | float:
+    """Convert matched number text (found at *offset*) to int or float."""
     if "." in text or "e" in text or "E" in text:
         return float(text)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        # CPython refuses to convert integer literals longer than
+        # sys.get_int_max_str_digits(); to a scanner that is one more
+        # malformed record, not an engine failure.
+        raise JsonSyntaxError(
+            f"integer literal of {len(text)} characters is too long", offset
+        ) from None
 
 
 class StreamingJsonParser:
@@ -316,7 +324,8 @@ class StreamingJsonParser:
                 # The number (or its fraction/exponent) may continue in
                 # the next chunk, e.g. "1.5e" + "3".
                 return _NEED_MORE
-            events.append(atomic_event(_convert_number(match.group())))
+            number = _convert_number(match.group(), self._offset(pos))
+            events.append(atomic_event(number))
             self._state = self._after_value()
             return end
         for literal in _LITERALS:

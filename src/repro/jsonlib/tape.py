@@ -1,494 +1,70 @@
-"""On-demand projection over a structural index (the "tape").
+"""On-demand projection: walk the text along the path, decode in place.
 
-The raw-text skipper (:mod:`repro.jsonlib.textscan`) interleaves
-navigation and tokenization: every walk decision re-scans text with
-regexes.  This module follows the two-phase design of "On-Demand JSON:
-A Better Way to Parse Documents?" (PAPERS.md) instead:
+"On-Demand JSON: A Better Way to Parse Documents?" (PAPERS.md) gets its
+speed from materializing only what is consumed, on top of a structural
+index that SIMD makes cheap.  In CPython the index is the expensive
+part (one interpreted step per token) and the standard library's C
+scanner is the cheap one, so this module keeps the principle and drops
+the index.  There is no tape any more; the module keeps its name
+because ``scan_mode="ondemand"`` and the ``tape_*`` counters are wired
+to it.
 
-**Phase 1 — index.**  One ``finditer`` pass per top-level record builds
-a compact structural index: flat arrays of token kinds, start offsets
-and end offsets (string literals and atoms are single tokens), plus a
-matching-close table filled by a bracket stack during the same pass.
-No per-token objects are allocated — the tape is four parallel lists of
-ints.
-
-**Phase 2 — navigate.**  The projection path (:mod:`repro.jsonlib.path`
-steps) resolves directly against the tape.  Only projected leaves are
-materialized (string decode / number convert straight from the recorded
-spans); a non-projected subtree is skipped by offset arithmetic — one
-jump to its recorded closing token, never parsed.
+One pass per top-level record.  The raw-text skipper's own walkers
+(:func:`repro.jsonlib.textscan._project`) follow the projection path:
+one anchored regex per object key at the walked levels, every
+non-matching value hopped with the skipper's ``_skip_value`` (so
+leniency inside skipped regions is the skipper's by construction, and
+nothing skipped is ever decoded), and each matched value decoded where
+it stands by one ``scan_once`` call of the C scanner, whose returned
+end offset is where the walk resumes.  A trailing keys-or-members step
+over an array decodes the whole array in that one call.
 
 Equivalence contract, shared with the raw skipper and checked
 property-based in the test suite::
 
     list(scan_text(text, path)) == navigate(parse(text), path)
 
-Counting semantics (duplicate-key last-occurrence-wins recounting,
-keys-or-members deduplication, bulk array skips counting once) mirror
-``textscan`` exactly.  Malformed records are re-projected with the raw
-skipper, which is the canonical definition of error messages, offsets
-and partial counts — so degradation reports stay byte-identical across
-scan modes, and a record truncated at the sliding-buffer edge raises
-just like the skipper does, letting ``scan_file``'s grow-and-retry
-machinery work unchanged.
+The skipper stays the canonical definition of everything irregular.
+Items and counters are staged per record, and whatever trips the fast
+path (a syntax error at a walked level, anything the C decoder raises,
+a non-standard constant) discards the stage and re-projects the record
+with the skipper on the caller's own ``out`` and ``counters``.  Error
+class, message and offset, partial counts, skip events and
+``scan_file``'s grow-and-retry at a chunk edge are therefore
+byte-identical with ``scan_mode="text"``.
+
+Counters: ``tape_records`` counts records projected on this path (a
+re-projected record is not one), ``tape_tokens`` the walkers' steps on
+them: one per key read, member visited and decode call.
 """
 
 from __future__ import annotations
 
-import json as _json
-import re
+import json
 from typing import Iterator
 
 from repro.errors import JsonSyntaxError
-from repro.jsonlib.items import Item
-from repro.jsonlib.parser import _convert_number, _decode_string
-from repro.jsonlib.path import (
-    KeysOrMembers,
-    Path,
-    ValueByIndex,
-    ValueByKey,
-)
 from repro.jsonlib import textscan
-from repro.jsonlib.textscan import (
-    _DEFAULT_CHUNK_SIZE,
-    _LITERAL_VALUES,
-    _WS_RE,
-    ScanCounters,
-    _project as _text_project,
-    _skip_value,
-    _skip_ws,
-)
-
-# One alternation tokenizes everything the tape records: a whole string
-# literal (escapes included, so quoted brackets can't confuse nesting),
-# a whole number or literal atom, or a single structural character.
-_TOKEN_RE = re.compile(
-    r'"(?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*"'
-    r"|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
-    r"|true|false|null"
-    r"|[{}\[\]:,]"
-)
-
-# Token kinds.  Each closer is its opener + 1, which the bracket stack
-# relies on to validate matching pairs.
-_OPEN_OBJECT = 0
-_CLOSE_OBJECT = 1
-_OPEN_ARRAY = 2
-_CLOSE_ARRAY = 3
-_COLON = 4
-_COMMA = 5
-_STRING = 6
-_ATOM = 7
-#: A whole container deeper than the projection path ever walks,
-#: recorded as one span token: its interior is never tokenized — the
-#: index pass jumps it with the skipper's own quote-aware bracket hop,
-#: and the navigator either skips it (one token) or bulk-decodes the
-#: recorded span.
-_SUBTREE = 8
-
-_PUNCT_KINDS = {
-    "{": _OPEN_OBJECT,
-    "}": _CLOSE_OBJECT,
-    "[": _OPEN_ARRAY,
-    "]": _CLOSE_ARRAY,
-    ":": _COLON,
-    ",": _COMMA,
-}
-
-
-class RecordTape:
-    """Structural index of one top-level record: parallel int arrays.
-
-    ``kinds[i]``/``starts[i]``/``ends[i]`` describe token *i*;
-    ``close[i]`` holds the index of the matching closer for opener
-    tokens (-1 elsewhere), so skipping a container is one array jump.
-    """
-
-    __slots__ = ("kinds", "starts", "ends", "close")
-
-    def __init__(self, kinds, starts, ends, close):
-        self.kinds = kinds
-        self.starts = starts
-        self.ends = ends
-        self.close = close
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-
-def build_tape(text: str, pos: int, depth_limit: int) -> tuple[RecordTape, int]:
-    """Index the container record at *pos*; returns (tape, end offset).
-
-    *depth_limit* is the number of container levels the navigator will
-    walk (the projection path's step count): a container opening at
-    that depth can only ever be skipped whole or materialized whole, so
-    its interior is not tokenized — it is jumped with the skipper's
-    quote-aware ``_skip_value`` and recorded as one :data:`_SUBTREE`
-    span.  The index therefore costs one token per *walked* structural
-    character, not per byte of the record.
-
-    Raises :class:`~repro.errors.JsonSyntaxError` at the record start
-    when the buffered text ends before the record's brackets balance —
-    exactly where the raw skipper raises for a truncated container, so
-    the sliding-buffer grow-and-retry path treats both scanners alike.
-    """
-    kinds: list = []
-    starts: list = []
-    ends: list = []
-    close: list = []
-    stack: list = []
-    prev_end = pos
-    record_start = pos
-    search = _TOKEN_RE.search
-    while True:
-        match = search(text, pos)
-        if match is None:
-            raise JsonSyntaxError("unterminated container", record_start)
-        start = match.start()
-        if start != prev_end:
-            # Only whitespace may separate tokens.  This gap validation
-            # is what makes a successfully built tape trustworthy: any
-            # stray character (including an unbalanced quote, which
-            # would make the tokenizer pair strings differently from
-            # the raw skipper) fails the build here, and the record is
-            # re-projected by the skipper — the canonical authority on
-            # malformed input.
-            ws_end = _WS_RE.match(text, prev_end).end()
-            if ws_end != start:
-                raise JsonSyntaxError(
-                    f"unexpected character {text[ws_end]!r}", ws_end
-                )
-        ch = text[start]
-        index = len(kinds)
-        if ch == "{" or ch == "[":
-            if len(stack) >= depth_limit:
-                # Deeper than any walk: record the whole container as a
-                # single span, interior untokenized.  _skip_value is the
-                # skipper's own bracket hop, so leniency (and behaviour
-                # on hostile quoting) inside skipped subtrees is
-                # byte-identical with scan_mode="text".
-                end = _skip_value(text, start)
-                kinds.append(_SUBTREE)
-                starts.append(start)
-                ends.append(end)
-                close.append(-1)
-                prev_end = end
-                pos = end
-                if not stack:
-                    return RecordTape(kinds, starts, ends, close), end
-                continue
-            kinds.append(_PUNCT_KINDS[ch])
-            stack.append(index)
-        elif ch == "}" or ch == "]":
-            kind = _PUNCT_KINDS[ch]
-            kinds.append(kind)
-            if not stack or kinds[stack[-1]] != kind - 1:
-                raise JsonSyntaxError(f"unexpected character {ch!r}", start)
-            close[stack.pop()] = index
-        elif ch == '"':
-            kinds.append(_STRING)
-        elif ch == ":" or ch == ",":
-            kinds.append(_PUNCT_KINDS[ch])
-        else:
-            kinds.append(_ATOM)
-        starts.append(start)
-        ends.append(match.end())
-        close.append(-1)
-        prev_end = match.end()
-        pos = match.end()
-        if not stack:
-            return RecordTape(kinds, starts, ends, close), pos
-
-
-def _skip_token(text: str, tape: RecordTape, i: int, counters) -> int:
-    """Skip the value at token *i* by offset arithmetic; count it once."""
-    kind = tape.kinds[i]
-    if kind == _OPEN_OBJECT or kind == _OPEN_ARRAY:
-        end = tape.close[i] + 1
-    elif kind == _STRING or kind == _ATOM or kind == _SUBTREE:
-        end = i + 1
-    else:
-        raise JsonSyntaxError(
-            f"unexpected character {text[tape.starts[i]]!r}", tape.starts[i]
-        )
-    if counters is not None:
-        counters.skipped += 1
-    return end
-
-
-def _token_string(text: str, tape: RecordTape, i: int) -> str:
-    """Decode the string token *i* (escape-free fast path)."""
-    raw = text[tape.starts[i] + 1 : tape.ends[i] - 1]
-    if "\\" in raw:
-        return _decode_string(raw, tape.starts[i] + 1)
-    return raw
+from repro.jsonlib.items import Item
+from repro.jsonlib.path import Path
+from repro.jsonlib.textscan import _DEFAULT_CHUNK_SIZE, ScanCounters, _project
 
 
 def _reject_constant(token: str):
-    """Refuse ``NaN``/``Infinity``/``-Infinity`` inside bulk decodes.
+    """Refuse ``NaN``/``Infinity``/``-Infinity``.
 
     The stdlib decoder accepts these extensions by default, but the
-    canonical skipper's ``_build_value`` raises — and Python's own
+    canonical skipper's ``_build_value`` raises, and Python's own
     ``json.dumps`` emits ``NaN`` for ``float('nan')``, so such inputs
-    occur in practice.  Raising here fails the tape path and hands the
-    record to the skipper, keeping items, errors, and degradation
-    reports byte-identical across scan modes.
+    occur in practice.  Raising here hands the record to the skipper.
     """
     raise ValueError(f"invalid literal {token}")
 
 
-def _materialize_container(text: str, tape: RecordTape, i: int):
-    """Decode the whole container at token *i* in one C-speed pass.
-
-    The tape already proved the slice token-clean and bracket-balanced,
-    and the stdlib decoder's value semantics are identical to
-    ``_build_value``'s (int unless ``./e/E``, last duplicate key wins,
-    surrogate-pair combining with lone surrogates kept, non-standard
-    constants rejected via :func:`_reject_constant`) — so for a fully
-    projected subtree one ``json.loads`` over the recorded span
-    replaces thousands of per-token Python steps.  Structural errors
-    the tokenizer can't see (a missing colon, say) surface as
-    :class:`~repro.errors.JsonSyntaxError` so the record falls back to
-    the canonical raw skipper.
-
-    Returns (value, next token index).
-    """
-    if tape.kinds[i] == _SUBTREE:
-        end_offset = tape.ends[i]
-        next_token = i + 1
-    else:
-        closer = tape.close[i]
-        end_offset = tape.ends[closer]
-        next_token = closer + 1
-    try:
-        value = _json.loads(
-            text[tape.starts[i] : end_offset],
-            parse_constant=_reject_constant,
-        )
-    except ValueError as error:
-        raise JsonSyntaxError(str(error), tape.starts[i]) from None
-    return value, next_token
-
-
-def build_value(text: str, tape: RecordTape, i: int) -> tuple[Item, int]:
-    """Materialize the value at token *i*; returns (item, next token).
-
-    Strings and atoms convert straight from their recorded spans — no
-    re-tokenization; containers recurse over the tape, validating the
-    separators (and the gaps between walked tokens) exactly like the
-    skipper's ``_build_value`` validates its text.
-    """
-    kinds = tape.kinds
-    starts = tape.starts
-    kind = kinds[i]
-    if kind == _STRING:
-        return _token_string(text, tape, i), i + 1
-    if kind == _SUBTREE:
-        return _materialize_container(text, tape, i)
-    if kind == _ATOM:
-        raw = text[starts[i] : tape.ends[i]]
-        if raw in _LITERAL_VALUES:
-            return _LITERAL_VALUES[raw], i + 1
-        return _convert_number(raw), i + 1
-    if kind == _OPEN_OBJECT:
-        obj: dict = {}
-        j = i + 1
-        if kinds[j] == _CLOSE_OBJECT:
-            return obj, j + 1
-        while True:
-            if kinds[j] != _STRING:
-                raise JsonSyntaxError("expected object key", starts[j])
-            key = _token_string(text, tape, j)
-            if kinds[j + 1] != _COLON:
-                raise JsonSyntaxError("expected ':'", starts[j + 1])
-            obj[key], j = build_value(text, tape, j + 2)
-            kind = kinds[j]
-            if kind == _COMMA:
-                j += 1
-                continue
-            if kind == _CLOSE_OBJECT:
-                return obj, j + 1
-            raise JsonSyntaxError(
-                f"expected ',' or '}}', found {text[starts[j]]!r}", starts[j]
-            )
-    if kind == _OPEN_ARRAY:
-        array: list = []
-        j = i + 1
-        if kinds[j] == _CLOSE_ARRAY:
-            return array, j + 1
-        while True:
-            member, j = build_value(text, tape, j)
-            array.append(member)
-            kind = kinds[j]
-            if kind == _COMMA:
-                j += 1
-                continue
-            if kind == _CLOSE_ARRAY:
-                return array, j + 1
-            raise JsonSyntaxError(
-                f"expected ',' or ']', found {text[starts[j]]!r}", starts[j]
-            )
-    raise JsonSyntaxError(
-        f"unexpected character {text[starts[i]]!r}", starts[i]
-    )
-
-
-def _navigate(
-    text: str,
-    tape: RecordTape,
-    i: int,
-    path: Path,
-    step_index: int,
-    out: list,
-    counters: ScanCounters | None,
-) -> int:
-    """Project steps from *step_index* over the value at token *i*.
-
-    Matched items append to *out*; returns the token index just past
-    the value.  Counting mirrors ``textscan._project`` exactly.
-    """
-    if step_index == len(path):
-        kind = tape.kinds[i]
-        if kind == _OPEN_OBJECT or kind == _OPEN_ARRAY or kind == _SUBTREE:
-            item, j = _materialize_container(text, tape, i)
-        else:
-            item, j = build_value(text, tape, i)
-        out.append(item)
-        if counters is not None:
-            counters.matched += 1
-        return j
-
-    kind = tape.kinds[i]
-    step = path[step_index]
-    if isinstance(step, ValueByKey):
-        if kind != _OPEN_OBJECT:
-            return _skip_token(text, tape, i, counters)
-        return _walk_object(text, tape, i, path, step_index, out, step.key, counters)
-    if isinstance(step, ValueByIndex):
-        if kind != _OPEN_ARRAY:
-            return _skip_token(text, tape, i, counters)
-        return _walk_array(text, tape, i, path, step_index, out, step.index, counters)
-    # KeysOrMembers
-    if kind == _OPEN_ARRAY:
-        return _walk_array(text, tape, i, path, step_index, out, None, counters)
-    if kind == _OPEN_OBJECT:
-        return _walk_object(text, tape, i, path, step_index, out, None, counters)
-    return _skip_token(text, tape, i, counters)
-
-
-def _walk_object(
-    text: str,
-    tape: RecordTape,
-    i: int,
-    path: Path,
-    step_index: int,
-    out: list,
-    target_key: str | None,
-    counters: ScanCounters | None,
-) -> int:
-    """Walk an object's tokens; ``target_key`` None means keys-or-members."""
-    at_end = step_index + 1 == len(path)
-    kinds = tape.kinds
-    starts = tape.starts
-    j = i + 1
-    if kinds[j] == _CLOSE_OBJECT:
-        return j + 1
-    # Duplicate keys: last occurrence wins (dict semantics), so buffer
-    # each matching occurrence's projection and emit only the final one
-    # at the closing brace; a discarded earlier match recounts as one
-    # skipped value.  Keys-or-members deduplicates like dict.keys().
-    matched: list | None = None
-    matched_counters: ScanCounters | None = None
-    seen_keys: set[str] = set()
-    while True:
-        if kinds[j] != _STRING:
-            raise JsonSyntaxError("expected object key", starts[j])
-        key = _token_string(text, tape, j)
-        if kinds[j + 1] != _COLON:
-            raise JsonSyntaxError("expected ':'", starts[j + 1])
-        value_index = j + 2
-        if target_key is None:
-            if at_end and key not in seen_keys:
-                seen_keys.add(key)
-                out.append(key)
-                if counters is not None:
-                    counters.matched += 1
-            j = _skip_token(text, tape, value_index, counters)
-        elif key == target_key:
-            occurrence: list = []
-            occurrence_counters = None if counters is None else ScanCounters()
-            j = _navigate(
-                text, tape, value_index, path, step_index + 1,
-                occurrence, occurrence_counters,
-            )
-            if matched is not None and counters is not None:
-                counters.skipped += 1
-            matched, matched_counters = occurrence, occurrence_counters
-        else:
-            j = _skip_token(text, tape, value_index, counters)
-        kind = kinds[j]
-        if kind == _COMMA:
-            j += 1
-            continue
-        if kind == _CLOSE_OBJECT:
-            if matched is not None:
-                out.extend(matched)
-                if counters is not None:
-                    counters.merge(matched_counters)
-            return j + 1
-        raise JsonSyntaxError(
-            f"expected ',' or '}}', found {text[starts[j]]!r}", starts[j]
-        )
-
-
-def _walk_array(
-    text: str,
-    tape: RecordTape,
-    i: int,
-    path: Path,
-    step_index: int,
-    out: list,
-    target_index: int | None,
-    counters: ScanCounters | None,
-) -> int:
-    """Walk an array's tokens; ``target_index`` None means keys-or-members."""
-    if target_index is None and step_index + 1 == len(path):
-        # A trailing keys-or-members step materializes every member:
-        # the paper queries' `("results")()` shape.  One bulk decode of
-        # the recorded array span beats walking member tokens one by
-        # one; each member still counts as one match, like the skipper.
-        members, j = _materialize_container(text, tape, i)
-        out.extend(members)
-        if counters is not None:
-            counters.matched += len(members)
-        return j
-    kinds = tape.kinds
-    starts = tape.starts
-    j = i + 1
-    if kinds[j] == _CLOSE_ARRAY:
-        return j + 1
-    position = 0
-    while True:
-        position += 1
-        if target_index is None or position == target_index:
-            j = _navigate(text, tape, j, path, step_index + 1, out, counters)
-            if target_index is not None:
-                # Positions only grow, so no later member can match:
-                # one jump to the recorded closer skips the rest.
-                if counters is not None and kinds[j] != _CLOSE_ARRAY:
-                    counters.skipped += 1
-                return tape.close[i] + 1
-        else:
-            j = _skip_token(text, tape, j, counters)
-        kind = kinds[j]
-        if kind == _COMMA:
-            j += 1
-            continue
-        if kind == _CLOSE_ARRAY:
-            return j + 1
-        raise JsonSyntaxError(
-            f"expected ',' or ']', found {text[starts[j]]!r}", starts[j]
-        )
+#: Its ``scan_once(text, pos)`` returns ``(value, end offset)``.  Value
+#: semantics equal ``_build_value``'s: int unless ``./e/E``, the last
+#: duplicate key wins, surrogate pairs combine and lone ones are kept.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def project_record(
@@ -500,36 +76,20 @@ def project_record(
 ) -> int:
     """On-demand record projector (``scan_text``/``scan_file`` plug-in).
 
-    Indexes the record at *pos*, navigates the projection over the
-    tape, and stages items/counters so nothing leaks on failure.  Any
-    tape-side :class:`~repro.errors.JsonSyntaxError` falls back to the
-    raw skipper's projector — the canonical definition of malformed
-    behaviour — so errors, offsets and degradation records are
-    byte-identical with ``scan_mode="text"``.
+    ``scan_once`` signals "no value here" with ``StopIteration`` and
+    everything else with ``ValueError``; a ``RecursionError`` from it is
+    left to the skipper too, which may well manage the record with its
+    own frames.
     """
-    pos = _skip_ws(text, pos)
-    if pos >= len(text):
-        raise JsonSyntaxError("unexpected end of input", pos)
-    if text[pos] not in "{[":
-        # Scalar top-level records have no structure to index; the raw
-        # skipper's projector is already optimal and defines counting.
-        return _text_project(text, pos, path, 0, out, counters)
     staged: list = []
     attempt = None if counters is None else ScanCounters()
     try:
-        tape, end = build_tape(text, pos, len(path))
-        if attempt is not None:
-            attempt.tape_records += 1
-            attempt.tape_tokens += len(tape)
-        _navigate(text, tape, 0, path, 0, staged, attempt)
-    except JsonSyntaxError:
-        # Tape-side failure: discard the staged partial projection and
-        # hand the record to the skipper with the caller's own
-        # out/counters, so its behaviour — including partial counts on
-        # a record that still fails — applies verbatim.
-        return _text_project(text, pos, path, 0, out, counters)
+        end = _project(text, pos, path, 0, staged, attempt, _DECODER.scan_once)
+    except (JsonSyntaxError, ValueError, StopIteration, RecursionError):
+        return _project(text, pos, path, 0, out, counters)
     out.extend(staged)
     if counters is not None:
+        attempt.tape_records = 1
         counters.merge(attempt)
     return end
 

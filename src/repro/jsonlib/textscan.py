@@ -13,7 +13,12 @@ sources.  Its contract is equivalence with the reference strategy::
 
     list(scan_text(text, path)) == navigate(parse(text), path)
 
-checked property-based in the test suite.  :func:`scan_file` feeds the
+checked property-based in the test suite.  The path walkers take the
+value decoder as a parameter: with this module's pure-Python builder
+they are ``scan_mode="text"``, the canonical definition of errors,
+offsets and partial counts; with the C scanner they are the on-demand
+navigator (:mod:`repro.jsonlib.tape`), which hands every irregular
+record back to the former.  :func:`scan_file` feeds the
 skipper through a sliding buffer, so memory is bounded by the read
 chunk size plus the largest single top-level value — never by file (or
 collection) size.
@@ -26,7 +31,11 @@ from typing import Iterator
 
 from repro.errors import JsonSyntaxError
 from repro.jsonlib.items import Item
-from repro.jsonlib.parser import _decode_string, _convert_number
+from repro.jsonlib.parser import (
+    _PARTIAL_NUMBER_TAIL_RE,
+    _convert_number,
+    _decode_string,
+)
 from repro.jsonlib.path import (
     KeysOrMembers,
     Path,
@@ -40,8 +49,13 @@ _WS_RE = re.compile(r"[ \t\n\r]*")
 _BOM = "\ufeff"
 # Structural characters that change nesting depth, plus string openers.
 _STRUCT_RE = re.compile(r'["{}\[\]]')
-_STRING_RE = re.compile(
-    r'"(?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*"'
+_STRING_BODY = r'(?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*'
+_STRING_RE = re.compile(f'"{_STRING_BODY}"')
+# A walked object's hop from one member to its value in one anchored
+# match: whitespace, the key literal (group 1 is its body), the colon,
+# and the whitespace before the value.
+_KEY_HOP_RE = re.compile(
+    rf'[ \t\n\r]*"({_STRING_BODY})"[ \t\n\r]*:[ \t\n\r]*'
 )
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _LITERAL_RE = re.compile(r"true|false|null")
@@ -65,10 +79,11 @@ class ScanCounters:
 
     Navigation accounting (every scan mode): ``matched`` counts items
     the projection materialized; ``skipped`` counts the values it
-    jumped over (a bulk container skip counts once).  Tape-build
-    accounting (on-demand mode, :mod:`repro.jsonlib.tape`):
-    ``tape_records`` / ``tape_tokens`` count structural indexes built
-    and their token totals.  Segment-cache accounting
+    jumped over (a bulk container skip counts once).  On-demand
+    accounting (:mod:`repro.jsonlib.tape`; zero in the other modes):
+    ``tape_records`` counts the records projected on the on-demand
+    path, ``tape_tokens`` the walkers' steps on them (one per key
+    read, member visited and decode call).  Segment-cache accounting
     (:mod:`repro.cache`): ``cache_hits`` / ``cache_misses`` count
     per-file cache probes; a hit replays the stored scan's
     matched/skipped so projection accounting stays byte-identical with
@@ -77,15 +92,17 @@ class ScanCounters:
     mismatch) — each such probe also counts as a miss, because the
     scan fell back to a cold read.  Attached to a scan through the data source's
     ``attach_scan_counters`` hook and surfaced in query profiles as
-    ``projection_hits`` / ``projection_skips`` (plus the tape/cache
-    counters when nonzero).
+    ``projection_hits`` / ``projection_skips`` (plus the on-demand and
+    cache counters when nonzero).
     """
 
     __slots__ = _COUNTER_FIELDS
 
     def __init__(self):
-        for field in _COUNTER_FIELDS:
-            setattr(self, field, 0)
+        # Spelled out, not looped: the walkers stage one per matched key.
+        self.matched = self.skipped = 0
+        self.tape_records = self.tape_tokens = 0
+        self.cache_hits = self.cache_misses = self.cache_corrupt = 0
 
     def merge(self, other: "ScanCounters") -> None:
         """Accumulate every counter of *other* into this one."""
@@ -102,8 +119,8 @@ class ScanCounters:
         Only ``matched``/``skipped`` are replayed: a warm partition did
         that navigation work once, at store time, and replaying it
         keeps ``projection_hits``/``projection_skips`` byte-identical
-        across cache on/off.  Tape counters are *not* replayed — no
-        structural index was built on the warm path.
+        across cache on/off.  The on-demand counters are *not*
+        replayed — no text was walked on the warm path.
         """
         self.matched += data.get("matched", 0)
         self.skipped += data.get("skipped", 0)
@@ -222,7 +239,7 @@ def _build_value(text: str, pos: int) -> tuple[Item, int]:
             )
     match = _NUMBER_RE.match(text, pos)
     if match is not None and match.end() > pos:
-        return _convert_number(match.group()), match.end()
+        return _convert_number(match.group(), pos), match.end()
     match = _LITERAL_RE.match(text, pos)
     if match is not None:
         return _LITERAL_VALUES[match.group()], match.end()
@@ -253,21 +270,34 @@ def _project(
     step_index: int,
     out: list,
     counters: ScanCounters | None = None,
+    decode=_build_value,
 ) -> int:
     """Project steps from *step_index* over the value at *pos*.
 
-    Matched items append to *out*; returns the value's end offset.
-    When *counters* is given, materialized items bump ``matched`` and
-    skipped-over values bump ``skipped``.
+    *pos* is the value's first character: every caller has skipped the
+    whitespace before it.  Matched items append to *out*; returns the
+    value's end offset.  When *counters* is given, materialized items
+    bump ``matched`` and skipped-over values bump ``skipped``.
+
+    *decode* materializes a matched value, ``(text, pos) -> (item,
+    end)``.  With the default this is the raw-text skipper: the
+    authority on malformed input, whose counts are exact up to the
+    character that raised.  Any other decoder makes it the on-demand
+    navigator (:mod:`repro.jsonlib.tape`), which stages each record and
+    re-projects it with the default when anything goes wrong; that
+    licence lets the walkers hand it a trailing keys-or-members array
+    in one call, and has them count their steps into ``tape_tokens``
+    (one per key read, member visited and decode call).
     """
     if step_index == len(path):
-        item, end = _build_value(text, pos)
+        item, end = decode(text, pos)
         out.append(item)
         if counters is not None:
             counters.matched += 1
+            if decode is not _build_value:
+                counters.tape_tokens += 1
         return end
 
-    pos = _skip_ws(text, pos)
     if pos >= len(text):
         raise JsonSyntaxError("unexpected end of input", pos)
     ch = text[pos]
@@ -276,16 +306,24 @@ def _project(
     if isinstance(step, ValueByKey):
         if ch != "{":
             return _skip(text, pos, counters)
-        return _walk_object(text, pos, path, step_index, out, step.key, counters)
+        return _walk_object(
+            text, pos, path, step_index, out, step.key, counters, decode
+        )
     if isinstance(step, ValueByIndex):
         if ch != "[":
             return _skip(text, pos, counters)
-        return _walk_array(text, pos, path, step_index, out, step.index, counters)
+        return _walk_array(
+            text, pos, path, step_index, out, step.index, counters, decode
+        )
     # KeysOrMembers
     if ch == "[":
-        return _walk_array(text, pos, path, step_index, out, None, counters)
+        return _walk_array(
+            text, pos, path, step_index, out, None, counters, decode
+        )
     if ch == "{":
-        return _walk_object(text, pos, path, step_index, out, None, counters)
+        return _walk_object(
+            text, pos, path, step_index, out, None, counters, decode
+        )
     return _skip(text, pos, counters)
 
 
@@ -304,13 +342,13 @@ def _walk_object(
     step_index: int,
     out: list,
     target_key: str | None,
-    counters: ScanCounters | None = None,
+    counters: ScanCounters | None,
+    decode,
 ) -> int:
     """Walk an object; ``target_key`` None means keys-or-members."""
     at_end = step_index + 1 == len(path)
-    pos += 1  # past '{'
-    pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos] == "}":
+    pos = _skip_ws(text, pos + 1)  # past '{'
+    if text.startswith("}", pos):
         return pos + 1
     # Duplicate keys: the parser keeps the *last* occurrence of a
     # repeated key, so buffer each matching occurrence's projection
@@ -320,11 +358,22 @@ def _walk_object(
     matched: list | None = None
     matched_counters: ScanCounters | None = None
     seen_keys: set[str] = set()
+    count_steps = counters is not None and decode is not _build_value
+    keys_read = 0
+    hop_match = _KEY_HOP_RE.match
     while True:
-        pos = _skip_ws(text, pos)
-        key, pos = _read_key(text, pos)
-        pos = _expect(text, pos, ":")
-        pos = _skip_ws(text, pos)
+        hop = hop_match(text, pos)
+        if hop is not None:
+            key = hop.group(1)
+            if "\\" in key:
+                key = _decode_string(key, hop.start(1))
+            pos = hop.end()
+        else:
+            # Not a well-formed `key :` hop; the piecewise readers name
+            # the defect and its offset.
+            key, pos = _read_key(text, _skip_ws(text, pos))
+            pos = _skip_ws(text, _expect(text, pos, ":"))
+        keys_read += 1
         if target_key is None:
             # Keys-or-members over an object yields its keys.
             if at_end and key not in seen_keys:
@@ -337,7 +386,8 @@ def _walk_object(
             occurrence: list = []
             occurrence_counters = None if counters is None else ScanCounters()
             pos = _project(
-                text, pos, path, step_index + 1, occurrence, occurrence_counters
+                text, pos, path, step_index + 1, occurrence,
+                occurrence_counters, decode,
             )
             if matched is not None and counters is not None:
                 # The earlier occurrence is discarded unseen: recount
@@ -347,19 +397,23 @@ def _walk_object(
         else:
             pos = _skip(text, pos, counters)
         pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise JsonSyntaxError("unterminated object", pos)
-        if text[pos] == ",":
+        ch = text[pos : pos + 1]
+        if ch == ",":
             pos += 1
             continue
-        if text[pos] == "}":
+        if ch == "}":
             if matched is not None:
                 out.extend(matched)
                 if counters is not None:
                     counters.matched += matched_counters.matched
                     counters.skipped += matched_counters.skipped
+                    counters.tape_tokens += matched_counters.tape_tokens
+            if count_steps:
+                counters.tape_tokens += keys_read
             return pos + 1
-        raise JsonSyntaxError(f"expected ',' or '}}', found {text[pos]!r}", pos)
+        if not ch:
+            raise JsonSyntaxError("unterminated object", pos)
+        raise JsonSyntaxError(f"expected ',' or '}}', found {ch!r}", pos)
 
 
 def _skip_to_container_end(text: str, pos: int, start: int) -> int:
@@ -392,38 +446,60 @@ def _walk_array(
     step_index: int,
     out: list,
     target_index: int | None,
-    counters: ScanCounters | None = None,
+    counters: ScanCounters | None,
+    decode,
 ) -> int:
     """Walk an array; ``target_index`` None means keys-or-members."""
     start = pos
-    pos += 1  # past '['
-    pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos] == "]":
+    if (
+        target_index is None
+        and step_index + 1 == len(path)
+        and decode is not _build_value
+    ):
+        # A trailing keys-or-members step materializes every member
+        # (the paper queries' `("results")()` shape): the navigator's
+        # decoder takes the whole array in one call.  The skipper walks
+        # on, member by member, so its partial counts stay exact.
+        members, end = decode(text, start)
+        out.extend(members)
+        if counters is not None:
+            counters.matched += len(members)
+            counters.tape_tokens += 1
+        return end
+    pos = _skip_ws(text, pos + 1)  # past '['
+    if text.startswith("]", pos):
         return pos + 1
+    count_steps = counters is not None and decode is not _build_value
     position = 0
     while True:
-        pos = _skip_ws(text, pos)
         position += 1
         if target_index is None or position == target_index:
-            pos = _project(text, pos, path, step_index + 1, out, counters)
+            pos = _project(
+                text, pos, path, step_index + 1, out, counters, decode
+            )
             if target_index is not None:
                 # Positions only grow, so no later member can match:
                 # skip the rest of the array in one bulk hop.
                 end = _skip_to_container_end(text, pos, start)
                 if counters is not None and text[_skip_ws(text, pos)] != "]":
                     counters.skipped += 1
+                if count_steps:
+                    counters.tape_tokens += position
                 return end
         else:
             pos = _skip(text, pos, counters)
         pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise JsonSyntaxError("unterminated array", pos)
-        if text[pos] == ",":
-            pos += 1
+        ch = text[pos : pos + 1]
+        if ch == ",":
+            pos = _skip_ws(text, pos + 1)
             continue
-        if text[pos] == "]":
+        if ch == "]":
+            if count_steps:
+                counters.tape_tokens += position
             return pos + 1
-        raise JsonSyntaxError(f"expected ',' or ']', found {text[pos]!r}", pos)
+        if not ch:
+            raise JsonSyntaxError("unterminated array", pos)
+        raise JsonSyntaxError(f"expected ',' or ']', found {ch!r}", pos)
 
 
 def _resync(text: str, pos: int, error: JsonSyntaxError) -> int:
@@ -453,9 +529,25 @@ def _default_projector(
 
     ``scan_text``/``scan_file`` delegate each top-level value to a
     projector with this signature; :mod:`repro.jsonlib.tape` plugs its
-    structural-index projector into the same sliding-buffer machinery.
+    on-demand projector into the same sliding-buffer machinery.
     """
     return _project(text, pos, path, 0, out, counters)
+
+
+def _run_projector(
+    projector, text: str, pos: int, path: Path, out: list, counters
+) -> int:
+    """Run *projector* on the record at *pos*; the per-record guard.
+
+    A record nested deeper than the interpreter recurses (the value
+    builder, or the C decoder behind the on-demand projector) is one
+    more malformed record, reported at the record's offset so every
+    scan mode and ``on_malformed`` policy treats it alike.
+    """
+    try:
+        return projector(text, pos, path, out, counters)
+    except RecursionError:
+        raise JsonSyntaxError("maximum nesting depth exceeded", pos) from None
 
 
 def scan_text(
@@ -486,7 +578,7 @@ def scan_text(
     while pos < n:
         out: list = []
         try:
-            pos = projector(text, pos, path, out, counters)
+            pos = _run_projector(projector, text, pos, path, out, counters)
         except JsonSyntaxError as error:
             if on_malformed != "skip_record":
                 raise
@@ -574,7 +666,9 @@ def scan_file(
             # value cannot double-count hits or skips.
             attempt = None if counters is None else ScanCounters()
             try:
-                end = projector(buffer, pos, path, out, attempt)
+                end = _run_projector(
+                    projector, buffer, pos, path, out, attempt
+                )
             except JsonSyntaxError as error:
                 # Not EOF yet: the error may just be a truncated token
                 # (a string or container cut mid-chunk) — grow and retry.
@@ -586,10 +680,15 @@ def scan_file(
                     recorder(base + pos, str(_rebase(error, base)))
                 pos = _skip_ws(buffer, _resync(buffer, pos, error))
                 continue
-            if end >= len(buffer) and not eof:
-                # The value ran to the buffer edge; it may continue in
-                # the next chunk (e.g. a number whose digits are split),
-                # so re-scan with more text before trusting it.
+            if not eof and (
+                end >= len(buffer)
+                or _PARTIAL_NUMBER_TAIL_RE.fullmatch(buffer, end)
+            ):
+                # The value ran to the buffer edge, or to what may be
+                # the start of a fraction or exponent there ("1" + "."
+                # or "e+"); it may continue in the next chunk (a number
+                # split anywhere), so re-scan with more text before
+                # trusting it.
                 if grow():
                     continue
             if counters is not None:

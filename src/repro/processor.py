@@ -90,8 +90,8 @@ class JsonProcessor:
         spill file on the way out.  ``None`` consults the
         ``REPRO_DEADLINE`` environment variable.
     scan_mode:
-        How DATASCAN projects raw JSON: ``"ondemand"`` (structural-index
-        scanner, the default), ``"text"`` (raw-text skipper), or
+        How DATASCAN projects raw JSON: ``"ondemand"`` (single-pass
+        navigator, the default), ``"text"`` (raw-text skipper), or
         ``"eager"`` (parse fully, then navigate).  All three are
         byte-identical in results, errors and degradation reports.
         ``None`` leaves the source's own setting (which consults the

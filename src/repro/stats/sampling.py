@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import JsonError, ReproError
 from repro.jsonlib.items import canonical_atomic, is_atomic, sizeof_item
-from repro.jsonlib.parser import parse_many
+from repro.jsonlib.path import Path
+from repro.jsonlib.tape import scan_text
 
 #: environment variable consulted when no explicit sample limit is given.
 SAMPLE_ENV_VAR = "REPRO_STATS_SAMPLE"
@@ -358,7 +359,9 @@ def sample_collection(source, name: str, sample_limit: int) -> CollectionStats |
                 break
             sampled_bytes += len(text)
             try:
-                docs = parse_many(text)
+                # Materialized here, so a text with one malformed
+                # record contributes nothing rather than a prefix.
+                docs = list(scan_text(text, Path()))
             except JsonError:
                 continue
             for doc in docs:

@@ -82,7 +82,7 @@ class TestWarmHits:
             assert counters.skipped == baseline.skipped
         assert (cold.cache_misses, cold.cache_hits) == (1, 0)
         assert (warm.cache_misses, warm.cache_hits) == (0, 1)
-        # A warm hit builds no structural index at all.
+        # A warm hit walks no text at all.
         assert cold.tape_records > 0
         assert warm.tape_records == 0
         assert (baseline.cache_hits, baseline.cache_misses) == (0, 0)

@@ -1,10 +1,11 @@
-"""Unit, equivalence and counter-parity tests for the on-demand tape.
+"""Unit, equivalence and counter-parity tests for the on-demand scanner.
 
-The tape scanner's contract is *byte-identity* with the raw-text
+The on-demand scanner's contract is *byte-identity* with the raw-text
 skipper (:mod:`repro.jsonlib.textscan`): same items, same counters,
 same errors (message and offset), same recorder events — on well-formed
 input, hostile Unicode, duplicate keys, BOM-prefixed texts, and records
-split across ``scan_file``'s sliding chunk buffer.
+split across ``scan_file``'s sliding chunk buffer.  (``tape`` is the
+module's historical name; it walks the text and builds no index.)
 """
 
 import json
@@ -15,14 +16,6 @@ from repro.errors import JsonSyntaxError
 from repro.jsonlib import tape, textscan
 from repro.jsonlib.parser import parse_many
 from repro.jsonlib.path import Path, navigate, parse_path
-from repro.jsonlib.tape import (
-    _ATOM,
-    _OPEN_OBJECT,
-    _STRING,
-    _SUBTREE,
-    build_tape,
-    build_value,
-)
 from repro.jsonlib.textscan import ScanCounters
 
 
@@ -45,74 +38,127 @@ def both_scans(text, path, **kwargs):
     return (tape_items, tape_counters), (text_items, text_counters)
 
 
-def assert_parity(text, path_text, expect_tape=True):
+def assert_parity(text, path_text):
     """Tape == skipper == parse-then-navigate, items and counters."""
     path = parse_path(path_text)
     (tape_items, tape_c), (text_items, text_c) = both_scans(text, path)
     assert tape_items == text_items == reference(text, path)
     assert tape_c.matched == text_c.matched
     assert tape_c.skipped == text_c.skipped
-    if expect_tape:
-        assert tape_c.tape_records > 0
-    assert text_c.tape_records == 0
+    assert tape_c.tape_records > 0
+    assert (text_c.tape_records, text_c.tape_tokens) == (0, 0)
 
 
-class TestBuildTape:
-    def test_tokens_and_close_table(self):
-        text = '{"a": [1, 2]}'
-        record, end = build_tape(text, 0, 99)
-        assert end == len(text)
-        # { "a" : [ 1 , 2 ] }
-        assert len(record) == 9
-        assert record.kinds[0] == _OPEN_OBJECT
-        assert record.kinds[1] == _STRING
-        assert record.kinds[4] == _ATOM
-        # Openers point at their matching closers; everything else -1.
-        assert record.close[0] == 8
-        assert record.close[3] == 7
-        assert record.close[1] == -1
+class DecoderSpy:
+    """Stands in for the module's decoder; logs each (start, end) decoded."""
 
-    def test_depth_pruning_records_subtree_spans(self):
-        text = '{"a": {"x": [1, 2, 3]}, "b": [4, {"y": 5}]}'
-        record, _ = build_tape(text, 0, 1)
-        # Both nested containers open at depth 1 == limit: single spans,
-        # interiors untokenized.
-        assert record.kinds.count(_SUBTREE) == 2
-        spans = [
-            text[record.starts[i] : record.ends[i]]
-            for i, kind in enumerate(record.kinds)
-            if kind == _SUBTREE
+    def __init__(self, inner):
+        self.inner = inner
+        self.spans = []
+
+    def scan_once(self, text, pos):
+        value, end = self.inner.scan_once(text, pos)
+        self.spans.append((pos, end))
+        return value, end
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    spy = DecoderSpy(tape._DECODER)
+    monkeypatch.setattr(tape, "_DECODER", spy)
+    return spy
+
+
+def scan_counted(text, path_text):
+    counters = ScanCounters()
+    items = list(tape.scan_text(text, parse_path(path_text), counters=counters))
+    return items, counters
+
+
+class TestNavigator:
+    def test_decodes_only_at_matched_positions(self, spy):
+        text = (
+            '{"skip": {"a": {"k": 0}}, "a": {"j": [9], "k": {"deep": [4, 5]}},'
+            ' "b": [6, {"k": 7}]}'
+        )
+        items, counters = scan_counted(text, '("a")("k")')
+        assert items == [{"deep": [4, 5]}]
+        # One call, at the matched value, running exactly to its end.
+        start = text.index('{"deep"')
+        assert spy.spans == [(start, start + len('{"deep": [4, 5]}'))]
+        assert counters.tape_records == 1
+
+    def test_bulk_array_is_one_decode_call_per_array(self, spy):
+        text = (
+            '{"root": [{"m": {"count": 3}, "results": [{"v": 1}, 2, [3]]},'
+            ' {"m": {"count": 1}, "results": [4]}]}'
+        )
+        items, counters = scan_counted(text, '("root")()("results")()')
+        assert items == [{"v": 1}, 2, [3], 4]
+        assert [text[a:b] for a, b in spy.spans] == [
+            '[{"v": 1}, 2, [3]]', "[4]",
         ]
-        assert spans == ['{"x": [1, 2, 3]}', '[4, {"y": 5}]']
+        assert counters.matched == 4
+        # Steps: 5 keys read, 2 members of "root" visited, 2 decode calls.
+        assert (counters.tape_records, counters.tape_tokens) == (1, 9)
 
-    def test_depth_zero_is_one_span(self):
+    def test_empty_path_is_one_decode_call(self, spy):
         text = '{"deep": {"deeper": [1]}}'
-        record, end = build_tape(text, 0, 0)
-        assert end == len(text)
-        assert list(record.kinds) == [_SUBTREE]
-        value, nxt = build_value(text, record, 0)
-        assert value == {"deep": {"deeper": [1]}}
-        assert nxt == 1
+        items, counters = scan_counted(text, "")
+        assert items == [{"deep": {"deeper": [1]}}]
+        assert spy.spans == [(0, len(text))]
+        assert (counters.tape_records, counters.tape_tokens) == (1, 1)
 
-    def test_gap_validation_rejects_stray_characters(self):
-        with pytest.raises(JsonSyntaxError) as info:
-            build_tape('{"a": 1 x }', 0, 99)
-        assert "'x'" in str(info.value)
+    def test_never_decodes_inside_a_skipped_subtree(self, spy):
+        # "[1 2]" and "{oops}" would fail any decoder: the fast path
+        # completing (tape_records == 1) shows the leniency is its own,
+        # by hopping with the skipper's _skip_value, not the fallback's.
+        text = '{"skip": [1 2], "also": {oops}, "a": 3, "tail": [[NaN]]}'
+        path = parse_path('("a")')
+        (tape_items, tape_c), (text_items, text_c) = both_scans(text, path)
+        assert tape_items == text_items == [3]
+        assert spy.spans == [(text.index("3"), text.index("3") + 1)]
+        assert tape_c.tape_records == 1
+        assert (tape_c.matched, tape_c.skipped) == (1, 3)
+        assert (text_c.matched, text_c.skipped) == (1, 3)
 
-    def test_unbalanced_quote_fails_the_build(self):
-        # An unclosed string would make the tokenizer pair quotes
-        # differently from the skipper — the gap check must catch it.
-        with pytest.raises(JsonSyntaxError):
-            build_tape('{"a": "unclosed}', 0, 99)
+    def test_step_count_of_a_per_member_key_walk(self):
+        text = '[{"a": 1, "b": 2}, {"b": 3}, 4, {"a": 5}]'
+        items, counters = scan_counted(text, '()("a")')
+        assert items == [1, 5]
+        # 4 members visited, 4 keys read, 2 decode calls.
+        assert counters.tape_tokens == 10
 
-    def test_unterminated_container(self):
-        with pytest.raises(JsonSyntaxError) as info:
-            build_tape('{"a": [1, 2]', 0, 99)
-        assert "unterminated" in str(info.value)
-
-    def test_mismatched_brackets(self):
-        with pytest.raises(JsonSyntaxError):
-            build_tape('{"a": 1]', 0, 99)
+    @pytest.mark.parametrize(
+        "text, path_text",
+        [
+            pytest.param('{"a": 1 x }', '("a")', id="stray-character"),
+            pytest.param('{"a": "unclosed}', '("a")', id="unbalanced-quote"),
+            pytest.param('{"a": [1, 2]', '("a")', id="unterminated-container"),
+            pytest.param('{"a": 1]', '("a")', id="mismatched-bracket"),
+            pytest.param('{"b": 0, "a": [1, 2, @]}', '("a")()', id="bulk-decode"),
+            pytest.param('[{"a": 1}, {"a": 2}, {"a" 3}]', '()("a")', id="late-key"),
+            pytest.param('{"a": [1, NaN]}', '("a")', id="constant"),
+        ],
+    )
+    def test_fallback_equals_skipper_alone(self, text, path_text):
+        """A record that trips the fast path is the skipper's, whole:
+        the caller's out/counters end up exactly as if the fast path had
+        never run, partial matches before the error included."""
+        path = parse_path(path_text)
+        outcomes = []
+        for project in (tape.project_record, textscan._default_projector):
+            out = ["earlier record"]
+            counters = ScanCounters()
+            counters.matched, counters.skipped = 5, 7
+            with pytest.raises(JsonSyntaxError) as info:
+                project(text, 0, path, out, counters)
+            outcomes.append(
+                (str(info.value), info.value.offset, out, counters.as_dict())
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][3]["tape_records"] == 0
+        assert outcomes[0][3]["tape_tokens"] == 0
 
 
 class TestEquivalence:
@@ -133,11 +179,11 @@ class TestEquivalence:
             ('{"take": {"n": -1.5e2, "b": false, "s": "x", "nul": null}}',
              '("take")'),
             (' { "a" :\n [ 1 ,\t2 ] } ', '("a")()'),
-            ("17", "()"),  # scalar record: skipper path, no tape
+            ("17", "()"),
         ],
     )
     def test_items_and_counters_match_skipper(self, text, path_text):
-        assert_parity(text, path_text, expect_tape=text.strip() != "17")
+        assert_parity(text, path_text)
 
     def test_empty_containers(self):
         assert_parity('{"a": {}, "b": []}', '("b")()')
@@ -308,12 +354,12 @@ class TestFallbackIdentity:
     @pytest.mark.parametrize(
         "text, path_text",
         [
-            # The bulk json.loads paths must not quietly accept the
-            # stdlib's NaN/Infinity extensions (json.dumps emits NaN
-            # for float('nan') by default, so these occur in practice):
-            ('{"a": [1, NaN]}', '("a")'),  # _SUBTREE span materialize
-            ('{"a": [[1, -Infinity]]}', '("a")()'),  # trailing * bulk decode
-            ('{"a": Infinity}', '("a")'),  # atom position: tokenizer gap
+            # The C decoder must not quietly accept the stdlib's
+            # NaN/Infinity extensions (json.dumps emits NaN for
+            # float('nan') by default, so these occur in practice):
+            ('{"a": [1, NaN]}', '("a")'),  # inside a matched value
+            ('{"a": [[1, -Infinity]]}', '("a")()'),  # trailing () bulk decode
+            ('{"a": Infinity}', '("a")'),  # the matched value itself
             ("[NaN]", "()"),
         ],
     )
@@ -340,8 +386,8 @@ class TestFallbackIdentity:
         assert outcomes["tape"][0][0] == "err"
 
     def test_skipped_regions_stay_lenient(self):
-        # The skipper never validates skipped regions; the pruned tape
-        # jumps subtrees with the same bracket hop, so "[1 2]" inside a
+        # The skipper never validates skipped regions; the navigator
+        # jumps them with the same bracket hop, so "[1 2]" inside a
         # never-walked subtree passes both (the full parser rejects it,
         # so no parse-then-navigate reference here).
         text = '{"skip": [1 2], "a": 3}'

@@ -147,6 +147,21 @@ class TestChunkedScanFile:
             8901,
         ]
 
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 4])
+    def test_fraction_or_exponent_starts_at_chunk_boundary(
+        self, tmp_path, chunk_size
+    ):
+        # "1" is a valid number and "." / "e+" is not the buffer edge's
+        # problem until the next chunk shows it continues the number.
+        target = tmp_path / "data.json"
+        text = "0.5 1e3 12E+2 7.25e-1 3"
+        target.write_text(text, encoding="utf-8")
+        path = parse_path("")
+        expected = [0.5, 1000.0, 1200.0, 0.725, 3]
+        assert list(scan_text(text, path)) == expected
+        scanned = list(scan_file(str(target), path, chunk_size=chunk_size))
+        assert repr(scanned) == repr(expected)
+
     def test_skip_record_offsets_are_absolute(self, tmp_path):
         bad = self.TEXT[:150] + '{"broken": \n' + self.TEXT[150:]
         target = tmp_path / "data.json"

@@ -266,7 +266,7 @@ class TestGoldenExplain:
                 "    SELECT tuples_in=5 tuples_out=3 span=19",
                 "      DATASCAN bytes_scanned=2740 items_scanned=5 "
                 "projection_hits=5 projection_skips=0 "
-                "tape_records=2 tape_tokens=32 tuples_out=5 span=7",
+                "tape_records=2 tape_tokens=8 tuples_out=5 span=7",
                 "",
                 "== rewrite audit ==",
             ]

@@ -80,11 +80,12 @@ class TestFaultPlanCacheIO:
 
 
 class TestDiskFullDegradesToCacheOff:
-    def run_query(self, tmp_path, plan=None):
+    def run_query(self, tmp_path, plan=None, backend=None):
         processor = JsonProcessor(
             source=make_source(),
             fault_plan=plan,
             segment_cache_dir=str(tmp_path),
+            backend=backend,
         )
         try:
             return processor.execute(QUERY)
@@ -102,14 +103,23 @@ class TestDiskFullDegradesToCacheOff:
         # results.
         assert not degraded.is_partial
         assert degraded.degradation.is_degraded
+        # "disabled" needs one cache object to see every failure; the
+        # process backend's per-worker caches only ever report io-error.
         kinds = {event.kind for event in degraded.degradation.cache_events}
-        assert "disabled" in kinds
+        assert "io-error" in kinds
         assert kinds <= {"io-error", "disabled"}
         # The dead cache never published a segment.
         dead_dir = tmp_path / "dead"
         assert not os.path.isdir(dead_dir) or not any(
             name.endswith(".seg") for name in os.listdir(dead_dir)
         )
+
+    def test_one_cache_seeing_every_failure_reports_disabled(self, tmp_path):
+        plan = FaultPlan().fail_cache_io(permanent=True)
+        degraded = self.run_query(tmp_path, plan=plan, backend="sequential")
+        assert degraded.items == expected_items()
+        kinds = {event.kind for event in degraded.degradation.cache_events}
+        assert kinds == {"io-error", "disabled"}
 
     def test_degradation_report_is_deterministic(self, tmp_path):
         reports = []

@@ -7,9 +7,10 @@ bugfixes (empty partitions, empty base dirs).
 
 import pytest
 
+from repro import JsonProcessor
 from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.errors import FileScanError, JsonSyntaxError, ReproError
-from repro.jsonlib.parser import parse_many_resilient
+from repro.jsonlib.parser import parse, parse_many_resilient
 from repro.jsonlib.path import Path, parse_path
 from repro.jsonlib.textscan import scan_text
 from repro.resilience import DegradationReport
@@ -212,3 +213,74 @@ class TestInMemorySourcePolicies:
             {"v": 2},
             {"v": 3},
         ]
+
+
+# Deeper than the interpreter recurses (and than StreamingJsonParser's
+# max_depth, which eager mode's fail/skip_file paths go through).
+DEEP = '{"v": ' + "[" * 5000 + "]" * 5000 + "}"
+# Longer than sys.get_int_max_str_digits(), so int() refuses it.
+LONG_INT = '{"v": ' + "7" * 5000 + "}"
+
+
+class TestHostileRecords:
+    """Records that are valid JSON but hostile to CPython (nesting past
+    the recursion limit, an integer literal past the int/str digit
+    limit) are malformed records like any other: a ReproError under
+    ``fail``, skipped and reported under the skip policies, in every
+    scan mode.  They used to escape as RecursionError / ValueError."""
+
+    QUERY = 'for $r in collection("/events") return $r("v")'
+
+    @pytest.fixture(params=["deep", "long-int"])
+    def hostile(self, request, tmp_path):
+        record = DEEP if request.param == "deep" else LONG_INT
+        part = tmp_path / "events" / "partition0"
+        part.mkdir(parents=True)
+        (part / "a.json").write_text(
+            f'{{"v": 1}}\n{record}\n{{"v": 3}}\n', encoding="utf-8"
+        )
+        (part / "b.json").write_text('{"v": 4}\n', encoding="utf-8")
+        message = (
+            "maximum nesting depth exceeded" if request.param == "deep"
+            else "integer literal of 5000 characters is too long"
+        )
+        return str(tmp_path), message
+
+    def run(self, base_dir, scan_mode, on_malformed):
+        with JsonProcessor.from_directory(
+            base_dir, on_malformed=on_malformed, scan_mode=scan_mode
+        ) as processor:
+            return processor.execute(self.QUERY)
+
+    @pytest.mark.parametrize("scan_mode", ["ondemand", "text", "eager"])
+    def test_fail_raises_a_repro_error(self, hostile, scan_mode):
+        base_dir, message = hostile
+        with pytest.raises(ReproError, match=message) as excinfo:
+            self.run(base_dir, scan_mode, "fail")
+        assert "a.json" in str(excinfo.value)
+
+    @pytest.mark.parametrize("scan_mode", ["ondemand", "text", "eager"])
+    def test_skip_record_keeps_its_neighbours(self, hostile, scan_mode):
+        base_dir, message = hostile
+        result = self.run(base_dir, scan_mode, "skip_record")
+        assert result.items == [1, 3, 4]
+        assert result.is_partial
+        (skipped,) = result.degradation.skipped_records
+        assert skipped.source.endswith("a.json")
+        assert skipped.offset == len('{"v": 1}\n')
+        assert message in skipped.message
+
+    @pytest.mark.parametrize("scan_mode", ["ondemand", "text", "eager"])
+    def test_skip_file_keeps_the_other_file(self, hostile, scan_mode):
+        base_dir, message = hostile
+        result = self.run(base_dir, scan_mode, "skip_file")
+        assert result.items == [4]
+        assert result.is_partial
+        (skipped,) = result.degradation.skipped_files
+        assert skipped.file_path.endswith("a.json")
+        assert message in skipped.message
+
+    def test_parse_raises_a_syntax_error_for_a_long_integer(self):
+        with pytest.raises(JsonSyntaxError, match="too long") as excinfo:
+            parse("[1, " + "7" * 5000 + "]")
+        assert excinfo.value.offset == 4

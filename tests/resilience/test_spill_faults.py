@@ -32,6 +32,29 @@ GROUP_QUERY = (
 )
 
 
+class CancelOnSpill:
+    """Source wrapper whose spill-fault hook cancels its token.
+
+    The hook runs on every spill write, so cancelling there guarantees
+    the query was mid-spill when the limit was observed.  Module level
+    with the token as state, so it pickles into process-pool workers.
+    """
+
+    def __init__(self, inner, token):
+        self._inner = inner
+        self._token = token
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            # Unpickling probes dunders before _inner exists.
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    def check_spill_fault(self, partition):
+        self._token.cancel("mid-spill cancel")
+        self._token.check()
+
+
 @pytest.fixture
 def spill_root(tmp_path):
     root = tmp_path / "spill"
@@ -105,23 +128,9 @@ class TestSpillFaultInjection:
 
 class TestCancellationCleanup:
     def test_cancel_mid_spill_leaves_no_temp_files(self, spill_root):
-        """Cancel fired from inside the spill path: the fault hook runs
-        on every spill write, so cancelling there guarantees the query
-        was mid-spill when the limit was observed."""
+        """Cancel fired from inside the spill path (see CancelOnSpill)."""
         token = CancellationToken()
-
-        class CancelOnSpill:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def check_spill_fault(self, partition):
-                token.cancel("mid-spill cancel")
-                token.check()
-
-        source = CancelOnSpill(make_source())
+        source = CancelOnSpill(make_source(), token)
         processor = JsonProcessor(
             source=source,
             memory_budget_bytes=512,

@@ -107,6 +107,33 @@ class TestDeterminism:
         assert first.fingerprint() == second.fingerprint()
 
 
+class TestPinnedFingerprint:
+    """The sampler's decoder is an implementation detail: this corpus
+    fingerprinted the same when every text went through the event
+    parser (``parse_many``) as it does through the on-demand scanner."""
+
+    TEXTS = [
+        # several records in one text, nested containers, duplicate key
+        '{"id": 1, "tags": ["a", "b"], "geo": {"lat": 1.5, "lon": -2e1}}\n'
+        '{"id": 2, "tags": [], "geo": {"lat": 0.25, "lon": 3}, "id": 7}',
+        # a root array, escapes, a surrogate pair, every literal
+        '[{"s": "q\\"\\u00e9\\ud83d\\ude00", "ok": true, "no": false, "nil": null},'
+        ' {"s": "plain", "ok": false}, 17, "bare", [1, [2, {"deep": 3}]]]',
+        # a good record followed by a malformed one: contributes nothing
+        '{"id": 3, "tags": ["lost"]}\n{"id": 4, "tags": [1 2]}',
+        '{"id": 5, "big": 12345678901234567890, "neg": -0.0, "exp": 1E3}',
+    ]
+
+    def test_fixed_corpus_fingerprint(self):
+        source = InMemorySource({"/x": [self.TEXTS[:2], self.TEXTS[2:]]})
+        stats = source.collection_stats("/x")
+        assert [p.sampled_documents for p in stats.partitions] == [3, 1]
+        assert stats.key("id").count == 3
+        assert source.stats_snapshot().fingerprint() == (
+            "8e7c8d5ebbdf46fd7a3623b343e32a22886917fa"
+        )
+
+
 class TestSampling:
     def test_full_sample_counts_exactly(self):
         rows = [{"k": i % 3, "tags": ["a", "b"]} for i in range(30)]

@@ -17,9 +17,10 @@ refused (``null`` + reason) — a pool of workers time-slicing one core
 cannot measure parallelism.
 
 ``BENCH_scan.json`` (``--scan``) — benchmarks the DATASCAN projection
-itself on Q0/Q1/Q2's scan shape under every scan mode (``eager`` /
-``text`` / ``ondemand``), uncached plus segment-cache cold and warm
-passes, with items-per-second and the on-demand-vs-eager and
+itself, keyed by projection (the Listing-6 one Q0/Q1/Q1b/Q2 scan with,
+and the deeper ``("date")`` one Q0b pushes down), under every scan mode
+(``eager`` / ``text`` / ``ondemand``): uncached plus segment-cache cold
+and warm passes, with items-per-second and the on-demand-vs-eager and
 warm-vs-cold speedups.
 
 Usage::
@@ -49,8 +50,13 @@ from repro.bench.queries import q0, q1, q2
 
 QUERIES = {"Q0": q0, "Q1": q1, "Q2": q2}
 
-#: The projection every bench query's DATASCAN carries (Listing 6 shape).
-SCAN_PROJECTION = '("root")()("results")()'
+#: Every distinct DATASCAN projection of the paper queries' rewritten
+#: plans (tests/golden_plans), with the queries that scan through it:
+#: the Listing-6 shape, and the deeper one Q0b pushes down.
+SCAN_PROJECTIONS = {
+    '("root")()("results")()': ["Q0", "Q1", "Q1b", "Q2"],
+    '("root")()("results")()("date")': ["Q0b"],
+}
 
 
 def usable_cores() -> int:
@@ -237,11 +243,9 @@ def run_scan(args: argparse.Namespace) -> dict:
             "partitions": args.partitions,
             "bytes_per_partition": args.mib_per_partition << 20,
             "repeat": args.repeat,
-            "projection": SCAN_PROJECTION,
         },
-        "queries": {},
+        "projections": {},
     }
-    path = parse_path(SCAN_PROJECTION)
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as base_dir:
         write_sensor_collection(
             base_dir,
@@ -250,28 +254,27 @@ def run_scan(args: argparse.Namespace) -> dict:
             bytes_per_partition=args.mib_per_partition << 20,
             config=SensorDataConfig(seed=args.seed),
         )
-        # Q0/Q1/Q2 all scan the same Listing-6 projection; benchmark it
-        # once and record it under each query name for the figure
-        # generators.
-        modes: dict = {}
-        for mode in SCAN_MODES:
-            modes[mode] = bench_scan_mode(base_dir, mode, path, args.repeat)
-            entry = modes[mode]
-            print(
-                f"scan/{mode}: uncached {entry['uncached_seconds']:.3f}s "
-                f"({entry['items_per_second']:.0f} items/s), "
-                f"cold {entry['cache_cold_seconds']:.3f}s, "
-                f"warm {entry['cache_warm_seconds']:.3f}s "
-                f"({entry['warm_speedup_vs_cold']:.1f}x)"
-            )
-        eager = modes["eager"]["items_per_second"]
-        for mode, entry in modes.items():
-            entry["speedup_vs_eager"] = (
-                entry["items_per_second"] / eager if eager else None
-            )
-        for name in QUERIES:
-            report["queries"][name] = {
-                "projection": SCAN_PROJECTION,
+        for projection, queries in SCAN_PROJECTIONS.items():
+            path = parse_path(projection)
+            modes: dict = {}
+            for mode in SCAN_MODES:
+                modes[mode] = bench_scan_mode(base_dir, mode, path, args.repeat)
+                entry = modes[mode]
+                print(
+                    f"scan/{projection}/{mode}: "
+                    f"uncached {entry['uncached_seconds']:.3f}s "
+                    f"({entry['items_per_second']:.0f} items/s), "
+                    f"cold {entry['cache_cold_seconds']:.3f}s, "
+                    f"warm {entry['cache_warm_seconds']:.3f}s "
+                    f"({entry['warm_speedup_vs_cold']:.1f}x)"
+                )
+            eager = modes["eager"]["items_per_second"]
+            for entry in modes.values():
+                entry["speedup_vs_eager"] = (
+                    entry["items_per_second"] / eager if eager else None
+                )
+            report["projections"][projection] = {
+                "queries": queries,
                 "modes": modes,
             }
     return report

@@ -7,8 +7,8 @@ through the toggle axis plus rotating backend/projection coverage, each
 cell compared against an independent plain-Python oracle
 (:mod:`repro.correctness`).  Every projected cell additionally sweeps
 the scan-mode axis (``eager`` / ``ondemand`` / ``cached-warm``) and
-byte-compares items and degradation reports across modes, so the tape
-scanner and the segment cache are proven bit-equivalent in the same
+byte-compares items and degradation reports across modes, so the
+on-demand scanner and the segment cache are proven bit-equivalent in the same
 gate.  Failing generated cases are minimized by
 the shrinker before reporting.  Writes ``BENCH_diffcheck.json`` and
 exits nonzero on any mismatch — this is the CI gate that the rewrite
