@@ -21,7 +21,7 @@ from repro import CollectionCatalog, JsonProcessor, SensorDataConfig
 from repro import write_sensor_collection
 from repro.baselines import AdmEngine, DocumentStore, InMemorySQLEngine
 from repro.bench import queries, workloads
-from repro.bench.reference import reference_q1
+from repro.correctness.oracle import reference_q1
 from repro.errors import MemoryBudgetExceededError
 
 

@@ -864,7 +864,7 @@ def ablation_frame_size() -> ExperimentResult:
     workload = W.sensor_workload(partitions=1, bytes_per_partition=150_000)
     catalog = workload.catalog
     items = catalog.read_collection("/sensors")
-    from repro.bench.reference import iter_measurements
+    from repro.correctness.oracle import iter_measurements
 
     tuples = [{"r": [m]} for m in iter_measurements(items)]
     rows = []

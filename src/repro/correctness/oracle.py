@@ -1,13 +1,13 @@
 """Independent plain-Python oracle for the paper's queries.
 
-Promoted from ``bench/reference.py``: these compute Q0-Q2 directly over
-materialized items with none of the query-engine machinery (no algebra,
-no rewrite rules, no backends), defining ground truth for the
-differential harness and the integration tests.
+These compute Q0-Q2 directly over materialized items with none of the
+query-engine machinery (no algebra, no rewrite rules, no backends),
+defining ground truth for the differential harness and the integration
+tests.
 
-Unlike the original reference functions, the oracle mirrors the
-engine's *edge* semantics on malformed or irregular data, so the
-differential harness can feed both sides randomly generated documents:
+The oracle mirrors the engine's *edge* semantics on malformed or
+irregular data, so the differential harness can feed both sides
+randomly generated documents:
 
 - a missing object key navigates to the empty sequence, and a general
   comparison with ``()`` is false (XQuery 3.1 §3.7.2) — so records

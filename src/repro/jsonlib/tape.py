@@ -17,7 +17,11 @@ leniency inside skipped regions is the skipper's by construction, and
 nothing skipped is ever decoded), and each matched value decoded where
 it stands by one ``scan_once`` call of the C scanner, whose returned
 end offset is where the walk resumes.  A trailing keys-or-members step
-over an array decodes the whole array in that one call.
+over an array decodes the whole array in that one call; under a
+``()("key")`` tail the array walk learns the shape of its flat rows and
+takes each following row of that shape in one anchored match
+(:func:`repro.jsonlib.textscan._member_pattern`), any other row key by
+key.
 
 Equivalence contract, shared with the raw skipper and checked
 property-based in the test suite::
@@ -35,7 +39,9 @@ byte-identical with ``scan_mode="text"``.
 
 Counters: ``tape_records`` counts records projected on this path (a
 re-projected record is not one), ``tape_tokens`` the walkers' steps on
-them: one per key read, member visited and decode call.
+them: one per key read, member visited and decode call, the same for a
+row the shape match took (a count that depended on the route would
+differ between runs).
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ collection) size.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Iterator
 
@@ -43,22 +44,28 @@ from repro.jsonlib.path import (
     ValueByKey,
 )
 
-_WS_RE = re.compile(r"[ \t\n\r]*")
+_WS = r"[ \t\n\r]*"
+_WS_RE = re.compile(_WS)
 #: Unicode byte-order mark; legal as the very first character of a JSON
 #: text (RFC 8259 permits parsers to ignore it), never anywhere else.
 _BOM = "\ufeff"
 # Structural characters that change nesting depth, plus string openers.
 _STRUCT_RE = re.compile(r'["{}\[\]]')
-_STRING_BODY = r'(?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*'
+# Plain runs unrolled around the escapes: the language of
+# `(?:plain|escape)*`, matched about three times faster.
+_PLAIN_RUN = r'[^"\\\x00-\x1f]*'
+_STRING_BODY = (
+    rf'{_PLAIN_RUN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN_RUN})*'
+)
 _STRING_RE = re.compile(f'"{_STRING_BODY}"')
 # A walked object's hop from one member to its value in one anchored
 # match: whitespace, the key literal (group 1 is its body), the colon,
 # and the whitespace before the value.
-_KEY_HOP_RE = re.compile(
-    rf'[ \t\n\r]*"({_STRING_BODY})"[ \t\n\r]*:[ \t\n\r]*'
-)
-_NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-_LITERAL_RE = re.compile(r"true|false|null")
+_KEY_HOP_RE = re.compile(rf'{_WS}"({_STRING_BODY})"{_WS}:{_WS}')
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+_LITERAL = "true|false|null"
+_LITERAL_RE = re.compile(_LITERAL)
 _LITERAL_VALUES = {"true": True, "false": False, "null": None}
 
 
@@ -83,7 +90,9 @@ class ScanCounters:
     accounting (:mod:`repro.jsonlib.tape`; zero in the other modes):
     ``tape_records`` counts the records projected on the on-demand
     path, ``tape_tokens`` the walkers' steps on them (one per key
-    read, member visited and decode call).  Segment-cache accounting
+    read, member visited and decode call; a member taken whole by
+    :func:`_member_pattern` counts the steps of its key walk).
+    Segment-cache accounting
     (:mod:`repro.cache`): ``cache_hits`` / ``cache_misses`` count
     per-file cache probes; a hit replays the stored scan's
     matched/skipped so projection accounting stays byte-identical with
@@ -286,8 +295,10 @@ def _project(
     navigator (:mod:`repro.jsonlib.tape`), which stages each record and
     re-projects it with the default when anything goes wrong; that
     licence lets the walkers hand it a trailing keys-or-members array
-    in one call, and has them count their steps into ``tape_tokens``
-    (one per key read, member visited and decode call).
+    in one call and take same-shaped rows under a ``()("key")`` tail
+    one anchored match each (:func:`_member_pattern`), and has them
+    count their steps into ``tape_tokens`` (one per key read, member
+    visited and decode call).
     """
     if step_index == len(path):
         item, end = decode(text, pos)
@@ -439,6 +450,82 @@ def _skip_to_container_end(text: str, pos: int, start: int) -> int:
             return i
 
 
+# Same-shaped rows under a `()("key")` tail (Q0b's `("date")`).  The
+# navigator's array walk learns the shape of the members its key walk
+# has just walked and takes each following member of that shape in one
+# anchored match.  The pattern proves every member it takes, strictly:
+# whatever it does not spell out exactly (a duplicate, missing,
+# reordered or escaped key, a nested or malformed value, a trailing
+# comma, a truncated buffer) does not match and is walked key by key,
+# which stays the only definition of errors and of every count.
+_SCALAR = rf'(?:"{_STRING_BODY}"|{_NUMBER}(?![0-9.eE+-])|{_LITERAL})'
+_PAIR_RE = re.compile(
+    rf'{_WS}"({_PLAIN_RUN})"{_WS}:{_WS}{_SCALAR}{_WS}(?:,|(\}}))'
+)
+#: Learning budget of one array walk: a shape is compiled once two
+#: walked members running have it, and after this many walked members
+#: running the rest of the array is the key walk's alone, so irregular
+#: data never pays for speculation.
+_ROW_MISSES = 3
+#: Last shape learned per target key, tried on the next array's first
+#: member (the paper's arrays hold a few dozen rows).  Only a hint: a
+#: stale one costs a failed match, so threads share it through plain
+#: dict reads and writes, and it is emptied when full.
+_SHAPE_HINT: dict[str, tuple[str, ...]] = {}
+_SHAPE_HINT_SIZE = 64
+
+
+def _flat_shape(text: str, start: int, end: int, target: str):
+    """Keys of the flat object ``text[start:end]``, or None.
+
+    Flat: every key free of escapes and distinct, every value a strict
+    scalar, *target* among the keys.
+    """
+    if text[start] != "{":
+        return None
+    keys = []
+    pos = start + 1
+    while True:
+        pair = _PAIR_RE.match(text, pos, end)
+        if pair is None:
+            return None
+        keys.append(pair.group(1))
+        pos = pair.end()
+        if pair.lastindex == 2:
+            break
+    if target not in keys or len(set(keys)) != len(keys):
+        return None
+    return tuple(keys)
+
+
+@functools.lru_cache(maxsize=64)
+def _member_pattern(keys: tuple[str, ...], target: str):
+    """``(match, pairs)`` for array members of the flat shape *keys*.
+
+    The anchored pattern spells the member out key by key, captures
+    *target*'s value (group 1) and ends on the array's ``,`` (and the
+    whitespace after it) or ``]`` (group 2).
+    """
+    pairs = [
+        rf'"{re.escape(key)}"{_WS}:{_WS}'
+        + (f"({_SCALAR})" if key == target else _SCALAR)
+        + _WS
+        for key in keys
+    ]
+    member = rf"\{{{_WS}" + f",{_WS}".join(pairs) + rf"\}}{_WS}"
+    return re.compile(rf"{member}(?:,{_WS}|(\]))").match, len(keys)
+
+
+def _adopt_shape(keys: tuple[str, ...], target: str):
+    """:func:`_member_pattern` of a shape just learned, which also
+    becomes the hint for the next array under *target*."""
+    if _SHAPE_HINT.get(target) != keys:
+        if len(_SHAPE_HINT) >= _SHAPE_HINT_SIZE:
+            _SHAPE_HINT.clear()
+        _SHAPE_HINT[target] = keys
+    return _member_pattern(keys, target)
+
+
 def _walk_array(
     text: str,
     pos: int,
@@ -451,11 +538,8 @@ def _walk_array(
 ) -> int:
     """Walk an array; ``target_index`` None means keys-or-members."""
     start = pos
-    if (
-        target_index is None
-        and step_index + 1 == len(path)
-        and decode is not _build_value
-    ):
+    navigating = decode is not _build_value
+    if target_index is None and navigating and step_index + 1 == len(path):
         # A trailing keys-or-members step materializes every member
         # (the paper queries' `("results")()` shape): the navigator's
         # decoder takes the whole array in one call.  The skipper walks
@@ -469,11 +553,41 @@ def _walk_array(
     pos = _skip_ws(text, pos + 1)  # past '['
     if text.startswith("]", pos):
         return pos + 1
-    count_steps = counters is not None and decode is not _build_value
+    count_steps = counters is not None and navigating
+    row_key = take = last_shape = None
+    pairs = misses = 0
+    if (
+        target_index is None
+        and navigating
+        and step_index + 2 == len(path)
+        and isinstance(path[step_index + 1], ValueByKey)
+    ):
+        row_key = path[step_index + 1].key
+        hinted = _SHAPE_HINT.get(row_key)
+        if hinted is not None:
+            take, pairs = _member_pattern(hinted, row_key)
     position = 0
     while True:
         position += 1
+        if take is not None:
+            hit = take(text, pos)
+            if hit is not None:
+                # One member, whole: exactly what the key walk would
+                # have added, so no count depends on the route taken.
+                out.append(decode(text, hit.start(1))[0])
+                if counters is not None:
+                    counters.matched += 1
+                    counters.skipped += pairs - 1
+                    counters.tape_tokens += pairs + 1
+                misses = 0
+                pos = hit.end()
+                if hit.lastindex == 1:  # ended past the array's `,`
+                    continue
+                if count_steps:
+                    counters.tape_tokens += position
+                return pos
         if target_index is None or position == target_index:
+            member = pos
             pos = _project(
                 text, pos, path, step_index + 1, out, counters, decode
             )
@@ -486,6 +600,14 @@ def _walk_array(
                 if count_steps:
                     counters.tape_tokens += position
                 return end
+            if row_key is not None:
+                misses += 1
+                shape = _flat_shape(text, member, pos, row_key)
+                if shape is not None and shape == last_shape:
+                    take, pairs = _adopt_shape(shape, row_key)
+                elif misses >= _ROW_MISSES:
+                    row_key = take = None
+                last_shape = shape
         else:
             pos = _skip(text, pos, counters)
         pos = _skip_ws(text, pos)

@@ -52,7 +52,8 @@ per-query resilience machinery:
   supervisor replaces both the thread and the slot's backend under a
   bounded restart budget (``max_slot_restarts``), recording a
   structured :class:`~repro.service.events.SlotRestartEvent` in
-  ``stats()``.  A slot whose budget is spent is *abandoned*; when every
+  ``stats()`` (the most recent events; ``slot_restarts_total`` counts
+  them all).  A slot whose budget is spent is *abandoned*; when every
   slot is abandoned, queued requests fail cleanly and new submissions
   are rejected with ``AdmissionError("no-slots", ...)``.  A slot whose
   backend keeps failing (``backend_failure_threshold`` consecutive
@@ -66,7 +67,8 @@ per-query resilience machinery:
   at the front, preferring a different slot, up to
   ``max_query_retries`` times, with whatever remains of its *original*
   deadline and the same cancellation token.  Retry provenance rides on
-  the response (``retries`` / ``retry_causes``) and in ``stats()``;
+  the response (``retries`` / ``retry_causes``) and in ``stats()``
+  (the most recent events; ``retried`` counts them all);
 - **overload protection**: a submission whose predicted queue wait
   (mean recent query duration × backlog ÷ live slots, measured on the
   injectable clock from the ``CLOCKS`` registry) already exceeds its
@@ -113,6 +115,10 @@ from repro.service.result_cache import (
     ResultCache,
     source_fingerprints,
 )
+
+#: Slot and retry events kept for ``stats()``: the most recent ones.  A
+#: long-lived service under chaos must not grow with its history.
+_EVENT_HISTORY = 256
 
 
 def _is_query_retryable(error: BaseException) -> bool:
@@ -499,6 +505,7 @@ class QueryService:
             "cancelled": 0,
             "rejected": 0,
             "retried": 0,
+            "slot_restarts_total": 0,
         }
         self._rejected_by_reason: dict[str, int] = {}
         # -- self-healing state --------------------------------------------
@@ -512,8 +519,14 @@ class QueryService:
         self._circuit_cooldown = circuit_cooldown_seconds
         self._breakers: dict[str, _Breaker] = {}
         self._recent_durations: deque = deque(maxlen=32)
-        self._slot_events: list[SlotRestartEvent] = []
-        self._retry_events: list[QueryRetryEvent] = []
+        # The most recent events only; the ``retried`` and
+        # ``slot_restarts_total`` counters hold the exact totals.
+        self._slot_events: deque[SlotRestartEvent] = deque(
+            maxlen=_EVENT_HISTORY
+        )
+        self._retry_events: deque[QueryRetryEvent] = deque(
+            maxlen=_EVENT_HISTORY
+        )
         # slot index → pending injected-death count (see
         # inject_slot_failure); a dict of counts so tests can queue
         # several deterministic deaths on one slot.
@@ -840,6 +853,11 @@ class QueryService:
                     duration=self._clock() - started_clock,
                 )
 
+    def _record_slot_event(self, event: SlotRestartEvent) -> None:
+        """Log one slot event and count it; the caller holds the lock."""
+        self._slot_events.append(event)
+        self._counters["slot_restarts_total"] += 1
+
     def _supervise_slot_death(self, slot: _Slot, error: BaseException) -> None:
         """Replace a dead slot worker (bounded) and rescue its request."""
         request = slot.current
@@ -854,7 +872,7 @@ class QueryService:
             else:
                 slot.abandoned = True
                 kind = "abandoned"
-            self._slot_events.append(
+            self._record_slot_event(
                 SlotRestartEvent(
                     slot=slot.index,
                     kind=kind,
@@ -887,7 +905,7 @@ class QueryService:
                 respawn = False
                 with self._lock:
                     slot.abandoned = True
-                    self._slot_events.append(
+                    self._record_slot_event(
                         SlotRestartEvent(
                             slot=slot.index,
                             kind="abandoned",
@@ -1012,7 +1030,7 @@ class QueryService:
         with self._lock:
             slot.backend = new_backend
             slot.backend_failures = 0
-            self._slot_events.append(
+            self._record_slot_event(
                 SlotRestartEvent(
                     slot=slot.index,
                     kind="backend-replaced",

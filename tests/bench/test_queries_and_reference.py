@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import queries
-from repro.bench.reference import (
+from repro.correctness.oracle import (
     iter_measurements,
     reference_q0,
     reference_q0b,

@@ -11,9 +11,13 @@ mutated both must also equal ``navigate(json.loads(...))``.
 
 Documents are rendered by this file, not by ``json.dumps``, so that
 objects can repeat keys and spacing varies; a text mutation then
-optionally breaks the result.  The examples are derandomized so the
-tier-1 gate does the same work on every host; to fuzz wider, raise
-``max_examples`` and drop ``derandomize`` locally.
+optionally breaks the result.  The recursive documents almost never
+hold an array of same-shaped rows under a ``()("key")`` tail, the one
+shape the navigator takes by anchored match, so a second strategy
+builds exactly those, each row optionally broken in one of the ways the
+match must refuse.  The examples are derandomized so the tier-1 gate
+does the same work on every host; to fuzz wider, raise ``max_examples``
+and drop ``derandomize`` locally.
 """
 
 import json
@@ -43,6 +47,12 @@ class Obj(list):
 
 class Raw(str):
     """A pre-rendered JSON fragment json.dumps would not produce."""
+
+
+class Rows(list):
+    """An array of rows; may be rendered with a trailing comma."""
+
+    trailing_comma = False
 
 
 atoms = st.one_of(
@@ -92,14 +102,14 @@ def render(value, style) -> str:
     pad = style["pad"]
     if isinstance(value, Obj):
         members = style["comma"].join(
-            json.dumps(key, ensure_ascii=style["ascii"])
-            + style["colon"]
-            + render(member, style)
+            render(key, style) + style["colon"] + render(member, style)
             for key, member in value
         )
         return "{" + pad + members + pad + "}"
     if isinstance(value, list):
         members = style["comma"].join(render(m, style) for m in value)
+        if isinstance(value, Rows) and value.trailing_comma:
+            members += ","
         return "[" + pad + members + pad + "]"
     return json.dumps(value, ensure_ascii=style["ascii"])
 
@@ -143,25 +153,9 @@ def observe(scan, source, path, on_malformed, **kwargs):
     return repr(items), error, counters.matched, counters.skipped, events
 
 
-@given(
-    docs=st.lists(values, min_size=1, max_size=3),
-    style=styles,
-    joiner=st.sampled_from(["\n", " ", "\r\n"]),
-    path=paths,
-    mutated=st.booleans(),
-    on_malformed=st.sampled_from(["fail", "skip_record"]),
-    chunk_size=st.integers(min_value=1, max_value=64),
-    data=st.data(),
-)
-@settings(max_examples=400, deadline=None, derandomize=True)
-def test_ondemand_equals_text_equals_stdlib(
-    docs, style, joiner, path, mutated, on_malformed, chunk_size, data
-):
-    rendered = [render(doc, style) for doc in docs]
-    text = joiner.join(rendered)
-    if mutated:
-        text = mutate(text, data)
-
+def check_equivalence(text, path, on_malformed, chunk_size, documents):
+    """On-demand equals text, in memory and from a file; and both equal
+    the stdlib on *documents* (the texts of a scan nothing broke)."""
     in_memory = observe(tape.scan_text, text, path, on_malformed)
     assert in_memory == observe(textscan.scan_text, text, path, on_malformed)
 
@@ -180,9 +174,161 @@ def test_ondemand_equals_text_equals_stdlib(
     finally:
         os.unlink(file_path)
 
-    if not mutated:
+    if documents is not None:
         expected = []
-        for document in rendered:
+        for document in documents:
             expected.extend(navigate(json.loads(document), path))
         assert in_memory[:2] == (repr(expected), None)
         assert from_file[:2] == (repr(expected), None)
+
+
+@given(
+    docs=st.lists(values, min_size=1, max_size=3),
+    style=styles,
+    joiner=st.sampled_from(["\n", " ", "\r\n"]),
+    path=paths,
+    mutated=st.booleans(),
+    on_malformed=st.sampled_from(["fail", "skip_record"]),
+    chunk_size=st.integers(min_value=1, max_value=64),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_ondemand_equals_text_equals_stdlib(
+    docs, style, joiner, path, mutated, on_malformed, chunk_size, data
+):
+    rendered = [render(doc, style) for doc in docs]
+    text = joiner.join(rendered)
+    if mutated:
+        text = mutate(text, data)
+    check_equivalence(
+        text, path, on_malformed, chunk_size, None if mutated else rendered
+    )
+
+
+# -- arrays of same-shaped rows -----------------------------------------------
+
+ROW_KEYS = ["date", "dataType", "station", "value", "k", "é"]
+#: Ways to break one row; the last three leave no valid JSON behind.
+ROW_BREAKS = [
+    "duplicate", "drop", "reorder", "extra", "escape", "nest", "member",
+    "malformed", "NaN", "digits",
+]
+MALFORMED = ["01", "1.", "1,", "tru", "'x'", '"a\x01"', '"\\x"', "", "{,}"]
+
+
+def escaped(key: str) -> Raw:
+    """*key* as a literal of ``\\uXXXX`` escapes (all ROW_KEYS are BMP)."""
+    return Raw('"' + "".join(f"\\u{ord(char):04x}" for char in key) + '"')
+
+
+@st.composite
+def row_cases(draw):
+    """``(documents, path, valid)``: one or two documents whose arrays
+    hold 0-8 rows of one flat shape, some rows broken; *valid* while
+    every document is still JSON."""
+    shape = draw(
+        st.lists(
+            st.sampled_from(ROW_KEYS), min_size=1, max_size=4, unique=True
+        )
+    )
+    target = draw(st.sampled_from(shape + ["missing"]))
+    valid = True
+
+    def rows():
+        nonlocal valid
+        members = Rows()
+        for _ in range(draw(st.integers(0, 8))):
+            pairs = [(key, draw(atoms)) for key in shape]
+            kind = draw(
+                st.one_of(st.none(), st.none(), st.sampled_from(ROW_BREAKS)),
+                label="break",
+            )
+            at = draw(st.integers(0, len(pairs) - 1))
+            key = pairs[at][0]
+            if kind == "duplicate":
+                pairs.insert(
+                    draw(st.integers(0, len(pairs))), (key, draw(atoms))
+                )
+            elif kind == "drop":
+                del pairs[at]
+            elif kind == "reorder":
+                pairs.append(pairs.pop(at))
+                pairs.reverse()
+            elif kind == "extra":
+                pairs.insert(at, ("extra", draw(atoms)))
+            elif kind == "escape":
+                pairs[at] = (escaped(key), pairs[at][1])
+            elif kind == "nest":
+                nested = [[1], Obj([(key, 2)]), [], Obj()]
+                pairs[at] = (key, draw(st.sampled_from(nested)))
+            elif kind == "malformed":
+                pairs[at] = (key, Raw(draw(st.sampled_from(MALFORMED))))
+            elif kind == "NaN":
+                pairs[at] = (key, Raw("NaN"))
+            elif kind == "digits":
+                pairs[at] = (key, Raw("9" * 5000))
+            valid = valid and kind not in ("malformed", "NaN", "digits")
+            members.append(
+                draw(st.one_of(atoms, st.lists(atoms, max_size=2)))
+                if kind == "member"
+                else Obj(pairs)
+            )
+        members.trailing_comma = draw(st.integers(0, 7)) == 0
+        valid = valid and not members.trailing_comma
+        return members
+
+    layout = draw(st.sampled_from(["bare", "results", "listing6"]))
+    tail = [KeysOrMembers(), ValueByKey(target)]
+    documents = []
+    for _ in range(draw(st.integers(1, 2))):
+        if layout == "bare":
+            documents.append(rows())
+        elif layout == "results":
+            documents.append(Obj([("results", rows())]))
+        else:
+            # Two arrays, so that the shape hint carries over.
+            documents.append(
+                Obj([(
+                    "root",
+                    [
+                        Obj([("metadata", Obj([("count", 3)])),
+                             ("results", rows())])
+                        for _ in range(2)
+                    ],
+                )])
+            )
+    if layout == "results":
+        tail.insert(0, ValueByKey("results"))
+    elif layout == "listing6":
+        tail[:0] = [ValueByKey("root"), KeysOrMembers(), ValueByKey("results")]
+    return documents, Path(tail), valid
+
+
+@given(
+    case=row_cases(),
+    style=styles,
+    joiner=st.sampled_from(["\n", " ", "\r\n"]),
+    mutated=st.booleans(),
+    on_malformed=st.sampled_from(["fail", "skip_record"]),
+    chunk_size=st.integers(min_value=1, max_value=64),
+    fresh=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_row_arrays_ondemand_equals_text_equals_stdlib(
+    case, style, joiner, mutated, on_malformed, chunk_size, fresh, data
+):
+    documents, path, valid = case
+    rendered = [render(doc, style) for doc in documents]
+    text = joiner.join(rendered)
+    if mutated:
+        text = mutate(text, data)
+    if fresh:
+        # Otherwise the memo and the hint are whatever earlier examples
+        # left: neither state may show.
+        textscan._SHAPE_HINT.clear()
+        textscan._member_pattern.cache_clear()
+    check_equivalence(
+        text, path, on_malformed, chunk_size,
+        rendered if valid and not mutated else None,
+    )

@@ -397,3 +397,133 @@ class TestFallbackIdentity:
         assert (tape_c.matched, tape_c.skipped) == (
             text_c.matched, text_c.skipped,
         )
+
+
+class TestSameShapedRows:
+    """A ``()("key")`` tail over same-shaped rows is taken one anchored
+    match per member; nothing observable tells the two routes apart."""
+
+    ROW = '{"date": "d%d", "dataType": "TMIN", "station": "S", "value": %d.5}'
+    PATH = '("root")()("results")()("date")'
+
+    @pytest.fixture(autouse=True)
+    def empty_memo_and_hint(self):
+        textscan._member_pattern.cache_clear()
+        textscan._SHAPE_HINT.clear()
+
+    @staticmethod
+    def document(row=ROW, rows=5):
+        arrays = (
+            ", ".join(row % (n, n) for n in range(first, first + rows))
+            for first in (0, rows)
+        )
+        return '{"root": [%s]}' % ", ".join(
+            '{"metadata": {"count": %d}, "results": [%s]}' % (rows, array)
+            for array in arrays
+        )
+
+    def test_one_match_and_one_decode_per_row(self, spy, monkeypatch):
+        text = self.document()
+        walked = []
+        walk_object = textscan._walk_object
+
+        def spying_walk(text, pos, *rest):
+            walked.append(pos)
+            return walk_object(text, pos, *rest)
+
+        monkeypatch.setattr(textscan, "_walk_object", spying_walk)
+        items, counters = scan_counted(text, self.PATH)
+        assert items == ["d%d" % n for n in range(10)]
+        # Two rows to learn the shape; the second array starts on the hint.
+        rows_walked = [p for p in walked if text.startswith('{"date"', p)]
+        assert rows_walked == [text.index('{"date": "d0"'),
+                               text.index('{"date": "d1"')]
+        assert [text[a:b] for a, b in spy.spans] == [
+            '"d%d"' % n for n in range(10)
+        ]
+        assert counters.tape_records == 1
+
+    def test_counters_do_not_depend_on_the_route(self):
+        matched = scan_counted(self.document(), self.PATH)
+        assert textscan._member_pattern.cache_info().misses == 1
+        # One escaped key keeps every row on the key walk.
+        walked = scan_counted(
+            self.document(self.ROW.replace("station", "st\\u0061tion")),
+            self.PATH,
+        )
+        assert textscan._member_pattern.cache_info().misses == 1
+        assert matched[0] == walked[0]
+        assert matched[1].as_dict() == walked[1].as_dict()
+        # Per row 1 matched and 3 skipped (plus the 2 "metadata"), and
+        # 4 keys read plus 1 decode call; 10 + 2 members visited and
+        # 2 x 2 + 1 keys read above the rows.
+        assert (matched[1].matched, matched[1].skipped) == (10, 32)
+        assert matched[1].tape_tokens == 10 * 5 + 12 + 5
+
+    def test_repeated_target_key_is_walked_and_last_wins(self):
+        rows = ['{"date": %d, "v": 0}' % n for n in range(6)]
+        rows[4] = '{"date": 4, "v": 0, "date": 44}'
+        text = "[%s]" % ", ".join(rows)
+        path = parse_path('()("date")')
+        (tape_items, tape_c), (text_items, text_c) = both_scans(text, path)
+        assert tape_items == text_items == [0, 1, 2, 3, 44, 5]
+        # The discarded first occurrence is recounted as one skipped.
+        assert (tape_c.matched, tape_c.skipped) == (6, 7)
+        assert (text_c.matched, text_c.skipped) == (6, 7)
+        assert tape_c.tape_records == 1
+
+    def test_a_stale_hint_changes_nothing_observable(self):
+        text = "[%s]" % ", ".join(
+            '{"v": %d, "date": %d, "w": null}' % (n, n) for n in range(6)
+        )
+        fresh = scan_counted(text, '()("date")')
+        scan_counted(self.document(), self.PATH)
+        assert textscan._SHAPE_HINT["date"] != ("v", "date", "w")
+        hinted = scan_counted(text, '()("date")')
+        assert hinted[0] == fresh[0] == list(range(6))
+        assert hinted[1].as_dict() == fresh[1].as_dict()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param(
+                lambda n: '{"k%d": 1, "date": 2, "j%d": 3}' % (n, n),
+                id="all-different-keys",
+            ),
+            pytest.param(
+                lambda n: '{"a": 1, "date": 2}' if n % 2
+                else '{"date": 2, "a": 1}',
+                id="alternating-key-orders",
+            ),
+            pytest.param(
+                lambda n: '{"a": 1, "date": 2, "b": [%d]}' % n,
+                id="nested-value",
+            ),
+        ],
+    )
+    def test_irregular_rows_pay_three_looks_and_no_compile(
+        self, row, monkeypatch
+    ):
+        looks = []
+        flat_shape = textscan._flat_shape
+
+        def spying_shape(*args):
+            looks.append(args)
+            return flat_shape(*args)
+
+        monkeypatch.setattr(textscan, "_flat_shape", spying_shape)
+        text = "[%s]" % ", ".join(row(n) for n in range(200))
+        items, counters = scan_counted(text, '()("date")')
+        assert items == [2] * 200
+        assert counters.tape_records == 1
+        assert len(looks) == textscan._ROW_MISSES
+        assert textscan._member_pattern.cache_info().misses == 0
+        assert textscan._SHAPE_HINT == {}
+
+    def test_shape_hint_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(textscan, "_SHAPE_HINT_SIZE", 4)
+        for n in range(10):
+            text = '[{"t%d": 1}, {"t%d": 2}, {"t%d": 3}]' % (n, n, n)
+            assert scan_counted(text, '()("t%d")' % n)[0] == [1, 2, 3]
+            assert textscan._SHAPE_HINT["t%d" % n] == ("t%d" % n,)
+            assert len(textscan._SHAPE_HINT) <= 4

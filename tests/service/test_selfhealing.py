@@ -26,6 +26,7 @@ from repro.errors import (
 )
 from repro.observability.clock import CLOCKS
 from repro.service import QueryService, TenantQuota
+from repro.service import service as service_module
 from repro.service.events import QueryRetryEvent, SlotRestartEvent
 from repro.service.service import _is_query_retryable
 
@@ -217,6 +218,31 @@ def test_retry_disabled_fails_fast():
         # The slot itself still healed.
         assert stats["slots"]["live"] == 1
         assert service.execute(COUNT_QUERY).items == [120]
+
+
+def test_event_history_is_bounded_and_totals_are_exact(monkeypatch):
+    """``stats()`` keeps the most recent slot and retry events, newest
+    last, however many there were; the counters beside them keep the
+    exact totals."""
+    monkeypatch.setattr(service_module, "_EVENT_HISTORY", 4)
+    deaths = 7
+    with QueryService(
+        make_source(),
+        backend="sequential",
+        max_concurrent_queries=1,
+        max_slot_restarts=deaths,
+    ) as service:
+        for _ in range(deaths):
+            service.inject_slot_failure(0)
+            assert service.execute(COUNT_QUERY).retries == 1
+        stats = service.stats()
+    assert stats["slot_restarts_total"] == deaths
+    assert stats["retried"] == deaths
+    assert [e["restarts"] for e in stats["slot_restarts"]] == [4, 5, 6, 7]
+    retried = [e["request_id"] for e in stats["query_retries"]]
+    assert len(retried) == 4
+    assert retried == sorted(retried)
+    assert retried == [e["request_id"] for e in stats["slot_restarts"]]
 
 
 def test_invalid_injection_slot_rejected():

@@ -1,6 +1,6 @@
 """End-to-end integration tests: every engine agrees with ground truth.
 
-The reference implementations in :mod:`repro.bench.reference` compute
+The reference implementations in :mod:`repro.correctness.oracle` compute
 the paper's queries directly over materialized items; here every engine
 — VXQuery under all four rule configurations, the document store, the
 SQL engine, and both ADM modes — must produce the same answers on a
@@ -13,7 +13,7 @@ from repro import CollectionCatalog, JsonProcessor, RewriteConfig
 from repro import SensorDataConfig, write_sensor_collection
 from repro.baselines import AdmEngine, DocumentStore, InMemorySQLEngine
 from repro.bench import queries, workloads
-from repro.bench.reference import (
+from repro.correctness.oracle import (
     reference_q0,
     reference_q0b,
     reference_q1,

@@ -152,8 +152,8 @@ def scenario_slot_death(data_dir, backend, baselines, budget):
             "scenario": "slot-death",
             "query": "__slots__",
             "backend": backend,
-            "slot_restarts": len(stats["slot_restarts"]),
-            "query_retries": len(stats["query_retries"]),
+            "slot_restarts": stats["slot_restarts_total"],
+            "query_retries": stats["retried"],
             "slots": stats["slots"],
         }
         problems = []
@@ -161,7 +161,7 @@ def scenario_slot_death(data_dir, backend, baselines, budget):
             problems.append(
                 f"{stats['slots']['abandoned']} slot(s) never recovered"
             )
-        if len(stats["slot_restarts"]) < len(QUERIES):
+        if stats["slot_restarts_total"] < len(QUERIES):
             problems.append("missing slot-restart events")
         summary["ok"] = not problems
         if problems:
@@ -203,7 +203,7 @@ def scenario_slot_storm(data_dir, backend, baselines, budget):
             "scenario": "slot-storm",
             "query": "__slots__",
             "backend": backend,
-            "slot_restarts": len(stats["slot_restarts"]),
+            "slot_restarts": stats["slot_restarts_total"],
             "slots": stats["slots"],
             "ok": not stats["slots"]["abandoned"],
         }
