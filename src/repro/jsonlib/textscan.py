@@ -462,12 +462,25 @@ _SCALAR = rf'(?:"{_STRING_BODY}"|{_NUMBER}(?![0-9.eE+-])|{_LITERAL})'
 _PAIR_RE = re.compile(
     rf'{_WS}"({_PLAIN_RUN})"{_WS}:{_WS}{_SCALAR}{_WS}(?:,|(\}}))'
 )
-#: Learning budget of one array walk: a shape is compiled once two
-#: walked members running have it, and after this many walked members
-#: running the rest of the array is the key walk's alone, so irregular
-#: data never pays for speculation.
+#: Learning budget, so irregular data never pays for speculation.
+#: Within one array a shape is adopted once two walked members running
+#: have it, and after `_ROW_MISSES` walked members running the rest of
+#: the array is the key walk's alone.  Rows wider than `_ROW_KEYS` are
+#: never learned (the pattern grows with the row).  Across arrays a
+#: compile must be earned first: it costs the key walk of 130-240 rows
+#: of the same width (0.4 ms against 2-3 us a key), so each row walked
+#: under such a tail earns one credit, a shape is adopted only on
+#: `_COMPILE_ROWS` credits and a compile spends them all.  Data that
+#: keeps bringing new shapes thus scans within twice the key walk
+#: alone, however few rows each shape has.
 _ROW_MISSES = 3
-#: Last shape learned per target key, tried on the next array's first
+_ROW_KEYS = 32
+_COMPILE_ROWS = 256
+#: Starts full, so a process's first shape compiles on its second row;
+#: like the hint below, shared by threads without a lock (a lost update
+#: loses one row's credit).
+_compile_credit = _COMPILE_ROWS
+#: Last shape adopted per target key, tried on the next array's first
 #: member (the paper's arrays hold a few dozen rows).  Only a hint: a
 #: stale one costs a failed match, so threads share it through plain
 #: dict reads and writes, and it is emptied when full.
@@ -478,8 +491,8 @@ _SHAPE_HINT_SIZE = 64
 def _flat_shape(text: str, start: int, end: int, target: str):
     """Keys of the flat object ``text[start:end]``, or None.
 
-    Flat: every key free of escapes and distinct, every value a strict
-    scalar, *target* among the keys.
+    Flat: at most `_ROW_KEYS` keys, each free of escapes and distinct,
+    every value a strict scalar, *target* among the keys.
     """
     if text[start] != "{":
         return None
@@ -493,6 +506,8 @@ def _flat_shape(text: str, start: int, end: int, target: str):
         pos = pair.end()
         if pair.lastindex == 2:
             break
+        if len(keys) == _ROW_KEYS:
+            return None
     if target not in keys or len(set(keys)) != len(keys):
         return None
     return tuple(keys)
@@ -504,8 +519,11 @@ def _member_pattern(keys: tuple[str, ...], target: str):
 
     The anchored pattern spells the member out key by key, captures
     *target*'s value (group 1) and ends on the array's ``,`` (and the
-    whitespace after it) or ``]`` (group 2).
+    whitespace after it) or ``]`` (group 2).  The body runs only on a
+    memo miss, which is the compile the learning budget meters.
     """
+    global _compile_credit
+    _compile_credit = 0
     pairs = [
         rf'"{re.escape(key)}"{_WS}:{_WS}'
         + (f"({_SCALAR})" if key == target else _SCALAR)
@@ -537,6 +555,7 @@ def _walk_array(
     decode,
 ) -> int:
     """Walk an array; ``target_index`` None means keys-or-members."""
+    global _compile_credit
     start = pos
     navigating = decode is not _build_value
     if target_index is None and navigating and step_index + 1 == len(path):
@@ -601,13 +620,20 @@ def _walk_array(
                     counters.tape_tokens += position
                 return end
             if row_key is not None:
+                if _compile_credit < _COMPILE_ROWS:
+                    _compile_credit += 1
                 misses += 1
-                shape = _flat_shape(text, member, pos, row_key)
-                if shape is not None and shape == last_shape:
-                    take, pairs = _adopt_shape(shape, row_key)
-                elif misses >= _ROW_MISSES:
-                    row_key = take = None
-                last_shape = shape
+                if misses > _ROW_MISSES:
+                    take = None
+                else:
+                    shape = _flat_shape(text, member, pos, row_key)
+                    if (
+                        shape is not None
+                        and shape == last_shape
+                        and _compile_credit >= _COMPILE_ROWS
+                    ):
+                        take, pairs = _adopt_shape(shape, row_key)
+                    last_shape = shape
         else:
             pos = _skip(text, pos, counters)
         pos = _skip_ws(text, pos)

@@ -324,10 +324,11 @@ def test_row_arrays_ondemand_equals_text_equals_stdlib(
     if mutated:
         text = mutate(text, data)
     if fresh:
-        # Otherwise the memo and the hint are whatever earlier examples
-        # left: neither state may show.
+        # Otherwise the memo, the hint and the compile credit are
+        # whatever earlier examples left: no such state may show.
         textscan._SHAPE_HINT.clear()
         textscan._member_pattern.cache_clear()
+        textscan._compile_credit = textscan._COMPILE_ROWS
     check_equivalence(
         text, path, on_malformed, chunk_size,
         rendered if valid and not mutated else None,

@@ -407,9 +407,12 @@ class TestSameShapedRows:
     PATH = '("root")()("results")()("date")'
 
     @pytest.fixture(autouse=True)
-    def empty_memo_and_hint(self):
+    def empty_memo_and_hint(self, monkeypatch):
         textscan._member_pattern.cache_clear()
         textscan._SHAPE_HINT.clear()
+        monkeypatch.setattr(
+            textscan, "_compile_credit", textscan._COMPILE_ROWS
+        )
 
     @staticmethod
     def document(row=ROW, rows=5):
@@ -472,7 +475,8 @@ class TestSameShapedRows:
         assert (text_c.matched, text_c.skipped) == (6, 7)
         assert tape_c.tape_records == 1
 
-    def test_a_stale_hint_changes_nothing_observable(self):
+    def test_a_stale_hint_changes_nothing_observable(self, monkeypatch):
+        monkeypatch.setattr(textscan, "_COMPILE_ROWS", 0)  # each scan learns
         text = "[%s]" % ", ".join(
             '{"v": %d, "date": %d, "w": null}' % (n, n) for n in range(6)
         )
@@ -520,8 +524,40 @@ class TestSameShapedRows:
         assert textscan._member_pattern.cache_info().misses == 0
         assert textscan._SHAPE_HINT == {}
 
+    def test_rows_wider_than_the_bound_are_never_compiled(self):
+        wide = "{%s}" % ", ".join(
+            '"k%d": %d' % (n, n) for n in range(1000)
+        )
+        text = "[%s]" % ", ".join([wide] * 4)
+        assert scan_counted(text, '()("k7")')[0] == [7] * 4
+        assert textscan._member_pattern.cache_info().misses == 0
+        assert textscan._SHAPE_HINT == {}
+        # The bound itself is still learned.
+        edge = "{%s}" % ", ".join(
+            '"k%d": %d' % (n, n) for n in range(textscan._ROW_KEYS)
+        )
+        text = "[%s]" % ", ".join([edge] * 4)
+        assert scan_counted(text, '()("k7")')[0] == [7] * 4
+        assert textscan._member_pattern.cache_info().misses == 1
+
+    @pytest.mark.parametrize("rows", [2, 4, 32])
+    def test_rotating_shapes_compile_only_what_the_walk_has_earned(self, rows):
+        # Every array brings a shape no cache has seen.  The first
+        # compile is free, each later one needs `_COMPILE_ROWS` walked
+        # rows since the one before, whatever the rows per shape.
+        arrays = 400
+        text = "[%s]" % ", ".join(
+            "[%s]" % ", ".join(['{"date": 1, "s%d": 2}' % n] * rows)
+            for n in range(arrays)
+        )
+        items, counters = scan_counted(text, '()()("date")')
+        assert items == [1] * (arrays * rows)
+        compiles = textscan._member_pattern.cache_info().misses
+        assert 2 <= compiles <= 1 + arrays * rows // textscan._COMPILE_ROWS
+
     def test_shape_hint_is_bounded(self, monkeypatch):
         monkeypatch.setattr(textscan, "_SHAPE_HINT_SIZE", 4)
+        monkeypatch.setattr(textscan, "_COMPILE_ROWS", 0)
         for n in range(10):
             text = '[{"t%d": 1}, {"t%d": 2}, {"t%d": 3}]' % (n, n, n)
             assert scan_counted(text, '()("t%d")' % n)[0] == [1, 2, 3]
