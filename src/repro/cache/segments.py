@@ -3,21 +3,32 @@
 A *segment* is the full projected output of scanning one source (a file
 on disk or one in-memory text) under one projection path and one
 malformed-input policy, together with everything needed to replay the
-scan's observable side effects: the projection hit/skip counter deltas
-and the skipped-record events a degradation report would have seen.
+scan's observable side effects: the projection hit/skip counter deltas,
+the skipped-record events a degradation report would have seen, and
+``sizeof_item`` of every row, measured once when the segment is written
+so a warm DATASCAN accounts its bytes without walking the rows again.
 
 Layout on disk (one file per segment, named by the SHA-256 of the
 cache key)::
 
-    RSEG1\\n <pickled header dict> <per-column payload>
+    RSEG2\\n <u32 crc32> <u32 header length> <JSON header> <sections>
 
-Uniform lists of flat dicts — the shape every paper query projects —
-are shredded column-wise: each key's values become one column, and
-all-float / all-int columns are packed as raw ``array('d')`` /
-``array('q')`` bytes (true binary columnar storage; strings and mixed
-columns fall back to a pickled list).  Non-uniform results are stored
-as pickled rows.  Warm loads therefore deserialize at C speed and
-never touch JSON.
+The checksum covers everything after it: header length, header and
+every section.  The header names the cache key, the writer's stamp
+(byte order and sizing constants), the row count, the replayed counters
+and skip events, the column names and the ``[kind, length]`` of every
+section.  Uniform lists of flat dicts, the shape every paper query
+projects, are shredded column-wise, one section per key; anything else
+is one section holding the items themselves.  A section is raw
+``array('d')`` / ``array('q')`` bytes when its values are all floats or
+all 64-bit ints, newline-joined UTF-8 when they are all strings without
+a newline, and JSON text otherwise (decoded by the stdlib C scanner the
+on-demand path already trusts).  The last section is the row sizes in
+the narrowest unsigned array that holds them, or one entry when every
+row is the same size.  Nothing read from the cache directory is
+executed: every count and length is checked against the bytes present
+before anything is sized from it, and a file with the old ``RSEG1``
+(pickle) magic is a miss that is never parsed.
 
 Concurrency: writes go to a unique temp file in the cache directory
 and are published with :func:`os.replace`, so concurrent partition
@@ -34,33 +45,40 @@ docstring.
 from __future__ import annotations
 
 import hashlib
-import io
+import json
 import os
-import pickle
+import struct
+import sys
 import tempfile
 import zlib
 from array import array
 from dataclasses import dataclass
 
+from repro.jsonlib.items import sizeof_item
 from repro.jsonlib.path import KeysOrMembers, Path, ValueByIndex, ValueByKey
 
-_MAGIC = b"RSEG1\n"
+_MAGIC = b"RSEG2\n"
+_PICKLE_MAGIC = b"RSEG1\n"
+_U32 = struct.Struct("<I")
+#: unsigned ``array`` codes a sizes section may be packed in, narrowest first
+_SIZE_CODES = ("B", "H", "I", "Q")
+
+#: What must agree between writer and reader for the bytes to mean the
+#: same: the byte order of the packed arrays, and ``sizeof_item`` of
+#: one probe per constant in ``jsonlib/items.py`` (a segment sized
+#: under other constants is a miss, never a replay of stale sizes).
+_STAMP = [sys.byteorder] + [
+    sizeof_item(probe) for probe in ({}, {"": None}, [], [None], "", "a", 0, None)
+]
 
 # Exceptions that prove the segment file itself is defective (torn,
 # bit-flipped, or structurally malformed) and therefore safe to delete:
-# the magic/key/CRC ValueErrors raised below, pickle's own failure modes
-# on torn bytes, and shape errors from a header/payload that decoded to
-# the wrong structure.  Anything else (MemoryError on a huge payload, a
-# KeyboardInterrupt, an environment-dependent ImportError) may strike a
-# perfectly valid file and must NOT trigger deletion.
-_DEFECT_ERRORS = (
-    ValueError,
-    KeyError,
-    TypeError,
-    IndexError,
-    EOFError,
-    pickle.UnpicklingError,
-)
+# the magic/key/CRC/length ValueErrors raised below, the decoders' own
+# failure modes on torn bytes, and shape errors from a header that
+# decoded to the wrong structure.  Anything else (MemoryError on a huge
+# payload, RecursionError on a deep one) may strike a perfectly valid
+# file and must NOT trigger deletion.
+_DEFECT_ERRORS = (ValueError, KeyError, TypeError, IndexError, struct.error)
 
 
 def canonical_projection(path: Path) -> str:
@@ -138,6 +156,9 @@ class CachedSegment:
     """A loaded segment: items plus the scan's replayable side effects."""
 
     items: list
+    #: ``sizeof_item`` of each item, as measured when the segment was
+    #: written; DATASCAN adds these instead of walking the items again.
+    sizes: list
     #: ``ScanCounters.as_dict()`` of the producing scan; a hit replays
     #: only the ``matched``/``skipped`` fields (see ``ScanCounters.absorb``)
     #: so projection accounting is byte-identical with a cold scan.
@@ -153,8 +174,8 @@ def _shred(items: list):
     Uniform means every row has the *same keys in the same insertion
     order*: ``load`` rebuilds rows as ``dict(zip(keys, row))``, so a
     row whose keys merely match as a set would come back reordered and
-    serialize differently warm vs cold.  Such rows fall back to the
-    pickled-rows layout, which preserves each dict verbatim.
+    serialize differently warm vs cold.  Such rows are stored as one
+    section of whole items, which preserves each dict verbatim.
     """
     if not items:
         return None
@@ -171,29 +192,154 @@ def _shred(items: list):
     return keys, columns
 
 
-def _pack_column(values: list):
-    """Pack a column: raw f8/i8 bytes when homogeneous, pickle otherwise."""
+def _to_json(value) -> bytes:
+    """Compact JSON text, unescaped, so every string reads back as it was.
+
+    ``surrogatepass`` writes the lone surrogates a JSON ``\\ud800`` escape
+    decodes to, which strict UTF-8 refuses.
+    """
+    text = json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _from_json(data: memoryview):
+    return json.loads(str(data, "utf-8", "surrogatepass"))
+
+
+def _pack_column(values: list) -> tuple[str, bytes]:
+    """Pack one column as ``(kind, bytes)``; see the module docstring."""
     kinds = set(map(type, values))
     if kinds == {float}:
-        return ("f8", array("d", values).tobytes())
+        return "f8", array("d", values).tobytes()
     if kinds == {int}:
         try:
-            return ("i8", array("q", values).tobytes())
+            return "i8", array("q", values).tobytes()
         except OverflowError:
             pass
-    return ("py", values)
+    if kinds == {str}:
+        text = "\n".join(values)
+        if text.count("\n") == len(values) - 1:
+            return "str", text.encode("utf-8", "surrogatepass")
+    return "json", _to_json(values)
 
 
-def _unpack_column(kind: str, payload):
-    if kind == "f8":
-        column = array("d")
-        column.frombytes(payload)
-        return column.tolist()
-    if kind == "i8":
-        column = array("q")
-        column.frombytes(payload)
-        return column.tolist()
-    return payload
+def _unpack_column(kind: str, data: memoryview, rows: int) -> list:
+    if kind in ("f8", "i8"):
+        column = array("d" if kind == "f8" else "q")
+        column.frombytes(data)
+        values = column.tolist()
+    elif kind == "str":
+        values = str(data, "utf-8", "surrogatepass").split("\n")
+    elif kind == "json":
+        values = _from_json(data)
+    else:
+        raise ValueError(f"unknown section kind {kind!r}")
+    if type(values) is not list or len(values) != rows:
+        raise ValueError("section does not hold one value per row")
+    return values
+
+
+def _pack_sizes(sizes: list) -> tuple[str, bytes]:
+    """Row sizes in the narrowest unsigned array; one entry if all equal."""
+    if len(set(sizes)) == 1:
+        sizes = sizes[:1]
+    top = max(sizes, default=0)
+    code = next(c for c in _SIZE_CODES if top < 1 << 8 * array(c).itemsize)
+    return code, array(code, sizes).tobytes()
+
+
+def _unpack_sizes(kind: str, data: memoryview, rows: int) -> list:
+    if kind not in _SIZE_CODES:
+        raise ValueError(f"unknown sizes kind {kind!r}")
+    sizes = array(kind)
+    sizes.frombytes(data)
+    if len(sizes) == 1:
+        return sizes.tolist() * rows  # rows was checked against the columns
+    if len(sizes) != rows:
+        raise ValueError("sizes section does not hold one size per row")
+    return sizes.tolist()
+
+
+def _encode(key: str, items, sizes, counters, skip_events) -> bytes:
+    """Serialize one segment: everything in the file after the magic."""
+    shredded = _shred(items)
+    names, columns = (None, [items]) if shredded is None else shredded
+    sections = [_pack_column(column) for column in columns]
+    sections.append(_pack_sizes(sizes))
+    header = _to_json({
+        "key": key,
+        "stamp": _STAMP,
+        "rows": len(items),
+        "counters": counters,
+        "skip_events": skip_events,
+        "columns": names,
+        "sections": [(kind, len(data)) for kind, data in sections],
+    })
+    checked = b"".join(
+        [_U32.pack(len(header)), header, *(data for _, data in sections)]
+    )
+    return _U32.pack(zlib.crc32(checked)) + checked
+
+
+def _decode(raw: bytes, key: str) -> CachedSegment | None:
+    """Parse a segment file; None if its stamp is not this process's.
+
+    Raises one of ``_DEFECT_ERRORS`` for a file that is not a complete
+    segment for *key*.
+    """
+    if not raw.startswith(_MAGIC):
+        raise ValueError("bad magic")
+    (crc,) = _U32.unpack_from(raw, len(_MAGIC))
+    view = memoryview(raw)[len(_MAGIC) + _U32.size:]
+    if zlib.crc32(view) != crc:
+        raise ValueError("checksum mismatch")
+    (header_length,) = _U32.unpack_from(view)
+    pos = _U32.size + header_length
+    if pos > len(view):
+        raise ValueError("header overruns the file")
+    header = _from_json(view[_U32.size:pos])
+    # A key mismatch is a SHA-256 collision or a hand-edited file;
+    # treat it like any other defect.
+    if type(header) is not dict or header["key"] != key:
+        raise ValueError("header key mismatch")
+    if header["stamp"] != _STAMP:
+        return None
+    rows = header["rows"]
+    if type(rows) is not int or rows < 0:
+        raise ValueError("bad row count")
+    sections = []
+    for kind, length in header["sections"]:
+        if type(length) is not int or not 0 <= length <= len(view) - pos:
+            raise ValueError("section overruns the file")
+        sections.append((kind, view[pos:pos + length]))
+        pos += length
+    if pos != len(view):
+        raise ValueError("bytes after the last section")
+    *packed, (sizes_kind, sizes_data) = sections
+    columns = [_unpack_column(kind, data, rows) for kind, data in packed]
+    names = header["columns"]
+    if names is None:
+        (items,) = columns
+    elif columns and len(names) == len(columns) and all(
+        type(name) is str for name in names
+    ):
+        items = [dict(zip(names, row)) for row in zip(*columns)]
+    else:  # no column to check ``rows`` against, or names that do not fit
+        raise ValueError("bad column names")
+    counters = header["counters"]
+    if type(counters) is not dict or not all(
+        type(count) is int for count in counters.values()
+    ):
+        raise ValueError("bad counters")
+    skip_events = [(offset, message) for offset, message in header["skip_events"]]
+    if not all(
+        (offset is None or type(offset) is int) and type(message) is str
+        for offset, message in skip_events
+    ):
+        raise ValueError("bad skip events")
+    return CachedSegment(
+        items, _unpack_sizes(sizes_kind, sizes_data, rows), counters, skip_events
+    )
 
 
 class SegmentCache:
@@ -204,13 +350,16 @@ class SegmentCache:
     the same bytes would instead have raised, so segments never cross
     policies.
 
-    Crash safety: every store pickles the payload to bytes first, puts
-    a CRC32 of those bytes in the header, writes to a unique temp file,
-    fsyncs, and publishes with :func:`os.replace` — a crash can only
-    ever leave behind a temp file, never a half-written ``.seg``, and a
-    torn or bit-flipped segment (filesystem damage) fails the checksum
-    and is classified as *corrupt* (a miss that also deletes the bad
-    file so the next complete store repairs it).
+    Crash safety: every store serializes the segment to bytes first,
+    puts a CRC32 of header and payload in front of them, writes to a
+    unique temp file, fsyncs, and publishes with :func:`os.replace`; a
+    crash can only ever leave behind a temp file, never a half-written
+    ``.seg``, and a torn or bit-flipped segment (filesystem damage)
+    fails the checksum and is classified as *corrupt* (a miss that also
+    deletes the bad file so the next complete store repairs it).
+
+    Trust: nothing read from the cache directory is executed.  Whoever
+    can write there can make a scan return wrong rows, never run code.
 
     I/O degradation: a store or load that hits :class:`OSError` (a full
     disk, a failing device, or an injected ``fault_hook`` fault) is
@@ -268,8 +417,7 @@ class SegmentCache:
 
     # -- keys ------------------------------------------------------------------
 
-    def _segment_path(self, source_id, fingerprint, projection, policy) -> str:
-        key = repr((source_id, fingerprint, projection, policy))
+    def _segment_path(self, key: str) -> str:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self.cache_dir, digest + ".seg")
 
@@ -282,41 +430,28 @@ class SegmentCache:
         projection: str,
         policy: str,
         items: list,
+        sizes: list,
         counters: dict,
         skip_events: list,
     ) -> bool:
-        """Write one segment atomically; returns False on I/O failure.
+        """Write one segment atomically; returns False if it was not written.
 
-        The payload is serialized up front and its CRC32 recorded in the
-        header, the temp file is fsynced before :func:`os.replace`
-        publishes it, and any :class:`OSError` (including one injected
-        by ``fault_hook``) feeds the consecutive-failure counter that
-        can turn the cache off.
+        *sizes* is ``sizeof_item`` of each of *items*.  The segment is
+        serialized up front with its CRC32 in front, the temp file is
+        fsynced before :func:`os.replace` publishes it, and any
+        :class:`OSError` (including one injected by ``fault_hook``)
+        feeds the consecutive-failure counter that can turn the cache
+        off.  An item the encoder cannot write (nested too deep for it,
+        an integer too long to print, not JSON at all) skips this one
+        store and says nothing about the disk.
         """
         if self.disabled_reason is not None:
             return False
-        shredded = _shred(items)
-        if shredded is not None:
-            keys, columns = shredded
-            header = {
-                "key": (source_id, fingerprint, projection, policy),
-                "counters": counters,
-                "skip_events": skip_events,
-                "layout": "columnar",
-                "columns": keys,
-                "rows": len(items),
-            }
-            payload = [_pack_column(column) for column in columns]
-        else:
-            header = {
-                "key": (source_id, fingerprint, projection, policy),
-                "counters": counters,
-                "skip_events": skip_events,
-                "layout": "rows",
-            }
-            payload = items
-        payload_bytes = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        header["crc32"] = zlib.crc32(payload_bytes)
+        key = repr((source_id, fingerprint, projection, policy))
+        try:
+            encoded = _encode(key, items, sizes, counters, skip_events)
+        except (RecursionError, ValueError, TypeError):
+            return False
         try:
             if self.fault_hook is not None:
                 self.fault_hook("store")
@@ -327,14 +462,10 @@ class SegmentCache:
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(_MAGIC)
-                    pickle.dump(header, handle, pickle.HIGHEST_PROTOCOL)
-                    handle.write(payload_bytes)
+                    handle.write(encoded)
                     handle.flush()
                     os.fsync(handle.fileno())
-                os.replace(
-                    temp_path,
-                    self._segment_path(source_id, fingerprint, projection, policy),
-                )
+                os.replace(temp_path, self._segment_path(key))
             except BaseException:
                 try:
                     os.unlink(temp_path)
@@ -356,14 +487,10 @@ class SegmentCache:
     ) -> CachedSegment | None:
         """Load a segment; None on miss, stale fingerprint, or bad file.
 
-        Any defect in the file — wrong magic, truncation, a header that
-        is not the expected dict, a malformed payload — is a cache miss,
-        never an error: the caller falls back to a cold scan and the
-        next complete store overwrites the bad file.
-
-        Trust note: segments are unpickled, and unpickling executes
-        code chosen by whoever wrote the file.  Point the cache only at
-        directories that are no more writable than the code you run.
+        Any defect in the file (wrong magic, truncation, a header that
+        is not the expected object, a malformed section) is a cache
+        miss, never an error: the caller falls back to a cold scan and
+        the next complete store overwrites the bad file.
         """
         segment, _status = self.load_classified(
             source_id, fingerprint, projection, policy
@@ -382,10 +509,12 @@ class SegmentCache:
         Returns ``(segment, status)`` where status is one of:
 
         - ``"hit"`` — a complete, checksum-verified segment;
-        - ``"miss"`` — no file for this key (or a pre-checksum legacy
-          file, silently superseded), the cache is disabled, or parsing
-          failed for a reason that does not prove the file defective
-          (e.g. :class:`MemoryError`) — the file is kept for next time;
+        - ``"miss"`` — no file for this key, a file in the old pickle
+          format (never parsed), a segment sized under other constants,
+          the cache is disabled, or parsing failed for a reason that
+          does not prove the file defective (:class:`MemoryError`,
+          :class:`RecursionError`); the file is kept, and the next
+          store overwrites it;
         - ``"corrupt"`` — a file existed but was demonstrably torn,
           bit-flipped, or otherwise defective; the bad file is deleted
           (best-effort) so the next complete store repairs it;
@@ -398,9 +527,8 @@ class SegmentCache:
         """
         if self.disabled_reason is not None:
             return None, "miss"
-        segment_path = self._segment_path(
-            source_id, fingerprint, projection, policy
-        )
+        key = repr((source_id, fingerprint, projection, policy))
+        segment_path = self._segment_path(key)
         try:
             if self.fault_hook is not None:
                 self.fault_hook("load")
@@ -413,44 +541,10 @@ class SegmentCache:
             self._io_failed("load", error)
             return None, "io-error"
         self._io_ok()
+        if raw.startswith(_PICKLE_MAGIC):
+            return None, "miss"
         try:
-            if not raw.startswith(_MAGIC):
-                raise ValueError("bad magic")
-            buffer = memoryview(raw)[len(_MAGIC):]
-            stream = io.BytesIO(buffer)
-            header = pickle.load(stream)
-            if (
-                type(header) is not dict
-                or header.get("key")
-                != (source_id, fingerprint, projection, policy)
-            ):
-                # A key mismatch is a SHA-256 collision or hand-edited
-                # file; treat it like any other defect.
-                raise ValueError("header key mismatch")
-            if "crc32" not in header:
-                # Legacy pre-checksum segment: unverifiable, so rescan
-                # (a plain miss, not damage) and let the next store
-                # overwrite it in the new format.
-                return None, "miss"
-            payload_bytes = buffer[stream.tell():]
-            if zlib.crc32(payload_bytes) != header["crc32"]:
-                raise ValueError("payload checksum mismatch")
-            payload = pickle.loads(payload_bytes)
-            if header["layout"] == "columnar":
-                keys = header["columns"]
-                columns = [
-                    _unpack_column(kind, data) for kind, data in payload
-                ]
-                items = [dict(zip(keys, row)) for row in zip(*columns)]
-                if len(items) != header["rows"]:  # zero-column guard
-                    items = [{} for _ in range(header["rows"])]
-            else:
-                items = payload
-            segment = CachedSegment(
-                items=items,
-                counters=header["counters"],
-                skip_events=header["skip_events"],
-            )
+            segment = _decode(raw, key)
         except _DEFECT_ERRORS:
             # Demonstrably torn/bit-flipped/malformed: delete the file
             # (best-effort) so the next complete store repairs it.
@@ -460,9 +554,9 @@ class SegmentCache:
                 pass
             return None, "corrupt"
         except Exception:
-            # A transient, non-corruption failure (e.g. MemoryError
-            # while unpickling a large payload): the file may be
-            # perfectly valid, so keep it and treat this load as a
-            # plain miss.
+            # A transient, non-corruption failure (MemoryError on a
+            # large payload, RecursionError on a deep one): the file
+            # may be perfectly valid, so keep it and treat this load as
+            # a plain miss.
             return None, "miss"
-        return segment, "hit"
+        return segment, "miss" if segment is None else "hit"

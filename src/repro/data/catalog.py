@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Iterator
+from functools import partial
+from typing import Iterable, Iterator
 
 from repro.cache.config import (
     resolve_fingerprint_mode,
@@ -39,7 +40,7 @@ from repro.cache.segments import (
 )
 from repro.errors import FileScanError, JsonError, ReproError
 from repro.jsonlib import tape
-from repro.jsonlib.items import Item
+from repro.jsonlib.items import Item, sizeof_item
 from repro.jsonlib.parser import parse, parse_many, parse_many_resilient
 from repro.jsonlib.path import Path, navigate_sequence
 from repro.jsonlib.projection import project_file
@@ -101,6 +102,123 @@ _SCANNERS = {
     "text": (scan_file, scan_text),
     "eager": (_eager_scan_file, _eager_scan_text),
 }
+
+
+def _scan_plain(source, source_id: str, scan, path: Path) -> Iterator[Item]:
+    """Stream one file or text through *scan* under the source's policy."""
+    counters = source._counters
+    if source.on_malformed == "skip_record":
+        yield from scan(
+            path,
+            on_malformed="skip_record",
+            recorder=source._recorder(source_id),
+            counters=counters,
+        )
+    elif source.on_malformed == "skip_file":
+        # Buffer the matches so a mid-file error drops the whole file,
+        # not just its tail (memory stays file-bounded, the same bound
+        # the scanners already have).
+        try:
+            items = list(scan(path, counters=counters))
+        except JsonError as error:
+            source._record_skipped_file(source_id, error)
+            return
+        yield from items
+    else:
+        try:
+            yield from scan(path, counters=counters)
+        except JsonError as error:
+            raise FileScanError(source_id, error) from error
+
+
+def _scan_cached(
+    source, source_id: str, fingerprint_of, scan, path: Path
+) -> tuple[list[Item], list[int] | None]:
+    """Serve one file or text from the segment cache, scanning cold on miss.
+
+    Returns ``(items, sizes)``: *sizes* is ``sizeof_item`` of each item,
+    read from the segment on a hit and measured once for the store on a
+    miss; None when nothing was stored or a skipped file yields nothing.
+
+    The observable behaviour (items, errors, skip events, and the
+    ``matched``/``skipped`` counter deltas) is byte-identical with the
+    uncached scan: a cold scan stages its counters and merges them even
+    when the scan fails mid-file (matching the direct pass-through), a
+    hit replays the stored deltas and skip events.  Only complete scans
+    are stored; a failed or skipped file is rescanned next time.
+    *fingerprint_of* takes no argument; an :class:`OSError` from it (or
+    a cache that turned itself off) means scan cold, no probe, no store.
+    """
+    counters = source._counters
+    cache = source.segment_cache
+    policy = source.on_malformed
+    projection = canonical_projection(path)
+    record_skip = source._recorder(source_id)
+
+    def cache_event(kind: str, message: str) -> None:
+        if source._report is not None:
+            source._report.record_cache_event(kind, source_id, message)
+
+    fingerprint = None
+    if cache.disabled_reason is None:
+        try:
+            fingerprint = fingerprint_of()
+        except OSError:
+            pass
+    if fingerprint is not None:
+        segment, status = cache.load_classified(
+            source_id, fingerprint, projection, policy
+        )
+        if segment is not None:
+            if counters is not None:
+                counters.cache_hits += 1
+                counters.absorb(segment.counters)
+            for offset, message in segment.skip_events:
+                record_skip(offset, message)
+            return segment.items, segment.sizes
+        if status == "corrupt":
+            if counters is not None:
+                counters.cache_corrupt += 1
+            cache_event(
+                "corrupt", "segment failed its integrity check; rescanned cold"
+            )
+        elif status == "io-error":
+            cache_event("io-error", "segment read failed; rescanned cold")
+            if cache.disabled_reason is not None:
+                cache_event("disabled", cache.disabled_reason)
+    if counters is not None:
+        counters.cache_misses += 1
+    attempt = ScanCounters()
+    events: list[tuple[int | None, str]] = []
+    resilient = {}
+    if policy == "skip_record":
+        def recorder(offset: int | None, message: str) -> None:
+            events.append((offset, message))
+            record_skip(offset, message)
+
+        resilient = {"on_malformed": "skip_record", "recorder": recorder}
+    try:
+        items = list(scan(path, counters=attempt, **resilient))
+    except JsonError as error:
+        if policy == "skip_file":
+            source._record_skipped_file(source_id, error)
+            return [], None
+        if policy == "fail":
+            raise FileScanError(source_id, error) from error
+        raise
+    finally:
+        if counters is not None:
+            counters.merge(attempt)
+    if fingerprint is None:
+        return items, None
+    sizes = [sizeof_item(item) for item in items]
+    stored = cache.store(
+        source_id, fingerprint, projection, policy,
+        items, sizes, attempt.as_dict(), events,
+    )
+    if not stored and cache.disabled_reason is not None:
+        cache_event("disabled", cache.disabled_reason)
+    return items, sizes
 
 
 class CollectionCatalog:
@@ -200,12 +318,6 @@ class CollectionCatalog:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._local = threading.local()
-
-    def _record_skipped_record(
-        self, file_path: str, offset: int | None, message: str
-    ) -> None:
-        if self._report is not None:
-            self._report.record_skipped_record(file_path, offset, message)
 
     def _record_skipped_file(self, file_path: str, cause: Exception) -> None:
         if self._report is not None:
@@ -385,141 +497,34 @@ class CollectionCatalog:
         file); :meth:`stream_collection` offers the chunked event-based
         projector when even one file must not be held in memory.
         """
-        for file_path in self.files(name, partition):
-            yield from self._scan_one(file_path, path)
-
-    def _scan_one(self, file_path: str, path: Path) -> Iterator[Item]:
-        if self.segment_cache is not None:
-            yield from self._scan_one_cached(file_path, path)
-            return
-        counters = self._counters
-        scan = _SCANNERS[self.scan_mode][0]
-        if self.on_malformed == "skip_record":
-            yield from scan(
-                file_path,
-                path,
-                on_malformed="skip_record",
-                recorder=self._recorder(file_path),
-                counters=counters,
-            )
-        elif self.on_malformed == "skip_file":
-            # Buffer the file's matches so a mid-file error drops the
-            # whole file, not just its tail (memory stays file-bounded,
-            # the same bound scan_file already has).
-            try:
-                items = list(scan(file_path, path, counters=counters))
-            except JsonError as error:
-                self._record_skipped_file(file_path, error)
-                return
+        for items, _sizes in self.scan_frames(name, path, partition):
             yield from items
-        else:
-            try:
-                yield from scan(file_path, path, counters=counters)
-            except JsonError as error:
-                raise FileScanError(file_path, error) from error
 
-    def _scan_one_cached(self, file_path: str, path: Path) -> list[Item]:
-        """Serve one file from the segment cache, scanning cold on miss.
+    def scan_frames(
+        self, name: str, path: Path, partition: int | None = None
+    ) -> Iterator[tuple[Iterable[Item], list[int] | None]]:
+        """:meth:`scan_collection` one file at a time, as ``(items, sizes)``.
 
-        The observable behaviour — items, errors, skip events, and the
-        ``matched``/``skipped`` counter deltas — is byte-identical with
-        the uncached scan: a cold scan stages its counters and merges
-        them even when the scan fails mid-file (matching the direct
-        pass-through), a hit replays the stored deltas and skip events.
-        Only complete scans are stored; a failed or skipped file is
-        rescanned next time.
+        *sizes* is ``sizeof_item`` of each item where the segment cache
+        already knows it (a hit, or a miss just sized for its store),
+        so DATASCAN need not measure the items again; it is None for
+        items streamed from text.
         """
-        counters = self._counters
-        cache = self.segment_cache
-        policy = self.on_malformed
-        projection = canonical_projection(path)
-        if cache.disabled_reason is not None:
-            # Cache-off degradation: scan cold, skip probe and store.
-            fingerprint = None
-        else:
-            try:
-                fingerprint = cache.source_fingerprint(file_path)
-            except OSError:
-                fingerprint = None
-        if fingerprint is not None:
-            segment, status = cache.load_classified(
-                file_path, fingerprint, projection, policy
-            )
-            if segment is not None:
-                if counters is not None:
-                    counters.cache_hits += 1
-                    counters.absorb(segment.counters)
-                for offset, message in segment.skip_events:
-                    self._record_skipped_record(file_path, offset, message)
-                return segment.items
-            if status == "corrupt":
-                if counters is not None:
-                    counters.cache_corrupt += 1
-                self._record_cache_event(
-                    "corrupt",
-                    file_path,
-                    "segment failed its integrity check; rescanned cold",
+        scanner = _SCANNERS[self.scan_mode][0]
+        for file_path in self.files(name, partition):
+            scan = partial(scanner, file_path)
+            if self.segment_cache is None:
+                yield _scan_plain(self, file_path, scan, path), None
+            else:
+                fingerprint_of = partial(
+                    self.segment_cache.source_fingerprint, file_path
                 )
-            elif status == "io-error":
-                self._record_cache_event(
-                    "io-error", file_path, "segment read failed; rescanned cold"
-                )
-                if cache.disabled_reason is not None:
-                    self._record_cache_event(
-                        "disabled", file_path, cache.disabled_reason
-                    )
-        if counters is not None:
-            counters.cache_misses += 1
-        attempt = ScanCounters()
-        events: list[tuple[int | None, str]] = []
-        scan = _SCANNERS[self.scan_mode][0]
-        if policy == "skip_record":
-            def recorder(offset: int | None, message: str) -> None:
-                events.append((offset, message))
-                self._record_skipped_record(file_path, offset, message)
-
-            items = list(scan(
-                file_path,
-                path,
-                on_malformed="skip_record",
-                recorder=recorder,
-                counters=attempt,
-            ))
-        elif policy == "skip_file":
-            try:
-                items = list(scan(file_path, path, counters=attempt))
-            except JsonError as error:
-                if counters is not None:
-                    counters.merge(attempt)
-                self._record_skipped_file(file_path, error)
-                return []
-        else:
-            try:
-                items = list(scan(file_path, path, counters=attempt))
-            except JsonError as error:
-                if counters is not None:
-                    counters.merge(attempt)
-                raise FileScanError(file_path, error) from error
-        if counters is not None:
-            counters.merge(attempt)
-        if fingerprint is not None:
-            stored = cache.store(
-                file_path, fingerprint, projection, policy,
-                items, attempt.as_dict(), events,
-            )
-            if not stored and cache.disabled_reason is not None:
-                self._record_cache_event(
-                    "disabled", file_path, cache.disabled_reason
-                )
-        return items
-
-    def _record_cache_event(self, kind: str, source: str, message: str) -> None:
-        if self._report is not None:
-            self._report.record_cache_event(kind, source, message)
+                yield _scan_cached(self, file_path, fingerprint_of, scan, path)
 
     def _recorder(self, file_path: str):
         def record(offset: int | None, message: str) -> None:
-            self._record_skipped_record(file_path, offset, message)
+            if self._report is not None:
+                self._report.record_skipped_record(file_path, offset, message)
 
         return record
 
@@ -729,123 +734,25 @@ class InMemorySource:
     def scan_collection(
         self, name: str, path: Path, partition: int | None = None
     ) -> Iterator[Item]:
-        counters = self._counters
-        scan = _SCANNERS[self.scan_mode][1]
-        for label, text in self._texts(name, partition):
-            if self.segment_cache is not None:
-                yield from self._scan_one_cached(label, text, path)
-                continue
-            if self.on_malformed == "skip_record":
-                yield from scan(
-                    text,
-                    path,
-                    on_malformed="skip_record",
-                    recorder=self._recorder(label),
-                    counters=counters,
-                )
-            elif self.on_malformed == "skip_file":
-                try:
-                    items = list(scan(text, path, counters=counters))
-                except JsonError as error:
-                    self._record_skipped_file(label, error)
-                    continue
-                yield from items
-            else:
-                try:
-                    yield from scan(text, path, counters=counters)
-                except JsonError as error:
-                    raise FileScanError(label, error) from error
+        for items, _sizes in self.scan_frames(name, path, partition):
+            yield from items
 
-    def _scan_one_cached(self, label: str, text: str, path: Path) -> list[Item]:
-        """Cached twin of one ``scan_collection`` step (content-hash keyed).
+    def scan_frames(
+        self, name: str, path: Path, partition: int | None = None
+    ) -> Iterator[tuple[Iterable[Item], list[int] | None]]:
+        """One ``(items, sizes)`` per text; see the catalog's method.
 
-        Same contract as ``CollectionCatalog._scan_one_cached``; the
-        fingerprint is a content hash, so edited texts simply produce a
-        new key (no staleness window at all).
+        Segments are keyed by content hash, so an edited text simply
+        produces a new key (no staleness window at all).
         """
-        counters = self._counters
-        cache = self.segment_cache
-        policy = self.on_malformed
-        projection = canonical_projection(path)
-        fingerprint = None
-        if cache.disabled_reason is None:
-            fingerprint = text_fingerprint(text)
-            segment, status = cache.load_classified(
-                label, fingerprint, projection, policy
-            )
-            if segment is not None:
-                if counters is not None:
-                    counters.cache_hits += 1
-                    counters.absorb(segment.counters)
-                if self._report is not None:
-                    for offset, message in segment.skip_events:
-                        self._report.record_skipped_record(
-                            label, offset, message
-                        )
-                return segment.items
-            if status == "corrupt":
-                if counters is not None:
-                    counters.cache_corrupt += 1
-                self._record_cache_event(
-                    "corrupt",
-                    label,
-                    "segment failed its integrity check; rescanned cold",
-                )
-            elif status == "io-error":
-                self._record_cache_event(
-                    "io-error", label, "segment read failed; rescanned cold"
-                )
-                if cache.disabled_reason is not None:
-                    self._record_cache_event(
-                        "disabled", label, cache.disabled_reason
-                    )
-        if counters is not None:
-            counters.cache_misses += 1
-        attempt = ScanCounters()
-        events: list[tuple[int | None, str]] = []
-        scan = _SCANNERS[self.scan_mode][1]
-        if policy == "skip_record":
-            report = self._report
-
-            def recorder(offset: int | None, message: str) -> None:
-                events.append((offset, message))
-                if report is not None:
-                    report.record_skipped_record(label, offset, message)
-
-            items = list(scan(
-                text,
-                path,
-                on_malformed="skip_record",
-                recorder=recorder,
-                counters=attempt,
-            ))
-        elif policy == "skip_file":
-            try:
-                items = list(scan(text, path, counters=attempt))
-            except JsonError as error:
-                if counters is not None:
-                    counters.merge(attempt)
-                self._record_skipped_file(label, error)
-                return []
-        else:
-            try:
-                items = list(scan(text, path, counters=attempt))
-            except JsonError as error:
-                if counters is not None:
-                    counters.merge(attempt)
-                raise FileScanError(label, error) from error
-        if counters is not None:
-            counters.merge(attempt)
-        if fingerprint is not None:
-            stored = cache.store(
-                label, fingerprint, projection, policy,
-                items, attempt.as_dict(), events,
-            )
-            if not stored and cache.disabled_reason is not None:
-                self._record_cache_event(
-                    "disabled", label, cache.disabled_reason
-                )
-        return items
+        scanner = _SCANNERS[self.scan_mode][1]
+        for label, text in self._texts(name, partition):
+            scan = partial(scanner, text)
+            if self.segment_cache is None:
+                yield _scan_plain(self, label, scan, path), None
+            else:
+                fingerprint_of = partial(text_fingerprint, text)
+                yield _scan_cached(self, label, fingerprint_of, scan, path)
 
     def _recorder(self, label: str):
         def record(offset: int | None, message: str) -> None:
@@ -853,10 +760,6 @@ class InMemorySource:
                 self._report.record_skipped_record(label, offset, message)
 
         return record
-
-    def _record_cache_event(self, kind: str, source: str, message: str) -> None:
-        if self._report is not None:
-            self._report.record_cache_event(kind, source, message)
 
     def _record_skipped_file(self, label: str, cause: Exception) -> None:
         if self._report is not None:

@@ -196,16 +196,34 @@ def _execute_datascan(op: DataScan, ctx: EvaluationContext) -> Iterator[Tuple]:
             counters = ScanCounters()
             attach_counters(counters)
     limits = ctx.limits
+    variable = op.variable
+    # A source that keeps row sizes (the catalogs' segment cache) hands
+    # them over per file; any other scan is one frame measured per item.
+    scan_frames = getattr(ctx.source, "scan_frames", None)
     try:
-        for item in ctx.source.scan_collection(
-            op.collection, op.project_path, partition=ctx.partition
-        ):
-            if limits is not None:
-                limits.checkpoint()
-            scanned += 1
-            if track:
-                scanned_bytes += sizeof_item(item)
-            yield {op.variable: [item]}
+        if scan_frames is not None:
+            frames = scan_frames(op.collection, op.project_path, ctx.partition)
+        else:
+            scan = ctx.source.scan_collection(
+                op.collection, op.project_path, partition=ctx.partition
+            )
+            frames = ((scan, None),)
+        for items, sizes in frames:
+            if sizes is None:
+                for item in items:
+                    if limits is not None:
+                        limits.checkpoint()
+                    scanned += 1
+                    if track:
+                        scanned_bytes += sizeof_item(item)
+                    yield {variable: [item]}
+            else:
+                for item, size in zip(items, sizes):
+                    if limits is not None:
+                        limits.checkpoint()
+                    scanned += 1
+                    scanned_bytes += size
+                    yield {variable: [item]}
     finally:
         if attach_counters is not None:
             attach_counters(None)

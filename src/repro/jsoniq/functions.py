@@ -125,17 +125,32 @@ def fn_max(args: list) -> Sequence:
 # ---------------------------------------------------------------------------
 
 
+#: Texts :func:`parse_datetime` has parsed, to their (immutable) values.
+#: Data repeats its dates heavily and a scan parses one per row; only
+#: successful parses are kept, and a full memo is simply started over.
+_PARSED_DATETIMES: dict[str, datetime.datetime] = {}
+_PARSED_DATETIMES_MAX = 4096
+
+
 def parse_datetime(text: str) -> datetime.datetime:
     """Parse an ISO or compact NOAA-style (``20131225T00:00``) timestamp."""
+    parsed = _PARSED_DATETIMES.get(text)
+    if parsed is not None:
+        return parsed
     match = _COMPACT_DATETIME_RE.match(text)
     if match is not None:
         year, month, day, hour, minute = (int(g) for g in match.groups()[:5])
         second = int(match.group(6) or 0)
-        return datetime.datetime(year, month, day, hour, minute, second)
-    try:
-        return datetime.datetime.fromisoformat(text)
-    except ValueError:
-        raise ItemTypeError(f"cannot parse dateTime from {text!r}") from None
+        parsed = datetime.datetime(year, month, day, hour, minute, second)
+    else:
+        try:
+            parsed = datetime.datetime.fromisoformat(text)
+        except ValueError:
+            raise ItemTypeError(f"cannot parse dateTime from {text!r}") from None
+    if len(_PARSED_DATETIMES) >= _PARSED_DATETIMES_MAX:
+        _PARSED_DATETIMES.clear()
+    _PARSED_DATETIMES[text] = parsed
+    return parsed
 
 
 def fn_datetime(args: list) -> Sequence:

@@ -1,0 +1,230 @@
+"""DATASCAN's byte accounting is exact on every route.
+
+A warm segment replays ``sizeof_item`` of each row as stored, a fill
+hands DATASCAN the sizes it measured for the store, and every other
+scan measures per item.  Whatever the route, ``items_scanned``,
+``scanned_item_bytes`` and the profile's ``bytes_scanned`` are the
+cache-off run's, also when the consumer stops in the middle of a file.
+"""
+
+import json
+import os
+
+import pytest
+
+import repro.hyracks.operators as physical
+from repro import SensorDataConfig, write_sensor_collection
+from repro.algebra.context import EvaluationContext
+from repro.algebra.operators import DataScan
+from repro.algebra.plan import LogicalPlan
+from repro.bench.queries import ALL_QUERIES
+from repro.data.catalog import CollectionCatalog, InMemorySource
+from repro.errors import QueryCancelledError
+from repro.hyracks.executor import ExecutionStats
+from repro.hyracks.limits import CHECK_STRIDE, CancellationToken, ExecutionLimits
+from repro.jsonlib.path import parse_path
+from repro.observability.profile import ProfileCollector, ProfileConfig
+from repro.processor import JsonProcessor
+
+PATH = parse_path('("root")()("results")()')
+
+
+@pytest.fixture(autouse=True)
+def _pinned_scan_env(monkeypatch):
+    # Cache-off baselines must stay cache-off under the CI cache legs.
+    monkeypatch.delenv("REPRO_SEGMENT_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_SCAN_MODE", raising=False)
+
+
+@pytest.fixture(scope="module")
+def base_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("accounting-data")
+    write_sensor_collection(
+        str(base), "sensors", 2, 40 * 1024,
+        SensorDataConfig(seed=16, stations=20, target_file_bytes=16 * 1024),
+    )
+    # Every sensor row is the same size; these are not, and the second
+    # file's rows are not even the same shape.
+    for partition in range(2):
+        directory = base / "varied" / f"partition{partition}"
+        directory.mkdir(parents=True)
+        shapes = (
+            lambda i: {"k": "x" * (i % 17), "v": i * 1.5},
+            lambda i: {"k": [1] * (i % 5)} if i % 7 else i,
+        )
+        for index, shape in enumerate(shapes):
+            rows = [shape(i) for i in range(300)]
+            (directory / f"f{index}.json").write_text(
+                json.dumps({"root": [{"results": rows}]}), encoding="utf-8"
+            )
+    return str(base)
+
+
+def make_source(kind, base_dir, cache_dir):
+    if kind == "disk":
+        return CollectionCatalog(base_dir, segment_cache_dir=cache_dir)
+    disk = CollectionCatalog(base_dir, segment_cache_dir="")
+    collections = {}
+    for name in ("/sensors", "/varied"):
+        collections[name] = []
+        for partition in range(disk.partition_count(name)):
+            collections[name].append([])
+            for file_path in disk.files(name, partition):
+                with open(file_path, encoding="utf-8") as handle:
+                    collections[name][-1].append(handle.read())
+    return InMemorySource(collections, segment_cache_dir=cache_dir)
+
+
+def accounting(result):
+    """Everything the scan accounted, and how the cache answered."""
+    scans = result.profile.find("DATASCAN")
+    exact = (
+        result.stats.items_scanned,
+        result.stats.scanned_item_bytes,
+        [(s.counters["items_scanned"], s.counters["bytes_scanned"]) for s in scans],
+    )
+    cache = (
+        sum(s.counters.get("cache_hits", 0) for s in scans),
+        sum(s.counters.get("cache_misses", 0) for s in scans),
+    )
+    return exact, cache
+
+
+@pytest.mark.parametrize("backend", ["sequential", "process"])
+@pytest.mark.parametrize("kind", ["disk", "memory"])
+def test_accounting_equal_cache_off_cold_and_warm(kind, backend, base_dir, tmp_path):
+    cache_dir = tmp_path / "cache"
+    with JsonProcessor(
+        source=make_source(kind, base_dir, ""), backend=backend
+    ) as plain, JsonProcessor(
+        source=make_source(kind, base_dir, str(cache_dir)), backend=backend
+    ) as cached:
+        for name, build in ALL_QUERIES.items():
+            query = build("/sensors")
+            expected, off = accounting(plain.execute(query, profile="counter"))
+            assert expected[0] > 0 and expected[1] > 0
+            assert off == (0, 0)
+            if cache_dir.exists():  # every query fills an empty cache
+                for segment in os.listdir(cache_dir):
+                    os.unlink(cache_dir / segment)
+            cold, (hits, misses) = accounting(cached.execute(query, profile="counter"))
+            assert cold == expected, name
+            assert misses > 0
+            warm, (hits, misses) = accounting(cached.execute(query, profile="counter"))
+            assert warm == expected, name
+            assert hits > 0 and misses == 0
+
+
+# -- a scan abandoned in the middle of a file ----------------------------------
+
+
+def run_datascan(source, pull, limits=None):
+    """Pull *pull* tuples from a profiled DATASCAN (all of them if None)
+    and give up; returns what it accounted."""
+    op = DataScan("/varied", "$r", PATH)
+    stats = ExecutionStats()
+    profile = ProfileCollector(LogicalPlan(op), ProfileConfig(clock="counter"))
+    ctx = EvaluationContext(source=source, stats=stats, profile=profile, limits=limits)
+    stream = physical.execute(op, ctx)
+    pulled = 0
+    try:
+        for _ in stream:
+            pulled += 1
+            if pulled == pull:
+                break
+    finally:
+        stream.close()
+    counters = profile.data()[0]["counters"]
+    assert counters["items_scanned"] == stats.items_scanned
+    assert counters["bytes_scanned"] == stats.scanned_item_bytes
+    return stats.items_scanned, stats.scanned_item_bytes
+
+
+@pytest.fixture
+def plain_and_warm(base_dir, tmp_path):
+    def pair(kind):
+        warm = make_source(kind, base_dir, str(tmp_path / kind))
+        run_datascan(warm, None)  # fill
+        return make_source(kind, base_dir, ""), warm
+
+    return pair
+
+
+@pytest.mark.parametrize("kind", ["disk", "memory"])
+def test_closed_midway_accounts_only_what_was_yielded(kind, plain_and_warm):
+    plain, warm = plain_and_warm(kind)
+    total = run_datascan(plain, None)
+    assert run_datascan(warm, None) == total
+    rows_in_first_file = len(next(iter(warm.scan_frames("/varied", PATH)))[0])
+    assert rows_in_first_file == 300
+    for pull in (1, 7, 300, 303):
+        expected = run_datascan(plain, pull)
+        assert expected[0] == pull and 0 < expected[1] < total[1]
+        assert run_datascan(warm, pull) == expected
+
+
+@pytest.mark.parametrize("kind", ["disk", "memory"])
+def test_cancelled_midway_accounts_only_what_was_yielded(kind, plain_and_warm):
+    plain, warm = plain_and_warm(kind)
+
+    def cancelled_after(source, pull):
+        token = CancellationToken()
+        limits = ExecutionLimits(token=token)
+        op = DataScan("/varied", "$r", PATH)
+        stats = ExecutionStats()
+        ctx = EvaluationContext(source=source, stats=stats, limits=limits)
+        with pytest.raises(QueryCancelledError):
+            for pulled, _ in enumerate(physical.execute(op, ctx), 1):
+                if pulled == pull:
+                    token.cancel("enough")
+        return stats.items_scanned, stats.scanned_item_bytes
+
+    expected = cancelled_after(plain, 5)
+    # the strided checkpoint notices at its next boundary, mid-file
+    assert expected[0] == CHECK_STRIDE - 1
+    assert cancelled_after(warm, 5) == expected
+
+
+# -- who measures, and how often ------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["disk", "memory"])
+def test_rows_are_measured_once_on_a_fill_and_never_on_a_hit(
+    kind, base_dir, tmp_path, monkeypatch
+):
+    import repro.data.catalog as catalog_module
+    from repro.jsonlib.items import sizeof_item
+
+    calls = {"datascan": 0, "fill": 0}
+
+    def spy(where):
+        def counted(item):
+            calls[where] += 1
+            return sizeof_item(item)
+
+        return counted
+
+    monkeypatch.setattr(physical, "sizeof_item", spy("datascan"))
+    monkeypatch.setattr(catalog_module, "sizeof_item", spy("fill"))
+    plain = make_source(kind, base_dir, "")
+    cached = make_source(kind, base_dir, str(tmp_path / "cache"))
+    items, expected_bytes = run_datascan(plain, None)
+    assert calls == {"datascan": items, "fill": 0}  # today's per-item loop
+    calls.update(datascan=0)
+    assert run_datascan(cached, None) == (items, expected_bytes)
+    assert calls == {"datascan": 0, "fill": items}  # once, for the store
+    calls.update(fill=0)
+    assert run_datascan(cached, None) == (items, expected_bytes)
+    assert calls == {"datascan": 0, "fill": 0}  # replayed
+
+
+def test_sources_without_frames_keep_the_per_item_loop(base_dir, tmp_path):
+    # The fault wrapper exposes only scan_collection, so even over a
+    # warm cache DATASCAN measures what it is handed, and the same.
+    from repro.resilience.faults import FaultPlan
+
+    warm = make_source("disk", base_dir, str(tmp_path / "cache"))
+    expected = run_datascan(warm, None)
+    wrapped = FaultPlan().wrap(warm)
+    assert not hasattr(wrapped, "scan_frames")
+    assert run_datascan(wrapped, None) == expected

@@ -53,6 +53,38 @@ class TestDateTime:
         with pytest.raises(ItemTypeError):
             parse_datetime("not a date")
 
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro.jsoniq import functions
+
+        monkeypatch.setattr(functions, "_PARSED_DATETIMES", {})
+        monkeypatch.setattr(functions, "_PARSED_DATETIMES_MAX", 4)
+        for day in range(1, 29):
+            text = f"200312{day:02d}T00:00"
+            assert parse_datetime(text) == datetime.datetime(2003, 12, day)
+            assert text in functions._PARSED_DATETIMES
+            assert len(functions._PARSED_DATETIMES) <= 4
+
+    def test_malformed_text_raises_every_time(self, monkeypatch):
+        from repro.jsoniq import functions
+
+        monkeypatch.setattr(functions, "_PARSED_DATETIMES", {})
+        for text in ("not a date", "2003-13-45T00:00:00"):
+            for _ in range(2):
+                with pytest.raises(ItemTypeError):
+                    parse_datetime(text)
+        assert functions._PARSED_DATETIMES == {}
+
+    def test_warm_memo_returns_the_cold_values(self, monkeypatch):
+        from repro.jsoniq import functions
+
+        monkeypatch.setattr(functions, "_PARSED_DATETIMES", {})
+        texts = ("20031225T10:30", "2003-12-25T10:30:00", "20031225T10:30:00")
+        cold = [parse_datetime(text) for text in texts]
+        assert set(functions._PARSED_DATETIMES) == set(texts)
+        warm = [parse_datetime(text) for text in texts]
+        assert cold == warm == [datetime.datetime(2003, 12, 25, 10, 30)] * 3
+        assert [type(value) for value in warm] == [datetime.datetime] * 3
+
     def test_datetime_function(self):
         assert call("dateTime", ["20031225T00:00"]) == [
             datetime.datetime(2003, 12, 25)
