@@ -40,7 +40,7 @@ from repro.cache.segments import (
 )
 from repro.errors import FileScanError, JsonError, ReproError
 from repro.jsonlib import tape
-from repro.jsonlib.items import Item, sizeof_item
+from repro.jsonlib.items import Item, sizeof_rows
 from repro.jsonlib.parser import parse, parse_many, parse_many_resilient
 from repro.jsonlib.path import Path, navigate_sequence
 from repro.jsonlib.projection import project_file
@@ -138,7 +138,8 @@ def _scan_cached(
 
     Returns ``(items, sizes)``: *sizes* is ``sizeof_item`` of each item,
     read from the segment on a hit and measured once for the store on a
-    miss; None when nothing was stored or a skipped file yields nothing.
+    miss (the whole file as one frame of ``sizeof_rows``); None when
+    nothing was stored or a skipped file yields nothing.
 
     The observable behaviour (items, errors, skip events, and the
     ``matched``/``skipped`` counter deltas) is byte-identical with the
@@ -211,7 +212,7 @@ def _scan_cached(
             counters.merge(attempt)
     if fingerprint is None:
         return items, None
-    sizes = [sizeof_item(item) for item in items]
+    sizes = sizeof_rows(items)
     stored = cache.store(
         source_id, fingerprint, projection, policy,
         items, sizes, attempt.as_dict(), events,
@@ -508,7 +509,8 @@ class CollectionCatalog:
         *sizes* is ``sizeof_item`` of each item where the segment cache
         already knows it (a hit, or a miss just sized for its store),
         so DATASCAN need not measure the items again; it is None for
-        items streamed from text.
+        items streamed from text, which DATASCAN cuts into frames and
+        sizes itself.
         """
         scanner = _SCANNERS[self.scan_mode][0]
         for file_path in self.files(name, partition):

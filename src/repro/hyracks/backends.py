@@ -55,6 +55,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.errors import (
     BackendError,
@@ -86,10 +87,21 @@ from repro.hyracks.recovery import (
     simulate_worker_kill,
 )
 from repro.hyracks.spill import stable_bucket
+from repro.hyracks.tuples import sizeof_tuples
 
 # BackendError and WorkerCrashError live in repro.errors with the rest of
 # the hierarchy; imported (not just used) here because this module is
 # their historical home and callers import them from it.
+
+
+def usable_cores() -> int:
+    """Cores this process may be scheduled on: its CPU affinity where the
+    platform has one (a container or ``taskset`` pins a process to fewer
+    cores than the machine counts), else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +203,6 @@ class ExchangeWork:
     def __call__(self, ctx: EvaluationContext):
         local_left: list[list] = [[] for _ in range(self.buckets)]
         local_right: list[list] = [[] for _ in range(self.buckets)]
-        exchanged_tuples = 0
-        exchanged_bytes = 0
-        from repro.hyracks.tuples import sizeof_tuple
-
         limits = ctx.limits
         left_counter, right_counter = _join_side_counters(self.join)
         skew = set(self.join.skew_keys)
@@ -218,13 +226,10 @@ class ExchangeWork:
                 key = join_key(tup, keys, ctx, op=self.join)
                 if key is None:
                     continue
-                n_bytes = sizeof_tuple(tup)
                 if skew and key in skew:
                     if is_build:
                         for bucket_rows in target:
                             bucket_rows.append(tup)
-                        exchanged_tuples += self.buckets
-                        exchanged_bytes += n_bytes * self.buckets
                     else:
                         turn = spread.get(key, 0)
                         spread[key] = turn + 1
@@ -232,12 +237,17 @@ class ExchangeWork:
                             stable_bucket(key, self.buckets) + turn
                         ) % self.buckets
                         target[bucket].append(tup)
-                        exchanged_tuples += 1
-                        exchanged_bytes += n_bytes
                     continue
                 target[stable_bucket(key, self.buckets)].append(tup)
-                exchanged_tuples += 1
-                exchanged_bytes += n_bytes
+        # What crosses the exchange is what sits in the buckets (a hot
+        # build tuple once per bucket); one side's tuples share a shape,
+        # so each side is sized as one frame.
+        exchanged_tuples = 0
+        exchanged_bytes = 0
+        for side_buckets in (local_left, local_right):
+            shipped = list(chain.from_iterable(side_buckets))
+            exchanged_tuples += len(shipped)
+            exchanged_bytes += sum(sizeof_tuples(shipped))
         return local_left, local_right, exchanged_tuples, exchanged_bytes
 
 
@@ -258,14 +268,11 @@ class BroadcastScanWork:
     right_keys: tuple
 
     def __call__(self, ctx: EvaluationContext):
-        from repro.hyracks.tuples import sizeof_tuple
-
         limits = ctx.limits
         left_counter, right_counter = _join_side_counters(self.join)
         broadcast_left = self.join.exchange == "broadcast-left"
         local_rows: list = []
         broadcast_rows: list = []
-        broadcast_bytes = 0
         for side, key_exprs, counter, is_broadcast in (
             (self.join.left, self.left_keys, left_counter, broadcast_left),
             (self.join.right, self.right_keys, right_counter,
@@ -281,12 +288,8 @@ class BroadcastScanWork:
                 key = join_key(tup, keys, ctx, op=self.join)
                 if key is None:
                     continue
-                if is_broadcast:
-                    broadcast_rows.append(tup)
-                    broadcast_bytes += sizeof_tuple(tup)
-                else:
-                    local_rows.append(tup)
-        return local_rows, broadcast_rows, broadcast_bytes
+                (broadcast_rows if is_broadcast else local_rows).append(tup)
+        return local_rows, broadcast_rows, sum(sizeof_tuples(broadcast_rows))
 
 
 @dataclass(frozen=True)
@@ -697,7 +700,7 @@ class ThreadBackend(ExecutionBackend):
 
     def __init__(self, max_workers: int | None = None):
         super().__init__()
-        self._max_workers = max_workers or os.cpu_count() or 1
+        self._max_workers = max_workers or usable_cores()
         self._pool = None
         self._pool_lock = threading.Lock()
 
@@ -768,7 +771,7 @@ class ProcessBackend(ExecutionBackend):
 
     def __init__(self, max_workers: int | None = None):
         super().__init__()
-        self._max_workers = max_workers or os.cpu_count() or 1
+        self._max_workers = max_workers or usable_cores()
         self._pool = None
         self._pool_lock = threading.Lock()
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.errors import PlanError
 from repro.algebra.context import EvaluationContext
@@ -79,7 +80,7 @@ from repro.hyracks.backends import (
 from repro.hyracks.cluster import ClusterSpec
 from repro.hyracks.memory import MemoryTracker
 from repro.hyracks.operators import run_chain, run_plan, split_join_condition
-from repro.hyracks.tuples import Tuple, sizeof_tuple
+from repro.hyracks.tuples import Tuple, sizeof_tuples
 from repro.jsonlib.items import Item
 from repro.observability.profile import (
     ProfileCollector,
@@ -529,11 +530,15 @@ class PartitionedExecutor:
                 self._profile.absorb(outcome.profile)
         return outcomes
 
-    def _record_frames(self, op: Operator, tuples=None, n_bytes: int = 0) -> None:
+    def _record_frames(
+        self, op: Operator, tuples=(), sizes=(), n_bytes: int = 0
+    ) -> None:
         """Charge ``frames_emitted`` for tuples shipped at an exchange.
 
         Raw tuple streams are packed through a real
-        :class:`~repro.hyracks.frames.FrameWriter`; partial/byte-counted
+        :class:`~repro.hyracks.frames.FrameWriter`, each tuple at its
+        entry in *sizes* (``sizeof_tuples`` of *tuples*, which the
+        caller has taken a frame at a time); partial/byte-counted
         exchanges charge whole frames over *n_bytes*.  Only runs while
         profiling, so the unprofiled path never packs frames twice.
         """
@@ -541,17 +546,32 @@ class PartitionedExecutor:
             return
         from repro.hyracks.frames import DEFAULT_FRAME_BYTES, FrameWriter
 
-        frames = 0
-        if tuples is not None:
-            writer = FrameWriter(allow_big_objects=True)
-            for tup in tuples:
-                writer.write(tup)
-            writer.flush()
-            frames = writer.frames_emitted
+        writer = FrameWriter(allow_big_objects=True)
+        for tup, size in zip(tuples, sizes):
+            writer.write(tup, size)
+        writer.flush()
+        frames = writer.frames_emitted
         if n_bytes > 0:
             frames += -(-n_bytes // DEFAULT_FRAME_BYTES)  # ceil division
         if frames:
             self._profile.add(op, "frames_emitted", frames)
+
+    def _ship_raw(
+        self, op: Operator, outcomes: list[PartitionOutcome], stats: ExecutionStats
+    ) -> list[Tuple]:
+        """Gather the tuples the partitions shipped raw to the coordinator
+        for *op*, charging the exchange once for the whole batch."""
+        shipped = [
+            tup
+            for outcome in outcomes
+            if not outcome.skipped
+            for tup in outcome.value
+        ]
+        sizes = sizeof_tuples(shipped)
+        stats.exchange_tuples += len(shipped)
+        stats.exchange_bytes += sum(sizes)
+        self._record_frames(op, shipped, sizes)
+        return shipped
 
     @staticmethod
     def _collect_timing(
@@ -743,15 +763,7 @@ class PartitionedExecutor:
             plan, [(p, work) for p in range(partitions)], stats, report
         )
         partition_seconds, injected_seconds, peak = self._collect_timing(outcomes)
-        shipped: list[Tuple] = []
-        for outcome in outcomes:
-            if outcome.skipped:
-                continue
-            for tup in outcome.value:
-                shipped.append(tup)
-                stats.exchange_tuples += 1
-                stats.exchange_bytes += sizeof_tuple(tup)
-        self._record_frames(group_by, tuples=shipped)
+        shipped = self._ship_raw(group_by, outcomes, stats)
         memory = self._tracker()
         ctx = self._context(None, memory, stats)
         started = time.perf_counter()
@@ -833,15 +845,7 @@ class PartitionedExecutor:
             plan, [(p, work) for p in range(partitions)], stats, report
         )
         partition_seconds, injected_seconds, peak = self._collect_timing(outcomes)
-        shipped: list[Tuple] = []
-        for outcome in outcomes:
-            if outcome.skipped:
-                continue
-            for tup in outcome.value:
-                shipped.append(tup)
-                stats.exchange_tuples += 1
-                stats.exchange_bytes += sizeof_tuple(tup)
-        self._record_frames(aggregate, tuples=shipped)
+        shipped = self._ship_raw(aggregate, outcomes, stats)
         memory = self._tracker()
         ctx = self._context(None, memory, stats)
         started = time.perf_counter()
@@ -958,14 +962,13 @@ class PartitionedExecutor:
             self._profile.set_detail(
                 join, "right_buckets", [len(b) for b in right_buckets]
             )
+            # The workers sized these for the counters but kept only the
+            # totals; a bucket's tuples share a shape, so it is a frame.
+            exchanged = left_buckets + right_buckets
             self._record_frames(
                 join,
-                tuples=(
-                    tup
-                    for side in (left_buckets, right_buckets)
-                    for bucket in side
-                    for tup in bucket
-                ),
+                chain.from_iterable(exchanged),
+                chain.from_iterable(map(sizeof_tuples, exchanged)),
             )
         use_two_step = aggregate is not None and self._two_step
         bucket_tasks = [
@@ -993,26 +996,20 @@ class PartitionedExecutor:
         peak = max(peak, phase2_peak)
         partials: list[list] = []
         bucket_outputs: list[Tuple] = []
-        for outcome in bucket_outcomes:
-            if outcome.skipped:
-                continue
-            if use_two_step:
+        if use_two_step:
+            for outcome in bucket_outcomes:
+                if outcome.skipped:
+                    continue
                 partials.append(outcome.value)
                 stats.exchange_tuples += 1
                 stats.exchange_bytes += _PARTIAL_TUPLE_BYTES
-            else:
-                for tup in outcome.value:
-                    bucket_outputs.append(tup)
-                    # Joined tuples ship to the coordinator for the
-                    # global aggregate / result assembly.
-                    stats.exchange_tuples += 1
-                    stats.exchange_bytes += sizeof_tuple(tup)
-        if use_two_step:
             self._record_frames(
                 join, n_bytes=len(partials) * _PARTIAL_TUPLE_BYTES
             )
         else:
-            self._record_frames(join, tuples=bucket_outputs)
+            # Joined tuples ship to the coordinator for the global
+            # aggregate / result assembly.
+            bucket_outputs = self._ship_raw(join, bucket_outcomes, stats)
         partition_seconds = [
             phase1_seconds[i] + phase2_seconds[i] for i in range(partitions)
         ]

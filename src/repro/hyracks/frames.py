@@ -6,12 +6,20 @@ pipelining rules matter precisely because a tuple must fit in a frame:
 Section 4.2 notes that the merged DATASCAN "satisfies Hyracks' dataflow
 frame size restriction".
 
-The runtime uses frames at exchange boundaries: tuples are appended to a
-:class:`FrameWriter`; each filled :class:`Frame` is delivered through the
-writer's callback.  A tuple larger than a frame raises
-:class:`FrameOverflowError` unless the writer was built with
+This module is the byte-budgeted frame of an exchange boundary: tuples
+are appended to a :class:`FrameWriter`; each filled :class:`Frame` is
+delivered through the writer's callback.  A tuple larger than a frame
+raises :class:`FrameOverflowError` unless the writer was built with
 ``allow_big_objects`` (VXQuery-style variable-size frames for oversized
 records, at a tracked cost).
+
+Frames are not only here.  DATASCAN moves rows in frames too, bounded by
+row count rather than bytes (``_FRAME_ROWS`` in
+:mod:`repro.hyracks.operators`): a scan is cut into lists of rows so
+that each list is sized in one call of
+:func:`~repro.jsonlib.items.sizeof_rows`, and the exchange sizes what it
+ships a frame at a time with :func:`~repro.hyracks.tuples.sizeof_tuples`
+and hands the sizes to :meth:`FrameWriter.write`.
 """
 
 from __future__ import annotations
@@ -77,9 +85,11 @@ class FrameWriter:
     def write(self, tup: Tuple, n_bytes: int | None = None) -> None:
         """Append one tuple, emitting frames through the callback.
 
-        *n_bytes* overrides the item-model size computation — spill run
-        writers pack records that are not JSON items (pickled partial
-        states, sequence-tagged rows) and size them generically.
+        *n_bytes* is the tuple's size when the caller already has it:
+        the exchange sizes a whole frame of tuples at once
+        (``sizeof_tuples``), and spill run writers pack records that are
+        not JSON items (pickled partial states, sequence-tagged rows)
+        and size them generically.
         """
         if n_bytes is None:
             n_bytes = sizeof_tuple(tup)

@@ -24,6 +24,7 @@ Entry points:
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 from repro.errors import ItemTypeError, PlanError, RuntimeExecutionError
@@ -62,7 +63,7 @@ from repro.jsonlib.items import (
     Item,
     canonical_item,
     canonical_key,
-    sizeof_item,
+    sizeof_rows,
 )
 
 # Re-exported here for backwards compatibility: the canonical grouping /
@@ -179,6 +180,57 @@ def run_plan(plan: LogicalPlan, ctx: EvaluationContext) -> list[Item]:
 # ---------------------------------------------------------------------------
 
 
+#: Rows DATASCAN takes from an unsized scan before it sizes them as one
+#: frame: enough to amortize the column kernel's set-up, few enough that
+#: a scan runs only a bounded step ahead of its consumer.
+_FRAME_ROWS = 256
+
+
+def _sized_frames(
+    op: DataScan, ctx: EvaluationContext, track: bool
+) -> Iterator[tuple[Iterable[Item], Iterable[int]]]:
+    """The scan under *op* as ``(items, sizes)`` frames.
+
+    A source that keeps row sizes (the catalogs' segment cache) hands
+    them over per file, and such a frame passes through.  Any other
+    stream is cut into lists of at most ``_FRAME_ROWS`` rows, each sized
+    in one call (not at all unless *track*).  Rows taken before the
+    stream raised go out, sized, before the error does; closing this
+    closes the stream being cut.
+    """
+    scan_frames = getattr(ctx.source, "scan_frames", None)
+    if scan_frames is not None:
+        frames = scan_frames(op.collection, op.project_path, ctx.partition)
+    else:
+        scan = ctx.source.scan_collection(
+            op.collection, op.project_path, partition=ctx.partition
+        )
+        frames = ((scan, None),)
+    for items, sizes in frames:
+        if sizes is not None:
+            yield items, sizes
+            continue
+        stream = iter(items)
+        try:
+            while True:
+                rows: list[Item] = []
+                failure = None
+                try:
+                    # extend() keeps what it took when the stream raises
+                    rows.extend(islice(stream, _FRAME_ROWS))
+                except Exception as error:
+                    failure = error
+                yield rows, sizeof_rows(rows) if track else repeat(0)
+                if failure is not None:
+                    raise failure
+                if len(rows) < _FRAME_ROWS:
+                    break
+        finally:
+            close = getattr(stream, "close", None)
+            if close is not None:
+                close()
+
+
 def _execute_datascan(op: DataScan, ctx: EvaluationContext) -> Iterator[Tuple]:
     if ctx.source is None:
         raise RuntimeExecutionError("no data source configured for DATASCAN")
@@ -197,34 +249,17 @@ def _execute_datascan(op: DataScan, ctx: EvaluationContext) -> Iterator[Tuple]:
             attach_counters(counters)
     limits = ctx.limits
     variable = op.variable
-    # A source that keeps row sizes (the catalogs' segment cache) hands
-    # them over per file; any other scan is one frame measured per item.
-    scan_frames = getattr(ctx.source, "scan_frames", None)
+    frames = _sized_frames(op, ctx, track)
     try:
-        if scan_frames is not None:
-            frames = scan_frames(op.collection, op.project_path, ctx.partition)
-        else:
-            scan = ctx.source.scan_collection(
-                op.collection, op.project_path, partition=ctx.partition
-            )
-            frames = ((scan, None),)
         for items, sizes in frames:
-            if sizes is None:
-                for item in items:
-                    if limits is not None:
-                        limits.checkpoint()
-                    scanned += 1
-                    if track:
-                        scanned_bytes += sizeof_item(item)
-                    yield {variable: [item]}
-            else:
-                for item, size in zip(items, sizes):
-                    if limits is not None:
-                        limits.checkpoint()
-                    scanned += 1
-                    scanned_bytes += size
-                    yield {variable: [item]}
+            for item, size in zip(items, sizes):
+                if limits is not None:
+                    limits.checkpoint()
+                scanned += 1
+                scanned_bytes += size
+                yield {variable: [item]}
     finally:
+        frames.close()
         if attach_counters is not None:
             attach_counters(None)
         if ctx.stats is not None:

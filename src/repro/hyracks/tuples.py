@@ -8,9 +8,10 @@ references safely; sequences themselves are shared.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping
 
-from repro.jsonlib.items import sizeof_item
+from repro.jsonlib.items import add_columns, columns_of, sizeof_item, sizeof_rows
 
 Tuple = dict
 
@@ -33,6 +34,28 @@ def sizeof_tuple(tup: Tuple) -> int:
         for item in sequence:
             total += sizeof_item(item)
     return total
+
+
+def sizeof_tuples(tuples: list[Tuple]) -> list[int]:
+    """``[sizeof_tuple(tup) for tup in tuples]``, a frame at a time.
+
+    Tuples that bind the same variables are sized a variable at a time,
+    and a variable bound to one item in every tuple (what a scan
+    produces) by :func:`~repro.jsonlib.items.sizeof_rows`; any other
+    frame or sequence is measured as :func:`sizeof_tuple` does.
+    """
+    shaped = columns_of(tuples)
+    if shaped is None:
+        return list(map(sizeof_tuple, tuples))
+    names, columns = shaped
+    constant = _TUPLE_BASE + sum(_PER_FIELD + len(name) for name in names)
+    sizes = []
+    for column in columns:
+        if set(map(type, column)) == {list} and set(map(len, column)) == {1}:
+            sizes.append(sizeof_rows(list(map(itemgetter(0), column))))
+        else:
+            sizes.append(sum(map(sizeof_item, sequence)) for sequence in column)
+    return add_columns(constant, sizes, len(tuples))
 
 
 def project_tuple(tup: Tuple, variables: list[str]) -> Tuple:

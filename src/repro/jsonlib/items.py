@@ -23,15 +23,17 @@ from JSON arrays by tagging.  Tagging every array would double allocation
 cost for no behavioural difference in the reproduced queries.)
 
 This module also provides :func:`sizeof_item`, the byte-size estimator
-used for memory accounting (Table 3 and Figure 18b of the paper), and an
-:class:`ItemBuilder` that assembles items from a streaming-parse event
-sequence.
+used for memory accounting (Table 3 and Figure 18b of the paper), its
+frame-at-a-time form :func:`sizeof_rows`, and an :class:`ItemBuilder`
+that assembles items from a streaming-parse event sequence.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ItemTypeError, JsonSyntaxError
@@ -126,6 +128,85 @@ def sizeof_item(item: Item) -> int:
                 f"value of type {type(node).__name__} is not a JSON item"
             )
     return total
+
+
+# What a value of exactly this type costs, whatever the value.  Keyed by
+# exact type (``bool`` apart from ``int``), so a subclass is never
+# guessed at: it goes to :func:`sizeof_item`.
+_FIXED_BYTES = {
+    int: _NUMBER_BYTES,
+    float: _NUMBER_BYTES,
+    bool: _BOOL_NULL_BYTES,
+    type(None): _BOOL_NULL_BYTES,
+    datetime.datetime: _DATETIME_BYTES,
+}
+
+# Below this many rows the set-up of the column form costs more than
+# measuring each row.
+_COLUMN_MIN_ROWS = 8
+
+
+def columns_of(rows: list) -> tuple[tuple, list[list]] | None:
+    """``(keys, columns)`` when *rows* are plain dicts of one key set.
+
+    ``columns[j][i]`` is ``rows[i][keys[j]]``; the rows may order their
+    keys differently.  None when the rows are too few to be worth it,
+    are not all exactly ``dict``, or do not share their keys.
+    """
+    if len(rows) < _COLUMN_MIN_ROWS or set(map(type, rows)) != {dict}:
+        return None
+    keys = tuple(rows[0])
+    # Equally many keys and none of the first row's missing: the same set.
+    if set(map(len, rows)) != {len(keys)}:
+        return None
+    try:
+        return keys, [list(map(itemgetter(key), rows)) for key in keys]
+    except KeyError:
+        return None
+
+
+def add_columns(
+    constant: int, columns: Iterable[Iterable[int]], rows: int
+) -> list[int]:
+    """Per row, *constant* plus the row's entry in each of *columns*."""
+    sizes: Iterable[int] = repeat(constant, rows)
+    for column in columns:
+        sizes = map(add, sizes, column)
+    return list(sizes)
+
+
+def sizeof_rows(items: list[Item]) -> list[int]:
+    """``[sizeof_item(item) for item in items]``, a frame at a time.
+
+    A frame of flat objects of one key set is sized a column at a time:
+    a constant per row (the object, its keys, its fixed-size values)
+    plus the lengths of its strings, all in C-level loops.  A frame that
+    is not such objects is its own single column.  Only a column of one
+    exact atomic type has a closed form; whatever has none (a nested or
+    mixed column, mixed shapes, a few rows, a dict subclass) is measured
+    by :func:`sizeof_item`, value by value.
+    """
+    if len(items) < _COLUMN_MIN_ROWS:
+        return list(map(sizeof_item, items))
+    constant = 0
+    columns = [items]
+    shaped = columns_of(items)
+    if shaped is not None:
+        keys, columns = shaped
+        constant = _OBJECT_BASE + sum(
+            _PER_PAIR + _STRING_BASE + len(key) for key in keys
+        )
+    varying = []
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            constant += _STRING_BASE
+            varying.append(map(len, column))
+        elif len(kinds) == 1 and kinds <= _FIXED_BYTES.keys():
+            constant += _FIXED_BYTES[kinds.pop()]
+        else:
+            varying.append(map(sizeof_item, column))
+    return add_columns(constant, varying, len(items))
 
 
 def sizeof_sequence(items: Iterable[Item]) -> int:

@@ -269,6 +269,23 @@ class TestResolution:
         with pytest.raises(ValueError, match="max_workers"):
             resolve_backend(ThreadBackend(), max_workers=2)
 
+    @pytest.mark.parametrize("backend_class", [ThreadBackend, ProcessBackend])
+    def test_default_workers_follow_the_cpu_affinity(self, backend_class, monkeypatch):
+        import os
+
+        # a process pinned to 3 cores of a 64-core machine gets 3 workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False
+        )
+        assert backend_class()._max_workers == 3
+        assert backend_class(max_workers=2)._max_workers == 2
+        # where the platform has no affinity, the machine's count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert backend_class()._max_workers == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert backend_class()._max_workers == 1
+
     def test_backend_instances_are_context_managers(self):
         with ProcessBackend(max_workers=1) as backend:
             assert backend.run_units([]) is not None

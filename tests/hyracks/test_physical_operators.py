@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PlanError
+from repro.errors import ItemTypeError, PlanError, ReproError
 from repro.algebra.context import EvaluationContext
 from repro.algebra.expressions import (
     AndExpr,
@@ -31,6 +31,7 @@ from repro.algebra.plan import LogicalPlan
 from repro.data.catalog import InMemorySource
 from repro.hyracks.executor import ExecutionStats
 from repro.hyracks.memory import MemoryTracker
+from repro.jsonlib.items import sizeof_item
 from repro.hyracks.operators import (
     canonical_key,
     execute,
@@ -38,6 +39,27 @@ from repro.hyracks.operators import (
     run_plan,
     split_join_condition,
 )
+
+
+class StreamSource:
+    """A source with ``scan_collection`` only: *good* rows, then *last*
+    (if any), then *fail* (if any); counts its pulls and closes."""
+
+    def __init__(self, good, last=None, fail=None):
+        self.good, self.last, self.fail = good, last, fail
+        self.pulled = self.closed = 0
+
+    def scan_collection(self, name, path, partition=None):
+        try:
+            for i in range(self.good):
+                self.pulled += 1
+                yield {"n": i}
+            if self.last is not None:
+                yield self.last
+            if self.fail is not None:
+                raise self.fail
+        finally:
+            self.closed += 1
 
 
 def ctx_with(texts=None, **kwargs):
@@ -123,6 +145,43 @@ class TestDataScan:
         list(execute(scan, ctx))
         assert stats.items_scanned == 2
         assert stats.scanned_item_bytes > 0
+
+    @pytest.mark.parametrize("track", [False, True])
+    @pytest.mark.parametrize("good", [0, 3, 256, 300, 512])
+    def test_rows_before_a_scan_error_come_out_before_it(self, good, track):
+        source = StreamSource(good, fail=ReproError("scan broke"))
+        stats = ExecutionStats() if track else None
+        stream = execute(DataScan("/c", "x", ()), EvaluationContext(source=source, stats=stats))
+        taken = []
+        with pytest.raises(ReproError, match="scan broke"):
+            for tup in stream:
+                taken.append(tup["x"][0])
+        assert taken == [{"n": i} for i in range(good)]
+        assert source.closed == 1
+        if track:
+            assert stats.items_scanned == good
+            assert stats.scanned_item_bytes == good * sizeof_item({"n": 0})
+
+    @pytest.mark.parametrize("pull", [1, 255, 256, 257, 600])
+    def test_closing_the_scan_closes_the_stream_under_it(self, pull):
+        source = StreamSource(1000)
+        stats = ExecutionStats()
+        stream = execute(DataScan("/c", "x", ()), EvaluationContext(source=source, stats=stats))
+        for _ in range(pull):
+            next(stream)
+        assert source.closed == 0
+        stream.close()
+        assert source.closed == 1
+        assert stats.items_scanned == pull
+        # the scan ran ahead of its consumer by less than one frame
+        assert pull <= source.pulled < pull + 256
+
+    def test_a_value_that_is_no_item_is_still_rejected(self):
+        source = StreamSource(300, last=object())
+        ctx = EvaluationContext(source=source, stats=ExecutionStats())
+        with pytest.raises(ItemTypeError):
+            list(execute(DataScan("/c", "x", ()), ctx))
+        assert source.closed == 1
 
 
 class TestSubplanAndGroupBy:

@@ -3,7 +3,10 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.jsonlib.items as items_module
 from repro.errors import ItemTypeError, JsonSyntaxError
 from repro.jsonlib.events import (
     END_ARRAY,
@@ -25,6 +28,7 @@ from repro.jsonlib.items import (
     is_object,
     item_type_name,
     sizeof_item,
+    sizeof_rows,
     sizeof_sequence,
 )
 
@@ -92,6 +96,173 @@ class TestSizeof:
     def test_non_item_rejected(self):
         with pytest.raises(ItemTypeError):
             sizeof_item({"a": object()})
+
+
+# -- the frame-at-a-time kernel ---------------------------------------------------
+
+ATOMS = (
+    st.text(max_size=6),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.datetimes(),
+)
+#: any item, nested up to a few levels
+ITEMS = st.recursive(
+    st.one_of(*ATOMS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+#: what one column of a frame holds: one atomic type, ``True`` next to
+#: ``1``, a nullable string, or anything at all
+COLUMNS = ATOMS + (
+    st.sampled_from([True, 1]),
+    st.one_of(st.none(), st.text(max_size=6)),
+    ITEMS,
+)
+
+
+def deep(levels):
+    value = "bottom"
+    for level in range(levels):
+        value = {"d": value} if level % 2 else [value]
+    return value
+
+
+def knocked_out_of_shape(draw, row):
+    """*row* with a key missing, extra or moved, or another row entirely."""
+    how = draw(st.integers(0, 5))
+    if how == 0 and row:
+        row = dict(row)
+        del row[draw(st.sampled_from(sorted(row)))]
+        return row
+    if how == 1:
+        return {**row, "extra": draw(ITEMS)}
+    if how == 2:
+        return dict(reversed(list(row.items())))
+    if how == 3 and row:  # as many keys, one of them another
+        row = dict(row)
+        del row[draw(st.sampled_from(sorted(row)))]
+        return {**row, "other": None}
+    if how == 4:
+        return {}
+    return draw(ITEMS)
+
+
+@st.composite
+def frames_of_rows(draw):
+    """Objects of one key set and one type per column, from none to well
+    over the column threshold, a few of them knocked out of shape."""
+    keys = draw(st.lists(st.text(max_size=4), unique=True, max_size=4))
+    columns = [draw(st.sampled_from(COLUMNS)) for _ in keys]
+    rows = [
+        {key: draw(column) for key, column in zip(keys, columns)}
+        for _ in range(draw(st.integers(0, 3 * items_module._COLUMN_MIN_ROWS)))
+    ]
+    if rows:
+        for index in draw(
+            st.lists(st.integers(0, len(rows) - 1), max_size=2, unique=True)
+        ):
+            rows[index] = knocked_out_of_shape(draw, rows[index])
+    return rows
+
+
+class TestSizeofRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(frames_of_rows(), st.lists(ITEMS, max_size=20)))
+    def test_equals_sizeof_item_of_each(self, frame):
+        assert sizeof_rows(frame) == [sizeof_item(item) for item in frame]
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 300])
+    def test_frames_below_and_above_the_column_threshold(self, rows):
+        assert items_module._COLUMN_MIN_ROWS == 8
+        frame = [
+            {"k": "x" * (i % 5), "n": i, "f": i / 2, "b": i % 2 == 0, "z": None}
+            for i in range(rows)
+        ]
+        assert sizeof_rows(frame) == [sizeof_item(item) for item in frame]
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            {"k": "x"},  # a key missing
+            {"k": "x", "n": 1, "m": 2},  # one extra
+            {"n": 1, "k": "x"},  # reordered
+            {"k": "x", "m": 1},  # as many keys, not the same
+            {"k": "x", "n": True},  # True is not 1
+            {"k": None, "n": 1},
+            {"k": "x", "n": 1.5},
+            {"k": datetime.datetime(2003, 12, 25), "n": 1},
+            {"k": {"nested": ["x"]}, "n": [1, 2]},
+            {"k": "x", "n": deep(900)},
+            {},
+            "not an object",
+            deep(900),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("where", [0, 5, 11])
+    def test_one_row_out_of_shape(self, odd, where):
+        frame = [{"k": "x" * i, "n": i} for i in range(12)]
+        frame[where] = odd
+        assert sizeof_rows(frame) == [sizeof_item(item) for item in frame]
+
+    def test_uniform_rows_never_reach_sizeof_item(self, monkeypatch):
+        def unreachable(item):
+            raise AssertionError(f"measured {item!r} on its own")
+
+        monkeypatch.setattr(items_module, "sizeof_item", unreachable)
+        now = datetime.datetime(2003, 12, 25)
+        frame = [
+            {"s": "x" * i, "i": i, "f": 0.5, "b": True, "z": None, "t": now}
+            for i in range(20)
+        ]
+        assert len(set(sizeof_rows(frame))) == 20
+        assert sizeof_rows(["x" * i for i in range(20)])[3] == sizeof_item("xxx")
+        assert sizeof_rows(list(range(20))) == [sizeof_item(0)] * 20
+
+    def test_an_irregular_column_is_measured_once_per_value(self, monkeypatch):
+        measured = []
+
+        def spy(item):
+            measured.append(item)
+            return sizeof_item(item)
+
+        monkeypatch.setattr(items_module, "sizeof_item", spy)
+        frame = [{"s": "x", "v": [i] if i % 2 else i} for i in range(20)]
+        expected = [sizeof_item(item) for item in frame]
+        assert sizeof_rows(frame) == expected
+        assert measured == [row["v"] for row in frame]
+
+    def test_subclasses_are_measured_not_guessed(self):
+        class Row(dict):
+            pass
+
+        class Flag(int):
+            pass
+
+        for frame in (
+            [Row(k=i) for i in range(12)],
+            [{"k": Flag(i)} for i in range(12)],
+        ):
+            assert sizeof_rows(frame) == [sizeof_item(item) for item in frame]
+
+    @pytest.mark.parametrize("rows", [3, 12])
+    def test_non_item_rejected(self, rows):
+        for frame in (
+            [{"a": object()} for _ in range(rows)],
+            [{"a": i} for i in range(rows - 1)] + [{"a": {1, 2}}],
+            [object()] * rows,
+        ):
+            with pytest.raises(ItemTypeError) as fallback:
+                [sizeof_item(item) for item in frame]
+            with pytest.raises(ItemTypeError) as kernel:
+                sizeof_rows(frame)
+            assert str(kernel.value) == str(fallback.value)
 
 
 class TestDeepEquals:

@@ -45,6 +45,7 @@ import time
 from repro import JsonProcessor, SensorDataConfig, write_sensor_collection
 from repro.cache.config import SCAN_MODES
 from repro.data.catalog import CollectionCatalog
+from repro.hyracks.backends import usable_cores
 from repro.jsonlib.path import parse_path
 from repro.bench.queries import q0, q1, q2
 
@@ -57,14 +58,6 @@ SCAN_PROJECTIONS = {
     '("root")()("results")()': ["Q0", "Q1", "Q1b", "Q2"],
     '("root")()("results")()("date")': ["Q0b"],
 }
-
-
-def usable_cores() -> int:
-    """Cores this process may be scheduled on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def host_info() -> dict:

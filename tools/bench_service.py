@@ -48,16 +48,10 @@ from repro import (
     write_sensor_collection,
 )
 from repro.data.catalog import CollectionCatalog
+from repro.hyracks.backends import usable_cores
 from repro.bench.queries import q0, q0b, q1, q1b, q2
 
 QUERIES = {"Q0": q0, "Q0b": q0b, "Q1": q1, "Q1b": q1b, "Q2": q2}
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def host_info() -> dict:

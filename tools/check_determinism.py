@@ -2,14 +2,18 @@
 """Check that fault-injected executions degrade deterministically.
 
 Runs a battery of fault-injection scenarios twice each and diffs the
-serialized degradation reports (and result items): under a fixed seed,
-both runs must be byte-identical.  Exits non-zero on any mismatch.
+serialized degradation reports, result items and the scan and exchange
+accounting (``items_scanned``, ``scanned_item_bytes``,
+``exchange_tuples``, ``exchange_bytes``): under a fixed seed, both runs
+must be byte-identical.  Each partition is longer than the frame
+DATASCAN cuts a scan into, so retries and corrupt records land inside
+frames.  Exits non-zero on any mismatch.
 
 ``--chaos`` switches to the worker-crash battery: seeded kill/stall
 schedules replayed twice with ``max_workers=1`` (serialized pool
 execution makes crash batches — and therefore worker-loss event order —
-deterministic), diffing items, the degradation report, and the
-deterministic recovery counters.  Timing-dependent counters
+deterministic), diffing items, the degradation report, the accounting,
+and the deterministic recovery counters.  Timing-dependent counters
 (speculation, pool rebuilds) are excluded from the payload.
 
 Usage::
@@ -34,9 +38,13 @@ from repro import (
 )
 
 PARTITIONS = 4
-RECORDS = 120
+RECORDS = 300
 QUERY = 'for $r in collection("/events") return $r("v")'
 COUNT_QUERY = 'count(for $r in collection("/events") return $r)'
+JOIN_QUERY = (
+    'for $a in collection("/events") for $b in collection("/events") '
+    'where $a("v") eq $b("v") + 1 return $b("v")'
+)
 
 
 def make_source(on_malformed: str) -> InMemorySource:
@@ -78,10 +86,21 @@ def scenario_exhausted_degrades(seed: int):
     return make_source("skip_record"), plan, config, QUERY
 
 
+def scenario_join_exchange(seed: int):
+    plan = FaultPlan(seed=seed)
+    plan.fail_partition(1, times=1)
+    plan.corrupt_records(3, fraction=0.02)
+    config = ResilienceConfig(
+        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
+    )
+    return make_source("skip_record"), plan, config, JOIN_QUERY
+
+
 SCENARIOS = {
     "retry+corruption": scenario_retry_and_corruption,
     "skip_partition": scenario_skip_partition,
     "retry-exhausted+straggler": scenario_exhausted_degrades,
+    "join-exchange+retry+corruption": scenario_join_exchange,
 }
 
 
@@ -146,6 +165,10 @@ def run_once(factory, seed: int, chaos: bool = False) -> str:
         "strategy": result.strategy,
         "injected_seconds": result.injected_seconds,
         "degradation": result.degradation.to_dict(),
+        "items_scanned": result.stats.items_scanned,
+        "scanned_item_bytes": result.stats.scanned_item_bytes,
+        "exchange_tuples": result.stats.exchange_tuples,
+        "exchange_bytes": result.stats.exchange_bytes,
     }
     if chaos:
         # Speculation and pool-rebuild counters are timing-dependent;
@@ -170,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         first = run_once(factory, seed=7, chaos=args.chaos)
         second = run_once(factory, seed=7, chaos=args.chaos)
         if first == second:
-            print(f"OK   {name}: degradation report byte-identical")
+            print(f"OK   {name}: report and accounting byte-identical")
             continue
         failures += 1
         print(f"FAIL {name}: reports differ between runs")
