@@ -49,7 +49,6 @@ from repro.errors import (
 from repro.hyracks.backends import (
     ProcessBackend,
     SequentialBackend,
-    ThreadBackend,
 )
 from repro.hyracks.cluster import ClusterSpec
 from repro.hyracks.limits import CancellationToken, QueryDeadline
@@ -120,7 +119,6 @@ __all__ = [
     "SpillError",
     "TenantQuota",
     "resolve_scan_mode",
-    "ThreadBackend",
     "WorkerCrashError",
     "compile_query",
     "write_sensor_collection",

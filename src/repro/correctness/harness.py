@@ -4,7 +4,8 @@ Runs each query through the full matrix of
 
 - rewrite-rule toggles ({all on, each family off, all off} —
   :data:`repro.algebra.rules.TOGGLE_CONFIGS`),
-- execution backends (sequential, thread, process),
+- execution backends (every name in
+  :data:`repro.hyracks.backends.BACKENDS`),
 - DATASCAN projection on/off (off replaces the projecting scanners
   with :class:`EagerNavigationSource`: parse everything, then
   navigate — the definitional semantics),
@@ -63,7 +64,7 @@ from repro.jsonlib.path import navigate_sequence
 from repro.processor import JsonProcessor
 from repro.resilience.faults import FaultPlan
 
-BACKEND_NAMES = ("sequential", "thread", "process")
+BACKEND_NAMES = tuple(BACKENDS)
 PROJECTION_MODES = ("projected", "eager")
 #: The scan-mode axis: every projected cell runs under all three and
 #: must produce byte-identical items and degradation reports.

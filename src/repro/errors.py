@@ -358,8 +358,8 @@ class WorkerCrashError(_PickleByInitArgs, RuntimeExecutionError):
     """A worker died (for real or by injection) while executing a partition.
 
     Under the process backend an injected kill calls ``os._exit`` and
-    the coordinator observes ``BrokenProcessPool``; under the thread and
-    sequential backends the same fault raises this error instead, so the
+    the coordinator observes ``BrokenProcessPool``; under the
+    sequential backend the same fault raises this error instead, so the
     recovery layer sees an identical signal on every backend.  Not
     retryable by the *partition* policies — worker loss is handled by
     the recovery layer, not by the in-worker retry loop.

@@ -12,7 +12,6 @@ from repro.hyracks.backends import (
     ExecutionBackend,
     ProcessBackend,
     SequentialBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.hyracks.cluster import ClusterSpec
@@ -24,6 +23,5 @@ __all__ = [
     "MemoryTracker",
     "ProcessBackend",
     "SequentialBackend",
-    "ThreadBackend",
     "resolve_backend",
 ]

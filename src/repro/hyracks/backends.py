@@ -6,13 +6,11 @@ concurrently.  This module supplies the execution layer that makes the
 partitions actually run in parallel:
 
 - :class:`SequentialBackend` — one partition after another in the
-  calling thread (the default; today's exact behaviour);
-- :class:`ThreadBackend` — partitions on a ``ThreadPoolExecutor``
-  (I/O-bound scans overlap; CPU-bound parsing is still GIL-limited);
+  calling thread (the default);
 - :class:`ProcessBackend` — partitions on a
   ``concurrent.futures.ProcessPoolExecutor``, one OS process per
-  worker, which is the configuration that actually uses multiple cores
-  for the pure-Python parser.
+  worker, the only configuration that uses more than one core for the
+  pure-Python operators (threads share the GIL).
 
 Every partition's work travels as a picklable :class:`WorkUnit`
 (serialized plan + data source + partition id + resilience config) and
@@ -21,19 +19,16 @@ comes back as a :class:`PartitionOutcome` carrying that partition's own
 :class:`~repro.resilience.report.DegradationReport`.  The coordinator
 (:class:`~repro.hyracks.executor.PartitionedExecutor`) merges outcomes
 **in partition order**, so results, stats, and degradation reports are
-byte-identical across all three backends — including under injected
+byte-identical across both backends — including under injected
 faults, retries, and ``skip_partition`` degradation.
 
 Worker *loss* is handled one layer up, in
-:mod:`~repro.hyracks.recovery`: when a
-:class:`~repro.resilience.policies.RecoveryPolicy` is enabled (the
-default), a dead process-pool worker no longer aborts the query — the
+:mod:`~repro.hyracks.recovery`, which owns the process backend's only
+dispatch loop: a dead pool worker does not abort the query — the
 pool is rebuilt, only unfinished units are rescheduled (with a bounded
-attempt budget), repeated loss steps the backend down the
-process→thread→sequential ladder, and a watchdog launches speculative
-duplicates for stragglers.  With recovery disabled, the pre-recovery
-behaviour returns: ``BrokenProcessPool`` becomes a terminal
-:class:`~repro.errors.BackendError`.
+attempt budget), repeated loss steps the remaining units down to the
+sequential tier, and a watchdog launches speculative duplicates for
+stragglers.
 
 Two behavioural fine points:
 
@@ -54,7 +49,7 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from repro.errors import (
@@ -81,7 +76,6 @@ from repro.hyracks.operators import (
 )
 from repro.hyracks.recovery import (
     mark_pool_worker,
-    recovery_policy_for,
     run_unit_with_crash_retry,
     run_units_with_recovery,
     simulate_worker_kill,
@@ -425,7 +419,7 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
     """Run one partition's work under its resilience policy.
 
     This is the function every backend ultimately calls — in the calling
-    thread, on a pool thread, or in a worker process.  It owns the whole
+    thread or in a worker process.  It owns the whole
     retry/skip loop so a partition's attempts never straddle workers,
     and gives the partition its own stats, memory tracker, and
     degradation report for deterministic coordinator-side merging.
@@ -448,6 +442,9 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
     peak = 0
     attempts = 0
     collector = None
+    value = None
+    skipped = False
+    error = None
     spill_hook = getattr(source, "check_spill_fault", None)
     kill_hook = getattr(source, "check_worker_kill", None)
     stall_hook = getattr(source, "injected_stall", None)
@@ -496,6 +493,7 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
                 spill=spill_manager,
                 limits=unit.limits,
             )
+            failure = None
             attempt_started = time.perf_counter()
             try:
                 try:
@@ -509,96 +507,58 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
                     if spill_manager is not None:
                         spill_manager.fold_stats(stats)
                         spill_manager.close()
-            except (QueryTimeoutError, QueryCancelledError) as error:
+            except (ReproError, OSError) as raised:
+                failure = raised
+            measured += time.perf_counter() - attempt_started
+            peak = max(peak, memory.peak)
+            if isinstance(failure, (QueryTimeoutError, QueryCancelledError)):
                 # Query-global limits: never retried, never skipped, and
                 # returned *unwrapped* so the coordinator re-raises the
                 # limit error itself in partition order.
-                measured += time.perf_counter() - attempt_started
-                peak = max(peak, memory.peak)
-                report.record_cancellation(unit.partition, error)
-                return PartitionOutcome(
-                    unit.partition,
-                    measured_seconds=measured,
-                    injected_seconds=injected,
-                    peak_memory_bytes=peak,
-                    stats=stats,
-                    report=report,
-                    error=error,
-                    profile=_snapshot(collector),
-                )
-            except (ReproError, OSError) as error:
-                measured += time.perf_counter() - attempt_started
-                peak = max(peak, memory.peak)
-                if delay_hook is not None:
-                    injected += delay_hook(unit.partition)
-                wrapped = _wrap_partition_error(
-                    unit.plan, unit.partition, attempts, error
-                )
-                if config.partition_policy == "fail_fast":
-                    return PartitionOutcome(
-                        unit.partition,
-                        measured_seconds=measured,
-                        injected_seconds=injected,
-                        peak_memory_bytes=peak,
-                        stats=stats,
-                        report=report,
-                        error=wrapped,
-                        profile=_snapshot(collector),
-                    )
-                retryable = getattr(error, "retryable", True)
-                if (
-                    config.partition_policy == "retry"
-                    and retryable
-                    and attempts < config.retry.max_attempts
-                ):
-                    backoff = config.retry.backoff_seconds(attempts)
-                    injected += backoff
-                    report.record_retry(unit.partition, attempts, backoff, error)
-                    continue
-                if (
-                    config.partition_policy == "skip_partition"
-                    or config.on_exhausted == "skip"
-                ):
-                    report.record_skipped_partition(
-                        unit.partition,
-                        _scan_collections(unit.plan),
-                        attempts,
-                        error,
-                    )
-                    return PartitionOutcome(
-                        unit.partition,
-                        skipped=True,
-                        measured_seconds=measured,
-                        injected_seconds=injected,
-                        peak_memory_bytes=peak,
-                        stats=stats,
-                        report=report,
-                        profile=_snapshot(collector),
-                    )
-                return PartitionOutcome(
-                    unit.partition,
-                    measured_seconds=measured,
-                    injected_seconds=injected,
-                    peak_memory_bytes=peak,
-                    stats=stats,
-                    report=report,
-                    error=wrapped,
-                    profile=_snapshot(collector),
-                )
-            measured += time.perf_counter() - attempt_started
-            peak = max(peak, memory.peak)
+                report.record_cancellation(unit.partition, failure)
+                error = failure
+                break
             if delay_hook is not None:
                 injected += delay_hook(unit.partition)
-            return PartitionOutcome(
-                unit.partition,
-                value=value,
-                measured_seconds=measured,
-                injected_seconds=injected,
-                peak_memory_bytes=peak,
-                stats=stats,
-                report=report,
-                profile=_snapshot(collector),
-            )
+            if failure is None:
+                break
+            if (
+                config.partition_policy == "retry"
+                and getattr(failure, "retryable", True)
+                and attempts < config.retry.max_attempts
+            ):
+                backoff = config.retry.backoff_seconds(attempts)
+                injected += backoff
+                report.record_retry(unit.partition, attempts, backoff, failure)
+                continue
+            if config.partition_policy == "skip_partition" or (
+                config.partition_policy == "retry"
+                and config.on_exhausted == "skip"
+            ):
+                report.record_skipped_partition(
+                    unit.partition,
+                    _scan_collections(unit.plan),
+                    attempts,
+                    failure,
+                )
+                skipped = True
+            else:
+                error = _wrap_partition_error(
+                    unit.plan, unit.partition, attempts, failure
+                )
+            break
+        return PartitionOutcome(
+            unit.partition,
+            value=value,
+            skipped=skipped,
+            measured_seconds=measured,
+            injected_seconds=injected,
+            peak_memory_bytes=peak,
+            stats=stats,
+            report=report,
+            error=error,
+            profile=_snapshot(collector),
+        )
     finally:
         if attach is not None:
             attach(None)
@@ -618,15 +578,6 @@ def _run_pickled_unit(blob: bytes) -> PartitionOutcome:
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
-
-
-def _await_settled(futures) -> None:
-    """Block until every non-cancelled future in *futures* has finished."""
-    from concurrent.futures import wait as _wait
-
-    pending = [future for future in futures if not future.cancelled()]
-    if pending:
-        _wait(pending)
 
 
 class ExecutionBackend:
@@ -664,10 +615,10 @@ class SequentialBackend(ExecutionBackend):
     """One partition after another in the calling thread (the default).
 
     Lazily yields outcomes, so a ``fail_fast`` error on partition *i*
-    means partitions *i+1..n* never execute — exactly the pre-backend
-    behaviour.  Injected worker kills are absorbed by the same
-    crash-retry loop the pooled backends use, so recovery semantics
-    (attempt budget, worker-loss events) match across backends.
+    means partitions *i+1..n* never execute.  Injected worker kills are
+    absorbed by the crash-retry loop that is also the process backend's
+    last tier, so recovery semantics (attempt budget, worker-loss
+    events) match across backends.
     """
 
     name = "sequential"
@@ -678,81 +629,7 @@ class SequentialBackend(ExecutionBackend):
 
     def run_units(self, units: list[WorkUnit]):
         for unit in units:
-            policy = getattr(unit.resilience, "recovery", None)
-            yield run_unit_with_crash_retry(
-                unit, policy, self._recovery_events
-            )
-
-
-class ThreadBackend(ExecutionBackend):
-    """Partitions on a shared ``ThreadPoolExecutor``.
-
-    The GIL serializes the pure-Python parsing, so this backend mostly
-    overlaps file I/O; it exists as the cheap middle ground (no pickling
-    of work units or results) and as a stepping stone for the tests'
-    three-way parity checks.
-    """
-
-    name = "thread"
-
-    #: ladder the recovery engine walks after repeated worker loss
-    recovery_tiers = ("thread", "sequential")
-
-    def __init__(self, max_workers: int | None = None):
-        super().__init__()
-        self._max_workers = max_workers or usable_cores()
-        self._pool = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self):
-        # Lazy creation is locked: two service threads racing here would
-        # otherwise each build a pool and leak one of them.
-        with self._pool_lock:
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-partition",
-                )
-            return self._pool
-
-    def run_units(self, units: list[WorkUnit]):
-        units = list(units)
-        if len(units) <= 1 or self._max_workers <= 1:
-            for unit in units:
-                policy = getattr(unit.resilience, "recovery", None)
-                yield run_unit_with_crash_retry(
-                    unit, policy, self._recovery_events
-                )
-            return
-        policy = recovery_policy_for(units)
-        if policy is not None and policy.enabled:
-            yield from run_units_with_recovery(
-                units,
-                host=self,
-                tiers=self.recovery_tiers,
-                max_workers=self._max_workers,
-                events=self._recovery_events,
-            )
-            return
-        pool = self._ensure_pool()
-        futures = [pool.submit(execute_work_unit, unit) for unit in units]
-        try:
-            for future in futures:
-                yield future.result()
-        finally:
-            # Deterministic cleanup: cancel what never started, then
-            # wait out what did, so no orphaned partition work (or its
-            # thread-local report attachment) outlives the query.
-            for future in futures:
-                future.cancel()
-            _await_settled(futures)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+            yield run_unit_with_crash_retry(unit, self._recovery_events)
 
 
 class ProcessBackend(ExecutionBackend):
@@ -766,9 +643,6 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    #: ladder the recovery engine walks after repeated pool loss
-    recovery_tiers = ("process", "thread", "sequential")
-
     def __init__(self, max_workers: int | None = None):
         super().__init__()
         self._max_workers = max_workers or usable_cores()
@@ -776,8 +650,8 @@ class ProcessBackend(ExecutionBackend):
         self._pool_lock = threading.Lock()
 
     def _ensure_pool(self):
-        # Locked like ThreadBackend._ensure_pool: racing lazy creation
-        # would leak a whole process pool.
+        # Lazy creation is locked: two service threads racing here would
+        # otherwise each build a pool and leak one of them.
         with self._pool_lock:
             if self._pool is None:
                 import multiprocessing
@@ -793,51 +667,7 @@ class ProcessBackend(ExecutionBackend):
             return self._pool
 
     def run_units(self, units: list[WorkUnit]):
-        units = list(units)
-        policy = recovery_policy_for(units)
-        if policy is not None and policy.enabled:
-            yield from run_units_with_recovery(
-                units,
-                host=self,
-                tiers=self.recovery_tiers,
-                max_workers=self._max_workers,
-                events=self._recovery_events,
-            )
-            return
-        blobs = []
-        for unit in units:
-            try:
-                blobs.append(pickle.dumps(unit))
-            except Exception as error:
-                raise BackendError(
-                    f"work unit for partition {unit.partition} is not "
-                    f"picklable under the process backend ({error}); use "
-                    "backend='thread' or 'sequential', or make the data "
-                    "source and function library picklable",
-                    cause=error,
-                ) from error
-        pool = self._ensure_pool()
-        from concurrent.futures.process import BrokenProcessPool
-
-        futures = [pool.submit(_run_pickled_unit, blob) for blob in blobs]
-        try:
-            for future in futures:
-                try:
-                    yield future.result()
-                except BrokenProcessPool as error:
-                    self.close()
-                    raise BackendError(
-                        "process pool worker died while executing a "
-                        "partition; results are incomplete",
-                        cause=error,
-                    ) from error
-        finally:
-            # Deterministic cleanup: cancel what never started, then
-            # wait out what did, so no orphaned partition work survives
-            # an early exit from this generator.
-            for future in futures:
-                future.cancel()
-            _await_settled(futures)
+        return run_units_with_recovery(units, self, self._recovery_events)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -847,7 +677,6 @@ class ProcessBackend(ExecutionBackend):
 
 BACKENDS = {
     "sequential": SequentialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -859,8 +688,13 @@ def resolve_backend(backend=None, max_workers: int | None = None):
     falls back to ``sequential`` — which is how CI runs the whole test
     suite under the process backend without touching any call site.
     ``REPRO_BACKEND=""`` explicitly selects the default backend (see
-    :mod:`repro.envutil` for the resolution rule).
+    :mod:`repro.envutil` for the resolution rule).  *max_workers* caps
+    the pool of a backend given by name and must be positive.
     """
+    if max_workers is not None and max_workers <= 0:
+        raise ValueError(
+            f"max_workers must be a positive integer, got {max_workers!r}"
+        )
     if backend is None:
         from repro.envutil import env_setting
 

@@ -19,9 +19,12 @@ partitioned collection, mirroring how VXQuery's Hyracks jobs run:
 
 Partition work is dispatched through a pluggable
 :mod:`~repro.hyracks.backends` layer: ``sequential`` (the default) runs
-partitions one after another in-process, ``thread`` overlaps them on a
-thread pool, and ``process`` runs them on a ``ProcessPoolExecutor`` —
-real multi-core parallelism for the pure-Python parser.  Every
+partitions one after another in-process and ``process`` runs them on a
+``ProcessPoolExecutor`` — real multi-core parallelism for the
+pure-Python operators.  Every strategy below is the same two steps:
+:meth:`PartitionedExecutor._map` runs one work callable per partition
+on the backend and folds the outcomes, :meth:`PartitionedExecutor._finish`
+runs the coordinator's share.  Every
 partition's work is executed for real and timed; the result carries
 per-partition seconds so a :class:`~repro.hyracks.cluster.ClusterSpec`
 can compose a simulated cluster makespan, plus the *measured* parallel
@@ -38,7 +41,7 @@ makespan accounts for retry time; ``skip_partition`` drops the failing
 partition and records it in the result's
 :class:`~repro.resilience.report.DegradationReport`.  Per-partition
 stats and degradation entries are merged on the coordinator in
-partition order, so all backends produce identical results and reports
+partition order, so both backends produce identical results and reports
 under a fixed fault seed.
 """
 
@@ -176,9 +179,9 @@ class QueryResult:
         by their mean before placement — **sequential backend only**:
         partitions carry symmetric data shares, so the variance measured
         by running them one after another in one process is
-        scheduler/GC jitter, not real skew.  Under the ``thread`` and
-        ``process`` backends the measured per-partition times include
-        *real* contention (GIL, cores, memory bandwidth), which is
+        scheduler/GC jitter, not real skew.  Under the ``process``
+        backend the measured per-partition times include *real*
+        contention (cores, memory bandwidth), which is
         exactly what a cluster placement should see, so smoothing is
         never applied there and ``smooth`` is ignored.  Pass
         ``smooth=False`` to place the raw sequential measurements too.
@@ -220,11 +223,12 @@ class PartitionedExecutor:
         default is ``fail_fast``, today's behaviour.
     backend:
         Execution backend for partition work: ``"sequential"`` (default),
-        ``"thread"``, ``"process"``, or an
+        ``"process"``, or an
         :class:`~repro.hyracks.backends.ExecutionBackend` instance.
         ``None`` consults the ``REPRO_BACKEND`` environment variable.
     max_workers:
-        Worker cap for the named pooled backends (default: CPU count).
+        Worker cap for the ``process`` backend (default: the cores this
+        process may run on); must be positive.
     spill:
         With a memory budget set, let blocking operators degrade to
         disk when the budget is hit (the default) instead of raising
@@ -283,7 +287,7 @@ class PartitionedExecutor:
         return self._backend
 
     def close(self) -> None:
-        """Release backend worker pools (threads/processes).
+        """Release the backend's worker pool.
 
         Idempotent; once closed, :meth:`run` raises
         :class:`~repro.errors.ProcessorClosedError` instead of silently
@@ -354,7 +358,9 @@ class PartitionedExecutor:
         if attach is not None:
             attach(report)
         try:
-            result = self._dispatch(plan, stats, report)
+            result = self._dispatch(
+                plan, QueryResult([], stats=stats, degradation=report)
+            )
         except (QueryTimeoutError, QueryCancelledError) as error:
             # Coordinator-side limit hit (worker-side hits arrive with
             # error.degradation already attached by _map).
@@ -391,7 +397,6 @@ class PartitionedExecutor:
             self._limits = None
             if attach is not None:
                 attach(None)
-        result.degradation = report
         if limits is not None:
             result.deadline_slack_seconds = limits.remaining_seconds()
         result.wall_seconds = time.perf_counter() - started
@@ -408,25 +413,22 @@ class PartitionedExecutor:
             self._profile_config = None
         return result
 
-    def _dispatch(
-        self, plan: LogicalPlan, stats: ExecutionStats, report: DegradationReport
-    ) -> QueryResult:
+    def _dispatch(self, plan: LogicalPlan, result: QueryResult) -> QueryResult:
         scans = plan.operators_of(DataScan)
         partition_counts = {
             self._source.partition_count(scan.collection) for scan in scans
         }
-        if not scans:
-            return self._run_global(plan, stats)
-        if len(partition_counts) > 1:
-            # Collections partitioned differently cannot share one
-            # partition-aligned job; run a single global instance.
-            return self._run_global(plan, stats)
+        if not scans or len(partition_counts) > 1:
+            # Nothing to partition, or collections partitioned
+            # differently (they cannot share one partition-aligned job):
+            # run a single global instance.
+            return self._run_global(plan, result)
         (partitions,) = partition_counts
         if partitions <= 0:
             raise PlanError(
                 f"collection {scans[0].collection!r} has no partitions"
             )
-        return self._run_partitioned(plan, partitions, stats, report)
+        return self._run_partitioned(plan, partitions, result)
 
     # -- contexts ---------------------------------------------------------------
 
@@ -467,18 +469,20 @@ class PartitionedExecutor:
     def _map(
         self,
         plan: LogicalPlan,
-        tasks: list[tuple[int, object]],
-        stats: ExecutionStats,
-        report: DegradationReport,
+        works: list,
+        result: QueryResult,
         charge_delay: bool = True,
     ) -> list[PartitionOutcome]:
-        """Run (partition, work) *tasks* on the backend; merge outcomes.
+        """Run ``works[p]`` as partition *p* on the backend; fold the
+        outcomes into *result*; return those of the partitions kept.
 
         Outcomes come back in submission (partition-id) order regardless
         of completion order, so the merged stats, degradation report,
         and any ``fail_fast`` error are deterministic under every
-        backend.
+        backend.  Timing adds up per partition across calls (a join maps
+        twice); a skipped partition is timed but not returned.
         """
+        stats, report = result.stats, result.degradation
         units = [
             WorkUnit(
                 plan=plan,
@@ -493,7 +497,7 @@ class PartitionedExecutor:
                 spill=self._query_spill or self._spill_config,
                 limits=self._limits,
             )
-            for partition, work in tasks
+            for partition, work in enumerate(works)
         ]
         started = time.perf_counter()
         outcomes: list[PartitionOutcome] = []
@@ -523,12 +527,33 @@ class PartitionedExecutor:
             attach = getattr(self._source, "attach_degradation", None)
             if attach is not None:
                 attach(report)
+        if not result.partition_seconds:
+            result.partition_seconds = [0.0] * len(outcomes)
+            result.injected_seconds = [0.0] * len(outcomes)
         for outcome in outcomes:
             stats.merge(outcome.stats)
             report.absorb(outcome.report)
             if self._profile is not None:
                 self._profile.absorb(outcome.profile)
-        return outcomes
+            result.partition_seconds[outcome.partition] += outcome.measured_seconds
+            result.injected_seconds[outcome.partition] += outcome.injected_seconds
+            result.peak_memory_bytes = max(
+                result.peak_memory_bytes, outcome.peak_memory_bytes
+            )
+        return [outcome for outcome in outcomes if not outcome.skipped]
+
+    def _finish(
+        self, result: QueryResult, global_ops: list[Operator], make_stream
+    ) -> QueryResult:
+        """The coordinator's share of a partitioned strategy, timed: run
+        ``make_stream(ctx)`` through the operators peeled off the root."""
+        memory = self._tracker()
+        ctx = self._context(None, memory, result.stats)
+        started = time.perf_counter()
+        result.items = _finish_through_globals(global_ops, make_stream(ctx), ctx)
+        result.global_seconds = time.perf_counter() - started
+        result.peak_memory_bytes = max(result.peak_memory_bytes, memory.peak)
+        return result
 
     def _record_frames(
         self, op: Operator, tuples=(), sizes=(), n_bytes: int = 0
@@ -561,54 +586,55 @@ class PartitionedExecutor:
     ) -> list[Tuple]:
         """Gather the tuples the partitions shipped raw to the coordinator
         for *op*, charging the exchange once for the whole batch."""
-        shipped = [
-            tup
-            for outcome in outcomes
-            if not outcome.skipped
-            for tup in outcome.value
-        ]
+        shipped = [tup for outcome in outcomes for tup in outcome.value]
         sizes = sizeof_tuples(shipped)
         stats.exchange_tuples += len(shipped)
         stats.exchange_bytes += sum(sizes)
         self._record_frames(op, shipped, sizes)
         return shipped
 
-    @staticmethod
-    def _collect_timing(
+    def _combine_partials(
+        self,
+        op: Operator,
+        aggregate: Aggregate,
         outcomes: list[PartitionOutcome],
-    ) -> tuple[list[float], list[float], int]:
-        seconds = [o.measured_seconds for o in outcomes]
-        injected = [o.injected_seconds for o in outcomes]
-        peak = max((o.peak_memory_bytes for o in outcomes), default=0)
-        return seconds, injected, peak
+        stats: ExecutionStats,
+    ):
+        """Charge the exchange for one aggregate partial per outcome at
+        *op*; return the stream maker that absorbs them into the one
+        final tuple."""
+        partials = [outcome.value for outcome in outcomes]
+        stats.exchange_tuples += len(partials)
+        stats.exchange_bytes += len(partials) * _PARTIAL_TUPLE_BYTES
+        self._record_frames(op, n_bytes=len(partials) * _PARTIAL_TUPLE_BYTES)
+
+        def final_tuple(ctx):
+            accumulators = make_accumulators(aggregate.specs, ctx)
+            for partial in partials:
+                for accumulator, value in zip(accumulators, partial):
+                    accumulator.absorb(value)
+            yield {acc.spec.variable: acc.finish(ctx) for acc in accumulators}
+
+        return final_tuple
 
     # -- strategies ---------------------------------------------------------------
 
-    def _run_global(self, plan: LogicalPlan, stats: ExecutionStats) -> QueryResult:
+    def _run_global(self, plan: LogicalPlan, result: QueryResult) -> QueryResult:
         """Single-instance execution (naive plans, unsupported shapes).
 
         A global instance has no partitions to retry or skip, so the
         resilience policies do not apply here.
         """
         memory = self._tracker()
-        ctx = self._context(None, memory, stats)
+        ctx = self._context(None, memory, result.stats)
         started = time.perf_counter()
-        items = run_plan(plan, ctx)
-        elapsed = time.perf_counter() - started
-        return QueryResult(
-            items,
-            partition_seconds=[elapsed],
-            peak_memory_bytes=memory.peak,
-            stats=stats,
-            strategy="global",
-        )
+        result.items = run_plan(plan, ctx)
+        result.partition_seconds = [time.perf_counter() - started]
+        result.peak_memory_bytes = memory.peak
+        return result
 
     def _run_partitioned(
-        self,
-        plan: LogicalPlan,
-        partitions: int,
-        stats: ExecutionStats,
-        report: DegradationReport,
+        self, plan: LogicalPlan, partitions: int, result: QueryResult
     ) -> QueryResult:
         global_ops, boundary = _split(plan)
         if isinstance(boundary, GroupBy):
@@ -616,67 +642,43 @@ class PartitionedExecutor:
                 boundary.input_op
             ):
                 return self._run_grouped(
-                    plan, global_ops, boundary, partitions, stats, report
+                    plan, global_ops, boundary, partitions, result
                 )
-            return self._run_global(plan, stats)
+            return self._run_global(plan, result)
         if isinstance(boundary, Aggregate):
             join_parts = _find_join(boundary.input_op)
             if join_parts is not None:
                 mid_ops, join = join_parts
                 if _is_chain_to_scan(join.left) and _is_chain_to_scan(join.right):
                     return self._run_join(
-                        plan,
-                        global_ops,
-                        boundary,
-                        mid_ops,
-                        join,
-                        partitions,
-                        stats,
-                        report,
+                        plan, global_ops, boundary, mid_ops, join, partitions, result
                     )
-                return self._run_global(plan, stats)
+                return self._run_global(plan, result)
             if _is_chain_to_scan(boundary.input_op):
                 return self._run_aggregated(
-                    plan, global_ops, boundary, partitions, stats, report
+                    plan, global_ops, boundary, partitions, result
                 )
-            return self._run_global(plan, stats)
+            return self._run_global(plan, result)
         if isinstance(boundary, Join):
             if _is_chain_to_scan(boundary.left) and _is_chain_to_scan(
                 boundary.right
             ):
                 return self._run_join(
-                    plan, global_ops, None, [], boundary, partitions, stats, report
+                    plan, global_ops, None, [], boundary, partitions, result
                 )
-            return self._run_global(plan, stats)
+            return self._run_global(plan, result)
         if isinstance(boundary, DataScan) or _is_chain_to_scan(boundary):
-            return self._run_pipelined(plan, partitions, stats, report)
-        return self._run_global(plan, stats)
+            return self._run_pipelined(plan, partitions, result)
+        return self._run_global(plan, result)
 
     def _run_pipelined(
-        self,
-        plan: LogicalPlan,
-        partitions: int,
-        stats: ExecutionStats,
-        report: DegradationReport,
+        self, plan: LogicalPlan, partitions: int, result: QueryResult
     ) -> QueryResult:
         """Fully pipelined plan: one independent instance per partition."""
-        work = PipelinedWork(plan)
-        outcomes = self._map(
-            plan, [(p, work) for p in range(partitions)], stats, report
-        )
-        partition_seconds, injected_seconds, peak = self._collect_timing(outcomes)
-        items: list[Item] = []
-        for outcome in outcomes:
-            if not outcome.skipped:
-                items.extend(outcome.value)
-        return QueryResult(
-            items,
-            partition_seconds=partition_seconds,
-            injected_seconds=injected_seconds,
-            peak_memory_bytes=peak,
-            stats=stats,
-            strategy="pipelined",
-        )
+        result.strategy = "pipelined"
+        for outcome in self._map(plan, [PipelinedWork(plan)] * partitions, result):
+            result.items.extend(outcome.value)
+        return result
 
     def _run_grouped(
         self,
@@ -684,8 +686,7 @@ class PartitionedExecutor:
         global_ops: list[Operator],
         group_by: GroupBy,
         partitions: int,
-        stats: ExecutionStats,
-        report: DegradationReport,
+        result: QueryResult,
     ) -> QueryResult:
         """Partition-local GROUP-BY plus coordinator combine."""
         nested = group_by.nested_root
@@ -693,91 +694,64 @@ class PartitionedExecutor:
             nested.input_op, NestedTupleSource
         )
         if not (incremental and self._two_step):
-            return self._run_grouped_raw(
-                plan, global_ops, group_by, partitions, stats, report
+            return self._run_raw(
+                plan, global_ops, group_by, "grouped-raw", partitions, result
             )
+        result.strategy = "grouped-two-step"
         key_vars = [var for var, _ in group_by.keys]
-        work = GroupTableWork(group_by)
-        outcomes = self._map(
-            plan, [(p, work) for p in range(partitions)], stats, report
-        )
-        partition_seconds, injected_seconds, peak = self._collect_timing(outcomes)
-        local_tables: list[dict] = []
-        for outcome in outcomes:
-            if outcome.skipped:
-                continue
-            local_tables.append(outcome.value)
-            stats.exchange_tuples += len(outcome.value)
-            stats.exchange_bytes += len(outcome.value) * _PARTIAL_TUPLE_BYTES
+        local_tables = [
+            outcome.value
+            for outcome in self._map(
+                plan, [GroupTableWork(group_by)] * partitions, result
+            )
+        ]
+        shipped_groups = sum(len(table) for table in local_tables)
+        result.stats.exchange_tuples += shipped_groups
+        result.stats.exchange_bytes += shipped_groups * _PARTIAL_TUPLE_BYTES
         self._record_frames(
-            group_by,
-            n_bytes=sum(len(t) for t in local_tables) * _PARTIAL_TUPLE_BYTES,
+            group_by, n_bytes=shipped_groups * _PARTIAL_TUPLE_BYTES
         )
-        # Coordinator: combine partials, finalize groups, run the ops above.
-        memory = self._tracker()
-        ctx = self._context(None, memory, stats)
-        started = time.perf_counter()
-        new_accumulators = accumulator_factory(nested.specs, ctx)
-        combined: dict = {}
-        for table in local_tables:
-            # Workers ship plain partial values (picklable; spill-backed
-            # accumulator state never crosses the process boundary).
-            for key, (key_values, partials) in table.items():
-                state = combined.get(key)
-                if state is None:
-                    state = (key_values, new_accumulators())
-                    combined[key] = state
-                for target, partial_value in zip(state[1], partials):
-                    target.absorb(partial_value)
-        def finalized():
+
+        def finalized(ctx):
+            # Coordinator: combine partials, finalize groups.
+            new_accumulators = accumulator_factory(nested.specs, ctx)
+            combined: dict = {}
+            for table in local_tables:
+                # Workers ship plain partial values (picklable; spill-backed
+                # accumulator state never crosses the process boundary).
+                for key, (key_values, partials) in table.items():
+                    state = combined.get(key)
+                    if state is None:
+                        state = (key_values, new_accumulators())
+                        combined[key] = state
+                    for target, partial_value in zip(state[1], partials):
+                        target.absorb(partial_value)
             for key_values, accumulators in combined.values():
                 out = dict(zip(key_vars, key_values))
                 for accumulator in accumulators:
                     out[accumulator.spec.variable] = accumulator.finish(ctx)
                 yield out
 
-        items = _finish_through_globals(global_ops, finalized(), ctx)
-        global_seconds = time.perf_counter() - started
-        return QueryResult(
-            items,
-            partition_seconds=partition_seconds,
-            injected_seconds=injected_seconds,
-            global_seconds=global_seconds,
-            peak_memory_bytes=max(peak, memory.peak),
-            stats=stats,
-            strategy="grouped-two-step",
-        )
+        return self._finish(result, global_ops, finalized)
 
-    def _run_grouped_raw(
+    def _run_raw(
         self,
         plan: LogicalPlan,
         global_ops: list[Operator],
-        group_by: GroupBy,
+        op: GroupBy | Aggregate,
+        strategy: str,
         partitions: int,
-        stats: ExecutionStats,
-        report: DegradationReport,
+        result: QueryResult,
     ) -> QueryResult:
-        """Two-step disabled: ship raw tuples and group at the coordinator."""
-        work = TupleStreamWork(group_by.input_op)
+        """Two-step disabled: ship raw tuples and run *op* (the GROUP-BY
+        or the AGGREGATE) at the coordinator."""
+        result.strategy = strategy
         outcomes = self._map(
-            plan, [(p, work) for p in range(partitions)], stats, report
+            plan, [TupleStreamWork(op.input_op)] * partitions, result
         )
-        partition_seconds, injected_seconds, peak = self._collect_timing(outcomes)
-        shipped = self._ship_raw(group_by, outcomes, stats)
-        memory = self._tracker()
-        ctx = self._context(None, memory, stats)
-        started = time.perf_counter()
-        stream = run_chain([group_by], iter(shipped), ctx)
-        items = _finish_through_globals(global_ops, stream, ctx)
-        global_seconds = time.perf_counter() - started
-        return QueryResult(
-            items,
-            partition_seconds=partition_seconds,
-            injected_seconds=injected_seconds,
-            global_seconds=global_seconds,
-            peak_memory_bytes=max(peak, memory.peak),
-            stats=stats,
-            strategy="grouped-raw",
+        shipped = self._ship_raw(op, outcomes, result.stats)
+        return self._finish(
+            result, global_ops, lambda ctx: run_chain([op], iter(shipped), ctx)
         )
 
     def _run_aggregated(
@@ -786,80 +760,21 @@ class PartitionedExecutor:
         global_ops: list[Operator],
         aggregate: Aggregate,
         partitions: int,
-        stats: ExecutionStats,
-        report: DegradationReport,
+        result: QueryResult,
     ) -> QueryResult:
         """Global aggregate with partial/combine across partitions."""
         if not self._two_step:
-            return self._run_aggregated_raw(
-                plan, global_ops, aggregate, partitions, stats, report
+            return self._run_raw(
+                plan, global_ops, aggregate, "aggregated-raw", partitions, result
             )
-        work = FoldPartialsWork(aggregate)
+        result.strategy = "aggregated-two-step"
         outcomes = self._map(
-            plan, [(p, work) for p in range(partitions)], stats, report
+            plan, [FoldPartialsWork(aggregate)] * partitions, result
         )
-        partition_seconds, injected_seconds, peak = self._collect_timing(outcomes)
-        partials: list[list] = []
-        for outcome in outcomes:
-            if outcome.skipped:
-                continue
-            partials.append(outcome.value)
-            stats.exchange_tuples += 1
-            stats.exchange_bytes += _PARTIAL_TUPLE_BYTES
-        self._record_frames(
-            aggregate, n_bytes=len(partials) * _PARTIAL_TUPLE_BYTES
-        )
-        memory = self._tracker()
-        ctx = self._context(None, memory, stats)
-        started = time.perf_counter()
-        accumulators = make_accumulators(aggregate.specs, ctx)
-        for partial in partials:
-            for accumulator, value in zip(accumulators, partial):
-                accumulator.absorb(value)
-        final_tuple = {
-            acc.spec.variable: acc.finish(ctx) for acc in accumulators
-        }
-        items = _finish_through_globals(global_ops, iter([final_tuple]), ctx)
-        global_seconds = time.perf_counter() - started
-        return QueryResult(
-            items,
-            partition_seconds=partition_seconds,
-            injected_seconds=injected_seconds,
-            global_seconds=global_seconds,
-            peak_memory_bytes=max(peak, memory.peak),
-            stats=stats,
-            strategy="aggregated-two-step",
-        )
-
-    def _run_aggregated_raw(
-        self,
-        plan: LogicalPlan,
-        global_ops: list[Operator],
-        aggregate: Aggregate,
-        partitions: int,
-        stats: ExecutionStats,
-        report: DegradationReport,
-    ) -> QueryResult:
-        work = TupleStreamWork(aggregate.input_op)
-        outcomes = self._map(
-            plan, [(p, work) for p in range(partitions)], stats, report
-        )
-        partition_seconds, injected_seconds, peak = self._collect_timing(outcomes)
-        shipped = self._ship_raw(aggregate, outcomes, stats)
-        memory = self._tracker()
-        ctx = self._context(None, memory, stats)
-        started = time.perf_counter()
-        stream = run_chain([aggregate], iter(shipped), ctx)
-        items = _finish_through_globals(global_ops, stream, ctx)
-        global_seconds = time.perf_counter() - started
-        return QueryResult(
-            items,
-            partition_seconds=partition_seconds,
-            injected_seconds=injected_seconds,
-            global_seconds=global_seconds,
-            peak_memory_bytes=max(peak, memory.peak),
-            stats=stats,
-            strategy="aggregated-raw",
+        return self._finish(
+            result,
+            global_ops,
+            self._combine_partials(aggregate, aggregate, outcomes, result.stats),
         )
 
     def _run_join(
@@ -870,8 +785,7 @@ class PartitionedExecutor:
         mid_ops: list[Operator],
         join: Join,
         partitions: int,
-        stats: ExecutionStats,
-        report: DegradationReport,
+        result: QueryResult,
     ) -> QueryResult:
         """Hash-partitioned join (plus optional aggregate on top).
 
@@ -890,7 +804,9 @@ class PartitionedExecutor:
         left_keys, right_keys, residual = split_join_condition(join)
         if not left_keys:
             # Cross products cannot hash-partition; run globally.
-            return self._run_global(plan, stats)
+            return self._run_global(plan, result)
+        result.strategy = "hash-join"
+        stats = result.stats
         buckets = partitions
         left_buckets: list[list[Tuple]] = [[] for _ in range(buckets)]
         right_buckets: list[list[Tuple]] = [[] for _ in range(buckets)]
@@ -902,19 +818,11 @@ class PartitionedExecutor:
             scan = BroadcastScanWork(
                 join, tuple(left_keys), tuple(right_keys)
             )
-            outcomes = self._map(
-                plan, [(p, scan) for p in range(partitions)], stats, report
-            )
-            phase1_seconds, injected_seconds, peak = self._collect_timing(
-                outcomes
-            )
             broadcast_left = join.exchange == "broadcast-left"
             local_buckets = right_buckets if broadcast_left else left_buckets
             broadcast_all: list[Tuple] = []
             broadcast_bytes = 0
-            for outcome in outcomes:
-                if outcome.skipped:
-                    continue
+            for outcome in self._map(plan, [scan] * partitions, result):
                 local_rows, broadcast_rows, n_bytes = outcome.value
                 local_buckets[outcome.partition].extend(local_rows)
                 broadcast_all.extend(broadcast_rows)
@@ -928,15 +836,7 @@ class PartitionedExecutor:
             exchange = ExchangeWork(
                 join, tuple(left_keys), tuple(right_keys), buckets
             )
-            outcomes = self._map(
-                plan, [(p, exchange) for p in range(partitions)], stats, report
-            )
-            phase1_seconds, injected_seconds, peak = self._collect_timing(
-                outcomes
-            )
-            for outcome in outcomes:
-                if outcome.skipped:
-                    continue
+            for outcome in self._map(plan, [exchange] * partitions, result):
                 local_left, local_right, exchanged_tuples, exchanged_bytes = (
                     outcome.value
                 )
@@ -971,9 +871,9 @@ class PartitionedExecutor:
                 chain.from_iterable(map(sizeof_tuples, exchanged)),
             )
         use_two_step = aggregate is not None and self._two_step
-        bucket_tasks = [
-            (
-                bucket,
+        bucket_outcomes = self._map(
+            plan,
+            [
                 JoinBucketWork(
                     tuple(left_buckets[bucket]),
                     tuple(right_buckets[bucket]),
@@ -983,65 +883,26 @@ class PartitionedExecutor:
                     tuple(mid_ops),
                     aggregate if use_two_step else None,
                     build_side=join.build_side,
-                ),
-            )
-            for bucket in range(buckets)
-        ]
-        bucket_outcomes = self._map(
-            plan, bucket_tasks, stats, report, charge_delay=False
+                )
+                for bucket in range(buckets)
+            ],
+            result,
+            charge_delay=False,
         )
-        phase2_seconds, phase2_injected, phase2_peak = self._collect_timing(
-            bucket_outcomes
-        )
-        peak = max(peak, phase2_peak)
-        partials: list[list] = []
-        bucket_outputs: list[Tuple] = []
         if use_two_step:
-            for outcome in bucket_outcomes:
-                if outcome.skipped:
-                    continue
-                partials.append(outcome.value)
-                stats.exchange_tuples += 1
-                stats.exchange_bytes += _PARTIAL_TUPLE_BYTES
-            self._record_frames(
-                join, n_bytes=len(partials) * _PARTIAL_TUPLE_BYTES
+            return self._finish(
+                result,
+                global_ops,
+                self._combine_partials(join, aggregate, bucket_outcomes, stats),
             )
-        else:
-            # Joined tuples ship to the coordinator for the global
-            # aggregate / result assembly.
-            bucket_outputs = self._ship_raw(join, bucket_outcomes, stats)
-        partition_seconds = [
-            phase1_seconds[i] + phase2_seconds[i] for i in range(partitions)
-        ]
-        injected_seconds = [
-            injected_seconds[i] + phase2_injected[i] for i in range(partitions)
-        ]
-        memory = self._tracker()
-        ctx = self._context(None, memory, stats)
-        started = time.perf_counter()
-        if use_two_step:
-            accumulators = make_accumulators(aggregate.specs, ctx)
-            for partial in partials:
-                for accumulator, value in zip(accumulators, partial):
-                    accumulator.absorb(value)
-            final_tuple = {
-                acc.spec.variable: acc.finish(ctx) for acc in accumulators
-            }
-            items = _finish_through_globals(global_ops, iter([final_tuple]), ctx)
-        elif aggregate is not None:
-            stream = run_chain([aggregate], iter(bucket_outputs), ctx)
-            items = _finish_through_globals(global_ops, stream, ctx)
-        else:
-            items = _finish_through_globals(global_ops, iter(bucket_outputs), ctx)
-        global_seconds = time.perf_counter() - started
-        return QueryResult(
-            items,
-            partition_seconds=partition_seconds,
-            injected_seconds=injected_seconds,
-            global_seconds=global_seconds,
-            peak_memory_bytes=max(peak, memory.peak),
-            stats=stats,
-            strategy="hash-join",
+        # Joined tuples ship to the coordinator for the global
+        # aggregate / result assembly.
+        bucket_outputs = self._ship_raw(join, bucket_outcomes, stats)
+        above = [aggregate] if aggregate is not None else []
+        return self._finish(
+            result,
+            global_ops,
+            lambda ctx: run_chain(above, iter(bucket_outputs), ctx),
         )
 
 

@@ -20,8 +20,8 @@ Two charging disciplines coexist:
   entry).
 
 Every work unit builds its own tracker (one per partition attempt), so
-trackers are never shared across the thread backend's workers; the
-coordinator merges per-partition peaks in partition order.
+trackers are never shared between workers; the coordinator merges
+per-partition peaks in partition order.
 """
 
 from __future__ import annotations

@@ -2,21 +2,23 @@
 
 The paper's engine inherits Hyracks' cluster execution model, where
 worker loss and stragglers are absorbed by the runtime rather than
-surfaced to the query author.  This module gives the process/thread
-backends the same posture:
+surfaced to the query author.  This module gives the process backend
+the same posture (:func:`run_units_with_recovery` is the one loop every
+process-backend query runs):
 
 - **worker-loss recovery** — when a pool worker dies
-  (``BrokenProcessPool`` under the process backend,
-  :class:`~repro.errors.WorkerCrashError` under thread/sequential), the
+  (``BrokenProcessPool`` in the pool,
+  :class:`~repro.errors.WorkerCrashError` for an injected kill running
+  in the coordinator's own process), the
   coordinator keeps every finished partition's result, rebuilds the
   pool, and reschedules only the unfinished work units.  Each unit has
   a bounded attempt budget (:class:`~repro.resilience.policies.RecoveryPolicy`
   ``max_unit_attempts``), so a deterministically crashing partition
   escalates with :class:`~repro.errors.RecoveryExhaustedError` instead
   of looping;
-- **degradation ladder** — after repeated worker loss on one tier the
-  remaining units step down process→thread→sequential, each step
-  recorded in the :class:`~repro.resilience.report.DegradationReport`;
+- **degradation ladder** — after repeated pool loss the remaining units
+  step down process→sequential (attempt offsets carried), recorded in
+  the :class:`~repro.resilience.report.DegradationReport`;
 - **speculative stragglers** — a watchdog (reading a clock from the
   :data:`repro.observability.clock.CLOCKS` registry) flags units running
   longer than a multiple of the median completion time and launches a
@@ -36,6 +38,11 @@ the dying worker drops just before ``os._exit`` — only that unit's
 attempt offset advances; collateral units (healthy work killed when the
 pool tore down) resubmit with unchanged offsets so their own scheduled
 faults still fire on schedule.
+
+Nothing outlives the call: a lost pool is dropped from the backend
+before its loss is accounted (the accounting may raise), and any other
+exit with units in flight cancels what never started and waits out
+what did.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ _SENTINEL_PREFIX = "crash-"
 # Set (per process) by the pool-worker entry point so an injected kill
 # knows whether it may really call os._exit or must raise
 # WorkerCrashError instead (killing the interpreter would take the
-# whole test run down under the thread/sequential backends).
+# coordinator down under the sequential backend and tier).
 _IN_POOL_WORKER = False
 
 
@@ -71,10 +78,6 @@ def mark_pool_worker() -> None:
     """Flag this process as a pool worker (called by the worker entry)."""
     global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
-
-
-def in_pool_worker() -> bool:
-    return _IN_POOL_WORKER
 
 
 def simulate_worker_kill(unit, attempt: int, message: str) -> None:
@@ -169,32 +172,21 @@ class RecoveryEvent:
     message: str = ""
 
 
-def recovery_policy_for(units) -> object | None:
-    """The :class:`RecoveryPolicy` shared by *units* (None when absent)."""
-    for unit in units:
-        policy = getattr(unit.resilience, "recovery", None)
-        if policy is not None:
-            return policy
-    return None
-
-
-def run_unit_with_crash_retry(unit, policy, events: list) -> object:
+def run_unit_with_crash_retry(unit, events: list) -> object:
     """Execute one unit inline, absorbing injected worker kills.
 
     The sequential tier of the recovery engine, also used directly by
-    the sequential backend (and the thread backend's single-worker fast
-    path) so injected kills behave identically on every backend.
+    the sequential backend so injected kills behave identically on both
+    backends.
     """
     from repro.hyracks.backends import execute_work_unit
 
-    base = unit.attempt_offset
-    crashes = base
+    policy = unit.resilience.recovery
+    crashes = unit.attempt_offset
     while True:
         try:
             return execute_work_unit(_with_offset(unit, crashes))
         except WorkerCrashError as crash:
-            if policy is None or not policy.enabled:
-                raise
             crashes += 1
             events.append(
                 RecoveryEvent(
@@ -219,15 +211,7 @@ def run_unit_with_crash_retry(unit, policy, events: list) -> object:
 
 
 class _PoolLost(Exception):
-    """Internal: the current tier's process pool broke."""
-
-    def __init__(self, cause: Exception):
-        super().__init__(str(cause))
-        self.cause = cause
-
-
-class _StepDown(Exception):
-    """Internal: too many worker losses on this tier; take the ladder."""
+    """Internal: the process pool broke."""
 
     def __init__(self, cause: Exception):
         super().__init__(str(cause))
@@ -265,73 +249,17 @@ def _with_offset(unit, offset: int):
     return replace(unit, attempt_offset=offset)
 
 
-class _TierPools:
-    """Pools per ladder tier: the host backend's own, plus ephemerals."""
+def run_units_with_recovery(units: list, host, events: list) -> list:
+    """Run *units* on *host*'s process pool, surviving worker loss.
 
-    def __init__(self, host, max_workers: int):
-        self._host = host
-        self._max_workers = max_workers
-        self._ephemeral: dict[str, object] = {}
-
-    def get(self, tier: str):
-        if tier == self._host.name:
-            return self._host._ensure_pool()
-        if tier == "thread":
-            pool = self._ephemeral.get(tier)
-            if pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-ladder",
-                )
-                self._ephemeral[tier] = pool
-            return pool
-        raise AssertionError(f"no pool for tier {tier!r}")
-
-    def discard(self, tier: str) -> None:
-        """Drop *tier*'s pool (it broke); the next ``get`` rebuilds it."""
-        if tier == self._host.name:
-            self._host.close()
-        else:
-            pool = self._ephemeral.pop(tier, None)
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        for pool in self._ephemeral.values():
-            pool.shutdown(wait=False, cancel_futures=True)
-        self._ephemeral.clear()
-
-
-def _submit(tier: str, pool, state: _UnitState, offset: int):
-    """Hand one attempt of a unit to *tier*'s pool."""
-    if tier == "process":
-        from repro.hyracks.backends import _run_pickled_unit
-
-        if offset == 0 and state.blob0 is not None:
-            blob = state.blob0
-        else:
-            blob = pickle.dumps(_with_offset(state.unit, offset))
-        return pool.submit(_run_pickled_unit, blob)
-    from repro.hyracks.backends import execute_work_unit
-
-    return pool.submit(execute_work_unit, _with_offset(state.unit, offset))
-
-
-def run_units_with_recovery(
-    units: list, host, tiers: tuple[str, ...], max_workers: int, events: list
-) -> list:
-    """Run *units* on a ladder of execution tiers, surviving worker loss.
-
-    Returns outcomes in submission order.  *host* is the backend that
-    owns tier 0's pool; *events* receives :class:`RecoveryEvent`s for
-    the executor to fold into stats and the degradation report.
+    Returns outcomes in submission order.  *events* receives
+    :class:`RecoveryEvent`s for the executor to fold into stats and the
+    degradation report.
     """
     units = list(units)
     if not units:
         return []
-    policy = recovery_policy_for(units)
+    policy = units[0].resilience.recovery
     crash_dir = tempfile.mkdtemp(prefix="repro-crash-")
     states = []
     by_partition: dict[int, _UnitState] = {}
@@ -340,7 +268,11 @@ def run_units_with_recovery(
         state = _UnitState(unit, index)
         states.append(state)
         by_partition[unit.partition] = state
-    if tiers[0] == "process":
+    results: dict[int, object] = {}
+    durations: list[float] = []
+    clock = make_clock(policy.clock)
+    losses = 0  # pool losses so far
+    try:
         # Pickle up front: one clear BackendError instead of an opaque
         # pool crash when a source or function library is unpicklable,
         # raised before any worker starts.
@@ -351,80 +283,49 @@ def run_units_with_recovery(
                 raise BackendError(
                     f"work unit for partition {state.unit.partition} is not "
                     f"picklable under the process backend ({error}); use "
-                    "backend='thread' or 'sequential', or make the data "
-                    "source and function library picklable",
+                    "backend='sequential', or make the data source and "
+                    "function library picklable",
                     cause=error,
                 ) from error
-    results: dict[int, object] = {}
-    durations: list[float] = []
-    clock = make_clock(policy.clock)
-    pools = _TierPools(host, max_workers)
-    tier_index = 0
-    losses = 0  # worker losses on the current tier
-    try:
-        while len(results) < len(states):
-            tier = tiers[tier_index]
+        while True:
             pending = [s for s in states if s.index not in results]
-            if tier == "sequential":
-                for state in pending:
-                    results[state.index] = run_unit_with_crash_retry(
-                        _with_offset(state.unit, state.crashes), policy, events
-                    )
-                break
-            lower_exists = tier_index + 1 < len(tiers)
             try:
-                _run_pooled_tier(
-                    tier,
-                    pools.get(tier),
+                _run_pooled(
+                    host._ensure_pool(),
                     pending,
                     results,
                     policy,
                     events,
                     clock,
                     durations,
-                    lower_exists,
-                    losses,
                 )
-            except _StepDown as step:
-                # Thread-tier losses piled up; leave the (healthy) pool
-                # alone and route the remaining units down the ladder.
-                events.append(
-                    RecoveryEvent(
-                        "ladder_step",
-                        tier=tier,
-                        to_tier=tiers[tier_index + 1],
-                        message=str(step.cause),
-                    )
-                )
-                tier_index += 1
-                losses = 0
-                continue
+                break
             except _PoolLost as loss:
                 losses += 1
+                # Drop the dead pool before the accounting below can
+                # raise: the backend outlives this query.
+                host.close()
                 _account_pool_loss(
-                    loss, crash_dir, by_partition, results, policy, events, tier
+                    loss, crash_dir, by_partition, results, policy, events
                 )
-                pools.discard(tier)
-                if losses > policy.max_losses_per_tier and lower_exists:
-                    events.append(
-                        RecoveryEvent(
-                            "ladder_step",
-                            tier=tier,
-                            to_tier=tiers[tier_index + 1],
-                            message=(
-                                f"{losses} pool loss(es) on the {tier} backend"
-                            ),
-                        )
-                    )
-                    tier_index += 1
-                    losses = 0
-                else:
-                    events.append(RecoveryEvent("pool_rebuild", tier=tier))
+            if losses <= policy.max_losses_per_tier:
+                events.append(RecoveryEvent("pool_rebuild", tier="process"))
                 continue
-            else:
-                break  # tier drained every pending unit
+            events.append(
+                RecoveryEvent(
+                    "ladder_step",
+                    tier="process",
+                    to_tier="sequential",
+                    message=f"{losses} pool loss(es) on the process backend",
+                )
+            )
+            for state in pending:
+                if state.index not in results:
+                    results[state.index] = run_unit_with_crash_retry(
+                        _with_offset(state.unit, state.crashes), events
+                    )
+            break
     finally:
-        pools.close()
         shutil.rmtree(crash_dir, ignore_errors=True)
     return [results[index] for index in range(len(states))]
 
@@ -436,7 +337,6 @@ def _account_pool_loss(
     results: dict[int, object],
     policy,
     events: list,
-    tier: str,
 ) -> None:
     """Attribute a pool breakage to the units that caused it.
 
@@ -467,7 +367,7 @@ def _account_pool_loss(
         raise RecoveryExhaustedError(
             tuple(state.unit.partition for state in exhausted),
             tuple(state.crashes for state in exhausted),
-            backend=tier,
+            backend="process",
             cause=loss.cause,
         ) from loss.cause
 
@@ -484,8 +384,7 @@ def _note_crash(state: _UnitState, message: str, events: list) -> None:
     )
 
 
-def _run_pooled_tier(
-    tier: str,
+def _run_pooled(
     pool,
     pending: list[_UnitState],
     results: dict[int, object],
@@ -493,105 +392,97 @@ def _run_pooled_tier(
     events: list,
     clock,
     durations: list[float],
-    lower_exists: bool,
-    losses_so_far: int,
 ) -> None:
-    """Drive one pooled tier until every pending unit resolves.
+    """Drive the process pool until every pending unit resolves.
 
-    Raises :class:`_PoolLost` when the process pool breaks and
-    :class:`_StepDown` when thread-tier worker losses exceed the ladder
-    budget; both leave ``results`` holding everything that finished.
+    Raises :class:`_PoolLost` when the pool breaks, leaving ``results``
+    holding everything that finished.
     """
     from concurrent.futures.process import BrokenProcessPool
+    from repro.hyracks.backends import _run_pickled_unit
 
-    losses = losses_so_far
     flights: dict[object, _Flight] = {}
 
     def launch(state: _UnitState, offset: int, speculative: bool) -> None:
+        blob = (
+            state.blob0
+            if offset == 0
+            else pickle.dumps(_with_offset(state.unit, offset))
+        )
         try:
-            future = _submit(tier, pool, state, offset)
+            future = pool.submit(_run_pickled_unit, blob)
         except BrokenProcessPool as broken:
             _harvest(flights, results)
             raise _PoolLost(broken) from broken
         flights[future] = _Flight(state, offset, speculative, clock())
 
-    for state in pending:
-        state.speculated = False
-        launch(state, state.crashes, False)
-    while flights:
-        timeout = policy.watchdog_interval_seconds if policy.speculate else None
-        done, _ = wait(set(flights), timeout=timeout, return_when=FIRST_COMPLETED)
-        # Deterministic first-result-wins: within one wakeup, process
-        # completions by unit index with the primary ahead of its
-        # speculative twin, so the selected result never depends on
-        # which future the OS happened to finish first.
-        for future in sorted(
-            done, key=lambda f: (flights[f].state.index, flights[f].speculative)
-        ):
-            flight = flights.pop(future)
-            state = flight.state
-            if state.index in results:
+    def lose_twin(flight: _Flight) -> None:
+        if flight.speculative:
+            events.append(
+                RecoveryEvent(
+                    "speculative_loss", partition=flight.state.unit.partition
+                )
+            )
+
+    try:
+        for state in pending:
+            state.speculated = False
+            launch(state, state.crashes, False)
+        while flights:
+            timeout = (
+                policy.watchdog_interval_seconds if policy.speculate else None
+            )
+            done, _ = wait(
+                set(flights), timeout=timeout, return_when=FIRST_COMPLETED
+            )
+            # Deterministic first-result-wins: within one wakeup, process
+            # completions by unit index with the primary ahead of its
+            # speculative twin, so the selected result never depends on
+            # which future the OS happened to finish first.
+            for future in sorted(
+                done,
+                key=lambda f: (flights[f].state.index, flights[f].speculative),
+            ):
+                flight = flights.pop(future)
+                state = flight.state
+                if state.index in results:
+                    lose_twin(flight)
+                    continue
+                try:
+                    outcome = future.result()
+                except CancelledError:  # pragma: no cover - defensive
+                    continue
+                except BrokenProcessPool as broken:
+                    _harvest(flights, results)
+                    raise _PoolLost(broken) from broken
+                results[state.index] = outcome
+                durations.append(max(clock() - flight.started_at, 0.0))
                 if flight.speculative:
                     events.append(
                         RecoveryEvent(
-                            "speculative_loss",
-                            partition=state.unit.partition,
-                            tier=tier,
+                            "speculative_win", partition=state.unit.partition
                         )
                     )
-                continue
-            try:
-                outcome = future.result()
-            except CancelledError:  # pragma: no cover - defensive
-                continue
-            except BrokenProcessPool as broken:
-                _harvest(flights, results)
-                raise _PoolLost(broken) from broken
-            except WorkerCrashError as crash:
-                # Thread-tier injected kill: the pool survives, only the
-                # unit's attempt is lost.
-                _note_crash(state, crash.detail or str(crash), events)
-                if state.crashes >= policy.max_unit_attempts:
-                    raise RecoveryExhaustedError(
-                        (state.unit.partition,),
-                        (state.crashes,),
-                        backend=tier,
-                        cause=crash,
-                    ) from crash
-                losses += 1
-                if losses > policy.max_losses_per_tier and lower_exists:
-                    raise _StepDown(crash) from crash
-                launch(state, state.crashes, False)
-                continue
-            results[state.index] = outcome
-            durations.append(max(clock() - flight.started_at, 0.0))
-            if flight.speculative:
-                events.append(
-                    RecoveryEvent(
-                        "speculative_win",
-                        partition=state.unit.partition,
-                        tier=tier,
-                    )
+                for other, twin in list(flights.items()):
+                    if twin.state.index == state.index and other.cancel():
+                        lose_twin(flights.pop(other))
+            if policy.speculate and flights:
+                _maybe_speculate(
+                    flights, results, policy, events, clock, durations, launch
                 )
-            for other, twin in list(flights.items()):
-                if twin.state.index == state.index and other.cancel():
-                    flights.pop(other)
-                    if twin.speculative:
-                        events.append(
-                            RecoveryEvent(
-                                "speculative_loss",
-                                partition=state.unit.partition,
-                                tier=tier,
-                            )
-                        )
-        if policy.speculate and flights:
-            _maybe_speculate(
-                tier, flights, results, policy, events, clock, durations, launch
-            )
+    except _PoolLost:
+        raise  # the broken pool has already failed every flight
+    except BaseException:
+        # An error escaped a unit, or the caller is unwinding: cancel
+        # what never started and wait out what did, so no orphaned unit
+        # outlives the query (its spill scope is removed next).
+        for future in flights:
+            future.cancel()
+        wait([future for future in flights if not future.cancelled()])
+        raise
 
 
 def _maybe_speculate(
-    tier: str,
     flights: dict,
     results: dict[int, object],
     policy,
@@ -620,11 +511,7 @@ def _maybe_speculate(
             continue
         state.speculated = True
         events.append(
-            RecoveryEvent(
-                "speculative_launch",
-                partition=state.unit.partition,
-                tier=tier,
-            )
+            RecoveryEvent("speculative_launch", partition=state.unit.partition)
         )
         # The duplicate runs as the next unit-level attempt, so an
         # attempt-1 stall (or kill) does not refire on it.

@@ -56,10 +56,10 @@ class JsonProcessor:
         ``fail_fast`` (default), ``retry``, or ``skip_partition``.  Its
         ``recovery`` field
         (:class:`~repro.resilience.policies.RecoveryPolicy`) governs
-        worker-loss recovery on the pooled backends: crashed work units
+        worker-loss recovery on the process backend: crashed work units
         are rescheduled up to ``max_unit_attempts`` times, repeated pool
-        loss steps the backend down the process→thread→sequential
-        ladder, and straggling units earn speculative duplicates.  All
+        loss steps the remaining units down to sequential execution,
+        and straggling units earn speculative duplicates.  All
         recovery is recorded on the result's ``degradation`` report and
         ``stats``.
     fault_plan:
@@ -70,13 +70,14 @@ class JsonProcessor:
         (``stall_partition``) to exercise the recovery path.
     backend:
         Execution backend for partition work: ``"sequential"``
-        (default), ``"thread"``, ``"process"``, or an
+        (default), ``"process"``, or an
         :class:`~repro.hyracks.backends.ExecutionBackend` instance.
         ``None`` consults the ``REPRO_BACKEND`` environment variable.
-        All backends produce identical results and degradation reports;
+        Both backends produce identical results and degradation reports;
         ``process`` runs partitions on real cores.
     max_workers:
-        Worker cap for the named pooled backends (default: CPU count).
+        Worker cap for the ``process`` backend (default: the cores this
+        process may run on); a non-positive count is a ``ValueError``.
     spill:
         With a memory budget set, let blocking operators (GROUP-BY,
         JOIN, ORDER-BY, sequence aggregates) spill to disk when the
@@ -260,8 +261,7 @@ class JsonProcessor:
 
         Defaults to the deterministic ``counter`` clock (spans count
         clock reads, not wall time), so profiles of seeded runs are
-        byte-identical across the sequential, thread, and process
-        backends.
+        byte-identical across the sequential and process backends.
         """
         return self.execute(query, profile=clock).profile
 
@@ -288,7 +288,7 @@ class JsonProcessor:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Release backend worker pools (threads/processes).
+        """Release the backend's worker pool.
 
         Idempotent — double-close is a no-op.  After close every
         ``execute``/``evaluate``/``profile`` raises

@@ -245,10 +245,10 @@ class FaultPlan:
         """Make *partition*'s worker die abruptly on unit attempt *attempt*.
 
         Under the process backend the worker calls ``os._exit`` (a real
-        abrupt death that breaks the pool); under the thread and
-        sequential backends the same schedule raises
-        :class:`~repro.errors.WorkerCrashError` so recovery behaves
-        identically across backends.  Attempts are 1-based and count
+        abrupt death that breaks the pool); under the sequential
+        backend (and the process backend's sequential tier) the same
+        schedule raises :class:`~repro.errors.WorkerCrashError` so
+        recovery behaves identically across backends.  Attempts are 1-based and count
         unit executions across worker restarts.
         """
         if attempt < 1:

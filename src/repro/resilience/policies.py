@@ -15,8 +15,10 @@ Three independent knobs:
 - the **recovery policy** (:class:`RecoveryPolicy`) decides what the
   execution backend does when a *worker* dies or straggles: how many
   times a crashed work unit may be rescheduled, when repeated pool loss
-  steps the backend down the process→thread→sequential degradation
-  ladder, and when a slow unit earns a speculative duplicate.
+  steps the remaining units down the process→sequential degradation
+  ladder, and when a slow unit earns a speculative duplicate.  It has
+  no off switch: the recovery engine is the process backend's only
+  dispatch loop.
 """
 
 from __future__ import annotations
@@ -45,18 +47,14 @@ class RecoveryPolicy:
 
     Parameters
     ----------
-    enabled:
-        Master switch.  When False the backends keep the pre-recovery
-        behaviour: a dead process-pool worker aborts the whole query
-        with a :class:`~repro.errors.BackendError`.
     max_unit_attempts:
         How many times one work unit may *start* (first run plus
         crash reschedules).  A unit that kills its worker this many
         times raises :class:`~repro.errors.RecoveryExhaustedError`
         instead of looping.
     max_losses_per_tier:
-        Worker losses tolerated on one ladder tier before the backend
-        steps down (process→thread→sequential) for the remaining units.
+        Pool losses tolerated before the process backend runs the
+        remaining units sequentially (process→sequential).
     speculate:
         Launch a speculative duplicate for straggling units
         (first-result-wins; the result stays byte-identical because the
@@ -74,7 +72,6 @@ class RecoveryPolicy:
         name an injectable clock).
     """
 
-    enabled: bool = True
     max_unit_attempts: int = 3
     max_losses_per_tier: int = 2
     speculate: bool = True

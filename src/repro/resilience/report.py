@@ -73,7 +73,7 @@ class WorkerLossEvent:
     worker restarts, and the recovery layer records losses in partition
     order within each pool breakage.  Deliberately backend-neutral
     (``os._exit`` under the process backend and the simulated crash
-    under thread/sequential record the same event), so crash-injected
+    under sequential record the same event), so crash-injected
     reports stay byte-identical across backends.
     """
 

@@ -11,8 +11,8 @@ controller fielding many concurrent queries:
   catalog, so concurrent query threads never see each other's events;
 - **a shared backend pool**: one
   :class:`~repro.hyracks.backends.ExecutionBackend` per concurrency
-  slot, owned by that slot's worker thread.  Pools (threads or forked
-  processes) persist across queries, so fork/spawn cost is paid once —
+  slot, owned by that slot's worker thread.  Pools of forked
+  processes persist across queries, so fork/spawn cost is paid once —
   but no backend instance is ever shared by two in-flight queries,
   because backends carry per-run recovery/pool state;
 - **admission control**: a bounded queue with per-tenant
@@ -339,7 +339,7 @@ class QueryService:
         Rewrite-toggle config applied to every query (default: all
         rules).  Part of the plan-cache key.
     backend:
-        Backend *name* (``"sequential"`` | ``"thread"`` | ``"process"``)
+        Backend *name* (``"sequential"`` | ``"process"``)
         for partition work; ``None`` consults ``REPRO_BACKEND``.  The
         service builds one backend instance per concurrency slot, so
         instances are not accepted here.

@@ -293,7 +293,7 @@ class TestProcessorIntegration:
 
     def test_warm_profiles_byte_identical_across_backends(self, tmp_path):
         blobs = {}
-        for backend in ("sequential", "thread", "process"):
+        for backend in ("sequential", "process"):
             cache_dir = str(tmp_path / f"cache-{backend}")
             with self.processors(
                 tmp_path, backend=backend, segment_cache_dir=cache_dir
@@ -302,7 +302,6 @@ class TestProcessorIntegration:
                 blobs[backend] = json.dumps(
                     p.profile(Q0).to_dict(), sort_keys=True
                 )
-        assert blobs["sequential"] == blobs["thread"]
         assert blobs["sequential"] == blobs["process"]
 
     def test_retried_partition_matches_uncached_run(self, tmp_path):

@@ -45,7 +45,7 @@ def _partitions():
     return [[f"{RECORDS[0]}\n{RECORDS[1]}"], [f"{RECORDS[2]}\n{RECORDS[3]}"]]
 
 
-@pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+@pytest.mark.parametrize("backend", ["sequential", "process"])
 @pytest.mark.parametrize("two_step", [True, False], ids=["2step", "1step"])
 @pytest.mark.parametrize(
     "query, expected",

@@ -154,11 +154,11 @@ class TestSmallMatrix:
     def test_runs_clean(self, tmp_path):
         report = run_diffcheck(seed=0, budget="small")
         assert report.ok, [m.to_dict() for m in report.mismatches]
-        # 5 queries x (6 toggles x 3 backends x 2 projections + 3
-        # forced-spill cells + 3 crash-injected cells + 5 cost-off
+        # 5 queries x (6 toggles x 2 backends x 2 projections + 2
+        # forced-spill cells + 2 crash-injected cells + 4 cost-off
         # cells), with every projected cell swept across the 3-mode
-        # scan axis: (18*3 + 18) + 3*3 + 3*3 + 5*3 = 105 runs per query.
-        assert report.paper_cells == 525
+        # scan axis: (12*3 + 12) + 2*3 + 2*3 + 4*3 = 72 runs per query.
+        assert report.paper_cells == 360
         assert report.generated_cases == BUDGETS["small"][0]
         # 6 toggles (projected -> x3 scan modes) + 3 rotating cells
         # (scan-mode, crash, cost-off); consecutive rotation offsets

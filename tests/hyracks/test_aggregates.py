@@ -158,7 +158,7 @@ class TestTypeChecks:
         with JsonProcessor(source=source, rewrite=config, backend=backend) as processor:
             return processor.execute(query).items
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
     @pytest.mark.parametrize("rewrites", ["all", "none"])
     @pytest.mark.parametrize("shape", ["grouped", "ungrouped"])
     @pytest.mark.parametrize("function", ["sum", "avg", "min", "max"])
@@ -177,7 +177,7 @@ class TestTypeChecks:
         assert isinstance(error, ItemTypeError)
         assert str(error) == f"{function}() expects a number, got string"
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
     @pytest.mark.parametrize("shape", ["grouped", "ungrouped"])
     @pytest.mark.parametrize(
         "function,expected", [("sum", 11), ("avg", 2.75), ("min", 1.5), ("max", 4)]

@@ -1,4 +1,4 @@
-"""Execution backends: three-way parity, picklability, and distribution."""
+"""Execution backends: parity, picklability, and distribution."""
 
 import json
 import pickle
@@ -13,11 +13,11 @@ from repro import (
     ResilienceConfig,
     RetryPolicy,
     SequentialBackend,
-    ThreadBackend,
 )
 from repro.data.catalog import CollectionCatalog
 from repro.errors import PartitionExecutionError
 from repro.hyracks.backends import (
+    BACKENDS,
     BackendError,
     PipelinedWork,
     WorkUnit,
@@ -29,7 +29,7 @@ from repro.hyracks.cluster import ClusterSpec
 from repro.hyracks.executor import QueryResult
 from repro.resilience import TransientFaultError
 
-BACKEND_NAMES = ["sequential", "thread", "process"]
+BACKEND_NAMES = ["sequential", "process"]
 
 QUERY = 'for $r in collection("/events") return $r("v")'
 COUNT_QUERY = 'count(for $r in collection("/events") return $r)'
@@ -101,8 +101,7 @@ class TestCleanParity:
     )
     def test_backends_agree_on_clean_runs(self, query):
         reference = fingerprint(run_backend("sequential", query))
-        for name in ("thread", "process"):
-            assert fingerprint(run_backend(name, query)) == reference
+        assert fingerprint(run_backend("process", query)) == reference
 
     def test_result_records_backend_and_parallel_wall(self):
         for name in BACKEND_NAMES:
@@ -190,7 +189,6 @@ class TestFaultParity:
                     on_malformed=on_malformed,
                 )
             )
-        assert results["thread"] == results["sequential"]
         assert results["process"] == results["sequential"]
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -248,8 +246,13 @@ class TestPicklability:
         source = make_source()
         source.poison = lambda: None  # lambdas cannot pickle
         processor = JsonProcessor(source=source, backend="process")
-        with processor, pytest.raises(BackendError, match="not\\s+picklable"):
+        with processor, pytest.raises(
+            BackendError, match="not\\s+picklable"
+        ) as excinfo:
             processor.execute(QUERY)
+        # the advice names only a backend that exists
+        assert "backend='sequential'" in str(excinfo.value)
+        assert "thread" not in str(excinfo.value)
 
 
 class TestResolution:
@@ -258,18 +261,35 @@ class TestResolution:
             resolve_backend("gpu")
 
     def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert resolve_backend(None).name == "thread"
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert resolve_backend(None).name == "process"
         monkeypatch.delenv("REPRO_BACKEND")
         assert resolve_backend(None).name == "sequential"
+
+    def test_retired_thread_backend_is_an_unknown_name(self, monkeypatch):
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            resolve_backend("thread")
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            JsonProcessor(source=make_source())
+        assert list(BACKENDS) == ["sequential", "process"]
 
     def test_instance_passthrough_rejects_max_workers(self):
         backend = SequentialBackend()
         assert resolve_backend(backend) is backend
         with pytest.raises(ValueError, match="max_workers"):
-            resolve_backend(ThreadBackend(), max_workers=2)
+            resolve_backend(ProcessBackend(), max_workers=2)
 
-    @pytest.mark.parametrize("backend_class", [ThreadBackend, ProcessBackend])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_max_workers_rejected_at_resolution(self, count):
+        # not at the first query, from inside ProcessPoolExecutor
+        for backend in BACKEND_NAMES:
+            with pytest.raises(ValueError, match="max_workers"):
+                JsonProcessor(
+                    source=make_source(), backend=backend, max_workers=count
+                )
+
+    @pytest.mark.parametrize("backend_class", [ProcessBackend])
     def test_default_workers_follow_the_cpu_affinity(self, backend_class, monkeypatch):
         import os
 
@@ -309,7 +329,7 @@ class TestSimulatedSeconds:
         assert raw == pytest.approx(cluster.makespan([1.0, 3.0]))
         assert smoothed < raw
 
-    @pytest.mark.parametrize("name", ["thread", "process"])
+    @pytest.mark.parametrize("name", ["process"])
     def test_parallel_backends_never_smooth(self, name):
         cluster = ClusterSpec(nodes=1, cores_per_node=2)
         result = QueryResult([], partition_seconds=[1.0, 3.0], backend=name)

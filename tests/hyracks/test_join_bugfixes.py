@@ -128,7 +128,7 @@ class TestMultiItemJoinKeys:
     def test_exchange_path_raises(self):
         with JsonProcessor(
             source=measurements_source(MEASUREMENTS, partitions=2),
-            backend="thread",
+            backend="process",
             max_workers=2,
         ) as processor:
             assert_multiseq_error(lambda: processor.evaluate(SELF_JOIN))

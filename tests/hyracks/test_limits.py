@@ -220,7 +220,7 @@ class TestQueryLevelLimits:
         # A query-global limit is not a partition fault: no retries.
         assert exc_info.value.degradation.retry_count == 0
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_deadline_crosses_backends(self, tmp_path, backend):
         processor = JsonProcessor(
             source=make_source(),

@@ -2,7 +2,10 @@
 straggler speculation, and error plumbing."""
 
 import json
+import os
 import pickle
+import tempfile
+import time
 
 import pytest
 
@@ -17,9 +20,8 @@ from repro import (
     ResilienceConfig,
     WorkerCrashError,
 )
-from repro.hyracks.backends import PipelinedWork, WorkUnit
 
-BACKEND_NAMES = ["sequential", "thread", "process"]
+BACKEND_NAMES = ["sequential", "process"]
 
 QUERY = 'for $r in collection("/events") return $r("v")'
 GROUP_QUERY = (
@@ -97,7 +99,6 @@ class TestCrashRecovery:
             plan = FaultPlan().kill_worker(2, attempt=1)
             result = run_backend(name, plan=plan, max_workers=1)
             dicts[name] = result.degradation.to_dict()
-        assert dicts["thread"] == dicts["sequential"]
         assert dicts["process"] == dicts["sequential"]
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -119,11 +120,8 @@ class TestCrashRecovery:
             .kill_worker(2, attempt=2)
             .kill_worker(2, attempt=3)
         )
-        # max_workers=1 would take ThreadBackend's inline fast path,
-        # which attributes exhaustion to the sequential tier.
-        workers = 2 if name == "thread" else 1
         with pytest.raises(RecoveryExhaustedError) as excinfo:
-            run_backend(name, plan=plan, max_workers=workers)
+            run_backend(name, plan=plan, max_workers=1)
         error = excinfo.value
         assert error.partitions == (2,)
         assert error.attempts == (3,)
@@ -147,38 +145,70 @@ class TestCrashRecovery:
         assert isinstance(clone.__cause__, WorkerCrashError)
         assert clone.__cause__.partition == 2
 
+    def test_exhausted_recovery_leaves_no_broken_pool_behind(self):
+        """A backend outlives its queries (a processor across executes,
+        a service slot): the query after an exhausted one must start on
+        a fresh pool, not inherit the dead one and report its loss."""
+        plan = (
+            FaultPlan()
+            .kill_worker(2, attempt=1)
+            .kill_worker(2, attempt=2)
+            .kill_worker(2, attempt=3)
+        )
+        backend = ProcessBackend(max_workers=1)
+        try:
+            doomed = JsonProcessor(
+                source=make_source(), fault_plan=plan, backend=backend
+            )
+            with pytest.raises(RecoveryExhaustedError):
+                doomed.execute(QUERY)
+            assert backend._pool is None
+            result = JsonProcessor(
+                source=make_source(), backend=backend
+            ).execute(QUERY)
+        finally:
+            backend.close()
+        assert result.items == run_backend("sequential").items
+        assert result.degradation.worker_losses == []
+        assert not result.degradation.is_degraded
+        assert result.stats.worker_crashes == 0
+        assert result.stats.pool_rebuilds == 0
+
 
 class TestDegradationLadder:
     @pytest.mark.parametrize(
-        "name,workers,expected_step",
+        "kills",
         [
-            # thread needs >= 2 workers to route through the recovery
-            # engine (1 worker takes the inline fast path, no ladder)
-            ("thread", 2, ("thread", "sequential")),
-            ("process", 1, ("process", "thread")),
+            # two pool losses step down; partition 2's first-attempt kill
+            # then fires on the sequential tier
+            [(0, 1), (1, 1), (2, 1)],
+            # partition 1 is pending with one crash at the step-down: its
+            # attempt offset is carried, so the kill scheduled for its
+            # attempt 2 fires on the sequential tier, once
+            [(0, 1), (1, 1), (1, 2)],
         ],
+        ids=["process-first-attempts", "process-carried-offset"],
     )
-    def test_repeated_loss_steps_down_the_ladder(
-        self, name, workers, expected_step
-    ):
-        plan = (
-            FaultPlan()
-            .kill_worker(0, attempt=1)
-            .kill_worker(1, attempt=1)
-            .kill_worker(2, attempt=1)
-        )
+    def test_repeated_loss_steps_down_the_ladder(self, kills):
+        plan = FaultPlan()
+        for partition, attempt in kills:
+            plan.kill_worker(partition, attempt=attempt)
         config = ResilienceConfig(
             recovery=RecoveryPolicy(max_losses_per_tier=1, speculate=False)
         )
         baseline = run_backend("sequential")
-        result = run_backend(name, plan=plan, config=config, max_workers=workers)
+        result = run_backend(
+            "process", plan=plan, config=config, max_workers=1
+        )
         assert result.items == baseline.items
         report = result.degradation
-        assert len(report.worker_losses) == 3
+        assert [
+            (loss.partition, loss.attempt) for loss in report.worker_losses
+        ] == kills
         assert [
             (step.from_backend, step.to_backend)
             for step in report.ladder_steps
-        ] == [expected_step]
+        ] == [("process", "sequential")]
         assert result.stats.ladder_steps == 1
         assert any("degraded backend" in line for line in report.warnings)
 
@@ -197,7 +227,7 @@ class TestSpeculation:
         plan = FaultPlan().stall_partition(3, seconds=1.0)
         config = ResilienceConfig(recovery=speculation_policy())
         baseline = run_backend("sequential")
-        result = run_backend("thread", plan=plan, config=config, max_workers=2)
+        result = run_backend("process", plan=plan, config=config, max_workers=2)
         assert result.items == baseline.items
         assert result.stats.speculative_launched >= 1
         # Speculation never shows up on the degradation report: it is
@@ -210,27 +240,13 @@ class TestSpeculation:
             recovery=speculation_policy(speculate=False)
         )
         baseline = run_backend("sequential")
-        result = run_backend("thread", plan=plan, config=config, max_workers=2)
+        result = run_backend("process", plan=plan, config=config, max_workers=2)
         assert result.items == baseline.items
         assert result.stats.speculative_launched == 0
 
     def test_policy_rejects_unknown_clock(self):
         with pytest.raises(ValueError, match="clock"):
             RecoveryPolicy(clock="sundial")
-
-
-class TestRecoveryDisabled:
-    def test_process_kill_is_terminal_when_disabled(self):
-        plan = FaultPlan().kill_worker(1, attempt=1)
-        config = ResilienceConfig(recovery=RecoveryPolicy(enabled=False))
-        with pytest.raises(BackendError):
-            run_backend("process", plan=plan, config=config, max_workers=2)
-
-    def test_thread_kill_is_terminal_when_disabled(self):
-        plan = FaultPlan().kill_worker(1, attempt=1)
-        config = ResilienceConfig(recovery=RecoveryPolicy(enabled=False))
-        with pytest.raises(WorkerCrashError):
-            run_backend("thread", plan=plan, config=config, max_workers=2)
 
 
 class TestErrorPlumbing:
@@ -256,35 +272,63 @@ class TestErrorPlumbing:
         assert "partition 3" in str(clone)
 
 
+class BuggyWrapper:
+    """A source wrapper with a bug: scanning partition 0 raises an error
+    that is neither ``ReproError`` nor ``OSError``, so it escapes the
+    work unit.  Every other partition logs when its (slow) scan starts
+    and finishes; partition 0 waits for one of them to be in flight."""
+
+    def __init__(self, inner, log_dir: str):
+        self.inner = inner
+        self.log_dir = log_dir
+
+    def partition_count(self, name):
+        return self.inner.partition_count(name)
+
+    def _log(self, event: str, partition: int) -> None:
+        open(os.path.join(self.log_dir, f"{event}-{partition}"), "w").close()
+
+    def logged(self, event: str) -> set:
+        """The partitions that logged *event*."""
+        return {
+            int(name.split("-")[1])
+            for name in os.listdir(self.log_dir)
+            if name.startswith(event)
+        }
+
+    def scan_collection(self, name, path, partition=None):
+        if partition == 0:
+            give_up = time.monotonic() + 10.0
+            while not self.logged("started") and time.monotonic() < give_up:
+                time.sleep(0.005)
+            raise ValueError("bug in the source wrapper")
+        self._log("started", partition)
+        time.sleep(0.2)
+        items = list(self.inner.scan_collection(name, path, partition))
+        self._log("finished", partition)
+        return iter(items)
+
+
 class TestLegacyPathDrain:
     def test_abandoned_generator_leaves_pool_reusable(self):
-        """Closing a legacy-path run_units generator mid-iteration must
-        drain in-flight futures so the pool survives for the next query
-        (regression: the old finally only cancelled)."""
-        config = ResilienceConfig(recovery=RecoveryPolicy(enabled=False))
-        source = make_source()
+        """An error escaping one unit abandons the others mid-flight: the
+        engine must cancel what never started and wait out what did, so
+        no orphan runs on under a query that has already failed (and
+        whose spill scope is gone) or ahead of the next query's units."""
+        baseline = run_backend("sequential").items
         backend = ProcessBackend(max_workers=2)
         try:
-            processor = JsonProcessor(
-                source=source, resilience=config, backend=backend
-            )
-            plan = processor.compile(QUERY).plan
-            units = [
-                WorkUnit(
-                    plan=plan,
-                    partition=p,
-                    work=PipelinedWork(plan),
-                    source=source,
-                    functions=None,
-                    memory_budget=None,
-                    resilience=config,
-                )
-                for p in range(PARTITIONS)
-            ]
-            gen = backend.run_units(units)
-            next(gen)
-            gen.close()  # abandon with futures still in flight
-            result = processor.execute(QUERY)
-            assert result.items == run_backend("sequential").items
+            with tempfile.TemporaryDirectory() as log_dir:
+                source = BuggyWrapper(make_source(), log_dir)
+                with pytest.raises(ValueError, match="bug in the source"):
+                    JsonProcessor(source=source, backend=backend).execute(QUERY)
+                started = source.logged("started")
+                finished = source.logged("finished")
+            assert started  # the error surfaced with a unit in flight
+            assert finished == started
+            result = JsonProcessor(
+                source=make_source(), backend=backend
+            ).execute(QUERY)
+            assert result.items == baseline
         finally:
             backend.close()

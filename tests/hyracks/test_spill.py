@@ -249,7 +249,7 @@ class TestQueryLevelByteIdentity:
         assert result.stats.spill_events == 0
         assert result.stats.spill_run_files == 0
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_backends_match(self, spill_root, backend):
         source = make_source()
         unlimited = run(source, GROUP_QUERY)

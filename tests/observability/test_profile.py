@@ -3,7 +3,7 @@
 Covers the clock registry, profile-config resolution (including the
 ``REPRO_PROFILE`` environment variable), the collector's snapshot/absorb
 round trip, and the headline guarantee: profiles of a seeded run are
-byte-identical across the sequential, thread, and process backends.
+byte-identical across the sequential and process backends.
 """
 
 import json
@@ -238,13 +238,12 @@ class TestBackendParity:
     @pytest.mark.parametrize("query", QUERIES)
     def test_three_way_parity(self, query):
         blobs = {}
-        for backend in ("sequential", "thread", "process"):
+        for backend in ("sequential", "process"):
             with processor(backend=backend) as p:
                 result = p.execute(query, profile="counter")
                 blobs[backend] = json.dumps(
                     result.profile.to_dict(), sort_keys=True
                 )
-        assert blobs["sequential"] == blobs["thread"]
         assert blobs["sequential"] == blobs["process"]
 
     def test_repeated_runs_identical(self):

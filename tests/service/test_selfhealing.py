@@ -3,7 +3,7 @@ retry, load shedding, and the per-tenant circuit breaker.
 
 Slot death is injected *in the service layer* (the worker thread raises
 after claiming a request), so the same schedule is exercised identically
-on the sequential, thread, and process backends — the determinism the
+on the sequential and process backends — the determinism the
 cross-backend parametrisation below pins down.  Breaker and shedding
 tests run on scripted clocks from the injectable ``CLOCKS`` registry,
 so no assertion depends on wall time.
@@ -39,7 +39,7 @@ from tests.service.conftest import (
     make_source,
 )
 
-BACKENDS = ["sequential", "thread", "process"]
+BACKENDS = ["sequential", "process"]
 
 
 def make_gated():

@@ -30,7 +30,7 @@ def references(source):
 
 
 class TestConcurrentEquivalence:
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
     def test_threads_byte_identical_to_one_shot(self, backend):
         source = make_source(records_per_partition=40)
         expected = references(source)

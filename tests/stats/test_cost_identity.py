@@ -1,7 +1,7 @@
 """Cost-on/off equivalence across every execution backend.
 
 The headline guarantee of the cost phase: for a given plan (cost on or
-cost off), the sequential, thread, and process backends produce
+cost off), the sequential and process backends produce
 byte-identical items; and the cost-on plan's results are canonically
 equal (same multiset) to the cost-off plan's, including under a spill
 budget and with an injected worker crash.
@@ -15,7 +15,7 @@ from repro import JsonProcessor
 from repro.data.catalog import InMemorySource
 from repro.resilience.faults import FaultPlan
 
-BACKENDS = ("sequential", "thread", "process")
+BACKENDS = ("sequential", "process")
 
 # A workload that triggers all three per-join decisions: the tiny
 # dimension table broadcasts, the skewed fact join splits its hot key,

@@ -40,9 +40,9 @@ class TestConsumersHonourTheRule:
         assert resolve_backend(None).name == "sequential"
         monkeypatch.setenv("REPRO_BACKEND", "")
         assert resolve_backend(None).name == "sequential"
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         backend = resolve_backend(None)
-        assert backend.name == "thread"
+        assert backend.name == "process"
         backend.close()
         # explicit argument beats the environment
         assert resolve_backend("sequential").name == "sequential"

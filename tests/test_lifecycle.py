@@ -38,7 +38,7 @@ class TestProcessorLifecycle:
         with pytest.raises(ProcessorClosedError):
             processor.evaluate(COUNT_QUERY)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_exception_inside_with_block_shuts_pools_down(self, backend):
         with pytest.raises(ReproError):
             with JsonProcessor(

@@ -5,7 +5,7 @@ Generates a synthetic partitioned sensor collection and writes two
 reports:
 
 ``BENCH_parallel.json`` (default) — runs Q0 / Q1 / Q2 under each
-backend (``sequential``, ``thread``, ``process``): measured parallel
+backend (``sequential``, ``process``): measured parallel
 wall seconds of the partition phases, scanned items per second, the
 speedup relative to the sequential backend on the same query, and a
 cold vs warm segment-cache column per backend.  Every backend's items
@@ -27,7 +27,7 @@ Usage::
 
     PYTHONPATH=src python tools/bench.py \
         [--out BENCH_parallel.json] [--partitions 4] \
-        [--mib-per-partition 4] [--repeat 3] [--backends process,thread]
+        [--mib-per-partition 4] [--repeat 3] [--backends process]
     PYTHONPATH=src python tools/bench.py --scan [--scan-out BENCH_scan.json]
 """
 
@@ -45,7 +45,7 @@ import time
 from repro import JsonProcessor, SensorDataConfig, write_sensor_collection
 from repro.cache.config import SCAN_MODES
 from repro.data.catalog import CollectionCatalog
-from repro.hyracks.backends import usable_cores
+from repro.hyracks.backends import BACKENDS, usable_cores
 from repro.jsonlib.path import parse_path
 from repro.bench.queries import q0, q1, q2
 
@@ -288,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--backends",
-        default="thread,process",
+        default=",".join(name for name in BACKENDS if name != "sequential"),
         help="comma-separated backends to compare against sequential",
     )
     args = parser.parse_args(argv)

@@ -16,7 +16,7 @@ Usage::
 
     PYTHONPATH=src python tools/bench_cost.py \
         [--out BENCH_cost.json] [--scale 1] [--repeat 1] \
-        [--backends sequential,thread]
+        [--backends sequential,process]
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import sys
 
 from repro import JsonProcessor
 from repro.data.catalog import InMemorySource
+from repro.hyracks.backends import BACKENDS
 
 ANNOTATION = re.compile(r"\[(?:build|exchange|skew)[^]]*\]")
 
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument(
         "--backends",
-        default="sequential,thread",
+        default=",".join(BACKENDS),
         help="comma-separated backends to run",
     )
     args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ Usage::
 
     PYTHONPATH=src python tools/bench_service.py \
         [--out BENCH_service.json] [--partitions 4] \
-        [--mib-per-partition 2] [--backends sequential,thread,process] \
+        [--mib-per-partition 2] [--backends sequential,process] \
         [--tenants 3] [--smoke]
 
 ``--smoke`` shrinks the dataset for CI.
@@ -48,7 +48,7 @@ from repro import (
     write_sensor_collection,
 )
 from repro.data.catalog import CollectionCatalog
-from repro.hyracks.backends import usable_cores
+from repro.hyracks.backends import BACKENDS, usable_cores
 from repro.bench.queries import q0, q0b, q1, q1b, q2
 
 QUERIES = {"Q0": q0, "Q0b": q0b, "Q1": q1, "Q1b": q1b, "Q2": q2}
@@ -210,9 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH_service.json")
     parser.add_argument("--partitions", type=int, default=4)
     parser.add_argument("--mib-per-partition", type=float, default=2.0)
-    parser.add_argument(
-        "--backends", default="sequential,thread,process"
-    )
+    parser.add_argument("--backends", default=",".join(BACKENDS))
     parser.add_argument("--tenants", type=int, default=3)
     parser.add_argument("--rounds", type=int, default=2)
     parser.add_argument(

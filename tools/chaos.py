@@ -3,8 +3,8 @@
 
 Sweeps a battery of named fault schedules — worker kills (``os._exit``
 under the process backend), stalled partitions, and combinations with
-transient partition failures — across the paper-shaped query set on all
-three backends, and asserts every disturbed run's result is
+transient partition failures — across the paper-shaped query set on
+every backend, and asserts every disturbed run's result is
 byte-identical to an undisturbed sequential baseline.  This is the CI
 gate that worker-loss recovery, the degradation ladder, and straggler
 speculation are semantics-preserving.
@@ -33,6 +33,7 @@ from repro import (
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.hyracks.backends import BACKENDS
 
 PARTITIONS = 4
 PER_PARTITION = 6
@@ -53,7 +54,7 @@ QUERIES = {
     ),
 }
 
-BACKEND_NAMES = ("sequential", "thread", "process")
+BACKEND_NAMES = tuple(BACKENDS)
 
 
 def make_source() -> InMemorySource:

@@ -2,7 +2,7 @@
 """Service chaos harness: slot death, cache corruption, disk-full, storms.
 
 Builds a small on-disk catalog in a tempdir, then sweeps disturbance
-scenarios across all three execution backends through the long-lived
+scenarios across every execution backend through the long-lived
 ``QueryService`` — the *service-level* counterpart of ``tools/chaos.py``
 (which disturbs a single ``JsonProcessor`` run):
 
@@ -45,6 +45,7 @@ import tempfile
 
 from repro import FaultPlan, QueryService
 from repro.data.catalog import CollectionCatalog
+from repro.hyracks.backends import BACKENDS
 
 PARTITIONS = 4
 PER_PARTITION = 6
@@ -61,7 +62,7 @@ QUERIES = {
 # Scan-shaped queries that actually exercise the segment cache.
 CACHE_QUERIES = ("pipelined", "count")
 
-BACKEND_NAMES = ("sequential", "thread", "process")
+BACKEND_NAMES = tuple(BACKENDS)
 
 
 def build_data(root: str) -> str:

@@ -40,6 +40,7 @@ from repro import (
     write_sensor_collection,
 )
 from repro.bench.queries import q0, q1, q2
+from repro.hyracks.backends import BACKENDS
 
 QUERIES = {"Q0": q0, "Q1": q1, "Q2": q2}
 
@@ -130,8 +131,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rewrite", choices=sorted(REWRITE_PRESETS), default="all")
     parser.add_argument(
         "--backend",
+        choices=list(BACKENDS),
         default="sequential",
-        help="execution backend: sequential | thread | process",
+        help="execution backend",
     )
     args = parser.parse_args(argv)
     report = run(args)
