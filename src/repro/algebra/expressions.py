@@ -16,6 +16,15 @@ semantics; :meth:`Expression.evaluate` just compiles and calls it.
 Compiling never raises for a defect in the query (an unknown function,
 an unknown treat type): the closure raises when a tuple reaches it.
 
+A node that yields at most one item per tuple may also have a **column
+form** (:meth:`Expression.compile_column`): the same semantics over a
+*frame*, a dict from variable name to a column with one entry per row
+(the item, or ``ABSENT`` for the empty sequence).  A column form is a
+comprehension around the item-level rule its closure applies, and it
+only has to be right where nothing raises: the runtime re-runs a frame
+whose column evaluation raised through the closures, which stay the
+authority on errors.
+
 The node vocabulary matches what the paper's plans use:
 
 - variable references and literals,
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import datetime
 import operator
+from itertools import compress
 from typing import Callable, Iterable, Sequence as TypingSequence
 
 from repro.errors import (
@@ -49,7 +59,13 @@ from repro.errors import (
     UnknownFunctionError,
 )
 from repro.algebra.context import EvaluationContext, charge_sequence
-from repro.jsonlib.items import Item, is_atomic, item_type_name
+from repro.jsonlib.items import (
+    ABSENT,
+    Item,
+    atomize,
+    atomize_column,
+    item_type_name,
+)
 from repro.jsonlib.path import (
     KeysOrMembers,
     Path,
@@ -65,6 +81,31 @@ Evaluator = Callable[[Tuple, EvaluationContext], list]
 Condition = Callable[[Tuple, EvaluationContext], bool]
 #: the builtin library a node compiles against: ``(name, arity) -> f``
 FunctionLibrary = dict
+#: a frame: variable name -> column, plus under ``None`` the position of
+#: each live row in the frame as the scan cut it
+Frame = dict
+
+
+def narrow(frame: Frame, mask: list) -> Frame:
+    """*frame* cut down, every column alike, to the rows *mask* holds on
+    (a mask entry is True, False or ``ABSENT``)."""
+    if mask.count(True) == len(mask):
+        return frame
+    return {
+        name: list(compress(column, mask)) for name, column in frame.items()
+    }
+
+
+def compile_mask(node: "Expression", functions: FunctionLibrary):
+    """The column form of ``node.compile_condition``: one truth value per
+    live row (``ABSENT`` reads false), or None when *node* has none."""
+    column = node.compile_column(functions)
+    if column is None or isinstance(node, (ComparisonExpr, _BooleanExpr)):
+        return column  # such a column holds only True, False and ABSENT
+    return lambda frame: [
+        item is not ABSENT and effective_boolean_value([item])
+        for item in column(frame)
+    ]
 
 
 class Expression:
@@ -101,6 +142,14 @@ class Expression:
         """
         evaluator = self.compile(functions)
         return lambda tup, ctx: effective_boolean_value(evaluator(tup, ctx))
+
+    def compile_column(
+        self, functions: FunctionLibrary
+    ) -> Callable[[Frame], list] | None:
+        """This node's column form ``fn(frame) -> column``, or None (the
+        default): a node opts in when it yields at most one item per row
+        and every sub-expression has a column form too."""
+        return None
 
     def evaluate(self, tup: Tuple, ctx: EvaluationContext) -> list:
         """Compile and evaluate once (one-off callers and tests)."""
@@ -175,6 +224,10 @@ class VariableRef(Expression):
                 raise UnboundVariableError(name) from None
 
         return variable
+
+    def compile_column(self, functions):
+        name = self.name
+        return lambda frame: frame[name]
 
     def to_string(self):
         return f"${self.name}"
@@ -374,6 +427,16 @@ class PathStepExpr(Expression):
 
         return keys_or_members
 
+    def compile_column(self, functions):
+        source = self.input.compile_column(functions)
+        if source is None or not isinstance(self.step, ValueByKey):
+            return None  # the other steps can yield several items a row
+        key = self.step.key
+        return lambda frame: [
+            item[key] if isinstance(item, dict) and key in item else ABSENT
+            for item in source(frame)
+        ]
+
     def to_string(self):
         return f"{self.input.to_string()}{self.step}"
 
@@ -500,13 +563,16 @@ class DataExpr(Expression):
         def data(tup, ctx):
             sequence = source(tup, ctx)
             for item in sequence:
-                if not is_atomic(item):
-                    raise ItemTypeError(
-                        f"cannot atomize a {item_type_name(item)} item"
-                    )
+                atomize(item)
             return sequence
 
         return data
+
+    def compile_column(self, functions):
+        source = self.input.compile_column(functions)
+        if source is None:
+            return None
+        return lambda frame: atomize_column(source(frame))
 
     def to_string(self):
         return f"data({self.input.to_string()})"
@@ -628,6 +694,18 @@ class FunctionCallExpr(Expression):
             [argument(tup, ctx) for argument in arguments]
         )
 
+    def compile_column(self, functions):
+        # Only a library entry derived from an item kernel has a
+        # ``column``; a custom function under a builtin's name has none.
+        function = functions.get((self.name, len(self.args)))
+        column = getattr(function, "column", None)
+        if column is None or len(self.args) != 1:
+            return None
+        argument = self.args[0].compile_column(functions)
+        if argument is None:
+            return None
+        return lambda frame: column(argument(frame))
+
     def to_string(self):
         rendered = ", ".join(arg.to_string() for arg in self.args)
         return f"{self.name}({rendered})"
@@ -673,25 +751,42 @@ _COMPARISON_OPS = {
 }
 
 
+#: ``c op x`` is ``x _FLIPPED[op] c``
+_FLIPPED = {"eq": "eq", "ne": "ne", "lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}
+
 #: item types whose values compare with another value of the same type
-_SELF_COMPARABLE = frozenset(
-    {bool, int, float, str, datetime.datetime, type(None)}
-)
+_SELF_COMPARABLE = frozenset({bool, int, float, str, datetime.datetime})
 
 
 def _comparable(left: Item, right: Item) -> bool:
-    """True when a value comparison between the two items is defined."""
+    """True when the two (non-null) items are ordered against each other."""
     if isinstance(left, bool) or isinstance(right, bool):
         return isinstance(left, bool) and isinstance(right, bool)
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
         return True
     if isinstance(left, str) and isinstance(right, str):
         return True
-    if isinstance(left, datetime.datetime) and isinstance(
+    return isinstance(left, datetime.datetime) and isinstance(
         right, datetime.datetime
-    ):
-        return True
-    return left is None and right is None
+    )
+
+
+def _compare_unlike(op: str, lv: Item, rv: Item) -> bool:
+    """``lv op rv`` for two items not of one self-comparable type (that
+    case the callers answer themselves with the operator): the one
+    place both gears take every other type rule from."""
+    if lv is None or rv is None:
+        # null equals null, differs from everything else, and has no order
+        return op in ("eq", "le", "ge") if lv is rv else op == "ne"
+    if _comparable(lv, rv):
+        return _COMPARISON_OPS[op](lv, rv)
+    raise ItemTypeError(
+        f"cannot compare {item_type_name(lv)} with {item_type_name(rv)}"
+    )
+
+
+def _is_constant(node: "Expression") -> bool:
+    return isinstance(node, Literal) and len(node.sequence) == 1
 
 
 class ComparisonExpr(Expression):
@@ -731,22 +826,9 @@ class ComparisonExpr(Expression):
         op = self.op
         holds = _COMPARISON_OPS[op]
         multi_item = f"value comparison {op!r} over a multi-item sequence"
-
-        def compare_unlike(lv, rv):
-            """Two items not of one self-comparable type (the closures
-            below answer that case themselves with ``holds``)."""
-            if _comparable(lv, rv):
-                return holds(lv, rv)
-            if lv is None or rv is None:
-                return op == "ne"  # null against non-null: only ne holds
-            raise ItemTypeError(
-                f"cannot compare {item_type_name(lv)} "
-                f"with {item_type_name(rv)}"
-            )
-
         left = self.left.compile(functions)
         right_node = self.right
-        if isinstance(right_node, Literal) and len(right_node.sequence) == 1:
+        if _is_constant(right_node):
             # ``expr op constant``: the right operand and its type are
             # known now, so only the left side is evaluated and checked.
             (rv,) = right_node.sequence
@@ -762,7 +844,7 @@ class ComparisonExpr(Expression):
                 if type(lv) is constant_kind:
                     result = holds(lv, rv)
                 else:
-                    result = compare_unlike(lv, rv)
+                    result = _compare_unlike(op, lv, rv)
                 return result if as_condition else [result]
 
             return comparison_with_constant
@@ -780,10 +862,37 @@ class ComparisonExpr(Expression):
             if kind is type(rv) and kind in _SELF_COMPARABLE:
                 result = holds(lv, rv)
             else:
-                result = compare_unlike(lv, rv)
+                result = _compare_unlike(op, lv, rv)
             return result if as_condition else [result]
 
         return comparison
+
+    def compile_column(self, functions):
+        op, left_node, right_node = self.op, self.left, self.right
+        if _is_constant(left_node):
+            op, left_node, right_node = _FLIPPED[op], right_node, left_node
+        holds = _COMPARISON_OPS[op]
+        left = left_node.compile_column(functions)
+        if left is None:
+            return None
+        if _is_constant(right_node):
+            (rv,) = right_node.sequence
+            constant_kind = type(rv) if type(rv) in _SELF_COMPARABLE else None
+            return lambda frame: [
+                holds(lv, rv) if type(lv) is constant_kind
+                else lv if lv is ABSENT
+                else _compare_unlike(op, lv, rv)
+                for lv in left(frame)
+            ]
+        right = right_node.compile_column(functions)
+        if right is None:
+            return None
+        return lambda frame: [
+            holds(lv, rv) if type(lv) is type(rv) and type(lv) in _SELF_COMPARABLE
+            else ABSENT if lv is ABSENT or rv is ABSENT
+            else _compare_unlike(op, lv, rv)
+            for lv, rv in zip(left(frame), right(frame))
+        ]
 
     def to_string(self):
         return f"{self.left.to_string()} {self.op} {self.right.to_string()}"
@@ -829,6 +938,25 @@ class AndExpr(_BooleanExpr):
             return True
 
         return conjunction
+
+    def compile_column(self, functions):
+        masks = [compile_mask(operand, functions) for operand in self.operands]
+        if None in masks:
+            return None
+
+        def conjunction_column(frame):
+            # Each operand sees only the rows the ones before it held
+            # on: the short circuit of ``conjunction``.
+            rows = len(frame[None])
+            live = {**frame, None: range(rows)}
+            for mask in masks:
+                live = narrow(live, mask(live))
+            held = [False] * rows
+            for row in live[None]:
+                held[row] = True
+            return held
+
+        return conjunction_column
 
     def to_string(self):
         return " and ".join(o.to_string() for o in self.operands)

@@ -251,6 +251,33 @@ def _template_predicate_gt(rng, wrapped):
     return f"select-gt{threshold}", query, oracle
 
 
+def _template_let_month(rng, wrapped):
+    from repro.correctness.oracle import _parse_date
+
+    month = _parse_date(rng.choice(_DATES)).month
+    wanted = rng.choice(_DATA_TYPES)
+    query = (
+        f'for $m in collection("{COLLECTION}"){_scan_path(wrapped)} '
+        'let $d := dateTime(data($m("date"))) '
+        f'where month-from-dateTime($d) eq {month} '
+        f'and $m("dataType") eq "{wanted}" '
+        'return $m("station")'
+    )
+
+    def oracle(documents):
+        # without a date $d is (), and () eq month is false
+        return [
+            m["station"]
+            for m in _measurements(documents)
+            if "date" in m
+            and _parse_date(m["date"]).month == month
+            and m.get("dataType", _ABSENT) == wanted
+            and "station" in m
+        ]
+
+    return f"let-month{month}-{wanted}", query, oracle
+
+
 def _template_group_count(rng, wrapped):
     wanted = rng.choice(["TMIN", "TMAX", "WIND"])
     query = (
@@ -364,6 +391,7 @@ _TEMPLATES = [
     _template_keys,
     _template_predicate_eq,
     _template_predicate_gt,
+    _template_let_month,
     _template_group_count,
     _template_join,
     _template_join_seq,

@@ -26,7 +26,12 @@ Runs each query through the full matrix of
   generated cases a rotating cost-off cell),
 
 and asserts that every cell's result is canonically equal to an
-independent oracle.  The grouped queries' output order is genuinely
+independent oracle.  The rule toggles are also the axis that pins the
+runtime's two gears against each other: only a plan with a DATASCAN has
+SELECT / ASSIGN operators sitting on one, so with ``pipelining`` off a
+cell runs the tuple gear where the rewritten cells run the frame gear
+(:mod:`repro.hyracks.operators`), over documents whose missing keys,
+nulls, duplicate keys and arrays make every frame irregular.  The grouped queries' output order is genuinely
 nondeterministic across strategies, so results compare as multisets of
 canonical item forms (:func:`canonical_result`).
 

@@ -1,17 +1,27 @@
 """Physical (pull-based) execution of logical operators.
 
-Every unary operator is a generator transformer: it consumes an input
-tuple iterator and yields output tuples, so a fully pipelined plan (the
-post-rewrite shape) never materializes more than one tuple's worth of
-state per operator.  Materializing operators — JOIN's build side, the
-GROUP-BY table, ``sequence`` aggregates, and the naive ``collection``
-expression — charge the context's memory tracker, which is what makes
-the paper's before/after memory comparisons measurable.
-
-No operator walks an expression tree per tuple: each takes the compiled
-closures of its expressions once per run from the context's memo
+There are two gears.  In the **tuple gear** every unary operator is a
+generator transformer: it consumes an input tuple iterator and yields
+output tuples, so a fully pipelined plan (the post-rewrite shape) never
+materializes more than one tuple's worth of state per operator.
+Materializing operators — JOIN's build side, the GROUP-BY table,
+``sequence`` aggregates, and the naive ``collection`` expression —
+charge the context's memory tracker, which is what makes the paper's
+before/after memory comparisons measurable.  No operator walks an
+expression tree per tuple: each takes the compiled closures of its
+expressions once per run from the context's memo
 (:meth:`~repro.algebra.context.EvaluationContext.compiled`) and calls
 only those in its loop.
+
+The **frame gear** runs the SELECT and ASSIGN operators that sit
+directly on a DATASCAN inside the scan's own loop, a column at a time
+over the frames the scan cuts (:func:`_execute_datascan`): an ASSIGN
+adds a column, each conjunct of a SELECT narrows the frame, and only
+the rows left at the top become tuples for the operators above.  It is
+taken when every expression of the run has a column form
+(:meth:`~repro.algebra.expressions.Expression.compile_column`); a frame
+whose column evaluation raises is run again through the tuple gear,
+which stays the authority on errors.
 
 Entry points:
 
@@ -24,6 +34,7 @@ Entry points:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import islice, repeat
 from typing import Iterable, Iterator
 
@@ -34,6 +45,9 @@ from repro.algebra.expressions import (
     Condition,
     Evaluator,
     Expression,
+    Frame,
+    compile_mask,
+    narrow,
 )
 from repro.algebra.operators import (
     Aggregate,
@@ -60,6 +74,7 @@ from repro.hyracks.spill import (
 )
 from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple
 from repro.jsonlib.items import (
+    ABSENT,
     Item,
     canonical_item,
     canonical_key,
@@ -104,6 +119,18 @@ def execute(op: Operator, ctx: EvaluationContext) -> Iterator[Tuple]:
         if ctx.profile is not None:
             stream = ctx.profile.observe(op, stream)
         return stream
+    # The run of SELECT / ASSIGN operators from *op* down, bottom-most
+    # first: sitting directly on a DATASCAN, and every expression having
+    # a column form, it runs inside the scan's loop.
+    run: list[Operator] = []
+    below = op
+    while isinstance(below, (Select, Assign)):
+        run.insert(0, below)
+        below = below.input_op
+    if run and isinstance(below, DataScan):
+        steps = _frame_steps(run, ctx.functions)
+        if steps is not None:
+            return _execute_datascan(below, ctx, run, steps)
     (input_op,) = op.inputs
     return run_operator(op, execute(input_op, ctx), ctx)
 
@@ -188,8 +215,8 @@ _FRAME_ROWS = 256
 
 def _sized_frames(
     op: DataScan, ctx: EvaluationContext, track: bool
-) -> Iterator[tuple[Iterable[Item], Iterable[int]]]:
-    """The scan under *op* as ``(items, sizes)`` frames.
+) -> Iterator[tuple[list[Item], Iterable[int]]]:
+    """The scan under *op* as ``(items, sizes)`` frames, *items* a list.
 
     A source that keeps row sizes (the catalogs' segment cache) hands
     them over per file, and such a frame passes through.  Any other
@@ -231,11 +258,52 @@ def _sized_frames(
                 close()
 
 
-def _execute_datascan(op: DataScan, ctx: EvaluationContext) -> Iterator[Tuple]:
+def _frame_steps(run: list[Operator], functions: dict) -> list | None:
+    """The column forms of *run*: ``(variable, [column])`` per ASSIGN and
+    ``(None, [mask of each conjunct])`` per SELECT, or None when an
+    expression in it has no column form."""
+    steps = []
+    for op in run:
+        if isinstance(op, Assign):
+            step = (op.variable, [op.expression.compile_column(functions)])
+        else:
+            masks = [compile_mask(c, functions) for c in conjuncts(op.condition)]
+            step = (None, masks)
+        if None in step[1]:
+            return None
+        steps.append(step)
+    return steps
+
+
+def _frame_tuples(frame: Frame) -> list[Tuple]:
+    """The live rows of *frame* as tuples, one variable per column."""
+    names = [name for name in frame if name is not None]
+    sequences = [
+        [[] if item is ABSENT else [item] for item in frame[name]]
+        for name in names
+    ]
+    return [dict(zip(names, row)) for row in zip(*sequences)]
+
+
+def _execute_datascan(
+    op: DataScan,
+    ctx: EvaluationContext,
+    run: list[Operator] = (),
+    steps: list | None = None,
+) -> Iterator[Tuple]:
+    """DATASCAN alone, or with *steps* (:func:`_frame_steps` of *run*)
+    the SELECT / ASSIGN operators of *run* above it in the frame gear.
+
+    Either way the scan accounts what a tuple-at-a-time consumer would
+    have pulled: every row of a finished frame, and of a frame that
+    raised or that the consumer closed, the rows up to the last one
+    pulled (the one its last tuple came from).
+    """
     if ctx.source is None:
         raise RuntimeExecutionError("no data source configured for DATASCAN")
     scanned = 0
     scanned_bytes = 0
+    consumed = 0  # rows pulled of the frame at hand
     profile = ctx.profile
     track = ctx.stats is not None or profile is not None
     attach_counters = None
@@ -249,15 +317,70 @@ def _execute_datascan(op: DataScan, ctx: EvaluationContext) -> Iterator[Tuple]:
             attach_counters(counters)
     limits = ctx.limits
     variable = op.variable
+    # Only the frame gear reads the profile's clock here: a scan in the
+    # tuple gear is timed from outside, by ``observe``.
+    clock = profile.clock if profile is not None and steps else lambda: 0.0
+
+    def tuple_gear(items):
+        nonlocal consumed
+        for item in items:
+            if limits is not None:
+                limits.checkpoint()
+            consumed += 1
+            yield {variable: [item]}
+
+    def frame_gear(items):
+        nonlocal consumed
+        if limits is not None:
+            limits.check()
+        try:
+            frame = {None: range(len(items)), variable: items}
+            marks = []  # per operator, scan first: (its end, its live rows)
+            for assigned, forms in steps:
+                marks.append((clock(), frame[None]))
+                if assigned is not None:
+                    frame[assigned] = forms[0](frame)
+                    continue
+                for mask in forms:
+                    # a conjunct sees only the rows the one before kept
+                    frame = narrow(frame, mask(frame))
+            tuples = _frame_tuples(frame)
+            marks.append((clock(), frame[None]))
+        except Exception:
+            # The frame again, from its first row, through the closures:
+            # the tuple gear decides what it raises and what comes first.
+            rows = tuple_gear(items)
+            if profile is not None:
+                rows = profile.observe(op, rows)
+            yield from run_chain(run, rows, ctx)
+            return
+        try:
+            for position, tup in zip(frame[None], tuples):
+                consumed = position + 1
+                yield tup
+            consumed = len(items)
+        finally:
+            if profile is not None:
+                passed = 0
+                for node, (mark, live) in zip((op, *run), marks):
+                    entered, passed = passed, bisect_left(live, consumed)
+                    profile.charge(
+                        node, mark - started, tuples_in=entered, tuples_out=passed
+                    )
+
+    gear = tuple_gear if steps is None else frame_gear
     frames = _sized_frames(op, ctx, track)
     try:
+        started = clock()
         for items, sizes in frames:
-            for item, size in zip(items, sizes):
-                if limits is not None:
-                    limits.checkpoint()
-                scanned += 1
-                scanned_bytes += size
-                yield {variable: [item]}
+            consumed = 0
+            try:
+                yield from gear(items)
+            finally:
+                scanned += consumed
+                if track:
+                    scanned_bytes += sum(islice(sizes, consumed))
+                started = clock()
     finally:
         frames.close()
         if attach_counters is not None:

@@ -5,6 +5,12 @@ a sequence (the universal value of the algebra).  The registry maps
 ``(name, arity)`` pairs to callables; lookups happen at evaluation time
 through :class:`repro.algebra.context.EvaluationContext`.
 
+A builtin that works on one item (``dateTime``, the accessors, ``abs``,
+``string``, ...) is written once, as a *kernel* ``kernel(item, name)``;
+:func:`_item_function` derives from it both the sequence function the
+registry holds and that function's ``.column``, which the frame gear of
+:mod:`repro.hyracks.operators` maps over a whole column of items.
+
 The library covers everything the paper's queries use — ``count``,
 ``avg``, ``dateTime``, the ``*-from-dateTime`` accessors, ``data`` — plus
 the general-purpose JSONiq/XQuery functions a user of the processor would
@@ -19,7 +25,15 @@ import re
 from typing import Callable
 
 from repro.errors import ItemTypeError
-from repro.jsonlib.items import Item, canonical_atomic, is_atomic, item_type_name
+from repro.jsonlib.items import (
+    ABSENT,
+    Item,
+    atomize,
+    atomize_column,
+    canonical_atomic,
+    is_atomic,
+    item_type_name,
+)
 
 Sequence = list
 FunctionImpl = Callable[[list], Sequence]
@@ -76,6 +90,26 @@ def _string_arg(sequence: Sequence, function: str) -> str:
     if item is None:
         return ""
     return _as_string(item, function)
+
+
+def _item_function(name: str, kernel: Callable, on_empty=ABSENT) -> FunctionImpl:
+    """The registry entry of the one-argument builtin *name*.
+
+    ``kernel(item, name)`` is the builtin's one definition: the result
+    item for one argument item, or ``ABSENT`` for the empty sequence.
+    The sequence function applies it to a singleton argument and answers
+    *on_empty* for an empty one; ``.column`` does the same to every entry
+    of a column.
+    """
+
+    def function(args: list) -> Sequence:
+        value = kernel(_singleton(args[0], name), name) if args[0] else on_empty
+        return [] if value is ABSENT else [value]
+
+    function.column = lambda column: [
+        on_empty if item is ABSENT else kernel(item, name) for item in column
+    ]
+    return function
 
 
 def as_numbers(sequence: Sequence, function: str) -> list:
@@ -153,27 +187,27 @@ def parse_datetime(text: str) -> datetime.datetime:
     return parsed
 
 
-def fn_datetime(args: list) -> Sequence:
-    """``dateTime($s)`` — parse a timestamp string; empty in, empty out."""
-    item = _optional_singleton(args[0], "dateTime")
+def _datetime(item: Item, name: str):
+    """``dateTime($s)`` — parse a timestamp string; empty (or null) in,
+    empty out."""
     if item is None:
-        return []
+        return ABSENT
     if isinstance(item, datetime.datetime):
-        return [item]
-    return [parse_datetime(_as_string(item, "dateTime"))]
+        return item
+    return parse_datetime(_as_string(item, name))
 
 
-def _datetime_component(component: str) -> FunctionImpl:
-    def accessor(args: list) -> Sequence:
-        item = _optional_singleton(args[0], f"{component}-from-dateTime")
+def _datetime_component(component: str) -> Callable:
+    """The ``*-from-dateTime`` accessor reading attribute *component*."""
+
+    def accessor(item: Item, name: str):
         if item is None:
-            return []
+            return ABSENT
         if not isinstance(item, datetime.datetime):
             raise ItemTypeError(
-                f"{component}-from-dateTime() expects a dateTime, "
-                f"got {item_type_name(item)}"
+                f"{name}() expects a dateTime, got {item_type_name(item)}"
             )
-        return [getattr(item, component)]
+        return getattr(item, component)
 
     return accessor
 
@@ -185,35 +219,29 @@ def _datetime_component(component: str) -> FunctionImpl:
 
 def fn_data(args: list) -> Sequence:
     """``data($seq)`` — atomization; errors on objects and arrays."""
-    out = []
-    for item in args[0]:
-        if not is_atomic(item):
-            raise ItemTypeError(f"cannot atomize a {item_type_name(item)} item")
-        out.append(item)
-    return out
+    return [atomize(item) for item in args[0]]
 
 
-def fn_string(args: list) -> Sequence:
-    """``string($x)`` — string form of an atomic item."""
-    if not args[0]:
-        return [""]
-    item = _singleton(args[0], "string")
+fn_data.column = atomize_column
+
+
+def _string(item: Item, name: str) -> str:
+    """``string($x)`` — string form of an atomic item (``""`` for the
+    empty sequence)."""
     if item is None:
-        return ["null"]
+        return "null"
     if isinstance(item, str):
-        return [item]
+        return item
     if isinstance(item, bool):
-        return ["true" if item else "false"]
-    if item is None:
-        return ["null"]
+        return "true" if item else "false"
     if isinstance(item, (int, float)):
-        return [repr(item) if isinstance(item, float) else str(item)]
+        return repr(item) if isinstance(item, float) else str(item)
     if isinstance(item, datetime.datetime):
-        return [item.isoformat()]
-    raise ItemTypeError(f"string() over a {item_type_name(item)} item")
+        return item.isoformat()
+    raise ItemTypeError(f"{name}() over a {item_type_name(item)} item")
 
 
-def fn_number(args: list) -> Sequence:
+def _number(item: Item, name: str):
     """``number($x)`` — numeric form of an atomic item (NaN-free variant:
     unconvertible input is a type error rather than NaN).
 
@@ -228,22 +256,19 @@ def fn_number(args: list) -> Sequence:
     ``number($m("value")) gt 0`` over a missing or null key is simply
     false instead of an error.
     """
-    if not args[0]:
-        return []
-    item = _singleton(args[0], "number")
     if item is None:
-        return []
+        return ABSENT
     if isinstance(item, bool):
-        return [1 if item else 0]
+        return 1 if item else 0
     if isinstance(item, (int, float)):
-        return [item]
+        return item
     if isinstance(item, str):
         if _JSON_NUMBER_RE.match(item) is None:
-            raise ItemTypeError(f"number() cannot convert {item!r}")
+            raise ItemTypeError(f"{name}() cannot convert {item!r}")
         if any(mark in item for mark in ".eE"):
-            return [float(item)]
-        return [int(item)]
-    raise ItemTypeError(f"number() over a {item_type_name(item)} item")
+            return float(item)
+        return int(item)
+    raise ItemTypeError(f"{name}() over a {item_type_name(item)} item")
 
 
 def fn_boolean(args: list) -> Sequence:
@@ -265,14 +290,10 @@ def fn_not(args: list) -> Sequence:
 # ---------------------------------------------------------------------------
 
 
-def _numeric_unary(name: str, op: Callable) -> FunctionImpl:
-    def impl(args: list) -> Sequence:
-        item = _optional_singleton(args[0], name)
-        if item is None:
-            return []
-        return [op(_as_number(item, name))]
-
-    return impl
+def _numeric_unary(op: Callable) -> Callable:
+    return lambda item, name: (
+        ABSENT if item is None else op(_as_number(item, name))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +308,7 @@ def fn_concat(args: list) -> Sequence:
         item = _optional_singleton(arg, "concat")
         if item is None:
             continue
-        parts.append(fn_string([[item]])[0])
+        parts.append(_string(item, "string"))
     return ["".join(parts)]
 
 
@@ -338,12 +359,9 @@ def _xquery_round(value: int | float) -> int | float:
     return math.floor(value + 0.5)
 
 
-def fn_string_length(args: list) -> Sequence:
-    """``string-length($s)``."""
-    item = _optional_singleton(args[0], "string-length")
-    if item is None:
-        return [0]
-    return [len(_as_string(item, "string-length"))]
+def _string_length(item: Item, name: str) -> int:
+    """``string-length($s)`` — 0 for the empty sequence and for null."""
+    return 0 if item is None else len(_as_string(item, name))
 
 
 def fn_contains(args: list) -> Sequence:
@@ -363,14 +381,12 @@ def fn_starts_with(args: list) -> Sequence:
     return [text.startswith(prefix)]
 
 
-def fn_upper_case(args: list) -> Sequence:
-    """``upper-case($s)`` — ``upper-case(())`` is ``""`` (F&O 5.4.7)."""
-    return [_string_arg(args[0], "upper-case").upper()]
-
-
-def fn_lower_case(args: list) -> Sequence:
-    """``lower-case($s)`` — ``lower-case(())`` is ``""`` (F&O 5.4.8)."""
-    return [_string_arg(args[0], "lower-case").lower()]
+def _change_case(method: Callable) -> Callable:
+    """``upper-case($s)`` / ``lower-case($s)`` — ``""`` for the empty
+    sequence (F&O 5.4.7, 5.4.8) and for null."""
+    return lambda item, name: (
+        "" if item is None else method(_as_string(item, name))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +465,15 @@ def fn_members(args: list) -> Sequence:
     return out
 
 
-def fn_size(args: list) -> Sequence:
+def _size(item: Item, name: str):
     """``size($array)`` — number of members; null-safe JSONiq style."""
-    item = _optional_singleton(args[0], "size")
     if item is None:
-        return []
+        return ABSENT
     if not isinstance(item, list):
-        raise ItemTypeError(f"size() expects an array, got {item_type_name(item)}")
-    return [len(item)]
+        raise ItemTypeError(
+            f"{name}() expects an array, got {item_type_name(item)}"
+        )
+    return len(item)
 
 
 def fn_flatten(args: list) -> Sequence:
@@ -487,29 +504,14 @@ BUILTIN_FUNCTIONS: dict[tuple[str, int], FunctionImpl] = {
     ("avg", 1): fn_avg,
     ("min", 1): fn_min,
     ("max", 1): fn_max,
-    ("dateTime", 1): fn_datetime,
-    ("year-from-dateTime", 1): _datetime_component("year"),
-    ("month-from-dateTime", 1): _datetime_component("month"),
-    ("day-from-dateTime", 1): _datetime_component("day"),
-    ("hours-from-dateTime", 1): _datetime_component("hour"),
-    ("minutes-from-dateTime", 1): _datetime_component("minute"),
     ("data", 1): fn_data,
-    ("string", 1): fn_string,
-    ("number", 1): fn_number,
     ("boolean", 1): fn_boolean,
     ("not", 1): fn_not,
-    ("abs", 1): _numeric_unary("abs", abs),
-    ("floor", 1): _numeric_unary("floor", math.floor),
-    ("ceiling", 1): _numeric_unary("ceiling", math.ceil),
-    ("round", 1): _numeric_unary("round", lambda x: math.floor(x + 0.5)),
     ("string-join", 2): fn_string_join,
     ("substring", 2): fn_substring,
     ("substring", 3): fn_substring,
-    ("string-length", 1): fn_string_length,
     ("contains", 2): fn_contains,
     ("starts-with", 2): fn_starts_with,
-    ("upper-case", 1): fn_upper_case,
-    ("lower-case", 1): fn_lower_case,
     ("empty", 1): fn_empty,
     ("exists", 1): fn_exists,
     ("head", 1): fn_head,
@@ -518,10 +520,32 @@ BUILTIN_FUNCTIONS: dict[tuple[str, int], FunctionImpl] = {
     ("distinct-values", 1): fn_distinct_values,
     ("keys", 1): fn_keys,
     ("members", 1): fn_members,
-    ("size", 1): fn_size,
     ("flatten", 1): fn_flatten,
     ("null", 0): fn_null,
 }
+
+# The builtins that work on one item: name -> (kernel, result for the
+# empty sequence when it is not the empty sequence).
+for _name, (_kernel, *_on_empty) in {
+    "dateTime": (_datetime,),
+    "year-from-dateTime": (_datetime_component("year"),),
+    "month-from-dateTime": (_datetime_component("month"),),
+    "day-from-dateTime": (_datetime_component("day"),),
+    "hours-from-dateTime": (_datetime_component("hour"),),
+    "minutes-from-dateTime": (_datetime_component("minute"),),
+    "seconds-from-dateTime": (_datetime_component("second"),),
+    "string": (_string, ""),
+    "number": (_number,),
+    "abs": (_numeric_unary(abs),),
+    "floor": (_numeric_unary(math.floor),),
+    "ceiling": (_numeric_unary(math.ceil),),
+    "round": (_numeric_unary(lambda x: math.floor(x + 0.5)),),
+    "string-length": (_string_length, 0),
+    "upper-case": (_change_case(str.upper), ""),
+    "lower-case": (_change_case(str.lower), ""),
+    "size": (_size,),
+}.items():
+    BUILTIN_FUNCTIONS[(_name, 1)] = _item_function(_name, _kernel, *_on_empty)
 
 # concat is variadic in XQuery; register a practical range of arities.
 for _arity in range(2, 9):

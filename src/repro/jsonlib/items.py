@@ -20,7 +20,9 @@ A *sequence* — the universal value of the algebra — is represented as a
 Python ``list`` of items.  (Arrays are also lists; the algebra layer keeps
 the two apart by context, exactly as VXQuery keeps XDM sequences distinct
 from JSON arrays by tagging.  Tagging every array would double allocation
-cost for no behavioural difference in the reproduced queries.)
+cost for no behavioural difference in the reproduced queries.)  Where a
+sequence is known to hold at most one item, a *column* holds one entry
+per row instead: the item, or :data:`ABSENT` for the empty sequence.
 
 This module also provides :func:`sizeof_item`, the byte-size estimator
 used for memory accounting (Table 3 and Figure 18b of the paper), its
@@ -54,9 +56,38 @@ def is_array(item: Item) -> bool:
     return isinstance(item, list)
 
 
+class _Absent:
+    """The type of :data:`ABSENT`; false, so a column of booleans and
+    absences is its own selection mask."""
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return "ABSENT"
+
+
+#: The empty sequence as an entry of a column.  It is not an item and
+#: never leaves the frame it was computed in.
+ABSENT = _Absent()
+
+
 def is_atomic(item: Item) -> bool:
     """Return True if *item* is an atomic (non-structured) item."""
     return isinstance(item, _ATOMIC_TYPES) and not isinstance(item, (dict, list))
+
+
+def atomize(item: Item) -> Item:
+    """*item* itself when it is atomic (``data()`` on one item); objects
+    and arrays do not atomize."""
+    if not is_atomic(item):
+        raise ItemTypeError(f"cannot atomize a {item_type_name(item)} item")
+    return item
+
+
+def atomize_column(column: list) -> list:
+    """:func:`atomize` over a column; an absent entry stays absent."""
+    return [item if item is ABSENT else atomize(item) for item in column]
 
 
 def item_type_name(item: Item) -> str:

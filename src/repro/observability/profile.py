@@ -130,7 +130,7 @@ class ProfileCollector:
 
     def __init__(self, plan: LogicalPlan, config: ProfileConfig):
         self.config = config
-        self._clock = make_clock(config.clock)
+        self.clock = make_clock(config.clock)
         self._index: dict[int, int] = {
             id(op): i for i, op in enumerate(iter_plan_operators(plan))
         }
@@ -162,6 +162,16 @@ class ProfileCollector:
         """Attach a JSON-able detail (e.g. join bucket sizes) to *op*."""
         self._node(op).details[key] = value
 
+    def charge(self, op: Operator, seconds: float, **counters: int) -> None:
+        """Add a span and counter amounts to *op*'s node (the frame
+        gear's record per frame).  A zero amount leaves its counter
+        unset, as the wrappers below do for a stream that never yields."""
+        node = self._node(op)
+        node.seconds += seconds
+        for counter, amount in counters.items():
+            if amount:
+                node.counters[counter] = node.counters.get(counter, 0) + amount
+
     def count_input(self, op: Operator, stream: Iterable) -> Iterator:
         """Wrap *stream* counting tuples flowing *into* op."""
         return self.count_into(op, "tuples_in", stream)
@@ -186,7 +196,7 @@ class ProfileCollector:
         """
         node = self._node(op)
         counters = node.counters
-        clock = self._clock
+        clock = self.clock
 
         def observed():
             iterator = iter(stream)

@@ -59,8 +59,19 @@ def test_join_seq_template_produces_both_oracles():
 
 def test_covers_every_template():
     names = [c.name for c in generate_cases(0, 12)]
-    for marker in ("path-", "keys", "select-", "group-count-", "join-"):
+    for marker in ("path-", "keys", "select-", "let-month", "group-count-", "join-"):
         assert any(marker in name for name in names), marker
+
+
+def test_let_month_template_selects_and_rejects():
+    """The ASSIGN template is not vacuous: across a population some
+    measurements pass both conjuncts, and some lack the date."""
+    cases = [c for c in generate_cases(0, 200) if "let-month" in c.name]
+    assert len(cases) == 25
+    assert "let $d := dateTime(data($m(\"date\")))" in cases[0].query_text
+    answers = [case.expected() for case in cases]
+    assert sum(1 for answer in answers if answer) >= 5
+    assert any(None in answer for answer in answers)  # a null station is an item
 
 
 def test_anomalies_present_in_population():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.correctness.generator import GeneratedCase
+from repro.correctness.generator import GeneratedCase, generate_cases
 from repro.correctness.harness import (
     BUDGETS,
     DiffCheckReport,
@@ -165,3 +165,9 @@ class TestSmallMatrix:
         # alternate projected (x3) and eager (x1), so across the even-
         # sized population each case averages 18 + 3 + 1 + 2 = 24 runs.
         assert report.generated_cells == report.generated_cases * 24
+        # The population rotates over 8 templates, so 5 of the 40 cases
+        # are the ASSIGN-over-DATASCAN one; with its "pipelining off"
+        # cells on the tuple gear and the rest on the frame gear, the
+        # toggle axis is what pins the two gears against each other.
+        names = [case.name for case in generate_cases(0, report.generated_cases)]
+        assert sum("let-month" in name for name in names) == 5

@@ -1,0 +1,418 @@
+"""The frame gear against the tuple gear.
+
+``execute()`` runs the SELECT / ASSIGN operators that sit on a DATASCAN
+a column at a time over the scan's frames when every expression has a
+column form; ``run_chain`` over ``_execute_datascan`` is the tuple gear
+the same plan took before.  The two must agree on everything a caller
+can see: the tuples and their order, the exception and its message, what
+the scan accounted and every profile counter, also when the consumer
+stops early or the source fails inside a frame.
+"""
+
+import datetime
+from itertools import islice
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.hyracks.operators as physical
+from repro.algebra.context import EvaluationContext
+from repro.algebra.expressions import (
+    AndExpr,
+    ArithmeticExpr,
+    ComparisonExpr,
+    DataExpr,
+    FunctionCallExpr,
+    Literal,
+    OrExpr,
+    VariableRef,
+    keys_or_members,
+    value_by_key,
+)
+from repro.algebra.operators import Assign, DataScan, Select
+from repro.algebra.plan import LogicalPlan
+from repro.errors import ItemTypeError, UnboundVariableError
+from repro.hyracks.executor import ExecutionStats
+from repro.jsoniq.functions import BUILTIN_FUNCTIONS
+from repro.jsonlib.items import sizeof_rows
+from repro.jsonlib.path import parse_path
+from repro.observability.profile import ProfileCollector, ProfileConfig
+
+PATH = parse_path("()")
+
+
+class FrameSource:
+    """*files* of rows, served like a catalog (``scan_frames``: one sized
+    frame per file, as a warm segment cache does) or, with *sized* off,
+    as one unsized stream that may raise *fail* after *fail_after* rows."""
+
+    def __init__(self, files, sized=False, fail_after=None, fail=None):
+        self.files, self.fail_after, self.fail = files, fail_after, fail
+        if sized:
+            self.scan_frames = lambda name, path, partition: (
+                (list(rows), sizeof_rows(rows)) for rows in self.files
+            )
+
+    def scan_collection(self, name, path, partition=None):
+        rows = (row for rows in self.files for row in rows)
+        if self.fail is None:
+            return rows
+        return self._failing(rows)
+
+    def _failing(self, rows):
+        yield from islice(rows, self.fail_after)
+        raise self.fail
+
+
+def outcome(make_stream, source, run, pull, profiled, functions=None):
+    """Everything one execution of *run* over a scan of *source* shows."""
+    scan = run[0].input_op
+    stats = ExecutionStats()
+    profile = None
+    if profiled:
+        profile = ProfileCollector(
+            LogicalPlan(run[-1]), ProfileConfig(clock="counter")
+        )
+    ctx = EvaluationContext(
+        source=source, stats=stats, profile=profile, functions=functions
+    )
+    stream = make_stream(scan, run, ctx)
+    tuples, error = [], None
+    try:
+        for tup in stream:
+            tuples.append(tup)
+            if len(tuples) == pull:
+                break
+    except Exception as raised:  # compared, not handled
+        error = (type(raised), str(raised))
+    finally:
+        stream.close()
+    counters = None
+    if profiled:
+        counters = {
+            index: node["counters"] for index, node in profile.data().items()
+        }
+    return {
+        "tuples": tuples,
+        "error": error,
+        "scanned": (stats.items_scanned, stats.scanned_item_bytes),
+        "counters": counters,
+    }
+
+
+def tuple_gear(scan, run, ctx):
+    stream = physical._execute_datascan(scan, ctx)
+    if ctx.profile is not None:
+        stream = ctx.profile.observe(scan, stream)
+    return physical.run_chain(run, stream, ctx)
+
+
+def frame_gear(scan, run, ctx):
+    return physical.execute(run[-1], ctx)
+
+
+def build_run(specs):
+    """A run over a fresh DATASCAN: ``(variable, expression)`` is an
+    ASSIGN, ``(None, condition)`` a SELECT; bottom-most first."""
+    op = DataScan("/c", "$r", PATH)
+    run = []
+    for variable, expression in specs:
+        if variable is None:
+            op = Select(op, expression)
+        else:
+            op = Assign(op, variable, expression)
+        run.append(op)
+    return run
+
+
+def assert_gears_agree(source_of, specs, pulls=(None,), functions=None, column=True):
+    run = build_run(specs)
+    library = BUILTIN_FUNCTIONS if functions is None else functions
+    assert (physical._frame_steps(run, library) is not None) is column
+    seen = None
+    for pull in pulls:
+        for profiled in (False, True):
+            expected = outcome(tuple_gear, source_of(), run, pull, profiled, functions)
+            actual = outcome(frame_gear, source_of(), run, pull, profiled, functions)
+            assert actual == expected
+            seen = expected
+    return seen
+
+
+# -- the property -------------------------------------------------------------------
+
+KEYS = ("a", "b", "d")
+NUMBERS = st.sampled_from([0, 1, 2, -3, 2.5, 1.0])
+STRINGS = st.sampled_from(["", "x", "TMIN", "12"])
+DATES = st.sampled_from(
+    ["2003-12-25T00:00:00", "20131225T07:30", "20040229T00:00:59"]
+)
+ATOMS = st.one_of(NUMBERS, STRINGS, DATES, st.sampled_from([True, False, None]))
+VALUES = st.one_of(ATOMS, ATOMS, st.just([1, 2]), st.just({"a": 1}), st.just([]))
+# Mostly flat rows of one shape; then rows with keys missing, null,
+# extra, reordered or holding anything; then items that are no objects.
+ROWS = st.one_of(
+    *[st.fixed_dictionaries({"a": NUMBERS, "b": STRINGS, "d": DATES})] * 5,
+    st.fixed_dictionaries({"d": DATES, "b": st.none(), "extra": VALUES, "a": NUMBERS}),
+    st.dictionaries(st.sampled_from(KEYS + ("extra",)), VALUES, max_size=4),
+    VALUES,
+)
+OPS = st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"])
+
+
+def call(name, argument):
+    return FunctionCallExpr(name, [argument])
+
+
+def expressions(variables):
+    """``(conditions, values)`` over *variables*: mostly well typed (a
+    number against a number), sometimes anything against anything."""
+    leaves = st.sampled_from(variables).map(VariableRef)
+
+    def step(name):
+        return st.builds(value_by_key, leaves, st.just(name))
+
+    date = st.builds(call, st.just("dateTime"), step("d").map(DataExpr))
+    number = st.one_of(
+        step("a"),
+        st.builds(call, st.sampled_from(["abs", "floor", "number", "data"]), step("a")),
+        st.builds(
+            call,
+            st.sampled_from(["year", "month", "day", "hours", "seconds"]).map(
+                "{}-from-dateTime".format
+            ),
+            date,
+        ),
+        st.builds(call, st.just("string-length"), step("b")),
+    )
+    string = st.one_of(
+        step("b"),
+        st.builds(call, st.sampled_from(["string", "upper-case", "lower-case"]), step("b")),
+        st.builds(call, st.just("string"), number),
+    )
+    anything = st.one_of(
+        leaves,
+        st.builds(value_by_key, st.one_of(leaves, step("extra")), st.sampled_from(KEYS)),
+        st.builds(
+            call, st.sampled_from(ITEM_FUNCTIONS), st.one_of(leaves, step("a"), step("b"))
+        ),
+    )
+    comparison = st.one_of(
+        st.builds(ComparisonExpr, OPS, number, NUMBERS.map(Literal.of)),
+        st.builds(ComparisonExpr, OPS, NUMBERS.map(Literal.of), number),
+        st.builds(ComparisonExpr, OPS, number, number),
+        st.builds(ComparisonExpr, OPS, string, STRINGS.map(Literal.of)),
+        st.builds(ComparisonExpr, OPS, date, date),
+        st.builds(ComparisonExpr, OPS, anything, ATOMS.map(Literal.of)),
+        st.builds(ComparisonExpr, OPS, anything, anything),
+    )
+    value = st.one_of(number, string, date, anything, comparison)
+    conjunction = st.lists(
+        st.one_of(comparison, comparison, value), min_size=2, max_size=3
+    ).map(AndExpr)
+    condition = st.one_of(
+        comparison,
+        conjunction,
+        st.builds(ComparisonExpr, OPS, conjunction, st.booleans().map(Literal.of)),
+        value,
+    )
+    return condition, st.one_of(value, condition)
+
+
+ITEM_FUNCTIONS = sorted(
+    name for (name, arity), f in BUILTIN_FUNCTIONS.items() if hasattr(f, "column")
+)
+
+
+@st.composite
+def runs(draw):
+    variables, specs = ["$r"], []
+    for index in range(draw(st.integers(1, 4))):
+        condition, value = expressions(variables)
+        if draw(st.booleans()):
+            specs.append((None, draw(condition)))
+        else:
+            # a fresh variable, or one there already (the scan's too)
+            variable = draw(st.sampled_from([f"$v{index}", "$v0", "$r"]))
+            specs.append((variable, draw(value)))
+            if variable not in variables:
+                variables.append(variable)
+    return specs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    files=st.lists(st.lists(ROWS, max_size=12), min_size=1, max_size=4),
+    specs=runs(),
+    sized=st.booleans(),
+    frame_rows=st.sampled_from([3, 256]),
+    pull=st.integers(1, 6),
+    fail_after=st.one_of(st.none(), st.integers(0, 30)),
+)
+def test_gears_agree(files, specs, sized, frame_rows, pull, fail_after):
+    fail = None if sized or fail_after is None else ValueError("source broke")
+    original = physical._FRAME_ROWS
+    physical._FRAME_ROWS = frame_rows
+    try:
+        assert_gears_agree(
+            lambda: FrameSource(files, sized, fail_after, fail),
+            specs,
+            pulls=(None, pull),
+        )
+    finally:
+        physical._FRAME_ROWS = original
+
+
+# -- cases worth naming -------------------------------------------------------------
+
+
+def one_file(rows):
+    return lambda: FrameSource([rows])
+
+
+def key(name, variable="$r"):
+    return value_by_key(VariableRef(variable), name)
+
+
+def compare(op, left, constant):
+    return ComparisonExpr(op, left, Literal.of(constant))
+
+
+def test_more_rows_than_one_frame_and_an_empty_file():
+    rows = [{"a": i % 7, "d": f"2003-{1 + i % 12:02d}-25T00:00:00"} for i in range(700)]
+    specs = [
+        ("$t", call("dateTime", DataExpr(key("d")))),
+        (None, AndExpr([
+            compare("eq", call("month-from-dateTime", VariableRef("$t")), 12),
+            compare("ge", key("a"), 3),
+        ])),
+    ]
+    for sized in (False, True):
+        seen = assert_gears_agree(
+            lambda: FrameSource([rows[:300], [], rows[300:]], sized),
+            specs,
+            pulls=(None, 1, 20),
+        )
+        assert seen["scanned"][0] < 700  # closed after 20 tuples, mid-frame
+    everything = assert_gears_agree(one_file(rows), specs)
+    assert len(everything["tuples"]) == 33
+    assert everything["tuples"][0] == {
+        "$r": [rows[11]], "$t": [datetime.datetime(2003, 12, 25)]
+    }
+    assert everything["counters"][0] == {"tuples_in": 700, "tuples_out": 33}
+
+
+def test_a_constant_on_either_side():
+    rows = [{"a": 0}, {"a": 1}, {"a": 2}, {"a": None}, {}]
+    for op, mirrored, expected in (
+        ("lt", "gt", [2]),
+        ("le", "ge", [1, 2]),
+        ("gt", "lt", [0]),
+        ("ge", "le", [0, 1]),
+        ("eq", "eq", [1]),
+        ("ne", "ne", [0, 2, None]),  # null differs from 1; () does not
+    ):
+        for condition in (
+            ComparisonExpr(op, Literal.of(1), key("a")),  # 1 op $r("a")
+            compare(mirrored, key("a"), 1),
+        ):
+            seen = assert_gears_agree(one_file(rows), [(None, condition)])
+            assert [tup["$r"][0]["a"] for tup in seen["tuples"]] == expected
+
+
+def test_a_later_conjunct_never_sees_a_row_an_earlier_one_rejected():
+    # "x" lt 5 is a type error, but no row holding "x" gets that far
+    rows = [{"k": "n", "v": 1}, {"k": "s", "v": "x"}, {"k": "n", "v": 9}]
+    condition = AndExpr([compare("eq", key("k"), "n"), compare("lt", key("v"), 5)])
+    seen = assert_gears_agree(one_file(rows), [(None, condition)])
+    assert seen["error"] is None
+    assert seen["tuples"] == [{"$r": [rows[0]]}]
+    # ...nor does the operator above: the same two tests as two SELECTs,
+    # and as a conjunction that is a value.
+    assert assert_gears_agree(
+        one_file(rows), [(None, condition.operands[0]), (None, condition.operands[1])]
+    )["tuples"] == seen["tuples"]
+    kept = assert_gears_agree(one_file(rows), [("$keep", condition)])
+    assert [tup["$keep"] for tup in kept["tuples"]] == [[True], [False], [False]]
+    # (an operand answers for the rows it was shown, in their places)
+    mild = [{"k": "n", "v": 1}, {"k": "s", "v": 1}, {"k": "n", "v": 9}]
+    kept = assert_gears_agree(one_file(mild), [("$keep", condition)])
+    assert [tup["$keep"] for tup in kept["tuples"]] == [[True], [False], [False]]
+    # the other way round the error is the tuple gear's, message and all
+    swapped = assert_gears_agree(
+        one_file(rows), [(None, AndExpr(condition.operands[::-1]))]
+    )
+    assert swapped["error"] == (ItemTypeError, "cannot compare string with number")
+    assert swapped["tuples"] == seen["tuples"]  # row 0 went out before it
+
+
+def test_a_type_error_on_the_last_row_of_a_later_frame():
+    rows = [{"v": i} for i in range(physical._FRAME_ROWS + 40)] + [{"v": "x"}]
+    specs = [(None, compare("ge", key("v"), 250))]
+    seen = assert_gears_agree(one_file(rows), specs, pulls=(None, 3))
+    assert seen["error"] is None  # closed after three tuples: no error yet
+    seen = assert_gears_agree(one_file(rows), specs)
+    assert seen["error"] == (ItemTypeError, "cannot compare string with number")
+    assert len(seen["tuples"]) == 46  # both frames' survivors came out first
+    assert seen["scanned"][0] == len(rows)
+
+
+def test_an_expression_without_a_column_form_keeps_the_tuple_gear():
+    rows = [{"v": [1, 2]}, {"v": 3}, {"w": 4}]
+    for expression in (
+        ArithmeticExpr("+", key("v"), Literal.of(1)),
+        keys_or_members(key("v")),
+        OrExpr([key("w"), Literal.of(False)]),
+        call("count", VariableRef("$r")),
+        call("no-such-function", VariableRef("$r")),
+    ):
+        assert_gears_agree(one_file(rows), [("$x", expression)], column=False)
+    # A run is taken from the scan up as far as the column forms reach.
+    run = build_run([(None, key("v")), ("$n", call("count", VariableRef("$r")))])
+    ctx = EvaluationContext(source=FrameSource([rows]))
+    assert list(physical.execute(run[-1], ctx)) == [
+        {"$r": [rows[0]], "$n": [1]}, {"$r": [rows[1]], "$n": [1]}
+    ]
+
+
+def test_an_unbound_variable_is_the_tuple_gears_error():
+    seen = assert_gears_agree(
+        one_file([{"v": 1}]), [(None, compare("eq", VariableRef("$nope"), 1))]
+    )
+    assert seen["error"][0] is UnboundVariableError
+    assert assert_gears_agree(one_file([]), [(None, VariableRef("$nope"))])["error"] is None
+
+
+def test_a_library_that_overrides_datetime_runs_its_own_function():
+    calls = []
+
+    def my_datetime(args):
+        calls.append(args)
+        return [datetime.datetime(1999, 1, 1)] if args[0] else []
+
+    library = {**BUILTIN_FUNCTIONS, ("dateTime", 1): my_datetime}
+    rows = [{"d": "2003-12-25T00:00:00"}, {"d": "not a date"}, {}]
+    specs = [
+        ("$t", call("dateTime", key("d"))),
+        (None, compare("eq", call("year-from-dateTime", VariableRef("$t")), 1999)),
+    ]
+    seen = assert_gears_agree(one_file(rows), specs, functions=library, column=False)
+    assert [tup["$r"] for tup in seen["tuples"]] == [[rows[0]], [rows[1]]]
+    assert len(calls) == 2 * 2 * 3  # both gears, profiled or not, every row
+    # the builtin under its own name has a column form, and an opinion
+    builtin = assert_gears_agree(one_file(rows), specs)
+    assert builtin["error"] == (ItemTypeError, "cannot parse dateTime from 'not a date'")
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+def test_a_source_failing_inside_a_frame(profiled):
+    rows = [{"v": i} for i in range(20)]
+    specs = [(None, compare("ge", key("v"), 10))]
+    run = build_run(specs)
+    source = FrameSource([rows], fail_after=15, fail=ValueError("source broke"))
+    seen = outcome(frame_gear, source, run, None, profiled)
+    assert seen == outcome(tuple_gear, source, run, None, profiled)
+    assert seen["error"] == (ValueError, "source broke")
+    assert [tup["$r"][0]["v"] for tup in seen["tuples"]] == [10, 11, 12, 13, 14]
+    assert seen["scanned"] == (15, sum(sizeof_rows(rows[:15])))

@@ -72,6 +72,33 @@ class TestGeneralComparisonWithEmpty:
         assert got == ["S3"]
 
 
+class TestNullAgainstNull:
+    """Two nulls are equal and unordered: ``eq`` / ``le`` / ``ge`` hold,
+    ``ne`` / ``lt`` / ``gt`` do not, and nothing raises (ordering them
+    used to escape as a bare ``TypeError``, past the process pool too)."""
+
+    HOLDS = {"eq": True, "le": True, "ge": True, "ne": False, "lt": False, "gt": False}
+
+    NULLS = '{"station": "S3", "value": null}\n{"station": "S2"}'
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    @pytest.mark.parametrize("op", sorted(HOLDS))
+    def test_constant_and_two_operand_forms(self, op, backend):
+        expected = ["S3"] if self.HOLDS[op] else []
+        with JsonProcessor.in_memory(
+            collections={"/m": [[self.NULLS]]}, backend=backend
+        ) as processor:
+            for other in ("null", '$m("value")'):
+                got = q(processor, f'where $m("value") {op} {other} return $m("station")')
+                assert got == expected, (op, other)
+
+    def test_null_against_a_value_has_no_order_either(self):
+        processor = JsonProcessor.in_memory(collections={"/m": [[self.NULLS]]})
+        for op in sorted(self.HOLDS):
+            got = q(processor, f'where $m("value") {op} "x" return $m("station")')
+            assert got == (["S3"] if op == "ne" else [])
+
+
 class TestJoinOnMissingKeys:
     def test_missing_join_keys_do_not_match_each_other(self):
         left = '{"k": 1, "tag": "a"}\n{"tag": "b"}'

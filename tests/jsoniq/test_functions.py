@@ -105,9 +105,24 @@ class TestDateTime:
         assert call("hours-from-dateTime", [dt]) == [10]
         assert call("minutes-from-dateTime", [dt]) == [30]
 
+        assert call("seconds-from-dateTime", [dt.replace(second=59)]) == [59]
+        assert call("seconds-from-dateTime", [parse_datetime("20131225T10:30:07")]) == [7]
+
     def test_component_type_error(self):
         with pytest.raises(ItemTypeError):
             call("year-from-dateTime", ["2013"])
+
+    @pytest.mark.parametrize(
+        "part", ["year", "month", "day", "hours", "minutes", "seconds"]
+    )
+    def test_an_accessor_names_itself_as_registered(self, part):
+        name = f"{part}-from-dateTime"
+        with pytest.raises(ItemTypeError) as error:
+            call(name, [5])
+        assert str(error.value) == f"{name}() expects a dateTime, got number"
+        with pytest.raises(ItemTypeError) as error:
+            call(name, [5, 6])
+        assert str(error.value) == f"{name}() expects a singleton, got 2 items"
 
 
 class TestAtomization:

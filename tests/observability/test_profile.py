@@ -260,12 +260,15 @@ class TestGoldenExplain:
         expected = "\n".join(
             [
                 "== query profile (strategy=pipelined, partitions=2, clock=counter) ==",
-                "DISTRIBUTE-RESULT tuples_in=3 tuples_out=3 span=39",
-                "  ASSIGN tuples_in=3 tuples_out=3 span=29",
-                "    SELECT tuples_in=5 tuples_out=3 span=19",
+                # SELECT and ASSIGN run in the scan's frame gear, whose
+                # spans tick once per operator per frame (one frame a
+                # partition here), not per tuple
+                "DISTRIBUTE-RESULT tuples_in=3 tuples_out=3 span=15",
+                "  ASSIGN tuples_in=3 tuples_out=3 span=6",
+                "    SELECT tuples_in=5 tuples_out=3 span=4",
                 "      DATASCAN bytes_scanned=2740 items_scanned=5 "
                 "projection_hits=5 projection_skips=0 "
-                "tape_records=2 tape_tokens=8 tuples_out=5 span=7",
+                "tape_records=2 tape_tokens=8 tuples_out=5 span=2",
                 "",
                 "== rewrite audit ==",
             ]
