@@ -22,6 +22,16 @@ comes back as a :class:`PartitionOutcome` carrying that partition's own
 byte-identical across both backends — including under injected
 faults, retries, and ``skip_partition`` degradation.
 
+What the pool is paid per is the *worker*, not the partition: the
+process backend cuts a phase's units, in order, into one contiguous run
+per worker and submits one future per run; the worker unpickles and
+executes its units one after another, each from its own blob, so a unit
+is the same unit whatever the worker count.  A join's exchanged tuples
+cross the coordinator in sealed :class:`Parcel` objects: pickled once
+by the phase-1 worker that bucketed them, copied as bytes through the
+coordinator (which opens none), unpickled once by the phase-2 worker
+that joins the bucket.
+
 Worker *loss* is handled one layer up, in
 :mod:`~repro.hyracks.recovery`, which owns the process backend's only
 dispatch loop: a dead pool worker does not abort the query — the
@@ -50,7 +60,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from repro.errors import (
     BackendError,
@@ -169,6 +179,35 @@ class FoldPartialsWork:
         )
 
 
+class Parcel:
+    """A value that crosses the coordinator without being looked at.
+
+    Pickling an open parcel pickles its value once and ships the bytes;
+    unpickling yields a sealed parcel holding only those bytes, which
+    pickles again as a copy of them (no object walk); :meth:`open`
+    unpickles once and lets the bytes go.  A parcel that never crosses
+    a process is never pickled and :meth:`open` is the identity.
+    """
+
+    __slots__ = ("_value", "_sealed")
+
+    def __init__(self, value, _sealed: bytes | None = None):
+        self._value = value
+        self._sealed = _sealed
+
+    def open(self):
+        if self._sealed is not None:
+            self._value = pickle.loads(self._sealed)
+            self._sealed = None
+        return self._value
+
+    def __reduce__(self):
+        sealed = self._sealed
+        if sealed is None:
+            sealed = pickle.dumps(self._value, pickle.HIGHEST_PROTOCOL)
+        return Parcel, (None, sealed)
+
+
 def _join_side_counters(join: Join) -> tuple[str, str]:
     """(left counter, right counter) following the physical build side."""
     if join.build_side == "left":
@@ -187,6 +226,12 @@ class ExchangeWork:
     The spread counter is per partition and follows scan order, so the
     bucket layout — and therefore the merged result — is deterministic
     on every backend.
+
+    Returns each bucket's share (one :class:`Parcel` holding this
+    partition's ``(left_rows, right_rows)`` for it), the exchanged tuple
+    and byte counts, and, when profiled, each shipped tuple's size per
+    side and bucket (the coordinator's ``frames_emitted`` and bucket
+    details).
     """
 
     join: Join
@@ -238,11 +283,19 @@ class ExchangeWork:
         # so each side is sized as one frame.
         exchanged_tuples = 0
         exchanged_bytes = 0
+        sizes = []
         for side_buckets in (local_left, local_right):
             shipped = list(chain.from_iterable(side_buckets))
+            weighed = sizeof_tuples(shipped)
             exchanged_tuples += len(shipped)
-            exchanged_bytes += sum(sizeof_tuples(shipped))
-        return local_left, local_right, exchanged_tuples, exchanged_bytes
+            exchanged_bytes += sum(weighed)
+            if ctx.profile is not None:
+                cut = iter(weighed)
+                sizes.append(
+                    [list(islice(cut, len(rows))) for rows in side_buckets]
+                )
+        parts = [[Parcel(rows)] for rows in zip(local_left, local_right)]
+        return parts, exchanged_tuples, exchanged_bytes, sizes
 
 
 @dataclass(frozen=True)
@@ -251,26 +304,30 @@ class BroadcastScanWork:
 
     The partition's tuples of the *local* (big) side stay where they
     were scanned — bucket index = partition index, zero exchange cost —
-    while the *broadcast* (tiny) side's tuples are returned for the
-    coordinator to replicate into every bucket.  Empty-key tuples are
-    dropped on both sides, exactly like the hash exchange, so results
-    are byte-identical with ``exchange="hash"``.
+    while the *broadcast* (tiny) side's tuples go to every bucket.
+    Empty-key tuples are dropped on both sides, exactly like the hash
+    exchange, so results are byte-identical with ``exchange="hash"``.
+
+    Returns what :class:`ExchangeWork` returns, a bucket's share being a
+    list of parcels: one parcel holds the broadcast side and is handed
+    to every bucket (pickled once, however many reference it), one holds
+    the local side and goes to this partition's own bucket; each opens
+    to a ``(left_rows, right_rows)`` pair with one side empty.
     """
 
     join: Join
     left_keys: tuple
     right_keys: tuple
+    buckets: int
 
     def __call__(self, ctx: EvaluationContext):
         limits = ctx.limits
-        left_counter, right_counter = _join_side_counters(self.join)
-        broadcast_left = self.join.exchange == "broadcast-left"
-        local_rows: list = []
-        broadcast_rows: list = []
-        for side, key_exprs, counter, is_broadcast in (
-            (self.join.left, self.left_keys, left_counter, broadcast_left),
-            (self.join.right, self.right_keys, right_counter,
-             not broadcast_left),
+        rows: tuple[list, list] = ([], [])  # the left side's, the right's
+        for kept, side, key_exprs, counter in zip(
+            rows,
+            (self.join.left, self.join.right),
+            (self.left_keys, self.right_keys),
+            _join_side_counters(self.join),
         ):
             keys = [ctx.compiled(expr) for expr in key_exprs]
             stream = execute(side, ctx)
@@ -279,19 +336,36 @@ class BroadcastScanWork:
             for tup in stream:
                 if limits is not None:
                     limits.checkpoint()
-                key = join_key(tup, keys, ctx, op=self.join)
-                if key is None:
-                    continue
-                (broadcast_rows if is_broadcast else local_rows).append(tup)
-        return local_rows, broadcast_rows, sum(sizeof_tuples(broadcast_rows))
+                if join_key(tup, keys, ctx, op=self.join) is not None:
+                    kept.append(tup)
+        parcels = Parcel((rows[0], [])), Parcel(([], rows[1]))
+        shared = 0 if self.join.exchange == "broadcast-left" else 1
+        parts = [[parcels[shared]] for _ in range(self.buckets)]
+        parts[ctx.partition].append(parcels[1 - shared])
+        weighed = sizeof_tuples(rows[shared])
+        sizes = []
+        if ctx.profile is not None:
+            sizes = [[[] for _ in range(self.buckets)] for _side in rows]
+            sizes[shared] = [weighed] * self.buckets
+            sizes[1 - shared][ctx.partition] = sizeof_tuples(rows[1 - shared])
+        return (
+            parts,
+            len(weighed) * self.buckets,
+            sum(weighed) * self.buckets,
+            sizes,
+        )
 
 
 @dataclass(frozen=True)
 class JoinBucketWork:
-    """Join phase 2: join one bucket locally, optionally fold a partial."""
+    """Join phase 2: join one bucket locally, optionally fold a partial.
 
-    left_rows: tuple
-    right_rows: tuple
+    ``parts`` are the bucket's parcels in partition order, each opening
+    to a ``(left_rows, right_rows)`` pair; they are opened here, in the
+    worker, and each side is their rows chained.
+    """
+
+    parts: tuple
     left_keys: tuple
     right_keys: tuple
     residual: object
@@ -300,9 +374,10 @@ class JoinBucketWork:
     build_side: str = "right"
 
     def __call__(self, ctx: EvaluationContext):
+        sides = [part.open() for part in self.parts]
         joined = hash_join(
-            iter(self.left_rows),
-            iter(self.right_rows),
+            chain.from_iterable(left for left, _ in sides),
+            chain.from_iterable(right for _, right in sides),
             list(self.left_keys),
             list(self.right_keys),
             self.residual,
@@ -569,10 +644,12 @@ def _snapshot(collector) -> dict | None:
     return None if collector is None else collector.data()
 
 
-def _run_pickled_unit(blob: bytes) -> PartitionOutcome:
-    """Process-pool entry point: unpickle and execute a work unit."""
+def _run_pickled_units(blobs: list[bytes]) -> list[PartitionOutcome]:
+    """Process-pool entry point: execute a run of work units one after
+    another, each from its own blob (no unit shares a plan, source or
+    fault-plan copy with its neighbour), outcomes in unit order."""
     mark_pool_worker()
-    return execute_work_unit(pickle.loads(blob))
+    return [execute_work_unit(pickle.loads(blob)) for blob in blobs]
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +714,9 @@ class ProcessBackend(ExecutionBackend):
 
     Work units are pickled up front (one clear :class:`BackendError`
     instead of an opaque pool crash when a source or function library is
-    not picklable) and executed by ``_run_pickled_unit`` in the worker.
-    The pool persists across queries so fork/spawn cost is paid once.
+    not picklable) and each worker is handed one contiguous run of them,
+    executed by ``_run_pickled_units``.  The pool persists across
+    queries so fork/spawn cost is paid once.
     """
 
     name = "process"

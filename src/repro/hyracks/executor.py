@@ -555,15 +555,13 @@ class PartitionedExecutor:
         result.peak_memory_bytes = max(result.peak_memory_bytes, memory.peak)
         return result
 
-    def _record_frames(
-        self, op: Operator, tuples=(), sizes=(), n_bytes: int = 0
-    ) -> None:
+    def _record_frames(self, op: Operator, sizes=(), n_bytes: int = 0) -> None:
         """Charge ``frames_emitted`` for tuples shipped at an exchange.
 
         Raw tuple streams are packed through a real
-        :class:`~repro.hyracks.frames.FrameWriter`, each tuple at its
-        entry in *sizes* (``sizeof_tuples`` of *tuples*, which the
-        caller has taken a frame at a time); partial/byte-counted
+        :class:`~repro.hyracks.frames.FrameWriter`, one entry of *sizes*
+        (``sizeof_tuples``, taken a frame at a time by whoever held the
+        tuples) per tuple in shipping order; partial/byte-counted
         exchanges charge whole frames over *n_bytes*.  Only runs while
         profiling, so the unprofiled path never packs frames twice.
         """
@@ -572,8 +570,8 @@ class PartitionedExecutor:
         from repro.hyracks.frames import DEFAULT_FRAME_BYTES, FrameWriter
 
         writer = FrameWriter(allow_big_objects=True)
-        for tup, size in zip(tuples, sizes):
-            writer.write(tup, size)
+        for size in sizes:
+            writer.write(None, size)
         writer.flush()
         frames = writer.frames_emitted
         if n_bytes > 0:
@@ -590,7 +588,7 @@ class PartitionedExecutor:
         sizes = sizeof_tuples(shipped)
         stats.exchange_tuples += len(shipped)
         stats.exchange_bytes += sum(sizes)
-        self._record_frames(op, shipped, sizes)
+        self._record_frames(op, sizes)
         return shipped
 
     def _combine_partials(
@@ -808,43 +806,28 @@ class PartitionedExecutor:
         result.strategy = "hash-join"
         stats = result.stats
         buckets = partitions
-        left_buckets: list[list[Tuple]] = [[] for _ in range(buckets)]
-        right_buckets: list[list[Tuple]] = [[] for _ in range(buckets)]
-        if join.exchange in ("broadcast-left", "broadcast-right"):
-            # Broadcast exchange: the big side stays in its scan
-            # partition (bucket = partition index, zero shipping) and
-            # the tiny side is replicated into every bucket, in
-            # partition order so the replica is identical everywhere.
-            scan = BroadcastScanWork(
-                join, tuple(left_keys), tuple(right_keys)
-            )
-            broadcast_left = join.exchange == "broadcast-left"
-            local_buckets = right_buckets if broadcast_left else left_buckets
-            broadcast_all: list[Tuple] = []
-            broadcast_bytes = 0
-            for outcome in self._map(plan, [scan] * partitions, result):
-                local_rows, broadcast_rows, n_bytes = outcome.value
-                local_buckets[outcome.partition].extend(local_rows)
-                broadcast_all.extend(broadcast_rows)
-                broadcast_bytes += n_bytes
-            replicated = left_buckets if broadcast_left else right_buckets
-            for bucket in range(buckets):
-                replicated[bucket].extend(broadcast_all)
-            stats.exchange_tuples += len(broadcast_all) * buckets
-            stats.exchange_bytes += broadcast_bytes * buckets
-        else:
-            exchange = ExchangeWork(
-                join, tuple(left_keys), tuple(right_keys), buckets
-            )
-            for outcome in self._map(plan, [exchange] * partitions, result):
-                local_left, local_right, exchanged_tuples, exchanged_bytes = (
-                    outcome.value
-                )
-                for bucket in range(buckets):
-                    left_buckets[bucket].extend(local_left[bucket])
-                    right_buckets[bucket].extend(local_right[bucket])
-                stats.exchange_tuples += exchanged_tuples
-                stats.exchange_bytes += exchanged_bytes
+        # The coordinator moves sealed parcels and opens none: parts[b]
+        # is what bucket b's join opens, in partition order.  sizes[side]
+        # [b] lists that side of the bucket's tuple sizes (profiled runs
+        # only; the workers weigh every exchanged tuple anyway).  A
+        # broadcast exchange keeps the big side in its scan partition
+        # (bucket = partition index, zero shipping) and hands every
+        # bucket the tiny side.
+        parts: list[list] = [[] for _ in range(buckets)]
+        sizes = [[[] for _ in range(buckets)] for _side in range(2)]
+        broadcast = join.exchange in ("broadcast-left", "broadcast-right")
+        exchange = (BroadcastScanWork if broadcast else ExchangeWork)(
+            join, tuple(left_keys), tuple(right_keys), buckets
+        )
+        for outcome in self._map(plan, [exchange] * partitions, result):
+            shipped, n_tuples, n_bytes, weighed = outcome.value
+            for bucket_parts, share in zip(parts, shipped):
+                bucket_parts.extend(share)
+            for side, side_weighed in zip(sizes, weighed):
+                for bucket_sizes, chunk in zip(side, side_weighed):
+                    bucket_sizes.extend(chunk)
+            stats.exchange_tuples += n_tuples
+            stats.exchange_bytes += n_bytes
         if self._profile is not None:
             if join.annotated:
                 self._profile.set_detail(
@@ -856,27 +839,17 @@ class PartitionedExecutor:
                         "skew_keys": len(join.skew_keys),
                     },
                 )
-            self._profile.set_detail(
-                join, "left_buckets", [len(b) for b in left_buckets]
-            )
-            self._profile.set_detail(
-                join, "right_buckets", [len(b) for b in right_buckets]
-            )
-            # The workers sized these for the counters but kept only the
-            # totals; a bucket's tuples share a shape, so it is a frame.
-            exchanged = left_buckets + right_buckets
+            for detail, side in zip(("left_buckets", "right_buckets"), sizes):
+                self._profile.set_detail(join, detail, list(map(len, side)))
             self._record_frames(
-                join,
-                chain.from_iterable(exchanged),
-                chain.from_iterable(map(sizeof_tuples, exchanged)),
+                join, chain.from_iterable(sizes[0] + sizes[1])
             )
         use_two_step = aggregate is not None and self._two_step
         bucket_outcomes = self._map(
             plan,
             [
                 JoinBucketWork(
-                    tuple(left_buckets[bucket]),
-                    tuple(right_buckets[bucket]),
+                    tuple(bucket_parts),
                     tuple(left_keys),
                     tuple(right_keys),
                     residual,
@@ -884,7 +857,7 @@ class PartitionedExecutor:
                     aggregate if use_two_step else None,
                     build_side=join.build_side,
                 )
-                for bucket in range(buckets)
+                for bucket_parts in parts
             ],
             result,
             charge_delay=False,

@@ -4,14 +4,22 @@ The paper's engine inherits Hyracks' cluster execution model, where
 worker loss and stragglers are absorbed by the runtime rather than
 surfaced to the query author.  This module gives the process backend
 the same posture (:func:`run_units_with_recovery` is the one loop every
-process-backend query runs):
+process-backend query runs).  What is in flight is a **run**: the
+pending units are cut, in order, into one contiguous run per pool worker
+(:func:`cut_runs`), one future each, executed in the worker unit by unit
+with each unit unpickled from its own blob.  Everything the engine
+promises stays per unit — attempt offsets, crash sentinels, the attempt
+budget, results keyed by unit index:
 
 - **worker-loss recovery** — when a pool worker dies
   (``BrokenProcessPool`` in the pool,
   :class:`~repro.errors.WorkerCrashError` for an injected kill running
   in the coordinator's own process), the
-  coordinator keeps every finished partition's result, rebuilds the
-  pool, and reschedules only the unfinished work units.  Each unit has
+  coordinator keeps the result of every run that had finished, rebuilds
+  the pool, and re-cuts whatever has no result yet.  Units that had
+  finished *inside* a lost run run again with unchanged offsets, like
+  any other collateral unit; their first outcomes never reached the
+  coordinator, so nothing is counted twice.  Each unit has
   a bounded attempt budget (:class:`~repro.resilience.policies.RecoveryPolicy`
   ``max_unit_attempts``), so a deterministically crashing partition
   escalates with :class:`~repro.errors.RecoveryExhaustedError` instead
@@ -20,12 +28,14 @@ process-backend query runs):
   step down process→sequential (attempt offsets carried), recorded in
   the :class:`~repro.resilience.report.DegradationReport`;
 - **speculative stragglers** — a watchdog (reading a clock from the
-  :data:`repro.observability.clock.CLOCKS` registry) flags units running
-  longer than a multiple of the median completion time and launches a
-  duplicate.  First result wins, and completed futures are processed in
-  (unit index, primary-before-speculative) order, so the winning result
-  is selected deterministically and output stays byte-identical: both
-  attempts run the same deterministic work.
+  :data:`repro.observability.clock.CLOCKS` registry) records a duration
+  per unit (a run's time over its length) and flags a run in flight
+  longer than its length times a multiple of the median: each of its
+  units not yet resolved earns a single-unit duplicate at the next
+  attempt number.  First result wins per unit, and completed futures
+  are processed in (first unit index, primary-before-speculative) order,
+  so the winning result is selected deterministically and output stays
+  byte-identical: both attempts run the same deterministic work.
 
 Determinism under injected crashes hinges on one bookkeeping rule: the
 kill/stall faults are keyed on the **unit-level attempt number**
@@ -232,13 +242,12 @@ class _UnitState:
 
 
 class _Flight:
-    """One in-flight execution attempt of a unit."""
+    """One in-flight future: a run of units (or one speculative twin)."""
 
-    __slots__ = ("state", "offset", "speculative", "started_at")
+    __slots__ = ("states", "speculative", "started_at")
 
-    def __init__(self, state, offset, speculative, started_at):
-        self.state = state
-        self.offset = offset
+    def __init__(self, states, speculative, started_at):
+        self.states = states
         self.speculative = speculative
         self.started_at = started_at
 
@@ -247,6 +256,19 @@ def _with_offset(unit, offset: int):
     if offset == unit.attempt_offset:
         return unit
     return replace(unit, attempt_offset=offset)
+
+
+def cut_runs(pending: list, workers: int) -> list[list]:
+    """Cut *pending*, in order, into ``min(len(pending), workers)``
+    contiguous runs whose lengths differ by at most one."""
+    count = min(len(pending), workers)
+    base, longer = divmod(len(pending), count)
+    runs, start = [], 0
+    for index in range(count):
+        stop = start + base + (index < longer)
+        runs.append(pending[start:stop])
+        start = stop
+    return runs
 
 
 def run_units_with_recovery(units: list, host, events: list) -> list:
@@ -292,7 +314,7 @@ def run_units_with_recovery(units: list, host, events: list) -> list:
             try:
                 _run_pooled(
                     host._ensure_pool(),
-                    pending,
+                    cut_runs(pending, host._max_workers),
                     results,
                     policy,
                     events,
@@ -386,48 +408,58 @@ def _note_crash(state: _UnitState, message: str, events: list) -> None:
 
 def _run_pooled(
     pool,
-    pending: list[_UnitState],
+    runs: list[list[_UnitState]],
     results: dict[int, object],
     policy,
     events: list,
     clock,
     durations: list[float],
 ) -> None:
-    """Drive the process pool until every pending unit resolves.
+    """Drive the process pool, one flight per run, until every unit of
+    *runs* resolves.
 
     Raises :class:`_PoolLost` when the pool breaks, leaving ``results``
     holding everything that finished.
     """
     from concurrent.futures.process import BrokenProcessPool
-    from repro.hyracks.backends import _run_pickled_unit
+    from repro.hyracks.backends import _run_pickled_units
 
     flights: dict[object, _Flight] = {}
 
-    def launch(state: _UnitState, offset: int, speculative: bool) -> None:
-        blob = (
+    def launch(run: list[_UnitState], speculative: bool) -> None:
+        # A twin runs as the next unit-level attempt, so an attempt-1
+        # stall (or kill) does not refire on it.
+        offsets = [state.crashes + speculative for state in run]
+        blobs = [
             state.blob0
             if offset == 0
             else pickle.dumps(_with_offset(state.unit, offset))
-        )
+            for state, offset in zip(run, offsets)
+        ]
         try:
-            future = pool.submit(_run_pickled_unit, blob)
+            future = pool.submit(_run_pickled_units, blobs)
         except BrokenProcessPool as broken:
             _harvest(flights, results)
             raise _PoolLost(broken) from broken
-        flights[future] = _Flight(state, offset, speculative, clock())
+        flights[future] = _Flight(run, speculative, clock())
+
+    def resolved(flight: _Flight) -> bool:
+        return all(state.index in results for state in flight.states)
 
     def lose_twin(flight: _Flight) -> None:
-        if flight.speculative:
+        if flight.speculative:  # a twin is one unit
             events.append(
                 RecoveryEvent(
-                    "speculative_loss", partition=flight.state.unit.partition
+                    "speculative_loss",
+                    partition=flight.states[0].unit.partition,
                 )
             )
 
     try:
-        for state in pending:
-            state.speculated = False
-            launch(state, state.crashes, False)
+        for run in runs:
+            for state in run:
+                state.speculated = False
+            launch(run, False)
         while flights:
             timeout = (
                 policy.watchdog_interval_seconds if policy.speculate else None
@@ -436,35 +468,39 @@ def _run_pooled(
                 set(flights), timeout=timeout, return_when=FIRST_COMPLETED
             )
             # Deterministic first-result-wins: within one wakeup, process
-            # completions by unit index with the primary ahead of its
+            # completions by first unit index with the primary ahead of a
             # speculative twin, so the selected result never depends on
             # which future the OS happened to finish first.
             for future in sorted(
                 done,
-                key=lambda f: (flights[f].state.index, flights[f].speculative),
+                key=lambda f: (flights[f].states[0].index, flights[f].speculative),
             ):
                 flight = flights.pop(future)
-                state = flight.state
-                if state.index in results:
+                if resolved(flight):
                     lose_twin(flight)
                     continue
                 try:
-                    outcome = future.result()
+                    outcomes = future.result()
                 except CancelledError:  # pragma: no cover - defensive
                     continue
                 except BrokenProcessPool as broken:
                     _harvest(flights, results)
                     raise _PoolLost(broken) from broken
-                results[state.index] = outcome
-                durations.append(max(clock() - flight.started_at, 0.0))
-                if flight.speculative:
-                    events.append(
-                        RecoveryEvent(
-                            "speculative_win", partition=state.unit.partition
+                # Durations are per unit: a run's time over its length.
+                seconds = max(clock() - flight.started_at, 0.0) / len(outcomes)
+                for state, outcome in zip(flight.states, outcomes):
+                    if state.index in results:
+                        continue  # a twin got there first
+                    results[state.index] = outcome
+                    durations.append(seconds)
+                    if flight.speculative:
+                        events.append(
+                            RecoveryEvent(
+                                "speculative_win", partition=state.unit.partition
+                            )
                         )
-                    )
                 for other, twin in list(flights.items()):
-                    if twin.state.index == state.index and other.cancel():
+                    if resolved(twin) and other.cancel():
                         lose_twin(flights.pop(other))
             if policy.speculate and flights:
                 _maybe_speculate(
@@ -491,7 +527,8 @@ def _maybe_speculate(
     durations: list[float],
     launch,
 ) -> None:
-    """Launch duplicates for units running far past the median."""
+    """Launch single-unit twins for the unresolved units of runs in
+    flight far past the median unit time times their length."""
     if len(durations) < policy.min_speculation_samples:
         return
     median = sorted(durations)[len(durations) // 2]
@@ -501,21 +538,21 @@ def _maybe_speculate(
     )
     now = clock()
     for flight in list(flights.values()):
-        state = flight.state
         if (
             flight.speculative
-            or state.speculated
-            or state.index in results
-            or now - flight.started_at < threshold
+            or now - flight.started_at < threshold * len(flight.states)
         ):
             continue
-        state.speculated = True
-        events.append(
-            RecoveryEvent("speculative_launch", partition=state.unit.partition)
-        )
-        # The duplicate runs as the next unit-level attempt, so an
-        # attempt-1 stall (or kill) does not refire on it.
-        launch(state, state.crashes + 1, True)
+        for state in flight.states:
+            if state.speculated or state.index in results:
+                continue
+            state.speculated = True
+            events.append(
+                RecoveryEvent(
+                    "speculative_launch", partition=state.unit.partition
+                )
+            )
+            launch([state], True)
 
 
 def _harvest(flights: dict, results: dict[int, object]) -> None:
@@ -524,8 +561,8 @@ def _harvest(flights: dict, results: dict[int, object]) -> None:
         if not future.done() or future.cancelled():
             continue
         try:
-            outcome = future.result()
+            outcomes = future.result()
         except Exception:
             continue
-        if flight.state.index not in results:
-            results[flight.state.index] = outcome
+        for state, outcome in zip(flight.states, outcomes):
+            results.setdefault(state.index, outcome)

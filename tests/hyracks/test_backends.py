@@ -1,6 +1,7 @@
 """Execution backends: parity, picklability, and distribution."""
 
 import json
+import os
 import pickle
 
 import pytest
@@ -19,6 +20,7 @@ from repro.errors import PartitionExecutionError
 from repro.hyracks.backends import (
     BACKENDS,
     BackendError,
+    Parcel,
     PipelinedWork,
     WorkUnit,
     execute_work_unit,
@@ -405,3 +407,163 @@ class TestDistribution:
             == sequential.stats.items_scanned
         )
         assert [v for o in outcomes for v in o.value] == sequential.items
+
+
+class Counted:
+    """A value that counts how often it is pickled and unpickled."""
+
+    reduced = 0
+    restored = 0
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def __reduce__(self):
+        Counted.reduced += 1
+        return _restore_counted, (self.payload,)
+
+
+def _restore_counted(payload):
+    Counted.restored += 1
+    return Counted(payload)
+
+
+class TestParcel:
+    def setup_method(self):
+        Counted.reduced = Counted.restored = 0
+
+    def test_a_parcel_that_never_crosses_is_never_pickled(self):
+        value = Counted([1, 2])
+        assert Parcel(value).open() is value
+        assert (Counted.reduced, Counted.restored) == (0, 0)
+
+    def test_value_is_walked_once_out_and_once_in_across_two_crossings(self):
+        first = pickle.dumps(Parcel(Counted([1, 2])))
+        assert (Counted.reduced, Counted.restored) == (1, 0)
+        sealed = pickle.loads(first)
+        again = pickle.dumps(sealed)
+        assert again == first  # the same bytes, copied
+        arrived = pickle.loads(again)
+        assert (Counted.reduced, Counted.restored) == (1, 0)
+        assert arrived.open().payload == [1, 2]
+        assert arrived.open() is arrived.open()
+        assert (Counted.reduced, Counted.restored) == (1, 1)
+
+
+TINY = [{"k": i, "label": f"t{i}"} for i in range(5)]
+BIG = [{"k": i % 5, "v": i} for i in range(120)]
+BROADCAST_QUERY = (
+    'for $t in collection("/tiny")() for $b in collection("/big")() '
+    'where $t("k") eq $b("k") return {"label": $t("label"), "v": $b("v")}'
+)
+
+
+def broadcast_source(partitions=4):
+    data = {}
+    for name, rows in (("/tiny", TINY), ("/big", BIG)):
+        parts = [rows[p::partitions] for p in range(partitions)]
+        data[name] = [[json.dumps(part)] for part in parts]
+    return InMemorySource(data, stats_sample=10_000)
+
+
+def join_profile(result) -> dict:
+    (join,) = result.profile.find("JOIN")
+    return {
+        "frames_emitted": join.counters["frames_emitted"],
+        "left_buckets": join.details["left_buckets"],
+        "right_buckets": join.details["right_buckets"],
+    }
+
+
+class TestParcelsThroughTheExchange:
+    """A join's buckets cross the coordinator sealed: workers pickle
+    each parcel's rows once and open them once; the coordinator only
+    ever copies bytes, profiled or not."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch, tmp_path):
+        """Log every Parcel.open and every object-walking pickle with
+        the pid it ran in (pool workers fork after the patch)."""
+        log = tmp_path / "parcel.log"
+        real_open, real_reduce = Parcel.open, Parcel.__reduce__
+
+        def note(event):
+            with open(log, "a") as handle:
+                handle.write(f"{event} {os.getpid()}\n")
+
+        def spy_open(parcel):
+            note("open")
+            return real_open(parcel)
+
+        def spy_reduce(parcel):
+            note("walk" if parcel._sealed is None else "copy")
+            return real_reduce(parcel)
+
+        monkeypatch.setattr(Parcel, "open", spy_open)
+        monkeypatch.setattr(Parcel, "__reduce__", spy_reduce)
+
+        def events():
+            lines = log.read_text().split("\n")[:-1] if log.exists() else []
+            log.write_text("")
+            return [
+                (event, int(pid) == os.getpid())
+                for event, pid in map(str.split, lines)
+            ]
+
+        return events
+
+    def sensor_q2(self, tmp_path):
+        from repro.bench.queries import q2
+        from repro.data.generator import SensorDataConfig, write_sensor_collection
+
+        base = tmp_path / "data"
+        write_sensor_collection(
+            str(base),
+            "sensors",
+            partitions=4,
+            bytes_per_partition=32 << 10,
+            config=SensorDataConfig(seed=42),
+        )
+        return (lambda: CollectionCatalog(str(base))), q2("/sensors")
+
+    @pytest.mark.parametrize("shape", ["Q2", "broadcast-left"])
+    @pytest.mark.parametrize("profile", [None, "counter"])
+    def test_the_coordinator_opens_no_parcel(self, shape, profile, spy, tmp_path):
+        if shape == "Q2":
+            make, query = self.sensor_q2(tmp_path)
+        else:
+            make, query = broadcast_source, BROADCAST_QUERY
+        partitions = 4
+
+        def run(backend):
+            with JsonProcessor(
+                source=make(), backend=backend, max_workers=2
+            ) as processor:
+                if shape != "Q2":
+                    assert "broadcast-left" in processor.explain(query)
+                return processor.execute(query, profile=profile)
+
+        sequential = run("sequential")
+        in_process = spy()
+        assert in_process and {event for event, _ in in_process} == {"open"}
+        process = run("process")
+        events = spy()
+        assert process.items == sequential.items
+        assert fingerprint(process) == fingerprint(sequential)
+        if profile is not None:
+            assert join_profile(process) == join_profile(sequential)
+        # Every open and every object walk happened in a worker ...
+        assert [e for e in events if e[1]] and all(
+            event == "copy" for event, here in events if here
+        )
+        opens = [e for e in events if e[0] == "open"]
+        walks = [e for e in events if e[0] == "walk"]
+        # ... each parcel's rows were pickled once, by the phase-1 unit
+        # that made them (the broadcast side: once per partition, not
+        # once per bucket), and opened once by each bucket that holds it.
+        if shape == "Q2":
+            assert len(walks) == partitions * partitions
+            assert len(opens) == partitions * partitions
+        else:
+            assert len(walks) == 2 * partitions
+            assert len(opens) == partitions * (1 + partitions)

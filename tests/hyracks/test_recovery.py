@@ -8,6 +8,8 @@ import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     BackendError,
@@ -20,6 +22,8 @@ from repro import (
     ResilienceConfig,
     WorkerCrashError,
 )
+from repro.hyracks.backends import PipelinedWork, WorkUnit
+from repro.hyracks.recovery import cut_runs, run_units_with_recovery
 
 BACKEND_NAMES = ["sequential", "process"]
 
@@ -173,6 +177,144 @@ class TestCrashRecovery:
         assert not result.degradation.is_degraded
         assert result.stats.worker_crashes == 0
         assert result.stats.pool_rebuilds == 0
+
+
+JOIN_QUERY = (
+    'for $a in collection("/events") for $b in collection("/events") '
+    'where $a("v") eq $b("v") return $b("g")'
+)
+
+
+class CountingSource:
+    """Logs one file per scan of a partition, so a test can see how often
+    each unit really ran (workers share nothing else with the test)."""
+
+    def __init__(self, inner, log_dir: str):
+        self.inner = inner
+        self.log_dir = log_dir
+
+    def partition_count(self, name):
+        return self.inner.partition_count(name)
+
+    def scan_collection(self, name, path, partition=None):
+        fd, _ = tempfile.mkstemp(prefix=f"scan-{partition}-", dir=self.log_dir)
+        os.close(fd)
+        return self.inner.scan_collection(name, path, partition)
+
+    def scans(self) -> dict:
+        counts: dict = {}
+        for name in os.listdir(self.log_dir):
+            partition = int(name.split("-")[1])
+            counts[partition] = counts.get(partition, 0) + 1
+        return counts
+
+
+def accounting(result):
+    stats = result.stats
+    return (
+        stats.items_scanned,
+        stats.scanned_item_bytes,
+        stats.exchange_tuples,
+        stats.exchange_bytes,
+    )
+
+
+def losses(result):
+    return [
+        (loss.partition, loss.attempt)
+        for loss in result.degradation.worker_losses
+    ]
+
+
+class TestRunGranularity:
+    """The process backend hands each worker one run of units; the
+    recovery contract stays per unit."""
+
+    @given(n=st.integers(1, 40), workers=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_cut_keeps_every_unit_once_in_order(self, n, workers):
+        runs = cut_runs(list(range(n)), workers)
+        assert [unit for run in runs for unit in run] == list(range(n))
+        assert len(runs) == min(n, workers)
+        lengths = [len(run) for run in runs]
+        assert max(lengths) - min(lengths) <= 1
+
+    @pytest.mark.parametrize("query", [QUERY, JOIN_QUERY])
+    def test_units_finished_inside_a_lost_run_are_counted_once(
+        self, query, tmp_path
+    ):
+        """One run of four, killed at its third unit: the first two had
+        finished inside the worker, run again (their offsets unchanged),
+        and the answer and the accounting are sequential's.  (A join
+        maps twice, and the kill fires in each phase on every backend.)"""
+        baseline = run_backend(
+            "sequential", query, plan=FaultPlan().kill_worker(2, attempt=1)
+        )
+        source = CountingSource(make_source(), str(tmp_path))
+        processor = JsonProcessor(
+            source=FaultPlan().kill_worker(2, attempt=1).wrap(source),
+            backend="process",
+            max_workers=1,
+        )
+        with processor:
+            result = processor.execute(query)
+        assert result.items == baseline.items
+        assert losses(result) == losses(baseline)
+        assert losses(result)[0] == (2, 1)
+        assert accounting(result) == accounting(baseline)
+        assert result.stats.pool_rebuilds == len(losses(result))
+        scans = source.scans()
+        # the killed unit never reached its scan on attempt 1
+        assert scans[0] == scans[1] == 2 * scans[2] == 2 * scans[3]
+
+    def test_two_kills_in_one_run_fire_once_each_in_partition_order(self):
+        plan = FaultPlan().kill_worker(3, attempt=1).kill_worker(0, attempt=1)
+        baseline = run_backend("sequential")
+        result = run_backend("process", plan=plan, max_workers=1)
+        assert result.items == baseline.items
+        assert losses(result) == [(0, 1), (3, 1)]
+        assert accounting(result) == accounting(baseline)
+        assert result.degradation.ladder_steps == []
+
+    def test_a_stalled_run_earns_twins_for_its_unresolved_units_only(self):
+        """Runs [0, 1] and [2, 3]; partition 1 stalls.  The second run
+        resolves, the first overstays, and twins go out for 0 and 1
+        (neither is in ``results``: a run reports when it ends)."""
+        source = FaultPlan().stall_partition(1, seconds=1.0).wrap(make_source())
+        config = ResilienceConfig(recovery=speculation_policy())
+        plan = JsonProcessor(source=source).compile(QUERY).plan
+        units = [
+            WorkUnit(
+                plan=plan,
+                partition=partition,
+                work=PipelinedWork(plan),
+                source=source,
+                functions=None,
+                memory_budget=None,
+                resilience=config,
+            )
+            for partition in range(PARTITIONS)
+        ]
+        events: list = []
+        with ProcessBackend(max_workers=2) as backend:
+            outcomes = run_units_with_recovery(units, backend, events)
+        assert [
+            value for outcome in outcomes for value in outcome.value
+        ] == run_backend("sequential").items
+        launched = [e.partition for e in events if e.kind == "speculative_launch"]
+        assert launched and set(launched) <= {0, 1}
+        assert len(launched) == len(set(launched))
+        won = [e.partition for e in events if e.kind == "speculative_win"]
+        assert set(won) <= set(launched)
+        # and nothing of it reaches the degradation report
+        result = run_backend(
+            "process",
+            plan=FaultPlan().stall_partition(1, seconds=1.0),
+            config=config,
+            max_workers=2,
+        )
+        assert result.stats.speculative_launched >= 1
+        assert not result.degradation.is_degraded
 
 
 class TestDegradationLadder:

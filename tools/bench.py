@@ -122,7 +122,7 @@ def run(args: argparse.Namespace) -> dict:
         "host": host_info(),
         "config": {
             "partitions": args.partitions,
-            "bytes_per_partition": args.mib_per_partition << 20,
+            "bytes_per_partition": int(args.mib_per_partition * (1 << 20)),
             "repeat": args.repeat,
             "backends": args.backends,
         },
@@ -139,7 +139,7 @@ def run(args: argparse.Namespace) -> dict:
             base_dir,
             "sensors",
             partitions=args.partitions,
-            bytes_per_partition=args.mib_per_partition << 20,
+            bytes_per_partition=int(args.mib_per_partition * (1 << 20)),
             config=SensorDataConfig(seed=args.seed),
         )
         for name, make_query in QUERIES.items():
@@ -234,7 +234,7 @@ def run_scan(args: argparse.Namespace) -> dict:
         "host": host_info(),
         "config": {
             "partitions": args.partitions,
-            "bytes_per_partition": args.mib_per_partition << 20,
+            "bytes_per_partition": int(args.mib_per_partition * (1 << 20)),
             "repeat": args.repeat,
         },
         "projections": {},
@@ -244,7 +244,7 @@ def run_scan(args: argparse.Namespace) -> dict:
             base_dir,
             "sensors",
             partitions=args.partitions,
-            bytes_per_partition=args.mib_per_partition << 20,
+            bytes_per_partition=int(args.mib_per_partition * (1 << 20)),
             config=SensorDataConfig(seed=args.seed),
         )
         for projection, queries in SCAN_PROJECTIONS.items():
@@ -283,7 +283,12 @@ def main(argv: list[str] | None = None) -> int:
         help="benchmark scan modes / segment cache instead of backends",
     )
     parser.add_argument("--partitions", type=int, default=4)
-    parser.add_argument("--mib-per-partition", type=int, default=4)
+    parser.add_argument(
+        "--mib-per-partition",
+        type=float,
+        default=4,
+        help="may be fractional: 0.0625 is perfbench's 64 KiB partition",
+    )
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(

@@ -7,7 +7,11 @@ accounting (``items_scanned``, ``scanned_item_bytes``,
 ``exchange_tuples``, ``exchange_bytes``): under a fixed seed, both runs
 must be byte-identical.  Each partition is longer than the frame
 DATASCAN cuts a scan into, so retries and corrupt records land inside
-frames.  Exits non-zero on any mismatch.
+frames.  Every scenario is then replayed on the ``process`` backend at
+``max_workers`` 1, 2 and 3 (its 4 partitions cut into one run of four,
+2 + 2 and 2 + 1 + 1) and diffed against ``sequential``'s payload: how
+the backend cuts the units into runs must never show.  Exits non-zero
+on any mismatch.
 
 ``--chaos`` switches to the worker-crash battery: seeded kill/stall
 schedules replayed twice with ``max_workers=1`` (serialized pool
@@ -152,11 +156,22 @@ CHAOS_SCENARIOS = {
 }
 
 
-def run_once(factory, seed: int, chaos: bool = False) -> str:
+#: worker counts the data-fault battery replays on ``process``
+WORKER_COUNTS = (1, 2, 3)
+
+
+def run_once(
+    factory, seed: int, chaos: bool = False, backend=None, max_workers=None
+) -> str:
     source, plan, config, query = factory(seed)
-    kwargs = {"max_workers": 1} if chaos else {}
+    if chaos:
+        max_workers = 1
     processor = JsonProcessor(
-        source=source, fault_plan=plan, resilience=config, **kwargs
+        source=source,
+        fault_plan=plan,
+        resilience=config,
+        backend=backend,
+        max_workers=max_workers,
     )
     with processor:
         result = processor.execute(query)
@@ -178,6 +193,20 @@ def run_once(factory, seed: int, chaos: bool = False) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def differ(label: str, first: str, second: str, names) -> bool:
+    """Print the verdict (and the head of the diff); True on a mismatch."""
+    if first == second:
+        print(f"OK   {label}: report and accounting byte-identical")
+        return False
+    print(f"FAIL {label}: reports differ")
+    diff = difflib.unified_diff(
+        first.splitlines(), second.splitlines(), *names, lineterm=""
+    )
+    for line in list(diff)[:40]:
+        print(f"  {line}")
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[1])
     parser.add_argument(
@@ -192,16 +221,20 @@ def main(argv: list[str] | None = None) -> int:
     for name, factory in scenarios.items():
         first = run_once(factory, seed=7, chaos=args.chaos)
         second = run_once(factory, seed=7, chaos=args.chaos)
-        if first == second:
-            print(f"OK   {name}: report and accounting byte-identical")
+        failures += differ(name, first, second, ("run1", "run2"))
+        if args.chaos:
             continue
-        failures += 1
-        print(f"FAIL {name}: reports differ between runs")
-        diff = difflib.unified_diff(
-            first.splitlines(), second.splitlines(), "run1", "run2", lineterm=""
-        )
-        for line in list(diff)[:40]:
-            print(f"  {line}")
+        reference = run_once(factory, seed=7, backend="sequential")
+        for workers in WORKER_COUNTS:
+            replay = run_once(
+                factory, seed=7, backend="process", max_workers=workers
+            )
+            failures += differ(
+                f"{name} [process x{workers} vs sequential]",
+                reference,
+                replay,
+                ("sequential", f"process x{workers}"),
+            )
     if failures:
         print(f"{failures} scenario(s) were non-deterministic")
         return 1
