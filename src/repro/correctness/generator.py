@@ -337,6 +337,36 @@ def _template_join(rng, wrapped):
     return f"join-{left_type}-{right_type}", query, oracle
 
 
+def _template_join_pair(rng, wrapped):
+    """Self-join on ``station`` and ``value``: strings, ints and floats
+    that unify, null (equal to null) and missing (never joins) as keys."""
+    left_type, right_type = rng.sample(_DATA_TYPES, 2)
+    query = (
+        f'for $a in collection("{COLLECTION}"){_scan_path(wrapped)} '
+        f'for $b in collection("{COLLECTION}"){_scan_path(wrapped)} '
+        'where $a("station") eq $b("station") and $a("value") eq $b("value") '
+        f'and $a("dataType") ne "{left_type}" and $b("dataType") ne "{right_type}" '
+        'return $b("value")'
+    )
+
+    def oracle(documents):
+        from repro.jsonlib.items import canonical_key
+
+        def keyed(unwanted):  # (key, value) of the rows one side keeps
+            return [
+                (canonical_key([m["station"], m["value"]]), m["value"])
+                for m in _measurements(documents)
+                if m.get("dataType", unwanted) != unwanted
+                and "station" in m
+                and "value" in m
+            ]
+
+        left = keyed(left_type)
+        return [v for key, v in keyed(right_type) for a, _ in left if a == key]
+
+    return f"join-pair-{left_type}-{right_type}", query, oracle
+
+
 def _template_join_seq(rng, wrapped):
     """Self-join keyed on a *sequence* — ``$a("attributes")()``.
 
@@ -393,7 +423,7 @@ _TEMPLATES = [
     _template_predicate_gt,
     _template_let_month,
     _template_group_count,
-    _template_join,
+    (_template_join, _template_join_pair),
     _template_join_seq,
 ]
 
@@ -401,7 +431,10 @@ _TEMPLATES = [
 def generate_case(rng: random.Random, index: int) -> GeneratedCase:
     """One seeded (query, data) pair with its oracle."""
     partitions, wrapped = generate_partitions(rng)
-    template = _TEMPLATES[index % len(_TEMPLATES)]
+    turn, slot = divmod(index, len(_TEMPLATES))
+    template = _TEMPLATES[slot]
+    if isinstance(template, tuple):  # a slot its templates take in turn
+        template = template[turn % len(template)]
     label, query, oracle = template(rng, wrapped)
     shape = "wrapped" if wrapped else "flat"
     return GeneratedCase(

@@ -80,7 +80,7 @@ from repro.hyracks.operators import (
     canonical_key,
     execute,
     hash_join,
-    join_key,
+    keyed_tuples,
     run_chain,
     run_plan,
 )
@@ -215,9 +215,24 @@ def _join_side_counters(join: Join) -> tuple[str, str]:
     return "probe_tuples", "build_tuples"
 
 
+def _keyed_side(join: Join, side: Operator, key_exprs, counter: str, ctx):
+    """One input of *join* as the keyed pairs phase 1 keeps, counted and
+    checked as pulled; as in hash_join an empty key (None) is dropped."""
+    limits = ctx.limits
+    pairs = keyed_tuples(side, key_exprs, ctx, join)
+    if ctx.profile is not None:
+        pairs = ctx.profile.count_into(join, counter, pairs)
+    for pair in pairs:
+        if limits is not None:
+            limits.checkpoint()
+        if pair[0] is not None:
+            yield pair
+
+
 @dataclass(frozen=True)
 class ExchangeWork:
-    """Join phase 1: scan both sides, hash tuples into bucket lists.
+    """Join phase 1: scan both sides, hash keyed tuples into buckets
+    (the key that picked a tuple's bucket travels with it).
 
     When the join carries ``skew_keys`` (hot keys detected by the cost
     phase), those keys' buckets are split: hot *build*-side tuples are
@@ -228,10 +243,10 @@ class ExchangeWork:
     on every backend.
 
     Returns each bucket's share (one :class:`Parcel` holding this
-    partition's ``(left_rows, right_rows)`` for it), the exchanged tuple
-    and byte counts, and, when profiled, each shipped tuple's size per
-    side and bucket (the coordinator's ``frames_emitted`` and bucket
-    details).
+    partition's ``(left, right)`` for it, a side being its rows, their
+    keys and their sizes), the exchanged tuple and byte counts, and,
+    when profiled, each shipped tuple's size per side and bucket (the
+    coordinator's ``frames_emitted`` and bucket details).
     """
 
     join: Join
@@ -240,61 +255,47 @@ class ExchangeWork:
     buckets: int
 
     def __call__(self, ctx: EvaluationContext):
-        local_left: list[list] = [[] for _ in range(self.buckets)]
-        local_right: list[list] = [[] for _ in range(self.buckets)]
-        limits = ctx.limits
+        buckets = self.buckets
         left_counter, right_counter = _join_side_counters(self.join)
         skew = set(self.join.skew_keys)
         spread: dict = {}
         build_is_left = self.join.build_side == "left"
-        for side, key_exprs, target, counter, is_build in (
-            (self.join.left, self.left_keys, local_left, left_counter,
-             build_is_left),
-            (self.join.right, self.right_keys, local_right, right_counter,
-             not build_is_left),
-        ):
-            keys = [ctx.compiled(expr) for expr in key_exprs]
-            stream = execute(side, ctx)
-            if ctx.profile is not None:
-                stream = ctx.profile.count_into(self.join, counter, stream)
-            for tup in stream:
-                if limits is not None:
-                    limits.checkpoint()
-                # Tuples with an empty key sequence cannot join (x eq ()
-                # is false) — drop them here to match hash_join.
-                key = join_key(tup, keys, ctx, op=self.join)
-                if key is None:
-                    continue
-                if skew and key in skew:
-                    if is_build:
-                        for bucket_rows in target:
-                            bucket_rows.append(tup)
-                    else:
-                        turn = spread.get(key, 0)
-                        spread[key] = turn + 1
-                        bucket = (
-                            stable_bucket(key, self.buckets) + turn
-                        ) % self.buckets
-                        target[bucket].append(tup)
-                    continue
-                target[stable_bucket(key, self.buckets)].append(tup)
-        # What crosses the exchange is what sits in the buckets (a hot
-        # build tuple once per bucket); one side's tuples share a shape,
-        # so each side is sized as one frame.
         exchanged_tuples = 0
         exchanged_bytes = 0
-        sizes = []
-        for side_buckets in (local_left, local_right):
-            shipped = list(chain.from_iterable(side_buckets))
-            weighed = sizeof_tuples(shipped)
-            exchanged_tuples += len(shipped)
+        shares = []  # per side, per bucket: (rows, keys, sizes)
+        for side, key_exprs, counter, is_build in (
+            (self.join.left, self.left_keys, left_counter, build_is_left),
+            (self.join.right, self.right_keys, right_counter, not build_is_left),
+        ):
+            # Rows and keys side by side, not as pairs: a pair kept per
+            # tuple is one more object for the collector to walk.
+            rows: list[list] = [[] for _ in range(buckets)]
+            keys: list[list] = [[] for _ in range(buckets)]
+            for key, tup in _keyed_side(self.join, side, key_exprs, counter, ctx):
+                if not skew or key not in skew:
+                    into = (stable_bucket(key, buckets),)
+                elif is_build:
+                    into = range(buckets)
+                else:
+                    turn = spread.get(key, 0)
+                    spread[key] = turn + 1
+                    into = ((stable_bucket(key, buckets) + turn) % buckets,)
+                for bucket in into:
+                    rows[bucket].append(tup)
+                    keys[bucket].append(key)
+            # What crosses the exchange is what sits in the buckets (a hot
+            # build tuple once per bucket); one side's tuples share a shape,
+            # so the side is sized as one frame, and the sizes ride along.
+            weighed = sizeof_tuples(list(chain.from_iterable(rows)))
+            exchanged_tuples += len(weighed)
             exchanged_bytes += sum(weighed)
-            if ctx.profile is not None:
-                cut = iter(weighed)
-                sizes.append(
-                    [list(islice(cut, len(rows))) for rows in side_buckets]
-                )
-        parts = [[Parcel(rows)] for rows in zip(local_left, local_right)]
+            cut = iter(weighed)
+            shares.append(
+                [(r, k, list(islice(cut, len(r)))) for r, k in zip(rows, keys)]
+            )
+        parts = [[Parcel(share)] for share in zip(*shares)]
+        profiled = ctx.profile is not None  # the coordinator's packing
+        sizes = [[share[2] for share in side] for side in shares] if profiled else []
         return parts, exchanged_tuples, exchanged_bytes, sizes
 
 
@@ -305,14 +306,15 @@ class BroadcastScanWork:
     The partition's tuples of the *local* (big) side stay where they
     were scanned — bucket index = partition index, zero exchange cost —
     while the *broadcast* (tiny) side's tuples go to every bucket.
-    Empty-key tuples are dropped on both sides, exactly like the hash
-    exchange, so results are byte-identical with ``exchange="hash"``.
+    Both sides keep their keys; empty-key tuples are dropped on both,
+    exactly like the hash exchange, so results are byte-identical with
+    ``exchange="hash"``.
 
     Returns what :class:`ExchangeWork` returns, a bucket's share being a
     list of parcels: one parcel holds the broadcast side and is handed
     to every bucket (pickled once, however many reference it), one holds
     the local side and goes to this partition's own bucket; each opens
-    to a ``(left_rows, right_rows)`` pair with one side empty.
+    to a ``(left, right)`` pair with one side empty.
     """
 
     join: Join
@@ -321,33 +323,28 @@ class BroadcastScanWork:
     buckets: int
 
     def __call__(self, ctx: EvaluationContext):
-        limits = ctx.limits
-        rows: tuple[list, list] = ([], [])  # the left side's, the right's
-        for kept, side, key_exprs, counter in zip(
-            rows,
+        sides = []  # the left side's share, then the right's
+        for side, key_exprs, counter in zip(
             (self.join.left, self.join.right),
             (self.left_keys, self.right_keys),
             _join_side_counters(self.join),
         ):
-            keys = [ctx.compiled(expr) for expr in key_exprs]
-            stream = execute(side, ctx)
-            if ctx.profile is not None:
-                stream = ctx.profile.count_into(self.join, counter, stream)
-            for tup in stream:
-                if limits is not None:
-                    limits.checkpoint()
-                if join_key(tup, keys, ctx, op=self.join) is not None:
-                    kept.append(tup)
-        parcels = Parcel((rows[0], [])), Parcel(([], rows[1]))
+            rows, keys = [], []
+            for key, tup in _keyed_side(self.join, side, key_exprs, counter, ctx):
+                rows.append(tup)
+                keys.append(key)
+            sides.append((rows, keys, sizeof_tuples(rows)))
+        nothing = ([], [], [])
+        parcels = Parcel((sides[0], nothing)), Parcel((nothing, sides[1]))
         shared = 0 if self.join.exchange == "broadcast-left" else 1
         parts = [[parcels[shared]] for _ in range(self.buckets)]
         parts[ctx.partition].append(parcels[1 - shared])
-        weighed = sizeof_tuples(rows[shared])
+        weighed = sides[shared][2]
         sizes = []
         if ctx.profile is not None:
-            sizes = [[[] for _ in range(self.buckets)] for _side in rows]
+            sizes = [[[] for _ in range(self.buckets)] for _side in sides]
             sizes[shared] = [weighed] * self.buckets
-            sizes[1 - shared][ctx.partition] = sizeof_tuples(rows[1 - shared])
+            sizes[1 - shared][ctx.partition] = sides[1 - shared][2]
         return (
             parts,
             len(weighed) * self.buckets,
@@ -361,28 +358,30 @@ class JoinBucketWork:
     """Join phase 2: join one bucket locally, optionally fold a partial.
 
     ``parts`` are the bucket's parcels in partition order, each opening
-    to a ``(left_rows, right_rows)`` pair; they are opened here, in the
-    worker, and each side is their rows chained.
+    to a ``(left, right)`` pair of shares; they are opened here, in the
+    worker, and each side is their rows chained and zipped back with
+    their keys, the build side charged the sizes that came with it.
     """
 
     parts: tuple
-    left_keys: tuple
-    right_keys: tuple
     residual: object
     mid_ops: tuple
     aggregate: Aggregate | None
     build_side: str = "right"
 
     def __call__(self, ctx: EvaluationContext):
-        sides = [part.open() for part in self.parts]
+        shares = [part.open() for part in self.parts]
+
+        def column(side, field):
+            return chain.from_iterable(share[side][field] for share in shares)
+
         joined = hash_join(
-            chain.from_iterable(left for left, _ in sides),
-            chain.from_iterable(right for _, right in sides),
-            list(self.left_keys),
-            list(self.right_keys),
+            zip(column(0, 1), column(0, 0)),
+            zip(column(1, 1), column(1, 0)),
             self.residual,
             ctx,
             build_side=self.build_side,
+            build_sizes=column(0 if self.build_side == "left" else 1, 2),
         )
         stream = run_chain(list(self.mid_ops), joined, ctx)
         if self.aggregate is not None:

@@ -850,8 +850,6 @@ class PartitionedExecutor:
             [
                 JoinBucketWork(
                     tuple(bucket_parts),
-                    tuple(left_keys),
-                    tuple(right_keys),
                     residual,
                     tuple(mid_ops),
                     aggregate if use_two_step else None,

@@ -35,6 +35,7 @@ Entry points:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from itertools import islice, repeat
 from typing import Iterable, Iterator
 
@@ -72,12 +73,14 @@ from repro.hyracks.spill import (
     fold_group_lists,
     fold_group_table,
 )
-from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple
+from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple, sizeof_tuples
 from repro.jsonlib.items import (
     ABSENT,
     Item,
+    canonical_atomic,
     canonical_item,
     canonical_key,
+    item_type_name,
     sizeof_rows,
 )
 
@@ -89,6 +92,7 @@ __all__ = [
     "canonical_key",
     "execute",
     "hash_join",
+    "keyed_tuples",
     "run_chain",
     "run_operator",
     "run_plan",
@@ -119,18 +123,9 @@ def execute(op: Operator, ctx: EvaluationContext) -> Iterator[Tuple]:
         if ctx.profile is not None:
             stream = ctx.profile.observe(op, stream)
         return stream
-    # The run of SELECT / ASSIGN operators from *op* down, bottom-most
-    # first: sitting directly on a DATASCAN, and every expression having
-    # a column form, it runs inside the scan's loop.
-    run: list[Operator] = []
-    below = op
-    while isinstance(below, (Select, Assign)):
-        run.insert(0, below)
-        below = below.input_op
-    if run and isinstance(below, DataScan):
-        steps = _frame_steps(run, ctx.functions)
-        if steps is not None:
-            return _execute_datascan(below, ctx, run, steps)
+    geared = _scan_run(op, ctx.functions)
+    if geared is not None:
+        return _execute_datascan(geared[0], ctx, *geared[1:])
     (input_op,) = op.inputs
     return run_operator(op, execute(input_op, ctx), ctx)
 
@@ -258,6 +253,18 @@ def _sized_frames(
                 close()
 
 
+def _scan_run(op: Operator, functions: dict) -> tuple | None:
+    """``(scan, run, steps)`` when *op* is a DATASCAN or a run of SELECT /
+    ASSIGN operators directly on one (*run*, bottom-most first) whose
+    every expression has a column form (the frame gear); else None."""
+    run: list[Operator] = []
+    while isinstance(op, (Select, Assign)):
+        run.insert(0, op)
+        op = op.input_op
+    steps = _frame_steps(run, functions) if isinstance(op, DataScan) else None
+    return None if steps is None else (op, run, steps)
+
+
 def _frame_steps(run: list[Operator], functions: dict) -> list | None:
     """The column forms of *run*: ``(variable, [column])`` per ASSIGN and
     ``(None, [mask of each conjunct])`` per SELECT, or None when an
@@ -285,14 +292,38 @@ def _frame_tuples(frame: Frame) -> list[Tuple]:
     return [dict(zip(names, row)) for row in zip(*sequences)]
 
 
+def _frame_keys(frame: Frame, columns: list) -> list:
+    """What :func:`join_key` answers for each live row of *frame*, from
+    the key expressions' column forms: a comprehension per component
+    around :func:`_key_component`; a column of exact ``str`` takes one
+    canonical component per distinct string, shared by its rows."""
+    components = []
+    holes = False  # may a component be None (an absent item)?
+    for column in columns:
+        values = column(frame)
+        if set(map(type, values)) == {str}:
+            canonical = {value: (("str", value),) for value in set(values)}
+            components.append(map(canonical.__getitem__, values))
+        else:
+            holes = True
+            components.append(
+                [None if v is ABSENT else _key_component(v) for v in values]
+            )
+    keys = list(zip(*components))
+    return [None if None in key else key for key in keys] if holes else keys
+
+
 def _execute_datascan(
     op: DataScan,
     ctx: EvaluationContext,
     run: list[Operator] = (),
     steps: list | None = None,
+    keyed: tuple | None = None,
 ) -> Iterator[Tuple]:
     """DATASCAN alone, or with *steps* (:func:`_frame_steps` of *run*)
     the SELECT / ASSIGN operators of *run* above it in the frame gear.
+    With *keyed* (:func:`keyed_tuples`: key columns, a queue) the frame
+    gear queues the join key of each tuple it is about to yield.
 
     Either way the scan accounts what a tuple-at-a-time consumer would
     have pulled: every row of a finished frame, and of a frame that
@@ -317,9 +348,10 @@ def _execute_datascan(
             attach_counters(counters)
     limits = ctx.limits
     variable = op.variable
-    # Only the frame gear reads the profile's clock here: a scan in the
-    # tuple gear is timed from outside, by ``observe``.
-    clock = profile.clock if profile is not None and steps else lambda: 0.0
+    # Only the frame gear of a run reads the profile's clock here: a scan
+    # alone, in either gear, is timed from outside, by ``observe``.
+    timed = profile is not None and bool(run)
+    clock = profile.clock if timed else lambda: 0.0
 
     def tuple_gear(items):
         nonlocal consumed
@@ -350,17 +382,23 @@ def _execute_datascan(
             # The frame again, from its first row, through the closures:
             # the tuple gear decides what it raises and what comes first.
             rows = tuple_gear(items)
-            if profile is not None:
+            if timed:
                 rows = profile.observe(op, rows)
             yield from run_chain(run, rows, ctx)
             return
+        if keyed is not None:  # after the last mark: this is the join's work
+            columns, queue = keyed
+            try:
+                queue.extend(_frame_keys(frame, columns))
+            except Exception:
+                pass  # join_key decides what is raised, tuple by tuple
         try:
             for position, tup in zip(frame[None], tuples):
                 consumed = position + 1
                 yield tup
             consumed = len(items)
         finally:
-            if profile is not None:
+            if timed:
                 passed = 0
                 for node, (mark, live) in zip((op, *run), marks):
                     entered, passed = passed, bisect_left(live, consumed)
@@ -616,9 +654,9 @@ def _is_always_true(expression: Expression) -> bool:
 
 def _execute_join(op: Join, ctx: EvaluationContext) -> Iterator[Tuple]:
     left_keys, right_keys, residual = split_join_condition(op)
-    left_stream = execute(op.left, ctx)
-    right_stream = execute(op.right, ctx)
     if left_keys:
+        left_stream = keyed_tuples(op.left, left_keys, ctx, op)
+        right_stream = keyed_tuples(op.right, right_keys, ctx, op)
         # Profile counters follow the *physical* role: whichever input
         # the (possibly cost-swapped) hash join materializes counts as
         # build_tuples, the streamed one as probe_tuples.
@@ -635,10 +673,12 @@ def _execute_join(op: Join, ctx: EvaluationContext) -> Iterator[Tuple]:
                 right_stream,
             )
         yield from hash_join(
-            left_stream, right_stream, left_keys, right_keys, residual, ctx,
+            left_stream, right_stream, residual, ctx,
             op=op, build_side=op.build_side,
         )
     else:
+        left_stream = execute(op.left, ctx)
+        right_stream = execute(op.right, ctx)
         # A nested-loop join has no build/probe phases; it streams the
         # outer (left) input against a materialized inner (right) one.
         if ctx.profile is not None:
@@ -651,40 +691,74 @@ def _execute_join(op: Join, ctx: EvaluationContext) -> Iterator[Tuple]:
         yield from _nested_loop_join(left_stream, right_stream, op, ctx)
 
 
-def join_key(
-    tup: Tuple,
-    keys: list[Evaluator],
-    ctx: EvaluationContext,
-    op: Operator | None = None,
-):
+def _key_component(item: Item) -> tuple:
+    """One join-key component, canonical; an object or array raises like
+    the ``eq`` the key came from would (``null`` still equals ``null``)."""
+    if isinstance(item, (dict, list)):
+        raise ItemTypeError(
+            f"value comparison 'eq' over an {item_type_name(item)} item"
+        )
+    return (canonical_atomic(item),)
+
+
+def join_key(tup: Tuple, keys: list[Evaluator], ctx: EvaluationContext):
     """Canonical equi-join key of *tup*, or None when any component is
     the empty sequence (``x eq ()`` is false, so the tuple cannot join).
+    The one definition of the rule, called by :func:`keyed_tuples` only.
 
     *keys* are the compiled closures of the key expressions
     (``ctx.compiled``), taken once per join run by the caller.
 
-    A component evaluating to a *multi-item* sequence raises
-    :class:`~repro.errors.ItemTypeError`, exactly like the ``eq`` value
-    comparison the key was extracted from would — hashing the whole
-    sequence instead would let the hash/grace/exchange paths "match"
-    pairs the scalar comparison rejects as a type error.
-
-    Dropped (empty-key) tuples are counted on *op*'s profile node as
-    ``join_keys_dropped`` when a profile is attached.
+    A component evaluating to a *multi-item* sequence, an object or an
+    array raises :class:`~repro.errors.ItemTypeError`, exactly like the
+    ``eq`` value comparison the key was extracted from would — hashing
+    the sequence or the structure instead would let the hash / grace /
+    exchange paths "match" pairs the scalar comparison rejects as a
+    type error.
     """
     key = []
     for evaluate in keys:
         value = evaluate(tup, ctx)
         if not value:
-            if ctx.profile is not None and op is not None:
-                ctx.profile.add(op, "join_keys_dropped", 1)
             return None
         if len(value) > 1:
             raise ItemTypeError(
                 "value comparison 'eq' over a multi-item sequence"
             )
-        key.append(canonical_key(value))
+        key.append(_key_component(value[0]))
     return tuple(key)
+
+
+def keyed_tuples(
+    side: Operator, key_exprs: list[Expression], ctx: EvaluationContext, op: Join
+) -> Iterator[tuple]:
+    """Input *side* of join *op* as the ``(key, tuple)`` pairs every join
+    path consumes, keyed once; None keys a tuple that cannot join (and
+    is counted as ``join_keys_dropped`` on a profile when it is pulled).
+
+    A side in the scan's frame gear (:func:`_scan_run`; a DATASCAN alone
+    too) whose key expressions all have column forms is keyed a column
+    at a time: the scan queues a frame's keys ahead of its tuples.  A
+    frame whose key columns raise queues none and is keyed like any
+    other side, by :func:`join_key`, which decides what is raised.
+    """
+    closures = [ctx.compiled(expr) for expr in key_exprs]
+    profile = ctx.profile
+    queued: deque = deque()
+    geared = _scan_run(side, ctx.functions)
+    columns = [expr.compile_column(ctx.functions) for expr in key_exprs]
+    if geared is None or None in columns:
+        tuples = execute(side, ctx)
+    else:
+        scan, run, steps = geared
+        tuples = _execute_datascan(scan, ctx, run, steps, (columns, queued))
+        if profile is not None and not run:
+            tuples = profile.observe(scan, tuples)
+    for tup in tuples:
+        key = queued.popleft() if queued else join_key(tup, closures, ctx)
+        if key is None and profile is not None:
+            profile.add(op, "join_keys_dropped", 1)
+        yield key, tup
 
 
 def _compile_residual(
@@ -706,16 +780,16 @@ def _compile_residual(
 
 
 def hash_join(
-    left_stream: Iterable[Tuple],
-    right_stream: Iterable[Tuple],
-    left_keys: list[Expression],
-    right_keys: list[Expression],
+    left_pairs: Iterable[tuple],
+    right_pairs: Iterable[tuple],
     residual: list[Expression],
     ctx: EvaluationContext,
     op: Operator | None = None,
     build_side: str = "right",
+    build_sizes: Iterable[int] | None = None,
 ) -> Iterator[Tuple]:
-    """Hash join; *build_side* picks which input is materialized.
+    """Hash join of :func:`keyed_tuples` pairs; *build_side* picks which
+    input is materialized.
 
     The default builds on the right input and probes with the left (the
     un-costed orientation); the cost phase may annotate a join to build
@@ -723,40 +797,38 @@ def hash_join(
     probe order either way, and the probe/build merge order matches the
     grace-join spill path so results are byte-identical spill on/off.
 
-    A tuple whose key expression evaluates to the empty sequence can
-    never satisfy the ``eq`` conjunct it came from (a general comparison
-    with ``()`` is false), so such tuples are dropped on both sides
-    instead of being hashed — two missing keys must not match each
-    other.
+    A pair whose key is None (a key expression evaluated to the empty
+    sequence) can never satisfy the ``eq`` conjunct it came from (a
+    general comparison with ``()`` is false), so such tuples are dropped
+    on both sides instead of being hashed — two missing keys must not
+    match each other.
 
-    When a spill manager is configured and the build side outgrows the
-    memory budget, the join hands off to
+    A build tuple is charged its entry of *build_sizes* (one per pair:
+    what the exchange measured), or ``sizeof_tuple`` when there are
+    none.  When a spill manager is configured and the build side
+    outgrows the memory budget, the join hands off to
     :func:`~repro.hyracks.spill.grace_join_overflow` (grace hash join),
     which re-emits results in probe order so the output stays
     byte-identical.
     """
-    left_keys = [ctx.compiled(expr) for expr in left_keys]
-    right_keys = [ctx.compiled(expr) for expr in right_keys]
     residual = _compile_residual(residual, ctx)
     if build_side == "left":
-        build_stream, build_keys = left_stream, left_keys
-        probe_stream, probe_keys = right_stream, right_keys
+        build_pairs, probe_pairs = left_pairs, right_pairs
     else:
-        build_stream, build_keys = right_stream, right_keys
-        probe_stream, probe_keys = left_stream, left_keys
+        build_pairs, probe_pairs = right_pairs, left_pairs
     limits = ctx.limits
     table: dict = {}
     charged = 0
     try:
-        build_iter = iter(build_stream)
-        for tup in build_iter:
+        build_iter = iter(build_pairs)
+        for (key, tup), n_bytes in zip(build_iter, build_sizes or repeat(None)):
             if limits is not None:
                 limits.checkpoint()
-            key = join_key(tup, build_keys, ctx, op=op)
             if key is None:
                 continue
             if ctx.memory is not None:
-                n_bytes = sizeof_tuple(tup)
+                if n_bytes is None:
+                    n_bytes = sizeof_tuple(tup)
                 if ctx.spill is not None:
                     if not ctx.memory.try_allocate(n_bytes):
                         from repro.hyracks.spill import grace_join_overflow
@@ -766,15 +838,8 @@ def hash_join(
                         # the accumulated charge itself.
                         table.setdefault(key, []).append(tup)
                         overflow = grace_join_overflow(
-                            table,
-                            charged,
-                            build_iter,
-                            build_keys,
-                            probe_stream,
-                            probe_keys,
-                            residual,
-                            ctx,
-                            op=op,
+                            table, charged, build_iter, probe_pairs,
+                            residual, ctx, op=op,
                         )
                         table = {}
                         charged = 0
@@ -785,10 +850,9 @@ def hash_join(
                     ctx.charge(n_bytes)
                     charged += n_bytes
             table.setdefault(key, []).append(tup)
-        for tup in probe_stream:
+        for key, tup in probe_pairs:
             if limits is not None:
                 limits.checkpoint()
-            key = join_key(tup, probe_keys, ctx, op=op)
             if key is None:
                 continue
             for match in table.get(key, ()):
@@ -849,7 +913,7 @@ def _nested_loop_join(
     charged = 0
     try:
         if ctx.memory is not None:
-            charged = sum(sizeof_tuple(t) for t in right)
+            charged = sum(sizeof_tuples(right))
             ctx.charge(charged)
         for left_tuple in left_stream:
             if limits is not None:

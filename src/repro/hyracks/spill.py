@@ -794,10 +794,8 @@ def _merge_raw_bucket(handle, ctx, finalize, op, depth: int, tagged: list) -> in
 def grace_join_overflow(
     build_table: dict,
     build_charged: int,
-    build_rest: Iterator[Tuple],
-    build_keys,
-    probe_stream: Iterable[Tuple],
-    probe_keys,
+    build_rest: Iterator[tuple],
+    probe_stream: Iterable[tuple],
     residual,
     ctx,
     op=None,
@@ -806,16 +804,15 @@ def grace_join_overflow(
 
     Called by :func:`~repro.hyracks.operators.hash_join` with the
     partially-built table, the not-yet-consumed remainder of the build
-    stream, and the untouched probe stream; the key and residual
-    arguments are the closures hash_join already compiled for this run
-    (*residual* is one condition, or None).  Both sides are partitioned
-    into key-bucket run files; each bucket joins locally (recursing with
-    a salted hash when a bucket itself overflows).  Probe tuples carry
-    their arrival sequence number and the joined output is re-emitted in
-    probe order, so the result is byte-identical to the in-memory join.
+    stream and the untouched probe stream, both of ``(key, tuple)``
+    pairs (nothing is keyed again here), and the residual hash_join
+    already compiled for this run (one condition, or None).  Both sides
+    are partitioned into key-bucket run files; each bucket joins locally
+    (recursing with a salted hash when a bucket itself overflows).
+    Probe tuples carry their arrival sequence number and the joined
+    output is re-emitted in probe order, so the result is byte-identical
+    to the in-memory join.
     """
-    from repro.hyracks.operators import join_key
-
     limits = ctx.limits
     spill = ctx.spill
     memory = ctx.memory
@@ -833,10 +830,9 @@ def grace_join_overflow(
     if memory is not None and build_charged:
         memory.release(build_charged)
     build_table.clear()
-    for tup in build_rest:
+    for key, tup in build_rest:
         if limits is not None:
             limits.checkpoint()
-        key = join_key(tup, build_keys, ctx, op=op)
         if key is None:
             continue
         build_writers[stable_bucket(key, fanout)].write((key, tup))
@@ -844,10 +840,9 @@ def grace_join_overflow(
 
     probe_writers = [spill.new_run(f"join-probe-b{b}") for b in range(fanout)]
     seq = 0
-    for tup in probe_stream:
+    for key, tup in probe_stream:
         if limits is not None:
             limits.checkpoint()
-        key = join_key(tup, probe_keys, ctx, op=op)
         if key is None:
             seq += 1
             continue

@@ -112,3 +112,19 @@ def test_generate_case_uses_index_for_template_rotation():
     a = generate_case(random.Random(0), 0)
     b = generate_case(random.Random(0), 1)
     assert a.name.split("-", 1)[1] != b.name.split("-", 1)[1]
+
+
+def test_join_pair_template_takes_every_other_turn_of_the_join_slot():
+    """The two-component join shares the join's place in the rotation
+    (the other templates keep their counts) and is not vacuous: it
+    joins on strings, on ints, on floats and on nulls."""
+    cases = generate_cases(0, 200)
+    names = [c.name.split("-", 1)[1] for c in cases]
+    pairs = [c for c in cases if "-join-pair-" in c.name]
+    assert len(pairs) == 12
+    assert sum(n.startswith("join-") for n in names) == 50  # join, pair, seq
+    assert '$a("value") eq $b("value")' in pairs[0].query_text
+    answers = [value for case in pairs for value in case.expected()]
+    assert any(value is None for value in answers)  # null equals null
+    assert any(isinstance(value, float) for value in answers)
+    assert any(isinstance(value, int) for value in answers)

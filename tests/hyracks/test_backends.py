@@ -466,6 +466,22 @@ def broadcast_source(partitions=4):
     return InMemorySource(data, stats_sample=10_000)
 
 
+def sensor_q2(tmp_path):
+    """(source factory, query): the paper's Q2 over 4 x 32 KiB of sensors."""
+    from repro.bench.queries import q2
+    from repro.data.generator import SensorDataConfig, write_sensor_collection
+
+    base = tmp_path / "data"
+    write_sensor_collection(
+        str(base),
+        "sensors",
+        partitions=4,
+        bytes_per_partition=32 << 10,
+        config=SensorDataConfig(seed=42),
+    )
+    return (lambda: CollectionCatalog(str(base))), q2("/sensors")
+
+
 def join_profile(result) -> dict:
     (join,) = result.profile.find("JOIN")
     return {
@@ -512,25 +528,11 @@ class TestParcelsThroughTheExchange:
 
         return events
 
-    def sensor_q2(self, tmp_path):
-        from repro.bench.queries import q2
-        from repro.data.generator import SensorDataConfig, write_sensor_collection
-
-        base = tmp_path / "data"
-        write_sensor_collection(
-            str(base),
-            "sensors",
-            partitions=4,
-            bytes_per_partition=32 << 10,
-            config=SensorDataConfig(seed=42),
-        )
-        return (lambda: CollectionCatalog(str(base))), q2("/sensors")
-
     @pytest.mark.parametrize("shape", ["Q2", "broadcast-left"])
     @pytest.mark.parametrize("profile", [None, "counter"])
     def test_the_coordinator_opens_no_parcel(self, shape, profile, spy, tmp_path):
         if shape == "Q2":
-            make, query = self.sensor_q2(tmp_path)
+            make, query = sensor_q2(tmp_path)
         else:
             make, query = broadcast_source, BROADCAST_QUERY
         partitions = 4
@@ -567,3 +569,140 @@ class TestParcelsThroughTheExchange:
         else:
             assert len(walks) == 2 * partitions
             assert len(opens) == partitions * (1 + partitions)
+
+
+STATIONS = [{"station": f"s{i % 30}", "name": f"n{i}"} for i in range(599)] + [
+    {"station": "HOT", "name": "hub"}
+]
+READINGS = [{"station": "HOT", "value": i} for i in range(1200)] + [
+    {"station": f"s{i % 30}", "value": i} for i in range(800)
+]
+# Keys that unify (2 and 2.0), that never do (true, "2"), null, and none.
+HOLES_A = (
+    [{"k": i % 7, "v": i} for i in range(60)]
+    + [{"v": 100 + i} for i in range(9)]
+    + [{"k": None, "v": 200 + i} for i in range(5)]
+    + [{"k": 2.0, "v": 300}, {"k": True, "v": 301}, {"k": "2", "v": 302}]
+)
+HOLES_B = (
+    [{"k": i % 9, "w": i} for i in range(80)]
+    + [{"w": 100 + i} for i in range(4)]
+    + [{"k": None, "w": 200 + i} for i in range(3)]
+    + [{"k": 1.0, "w": 300}, {"k": False, "w": 301}, {"k": "2", "w": 302}]
+)
+
+
+def rows_source(collections, partitions):
+    data = {
+        name: [[json.dumps(rows[p::partitions])] for p in range(partitions)]
+        for name, rows in collections.items()
+    }
+    return InMemorySource(data, stats_sample=10_000)
+
+
+KEYED_JOINS = {
+    "broadcast-left": (broadcast_source, BROADCAST_QUERY, "broadcast-left"),
+    "skew": (
+        lambda: rows_source({"/stations": STATIONS, "/readings": READINGS}, 2),
+        'for $s in collection("/stations")() for $r in collection("/readings")() '
+        'where $s("station") eq $r("station") return $r("value")',
+        "skew=1",
+    ),
+    "missing-and-null": (
+        lambda: rows_source({"/a": HOLES_A, "/b": HOLES_B}, 4),
+        'for $a in collection("/a")() for $b in collection("/b")() '
+        'where $a("k") eq $b("k") and $a("v") ge 3 return [$a("v"), $b("w")]',
+        "JOIN",
+    ),
+}
+
+# What the commit before the keyed stream answered on ``sequential``
+# (ISSUE 23): the numbers one keying and one sizing must not move.
+PARENT_VALUES = {
+    "Q2": {
+        "exchange": (1604, 1029312),
+        "peak_memory_bytes": 144675,
+        "counters": {"build_tuples": 800, "frames_emitted": 33, "probe_tuples": 800},
+        "left_buckets": [215, 181, 179, 225],
+        "right_buckets": [215, 181, 179, 225],
+    },
+    "broadcast-left": {
+        "exchange": (140, 84760),
+        "peak_memory_bytes": 1840,
+        "counters": {"build_tuples": 5, "frames_emitted": 5, "probe_tuples": 120},
+        "left_buckets": [5, 5, 5, 5],
+        "right_buckets": [30, 30, 30, 30],
+    },
+    "skew": {
+        "exchange": (19775, 13167817),
+        "peak_memory_bytes": 127499,
+        "counters": {"build_tuples": 600, "frames_emitted": 405, "probe_tuples": 2000},
+        "left_buckets": [281, 320],
+        "right_buckets": [974, 1026],
+    },
+    "missing-and-null": {
+        "exchange": (697, 388207),
+        "peak_memory_bytes": 7382,
+        "counters": {
+            "build_tuples": 74,
+            "frames_emitted": 13,
+            "join_keys_dropped": 13,
+            "probe_tuples": 90,
+        },
+        "left_buckets": [9, 17, 17, 22],
+        "right_buckets": [26, 20, 18, 22],
+    },
+}
+
+
+def join_values(result) -> dict:
+    """What PARENT_VALUES pins, read off a profiled result."""
+    (join,) = result.profile.find("JOIN")
+    return {
+        "exchange": (result.stats.exchange_tuples, result.stats.exchange_bytes),
+        "peak_memory_bytes": result.peak_memory_bytes,
+        "counters": dict(join.counters),
+        "left_buckets": join.details["left_buckets"],
+        "right_buckets": join.details["right_buckets"],
+    }
+
+
+class TestKeyedOnceSizedOnce:
+    """Each tuple a partitioned join exchanges is keyed once, by the
+    phase-1 unit that scanned it, and sized once, by the frame; phase 2
+    joins from the keys and sizes that rode the parcel."""
+
+    @pytest.mark.parametrize("shape", ["Q2", *KEYED_JOINS])
+    def test_phase_two_keys_and_sizes_nothing(self, shape, keying, tmp_path):
+        if shape == "Q2":
+            make, query = sensor_q2(tmp_path)
+            marker = "JOIN"
+        else:
+            make, query, marker = KEYED_JOINS[shape]
+
+        def run(backend, profile):
+            with JsonProcessor(
+                source=make(), backend=backend, max_workers=2
+            ) as processor:
+                assert marker in processor.explain(query)
+                return processor.execute(query, profile=profile)
+
+        reference = run("sequential", "counter")
+        assert join_values(reference) == PARENT_VALUES[shape]
+        counters = PARENT_VALUES[shape]["counters"]
+        pulled = counters["build_tuples"] + counters["probe_tuples"]
+        keying.take()
+        for backend in BACKEND_NAMES:
+            for profile in (None, "counter"):
+                result = run(backend, profile)
+                events = keying.take()
+                assert fingerprint(result) == fingerprint(reference)
+                assert result.peak_memory_bytes == reference.peak_memory_bytes
+                if profile is not None:
+                    assert join_values(result) == PARENT_VALUES[shape]
+                # keyed once, where it was scanned; nothing after that
+                assert keying.keyed(events, "1") == pulled == keying.keyed(events)
+                assert not [e for e in events if e[2] == "2"]
+                assert not [e for e in events if e[0] == "sizeof_tuple"]
+                if backend == "process":
+                    assert not [e for e in events if e[3]]

@@ -6,7 +6,13 @@ column form; ``run_chain`` over ``_execute_datascan`` is the tuple gear
 the same plan took before.  The two must agree on everything a caller
 can see: the tuples and their order, the exception and its message, what
 the scan accounted and every profile counter, also when the consumer
-stops early or the source fails inside a frame.
+stops early or the source fails inside a frame.  ``keyed_tuples`` keys a
+join's input in the same gear, against ``join_key`` over the tuple gear.
+
+The vocabulary is not a list kept by hand: whatever answers
+``compile_column`` (an ``Expression`` subclass) or carries a ``column``
+(a library function) must turn up in the generated runs
+(``test_every_column_form_is_in_the_vocabulary``).
 """
 
 import datetime
@@ -23,6 +29,7 @@ from repro.algebra.expressions import (
     ArithmeticExpr,
     ComparisonExpr,
     DataExpr,
+    Expression,
     FunctionCallExpr,
     Literal,
     OrExpr,
@@ -30,9 +37,9 @@ from repro.algebra.expressions import (
     keys_or_members,
     value_by_key,
 )
-from repro.algebra.operators import Assign, DataScan, Select
+from repro.algebra.operators import Assign, DataScan, EmptyTupleSource, Join, Select
 from repro.algebra.plan import LogicalPlan
-from repro.errors import ItemTypeError, UnboundVariableError
+from repro.errors import ItemTypeError, ReproError, UnboundVariableError
 from repro.hyracks.executor import ExecutionStats
 from repro.jsoniq.functions import BUILTIN_FUNCTIONS
 from repro.jsonlib.items import sizeof_rows
@@ -65,14 +72,16 @@ class FrameSource:
         raise self.fail
 
 
-def outcome(make_stream, source, run, pull, profiled, functions=None):
-    """Everything one execution of *run* over a scan of *source* shows."""
-    scan = run[0].input_op
+def outcome(make_stream, source, run, pull, profiled, functions=None, root=None):
+    """Everything one execution of *run* over a scan of *source* shows
+    (*root*: the operator the profiled plan hangs from, when not the
+    run's top)."""
+    scan = run[0].input_op if run else None
     stats = ExecutionStats()
     profile = None
     if profiled:
         profile = ProfileCollector(
-            LogicalPlan(run[-1]), ProfileConfig(clock="counter")
+            LogicalPlan(root or run[-1]), ProfileConfig(clock="counter")
         )
     ctx = EvaluationContext(
         source=source, stats=stats, profile=profile, functions=functions
@@ -173,23 +182,19 @@ def expressions(variables):
     def step(name):
         return st.builds(value_by_key, leaves, st.just(name))
 
-    date = st.builds(call, st.just("dateTime"), step("d").map(DataExpr))
+    def calls(sample, kind, argument):
+        return st.builds(call, st.sampled_from(library(sample, kind)), argument)
+
+    a_number, a_date = (int, float), datetime.datetime
+    date = calls("2003-12-25T00:00:00", a_date, step("d").map(DataExpr))
     number = st.one_of(
         step("a"),
-        st.builds(call, st.sampled_from(["abs", "floor", "number", "data"]), step("a")),
-        st.builds(
-            call,
-            st.sampled_from(["year", "month", "day", "hours", "seconds"]).map(
-                "{}-from-dateTime".format
-            ),
-            date,
-        ),
-        st.builds(call, st.just("string-length"), step("b")),
+        calls(2.5, a_number, step("a")),
+        calls(datetime.datetime(2003, 12, 25), a_number, date),
+        calls("x", a_number, step("b")),
     )
     string = st.one_of(
-        step("b"),
-        st.builds(call, st.sampled_from(["string", "upper-case", "lower-case"]), step("b")),
-        st.builds(call, st.just("string"), number),
+        step("b"), calls("x", str, step("b")), calls(2.5, str, number)
     )
     anything = st.one_of(
         leaves,
@@ -225,10 +230,26 @@ ITEM_FUNCTIONS = sorted(
 )
 
 
+def library(sample, kind):
+    """The item functions that make a *kind* of *sample*: the well-typed
+    vocabulary, read off the library by trying each entry."""
+    names = []
+    for name in ITEM_FUNCTIONS:
+        try:
+            result = BUILTIN_FUNCTIONS[name, 1]([[sample]])
+        except ReproError:
+            continue
+        if isinstance(result[0], kind) and not isinstance(result[0], bool):
+            names.append(name)
+    return names
+
+
 @st.composite
-def runs(draw):
+def runs(draw, shortest=1, keys=0):
+    """The specs of a run, and with *keys* that many join-key
+    expressions over its variables as well."""
     variables, specs = ["$r"], []
-    for index in range(draw(st.integers(1, 4))):
+    for index in range(draw(st.integers(shortest, 4))):
         condition, value = expressions(variables)
         if draw(st.booleans()):
             specs.append((None, draw(condition)))
@@ -238,7 +259,41 @@ def runs(draw):
             specs.append((variable, draw(value)))
             if variable not in variables:
                 variables.append(variable)
-    return specs
+    if not keys:
+        return specs
+    value = expressions(variables)[1]
+    return specs, draw(st.lists(value, min_size=1, max_size=keys))
+
+
+def column_forms():
+    """Every ``Expression`` subclass with a column form of its own."""
+    found, stack = set(), [Expression]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.__subclasses__())
+        if "compile_column" in vars(node):
+            found.add(node)
+    return found - {Expression}
+
+
+def test_every_column_form_is_in_the_vocabulary():
+    classes, functions = set(), set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(runs())
+    def collect(specs):
+        stack = [expression for _, expression in specs]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.child_expressions())
+            if node.compile_column(BUILTIN_FUNCTIONS) is not None:
+                classes.add(type(node))
+                if isinstance(node, FunctionCallExpr):
+                    functions.add(node.name)
+
+    collect()
+    assert classes == column_forms()
+    assert functions == set(ITEM_FUNCTIONS)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -262,6 +317,127 @@ def test_gears_agree(files, specs, sized, frame_rows, pull, fail_after):
         )
     finally:
         physical._FRAME_ROWS = original
+
+
+# -- the keyed stream ---------------------------------------------------------------
+
+
+def keyed_streams(specs, keys):
+    """``(run, join, frame route, tuple route)`` of a join whose left
+    input is the run of *specs* and whose key expressions are *keys*."""
+    run = build_run(specs)
+    top = run[-1] if run else DataScan("/c", "$r", PATH)
+    join = Join(top, EmptyTupleSource(), Literal.of(True))
+
+    def frame_route(scan, run, ctx):
+        return physical.keyed_tuples(top, keys, ctx, join)
+
+    def tuple_route(scan, run, ctx):
+        closures = [ctx.compiled(expression) for expression in keys]
+        scan = run[0].input_op if run else top
+        for tup in tuple_gear(scan, run, ctx):
+            key = physical.join_key(tup, closures, ctx)
+            if key is None and ctx.profile is not None:
+                ctx.profile.add(join, "join_keys_dropped", 1)
+            yield key, tup
+
+    return run, join, frame_route, tuple_route
+
+
+def assert_keyed_routes_agree(source_of, specs, keys, pulls=(None,), column=True):
+    run, join, frame_route, tuple_route = keyed_streams(specs, keys)
+    geared = physical._scan_run(join.left, BUILTIN_FUNCTIONS) is not None and all(
+        key.compile_column(BUILTIN_FUNCTIONS) is not None for key in keys
+    )
+    assert geared is column
+    seen = None
+    for pull in pulls:
+        for profiled in (False, True):
+            expected = outcome(tuple_route, source_of(), run, pull, profiled, root=join)
+            actual = outcome(frame_route, source_of(), run, pull, profiled, root=join)
+            assert actual == expected
+            seen = expected
+    return seen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    files=st.lists(st.lists(ROWS, max_size=12), min_size=1, max_size=4),
+    keyed_run=runs(shortest=0, keys=2),
+    sized=st.booleans(),
+    frame_rows=st.sampled_from([3, 256]),
+    pull=st.integers(1, 6),
+    fail_after=st.one_of(st.none(), st.integers(0, 30)),
+)
+def test_keyed_routes_agree(files, keyed_run, sized, frame_rows, pull, fail_after):
+    fail = None if sized or fail_after is None else ValueError("source broke")
+    original = physical._FRAME_ROWS
+    physical._FRAME_ROWS = frame_rows
+    try:
+        assert_keyed_routes_agree(
+            lambda: FrameSource(files, sized, fail_after, fail),
+            *keyed_run,
+            pulls=(None, pull),
+        )
+    finally:
+        physical._FRAME_ROWS = original
+
+
+def test_every_kind_of_key_a_frame_can_hold():
+    when = "2003-12-25T00:00:00"
+    rows = [
+        {"k": "a", "n": 1, "d": when},
+        {"k": "b", "n": 1.0, "d": when},
+        {"k": "a", "n": True, "d": when},
+        {"k": "a", "n": None, "d": when},
+        {"k": "a", "d": when},  # n missing: dropped, and counted
+        {"n": 2, "d": when},  # k missing
+    ]
+    keys = [key("k"), key("n"), call("dateTime", DataExpr(key("d")))]
+    seen = assert_keyed_routes_agree(one_file(rows), [], keys, pulls=(5, None))
+    stamp = (("datetime", datetime.datetime(2003, 12, 25)),)
+    assert [pair[0] for pair in seen["tuples"]] == [
+        ((("str", "a"),), (("num", 1),), stamp),
+        ((("str", "b"),), (("num", 1),), stamp),  # 1 and 1.0 unify
+        ((("str", "a"),), (("bool", True),), stamp),
+        ((("str", "a"),), (("NoneType", None),), stamp),
+        None,
+        None,
+    ]
+    assert seen["counters"][0] == {"join_keys_dropped": 2}
+    # a column of nothing but strings takes the inline branch
+    strings = assert_keyed_routes_agree(one_file(rows[:5]), [], [key("k")])
+    assert [pair[0] for pair in strings["tuples"]][:2] == [
+        ((("str", "a"),),), ((("str", "b"),),)
+    ]
+
+
+def test_an_object_key_is_the_tuple_gears_error():
+    rows = [{"k": 1}, {"k": 2}, {"k": {"x": 1}}, {"k": 3}]
+    seen = assert_keyed_routes_agree(one_file(rows), [], [key("k")], pulls=(None, 2))
+    assert seen["error"] is None  # closed after two pairs: no error yet
+    seen = assert_keyed_routes_agree(one_file(rows), [], [key("k")])
+    assert seen["error"] == (
+        ItemTypeError, "value comparison 'eq' over an object item"
+    )
+    assert [pair[0] for pair in seen["tuples"]] == [((("num", 1),),), ((("num", 2),),)]
+    assert seen["scanned"][0] == 3
+    # under a SELECT that rejects the row, nothing raises
+    specs = [(None, compare("ne", key("v"), 0))]
+    rows = [{"k": 1, "v": 1}, {"k": [1], "v": 0}]
+    seen = assert_keyed_routes_agree(one_file(rows), specs, [key("k")])
+    assert seen["error"] is None and len(seen["tuples"]) == 1
+
+
+def test_a_multi_item_key_has_no_column_form():
+    rows = [{"ks": [1]}, {"ks": []}, {"ks": [1, 2]}]
+    seen = assert_keyed_routes_agree(
+        one_file(rows), [], [keys_or_members(key("ks"))], column=False
+    )
+    assert seen["error"] == (
+        ItemTypeError, "value comparison 'eq' over a multi-item sequence"
+    )
+    assert [pair[0] for pair in seen["tuples"]] == [((("num", 1),),), None]
 
 
 # -- cases worth naming -------------------------------------------------------------

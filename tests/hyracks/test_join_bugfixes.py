@@ -218,3 +218,140 @@ class TestJoinCounters:
             JsonProcessor(source=counter_source(), cost=cost)
         )
         assert counters["join_keys_dropped"] == 10
+
+
+# ---------------------------------------------------------------------------
+# Fix 4: an object or array is no join key
+# ---------------------------------------------------------------------------
+
+
+STRUCTURED_A = [{"k": {"x": 1}, "v": 1}, {"k": [1], "v": 2}, {"k": None, "v": 3}]
+STRUCTURED_B = [{"k": {"x": 1.0}, "w": 10}, {"k": [1], "w": 20}, {"k": None, "w": 30}]
+FILLER = [{"k": i, "w": 100 + i} for i in range(200)]
+
+STRUCTURED_JOIN = (
+    'for $a in collection("/a")() for $b in collection("/b")() '
+    'where $a("k") eq $b("k") return [$a("v"), $b("w")]'
+)
+
+
+def structured_source(a_rows, b_rows, a_partitions=1, b_partitions=1):
+    def spread(rows, partitions):
+        return [[json.dumps(rows[p::partitions])] for p in range(partitions)]
+
+    return InMemorySource(
+        {"/a": spread(a_rows, a_partitions), "/b": spread(b_rows, b_partitions)},
+        stats_sample=10_000,
+    )
+
+
+def assert_structured_error(run, kind):
+    with pytest.raises(ReproError) as info:
+        run()
+    node = info.value
+    while not isinstance(node, ItemTypeError):
+        assert node.__cause__ is not None, f"no ItemTypeError under {info.value!r}"
+        node = node.__cause__
+    assert str(node) == f"value comparison 'eq' over an {kind} item"
+
+
+class TestStructuredJoinKeys:
+    """``{"x": 1} eq {"x": 1.0}`` is a type error, so no join path may
+    match the two by their canonical form (``null eq null`` still holds)."""
+
+    ROUTES = {
+        # differently partitioned collections run one global instance
+        "in-process hash": dict(a_partitions=1, b_partitions=2),
+        "exchange": dict(a_partitions=2, b_partitions=2),
+        "broadcast": dict(a_partitions=2, b_partitions=2, filler=True),
+        "grace": dict(memory_budget_bytes=300),
+        "rewrites off": dict(rewrite=RewriteConfig.none()),
+    }
+
+    def processor(self, a_rows, b_rows, a_partitions=1, b_partitions=1,
+                  filler=False, **options):
+        if filler:
+            b_rows = b_rows + FILLER
+        source = structured_source(a_rows, b_rows, a_partitions, b_partitions)
+        return JsonProcessor(source=source, **options)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("kind, row", [("object", 0), ("array", 1)])
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_every_route_raises(self, route, kind, row, backend):
+        a_rows = [STRUCTURED_A[row], STRUCTURED_A[2]]
+        b_rows = [STRUCTURED_B[row], STRUCTURED_B[2]]
+        with self.processor(
+            a_rows, b_rows, backend=backend, max_workers=2, **self.ROUTES[route]
+        ) as processor:
+            if route == "broadcast":
+                assert "broadcast-left" in processor.explain(STRUCTURED_JOIN)
+            assert_structured_error(
+                lambda: processor.evaluate(STRUCTURED_JOIN), kind
+            )
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_null_still_equals_null(self, route):
+        with self.processor(
+            STRUCTURED_A[2:], STRUCTURED_B[2:], **self.ROUTES[route]
+        ) as processor:
+            result = processor.execute(STRUCTURED_JOIN)
+        assert result.items == [[3, 30]]
+        if route == "grace":
+            assert result.stats.spill_events > 0
+
+    def test_the_comparison_it_was_extracted_from_raises_too(self):
+        same_side = (
+            'for $a in collection("/a")() where $a("k") eq $a("k") return $a("v")'
+        )
+        processor = self.processor(STRUCTURED_A[:1], STRUCTURED_B)
+        with pytest.raises(ReproError, match="cannot compare object with object"):
+            processor.evaluate(same_side)
+
+
+# ---------------------------------------------------------------------------
+# Keyed once: the in-process join and the grace overflow
+# ---------------------------------------------------------------------------
+
+
+KEYED_A = [{"k": i % 7, "v": i} for i in range(60)] + [{"v": 99}, {"k": None, "v": 98}]
+KEYED_B = [{"k": i % 9, "w": i} for i in range(80)] + [{"w": 97}]
+
+
+class TestKeyedOnce:
+    def test_the_in_process_join_keys_each_input_tuple_once(self, keying):
+        # one partition against two: a single global instance
+        source = structured_source(KEYED_A, KEYED_B, 1, 2)
+        result = JsonProcessor(source=source).execute(
+            STRUCTURED_JOIN, profile="counter"
+        )
+        events = keying.take()
+        assert result.strategy == "global"
+        (join,) = result.profile.find("JOIN")
+        assert join.counters["join_keys_dropped"] == 2
+        pulled = join.counters["build_tuples"] + join.counters["probe_tuples"]
+        assert pulled == len(KEYED_A) + len(KEYED_B)
+        assert keying.keyed(events) == pulled
+        # a stream that carries no sizes: each build tuple that can join
+        # is sized once, by the join itself
+        sized = sum(1 for event in events if event[0] == "sizeof_tuple")
+        assert sized == join.counters["build_tuples"] - 1
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_a_grace_overflow_keys_nothing_a_second_time(self, backend, keying):
+        def run(**options):
+            source = structured_source(KEYED_A * 4, KEYED_B * 4, 2, 2)
+            with JsonProcessor(
+                source=source, backend=backend, max_workers=2, **options
+            ) as processor:
+                return processor.execute(STRUCTURED_JOIN, profile="counter")
+
+        unlimited = run()
+        keying.take()
+        spilled = run(memory_budget_bytes=512)
+        events = keying.take()
+        assert spilled.stats.spill_events > 0
+        assert spilled.items == unlimited.items
+        assert keying.keyed(events) == 4 * (len(KEYED_A) + len(KEYED_B))
+        assert keying.keyed(events) == keying.keyed(events, "1")
+        assert not [e for e in events if e[0] == "canonical_atomic" and e[2] != "1"]

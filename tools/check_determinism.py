@@ -10,8 +10,10 @@ DATASCAN cuts a scan into, so retries and corrupt records land inside
 frames.  Every scenario is then replayed on the ``process`` backend at
 ``max_workers`` 1, 2 and 3 (its 4 partitions cut into one run of four,
 2 + 2 and 2 + 1 + 1) and diffed against ``sequential``'s payload: how
-the backend cuts the units into runs must never show.  Exits non-zero
-on any mismatch.
+the backend cuts the units into runs must never show.  The join
+scenario (rows with a missing key, a null key and one hot key on one
+side) is replayed once more under a memory budget that sends its
+buckets down the grace path.  Exits non-zero on any mismatch.
 
 ``--chaos`` switches to the worker-crash battery: seeded kill/stall
 schedules replayed twice with ``max_workers=1`` (serialized pool
@@ -46,18 +48,36 @@ RECORDS = 300
 QUERY = 'for $r in collection("/events") return $r("v")'
 COUNT_QUERY = 'count(for $r in collection("/events") return $r)'
 JOIN_QUERY = (
-    'for $a in collection("/events") for $b in collection("/events") '
+    'for $a in collection("/keys") for $b in collection("/events") '
     'where $a("v") eq $b("v") + 1 return $b("v")'
 )
+#: rows per partition of ``/keys`` that share the one hot key
+HOT_ROWS = 25
+#: a query budget under which the join scenario's buckets overflow into
+#: the grace path (the replay checks that they did)
+GRACE_BUDGET = 2048
 
 
-def make_source(on_malformed: str) -> InMemorySource:
+def make_source(on_malformed: str, keys: bool = False) -> InMemorySource:
+    """``/events``, and with *keys* the join's other side ``/keys``: per
+    partition, keys that unify with an event's ``v + 1`` (every third a
+    float), a missing key, a null key and ``HOT_ROWS`` rows on one key."""
     collections = {
         "/events": [
             ["\n".join(json.dumps({"v": p * 1000 + i}) for i in range(RECORDS))]
             for p in range(PARTITIONS)
         ]
     }
+    if keys:
+        collections["/keys"] = []
+        for p in range(PARTITIONS):
+            rows = [
+                {"v": (p * 1000 + i + 1) * (1.0 if i % 3 == 0 else 1)}
+                for i in range(0, RECORDS, 2)
+            ]
+            rows += [{"w": p}, {"v": None}]
+            rows += [{"v": 5, "w": i} for i in range(HOT_ROWS)]
+            collections["/keys"].append(["\n".join(map(json.dumps, rows))])
     return InMemorySource(collections, on_malformed=on_malformed)
 
 
@@ -97,7 +117,7 @@ def scenario_join_exchange(seed: int):
     config = ResilienceConfig(
         partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
     )
-    return make_source("skip_record"), plan, config, JOIN_QUERY
+    return make_source("skip_record", keys=True), plan, config, JOIN_QUERY
 
 
 SCENARIOS = {
@@ -161,7 +181,12 @@ WORKER_COUNTS = (1, 2, 3)
 
 
 def run_once(
-    factory, seed: int, chaos: bool = False, backend=None, max_workers=None
+    factory,
+    seed: int,
+    chaos: bool = False,
+    backend=None,
+    max_workers=None,
+    budget: int | None = None,
 ) -> str:
     source, plan, config, query = factory(seed)
     if chaos:
@@ -172,6 +197,7 @@ def run_once(
         resilience=config,
         backend=backend,
         max_workers=max_workers,
+        memory_budget_bytes=budget,
     )
     with processor:
         result = processor.execute(query)
@@ -185,6 +211,10 @@ def run_once(
         "exchange_tuples": result.stats.exchange_tuples,
         "exchange_bytes": result.stats.exchange_bytes,
     }
+    if budget is not None:
+        if not result.stats.spill_events:
+            raise SystemExit(f"a budget of {budget} bytes spilled nothing")
+        payload["spill_events"] = result.stats.spill_events
     if chaos:
         # Speculation and pool-rebuild counters are timing-dependent;
         # only the serialized-execution-deterministic counters go in.
@@ -224,17 +254,27 @@ def main(argv: list[str] | None = None) -> int:
         failures += differ(name, first, second, ("run1", "run2"))
         if args.chaos:
             continue
-        reference = run_once(factory, seed=7, backend="sequential")
-        for workers in WORKER_COUNTS:
-            replay = run_once(
-                factory, seed=7, backend="process", max_workers=workers
+        # the join is replayed once more, its buckets overflowing
+        budgets = (None, GRACE_BUDGET) if factory is scenario_join_exchange else (None,)
+        for budget in budgets:
+            label = name if budget is None else f"{name} under {budget} bytes"
+            reference = run_once(
+                factory, seed=7, backend="sequential", budget=budget
             )
-            failures += differ(
-                f"{name} [process x{workers} vs sequential]",
-                reference,
-                replay,
-                ("sequential", f"process x{workers}"),
-            )
+            for workers in WORKER_COUNTS:
+                replay = run_once(
+                    factory,
+                    seed=7,
+                    backend="process",
+                    max_workers=workers,
+                    budget=budget,
+                )
+                failures += differ(
+                    f"{label} [process x{workers} vs sequential]",
+                    reference,
+                    replay,
+                    ("sequential", f"process x{workers}"),
+                )
     if failures:
         print(f"{failures} scenario(s) were non-deterministic")
         return 1
