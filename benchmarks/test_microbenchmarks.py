@@ -1,6 +1,6 @@
 """Micro-benchmarks of the core components (proper pytest-benchmark
-timing over repeated rounds): the streaming parser, the two projection
-strategies, the compiler, and end-to-end query execution.
+timing over repeated rounds): the streaming parser, the raw-text
+projection, the compiler, and end-to-end query execution.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from repro.bench import workloads as W
 from repro.compiler.pipeline import compile_query
 from repro.jsonlib.parser import parse_many
 from repro.jsonlib.path import parse_path
-from repro.jsonlib.projection import project_text
 from repro.jsonlib.textscan import scan_text
 from repro.processor import JsonProcessor
 
@@ -34,10 +33,6 @@ DATE_PATH = parse_path('("root")()("results")()("date")')
 
 def test_bench_streaming_parse(benchmark, sensor_text):
     benchmark(lambda: parse_many(sensor_text))
-
-
-def test_bench_event_projection(benchmark, sensor_text):
-    benchmark(lambda: list(project_text(sensor_text, DATE_PATH)))
 
 
 def test_bench_text_projection(benchmark, sensor_text):

@@ -19,6 +19,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hyracks.memory import MemoryTracker
 
 
+def normalize_collection_name(name: str) -> str:
+    """The key a data source files *name* under: one leading slash, no
+    trailing one, so ``"c"``, ``"/c"`` and ``"/c/"`` are one collection."""
+    return "/" + name.strip("/")
+
+
 class DataSource(Protocol):
     """Resolves collection and document names to JSON items.
 

@@ -9,13 +9,11 @@ Scan modes select the per-record projector used by every DATASCAN:
   re-projected by ``text``.
 - ``text`` — the raw-text skipper (:mod:`repro.jsonlib.textscan`),
   the canonical reference implementation and fallback authority.
-- ``eager`` — parse every record fully, then navigate the materialized
-  item (the pre-PR-7 naive baseline; kept for benchmarking and for the
-  differential harness's scan-mode axis).
 
-All three produce byte-identical items, errors, and degradation
-records; they differ only in speed and in which diagnostic counters
-they populate.
+Both produce byte-identical items, errors, and degradation records;
+they differ only in speed and in which diagnostic counters they
+populate.  Parse-then-navigate (``navigate(parse(text), path)``) is the
+reference both are tested against, not a mode.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 from repro.envutil import env_setting
 from repro.errors import ReproError
 
-SCAN_MODES = ("ondemand", "text", "eager")
+SCAN_MODES = ("ondemand", "text")
 
 #: Environment default for :func:`resolve_scan_mode`.
 SCAN_MODE_ENV = "REPRO_SCAN_MODE"

@@ -9,11 +9,12 @@ Runs each query through the full matrix of
 - DATASCAN projection on/off (off replaces the projecting scanners
   with :class:`EagerNavigationSource`: parse everything, then
   navigate — the definitional semantics),
-- scan modes (:data:`SCAN_MODE_AXIS`: ``eager`` parse-then-navigate,
-  ``ondemand`` single-pass navigator, ``cached-warm`` on-demand through
-  the segment cache compared on the warm execution) — every projected
-  cell runs all three and the items *and* degradation reports must be
-  byte-identical, not merely canonically equal,
+- scan modes (:data:`SCAN_MODE_AXIS`: ``text`` raw-text skipper (the
+  fallback authority), ``ondemand`` single-pass navigator,
+  ``cached-warm`` on-demand through the segment cache compared on the
+  warm execution) — every projected cell runs all three and the items
+  *and* degradation reports must be byte-identical, not merely
+  canonically equal,
 - bounded memory (a :data:`SPILL_BUDGET_BYTES` budget tiny enough to
   force the blocking operators through their spill-to-disk paths),
 - injected worker crashes (a :class:`~repro.resilience.faults.FaultPlan`
@@ -76,7 +77,7 @@ PROJECTION_MODES = ("projected", "eager")
 #: ``cached-warm`` = on-demand scan through the segment cache, compared
 #: on the *second* (warm) execution so the result comes from segment
 #: files, not JSON.
-SCAN_MODE_AXIS = ("eager", "ondemand", "cached-warm")
+SCAN_MODE_AXIS = ("text", "ondemand", "cached-warm")
 
 #: memory budget for the forced-spill matrix cells — small enough that
 #: the paper datasets overflow every blocking operator, large enough
@@ -235,6 +236,7 @@ class DiffCheckReport:
             "generated_cases": self.generated_cases,
             "generated_cells": self.generated_cells,
             "total_cells": self.total_cells,
+            "scan_modes": list(SCAN_MODE_AXIS),
             "mismatch_count": len(self.mismatches),
             "ok": self.ok,
             "mismatches": [m.to_dict() for m in self.mismatches],

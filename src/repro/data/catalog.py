@@ -6,12 +6,15 @@ and implements the :class:`~repro.algebra.context.DataSource` protocol:
 
 - ``read_collection`` materializes every item (the naive strategy the
   un-rewritten plans use),
-- ``scan_collection`` streams items through the projecting parser (the
-  DATASCAN strategy),
+- ``scan_collection`` / ``scan_frames`` stream items through the
+  projecting scanner (the DATASCAN strategy),
 - ``partition_count`` drives partitioned-parallel execution.
 
 :class:`InMemorySource` provides the same protocol over in-memory JSON
-texts, for tests and small examples.
+texts, for tests and small examples.  The two are one implementation
+(:class:`_PartitionedSource`) over a small private source protocol; a
+concrete class only registers collections and says where a unit's text
+comes from.
 
 Both sources take an ``on_malformed`` policy (``fail`` | ``skip_record``
 | ``skip_file``) deciding what a scan does with malformed JSON, and an
@@ -26,6 +29,7 @@ import threading
 from functools import partial
 from typing import Iterable, Iterator
 
+from repro.algebra.context import normalize_collection_name as _normalize
 from repro.cache.config import (
     resolve_fingerprint_mode,
     resolve_scan_mode,
@@ -39,69 +43,17 @@ from repro.cache.segments import (
     text_fingerprint,
 )
 from repro.errors import FileScanError, JsonError, ReproError
-from repro.jsonlib import tape
+from repro.jsonlib import tape, textscan
 from repro.jsonlib.items import Item, sizeof_rows
 from repro.jsonlib.parser import parse, parse_many, parse_many_resilient
-from repro.jsonlib.path import Path, navigate_sequence
-from repro.jsonlib.projection import project_file
-from repro.jsonlib.textscan import ScanCounters, scan_file, scan_text
+from repro.jsonlib.path import Path
+from repro.jsonlib.textscan import _BOM, ScanCounters
 from repro.resilience.policies import validate_on_malformed
 from repro.stats.sampling import SourceStatistics
 
-_BOM = "\ufeff"
-
-
-def _eager_scan_text(
-    text: str,
-    path: Path,
-    on_malformed: str = "fail",
-    recorder=None,
-    counters: ScanCounters | None = None,
-) -> list[Item]:
-    """Eager-mode scan: parse every record fully, then navigate.
-
-    The pre-PR-7 baseline, kept as ``scan_mode="eager"``.  A leading
-    BOM is blanked (not stripped) so recorder offsets line up with the
-    skipper's.  Only ``matched`` is counted — eager parsing has no
-    notion of a skipped subtree.
-    """
-    if text.startswith(_BOM):
-        text = " " + text[1:]
-    if on_malformed == "skip_record":
-        records = parse_many_resilient(
-            text, on_malformed="skip_record", recorder=recorder
-        )
-    else:
-        records = parse_many(text)
-    projected = navigate_sequence(records, path)
-    if counters is not None:
-        counters.matched += len(projected)
-    return projected
-
-
-def _eager_scan_file(
-    file_path: str,
-    path: Path,
-    on_malformed: str = "fail",
-    recorder=None,
-    counters: ScanCounters | None = None,
-) -> list[Item]:
-    """File twin of :func:`_eager_scan_text` (``utf-8-sig``, like scan_file)."""
-    with open(file_path, "r", encoding="utf-8-sig") as handle:
-        text = handle.read()
-    return _eager_scan_text(
-        text, path, on_malformed=on_malformed, recorder=recorder,
-        counters=counters,
-    )
-
-
-#: scan mode -> (file scanner, text scanner); all three produce
-#: byte-identical items, errors and skip events.
-_SCANNERS = {
-    "ondemand": (tape.scan_file, tape.scan_text),
-    "text": (scan_file, scan_text),
-    "eager": (_eager_scan_file, _eager_scan_text),
-}
+#: scan mode -> the module whose ``scan_file`` / ``scan_text`` projects a
+#: unit; both produce byte-identical items, errors and skip events.
+_SCANNERS = {"ondemand": tape, "text": textscan}
 
 
 def _scan_plain(source, source_id: str, scan, path: Path) -> Iterator[Item]:
@@ -222,22 +174,29 @@ def _scan_cached(
     return items, sizes
 
 
-class CollectionCatalog:
-    """Registry of partitioned on-disk collections.
+class _PartitionedSource:
+    """The one catalog implementation, over a private source protocol.
 
-    Collections register explicitly (``register``) or are discovered from
-    a base directory whose layout is
-    ``<base>/<collection>/partition<i>/*.json``.
+    A collection is a list of partitions, a partition a list of *units*
+    (a file path, an in-memory text).  Everything a query can observe is
+    implemented here once; a concrete class registers collections into
+    ``_collections`` and answers five questions:
+
+    - ``_units(name, partition)``: the ``(source id, unit)`` pairs of
+      one partition (or of all of them), in registration order; the
+      source id labels errors, skip events and cached segments;
+    - ``_text(unit)``: the unit's decoded text, for ``read_collection``,
+      ``read_document`` and the sampler;
+    - ``_scanner(unit)``: the unit bound to the scan mode's scanner,
+      called as ``scan(path, **options)``;
+    - ``_fingerprint(unit)``: the segment cache's fingerprint of the
+      unit (may raise :class:`OSError`: scan cold);
+    - ``_size(unit)``: its size, for the sampler's extrapolation.
     """
 
     def __init__(
-        self,
-        base_dir: str | None = None,
-        on_malformed: str = "fail",
-        scan_mode: str | None = None,
-        segment_cache_dir: str | None = None,
-        fingerprint_mode: str | None = None,
-        stats_sample: int | None = None,
+        self, on_malformed, scan_mode, segment_cache_dir, fingerprint_mode,
+        stats_sample,
     ):
         self._collections: dict[str, list[list[str]]] = {}
         self.on_malformed = validate_on_malformed(on_malformed)
@@ -247,8 +206,6 @@ class CollectionCatalog:
         )
         self.stats = SourceStatistics(stats_sample)
         self._local = threading.local()
-        if base_dir is not None:
-            self.discover(base_dir)
 
     def configure_scan(
         self,
@@ -261,7 +218,8 @@ class CollectionCatalog:
         ``None`` leaves a setting untouched; an empty
         ``segment_cache_dir`` string disables the cache.
         ``fingerprint_mode`` (``"stat"`` | ``"content"``) selects how
-        cached segments detect file changes.
+        cached segments detect file changes; in-memory texts are always
+        keyed by content hash, so the mode changes nothing for them.
         """
         if scan_mode is not None:
             self.scan_mode = validate_scan_mode(scan_mode)
@@ -320,22 +278,165 @@ class CollectionCatalog:
         self.__dict__.update(state)
         self._local = threading.local()
 
-    def _record_skipped_file(self, file_path: str, cause: Exception) -> None:
+    def _recorder(self, source_id: str):
+        def record(offset: int | None, message: str) -> None:
+            if self._report is not None:
+                self._report.record_skipped_record(source_id, offset, message)
+
+        return record
+
+    def _record_skipped_file(self, source_id: str, cause: Exception) -> None:
         if self._report is not None:
-            self._report.record_skipped_file(file_path, cause)
+            self._report.record_skipped_file(source_id, cause)
 
     # -- registration ----------------------------------------------------------
 
-    def register(self, name: str, partitions: list[list[str]]) -> None:
-        """Register a collection as an explicit list of partition file lists.
+    def _register(self, name: str, partitions: list[list[str]]) -> None:
+        """Bind *name* to *partitions*; its sampled statistics are dropped,
+        so the next stats consumer re-samples the fresh data."""
+        self._collections[_normalize(name)] = partitions
+        self.stats.invalidate(name)
 
-        Registration invalidates the collection's sampled statistics;
-        the next stats consumer re-samples the fresh data.
+    def _partitions(self, name: str) -> list[list[str]]:
+        key = _normalize(name)
+        if key not in self._collections:
+            raise ReproError(f"unknown collection {name!r}")
+        return self._collections[key]
+
+    # -- statistics --------------------------------------------------------------
+
+    def stats_partitions(self, name: str) -> list:
+        """Per-partition ``(texts, total_bytes)`` pairs for the sampler.
+
+        *texts* lazily yields each unit's text in registration order;
+        unreadable units are skipped (sampling is advisory) but a size
+        that can still be read counts toward the extrapolation total.
         """
-        self._collections[self._normalize(name)] = [
-            list(files) for files in partitions
-        ]
-        self.stats.invalidate(self._normalize(name))
+
+        def texts(units: list):
+            for unit in units:
+                try:
+                    yield self._text(unit)
+                except OSError:
+                    continue
+
+        out = []
+        for units in self._partitions(name):
+            total = 0
+            for unit in units:
+                try:
+                    total += self._size(unit)
+                except OSError:
+                    pass
+            out.append((texts(units), total))
+        return out
+
+    def collection_stats(self, name: str):
+        """Sampled :class:`~repro.stats.sampling.CollectionStats` (or None)."""
+        return self.stats.collection_stats(self, name)
+
+    def stats_snapshot(self, names=None):
+        """A :class:`~repro.stats.sampling.StatsSnapshot` over *names*.
+
+        Defaults to every registered collection; collections that fail
+        to sample are simply absent from the snapshot.
+        """
+        if names is None:
+            names = sorted(self._collections)
+        return self.stats.snapshot(self, names)
+
+    def refresh_stats(self, name: str | None = None) -> None:
+        """Drop sampled statistics so the next consumer re-samples."""
+        self.stats.invalidate(name)
+
+    # -- DataSource protocol ----------------------------------------------------
+
+    def partition_count(self, name: str) -> int:
+        """Number of partitions of a collection."""
+        return len(self._partitions(name))
+
+    def read_collection(self, name: str, partition: int | None = None) -> list[Item]:
+        """Materialize every top-level item of the collection."""
+        items: list[Item] = []
+        for source_id, unit in self._units(name, partition):
+            text = self._text(unit)
+            if self.on_malformed == "skip_record":
+                items.extend(
+                    parse_many_resilient(
+                        text,
+                        on_malformed="skip_record",
+                        recorder=self._recorder(source_id),
+                    )
+                )
+                continue
+            try:
+                items.extend(parse_many(text))
+            except JsonError as error:
+                if self.on_malformed == "fail":
+                    raise FileScanError(source_id, error) from error
+                self._record_skipped_file(source_id, error)
+        return items
+
+    def scan_collection(
+        self, name: str, path: Path, partition: int | None = None
+    ) -> Iterator[Item]:
+        """Stream the collection's items projected through *path*.
+
+        Memory is bounded by the scanner's read-ahead buffer and the
+        largest top-level value (by the largest unit under ``skip_file``
+        or a segment cache, which buffer one unit's matches).
+        """
+        for items, _sizes in self.scan_frames(name, path, partition):
+            yield from items
+
+    def scan_frames(
+        self, name: str, path: Path, partition: int | None = None
+    ) -> Iterator[tuple[Iterable[Item], list[int] | None]]:
+        """:meth:`scan_collection` one unit at a time, as ``(items, sizes)``.
+
+        *sizes* is ``sizeof_item`` of each item where the segment cache
+        already knows it (a hit, or a miss just sized for its store),
+        so DATASCAN need not measure the items again; it is None for
+        items streamed from text, which DATASCAN cuts into frames and
+        sizes itself.
+        """
+        for source_id, unit in self._units(name, partition):
+            scan = self._scanner(unit)
+            if self.segment_cache is None:
+                yield _scan_plain(self, source_id, scan, path), None
+            else:
+                fingerprint_of = partial(self._fingerprint, unit)
+                yield _scan_cached(self, source_id, fingerprint_of, scan, path)
+
+
+class CollectionCatalog(_PartitionedSource):
+    """Registry of partitioned on-disk collections.
+
+    Collections register explicitly (``register``) or are discovered from
+    a base directory whose layout is
+    ``<base>/<collection>/partition<i>/*.json``.  A unit is a file path,
+    which is also its source id.
+    """
+
+    def __init__(
+        self,
+        base_dir: str | None = None,
+        on_malformed: str = "fail",
+        scan_mode: str | None = None,
+        segment_cache_dir: str | None = None,
+        fingerprint_mode: str | None = None,
+        stats_sample: int | None = None,
+    ):
+        super().__init__(
+            on_malformed, scan_mode, segment_cache_dir, fingerprint_mode,
+            stats_sample,
+        )
+        if base_dir is not None:
+            self.discover(base_dir)
+
+    def register(self, name: str, partitions: list[list[str]]) -> None:
+        """Register a collection as an explicit list of partition file lists."""
+        self._register(name, [list(files) for files in partitions])
 
     def register_directory(self, name: str, directory: str) -> None:
         """Register ``directory`` (with ``partition<i>`` subdirs) as *name*.
@@ -384,22 +485,6 @@ class CollectionCatalog:
                 f"no collection directories found under {base_dir!r}"
             )
 
-    @staticmethod
-    def _normalize(name: str) -> str:
-        return "/" + name.strip("/")
-
-    def _partitions(self, name: str) -> list[list[str]]:
-        key = self._normalize(name)
-        if key not in self._collections:
-            raise ReproError(f"unknown collection {name!r}")
-        return self._collections[key]
-
-    # -- DataSource protocol ----------------------------------------------------
-
-    def partition_count(self, name: str) -> int:
-        """Number of partitions of a collection."""
-        return len(self._partitions(name))
-
     def files(self, name: str, partition: int | None = None) -> list[str]:
         """File paths of one partition (or all of them)."""
         partitions = self._partitions(name)
@@ -411,160 +496,37 @@ class CollectionCatalog:
         """On-disk size of a collection (or one partition)."""
         return sum(os.path.getsize(path) for path in self.files(name, partition))
 
-    # -- statistics --------------------------------------------------------------
-
-    def stats_partitions(self, name: str) -> list:
-        """Per-partition ``(texts, total_bytes)`` pairs for the sampler.
-
-        *texts* lazily yields each file's content in registration order;
-        unreadable files are skipped (sampling is advisory) but their
-        on-disk size still counts toward the extrapolation total.
-        """
-
-        def file_texts(files: list[str]):
-            for file_path in files:
-                try:
-                    with open(file_path, "r", encoding="utf-8-sig") as handle:
-                        yield handle.read()
-                except OSError:
-                    continue
-
-        out = []
-        for files in self._partitions(name):
-            total = 0
-            for file_path in files:
-                try:
-                    total += os.path.getsize(file_path)
-                except OSError:
-                    pass
-            out.append((file_texts(files), total))
-        return out
-
-    def collection_stats(self, name: str):
-        """Sampled :class:`~repro.stats.sampling.CollectionStats` (or None)."""
-        return self.stats.collection_stats(self, name)
-
-    def stats_snapshot(self, names=None):
-        """A :class:`~repro.stats.sampling.StatsSnapshot` over *names*.
-
-        Defaults to every registered collection; collections that fail
-        to sample are simply absent from the snapshot.
-        """
-        if names is None:
-            names = sorted(self._collections)
-        return self.stats.snapshot(self, names)
-
-    def refresh_stats(self, name: str | None = None) -> None:
-        """Drop sampled statistics so the next consumer re-samples."""
-        self.stats.invalidate(name)
-
     def read_document(self, uri: str) -> Item:
         """Materialize a single JSON document by file path."""
-        with open(uri, "r", encoding="utf-8") as handle:
-            return parse(handle.read())
+        return parse(self._text(uri))
 
-    def read_collection(self, name: str, partition: int | None = None) -> list[Item]:
-        """Materialize every top-level item of the collection."""
-        items: list[Item] = []
-        for path in self.files(name, partition):
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            if self.on_malformed == "skip_record":
-                items.extend(
-                    parse_many_resilient(
-                        text,
-                        on_malformed="skip_record",
-                        recorder=self._recorder(path),
-                    )
-                )
-            elif self.on_malformed == "skip_file":
-                try:
-                    items.extend(parse_many(text))
-                except JsonError as error:
-                    self._record_skipped_file(path, error)
-            else:
-                try:
-                    items.extend(parse_many(text))
-                except JsonError as error:
-                    raise FileScanError(path, error) from error
-        return items
+    # -- source protocol ---------------------------------------------------------
 
-    def scan_collection(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator[Item]:
-        """Stream the collection's items projected through *path*.
+    def _units(self, name: str, partition: int | None) -> list[tuple[str, str]]:
+        return [(path, path) for path in self.files(name, partition)]
 
-        Uses the fast raw-text scanner (memory bounded by the largest
-        file); :meth:`stream_collection` offers the chunked event-based
-        projector when even one file must not be held in memory.
-        """
-        for items, _sizes in self.scan_frames(name, path, partition):
-            yield from items
+    def _text(self, file_path: str) -> str:
+        # ``utf-8-sig`` like the scanners: a byte-order mark is not text.
+        with open(file_path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
 
-    def scan_frames(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator[tuple[Iterable[Item], list[int] | None]]:
-        """:meth:`scan_collection` one file at a time, as ``(items, sizes)``.
+    def _scanner(self, file_path: str):
+        return partial(_SCANNERS[self.scan_mode].scan_file, file_path)
 
-        *sizes* is ``sizeof_item`` of each item where the segment cache
-        already knows it (a hit, or a miss just sized for its store),
-        so DATASCAN need not measure the items again; it is None for
-        items streamed from text, which DATASCAN cuts into frames and
-        sizes itself.
-        """
-        scanner = _SCANNERS[self.scan_mode][0]
-        for file_path in self.files(name, partition):
-            scan = partial(scanner, file_path)
-            if self.segment_cache is None:
-                yield _scan_plain(self, file_path, scan, path), None
-            else:
-                fingerprint_of = partial(
-                    self.segment_cache.source_fingerprint, file_path
-                )
-                yield _scan_cached(self, file_path, fingerprint_of, scan, path)
+    def _fingerprint(self, file_path: str):
+        return self.segment_cache.source_fingerprint(file_path)
 
-    def _recorder(self, file_path: str):
-        def record(offset: int | None, message: str) -> None:
-            if self._report is not None:
-                self._report.record_skipped_record(file_path, offset, message)
-
-        return record
-
-    def stream_collection(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator[Item]:
-        """Chunked event-based projection (memory bounded by chunk size).
-
-        The event stream cannot resync past malformed input, so both
-        skip policies degrade to truncating the broken file's remainder
-        (recorded as a skipped file).
-        """
-        counters = self._counters
-        for file_path in self.files(name, partition):
-            if self.on_malformed == "fail":
-                try:
-                    yield from project_file(file_path, path, counters=counters)
-                except JsonError as error:
-                    raise FileScanError(file_path, error) from error
-            else:
-                truncated: list[str] = []
-
-                def record(offset, message, _path=file_path):
-                    truncated.append(f"{message} (rest of file dropped)")
-
-                yield from project_file(
-                    file_path, path, on_malformed=self.on_malformed,
-                    recorder=record, counters=counters,
-                )
-                for message in truncated:
-                    self._record_skipped_file(file_path, ReproError(message))
+    _size = staticmethod(os.path.getsize)
 
 
-class InMemorySource:
+class InMemorySource(_PartitionedSource):
     """DataSource over in-memory JSON texts (tests, small examples).
 
     ``collections`` maps names to lists of partitions, each partition a
-    list of JSON texts; ``documents`` maps URIs to JSON texts.
+    list of JSON texts; ``documents`` maps URIs to JSON texts.  A unit
+    is a text, its source id the ``"/c[partition p] text i"`` label.
+    Segments are keyed by content hash, so an edited text simply
+    produces a new key (no staleness window at all).
     """
 
     def __init__(
@@ -577,192 +539,46 @@ class InMemorySource:
         fingerprint_mode: str | None = None,
         stats_sample: int | None = None,
     ):
-        self._collections = {
-            CollectionCatalog._normalize(name): partitions
-            for name, partitions in (collections or {}).items()
-        }
-        self._documents = dict(documents or {})
-        self.on_malformed = validate_on_malformed(on_malformed)
-        self.scan_mode = resolve_scan_mode(scan_mode)
-        self.segment_cache = resolve_segment_cache(
-            segment_cache_dir, fingerprint_mode
+        super().__init__(
+            on_malformed, scan_mode, segment_cache_dir, fingerprint_mode,
+            stats_sample,
         )
-        self.stats = SourceStatistics(stats_sample)
-        self._local = threading.local()
-
-    def configure_scan(
-        self,
-        scan_mode: str | None = None,
-        segment_cache_dir: str | None = None,
-        fingerprint_mode: str | None = None,
-    ) -> None:
-        """Override scan mode / segment cache (None leaves untouched).
-
-        ``fingerprint_mode`` is accepted for interface symmetry with
-        :class:`CollectionCatalog`; in-memory texts are always keyed by
-        content hash, so the mode changes nothing here.
-        """
-        if scan_mode is not None:
-            self.scan_mode = validate_scan_mode(scan_mode)
-        if segment_cache_dir is not None:
-            self.segment_cache = (
-                SegmentCache(
-                    segment_cache_dir,
-                    fingerprint_mode=resolve_fingerprint_mode(fingerprint_mode),
-                )
-                if segment_cache_dir
-                else None
-            )
-        elif fingerprint_mode is not None and self.segment_cache is not None:
-            self.segment_cache.fingerprint_mode = validate_fingerprint_mode(
-                fingerprint_mode
-            )
-
-    @property
-    def _report(self):
-        return getattr(self._local, "report", None)
-
-    @property
-    def _counters(self):
-        return getattr(self._local, "scan_counters", None)
-
-    def attach_degradation(self, report) -> None:
-        """Attach (or detach, with None) a degradation report (per thread)."""
-        self._local.report = report
-
-    def attach_scan_counters(self, counters) -> None:
-        """Attach (or detach, with None) scan counters (per thread)."""
-        self._local.scan_counters = counters
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._local = threading.local()
+        for name, partitions in (collections or {}).items():
+            self._register(name, partitions)
+        self._documents = dict(documents or {})
 
     def add_document(self, uri: str, text: str) -> None:
         """Register a document text under *uri*."""
         self._documents[uri] = text
 
     def add_collection(self, name: str, partitions: list[list[str]]) -> None:
-        """Register a collection of JSON-text partitions.
-
-        Like :meth:`CollectionCatalog.register`, invalidates the
-        collection's sampled statistics.
-        """
-        self._collections[CollectionCatalog._normalize(name)] = partitions
-        self.stats.invalidate(CollectionCatalog._normalize(name))
-
-    def stats_partitions(self, name: str) -> list:
-        """Per-partition ``(texts, total_bytes)`` pairs for the sampler."""
-        key = CollectionCatalog._normalize(name)
-        if key not in self._collections:
-            raise ReproError(f"unknown collection {name!r}")
-        return [
-            (list(texts), sum(len(text) for text in texts))
-            for texts in self._collections[key]
-        ]
-
-    def collection_stats(self, name: str):
-        """Sampled :class:`~repro.stats.sampling.CollectionStats` (or None)."""
-        return self.stats.collection_stats(self, name)
-
-    def stats_snapshot(self, names=None):
-        """A :class:`~repro.stats.sampling.StatsSnapshot` over *names*."""
-        if names is None:
-            names = sorted(self._collections)
-        return self.stats.snapshot(self, names)
-
-    def refresh_stats(self, name: str | None = None) -> None:
-        """Drop sampled statistics so the next consumer re-samples."""
-        self.stats.invalidate(name)
-
-    def _texts(
-        self, name: str, partition: int | None
-    ) -> list[tuple[str, str]]:
-        """(label, text) pairs of one partition (or all of them)."""
-        key = CollectionCatalog._normalize(name)
-        if key not in self._collections:
-            raise ReproError(f"unknown collection {name!r}")
-        partitions = self._collections[key]
-        if partition is None:
-            return [
-                (f"{key}[partition {p}] text {i}", text)
-                for p, texts in enumerate(partitions)
-                for i, text in enumerate(texts)
-            ]
-        return [
-            (f"{key}[partition {partition}] text {i}", text)
-            for i, text in enumerate(partitions[partition])
-        ]
-
-    def partition_count(self, name: str) -> int:
-        key = CollectionCatalog._normalize(name)
-        if key not in self._collections:
-            raise ReproError(f"unknown collection {name!r}")
-        return len(self._collections[key])
+        """Register a collection of JSON-text partitions."""
+        self._register(name, partitions)
 
     def read_document(self, uri: str) -> Item:
         if uri not in self._documents:
             raise ReproError(f"unknown document {uri!r}")
-        return parse(self._documents[uri])
+        return parse(self._text(self._documents[uri]))
 
-    def read_collection(self, name: str, partition: int | None = None) -> list[Item]:
-        items: list[Item] = []
-        for label, text in self._texts(name, partition):
-            if self.on_malformed == "skip_record":
-                items.extend(
-                    parse_many_resilient(
-                        text,
-                        on_malformed="skip_record",
-                        recorder=self._recorder(label),
-                    )
-                )
-            elif self.on_malformed == "skip_file":
-                try:
-                    items.extend(parse_many(text))
-                except JsonError as error:
-                    self._record_skipped_file(label, error)
-            else:
-                try:
-                    items.extend(parse_many(text))
-                except JsonError as error:
-                    raise FileScanError(label, error) from error
-        return items
+    # -- source protocol ---------------------------------------------------------
 
-    def scan_collection(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator[Item]:
-        for items, _sizes in self.scan_frames(name, path, partition):
-            yield from items
+    def _units(self, name: str, partition: int | None) -> list[tuple[str, str]]:
+        key = _normalize(name)
+        partitions = self._partitions(name)
+        chosen = range(len(partitions)) if partition is None else (partition,)
+        return [
+            (f"{key}[partition {p}] text {i}", text)
+            for p in chosen
+            for i, text in enumerate(partitions[p])
+        ]
 
-    def scan_frames(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator[tuple[Iterable[Item], list[int] | None]]:
-        """One ``(items, sizes)`` per text; see the catalog's method.
+    def _text(self, text: str) -> str:
+        # A leading byte-order mark is blanked, not stripped, so the
+        # parser's offsets line up with the scanners', which hop it.
+        return " " + text[1:] if text.startswith(_BOM) else text
 
-        Segments are keyed by content hash, so an edited text simply
-        produces a new key (no staleness window at all).
-        """
-        scanner = _SCANNERS[self.scan_mode][1]
-        for label, text in self._texts(name, partition):
-            scan = partial(scanner, text)
-            if self.segment_cache is None:
-                yield _scan_plain(self, label, scan, path), None
-            else:
-                fingerprint_of = partial(text_fingerprint, text)
-                yield _scan_cached(self, label, fingerprint_of, scan, path)
+    def _scanner(self, text: str):
+        return partial(_SCANNERS[self.scan_mode].scan_text, text)
 
-    def _recorder(self, label: str):
-        def record(offset: int | None, message: str) -> None:
-            if self._report is not None:
-                self._report.record_skipped_record(label, offset, message)
-
-        return record
-
-    def _record_skipped_file(self, label: str, cause: Exception) -> None:
-        if self._report is not None:
-            self._report.record_skipped_file(label, cause)
+    _fingerprint = staticmethod(text_fingerprint)
+    _size = staticmethod(len)

@@ -1,4 +1,4 @@
-"""JSON data substrate: streaming parser, item model, paths, projection.
+"""JSON data substrate: streaming parser, item model, paths, scanners.
 
 This package is the from-scratch replacement for the Jackson-style JSON
 parsing layer that Apache VXQuery relies on.  It provides:
@@ -8,10 +8,13 @@ parsing layer that Apache VXQuery relies on.  It provides:
 - :mod:`repro.jsonlib.items` — the JSONiq item model and helpers,
 - :mod:`repro.jsonlib.serializer` — items back to JSON text,
 - :mod:`repro.jsonlib.path` — navigation paths (value / keys-or-members),
-- :mod:`repro.jsonlib.projection` — the path-projecting streaming parser
-  that powers the DATASCAN operator's second argument (Section 4.2 of the
-  paper): it emits only the sub-items matched by a path without ever
-  materializing the enclosing document.
+- :mod:`repro.jsonlib.textscan` — the raw-text skipper behind the
+  DATASCAN operator's second argument (Section 4.2 of the paper): it
+  emits only the sub-items matched by a path, hopping everything else
+  undecoded, and is the canonical definition of errors and offsets,
+- :mod:`repro.jsonlib.tape` — the on-demand navigator, the default scan
+  mode: the skipper's walkers with each match decoded in place by the
+  stdlib C scanner, any irregular record handed back to the skipper.
 """
 
 from repro.jsonlib.events import Event, EventKind
@@ -33,7 +36,6 @@ from repro.jsonlib.path import (
     navigate,
     parse_path,
 )
-from repro.jsonlib.projection import project_file, project_text
 from repro.jsonlib.serializer import dump, dumps
 
 __all__ = [
@@ -56,7 +58,5 @@ __all__ = [
     "navigate",
     "parse",
     "parse_path",
-    "project_file",
-    "project_text",
     "sizeof_item",
 ]

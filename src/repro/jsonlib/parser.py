@@ -389,22 +389,6 @@ def iter_events(text: str, allow_multiple_values: bool = True) -> Iterator[Event
     yield from parser.finish()
 
 
-def iter_file_events(path: str, chunk_size: int = 1 << 16) -> Iterator[Event]:
-    """Yield the event stream of a JSON file, reading it in chunks.
-
-    This is the entry point used by scan operators: memory stays bounded
-    by ``chunk_size`` plus whatever the consumer accumulates.
-    """
-    parser = StreamingJsonParser(allow_multiple_values=True)
-    with open(path, "r", encoding="utf-8") as handle:
-        while True:
-            chunk = handle.read(chunk_size)
-            if not chunk:
-                break
-            yield from parser.feed(chunk)
-    yield from parser.finish()
-
-
 def parse(text: str):
     """Parse *text* as a single JSON value and return the item."""
     from repro.jsonlib.items import build_items

@@ -9,10 +9,11 @@ Section 3.2 of the paper:
   object.
 
 Paths serve two purposes here.  :func:`navigate` evaluates a path against
-a materialized item (the naive execution strategy), and
-:mod:`repro.jsonlib.projection` evaluates a path directly against a
-parse-event stream (the optimized DATASCAN strategy of Section 4.2).
-The equivalence of the two is a property-based test invariant.
+a materialized item (the naive execution strategy), and the scanners
+(:mod:`repro.jsonlib.textscan`, :mod:`repro.jsonlib.tape`) evaluate a
+path directly against raw text (the optimized DATASCAN strategy of
+Section 4.2).  The equivalence of the two is a property-based test
+invariant.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Raw-text path projection: skip what the path doesn't need, fast.
 
-The event-based projector (:mod:`repro.jsonlib.projection`) avoids
-*building* unmatched values but still tokenizes every byte.  This module
-goes further, in the spirit of structural-index JSON scanners (Mison —
-cited as related work in the paper): values that the path does not need
-are **skipped at string-search speed** — one regex hop per structural
-character, with string literals jumped over by quote search — and only
-the matched slices are handed to the real parser.
+Projecting over the event stream of :mod:`repro.jsonlib.parser` would
+avoid *building* unmatched values but still tokenize every byte.  This
+module goes further, in the spirit of structural-index JSON scanners
+(Mison — cited as related work in the paper): values that the path does
+not need are **skipped at string-search speed** — one regex hop per
+structural character, with string literals jumped over by quote search —
+and only the matched slices are handed to the real parser.
 
 This is the scanner behind DATASCAN's projection argument on file
 sources.  Its contract is equivalence with the reference strategy::

@@ -92,8 +92,8 @@ class JsonProcessor:
         ``REPRO_DEADLINE`` environment variable.
     scan_mode:
         How DATASCAN projects raw JSON: ``"ondemand"`` (single-pass
-        navigator, the default), ``"text"`` (raw-text skipper), or
-        ``"eager"`` (parse fully, then navigate).  All three are
+        navigator, the default) or ``"text"`` (raw-text skipper, the
+        reference the navigator falls back to).  The two are
         byte-identical in results, errors and degradation reports.
         ``None`` leaves the source's own setting (which consults the
         ``REPRO_SCAN_MODE`` environment variable).

@@ -22,6 +22,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.algebra.context import normalize_collection_name as _normalize
 from repro.errors import JsonSyntaxError, RuntimeExecutionError
 from repro.jsonlib.path import Path
 from repro.resilience.retry import stable_seed
@@ -47,10 +48,6 @@ class PermanentFaultError(InjectedFaultError):
 
 class CorruptRecordError(JsonSyntaxError):
     """An injected corrupt record, surfaced as malformed JSON."""
-
-
-def _normalize(name: str) -> str:
-    return "/" + name.strip("/")
 
 
 @dataclass
@@ -551,17 +548,6 @@ class FaultInjectingSource:
         self.plan.begin_attempt(name, partition)
         for index, item in enumerate(
             self._source.scan_collection(name, path, partition)
-        ):
-            if self._corrupted(name, partition, index):
-                continue
-            yield item
-
-    def stream_collection(
-        self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator:
-        self.plan.begin_attempt(name, partition)
-        for index, item in enumerate(
-            self._source.stream_collection(name, path, partition)
         ):
             if self._corrupted(name, partition, index):
                 continue

@@ -59,11 +59,11 @@ def source_fingerprints(source, collections, mode: str):
         except OSError:
             return None
         return tuple(pairs)
-    texts = getattr(source, "_texts", None)
-    if texts is not None:
+    units = getattr(source, "_units", None)
+    if units is not None:
         # In-memory sources are always content-keyed.
         for name in collections:
-            for label, text in texts(name, None):
+            for label, text in units(name, None):
                 pairs.append((label, text_fingerprint(text)))
         return tuple(pairs)
     return None

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from repro.algebra.context import normalize_collection_name as _normalize
 from repro.errors import JsonError, ReproError
 from repro.jsonlib.items import canonical_atomic, is_atomic, sizeof_item
 from repro.jsonlib.path import Path
@@ -253,10 +254,6 @@ class StatsSnapshot:
             for name in sorted(self._collections)
         )
         return hashlib.sha1(repr(payload).encode("utf-8")).hexdigest()
-
-
-def _normalize(name: str) -> str:
-    return "/" + name.strip("/")
 
 
 class _KeyAccumulator:

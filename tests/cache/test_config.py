@@ -14,19 +14,28 @@ from repro.errors import ReproError
 
 class TestScanModeResolution:
     def test_registry(self):
-        assert SCAN_MODES == ("ondemand", "text", "eager")
+        assert SCAN_MODES == ("ondemand", "text")
 
     def test_default_is_ondemand(self, monkeypatch):
         monkeypatch.delenv(SCAN_MODE_ENV, raising=False)
         assert resolve_scan_mode(None) == "ondemand"
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SCAN_MODE_ENV, "eager")
-        assert resolve_scan_mode("text") == "text"
+        monkeypatch.setenv(SCAN_MODE_ENV, "text")
+        assert resolve_scan_mode("ondemand") == "ondemand"
 
     def test_env_beats_default(self, monkeypatch):
+        monkeypatch.setenv(SCAN_MODE_ENV, "text")
+        assert resolve_scan_mode(None) == "text"
+
+    def test_retired_eager_mode_is_rejected_by_name(self, monkeypatch):
+        # The message lists exactly the modes that survive.
+        expected = "unknown scan mode 'eager'; expected one of ondemand, text$"
+        with pytest.raises(ReproError, match=expected):
+            validate_scan_mode("eager")
         monkeypatch.setenv(SCAN_MODE_ENV, "eager")
-        assert resolve_scan_mode(None) == "eager"
+        with pytest.raises(ReproError, match=expected):
+            resolve_scan_mode(None)
 
     @pytest.mark.parametrize("bad", ["", "fast", "ondemand ", "TEXT"])
     def test_invalid_mode_rejected(self, bad):

@@ -66,12 +66,6 @@ class TestReading:
         )
         assert sorted(values) == [0, 0, 1, 1]
 
-    def test_stream_matches_scan(self, disk_catalog):
-        path = parse_path('("i")')
-        fast = list(disk_catalog.scan_collection("/alpha", path))
-        chunked = list(disk_catalog.stream_collection("/alpha", path))
-        assert fast == chunked
-
     def test_read_document(self, disk_catalog):
         uri = disk_catalog.files("/beta")[0]
         assert disk_catalog.read_document(uri) == {"p": 0, "i": 0}

@@ -3,17 +3,15 @@
 RFC 8259 leaves duplicate-key behaviour to implementations; this one
 follows the common last-occurrence-wins convention (``ItemBuilder``
 assigns ``container[key] = value`` per occurrence, so the last write
-survives).  The projecting scanners — the event projector and the
-raw-text skipper — must emit the *same winner* as parsing the whole
-document and navigating, or DATASCAN projection silently changes query
-results on such documents.
+survives).  The projecting scanner must emit the *same winner* as
+parsing the whole document and navigating, or DATASCAN projection
+silently changes query results on such documents.
 """
 
 import pytest
 
 from repro.jsonlib.parser import parse, parse_many
 from repro.jsonlib.path import navigate, parse_path
-from repro.jsonlib.projection import project_file, project_text
 from repro.jsonlib.textscan import ScanCounters, scan_file, scan_text
 
 DUP = '{"a": 1, "b": {"x": 10}, "a": 2, "c": null, "a": 3}'
@@ -35,28 +33,6 @@ class TestParserReference:
 
     def test_keys_deduplicated_first_insertion_order(self):
         assert list(parse(DUP).keys()) == ["a", "b", "c"]
-
-
-class TestEventProjector:
-    @pytest.mark.parametrize(
-        "text,path_text",
-        [
-            (DUP, '("a")'),
-            (DUP, "()"),
-            (NESTED_DUP, '("r")("v")'),
-            (DUP_ARRAY, '("results")()'),
-        ],
-    )
-    def test_matches_parse_then_navigate(self, text, path_text):
-        assert list(project_text(text, parse_path(path_text))) == reference(
-            text, path_text
-        )
-
-    def test_duplicate_key_yields_last_value_once(self):
-        assert list(project_text(DUP, parse_path('("a")'))) == [3]
-
-    def test_keys_or_members_deduplicates(self):
-        assert list(project_text(DUP, parse_path("()"))) == ["a", "b", "c"]
 
 
 class TestRawTextScanner:
@@ -101,14 +77,3 @@ class TestChunkBoundaries:
         expected = reference(DUP, '("a")') + reference(NESTED_DUP, '("a")')
         got = list(scan_file(str(target), parse_path('("a")'), chunk_size=chunk_size))
         assert got == expected == [3]
-
-    @pytest.mark.parametrize("chunk_size", [1, 3, 64])
-    def test_project_file_any_chunk_size(self, tmp_path, chunk_size):
-        target = tmp_path / "dup.json"
-        target.write_text(NESTED_DUP, encoding="utf-8")
-        got = list(
-            project_file(
-                str(target), parse_path('("r")("v")'), chunk_size=chunk_size
-            )
-        )
-        assert got == reference(NESTED_DUP, '("r")("v")') == ["last"]

@@ -1,11 +1,31 @@
-"""Unit tests for the path-projecting streaming parser."""
+"""What projecting a path means, asked of both scanners at once.
+
+These cases were written against the event projector that ISSUE 24
+retired.  The semantics they pin (value steps, keys-or-members, wrong
+types on the path, several top-level values, chunked files) are
+DATASCAN's, so they now run on the two projectors that remain: every
+call goes through the raw-text skipper *and* the on-demand navigator,
+which must agree before the case looks at the answer.
+"""
 
 import pytest
 
 from repro.errors import JsonSyntaxError
+from repro.jsonlib import tape, textscan
 from repro.jsonlib.parser import parse
 from repro.jsonlib.path import Path, navigate, parse_path
-from repro.jsonlib.projection import project_events, project_file, project_text
+
+
+def project_text(text, path):
+    items = list(textscan.scan_text(text, path))
+    assert list(tape.scan_text(text, path)) == items
+    return items
+
+
+def project_file(file_path, path, **options):
+    items = list(textscan.scan_file(file_path, path, **options))
+    assert list(tape.scan_file(file_path, path, **options)) == items
+    return items
 
 SENSOR_FILE = """
 {
@@ -77,14 +97,14 @@ class TestProjectText:
         assert list(project_text(text, parse_path('("x")'))) == [1, 2]
 
     def test_duplicate_keys_last_occurrence_wins(self):
-        # The event stream sees both pairs, but the parser's dict keeps
-        # only the last — projection must emit the same winner.
+        # The text holds both pairs, but the parser's dict keeps only
+        # the last — projection must emit the same winner.
         text = '{"a": 1, "a": 2}'
         assert list(project_text(text, parse_path('("a")'))) == [2]
 
 
 class TestEquivalenceWithNavigate:
-    """The projecting parser must agree with navigate() over parsed items."""
+    """The scanners must agree with navigate() over parsed items."""
 
     CASES = [
         ('{"a": {"b": [1, 2]}}', '("a")("b")()'),
@@ -120,11 +140,7 @@ class TestProjectFile:
 
 class TestErrors:
     def test_truncated_stream(self):
-        from repro.jsonlib.parser import iter_events
-
-        def broken_events():
-            events = list(iter_events('{"a": [1, 2]}'))
-            yield from events[:3]  # cut inside the array
-
-        with pytest.raises(JsonSyntaxError):
-            list(project_events(broken_events(), parse_path('("a")')))
+        for scan_text in (textscan.scan_text, tape.scan_text):
+            with pytest.raises(JsonSyntaxError):
+                # cut inside the array
+                list(scan_text('{"a": [1, 2', parse_path('("a")')))

@@ -7,9 +7,11 @@ Invariants:
 2. Parsing is chunking-invariant: feeding the text in arbitrary pieces
    yields the same event stream as one big feed.
 3. ``parse(dumps(item)) == item`` (serializer round-trip).
-4. The projecting parser agrees with ``navigate`` over materialized items
-   for arbitrary documents and arbitrary paths.
-5. ``sizeof_item`` is monotone under structural growth.
+4. ``sizeof_item`` is monotone under structural growth.
+
+(That the projecting scanners agree with ``navigate`` over materialized
+items is ``test_textscan.py::test_property_matches_navigate`` and the
+scanner fuzz suite.)
 """
 
 import json
@@ -19,14 +21,6 @@ from hypothesis import strategies as st
 
 from repro.jsonlib.items import sizeof_item
 from repro.jsonlib.parser import StreamingJsonParser, iter_events, parse
-from repro.jsonlib.path import (
-    KeysOrMembers,
-    Path,
-    ValueByIndex,
-    ValueByKey,
-    navigate,
-)
-from repro.jsonlib.projection import project_text
 from repro.jsonlib.serializer import dumps
 
 # Finite floats only: JSON has no NaN/Infinity.
@@ -46,14 +40,6 @@ json_values = st.recursive(
     ),
     max_leaves=25,
 )
-
-path_steps = st.one_of(
-    st.builds(ValueByKey, st.sampled_from(["a", "b", "k", "results", ""])),
-    st.builds(ValueByIndex, st.integers(min_value=1, max_value=4)),
-    st.just(KeysOrMembers()),
-)
-
-paths = st.builds(Path, st.lists(path_steps, max_size=4))
 
 
 @given(json_values)
@@ -155,13 +141,6 @@ def test_roundtrip_surrogate_pair_corpus():
     # The stdlib escapes astral characters as surrogate pairs; our
     # parser must decode those pair escapes back to one code point.
     assert parse(json.dumps(corpus)) == corpus
-
-
-@given(json_values, paths)
-@settings(max_examples=120)
-def test_projection_equals_navigate(value, path):
-    text = json.dumps(value)
-    assert list(project_text(text, path)) == navigate(parse(text), path)
 
 
 @given(json_values, st.text(max_size=6), json_values)

@@ -1,13 +1,13 @@
 """Scan-level on_malformed policies across the data layer.
 
 Covers the raw-text scanner's resync, parse_many_resilient, both
-catalogs, the event projector's truncation, and the registration
-bugfixes (empty partitions, empty base dirs).
+catalogs, and the registration bugfixes (empty partitions, empty base
+dirs).
 """
 
 import pytest
 
-from repro import JsonProcessor
+from repro import JsonProcessor, RewriteConfig
 from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.errors import FileScanError, JsonSyntaxError, ReproError
 from repro.jsonlib.parser import parse, parse_many_resilient
@@ -120,17 +120,6 @@ class TestCollectionCatalogPolicies:
         items = catalog.read_collection("/events")
         assert {"v": 2} in items and len(items) == 5
 
-    def test_stream_collection_truncates_broken_file(self, faulty_dir):
-        catalog = CollectionCatalog(str(faulty_dir), on_malformed="skip_record")
-        report = DegradationReport()
-        catalog.attach_degradation(report)
-        items = list(catalog.stream_collection("/events", parse_path('("v")')))
-        # The event projector cannot resync: bad.json is truncated from
-        # the chunk containing the error (here: the whole small file),
-        # and good.json is untouched.
-        assert items == [1, 2, 3]
-        assert len(report.skipped_files) == 1
-
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             CollectionCatalog(on_malformed="explode")
@@ -216,7 +205,8 @@ class TestInMemorySourcePolicies:
 
 
 # Deeper than the interpreter recurses (and than StreamingJsonParser's
-# max_depth, which eager mode's fail/skip_file paths go through).
+# max_depth, which the un-rewritten plan's fail/skip_file paths go
+# through).
 DEEP = '{"v": ' + "[" * 5000 + "]" * 5000 + "}"
 # Longer than sys.get_int_max_str_digits(), so int() refuses it.
 LONG_INT = '{"v": ' + "7" * 5000 + "}"
@@ -227,7 +217,12 @@ class TestHostileRecords:
     the recursion limit, an integer literal past the int/str digit
     limit) are malformed records like any other: a ReproError under
     ``fail``, skipped and reported under the skip policies, in every
-    scan mode.  They used to escape as RecursionError / ValueError."""
+    scan mode and under the un-rewritten plan, whose ``read_collection``
+    decodes with the event parser.  They used to escape as
+    RecursionError / ValueError."""
+
+    #: the two scan modes, plus the plan that scans with neither
+    MODES = ["ondemand", "text", "unrewritten"]
 
     QUERY = 'for $r in collection("/events") return $r("v")'
 
@@ -246,23 +241,27 @@ class TestHostileRecords:
         )
         return str(tmp_path), message
 
-    def run(self, base_dir, scan_mode, on_malformed):
+    def run(self, base_dir, mode, on_malformed):
+        how = (
+            {"rewrite": RewriteConfig.none()} if mode == "unrewritten"
+            else {"scan_mode": mode}
+        )
         with JsonProcessor.from_directory(
-            base_dir, on_malformed=on_malformed, scan_mode=scan_mode
+            base_dir, on_malformed=on_malformed, **how
         ) as processor:
             return processor.execute(self.QUERY)
 
-    @pytest.mark.parametrize("scan_mode", ["ondemand", "text", "eager"])
-    def test_fail_raises_a_repro_error(self, hostile, scan_mode):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fail_raises_a_repro_error(self, hostile, mode):
         base_dir, message = hostile
         with pytest.raises(ReproError, match=message) as excinfo:
-            self.run(base_dir, scan_mode, "fail")
+            self.run(base_dir, mode, "fail")
         assert "a.json" in str(excinfo.value)
 
-    @pytest.mark.parametrize("scan_mode", ["ondemand", "text", "eager"])
-    def test_skip_record_keeps_its_neighbours(self, hostile, scan_mode):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_skip_record_keeps_its_neighbours(self, hostile, mode):
         base_dir, message = hostile
-        result = self.run(base_dir, scan_mode, "skip_record")
+        result = self.run(base_dir, mode, "skip_record")
         assert result.items == [1, 3, 4]
         assert result.is_partial
         (skipped,) = result.degradation.skipped_records
@@ -270,10 +269,10 @@ class TestHostileRecords:
         assert skipped.offset == len('{"v": 1}\n')
         assert message in skipped.message
 
-    @pytest.mark.parametrize("scan_mode", ["ondemand", "text", "eager"])
-    def test_skip_file_keeps_the_other_file(self, hostile, scan_mode):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_skip_file_keeps_the_other_file(self, hostile, mode):
         base_dir, message = hostile
-        result = self.run(base_dir, scan_mode, "skip_file")
+        result = self.run(base_dir, mode, "skip_file")
         assert result.items == [4]
         assert result.is_partial
         (skipped,) = result.degradation.skipped_files

@@ -61,10 +61,10 @@ class GatedSource(InMemorySource):
     def wait_entered(self, timeout: float = 10.0):
         assert self._entered.wait(timeout), "no scan reached the gate"
 
-    def _texts(self, name, partition):
+    def _units(self, name, partition):
         self._entered.set()
         assert self._gate.wait(30.0), "test never released the gate"
-        return super()._texts(name, partition)
+        return super()._units(name, partition)
 
 
 GROUP_QUERY = (

@@ -78,9 +78,12 @@ class TestConsumersHonourTheRule:
         default = resolve_scan_mode(None)
         monkeypatch.delenv("REPRO_SCAN_MODE")
         assert resolve_scan_mode(None) == default
+        monkeypatch.setenv("REPRO_SCAN_MODE", "text")
+        assert resolve_scan_mode(None) == "text"
+        assert resolve_scan_mode("ondemand") == "ondemand"
         monkeypatch.setenv("REPRO_SCAN_MODE", "eager")
-        assert resolve_scan_mode(None) == "eager"
-        assert resolve_scan_mode("text") == "text"
+        with pytest.raises(ReproError, match="expected one of ondemand, text$"):
+            resolve_scan_mode(None)
 
     def test_segment_cache(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SEGMENT_CACHE", "")

@@ -19,9 +19,12 @@ cannot measure parallelism.
 ``BENCH_scan.json`` (``--scan``) — benchmarks the DATASCAN projection
 itself, keyed by projection (the Listing-6 one Q0/Q1/Q1b/Q2 scan with,
 and the deeper ``("date")`` one Q0b pushes down), under every scan mode
-(``eager`` / ``text`` / ``ondemand``): uncached plus segment-cache cold
-and warm passes, with items-per-second and the on-demand-vs-eager and
-warm-vs-cold speedups.
+(``ondemand`` / ``text``): uncached plus segment-cache cold and warm
+passes, with items-per-second and the warm-vs-cold speedup.  The
+baseline row, ``reference``, is no product option: the tool itself
+parses every file fully and then navigates
+(``navigate_sequence(parse_many(text), path)``), and each mode reports
+its ``speedup_vs_reference``.
 
 Usage::
 
@@ -46,7 +49,8 @@ from repro import JsonProcessor, SensorDataConfig, write_sensor_collection
 from repro.cache.config import SCAN_MODES
 from repro.data.catalog import CollectionCatalog
 from repro.hyracks.backends import BACKENDS, usable_cores
-from repro.jsonlib.path import parse_path
+from repro.jsonlib.parser import parse_many
+from repro.jsonlib.path import navigate_sequence, parse_path
 from repro.bench.queries import q0, q1, q2
 
 QUERIES = {"Q0": q0, "Q1": q1, "Q2": q2}
@@ -189,6 +193,25 @@ def _timed_scan(catalog: CollectionCatalog, path) -> tuple[float, int]:
     return time.perf_counter() - start, count
 
 
+def bench_reference(base_dir: str, path, repeat: int) -> dict:
+    """Best-of-*repeat* parse-everything-then-navigate over the same files."""
+    files = CollectionCatalog(base_dir).files("/sensors")
+    best = None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        items = 0
+        for file_path in files:
+            with open(file_path, "r", encoding="utf-8-sig") as handle:
+                items += len(navigate_sequence(parse_many(handle.read()), path))
+        seconds = time.perf_counter() - start
+        best = seconds if best is None else min(best, seconds)
+    return {
+        "items": items,
+        "seconds": best,
+        "items_per_second": items / best if best > 0 else None,
+    }
+
+
 def bench_scan_mode(
     base_dir: str, mode: str, path, repeat: int
 ) -> dict:
@@ -249,10 +272,22 @@ def run_scan(args: argparse.Namespace) -> dict:
         )
         for projection, queries in SCAN_PROJECTIONS.items():
             path = parse_path(projection)
+            reference = bench_reference(base_dir, path, args.repeat)
+            print(
+                f"scan/{projection}/reference: {reference['seconds']:.3f}s "
+                f"({reference['items_per_second']:.0f} items/s)"
+            )
             modes: dict = {}
             for mode in SCAN_MODES:
                 modes[mode] = bench_scan_mode(base_dir, mode, path, args.repeat)
                 entry = modes[mode]
+                if entry["items"] != reference["items"]:
+                    raise SystemExit(f"{mode}: items differ from the reference")
+                entry["speedup_vs_reference"] = (
+                    entry["items_per_second"] / reference["items_per_second"]
+                    if reference["items_per_second"]
+                    else None
+                )
                 print(
                     f"scan/{projection}/{mode}: "
                     f"uncached {entry['uncached_seconds']:.3f}s "
@@ -261,13 +296,9 @@ def run_scan(args: argparse.Namespace) -> dict:
                     f"warm {entry['cache_warm_seconds']:.3f}s "
                     f"({entry['warm_speedup_vs_cold']:.1f}x)"
                 )
-            eager = modes["eager"]["items_per_second"]
-            for entry in modes.values():
-                entry["speedup_vs_eager"] = (
-                    entry["items_per_second"] / eager if eager else None
-                )
             report["projections"][projection] = {
                 "queries": queries,
+                "reference": reference,
                 "modes": modes,
             }
     return report

@@ -6,10 +6,10 @@ projection) cell and a population of seeded random (query, data) pairs
 through the toggle axis plus rotating backend/projection coverage, each
 cell compared against an independent plain-Python oracle
 (:mod:`repro.correctness`).  Every projected cell additionally sweeps
-the scan-mode axis (``eager`` / ``ondemand`` / ``cached-warm``) and
+the scan-mode axis (``text`` / ``ondemand`` / ``cached-warm``) and
 byte-compares items and degradation reports across modes, so the
-on-demand scanner and the segment cache are proven bit-equivalent in the same
-gate.  Failing generated cases are minimized by
+raw-text skipper, the on-demand scanner and the segment cache are proven
+bit-equivalent in the same gate.  Failing generated cases are minimized by
 the shrinker before reporting.  Writes ``BENCH_diffcheck.json`` and
 exits nonzero on any mismatch — this is the CI gate that the rewrite
 rules and parallel backends are semantics-preserving.
