@@ -1,5 +1,5 @@
 """Compiler: query text → AST → naive plan → rewritten plan."""
 
-from repro.compiler.pipeline import CompiledQuery, compile_query
+from repro.compiler.pipeline import CompiledQuery, PlanCache, compile_query
 
-__all__ = ["CompiledQuery", "compile_query"]
+__all__ = ["CompiledQuery", "PlanCache", "compile_query"]

@@ -157,11 +157,15 @@ class EagerNavigationSource:
     def attach_scan_counters(self, counters):
         self._inner.attach_scan_counters(counters)
 
-    def configure_scan(self, scan_mode=None, segment_cache_dir=None):
+    def configure_scan(
+        self, scan_mode=None, segment_cache_dir=None, fingerprint_mode=None
+    ):
         configure = getattr(self._inner, "configure_scan", None)
         if configure is not None:
             configure(
-                scan_mode=scan_mode, segment_cache_dir=segment_cache_dir
+                scan_mode=scan_mode,
+                segment_cache_dir=segment_cache_dir,
+                fingerprint_mode=fingerprint_mode,
             )
 
 

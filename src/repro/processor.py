@@ -21,7 +21,12 @@ plan, the rewritten plan, and the rewrite trace.
 from __future__ import annotations
 
 from repro.algebra.rules import RewriteConfig
-from repro.compiler.pipeline import CompiledQuery, compile_query
+from repro.compiler.pipeline import (
+    CompiledQuery,
+    PlanCache,
+    compile_stats,
+    cost_enabled,
+)
 from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.errors import ReproError
 from repro.hyracks.executor import PartitionedExecutor, QueryResult
@@ -160,11 +165,8 @@ class JsonProcessor:
         self.source = source
         self._closed = False
         self.rewrite = rewrite if rewrite is not None else RewriteConfig.all()
-        from repro.stats.cost import resolve_cost_enabled
-
-        self.cost = (
-            resolve_cost_enabled(cost) if self.rewrite.cost else False
-        )
+        self.cost = cost_enabled(self.rewrite, cost)
+        self.plan_cache = PlanCache()
         self._executor = PartitionedExecutor(
             source,
             functions=functions,
@@ -209,20 +211,19 @@ class JsonProcessor:
     def compile(self, query: str) -> CompiledQuery:
         """Compile *query* under this processor's rewrite configuration.
 
+        Each text compiles once: ``plan_cache`` (128 entries, least
+        recently used out first) keys the compiled query by ``(text,
+        rewrite config, stats fingerprint)``, and ``execute``,
+        ``evaluate``, ``profile`` and ``explain`` all come through here.
         When cost-based planning is on (the ``cost`` parameter, else
         ``REPRO_COST``, else the rewrite config) and the source can
         sample statistics, the cost phase runs against the source's
-        current stats snapshot.
+        current stats snapshot, so re-sampled statistics recompile.  The
+        compiled query is shared with later calls: treat it as read-only.
         """
-        return compile_query(query, self.rewrite, stats=self._stats_snapshot())
-
-    def _stats_snapshot(self):
-        if not self.cost or self.source is None:
-            return None
-        snapshot = getattr(self.source, "stats_snapshot", None)
-        if snapshot is None:
-            return None
-        return snapshot()
+        return self.plan_cache.get_or_compile(
+            query, self.rewrite, stats=compile_stats(self.source, self.cost)
+        )[0]
 
     def execute(self, query: str, profile=None, cancellation=None) -> QueryResult:
         """Compile and run *query*; returns items plus measurements.

@@ -1,8 +1,8 @@
 """Long-lived multi-tenant query service (see :mod:`.service`)."""
 
+from repro.compiler.pipeline import PlanCache
 from repro.errors import AdmissionError, CacheIOError, SlotFailureError
 from repro.service.events import QueryRetryEvent, SlotRestartEvent
-from repro.service.plan_cache import PlanCache
 from repro.service.result_cache import (
     CachedResult,
     ResultCache,

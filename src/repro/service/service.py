@@ -28,8 +28,9 @@ controller fielding many concurrent queries:
   ceiling plus a per-request filesystem-flag
   :class:`~repro.hyracks.limits.CancellationToken`, so cancellation
   reaches even process-pool workers forked before the cancel;
-- **plan cache**: an LRU keyed by (query text, toggle config) — see
-  :mod:`repro.service.plan_cache`;
+- **plan cache**: an LRU keyed by (query text, rewrite config, stats
+  fingerprint) — :class:`~repro.compiler.pipeline.PlanCache`, the one
+  :class:`~repro.JsonProcessor` compiles through too;
 - **result cache** (optional): keyed by plan fingerprint × source
   fingerprints with file-change invalidation — see
   :mod:`repro.service.result_cache`.  The service defaults both the
@@ -93,6 +94,12 @@ from dataclasses import dataclass, field
 from repro.algebra.operators import DataScan
 from repro.algebra.rules import RewriteConfig
 from repro.cache.config import resolve_fingerprint_mode
+from repro.compiler.pipeline import (
+    PLAN_CACHE_CAPACITY,
+    PlanCache,
+    compile_stats,
+    cost_enabled,
+)
 from repro.errors import (
     AdmissionError,
     BackendError,
@@ -109,7 +116,6 @@ from repro.observability.clock import CLOCKS, make_clock
 from repro.observability.profile import resolve_profile_config
 from repro.resilience.policies import ResilienceConfig
 from repro.service.events import QueryRetryEvent, SlotRestartEvent
-from repro.service.plan_cache import PlanCache
 from repro.service.result_cache import (
     CachedResult,
     ResultCache,
@@ -397,7 +403,7 @@ class QueryService:
         max_queue_depth: int | None = None,
         default_quota: TenantQuota | None = None,
         quotas: dict[str, TenantQuota] | None = None,
-        plan_cache_size: int = 128,
+        plan_cache_size: int = PLAN_CACHE_CAPACITY,
         result_cache_size: int = 0,
         cache_fingerprint: str = "content",
         segment_cache_dir: str | None = None,
@@ -457,11 +463,7 @@ class QueryService:
             )
         self._source = source
         self._rewrite = rewrite if rewrite is not None else RewriteConfig.all()
-        from repro.stats.cost import resolve_cost_enabled
-
-        self._cost = (
-            resolve_cost_enabled(cost) if self._rewrite.cost else False
-        )
+        self._cost = cost_enabled(self._rewrite, cost)
         self._functions = functions
         self._resilience = resilience
         self._memory_budget = memory_budget_bytes
@@ -1140,14 +1142,6 @@ class QueryService:
 
     # -- statistics ------------------------------------------------------------
 
-    def _stats_snapshot(self):
-        if not self._cost:
-            return None
-        snapshot = getattr(self._source, "stats_snapshot", None)
-        if snapshot is None:
-            return None
-        return snapshot()
-
     def collection_stats(self, name: str):
         """The source's sampled stats for one collection (or None)."""
         stats = getattr(self._source, "collection_stats", None)
@@ -1179,7 +1173,9 @@ class QueryService:
             remaining_deadline = max(request.deadline - elapsed, 0.001)
         queue_seconds = started - request.submitted_at
         compiled, plan_hit = self.plan_cache.get_or_compile(
-            request.query, self._rewrite, stats=self._stats_snapshot()
+            request.query,
+            self._rewrite,
+            stats=compile_stats(self._source, self._cost),
         )
         request.token.check()  # cancelled between dequeue and start
         result_key = None

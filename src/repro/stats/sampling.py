@@ -13,7 +13,7 @@ Sampling is deterministic: partitions and files are visited in
 registration order and the prefix is positional, never random, so the
 same data always produces the same :class:`CollectionStats` and the same
 :meth:`StatsSnapshot.fingerprint`.  That fingerprint is part of the
-service plan-cache key — a refreshed catalog can never serve a plan
+plan-cache key — a refreshed catalog can never serve a plan
 costed against stale statistics.
 
 Sampling is also advisory: malformed texts and unreadable files are
@@ -163,6 +163,10 @@ class CollectionStats:
     _by_key: dict = field(
         default=None, repr=False, compare=False, hash=False
     )
+    #: :meth:`fingerprint`, computed on first use (the stats are frozen)
+    _fingerprint: str | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         object.__setattr__(
@@ -183,6 +187,7 @@ class CollectionStats:
         object.__setattr__(
             self, "_by_key", {stats.key: stats for stats in self.keys}
         )
+        object.__setattr__(self, "_fingerprint", None)
 
     @property
     def documents(self) -> int:
@@ -214,20 +219,26 @@ class CollectionStats:
         return self._by_key.get(name)
 
     def fingerprint(self) -> str:
-        payload = (
-            self.collection,
-            self.sample_limit,
-            tuple(p._fingerprint_parts() for p in self.partitions),
-            tuple(k._fingerprint_parts() for k in self.keys),
-        )
-        return hashlib.sha1(repr(payload).encode("utf-8")).hexdigest()
+        if self._fingerprint is None:
+            payload = (
+                self.collection,
+                self.sample_limit,
+                tuple(p._fingerprint_parts() for p in self.partitions),
+                tuple(k._fingerprint_parts() for k in self.keys),
+            )
+            object.__setattr__(
+                self,
+                "_fingerprint",
+                hashlib.sha1(repr(payload).encode("utf-8")).hexdigest(),
+            )
+        return self._fingerprint
 
 
 class StatsSnapshot:
     """Immutable ``collection -> CollectionStats`` mapping with a fingerprint.
 
-    This is what the cost phase consumes and what the service plan-cache
-    key embeds: two compilations with the same query text, the same
+    This is what the cost phase consumes and what the plan-cache key
+    embeds: two compilations with the same query text, the same
     rewrite config, and the same snapshot fingerprint are interchangeable.
     """
 

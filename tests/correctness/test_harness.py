@@ -17,6 +17,7 @@ from repro.correctness.harness import (
 )
 from repro.data.catalog import InMemorySource
 from repro.jsonlib.path import Path, ValueByKey
+from repro.processor import JsonProcessor
 
 
 class TestCanonicalResult:
@@ -62,6 +63,22 @@ class TestEagerNavigationSource:
         assert eager.read_collection("/c", 0) == inner.read_collection(
             "/c", 0
         )
+
+    def test_processor_scan_configuration_reaches_the_inner_source(
+        self, tmp_path
+    ):
+        inner = InMemorySource(collections={"/c": [['{"v": 1}']]})
+        processor = JsonProcessor(
+            EagerNavigationSource(inner),
+            scan_mode="text",
+            segment_cache_dir=str(tmp_path),
+            cache_fingerprint="content",
+        )
+        assert inner.scan_mode == "text"
+        assert inner.segment_cache.fingerprint_mode == "content"
+        assert processor.evaluate(
+            'for $r in collection("/c") return $r("v")'
+        ) == [1]
 
 
 class TestRunDiffcheck:

@@ -7,6 +7,8 @@ array fanout), tolerance of malformed texts, and pickling (stats travel
 into process-backend work units with their owning source).
 """
 
+import dataclasses
+import hashlib
 import json
 import pickle
 
@@ -220,3 +222,48 @@ class TestPickling:
             clone.stats_snapshot().fingerprint()
             == source.stats_snapshot().fingerprint()
         )
+
+
+class TestFingerprintMemo:
+    """``CollectionStats`` hashes its statistics once, not per lookup."""
+
+    ROWS = [{"k": i % 4, "name": f"n{i}"} for i in range(30)]
+
+    def test_memo_equals_a_fresh_computation(self, monkeypatch):
+        stats = rows_source({"/x": self.ROWS}).collection_stats("/x")
+        memo = stats.fingerprint()
+        fresh = dataclasses.replace(stats).fingerprint()
+        calls = []
+        real_sha1 = hashlib.sha1
+        monkeypatch.setattr(
+            hashlib, "sha1", lambda data: calls.append(data) or real_sha1(data)
+        )
+        assert stats.fingerprint() == memo == fresh
+        assert calls == []  # the second call hashed nothing
+
+    def test_memo_is_not_state(self):
+        stats = rows_source({"/x": self.ROWS}).collection_stats("/x")
+        unhashed = dataclasses.replace(stats)
+        stats.fingerprint()
+        assert stats == unhashed
+        assert repr(stats) == repr(unhashed)
+        assert "_fingerprint" not in stats.__getstate__()
+
+    def test_memo_survives_a_pickle_round_trip(self):
+        stats = rows_source({"/x": self.ROWS}).collection_stats("/x")
+        memo = stats.fingerprint()
+        clone = pickle.loads(pickle.dumps(stats))
+        assert clone._fingerprint is None  # recomputed, never shipped
+        assert clone.fingerprint() == memo
+
+    def test_refresh_stats_changes_the_fingerprint(self, tmp_path):
+        part = tmp_path / "x" / "partition0"
+        part.mkdir(parents=True)
+        data = part / "a.json"
+        data.write_text(json.dumps(self.ROWS), encoding="utf-8")
+        catalog = CollectionCatalog(str(tmp_path))
+        before = catalog.collection_stats("/x").fingerprint()
+        data.write_text(json.dumps(self.ROWS * 2), encoding="utf-8")
+        assert catalog.collection_stats("/x").fingerprint() == before
+        catalog.refresh_stats()
+        assert catalog.collection_stats("/x").fingerprint() != before

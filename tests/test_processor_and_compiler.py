@@ -1,12 +1,40 @@
 """Tests for the public facade (JsonProcessor) and compilation pipeline."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro import JsonProcessor, RewriteConfig, compile_query
+from repro.compiler import pipeline
+from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.errors import ParseError, ReproError
-from repro.compiler.pipeline import CompiledQuery
+from repro.compiler.pipeline import PLAN_CACHE_CAPACITY, CompiledQuery
 
 BOOKS = '{"bookstore": {"book": [{"t": "A", "p": 10}, {"t": "B", "p": 20}]}}'
+TITLES = (
+    'for $b in collection("/books")("bookstore")("book")() return $b("t")'
+)
+
+TINY = [{"k": i, "label": f"t{i}"} for i in range(5)]
+BIG = [{"k": i % 5, "v": i} for i in range(120)]
+JOIN = (
+    'for $t in collection("/tiny")() for $b in collection("/big")() '
+    'where $t("k") eq $b("k") return {"label": $t("label"), "v": $b("v")}'
+)
+GROUP = (
+    'for $b in collection("/big")() group by $k := $b("k") '
+    'return {"k": $k, "n": count($b)}'
+)
+
+
+def rows_source(collections, partitions=1):
+    """In-memory collections, each partition one JSON array of rows."""
+    data = {}
+    for name, rows in collections.items():
+        parts = [rows[index::partitions] for index in range(partitions)]
+        data[name] = [[json.dumps(part)] for part in parts]
+    return InMemorySource(data, stats_sample=10_000)
 
 
 @pytest.fixture
@@ -107,3 +135,156 @@ class TestCompileQuery:
     def test_default_config_is_all(self):
         compiled = compile_query("1")
         assert compiled.config == RewriteConfig.all()
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The texts ``compile_query`` is called on, in call order."""
+    texts = []
+    real = pipeline.compile_query
+
+    def counting(text, config=None, stats=None):
+        texts.append(text)
+        return real(text, config, stats=stats)
+
+    monkeypatch.setattr(pipeline, "compile_query", counting)
+    return texts
+
+
+def cache_stats(hits, misses, entries, evictions=0):
+    return {
+        "capacity": PLAN_CACHE_CAPACITY,
+        "entries": entries,
+        "hits": hits,
+        "misses": misses,
+        "evictions": evictions,
+    }
+
+
+class TestPlanCache:
+    """A processor compiles each text once (``JsonProcessor.plan_cache``)."""
+
+    def test_repeated_execute_compiles_once(self, processor, compiles):
+        first = processor.execute(TITLES)
+        second = processor.execute(TITLES)
+        assert compiles == [TITLES]
+        assert processor.plan_cache.stats() == cache_stats(1, 1, 1)
+        assert first.items == second.items == ["A", "B"]
+
+    def test_every_entry_point_shares_the_entry(self, processor, compiles):
+        processor.evaluate(TITLES)
+        processor.profile(TITLES)
+        processor.explain(TITLES)
+        assert processor.compile(TITLES) is processor.compile(TITLES)
+        assert compiles == [TITLES]
+        assert processor.plan_cache.stats() == cache_stats(4, 1, 1)
+
+    def test_explain_with_profile_compiles_once(self, processor, compiles):
+        report = processor.explain(TITLES, profile=True)
+        assert "== query profile" in report
+        assert compiles == [TITLES]
+        assert processor.plan_cache.stats() == cache_stats(1, 1, 1)
+
+    def test_reregistered_collection_recompiles_against_fresh_stats(
+        self, compiles
+    ):
+        source = rows_source({"/tiny": TINY, "/big": BIG})
+        processor = JsonProcessor(source, cost=True)
+        before = processor.compile(JOIN)
+        assert processor.compile(JOIN) is before
+        assert "exchange=broadcast-left" in before.plan.explain()
+        # /tiny becomes the larger side: the cost phase must see it
+        source.add_collection("/tiny", [[json.dumps(TINY * 200)]])
+        after = processor.compile(JOIN)
+        assert compiles == [JOIN, JOIN]
+        assert after.stats_fingerprint == source.stats_snapshot().fingerprint()
+        assert after.stats_fingerprint != before.stats_fingerprint
+        assert "exchange=broadcast-left" not in after.plan.explain()
+
+    def test_refresh_stats_recompiles_against_fresh_stats(
+        self, tmp_path, compiles
+    ):
+        part = tmp_path / "big" / "partition0"
+        part.mkdir(parents=True)
+        (part / "a.json").write_text(json.dumps(BIG), encoding="utf-8")
+        catalog = CollectionCatalog(str(tmp_path), stats_sample=10_000)
+        processor = JsonProcessor(catalog, cost=True, segment_cache_dir="")
+        assert processor.evaluate(GROUP)
+        (part / "a.json").write_text(json.dumps(BIG * 2), encoding="utf-8")
+        # sampled statistics are kept until refreshed: still a hit
+        stale = processor.compile(GROUP)
+        assert compiles == [GROUP]
+        catalog.refresh_stats()
+        fresh = processor.compile(GROUP)
+        assert compiles == [GROUP, GROUP]
+        assert fresh.stats_fingerprint == catalog.stats_snapshot().fingerprint()
+        assert fresh.stats_fingerprint != stale.stats_fingerprint
+        assert processor.plan_cache.stats() == cache_stats(1, 2, 2)
+
+    def test_cost_off_keys_without_a_fingerprint(self, compiles):
+        source = rows_source({"/tiny": TINY, "/big": BIG})
+        processor = JsonProcessor(source, cost=False)
+        processor.compile(JOIN)
+        source.add_collection("/tiny", [[json.dumps(TINY * 200)]])
+        assert processor.compile(JOIN).stats_fingerprint is None
+        assert compiles == [JOIN]
+        assert [key[2] for key in processor.plan_cache._entries] == [None]
+
+    def test_parse_error_raises_alike_and_stores_nothing(
+        self, processor, compiles
+    ):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as raised:
+                processor.evaluate("for for for")
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert compiles == ["for for for"] * 2
+        assert processor.plan_cache.stats() == cache_stats(0, 0, 0)
+
+    def test_text_past_capacity_evicts_least_recently_used(self, compiles):
+        processor = JsonProcessor()
+        texts = [f"{index} + 1" for index in range(PLAN_CACHE_CAPACITY + 1)]
+        for text in texts[:-1]:
+            processor.compile(text)
+        processor.compile(texts[0])  # texts[1] is now least recently used
+        processor.compile(texts[-1])
+        assert processor.plan_cache.stats() == cache_stats(
+            1, PLAN_CACHE_CAPACITY + 1, PLAN_CACHE_CAPACITY, evictions=1
+        )
+        del compiles[:]
+        processor.compile(texts[0])
+        processor.compile(texts[-1])
+        assert compiles == []
+        assert processor.evaluate(texts[1]) == [2]
+        assert compiles == [texts[1]]
+
+    @pytest.mark.parametrize("query", [JOIN, GROUP], ids=["join", "group"])
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_a_hit_answers_like_a_miss(self, backend, query):
+        source = rows_source({"/tiny": TINY, "/big": BIG}, partitions=2)
+
+        def payload(result):
+            return json.dumps(
+                {
+                    "items": result.items,
+                    "strategy": result.strategy,
+                    "stats": dataclasses.asdict(result.stats),
+                    "degradation": result.degradation.to_dict(),
+                    "profile": result.profile.to_dict(),
+                },
+                sort_keys=True,
+            )
+
+        with JsonProcessor(
+            source,
+            backend=backend,
+            max_workers=2,
+            cost=True,
+            segment_cache_dir="",
+        ) as processor:
+            miss = processor.execute(query, profile="counter")
+            hit = processor.execute(query, profile="counter")
+            assert processor.plan_cache.stats() == cache_stats(1, 1, 1)
+        assert miss.profile.rewrite.total_firings > 0
+        assert payload(hit) == payload(miss)

@@ -187,7 +187,10 @@ def run_once(
     backend=None,
     max_workers=None,
     budget: int | None = None,
-) -> str:
+) -> tuple[str, str]:
+    """The payloads of two executions of the scenario's query on one
+    processor: the first compiles (a plan-cache miss), the second reuses
+    the compiled plan (a hit) and meets the same faults."""
     source, plan, config, query = factory(seed)
     if chaos:
         max_workers = 1
@@ -200,7 +203,16 @@ def run_once(
         memory_budget_bytes=budget,
     )
     with processor:
-        result = processor.execute(query)
+        miss = processor.execute(query)
+        plan.reset()
+        hit = processor.execute(query)
+        if processor.plan_cache.stats()["hits"] != 1:
+            raise SystemExit("the second execution compiled the query again")
+    return describe(miss, budget, chaos), describe(hit, budget, chaos)
+
+
+def describe(result, budget: int | None, chaos: bool) -> str:
+    """The serialized payload the scenarios diff."""
     payload = {
         "items": result.items,
         "strategy": result.strategy,
@@ -249,20 +261,24 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = 0
     for name, factory in scenarios.items():
-        first = run_once(factory, seed=7, chaos=args.chaos)
-        second = run_once(factory, seed=7, chaos=args.chaos)
+        first, first_hit = run_once(factory, seed=7, chaos=args.chaos)
+        second, _ = run_once(factory, seed=7, chaos=args.chaos)
         failures += differ(name, first, second, ("run1", "run2"))
+        failures += differ(
+            f"{name} [plan-cache hit vs miss]", first, first_hit,
+            ("miss", "hit"),
+        )
         if args.chaos:
             continue
         # the join is replayed once more, its buckets overflowing
         budgets = (None, GRACE_BUDGET) if factory is scenario_join_exchange else (None,)
         for budget in budgets:
             label = name if budget is None else f"{name} under {budget} bytes"
-            reference = run_once(
+            reference, _ = run_once(
                 factory, seed=7, backend="sequential", budget=budget
             )
             for workers in WORKER_COUNTS:
-                replay = run_once(
+                replay, _ = run_once(
                     factory,
                     seed=7,
                     backend="process",
