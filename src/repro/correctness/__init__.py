@@ -8,7 +8,8 @@ by accident:
   (variable scoping, nested-plan shape, aggregate arity), run by the
   fixpoint engine after every rule fire,
 - :mod:`repro.correctness.oracle` — an independent plain-Python oracle
-  for the five paper queries,
+  for the five paper queries, over documents the standard library
+  decodes (``reference_documents``),
 - :mod:`repro.correctness.generator` — randomized GHCN-shaped documents
   and small JSONiq queries (each paired with its own oracle),
 - :mod:`repro.correctness.harness` — the differential harness running

@@ -26,8 +26,12 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
+from repro.correctness.oracle import (
+    _parse_date,
+    iter_measurements,
+    reference_documents,
+)
 from repro.jsonlib.items import Item
-from repro.jsonlib.parser import parse_many
 
 COLLECTION = "/gen"
 
@@ -61,7 +65,7 @@ class GeneratedCase:
         docs: list[Item] = []
         for partition in self.partitions:
             for text in partition:
-                docs.extend(parse_many(text))
+                docs.extend(reference_documents(text))
         return docs
 
     def expected(self) -> list:
@@ -175,8 +179,6 @@ def _scan_path(wrapped: bool) -> str:
 
 
 def _measurements(documents: list[Item]):
-    from repro.correctness.oracle import iter_measurements
-
     return list(iter_measurements(documents))
 
 
@@ -252,8 +254,6 @@ def _template_predicate_gt(rng, wrapped):
 
 
 def _template_let_month(rng, wrapped):
-    from repro.correctness.oracle import _parse_date
-
     month = _parse_date(rng.choice(_DATES)).month
     wanted = rng.choice(_DATA_TYPES)
     query = (

@@ -59,13 +59,12 @@ from repro.correctness.generator import (
     GeneratedCase,
     generate_cases,
 )
-from repro.correctness.oracle import oracle_result
+from repro.correctness.oracle import oracle_result, reference_documents
 from repro.data.catalog import InMemorySource
 from repro.data.generator import SensorDataConfig, generate_file_text
 from repro.errors import ReproError
 from repro.hyracks.backends import BACKENDS
 from repro.jsonlib.items import canonical_item
-from repro.jsonlib.parser import parse_many
 from repro.jsonlib.path import navigate_sequence
 from repro.processor import JsonProcessor
 from repro.resilience.faults import FaultPlan
@@ -130,7 +129,7 @@ class EagerNavigationSource:
 
     ``scan_collection`` is re-implemented as "materialize every item,
     then navigate the path" — the definitional semantics the projecting
-    scanners (event projector, raw-text skipper) must be equivalent to.
+    scanners must be equivalent to.
     Module-level and state-free so it pickles to process workers.
     """
 
@@ -376,8 +375,13 @@ def _check_cell(
     items and the degradation report must be *byte-identical*
     (``repr``-compared) across all three modes — the fast path and the
     segment cache are not allowed to perturb even the output order or
-    the failure accounting.  Eager-navigation cells bypass the
-    scanners entirely, so they run the default mode only.
+    the failure accounting.  The ``none`` and ``no-pipelining`` plans
+    have no DATASCAN, but their ``read_collection`` is the scan mode's
+    scanner over the empty path, so their projected cells run the
+    un-rewritten decode under all three modes (``cached-warm`` decodes
+    cold: ``read_collection`` never reads segments).  Eager-navigation
+    cells decode the same way and navigate afterwards, so they run the
+    default mode only.
 
     *expected* is either a :func:`canonical_result` tuple or an
     :class:`ExpectedError` — in the latter case every scan mode must
@@ -540,7 +544,7 @@ def shrink_case(case: GeneratedCase, still_fails) -> GeneratedCase:
             lines = partition[0].split("\n")
             for li, line in enumerate(lines):
                 try:
-                    docs = parse_many(line)
+                    docs = reference_documents(line)
                 except ReproError:
                     continue
                 if len(docs) != 1:
@@ -619,7 +623,7 @@ def _paper_sources(seed: int, config: SensorDataConfig):
         doc
         for partition in partitions
         for text in partition
-        for doc in parse_many(text)
+        for doc in reference_documents(text)
     ]
     return InMemorySource(collections={"/sensors": partitions}), documents
 

@@ -24,14 +24,45 @@ randomly generated documents:
 from __future__ import annotations
 
 import datetime
+import json
 import re
 
+from repro.errors import JsonSyntaxError
 from repro.jsonlib.items import Item, canonical_item
 
 #: Group key for records whose grouping key is the empty sequence.
 MISSING = ("missing-key",)
 
 _COMPACT_RE = re.compile(r"^(\d{4})(\d{2})(\d{2})T(\d{2}):(\d{2})(?::(\d{2}))?$")
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"invalid literal {token}")
+
+
+#: The standard library's decoder, minus its NaN/Infinity extension.
+_REFERENCE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_JSON_WS_RE = re.compile(r"[ \t\n\r]*")
+
+
+def reference_documents(text: str) -> list[Item]:
+    """Every top-level value of *text*, decoded by the standard library.
+
+    The reference the engine's own decoder is checked against, so it
+    shares no code with it: values are read one after another with
+    ``raw_decode`` across JSON whitespace.  Anything the stdlib refuses
+    (or cannot recurse into) raises :class:`~repro.errors.JsonSyntaxError`.
+    """
+    documents: list[Item] = []
+    pos = _JSON_WS_RE.match(text).end()
+    while pos < len(text):
+        try:
+            value, pos = _REFERENCE_DECODER.raw_decode(text, pos)
+        except (ValueError, RecursionError) as error:
+            raise JsonSyntaxError(f"reference decode: {error}", pos) from None
+        documents.append(value)
+        pos = _JSON_WS_RE.match(text, pos).end()
+    return documents
 
 
 def iter_measurements(documents: list[Item]):

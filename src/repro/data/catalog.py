@@ -5,7 +5,7 @@ pass to ``collection("...")``) to partitioned directories of JSON files
 and implements the :class:`~repro.algebra.context.DataSource` protocol:
 
 - ``read_collection`` materializes every item (the naive strategy the
-  un-rewritten plans use),
+  un-rewritten plans use: the same scanner over the empty path),
 - ``scan_collection`` / ``scan_frames`` stream items through the
   projecting scanner (the DATASCAN strategy),
 - ``partition_count`` drives partitioned-parallel execution.
@@ -45,9 +45,9 @@ from repro.cache.segments import (
 from repro.errors import FileScanError, JsonError, ReproError
 from repro.jsonlib import tape, textscan
 from repro.jsonlib.items import Item, sizeof_rows
-from repro.jsonlib.parser import parse, parse_many, parse_many_resilient
+from repro.jsonlib.parser import parse
 from repro.jsonlib.path import Path
-from repro.jsonlib.textscan import _BOM, ScanCounters
+from repro.jsonlib.textscan import ScanCounters
 from repro.resilience.policies import validate_on_malformed
 from repro.stats.sampling import SourceStatistics
 
@@ -56,9 +56,11 @@ from repro.stats.sampling import SourceStatistics
 _SCANNERS = {"ondemand": tape, "text": textscan}
 
 
-def _scan_plain(source, source_id: str, scan, path: Path) -> Iterator[Item]:
-    """Stream one file or text through *scan* under the source's policy."""
-    counters = source._counters
+def _scan_plain(
+    source, source_id: str, scan, path: Path, counters: ScanCounters | None
+) -> Iterator[Item]:
+    """Stream one file or text through *scan* under the source's policy,
+    accumulating its projection accounting on *counters* (when given)."""
     if source.on_malformed == "skip_record":
         yield from scan(
             path,
@@ -185,8 +187,8 @@ class _PartitionedSource:
     - ``_units(name, partition)``: the ``(source id, unit)`` pairs of
       one partition (or of all of them), in registration order; the
       source id labels errors, skip events and cached segments;
-    - ``_text(unit)``: the unit's decoded text, for ``read_collection``,
-      ``read_document`` and the sampler;
+    - ``_text(unit)``: the unit's decoded text, for ``read_document``
+      and the sampler;
     - ``_scanner(unit)``: the unit bound to the scan mode's scanner,
       called as ``scan(path, **options)``;
     - ``_fingerprint(unit)``: the segment cache's fingerprint of the
@@ -356,25 +358,18 @@ class _PartitionedSource:
         return len(self._partitions(name))
 
     def read_collection(self, name: str, partition: int | None = None) -> list[Item]:
-        """Materialize every top-level item of the collection."""
+        """Materialize every top-level item of the collection.
+
+        Each unit is the scan mode's scan over the empty path, under the
+        same ``on_malformed`` policy as a DATASCAN; it charges no scan
+        counters and never touches the segment cache, so accounting and
+        cached segments stay DATASCAN's own.
+        """
         items: list[Item] = []
         for source_id, unit in self._units(name, partition):
-            text = self._text(unit)
-            if self.on_malformed == "skip_record":
-                items.extend(
-                    parse_many_resilient(
-                        text,
-                        on_malformed="skip_record",
-                        recorder=self._recorder(source_id),
-                    )
-                )
-                continue
-            try:
-                items.extend(parse_many(text))
-            except JsonError as error:
-                if self.on_malformed == "fail":
-                    raise FileScanError(source_id, error) from error
-                self._record_skipped_file(source_id, error)
+            items.extend(
+                _scan_plain(self, source_id, self._scanner(unit), Path(), None)
+            )
         return items
 
     def scan_collection(
@@ -403,7 +398,9 @@ class _PartitionedSource:
         for source_id, unit in self._units(name, partition):
             scan = self._scanner(unit)
             if self.segment_cache is None:
-                yield _scan_plain(self, source_id, scan, path), None
+                yield _scan_plain(
+                    self, source_id, scan, path, self._counters
+                ), None
             else:
                 fingerprint_of = partial(self._fingerprint, unit)
                 yield _scan_cached(self, source_id, fingerprint_of, scan, path)
@@ -573,9 +570,7 @@ class InMemorySource(_PartitionedSource):
         ]
 
     def _text(self, text: str) -> str:
-        # A leading byte-order mark is blanked, not stripped, so the
-        # parser's offsets line up with the scanners', which hop it.
-        return " " + text[1:] if text.startswith(_BOM) else text
+        return text
 
     def _scanner(self, text: str):
         return partial(_SCANNERS[self.scan_mode].scan_text, text)

@@ -56,14 +56,6 @@ class JsonSyntaxError(_PickleByInitArgs, JsonError):
         self.offset = offset
 
 
-class JsonIncompleteError(JsonSyntaxError):
-    """The JSON text ended in the middle of a value.
-
-    Raised only when a parse is *finished* while the parser still expects
-    more input; feeding additional chunks is the normal way to continue.
-    """
-
-
 class ItemTypeError(JsonError):
     """A JSONiq navigation or function was applied to the wrong item type."""
 

@@ -1,10 +1,8 @@
-"""JSON data substrate: streaming parser, item model, paths, scanners.
+"""JSON data substrate: item model, paths, scanners, whole-text decoding.
 
 This package is the from-scratch replacement for the Jackson-style JSON
 parsing layer that Apache VXQuery relies on.  It provides:
 
-- :mod:`repro.jsonlib.events` — the event vocabulary of a streaming parse,
-- :mod:`repro.jsonlib.parser` — an incremental (feed-chunks) JSON parser,
 - :mod:`repro.jsonlib.items` — the JSONiq item model and helpers,
 - :mod:`repro.jsonlib.serializer` — items back to JSON text,
 - :mod:`repro.jsonlib.path` — navigation paths (value / keys-or-members),
@@ -14,12 +12,12 @@ parsing layer that Apache VXQuery relies on.  It provides:
   undecoded, and is the canonical definition of errors and offsets,
 - :mod:`repro.jsonlib.tape` — the on-demand navigator, the default scan
   mode: the skipper's walkers with each match decoded in place by the
-  stdlib C scanner, any irregular record handed back to the skipper.
+  stdlib C scanner, any irregular record handed back to the skipper,
+- :mod:`repro.jsonlib.parser` — ``parse`` / ``parse_many``: the scanners
+  over the empty path, so a whole-text decode is one more scan.
 """
 
-from repro.jsonlib.events import Event, EventKind
 from repro.jsonlib.items import (
-    ItemBuilder,
     deep_equals,
     is_array,
     is_atomic,
@@ -27,7 +25,7 @@ from repro.jsonlib.items import (
     item_type_name,
     sizeof_item,
 )
-from repro.jsonlib.parser import StreamingJsonParser, iter_events, parse
+from repro.jsonlib.parser import parse
 from repro.jsonlib.path import (
     KeysOrMembers,
     Path,
@@ -39,12 +37,8 @@ from repro.jsonlib.path import (
 from repro.jsonlib.serializer import dump, dumps
 
 __all__ = [
-    "Event",
-    "EventKind",
-    "ItemBuilder",
     "KeysOrMembers",
     "Path",
-    "StreamingJsonParser",
     "ValueByIndex",
     "ValueByKey",
     "deep_equals",
@@ -54,7 +48,6 @@ __all__ = [
     "is_atomic",
     "is_object",
     "item_type_name",
-    "iter_events",
     "navigate",
     "parse",
     "parse_path",

@@ -25,9 +25,8 @@ sequence is known to hold at most one item, a *column* holds one entry
 per row instead: the item, or :data:`ABSENT` for the empty sequence.
 
 This module also provides :func:`sizeof_item`, the byte-size estimator
-used for memory accounting (Table 3 and Figure 18b of the paper), its
-frame-at-a-time form :func:`sizeof_rows`, and an :class:`ItemBuilder`
-that assembles items from a streaming-parse event sequence.
+used for memory accounting (Table 3 and Figure 18b of the paper), and
+its frame-at-a-time form :func:`sizeof_rows`.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ import datetime
 import math
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
-from repro.errors import ItemTypeError, JsonSyntaxError
-from repro.jsonlib.events import Event, EventKind
+from repro.errors import ItemTypeError
 
 Item = Any
 
@@ -343,89 +341,3 @@ def deep_equals(left: Item, right: Item) -> bool:
     if type(left) is not type(right):
         return False
     return left == right
-
-
-# ---------------------------------------------------------------------------
-# Building items from event streams
-# ---------------------------------------------------------------------------
-
-
-class ItemBuilder:
-    """Assemble items from a streaming-parse event sequence.
-
-    The builder is push-based: feed it events with :meth:`push`; each time
-    a complete *top-level* value closes, it is appended to
-    :attr:`finished`.  The caller drains ``finished`` whenever convenient,
-    which is how the streaming scanner keeps at most one document's worth
-    of state in memory.
-    """
-
-    def __init__(self) -> None:
-        self.finished: list[Item] = []
-        # Stack of containers under construction.  Each entry is
-        # (container, pending_key) where pending_key is the key awaiting a
-        # value when the container is a dict.
-        self._stack: list[tuple[Item, str | None]] = []
-
-    def push(self, event: Event) -> None:
-        """Feed one event into the builder."""
-        kind = event.kind
-        if kind is EventKind.ATOMIC:
-            self._attach(event.value)
-        elif kind is EventKind.KEY:
-            if not self._stack or not isinstance(self._stack[-1][0], dict):
-                raise JsonSyntaxError("KEY event outside an object")
-            container, _ = self._stack[-1]
-            self._stack[-1] = (container, event.value)
-        elif kind is EventKind.START_OBJECT:
-            self._stack.append(({}, None))
-        elif kind is EventKind.START_ARRAY:
-            self._stack.append(([], None))
-        elif kind in (EventKind.END_OBJECT, EventKind.END_ARRAY):
-            if not self._stack:
-                raise JsonSyntaxError("unbalanced END event")
-            container, pending = self._stack.pop()
-            expected_dict = kind is EventKind.END_OBJECT
-            if isinstance(container, dict) is not expected_dict:
-                raise JsonSyntaxError("mismatched container END event")
-            if pending is not None:
-                raise JsonSyntaxError("object key without a value")
-            self._attach(container)
-        else:  # pragma: no cover - exhaustive over EventKind
-            raise JsonSyntaxError(f"unexpected event kind {kind}")
-
-    def _attach(self, value: Item) -> None:
-        """Attach a completed value to the enclosing container (or finish)."""
-        if not self._stack:
-            self.finished.append(value)
-            return
-        container, pending = self._stack[-1]
-        if isinstance(container, dict):
-            if pending is None:
-                raise JsonSyntaxError("object value without a key")
-            container[pending] = value
-            self._stack[-1] = (container, None)
-        else:
-            container.append(value)
-
-    @property
-    def depth(self) -> int:
-        """Nesting depth of the value currently under construction."""
-        return len(self._stack)
-
-    def take_finished(self) -> list[Item]:
-        """Return and clear the list of completed top-level items."""
-        done = self.finished
-        self.finished = []
-        return done
-
-
-def build_items(events: Iterable[Event]) -> Iterator[Item]:
-    """Yield each complete top-level item assembled from *events*."""
-    builder = ItemBuilder()
-    for event in events:
-        builder.push(event)
-        if builder.finished:
-            yield from builder.take_finished()
-    if builder.depth:
-        raise JsonSyntaxError("event stream ended inside a value")

@@ -1,8 +1,8 @@
 """Serialization of JSON items back to text.
 
-A from-scratch counterpart of :mod:`repro.jsonlib.parser`.  Round-tripping
-``parse(dumps(item)) == item`` is one of the property-based invariants of
-the test suite.
+The hand-written counterpart of the scanners' decoding.
+Round-tripping ``parse(dumps(item)) == item`` is one of the
+property-based invariants of the test suite.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ key.
 Equivalence contract, shared with the raw skipper and checked
 property-based in the test suite::
 
-    list(scan_text(text, path)) == navigate(parse(text), path)
+    list(scan_text(text, path)) == navigate(json.loads(text), path)
 
 The skipper stays the canonical definition of everything irregular.
 Items and counters are staged per record, and whatever trips the fast

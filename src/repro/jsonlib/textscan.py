@@ -1,20 +1,24 @@
 """Raw-text path projection: skip what the path doesn't need, fast.
 
-Projecting over the event stream of :mod:`repro.jsonlib.parser` would
-avoid *building* unmatched values but still tokenize every byte.  This
-module goes further, in the spirit of structural-index JSON scanners
-(Mison — cited as related work in the paper): values that the path does
-not need are **skipped at string-search speed** — one regex hop per
-structural character, with string literals jumped over by quote search —
-and only the matched slices are handed to the real parser.
+Parsing a whole record and then navigating it builds every value the
+path throws away.  This module, in the spirit of structural-index JSON
+scanners (Mison — cited as related work in the paper), builds only what
+the path matches: values that the path does not need are **skipped at
+string-search speed** — one regex hop per structural character, with
+string literals jumped over by quote search — and only the matched
+slices are decoded.
 
 This is the scanner behind DATASCAN's projection argument on file
-sources.  Its contract is equivalence with the reference strategy::
+sources.  Its contract is equivalence with decoding the whole text by
+the standard library and navigating it (for a one-value text)::
 
-    list(scan_text(text, path)) == navigate(parse(text), path)
+    list(scan_text(text, path)) == navigate(json.loads(text), path)
 
-checked property-based in the test suite.  The path walkers take the
-value decoder as a parameter: with this module's pure-Python builder
+checked property-based in the test suite.  Over the empty path it is
+also the whole-text decoder: :func:`repro.jsonlib.parser.parse_many`
+and the un-rewritten plan's ``read_collection`` read every top-level
+value through it.  The path walkers take the value decoder as a
+parameter: with this module's pure-Python builder
 they are ``scan_mode="text"``, the canonical definition of errors,
 offsets and partial counts; with the C scanner they are the on-demand
 navigator (:mod:`repro.jsonlib.tape`), which hands every irregular
@@ -32,11 +36,6 @@ from typing import Iterator
 
 from repro.errors import JsonSyntaxError
 from repro.jsonlib.items import Item
-from repro.jsonlib.parser import (
-    _PARTIAL_NUMBER_TAIL_RE,
-    _convert_number,
-    _decode_string,
-)
 from repro.jsonlib.path import (
     KeysOrMembers,
     Path,
@@ -67,6 +66,20 @@ _NUMBER_RE = re.compile(_NUMBER)
 _LITERAL = "true|false|null"
 _LITERAL_RE = re.compile(_LITERAL)
 _LITERAL_VALUES = {"true": True, "false": False, "null": None}
+# Text that could be the *beginning* of a number's fraction or exponent,
+# cut off at a chunk boundary: ".", "e", "E", "e+", "e-" at the very end
+# of the buffer (the number before it may then continue).
+_PARTIAL_NUMBER_TAIL_RE = re.compile(r"\.|[eE][+-]?")
+_ESCAPES = {
+    '"': '"',
+    "\\": "\\",
+    "/": "/",
+    "b": "\b",
+    "f": "\f",
+    "n": "\n",
+    "r": "\r",
+    "t": "\t",
+}
 
 
 #: Every counter a scan can accumulate, in a stable serialization order.
@@ -135,6 +148,54 @@ class ScanCounters:
         self.skipped += data.get("skipped", 0)
 
 
+def _decode_string(raw: str, offset: int) -> str:
+    """Decode the body of a matched JSON string literal (without quotes)."""
+    if "\\" not in raw:
+        return raw
+    out: list[str] = []
+    i = 0
+    n = len(raw)
+    while i < n:
+        ch = raw[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        esc = raw[i + 1]
+        if esc == "u":
+            code = int(raw[i + 2 : i + 6], 16)
+            i += 6
+            # Combine surrogate pairs when both halves are present.
+            if 0xD800 <= code <= 0xDBFF and raw.startswith("\\u", i):
+                low = int(raw[i + 2 : i + 6], 16)
+                if 0xDC00 <= low <= 0xDFFF:
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                    i += 6
+            out.append(chr(code))
+        else:
+            mapped = _ESCAPES.get(esc)
+            if mapped is None:
+                raise JsonSyntaxError(f"invalid escape \\{esc}", offset + i)
+            out.append(mapped)
+            i += 2
+    return "".join(out)
+
+
+def _convert_number(text: str, offset: int) -> int | float:
+    """Convert matched number text (found at *offset*) to int or float."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    try:
+        return int(text)
+    except ValueError:
+        # CPython refuses to convert integer literals longer than
+        # sys.get_int_max_str_digits(); to a scanner that is one more
+        # malformed record, not an engine failure.
+        raise JsonSyntaxError(
+            f"integer literal of {len(text)} characters is too long", offset
+        ) from None
+
+
 def _skip_ws(text: str, pos: int) -> int:
     return _WS_RE.match(text, pos).end()
 
@@ -193,9 +254,8 @@ def _skip_value(text: str, pos: int) -> int:
 def _build_value(text: str, pos: int) -> tuple[Item, int]:
     """Materialize the value at *pos*; returns (item, end offset).
 
-    A direct recursive parser over the in-memory text — cheaper for the
-    many small matched values a projection yields than spinning up the
-    incremental parser per match.
+    A direct recursive parser over the in-memory text, and the
+    canonical definition of what a malformed value raises.
     """
     pos = _skip_ws(text, pos)
     if pos >= len(text):

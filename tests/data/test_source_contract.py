@@ -9,7 +9,8 @@ events and error text, the source id apart (a file path on disk, the
 malformed-input policy x scan mode x segment-cache state.
 
 Also here, because it is the same claim about the one text reader: a
-byte-order mark is not text, whichever plan reads the file.
+byte-order mark is not text, and a record reads alike (or fails alike),
+whichever plan reads the file.
 """
 
 import os
@@ -26,11 +27,12 @@ from repro.cache.segments import (
     text_fingerprint,
 )
 from repro.data.catalog import CollectionCatalog, InMemorySource
-from repro.errors import FileScanError
+from repro.errors import FileScanError, ReproError
 from repro.jsonlib.path import parse_path
 from repro.jsonlib.textscan import ScanCounters
 from repro.resilience import DegradationReport
 from repro.resilience.policies import ON_MALFORMED_POLICIES
+from tests.jsonlib.test_parser import INVALID_INPUTS
 
 CLEAN = '{"v": 1, "w": {"x": [1, 2]}}\n{"v": 2}\n{"w": 3}\n'
 BROKEN = '{"v": 4}\n{"v": oops}\n{"v": 5}\n'
@@ -212,3 +214,51 @@ class TestByteOrderMark:
             rewritten, unrewritten = self.answers(source, query)
             assert rewritten == unrewritten
             assert rewritten[0] == [1, 2]
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+PLANS = (("un-rewritten", RewriteConfig.none()), ("all rules", RewriteConfig.all()))
+
+
+class TestBothPlansReadAlike:
+    """The un-rewritten plan (``read_collection``) and DATASCAN decode
+    with the same scanner, so they accept the same records and reject
+    the others with the same error: below, around and far past the
+    nesting limit, and on every malformed text ``parse`` rejects."""
+
+    QUERY = 'for $r in collection("/c") return $r'
+
+    def outcome(self, source, rewrite):
+        # Sequential: pickling a deep answer across processes is its
+        # own limit, not the plans'.
+        with JsonProcessor(source, rewrite=rewrite, backend="sequential") as p:
+            try:
+                return "items", p.execute(self.QUERY).items
+            except ReproError as raised:
+                error = raised
+        while not isinstance(error, FileScanError):
+            error = error.__cause__
+        cause = error.__cause__
+        return type(cause).__name__, str(cause)
+
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param(nested(d), id=f"nested-{d}") for d in (500, 1500, 5000)]
+        + INVALID_INPUTS,
+    )
+    def test_same_items_or_same_error(self, tmp_path, text):
+        seen = {}
+        for kind in KINDS:
+            for scan_mode in SCAN_MODES:
+                source = build(
+                    kind, tmp_path / f"{kind}-{scan_mode}", [[text]],
+                    scan_mode=scan_mode,
+                )
+                for plan, rewrite in PLANS:
+                    seen[kind, scan_mode, plan] = self.outcome(source, rewrite)
+        assert len(set(map(repr, seen.values()))) == 1, seen
+        answered = seen["disk", "text", "un-rewritten"][0] == "items"
+        assert answered == (text == nested(500))

@@ -1,16 +1,17 @@
 """Duplicate object keys: every scanner must agree with the parser.
 
 RFC 8259 leaves duplicate-key behaviour to implementations; this one
-follows the common last-occurrence-wins convention (``ItemBuilder``
-assigns ``container[key] = value`` per occurrence, so the last write
-survives).  The projecting scanner must emit the *same winner* as
-parsing the whole document and navigating, or DATASCAN projection
-silently changes query results on such documents.
+follows the common last-occurrence-wins convention, as the standard
+library's decoder does (a dict assignment per occurrence, so the last
+write survives).  The projecting scanner must emit the *same winner* as
+decoding the whole document with the stdlib and navigating, or DATASCAN
+projection silently changes query results on such documents.
 """
 
 import pytest
 
-from repro.jsonlib.parser import parse, parse_many
+from repro.correctness.oracle import reference_documents
+from repro.jsonlib.parser import parse
 from repro.jsonlib.path import navigate, parse_path
 from repro.jsonlib.textscan import ScanCounters, scan_file, scan_text
 
@@ -22,7 +23,7 @@ DUP_ARRAY = '{"results": [1], "results": [2, 3]}'
 def reference(text, path_text):
     path = parse_path(path_text)
     out = []
-    for value in parse_many(text):
+    for value in reference_documents(text):
         out.extend(navigate(value, path))
     return out
 

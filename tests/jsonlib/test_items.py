@@ -8,17 +8,8 @@ from hypothesis import strategies as st
 
 import repro.jsonlib.items as items_module
 from repro.errors import ItemTypeError, JsonSyntaxError
-from repro.jsonlib.events import (
-    END_ARRAY,
-    END_OBJECT,
-    START_ARRAY,
-    START_OBJECT,
-    atomic_event,
-    key_event,
-)
+from repro.jsonlib import textscan
 from repro.jsonlib.items import (
-    ItemBuilder,
-    build_items,
     canonical_atomic,
     canonical_item,
     canonical_key,
@@ -31,6 +22,8 @@ from repro.jsonlib.items import (
     sizeof_rows,
     sizeof_sequence,
 )
+from repro.jsonlib.parser import parse_many
+from repro.jsonlib.path import Path
 
 
 class TestPredicates:
@@ -334,64 +327,52 @@ class TestCanonicalKeys:
 
 
 class TestItemBuilder:
+    """Items are built from JSON text by the scanners over the empty
+    path: the whole-value decode behind ``parse_many``, on both routes."""
+
+    @staticmethod
+    def build(text):
+        built = parse_many(text)
+        assert list(textscan.scan_text(text, Path())) == built
+        return built
+
+    @staticmethod
+    def rejects(text):
+        for decode in (parse_many, lambda t: list(textscan.scan_text(t, Path()))):
+            with pytest.raises(JsonSyntaxError):
+                decode(text)
+
     def test_build_scalar(self):
-        builder = ItemBuilder()
-        builder.push(atomic_event(7))
-        assert builder.take_finished() == [7]
+        assert self.build("7") == [7]
 
     def test_build_object(self):
-        events = [START_OBJECT, key_event("a"), atomic_event(1), END_OBJECT]
-        assert list(build_items(events)) == [{"a": 1}]
+        assert self.build('{"a": 1}') == [{"a": 1}]
 
     def test_build_nested(self):
-        events = [
-            START_ARRAY,
-            START_OBJECT,
-            key_event("xs"),
-            START_ARRAY,
-            atomic_event(1),
-            atomic_event(2),
-            END_ARRAY,
-            END_OBJECT,
-            END_ARRAY,
-        ]
-        assert list(build_items(events)) == [[{"xs": [1, 2]}]]
+        assert self.build('[{"xs": [1, 2]}]') == [[{"xs": [1, 2]}]]
 
     def test_multiple_top_level(self):
-        events = [atomic_event(1), atomic_event("two")]
-        assert list(build_items(events)) == [1, "two"]
+        assert self.build('1 "two"') == [1, "two"]
 
     def test_depth_tracking(self):
-        builder = ItemBuilder()
-        builder.push(START_ARRAY)
-        builder.push(START_OBJECT)
-        assert builder.depth == 2
-        builder.push(END_OBJECT)
-        builder.push(END_ARRAY)
-        assert builder.depth == 0
+        value = []
+        for _ in range(199):
+            value = [value]
+        assert self.build("[" * 200 + "]" * 200) == [value]
+        with pytest.raises(JsonSyntaxError, match="maximum nesting depth"):
+            self.build("[" * 5000 + "]" * 5000)
 
     def test_key_outside_object_rejected(self):
-        builder = ItemBuilder()
-        with pytest.raises(JsonSyntaxError):
-            builder.push(key_event("k"))
+        self.rejects('"k": 1')
 
     def test_unbalanced_end_rejected(self):
-        builder = ItemBuilder()
-        with pytest.raises(JsonSyntaxError):
-            builder.push(END_ARRAY)
+        self.rejects("]")
 
     def test_mismatched_end_rejected(self):
-        builder = ItemBuilder()
-        builder.push(START_OBJECT)
-        with pytest.raises(JsonSyntaxError):
-            builder.push(END_ARRAY)
+        self.rejects("{]")
 
     def test_truncated_stream_rejected(self):
-        with pytest.raises(JsonSyntaxError):
-            list(build_items([START_ARRAY, atomic_event(1)]))
+        self.rejects("[1")
 
     def test_value_without_key_rejected(self):
-        builder = ItemBuilder()
-        builder.push(START_OBJECT)
-        with pytest.raises(JsonSyntaxError):
-            builder.push(atomic_event(1))
+        self.rejects("{1}")

@@ -1,21 +1,44 @@
-"""Unit tests for the incremental streaming JSON parser."""
+"""Unit tests for whole-text decoding (``parse`` / ``parse_many``) and
+for the one streaming reader, ``scan_file``, at chunk boundaries."""
 
 import json
 
 import pytest
 
-from repro.errors import JsonIncompleteError, JsonSyntaxError
-from repro.jsonlib.events import EventKind
-from repro.jsonlib.parser import (
-    StreamingJsonParser,
-    iter_events,
-    parse,
-    parse_many,
-)
+from repro.errors import JsonSyntaxError
+from repro.jsonlib import tape, textscan
+from repro.jsonlib.parser import parse, parse_many
+from repro.jsonlib.path import Path
 
 
-def events_of(text):
-    return list(iter_events(text))
+#: Malformed texts; ``tests/data/test_source_contract.py`` also holds
+#: both query plans to one answer over each.
+INVALID_INPUTS = [
+    "{]",
+    "[}",
+    "[1 2]",
+    '{"a" 1}',
+    '{"a": 1,}',
+    "[1,]",
+    "{1: 2}",
+    "nul1",
+    "+1",
+    '"a\tb"',  # raw control character inside a string
+    "[1]]",
+]
+
+
+def scan_chunked(tmp_path, text, chunk_size):
+    """Every top-level value of *text*, read back by ``scan_file`` at
+    *chunk_size* characters per read; both scanners must agree."""
+    file = tmp_path / "doc.json"
+    file.write_text(text, encoding="utf-8")
+    text_items, ondemand_items = (
+        list(scanner.scan_file(str(file), Path(), chunk_size=chunk_size))
+        for scanner in (textscan, tape)
+    )
+    assert text_items == ondemand_items
+    return text_items
 
 
 class TestScalars:
@@ -97,77 +120,32 @@ class TestContainers:
         assert value == []
 
     def test_max_depth_guard(self):
-        parser = StreamingJsonParser(max_depth=10)
-        with pytest.raises(JsonSyntaxError):
-            parser.feed("[" * 11)
-
-
-class TestEventStream:
-    def test_event_kinds(self):
-        kinds = [e.kind for e in events_of('{"a": [1]}')]
-        assert kinds == [
-            EventKind.START_OBJECT,
-            EventKind.KEY,
-            EventKind.START_ARRAY,
-            EventKind.ATOMIC,
-            EventKind.END_ARRAY,
-            EventKind.END_OBJECT,
-        ]
-
-    def test_key_values(self):
-        keys = [e.value for e in events_of('{"a": 1, "b": 2}') if e.kind is EventKind.KEY]
-        assert keys == ["a", "b"]
+        # Nesting past what the interpreter recurses is a syntax error at
+        # the record, the same limit every scan mode applies.
+        with pytest.raises(JsonSyntaxError, match="maximum nesting depth"):
+            parse("[" * 5000 + "]" * 5000)
 
 
 class TestIncrementalFeeding:
-    def test_char_by_char_equals_single_feed(self):
+    """A value cut at a read boundary is re-read whole, never half-built."""
+
+    def test_char_by_char_equals_single_feed(self, tmp_path):
         text = '{"n": [-0.5, 1e-2, 123], "s": "q\\"t", "b": false, "e": []}'
-        single = events_of(text)
-        parser = StreamingJsonParser()
-        chunked = []
-        for ch in text:
-            chunked.extend(parser.feed(ch))
-        chunked.extend(parser.finish())
-        assert chunked == single
+        assert scan_chunked(tmp_path, text, 1) == [json.loads(text)]
 
-    def test_number_split_at_exponent(self):
-        parser = StreamingJsonParser()
-        events = parser.feed("[1.5e")
-        events += parser.feed("3]")
-        events += parser.finish()
-        values = [e.value for e in events if e.kind is EventKind.ATOMIC]
-        assert values == [1500.0]
+    def test_number_split_at_exponent(self, tmp_path):
+        assert scan_chunked(tmp_path, "[1.5e3]", 5) == [[1500.0]]
+        assert scan_chunked(tmp_path, "1.5e3 2", 4) == [1500.0, 2]
 
-    def test_literal_split(self):
-        parser = StreamingJsonParser()
-        events = parser.feed("[fal")
-        events += parser.feed("se]")
-        events += parser.finish()
-        values = [e.value for e in events if e.kind is EventKind.ATOMIC]
-        assert values == [False]
+    def test_literal_split(self, tmp_path):
+        assert scan_chunked(tmp_path, "[false]", 4) == [[False]]
 
-    def test_string_split_inside_escape(self):
-        parser = StreamingJsonParser()
-        events = parser.feed('["ab\\')
-        events += parser.feed('n cd"]')
-        events += parser.finish()
-        values = [e.value for e in events if e.kind is EventKind.ATOMIC]
-        assert values == ["ab\n cd"]
+    def test_string_split_inside_escape(self, tmp_path):
+        assert scan_chunked(tmp_path, '["ab\\n cd"]', 5) == [["ab\n cd"]]
 
-    def test_lone_minus_then_digits(self):
-        parser = StreamingJsonParser()
-        events = parser.feed("[-")
-        events += parser.feed("12]")
-        events += parser.finish()
-        values = [e.value for e in events if e.kind is EventKind.ATOMIC]
-        assert values == [-12]
-
-    def test_feed_after_finish_rejected(self):
-        parser = StreamingJsonParser()
-        parser.feed("1 ")
-        parser.finish()
-        with pytest.raises(JsonSyntaxError):
-            parser.feed("2")
+    def test_lone_minus_then_digits(self, tmp_path):
+        assert scan_chunked(tmp_path, "[-12]", 2) == [[-12]]
+        assert scan_chunked(tmp_path, "-12", 1) == [-12]
 
 
 class TestMultipleTopLevelValues:
@@ -175,10 +153,15 @@ class TestMultipleTopLevelValues:
         assert parse_many('1 "two" [3] {"four": 4}') == [1, "two", [3], {"four": 4}]
 
     def test_multiple_values_rejected_when_strict(self):
-        parser = StreamingJsonParser(allow_multiple_values=False)
-        with pytest.raises(JsonSyntaxError):
-            parser.feed("1 2")
-            parser.finish()
+        with pytest.raises(JsonSyntaxError, match="multiple top-level") as excinfo:
+            parse('{"a": 1}\n[2]')
+        assert excinfo.value.offset == 9
+
+    def test_empty_input_rejected(self):
+        for text in ("", "  \n", "\ufeff"):
+            with pytest.raises(JsonSyntaxError, match="empty input") as excinfo:
+                parse(text)
+            assert excinfo.value.offset == len(text)
 
     def test_parse_rejects_trailing_value(self):
         with pytest.raises(JsonSyntaxError):
@@ -202,52 +185,31 @@ class TestErrors:
         ],
     )
     def test_incomplete_inputs(self, text):
-        parser = StreamingJsonParser()
         with pytest.raises(JsonSyntaxError):
-            parser.feed(text)
-            parser.finish()
+            parse(text)
+        with pytest.raises(JsonSyntaxError):
+            parse_many(text)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{]",
-            "[}",
-            "[1 2]",
-            '{"a" 1}',
-            '{"a": 1,}',
-            "[1,]",
-            "{1: 2}",
-            "nul1",
-            "+1",
-            '"a\tb"',  # raw control character inside a string
-            "[1]]",
-        ],
-    )
+    @pytest.mark.parametrize("text", INVALID_INPUTS)
     def test_invalid_inputs(self, text):
-        parser = StreamingJsonParser()
         with pytest.raises(JsonSyntaxError):
-            parser.feed(text)
-            parser.finish()
+            parse(text)
 
     def test_leading_zero_number_splits_into_two_values(self):
-        # In multi-value mode "01" reads as the two values 0 and 1 (like
-        # concatenated-JSON readers); strict mode rejects the second one.
+        # parse_many reads "01" as the two values 0 and 1 (like
+        # concatenated-JSON readers); parse rejects the second one.
         assert parse_many("01") == [0, 1]
         with pytest.raises(JsonSyntaxError):
             parse("01")
 
-    def test_incomplete_error_is_distinguished(self):
-        parser = StreamingJsonParser()
-        parser.feed('{"a": ')
-        with pytest.raises(JsonIncompleteError):
-            parser.finish()
-
-    def test_error_offset_spans_chunks(self):
-        parser = StreamingJsonParser()
-        parser.feed("[1, 2, ")
-        with pytest.raises(JsonSyntaxError) as excinfo:
-            parser.feed("x]")
-        assert excinfo.value.offset == 7
+    def test_error_offset_spans_chunks(self, tmp_path):
+        # Offsets are absolute in the file, however many reads came first.
+        file = tmp_path / "doc.json"
+        file.write_text("[0]\n" * 5 + "[1, 2, x]", encoding="utf-8")
+        for scanner in (textscan, tape):
+            with pytest.raises(JsonSyntaxError) as excinfo:
+                list(scanner.scan_file(str(file), Path(), chunk_size=4))
+            assert excinfo.value.offset == 27
 
     def test_stdlib_rejects_what_we_reject(self):
         # Sanity: our invalid inputs are also invalid for the stdlib.

@@ -10,9 +10,9 @@ which must agree before the case looks at the answer.
 
 import pytest
 
+from repro.correctness.oracle import reference_documents
 from repro.errors import JsonSyntaxError
 from repro.jsonlib import tape, textscan
-from repro.jsonlib.parser import parse
 from repro.jsonlib.path import Path, navigate, parse_path
 
 
@@ -120,7 +120,8 @@ class TestEquivalenceWithNavigate:
     @pytest.mark.parametrize("text,path_text", CASES)
     def test_matches_navigate(self, text, path_text):
         path = parse_path(path_text)
-        assert list(project_text(text, path)) == navigate(parse(text), path)
+        (document,) = reference_documents(text)
+        assert list(project_text(text, path)) == navigate(document, path)
 
 
 class TestProjectFile:

@@ -4,8 +4,8 @@ Invariants:
 
 1. ``parse`` agrees with the stdlib ``json`` module on anything the
    stdlib can produce.
-2. Parsing is chunking-invariant: feeding the text in arbitrary pieces
-   yields the same event stream as one big feed.
+2. Reading is chunking-invariant: ``scan_file`` on either scanner, at
+   any read size, yields what decoding the whole text yields.
 3. ``parse(dumps(item)) == item`` (serializer round-trip).
 4. ``sizeof_item`` is monotone under structural growth.
 
@@ -15,12 +15,16 @@ scanner fuzz suite.)
 """
 
 import json
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.jsonlib import tape, textscan
 from repro.jsonlib.items import sizeof_item
-from repro.jsonlib.parser import StreamingJsonParser, iter_events, parse
+from repro.jsonlib.parser import parse, parse_many
+from repro.jsonlib.path import Path
 from repro.jsonlib.serializer import dumps
 
 # Finite floats only: JSON has no NaN/Infinity.
@@ -48,27 +52,20 @@ def test_parse_agrees_with_stdlib(value):
     assert parse(text) == json.loads(text)
 
 
-@given(json_values, st.data())
+@given(st.lists(json_values, min_size=1, max_size=3), st.data())
 @settings(max_examples=60)
-def test_chunking_invariance(value, data):
-    text = json.dumps(value)
-    reference = list(iter_events(text))
-    # Split the text at random cut points.
-    cuts = sorted(
-        data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=len(text)), max_size=6
-            )
-        )
-    )
-    parser = StreamingJsonParser()
-    events = []
-    previous = 0
-    for cut in cuts + [len(text)]:
-        events.extend(parser.feed(text[previous:cut]))
-        previous = cut
-    events.extend(parser.finish())
-    assert events == reference
+def test_chunking_invariance(values, data):
+    text = "\n".join(json.dumps(value) for value in values)
+    chunk_size = data.draw(st.integers(min_value=1, max_value=len(text)))
+    handle, file = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as out:
+            out.write(text)
+        for scanner in (textscan, tape):
+            read = list(scanner.scan_file(file, Path(), chunk_size=chunk_size))
+            assert read == parse_many(text) == values
+    finally:
+        os.unlink(file)
 
 
 @given(json_values)

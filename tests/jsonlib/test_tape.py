@@ -12,16 +12,16 @@ import json
 
 import pytest
 
+from repro.correctness.oracle import reference_documents
 from repro.errors import JsonSyntaxError
 from repro.jsonlib import tape, textscan
-from repro.jsonlib.parser import parse_many
 from repro.jsonlib.path import Path, navigate, parse_path
 from repro.jsonlib.textscan import ScanCounters
 
 
 def reference(text, path):
     out = []
-    for value in parse_many(text):
+    for value in reference_documents(text):
         out.extend(navigate(value, path))
     return out
 

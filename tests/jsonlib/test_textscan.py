@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.correctness.oracle import reference_documents
 from repro.errors import JsonSyntaxError
-from repro.jsonlib.parser import parse, parse_many
 from repro.jsonlib.path import (
     KeysOrMembers,
     Path,
@@ -21,7 +21,7 @@ from repro.jsonlib.textscan import ScanCounters, scan_file, scan_text
 
 def reference(text, path):
     out = []
-    for value in parse_many(text):
+    for value in reference_documents(text):
         out.extend(navigate(value, path))
     return out
 
@@ -358,7 +358,7 @@ paths = st.builds(Path, st.lists(path_steps, max_size=4))
 @settings(max_examples=150)
 def test_property_matches_navigate(value, path):
     text = json.dumps(value)
-    assert list(scan_text(text, path)) == navigate(parse(text), path)
+    assert list(scan_text(text, path)) == reference(text, path)
 
 
 @given(st.lists(json_values, min_size=1, max_size=3), paths)

@@ -1,6 +1,6 @@
 """Scan-level on_malformed policies across the data layer.
 
-Covers the raw-text scanner's resync, parse_many_resilient, both
+Covers the raw-text scanner's resync (also over the empty path), both
 catalogs, and the registration bugfixes (empty partitions, empty base
 dirs).
 """
@@ -10,7 +10,7 @@ import pytest
 from repro import JsonProcessor, RewriteConfig
 from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.errors import FileScanError, JsonSyntaxError, ReproError
-from repro.jsonlib.parser import parse, parse_many_resilient
+from repro.jsonlib.parser import parse
 from repro.jsonlib.path import Path, parse_path
 from repro.jsonlib.textscan import scan_text
 from repro.resilience import DegradationReport
@@ -63,11 +63,15 @@ class TestScanTextSkipRecord:
 
 
 class TestParseManyResilient:
+    """The empty path decodes every top-level value whole, under the
+    same malformed-input policy as any projection."""
+
     def test_equivalent_on_clean_input(self):
-        assert parse_many_resilient(GOOD) == [{"v": 1}, {"v": 2}, {"v": 3}]
+        items = list(scan_text(GOOD, Path(), on_malformed="skip_record"))
+        assert items == [{"v": 1}, {"v": 2}, {"v": 3}]
 
     def test_skips_malformed_values(self):
-        items = parse_many_resilient(BAD_MIDDLE, on_malformed="skip_record")
+        items = list(scan_text(BAD_MIDDLE, Path(), on_malformed="skip_record"))
         assert items == [{"v": 1}, {"v": 3}]
 
 
@@ -204,9 +208,7 @@ class TestInMemorySourcePolicies:
         ]
 
 
-# Deeper than the interpreter recurses (and than StreamingJsonParser's
-# max_depth, which the un-rewritten plan's fail/skip_file paths go
-# through).
+# Deeper than the interpreter recurses.
 DEEP = '{"v": ' + "[" * 5000 + "]" * 5000 + "}"
 # Longer than sys.get_int_max_str_digits(), so int() refuses it.
 LONG_INT = '{"v": ' + "7" * 5000 + "}"
@@ -218,10 +220,10 @@ class TestHostileRecords:
     limit) are malformed records like any other: a ReproError under
     ``fail``, skipped and reported under the skip policies, in every
     scan mode and under the un-rewritten plan, whose ``read_collection``
-    decodes with the event parser.  They used to escape as
-    RecursionError / ValueError."""
+    scans the empty path.  They used to escape as RecursionError /
+    ValueError."""
 
-    #: the two scan modes, plus the plan that scans with neither
+    #: the two scan modes, plus the plan that reads without a DATASCAN
     MODES = ["ondemand", "text", "unrewritten"]
 
     QUERY = 'for $r in collection("/events") return $r("v")'

@@ -111,8 +111,9 @@ class TestDeterminism:
 
 class TestPinnedFingerprint:
     """The sampler's decoder is an implementation detail: this corpus
-    fingerprinted the same when every text went through the event
-    parser (``parse_many``) as it does through the on-demand scanner."""
+    fingerprinted the same when every text went through a separate
+    event parser as it does through the on-demand scanner, which is now
+    what ``parse_many`` is too."""
 
     TEXTS = [
         # several records in one text, nested containers, duplicate key

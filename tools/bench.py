@@ -23,8 +23,10 @@ and the deeper ``("date")`` one Q0b pushes down), under every scan mode
 passes, with items-per-second and the warm-vs-cold speedup.  The
 baseline row, ``reference``, is no product option: the tool itself
 parses every file fully and then navigates
-(``navigate_sequence(parse_many(text), path)``), and each mode reports
-its ``speedup_vs_reference``.
+(``navigate_sequence(parse_many(text), path)``, where ``parse_many`` is
+the on-demand scanner over the empty path, so the row prices building
+every value rather than a slower decoder), and each mode reports its
+``speedup_vs_reference``.
 
 Usage::
 
