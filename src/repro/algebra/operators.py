@@ -423,10 +423,12 @@ class GroupBy(Operator):
     """Grouped aggregation with a nested inner-focus plan (Figure 9).
 
     ``keys`` are ``(variable, expression)`` pairs evaluated per input
-    tuple; tuples with equal key values form a group.  The nested plan
-    (leaf :class:`NestedTupleSource`, root :class:`Aggregate`) runs once
-    per group over the group's tuples, and its output is merged with the
-    key bindings.
+    tuple; tuples with equal key values form a group.  The nested plan is
+    always an :class:`Aggregate` directly over a
+    :class:`NestedTupleSource` (the constructor rejects any other shape,
+    so a rewrite that breaks it fails at compile time): its aggregates
+    fold each group's tuples as they arrive, no group member list is
+    built, and their values are merged with the key bindings.
     """
 
     __slots__ = ("input_op", "keys", "nested_root")
@@ -440,6 +442,14 @@ class GroupBy(Operator):
     ):
         if not keys:
             raise PlanError("GROUP-BY requires at least one key")
+        if not (
+            isinstance(nested_root, Aggregate)
+            and isinstance(nested_root.input_op, NestedTupleSource)
+        ):
+            raise PlanError(
+                "GROUP-BY nested plan must be AGGREGATE over "
+                "NESTED-TUPLE-SOURCE"
+            )
         self.input_op = input_op
         self.keys = tuple(keys)
         self.nested_root = nested_root
@@ -468,12 +478,8 @@ class GroupBy(Operator):
         return GroupBy(self.input_op, self.keys, nested_root)
 
     def produced_variables(self):
-        names = [var for var, _ in self.keys]
-        node: Operator | None = self.nested_root
-        while node is not None:
-            names.extend(node.produced_variables())
-            node = node.inputs[0] if node.inputs else None
-        return tuple(names)
+        keys = tuple(var for var, _ in self.keys)
+        return keys + self.nested_root.produced_variables()
 
     def signature(self):
         keys = ", ".join(

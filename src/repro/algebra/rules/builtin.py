@@ -160,7 +160,7 @@ class RemoveUnusedAggregateSpecRule(RewriteRule):
             if not isinstance(op, GroupBy):
                 continue
             nested = op.nested_root
-            if not isinstance(nested, Aggregate) or len(nested.specs) <= 1:
+            if len(nested.specs) <= 1:
                 continue
             kept = [
                 spec

@@ -70,12 +70,7 @@ class RemoveRedundantTreatRule(RewriteRule):
 
 def _sequence_spec_of(group_by: GroupBy, variable: str) -> AggregateSpec | None:
     """The GROUP-BY's ``sequence`` spec producing *variable*, if any."""
-    nested = group_by.nested_root
-    if not isinstance(nested, Aggregate):
-        return None
-    if not isinstance(nested.input_op, NestedTupleSource):
-        return None
-    for spec in nested.specs:
+    for spec in group_by.nested_root.specs:
         if spec.variable == variable and spec.function == "sequence":
             return spec
     return None
@@ -193,7 +188,6 @@ class PushSubplanAggregateIntoGroupByRule(RewriteRule):
                 for spec in aggregate.specs
             ]
             old_nested = group_by.nested_root
-            assert isinstance(old_nested, Aggregate)
             kept = [s for s in old_nested.specs if s.variable != seq_var]
             new_nested = Aggregate(NestedTupleSource(), kept + pushed)
             new_group = GroupBy(group_by.input_op, group_by.keys, new_nested)

@@ -60,7 +60,6 @@ from repro.algebra.operators import (
     DistributeResult,
     GroupBy,
     Join,
-    NestedTupleSource,
     Operator,
     Select,
     Subplan,
@@ -687,11 +686,7 @@ class PartitionedExecutor:
         result: QueryResult,
     ) -> QueryResult:
         """Partition-local GROUP-BY plus coordinator combine."""
-        nested = group_by.nested_root
-        incremental = isinstance(nested, Aggregate) and isinstance(
-            nested.input_op, NestedTupleSource
-        )
-        if not (incremental and self._two_step):
+        if not self._two_step:
             return self._run_raw(
                 plan, global_ops, group_by, "grouped-raw", partitions, result
             )
@@ -712,7 +707,9 @@ class PartitionedExecutor:
 
         def finalized(ctx):
             # Coordinator: combine partials, finalize groups.
-            new_accumulators = accumulator_factory(nested.specs, ctx)
+            new_accumulators = accumulator_factory(
+                group_by.nested_root.specs, ctx
+            )
             combined: dict = {}
             for table in local_tables:
                 # Workers ship plain partial values (picklable; spill-backed

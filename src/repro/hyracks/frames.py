@@ -87,9 +87,7 @@ class FrameWriter:
 
         *n_bytes* is the tuple's size when the caller already has it:
         the exchange sizes a whole frame of tuples at once
-        (``sizeof_tuples``), and spill run writers pack records that are
-        not JSON items (pickled partial states, sequence-tagged rows)
-        and size them generically.
+        (``sizeof_tuples``).
         """
         if n_bytes is None:
             n_bytes = sizeof_tuple(tup)

@@ -70,7 +70,6 @@ from repro.algebra.rules.base import conjuncts, subtree_variables
 from repro.hyracks.aggregates import fold_stream
 from repro.hyracks.spill import (
     GROUP_ENTRY_BYTES as _GROUP_ENTRY_BYTES,
-    fold_group_lists,
     fold_group_table,
 )
 from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple, sizeof_tuples
@@ -521,48 +520,28 @@ def _execute_group_by(
 ) -> Iterator[Tuple]:
     """Hash grouping.
 
-    When the inner focus is ``AGGREGATE`` directly over
-    ``NESTED-TUPLE-SOURCE`` (the common shape), groups fold
-    incrementally — no group member list is kept unless a ``sequence``
-    aggregate demands one.  Any other nested plan falls back to
-    materializing each group's tuples.
+    A GROUP-BY's nested plan is always AGGREGATE over
+    NESTED-TUPLE-SOURCE (the :class:`~repro.algebra.operators.GroupBy`
+    constructor enforces it), so groups fold incrementally through
+    :func:`~repro.hyracks.spill.fold_group_table`: no group member list
+    is kept unless a ``sequence`` aggregate demands one, and under a
+    budget the table spills.  Each group's entry charge is released once
+    the groups have been emitted.
     """
-    nested = op.nested_root
-    incremental = isinstance(nested, Aggregate) and isinstance(
-        nested.input_op, NestedTupleSource
-    )
-    key_exprs = [expr for _, expr in op.keys]
     key_vars = [var for var, _ in op.keys]
-
-    if incremental:
-        groups = fold_group_table(key_exprs, nested.specs, source, ctx, op=op)
-        if ctx.profile is not None:
-            ctx.profile.add(op, "groups", len(groups))
-        try:
-            for key_values, accumulators in groups.values():
-                out = dict(zip(key_vars, key_values))
-                for accumulator in accumulators:
-                    out[accumulator.spec.variable] = accumulator.finish(ctx)
-                yield out
-        finally:
-            if ctx.memory is not None:
-                ctx.release(_GROUP_ENTRY_BYTES * len(groups))
-        return
-
-    # General nested plans: materialize the group's tuples (spilling the
-    # member lists to run files under budget pressure).
-    def finalize(key_values, tuples):
-        bindings = execute_nested_plan(op.nested_root, tuples, ctx)
-        out = dict(zip(key_vars, key_values))
-        out.update(bindings)
-        return out
-
-    outputs, group_count = fold_group_lists(
-        key_exprs, source, ctx, finalize, op=op
+    groups = fold_group_table(
+        [expr for _, expr in op.keys], op.nested_root.specs, source, ctx, op=op
     )
     if ctx.profile is not None:
-        ctx.profile.add(op, "groups", group_count)
-    yield from outputs
+        ctx.profile.add(op, "groups", len(groups))
+    try:
+        for key_values, accumulators in groups.values():
+            out = dict(zip(key_vars, key_values))
+            for accumulator in accumulators:
+                out[accumulator.spec.variable] = accumulator.finish(ctx)
+            yield out
+    finally:
+        ctx.release(_GROUP_ENTRY_BYTES * len(groups))
 
 
 def _execute_sort(

@@ -8,18 +8,23 @@ die when inputs exceed memory.  This module supplies that degradation
 path:
 
 - :class:`SpillManager` — owns a per-attempt temp directory of **run
-  files**; tuples are batched into frame-sized pickles through the
-  existing :class:`~repro.hyracks.frames.FrameWriter`, run files are
-  named deterministically (``run-NNNNNN-<label>.frames``), and
-  ``close()`` guarantees cleanup no matter how execution unwound;
-- :func:`fold_group_table` — external hash GROUP-BY
-  (partition-and-recurse over salted key buckets);
+  files**; a :class:`RunWriter` pickles records in frame-sized batches,
+  run files are named deterministically (``run-NNNNNN-<label>.frames``),
+  and ``close()`` guarantees cleanup no matter how execution unwound;
+- :func:`charge` — the one allocate / shed / retry / force ladder every
+  spilling operator charges through;
+- :func:`fold_group_table` — external hash GROUP-BY (partition-and-
+  recurse over salted key buckets of partial states);
 - :func:`grace_join_overflow` — grace hash join (both sides partitioned
   into bucket runs, each bucket joined recursively);
 - :func:`external_sort` — external merge sort (sorted runs merged with
   ``heapq.merge``);
 - :class:`SpilledSequence` — a materialized buffer (nested-loop build
   sides, ``sequence`` aggregates) that overflows to run files.
+
+The GROUP-BY and the join each have one split-and-recurse: the top
+level sheds to the depth-0 buckets through the same code a bucket that
+overflows uses to split at its own depth.
 
 Spilling triggers when the :class:`~repro.hyracks.memory.MemoryTracker`
 *declines* a charge (``try_allocate``) instead of raising; with no spill
@@ -50,15 +55,16 @@ from typing import Callable, Iterable, Iterator
 
 from repro.envutil import env_setting
 from repro.errors import SpillError
-from repro.hyracks.aggregates import accumulator_factory
-from repro.hyracks.frames import DEFAULT_FRAME_BYTES, FrameWriter
+from repro.hyracks.aggregates import accumulator_factory, take_partials
+from repro.hyracks.frames import DEFAULT_FRAME_BYTES
 from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple
 from repro.jsonlib.items import canonical_key
 
 #: environment variable consulted for a default spill directory
 SPILL_DIR_ENV_VAR = "REPRO_SPILL_DIR"
 
-#: charge for one hash-group entry (mirrors operators._GROUP_ENTRY_BYTES)
+#: charge for one hash-group entry (the GROUP-BY callers release it per
+#: entry after emission, importing it from here)
 GROUP_ENTRY_BYTES = 96
 
 
@@ -67,7 +73,7 @@ def estimate_record_bytes(record) -> int:
 
     Spill records are not JSON items (they carry pickled partial states,
     sequence tags, composite sort keys), so the item-model sizer cannot
-    price them; this generic walk is only used to pack run-file frames,
+    price them; this generic walk is only used to cut run-file batches,
     where a rough estimate is enough.
     """
     if isinstance(record, (list, tuple)):
@@ -180,27 +186,35 @@ def resolve_spill_config(spill_dir=None) -> SpillConfig:
 class RunHandle:
     """One finished run file: iterable, deletable, counted."""
 
-    __slots__ = ("path", "records", "byte_size", "_manager")
+    __slots__ = ("path", "records", "byte_size")
 
-    def __init__(self, path: str, records: int, byte_size: int, manager):
+    def __init__(self, path: str, records: int, byte_size: int):
         self.path = path
         self.records = records
         self.byte_size = byte_size
-        self._manager = manager
 
     def __iter__(self) -> Iterator:
+        """The run's records in write order.
+
+        A run that reads back fewer records than were written (a file cut
+        short, a batch that no longer unpickles) raises
+        :class:`~repro.errors.SpillError` instead of ending early.
+        """
+        read = 0
         try:
             with open(self.path, "rb") as handle:
-                while True:
-                    try:
-                        batch = pickle.load(handle)
-                    except EOFError:
-                        break
-                    for wrapped in batch:
-                        yield wrapped["r"][0]
+                while read < self.records:
+                    batch = pickle.load(handle)
+                    read += len(batch)
+                    yield from batch
         except OSError as error:
             raise SpillError(
                 f"cannot read spill run {self.path!r}: {error}"
+            ) from error
+        except (EOFError, pickle.UnpicklingError) as error:
+            raise SpillError(
+                f"spill run {self.path!r} read back {read} of "
+                f"{self.records} records: {error}"
             ) from error
 
     def delete(self) -> None:
@@ -214,19 +228,23 @@ class RunHandle:
 class RunWriter:
     """Writes records to a run file in frame-sized batches.
 
-    Records are wrapped as one-binding tuples and packed through the
-    existing :class:`~repro.hyracks.frames.FrameWriter`; each completed
-    frame's tuple list is pickled to the file as one batch.  The fault
-    hook fires before every disk write, which is where
+    A batch is a pickled list of records, cut when the next record's
+    :func:`estimate_record_bytes` would overflow the configured
+    ``frame_bytes``; a record larger than a frame gets a batch of its
+    own.  The fault hook fires before every disk write, which is where
     ``FaultPlan.fail_spill`` injects.
     """
 
-    __slots__ = ("_path", "_file", "_frames", "_manager", "_records", "closed")
+    __slots__ = ("_path", "_file", "_batch", "_batch_bytes", "_frame_bytes",
+                 "_manager", "_records", "closed")
 
     def __init__(self, path: str, manager: "SpillManager"):
         self._path = path
         self._manager = manager
         self._records = 0
+        self._batch: list = []
+        self._batch_bytes = 0
+        self._frame_bytes = manager.config.frame_bytes
         self.closed = False
         try:
             self._file = open(path, "wb")
@@ -234,30 +252,33 @@ class RunWriter:
             raise SpillError(
                 f"cannot create spill run {path!r}: {error}"
             ) from error
-        self._frames = FrameWriter(
-            frame_bytes=manager.config.frame_bytes,
-            allow_big_objects=True,
-            on_frame=self._write_frame,
-        )
 
-    def _write_frame(self, frame) -> None:
+    def _flush(self) -> None:
+        if not self._batch:
+            return
         self._manager.check_fault()
         try:
-            pickle.dump(frame.tuples, self._file)
+            pickle.dump(self._batch, self._file)
         except OSError as error:
             raise SpillError(
                 f"cannot write spill run {self._path!r}: {error}"
             ) from error
+        self._batch = []
+        self._batch_bytes = 0
 
     def write(self, record) -> None:
         self._records += 1
-        self._frames.write(
-            {"r": [record]}, n_bytes=estimate_record_bytes(record)
-        )
+        n_bytes = estimate_record_bytes(record)
+        if self._batch_bytes + n_bytes > self._frame_bytes:
+            self._flush()
+        self._batch.append(record)
+        self._batch_bytes += n_bytes
+        if n_bytes > self._frame_bytes:
+            self._flush()  # an oversized record is a batch of its own
 
     def finish(self) -> RunHandle:
         """Flush, close, and hand back a readable run handle."""
-        self._frames.flush()
+        self._flush()
         try:
             self._file.close()
         except OSError as error:
@@ -267,7 +288,7 @@ class RunWriter:
         self.closed = True
         byte_size = os.path.getsize(self._path)
         self._manager.bytes_spilled += byte_size
-        return RunHandle(self._path, self._records, byte_size, self._manager)
+        return RunHandle(self._path, self._records, byte_size)
 
     def abort(self) -> None:
         """Close without finishing (cleanup path)."""
@@ -377,6 +398,50 @@ class SpillManager:
 
 
 # ---------------------------------------------------------------------------
+# The steps every spilling operator shares
+# ---------------------------------------------------------------------------
+
+
+def charge(ctx, n_bytes: int, shed: Callable[[], None]) -> None:
+    """Charge *n_bytes* for a spilling operator's in-memory state.
+
+    Without a spill manager the charge raises on overflow (the
+    non-spilling behaviour).  With one, a declined charge calls *shed*,
+    which writes the operator's state to disk (a no-op when it holds
+    nothing), retries, and finally forces the irreducible remainder,
+    recording the overdraft.
+    """
+    memory = ctx.memory
+    if memory is None:
+        return
+    if ctx.spill is None:
+        memory.allocate(n_bytes)  # raises on overflow
+    elif not memory.try_allocate(n_bytes):
+        shed()
+        if not memory.try_allocate(n_bytes):
+            memory.force_allocate(n_bytes)
+
+
+def _spill_event(ctx, op, files: int) -> None:
+    """Count one spill decision, and the *files* run files it opens, on
+    the manager and on *op*'s profile."""
+    ctx.spill.note_event()
+    if ctx.profile is not None and op is not None:
+        ctx.profile.add(op, "spill_events", 1)
+        if files:
+            ctx.profile.add(op, "spill_run_files", files)
+
+
+def _bucket_runs(spill: "SpillManager", label: str, depth: int) -> list:
+    """Open the ``fanout`` bucket runs of one split at *depth*
+    (``group-b3`` at depth 0, ``group-d2-b3`` below)."""
+    prefix = label if depth == 0 else f"{label}-d{depth}"
+    return [
+        spill.new_run(f"{prefix}-b{b}") for b in range(spill.config.fanout)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Spilled materialization (nested-loop build sides, sequence aggregates)
 # ---------------------------------------------------------------------------
 
@@ -398,59 +463,28 @@ class SpilledSequence:
         self._runs: list[RunHandle] = []
         self._buffer: list = []
         self._charged = 0
-        self.records = 0
 
     def append(self, record, n_bytes: int) -> None:
-        ctx = self._ctx
-        self.records += 1
-        if ctx.memory is None:
-            self._buffer.append(record)
-            return
-        if ctx.memory.try_allocate(n_bytes):
-            self._charged += n_bytes
-            self._buffer.append(record)
-            return
-        if ctx.spill is None or not self._buffer:
-            # No spill path (or nothing to shed): keep the old raising
-            # behaviour / force the irreducible single record.
-            if ctx.spill is None:
-                ctx.memory.allocate(n_bytes)  # raises
-                self._charged += n_bytes
-                self._buffer.append(record)
-                return
-            ctx.memory.force_allocate(n_bytes)
-            self._charged += n_bytes
-            self._buffer.append(record)
-            return
-        self._flush()
-        if ctx.memory.try_allocate(n_bytes):
-            self._charged += n_bytes
-        else:
-            ctx.memory.force_allocate(n_bytes)
-            self._charged += n_bytes
+        charge(self._ctx, n_bytes, self._flush)
+        self._charged += n_bytes
         self._buffer.append(record)
 
     def _flush(self) -> None:
+        if not self._buffer:
+            return
         ctx = self._ctx
-        spill = ctx.spill
-        spill.note_event()
-        if ctx.profile is not None and self._op is not None:
-            ctx.profile.add(self._op, "spill_events", 1)
-            ctx.profile.add(self._op, "spill_run_files", 1)
-        writer = spill.new_run(self._label)
+        _spill_event(ctx, self._op, 1)
+        writer = ctx.spill.new_run(self._label)
         for record in self._buffer:
             writer.write(record)
         self._runs.append(writer.finish())
         self._buffer = []
-        ctx.memory.release(self._charged)
+        ctx.release(self._charged)
         self._charged = 0
 
     @property
     def spilled(self) -> bool:
         return bool(self._runs)
-
-    def __len__(self) -> int:
-        return self.records
 
     def __iter__(self) -> Iterator:
         for run in self._runs:
@@ -459,9 +493,8 @@ class SpilledSequence:
 
     def close(self) -> None:
         """Release the remaining charge and the run files."""
-        if self._charged:
-            self._ctx.memory.release(self._charged)
-            self._charged = 0
+        self._ctx.release(self._charged)
+        self._charged = 0
         for run in self._runs:
             run.delete()
         self._runs = []
@@ -482,43 +515,29 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
     combines partition tables in partition order, relying on each
     table's deterministic order).
 
-    In-memory behaviour is unchanged: one ``GROUP_ENTRY_BYTES`` charge
-    per distinct key, raising when no spill manager is configured.  With
-    a spill manager, a declined charge flushes the table's partial
-    states to salted key-bucket run files and recurses per bucket.
+    One ``GROUP_ENTRY_BYTES`` charge per distinct key, raising when no
+    spill manager is configured; every entry returned stays charged and
+    the caller releases it after emission.  With a spill manager, a
+    declined charge sheds the table's partial states to the depth-0
+    salted key buckets and folding goes on; at the end each bucket is
+    merged one level deeper by :func:`_merge_group_bucket`.
     """
     key_evaluators = [ctx.compiled(expr) for expr in key_exprs]
     new_accumulators = accumulator_factory(specs, ctx)
     limits = ctx.limits
-    spill = ctx.spill
-    memory = ctx.memory
-    table: dict = {}
+    table: dict = {}  # key -> (key_values, accumulators, first_seq)
     writers: list[RunWriter] | None = None
-    fanout = spill.config.fanout if spill is not None else 0
     seq = 0
 
-    def flush_to_buckets() -> None:
-        nonlocal writers, table
-        spill.note_event()
-        if ctx.profile is not None and op is not None:
-            ctx.profile.add(op, "spill_events", 1)
+    def shed() -> None:
+        nonlocal writers
+        if not table:
+            return
+        fanout = ctx.spill.config.fanout
+        _spill_event(ctx, op, fanout if writers is None else 0)
         if writers is None:
-            writers = [spill.new_run(f"group-b{b}") for b in range(fanout)]
-            if ctx.profile is not None and op is not None:
-                ctx.profile.add(op, "spill_run_files", fanout)
-        for key, state in table.items():
-            partials = [acc.partial() for acc in state[1]]
-            writers[stable_bucket(key, fanout)].write(
-                (key, state[0], partials, state[2])
-            )
-        for state in table.values():
-            for acc in state[1]:
-                release = getattr(acc, "release_charges", None)
-                if release is not None:
-                    release(ctx)
-        if memory is not None:
-            memory.release(GROUP_ENTRY_BYTES * len(table))
-        table = {}
+            writers = _bucket_runs(ctx.spill, "group", 0)
+        _shed_groups(table, writers, 0, ctx)
 
     for tup in source:
         if limits is not None:
@@ -527,14 +546,7 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
         key = tuple([canonical_key(v) for v in key_values])
         state = table.get(key)
         if state is None:
-            if memory is not None:
-                if spill is None:
-                    memory.allocate(GROUP_ENTRY_BYTES)  # raises on overflow
-                elif not memory.try_allocate(GROUP_ENTRY_BYTES):
-                    if table:
-                        flush_to_buckets()
-                    if not memory.try_allocate(GROUP_ENTRY_BYTES):
-                        memory.force_allocate(GROUP_ENTRY_BYTES)
+            charge(ctx, GROUP_ENTRY_BYTES, shed)
             state = (key_values, new_accumulators(), seq)
             table[key] = state
         for accumulator in state[1]:
@@ -545,25 +557,39 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
         # Never spilled: the dict is already in first-seen order.
         return {key: (kv, accs) for key, (kv, accs, _) in table.items()}
 
-    # Spilled: flush the remainder and merge the buckets.
-    if table:
-        flush_to_buckets()
-    handles = [writer.finish() for writer in writers]
+    shed()
     entries: list = []  # (first_seq, key, key_values, accumulators)
-    for handle in handles:
-        _merge_group_bucket(handle, new_accumulators, ctx, op, 1, entries)
-        handle.delete()
+    _merge_buckets(writers, new_accumulators, ctx, op, 1, entries)
     entries.sort(key=lambda entry: entry[0])
-    merged: dict = {}
-    for _, key, key_values, accumulators in entries:
-        merged[key] = (key_values, accumulators)
-    return merged
+    return {key: (kv, accs) for _, key, kv, accs in entries}
+
+
+def _shed_groups(table: dict, writers: list, depth: int, ctx) -> None:
+    """Write every entry of *table* to its salted bucket at *depth* as
+    ``(key, key_values, partials, first_seq)``, release the entries'
+    charges, and empty the table."""
+    fanout = len(writers)
+    for key, (key_values, accumulators, first_seq) in table.items():
+        writers[stable_bucket(key, fanout, salt=depth)].write(
+            (key, key_values, take_partials(accumulators, ctx), first_seq)
+        )
+    ctx.release(GROUP_ENTRY_BYTES * len(table))
+    table.clear()
+
+
+def _merge_buckets(writers, new_accumulators, ctx, op, depth: int, entries):
+    """Finish one split's bucket runs and merge each at *depth*."""
+    for handle in [writer.finish() for writer in writers]:
+        _merge_group_bucket(handle, new_accumulators, ctx, op, depth, entries)
+        handle.delete()
 
 
 def _merge_group_bucket(
     handle, new_accumulators, ctx, op, depth: int, entries: list
 ):
-    """Absorb one bucket's partial records; recurse when it overflows."""
+    """Absorb one bucket's partial records into *entries*; when the
+    bucket overflows, shed its table and the rest of its records to
+    buckets salted by *depth* and merge those one level deeper."""
     limits = ctx.limits
     spill = ctx.spill
     memory = ctx.memory
@@ -571,29 +597,6 @@ def _merge_group_bucket(
     spill.note_recursion(depth)
     table: dict = {}
     writers: list[RunWriter] | None = None
-
-    def split() -> None:
-        nonlocal writers, table
-        spill.note_event()
-        if ctx.profile is not None and op is not None:
-            ctx.profile.add(op, "spill_events", 1)
-            ctx.profile.add(op, "spill_run_files", fanout)
-        writers = [
-            spill.new_run(f"group-d{depth}-b{b}") for b in range(fanout)
-        ]
-        for key, state in table.items():
-            partials = [acc.partial() for acc in state[1]]
-            writers[stable_bucket(key, fanout, salt=depth)].write(
-                (key, state[0], partials, state[2])
-            )
-        for state in table.values():
-            for acc in state[1]:
-                release = getattr(acc, "release_charges", None)
-                if release is not None:
-                    release(ctx)
-        if memory is not None:
-            memory.release(GROUP_ENTRY_BYTES * len(table))
-        table = {}
 
     for record in handle:
         if limits is not None:
@@ -608,7 +611,9 @@ def _merge_group_bucket(
                 GROUP_ENTRY_BYTES
             ):
                 if table and depth < spill.config.max_recursion:
-                    split()
+                    _spill_event(ctx, op, fanout)
+                    writers = _bucket_runs(spill, "group", depth)
+                    _shed_groups(table, writers, depth, ctx)
                     writers[stable_bucket(key, fanout, salt=depth)].write(
                         record
                     )
@@ -623,12 +628,7 @@ def _merge_group_bucket(
             accumulator.absorb(partial)
 
     if writers is not None:
-        sub_handles = [writer.finish() for writer in writers]
-        for sub in sub_handles:
-            _merge_group_bucket(
-                sub, new_accumulators, ctx, op, depth + 1, entries
-            )
-            sub.delete()
+        _merge_buckets(writers, new_accumulators, ctx, op, depth + 1, entries)
         return
 
     # Entries stay charged (GROUP_ENTRY_BYTES each): the merged table is
@@ -636,154 +636,6 @@ def _merge_group_bucket(
     # contract as the never-spilled path.
     for key, (key_values, accumulators, first_seq) in table.items():
         entries.append((first_seq, key, key_values, accumulators))
-
-
-def fold_group_lists(key_exprs, source: Iterable[Tuple], ctx, finalize, op=None):
-    """Group raw tuples and *finalize* each group, bounded-memory.
-
-    The general GROUP-BY path (nested plans other than a plain
-    aggregate) materializes each group's member tuples.  This helper
-    keeps that contract but sheds member lists to salted key-bucket run
-    files when a charge is declined; each group's members are re-read in
-    arrival order, finalized, and the outputs re-emitted in first-seen
-    group order.  All memory charged here is released before returning.
-
-    Returns ``(outputs, group_count)``.
-    """
-    key_evaluators = [ctx.compiled(expr) for expr in key_exprs]
-    limits = ctx.limits
-    spill = ctx.spill
-    memory = ctx.memory
-    table: dict = {}  # key -> [key_values, tuples, first_seq, charged]
-    writers: list[RunWriter] | None = None
-    fanout = spill.config.fanout if spill is not None else 0
-    seq = 0
-
-    def flush_to_buckets() -> None:
-        nonlocal writers, table
-        spill.note_event()
-        if ctx.profile is not None and op is not None:
-            ctx.profile.add(op, "spill_events", 1)
-        if writers is None:
-            writers = [spill.new_run(f"rawgroup-b{b}") for b in range(fanout)]
-            if ctx.profile is not None and op is not None:
-                ctx.profile.add(op, "spill_run_files", fanout)
-        for key, state in table.items():
-            writers[stable_bucket(key, fanout)].write(
-                (key, state[0], state[1], state[2])
-            )
-            if memory is not None and state[3]:
-                memory.release(state[3])
-        table = {}
-
-    for tup in source:
-        if limits is not None:
-            limits.checkpoint()
-        key_values = [evaluate(tup, ctx) for evaluate in key_evaluators]
-        key = tuple([canonical_key(v) for v in key_values])
-        state = table.get(key)
-        if state is None:
-            state = [key_values, [], seq, 0]
-            table[key] = state
-        if memory is not None:
-            n_bytes = sizeof_tuple(tup)
-            if spill is None:
-                memory.allocate(n_bytes)  # raises on overflow
-            elif not memory.try_allocate(n_bytes):
-                flush_to_buckets()
-                state = [key_values, [], seq, 0]
-                table[key] = state
-                if not memory.try_allocate(n_bytes):
-                    memory.force_allocate(n_bytes)
-            state[3] += n_bytes
-        state[1].append(tup)
-        seq += 1
-
-    if writers is None:
-        outputs = [
-            finalize(key_values, tuples)
-            for key_values, tuples, _, _ in table.values()
-        ]
-        count = len(table)
-        if memory is not None:
-            memory.release(sum(state[3] for state in table.values()))
-        return outputs, count
-
-    if table:
-        flush_to_buckets()
-    handles = [writer.finish() for writer in writers]
-    tagged: list = []  # (first_seq, finalized_output)
-    count = 0
-    for handle in handles:
-        count += _merge_raw_bucket(handle, ctx, finalize, op, 1, tagged)
-        handle.delete()
-    tagged.sort(key=lambda entry: entry[0])
-    return [output for _, output in tagged], count
-
-
-def _merge_raw_bucket(handle, ctx, finalize, op, depth: int, tagged: list) -> int:
-    """Re-group one raw-tuple bucket; recurse when it overflows."""
-    limits = ctx.limits
-    spill = ctx.spill
-    memory = ctx.memory
-    fanout = spill.config.fanout
-    spill.note_recursion(depth)
-    table: dict = {}  # key -> [key_values, tuples, first_seq, charged]
-    writers: list[RunWriter] | None = None
-
-    def split() -> None:
-        nonlocal writers, table
-        spill.note_event()
-        if ctx.profile is not None and op is not None:
-            ctx.profile.add(op, "spill_events", 1)
-            ctx.profile.add(op, "spill_run_files", fanout)
-        writers = [
-            spill.new_run(f"rawgroup-d{depth}-b{b}") for b in range(fanout)
-        ]
-        for key, state in table.items():
-            writers[stable_bucket(key, fanout, salt=depth)].write(
-                (key, state[0], state[1], state[2])
-            )
-            if memory is not None and state[3]:
-                memory.release(state[3])
-        table = {}
-
-    for record in handle:
-        if limits is not None:
-            limits.checkpoint()
-        key, key_values, tuples, first_seq = record
-        if writers is not None:
-            writers[stable_bucket(key, fanout, salt=depth)].write(record)
-            continue
-        n_bytes = sum(sizeof_tuple(t) for t in tuples)
-        if memory is not None and not memory.try_allocate(n_bytes):
-            if table and depth < spill.config.max_recursion:
-                split()
-                writers[stable_bucket(key, fanout, salt=depth)].write(record)
-                continue
-            memory.force_allocate(n_bytes)
-        state = table.get(key)
-        if state is None:
-            table[key] = [key_values, list(tuples), first_seq, n_bytes]
-        else:
-            state[1].extend(tuples)
-            if first_seq < state[2]:
-                state[2] = first_seq
-            state[3] += n_bytes
-
-    if writers is not None:
-        sub_handles = [writer.finish() for writer in writers]
-        count = 0
-        for sub in sub_handles:
-            count += _merge_raw_bucket(sub, ctx, finalize, op, depth + 1, tagged)
-            sub.delete()
-        return count
-
-    for key_values, tuples, first_seq, charged in table.values():
-        tagged.append((first_seq, finalize(key_values, tuples)))
-        if memory is not None and charged:
-            memory.release(charged)
-    return len(table)
 
 
 # ---------------------------------------------------------------------------
@@ -803,124 +655,105 @@ def grace_join_overflow(
     """Finish a hash join whose build side overflowed memory.
 
     Called by :func:`~repro.hyracks.operators.hash_join` with the
-    partially-built table, the not-yet-consumed remainder of the build
-    stream and the untouched probe stream, both of ``(key, tuple)``
-    pairs (nothing is keyed again here), and the residual hash_join
-    already compiled for this run (one condition, or None).  Both sides
-    are partitioned into key-bucket run files; each bucket joins locally
-    (recursing with a salted hash when a bucket itself overflows).
-    Probe tuples carry their arrival sequence number and the joined
-    output is re-emitted in probe order, so the result is byte-identical
-    to the in-memory join.
+    partially-built table (its charged bytes), the not-yet-consumed
+    remainder of the build stream and the untouched probe stream, both
+    of ``(key, tuple)`` pairs (nothing is keyed again here), and the
+    residual hash_join already compiled for this run (one condition, or
+    None).  This is depth 0 of :func:`_split_join`.  Probe tuples carry
+    their arrival sequence number and the joined output is re-emitted in
+    probe order, so the result is byte-identical to the in-memory join.
     """
-    limits = ctx.limits
-    spill = ctx.spill
-    memory = ctx.memory
-    fanout = spill.config.fanout
-    spill.note_event()
-    if ctx.profile is not None and op is not None:
-        ctx.profile.add(op, "spill_events", 1)
-        ctx.profile.add(op, "spill_run_files", 2 * fanout)
-
-    build_writers = [spill.new_run(f"join-build-b{b}") for b in range(fanout)]
-    for key, rows in build_table.items():
-        bucket = stable_bucket(key, fanout)
-        for tup in rows:
-            build_writers[bucket].write((key, tup))
-    if memory is not None and build_charged:
-        memory.release(build_charged)
-    build_table.clear()
-    for key, tup in build_rest:
-        if limits is not None:
-            limits.checkpoint()
-        if key is None:
-            continue
-        build_writers[stable_bucket(key, fanout)].write((key, tup))
-    build_handles = [writer.finish() for writer in build_writers]
-
-    probe_writers = [spill.new_run(f"join-probe-b{b}") for b in range(fanout)]
-    seq = 0
-    for key, tup in probe_stream:
-        if limits is not None:
-            limits.checkpoint()
-        if key is None:
-            seq += 1
-            continue
-        probe_writers[stable_bucket(key, fanout)].write((seq, key, tup))
-        seq += 1
-    probe_handles = [writer.finish() for writer in probe_writers]
-
     out: list = []  # (probe_seq, joined_tuple)
-    for build_handle, probe_handle in zip(build_handles, probe_handles):
-        _join_bucket(build_handle, probe_handle, residual, ctx, op, 1, out)
-        build_handle.delete()
-        probe_handle.delete()
+    probe = (
+        (seq, key, tup) for seq, (key, tup) in enumerate(probe_stream)
+    )
+    _split_join(
+        build_table, build_charged, (), build_rest, probe, 0,
+        residual, ctx, op, out,
+    )
     out.sort(key=lambda pair: pair[0])
     for _, joined in out:
         yield joined
 
 
-def _join_bucket(build_handle, probe_handle, residual, ctx, op, depth, out):
-    """Join one bucket pair; recurse with a salted hash on overflow."""
+def _split_join(
+    table, charged, extra, rest, probe, depth, residual, ctx, op, out
+):
+    """Partition an overflowing build side and its probe side into
+    buckets salted by *depth*, then join each pair one level deeper.
+
+    The build buckets get *table*'s rows (releasing their *charged*
+    bytes), then the *extra* ``(key, tuple)`` pairs, then the *rest* of
+    the build stream with one limit checkpoint per pair; *probe* yields
+    ``(seq, key, tuple)`` triples, one checkpoint each.  A None key can
+    never join, so such pairs and triples are dropped.
+    """
     limits = ctx.limits
     spill = ctx.spill
-    memory = ctx.memory
     fanout = spill.config.fanout
-    spill.note_recursion(depth)
-    table: dict = {}
-    charged = 0
-    writers: list[RunWriter] | None = None
+    _spill_event(ctx, op, 2 * fanout)
 
-    for key, tup in build_handle:
+    build_writers = _bucket_runs(spill, "join-build", depth)
+    for key, rows in table.items():
+        bucket = build_writers[stable_bucket(key, fanout, salt=depth)]
+        for tup in rows:
+            bucket.write((key, tup))
+    ctx.release(charged)
+    table.clear()
+    for key, tup in extra:
+        build_writers[stable_bucket(key, fanout, salt=depth)].write((key, tup))
+    for key, tup in rest:
         if limits is not None:
             limits.checkpoint()
-        if writers is not None:
-            writers[stable_bucket(key, fanout, salt=depth)].write((key, tup))
-            continue
-        n_bytes = sizeof_tuple(tup)
-        if memory is not None and not memory.try_allocate(n_bytes):
-            if table and depth < spill.config.max_recursion:
-                spill.note_event()
-                if ctx.profile is not None and op is not None:
-                    ctx.profile.add(op, "spill_events", 1)
-                    ctx.profile.add(op, "spill_run_files", 2 * fanout)
-                writers = [
-                    spill.new_run(f"join-build-d{depth}-b{b}")
-                    for b in range(fanout)
-                ]
-                for flush_key, rows in table.items():
-                    bucket = stable_bucket(flush_key, fanout, salt=depth)
-                    for row in rows:
-                        writers[bucket].write((flush_key, row))
-                if memory is not None and charged:
-                    memory.release(charged)
-                    charged = 0
-                table = {}
-                writers[stable_bucket(key, fanout, salt=depth)].write(
-                    (key, tup)
-                )
-                continue
-            memory.force_allocate(n_bytes)
-        charged += n_bytes
-        table.setdefault(key, []).append(tup)
+        if key is not None:
+            build_writers[stable_bucket(key, fanout, salt=depth)].write(
+                (key, tup)
+            )
+    build_handles = [writer.finish() for writer in build_writers]
 
-    if writers is not None:
-        sub_build = [writer.finish() for writer in writers]
-        probe_writers = [
-            spill.new_run(f"join-probe-d{depth}-b{b}") for b in range(fanout)
-        ]
-        for seq, key, tup in probe_handle:
-            if limits is not None:
-                limits.checkpoint()
+    probe_writers = _bucket_runs(spill, "join-probe", depth)
+    for seq, key, tup in probe:
+        if limits is not None:
+            limits.checkpoint()
+        if key is not None:
             probe_writers[stable_bucket(key, fanout, salt=depth)].write(
                 (seq, key, tup)
             )
-        sub_probe = [writer.finish() for writer in probe_writers]
-        for build_sub, probe_sub in zip(sub_build, sub_probe):
-            _join_bucket(build_sub, probe_sub, residual, ctx, op, depth + 1, out)
-            build_sub.delete()
-            probe_sub.delete()
-        return
+    probe_handles = [writer.finish() for writer in probe_writers]
+
+    for build_handle, probe_handle in zip(build_handles, probe_handles):
+        _join_bucket(
+            build_handle, probe_handle, residual, ctx, op, depth + 1, out
+        )
+        build_handle.delete()
+        probe_handle.delete()
+
+
+def _join_bucket(build_handle, probe_handle, residual, ctx, op, depth, out):
+    """Join one bucket pair; split it at *depth* when its build side
+    overflows."""
+    limits = ctx.limits
+    spill = ctx.spill
+    memory = ctx.memory
+    spill.note_recursion(depth)
+    table: dict = {}
+    charged = 0
+
+    build = iter(build_handle)
+    for key, tup in build:
+        if limits is not None:
+            limits.checkpoint()
+        n_bytes = sizeof_tuple(tup)
+        if memory is not None and not memory.try_allocate(n_bytes):
+            if table and depth < spill.config.max_recursion:
+                _split_join(
+                    table, charged, [(key, tup)], build, probe_handle,
+                    depth, residual, ctx, op, out,
+                )
+                return
+            memory.force_allocate(n_bytes)
+        charged += n_bytes
+        table.setdefault(key, []).append(tup)
 
     for seq, key, tup in probe_handle:
         if limits is not None:
@@ -929,8 +762,7 @@ def _join_bucket(build_handle, probe_handle, residual, ctx, op, depth, out):
             joined = merge_tuples(tup, match)
             if residual is None or residual(joined, ctx):
                 out.append((seq, joined))
-    if memory is not None and charged:
-        memory.release(charged)
+    ctx.release(charged)
 
 
 # ---------------------------------------------------------------------------
@@ -987,8 +819,6 @@ def external_sort(specs, source: Iterable[Tuple], ctx, op=None) -> Iterator[Tupl
     """
     keys = [(ctx.compiled(expr), descending) for expr, descending in specs]
     limits = ctx.limits
-    spill = ctx.spill
-    memory = ctx.memory
     runs: list[RunHandle] = []
     buffer: list = []  # (composite_key, tuple)
     charged = 0
@@ -996,19 +826,17 @@ def external_sort(specs, source: Iterable[Tuple], ctx, op=None) -> Iterator[Tupl
 
     def flush_run() -> None:
         nonlocal buffer, charged
-        spill.note_event()
-        if ctx.profile is not None and op is not None:
-            ctx.profile.add(op, "spill_events", 1)
-            ctx.profile.add(op, "spill_run_files", 1)
+        if not buffer:
+            return
+        _spill_event(ctx, op, 1)
         buffer.sort(key=lambda pair: pair[0])
-        writer = spill.new_run("sort")
+        writer = ctx.spill.new_run("sort")
         for pair in buffer:
             writer.write(pair)
         runs.append(writer.finish())
         buffer = []
-        if memory is not None and charged:
-            memory.release(charged)
-            charged = 0
+        ctx.release(charged)
+        charged = 0
 
     try:
         for tup in source:
@@ -1017,14 +845,7 @@ def external_sort(specs, source: Iterable[Tuple], ctx, op=None) -> Iterator[Tupl
             key = sort_key_for(keys, tup, ctx, seq)
             seq += 1
             n_bytes = sizeof_tuple(tup)
-            if memory is not None:
-                if spill is None:
-                    memory.allocate(n_bytes)  # raises on overflow
-                elif not memory.try_allocate(n_bytes):
-                    if buffer:
-                        flush_run()
-                    if not memory.try_allocate(n_bytes):
-                        memory.force_allocate(n_bytes)
+            charge(ctx, n_bytes, flush_run)
             charged += n_bytes
             buffer.append((key, tup))
 
@@ -1039,7 +860,7 @@ def external_sort(specs, source: Iterable[Tuple], ctx, op=None) -> Iterator[Tupl
                 limits.checkpoint()
             yield tup
     finally:
-        if memory is not None and charged:
-            memory.release(charged)
+        if charged:
+            ctx.release(charged)
         for run in runs:
             run.delete()

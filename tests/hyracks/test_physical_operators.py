@@ -211,18 +211,23 @@ class TestSubplanAndGroupBy:
         assert out == [{"k": ["a"], "n": [2]}, {"k": ["b"], "n": [1]}]
 
     def test_group_by_general_nested_plan(self):
-        # A nested plan with an UNNEST forces the materializing path.
+        # A GROUP-BY's nested plan is always AGGREGATE directly over
+        # NESTED-TUPLE-SOURCE; any other shape is refused when the plan
+        # is built, so no runtime path materializes group member lists.
         nested = Aggregate(
             Unnest(NestedTupleSource(), "j", IterateExpr(VariableRef("v"))),
             [AggregateSpec("n", "count", VariableRef("j"))],
         )
-        op = GroupBy(EmptyTupleSource(), [("k", VariableRef("k"))], nested)
-        source = [
-            {"k": ["a"], "v": [1, 2]},
-            {"k": ["a"], "v": [3]},
-        ]
-        (out,) = run_operator(op, source, ctx_with())
-        assert out["n"] == [3]
+        with pytest.raises(PlanError, match="NESTED-TUPLE-SOURCE"):
+            GroupBy(EmptyTupleSource(), [("k", VariableRef("k"))], nested)
+        flat = Aggregate(
+            NestedTupleSource(), [AggregateSpec("n", "count", VariableRef("k"))]
+        )
+        with pytest.raises(PlanError, match="NESTED-TUPLE-SOURCE"):
+            GroupBy(EmptyTupleSource(), [("k", VariableRef("k"))], nested.input_op)
+        group = GroupBy(EmptyTupleSource(), [("k", VariableRef("k"))], flat)
+        with pytest.raises(PlanError, match="NESTED-TUPLE-SOURCE"):
+            group.with_nested_root(nested)
 
     def test_group_key_distinguishes_types(self):
         nested = Aggregate(

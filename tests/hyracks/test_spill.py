@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.errors import MemoryBudgetExceededError
+from repro.errors import MemoryBudgetExceededError, SpillError
 from repro.algebra.context import EvaluationContext
 from repro.algebra.expressions import VariableRef
 from repro.algebra.rules import RewriteConfig
@@ -51,10 +51,19 @@ GROUP_QUERY = (
     'for $r in collection("/s")("root")()("results")() '
     'group by $d := $r("date") return count($r("station"))'
 )
+# Reads like a general nested plan, but it compiles to a GROUP-BY whose
+# AGGREGATE collects a ``sequence`` and a SUBPLAN above it that sums that
+# sequence: the incremental fold, like every GROUP-BY.
 GROUP_GENERAL_QUERY = (
     'for $r in collection("/s")("root")()("results")() '
     'group by $d := $r("date") '
     'return sum(for $i in $r return $i("value")) + count($r)'
+)
+# A ``sequence`` aggregate: each group's items live in a SpilledSequence
+# that sheds to its own run files while the group table spills.
+GROUP_SEQUENCE_QUERY = (
+    'for $r in collection("/s")("root")()("results")() '
+    'group by $d := $r("date") return [$r("value")]'
 )
 SORT_QUERY = (
     'for $r in collection("/s")("root")()("results")() '
@@ -127,6 +136,30 @@ class TestRunFiles:
         assert handle.records == len(records)
         assert handle.byte_size > 0
         manager.close()
+
+    @pytest.mark.parametrize("cut", ["batch-boundary", "inside-batch", "10-bytes"])
+    def test_short_run_fails_loudly(self, spill_root, cut):
+        config = SpillConfig(directory=spill_root, frame_bytes=256)
+        with SpillManager(config) as manager:
+            writer = manager.new_run("short")
+            for i in range(200):
+                writer.write(("key", i))
+            handle = writer.finish()
+            with open(handle.path, "rb") as stream:
+                boundaries = []
+                while stream.tell() < handle.byte_size:
+                    pickle.load(stream)
+                    boundaries.append(stream.tell())
+            assert len(boundaries) > 2, "the run must span several batches"
+            middle = boundaries[len(boundaries) // 2 - 1]
+            size = {
+                "batch-boundary": middle,
+                "inside-batch": middle + 5,
+                "10-bytes": 10,
+            }[cut]
+            os.truncate(handle.path, size)
+            with pytest.raises(SpillError, match="of 200 records"):
+                list(handle)
 
     def test_deterministic_run_names(self, spill_root):
         manager = SpillManager(SpillConfig(directory=spill_root), partition=3)
@@ -209,8 +242,20 @@ class TestQueryLevelByteIdentity:
 
     @pytest.mark.parametrize(
         "query",
-        [GROUP_QUERY, GROUP_GENERAL_QUERY, SORT_QUERY, JOIN_QUERY],
-        ids=["group-incremental", "group-general", "order-by", "join"],
+        [
+            GROUP_QUERY,
+            GROUP_GENERAL_QUERY,
+            GROUP_SEQUENCE_QUERY,
+            SORT_QUERY,
+            JOIN_QUERY,
+        ],
+        ids=[
+            "group-incremental",
+            "group-general",
+            "group-sequence",
+            "order-by",
+            "join",
+        ],
     )
     def test_spilled_equals_unlimited(self, spill_root, query):
         source = make_source()
@@ -222,6 +267,29 @@ class TestQueryLevelByteIdentity:
         assert spilled.stats.spill_events > 0
         assert spilled.stats.spill_run_files > 0
         assert spilled.stats.spill_bytes > 0
+
+    @pytest.mark.parametrize("max_recursion", [2, 6])
+    @pytest.mark.parametrize("budget", [256, 512])
+    @pytest.mark.parametrize(
+        "query",
+        [GROUP_QUERY, GROUP_SEQUENCE_QUERY, JOIN_QUERY],
+        ids=["group", "group-sequence", "join"],
+    )
+    def test_recursion_reaches_its_bound(
+        self, spill_root, query, budget, max_recursion
+    ):
+        # With two buckets per split, a budget this small keeps every
+        # bucket overflowing until the recursion bound stops the split.
+        source = make_source()
+        unlimited = run(source, query)
+        config = SpillConfig(
+            directory=spill_root, fanout=2, max_recursion=max_recursion
+        )
+        spilled = run(
+            source, query, spill_root=config, memory_budget_bytes=budget
+        )
+        assert spilled.items == unlimited.items
+        assert spilled.stats.spill_recursion_depth == max_recursion
 
     def test_spill_disabled_keeps_raising(self, spill_root):
         from repro.errors import PartitionExecutionError

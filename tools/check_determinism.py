@@ -13,7 +13,8 @@ frames.  Every scenario is then replayed on the ``process`` backend at
 the backend cuts the units into runs must never show.  The join
 scenario (rows with a missing key, a null key and one hot key on one
 side) is replayed once more under a memory budget that sends its
-buckets down the grace path.  Exits non-zero on any mismatch.
+buckets down the grace path, with its spill events, run files and
+recursion depth in the payload.  Exits non-zero on any mismatch.
 
 ``--chaos`` switches to the worker-crash battery: seeded kill/stall
 schedules replayed twice with ``max_workers=1`` (serialized pool
@@ -226,7 +227,12 @@ def describe(result, budget: int | None, chaos: bool) -> str:
     if budget is not None:
         if not result.stats.spill_events:
             raise SystemExit(f"a budget of {budget} bytes spilled nothing")
+        # spill_bytes stays out: the pickled size of the same runs
+        # differs between backends (bench_spill's Q2 writes more bytes
+        # on process than on sequential), so only the counts are diffed.
         payload["spill_events"] = result.stats.spill_events
+        payload["spill_run_files"] = result.stats.spill_run_files
+        payload["spill_recursion_depth"] = result.stats.spill_recursion_depth
     if chaos:
         # Speculation and pool-rebuild counters are timing-dependent;
         # only the serialized-execution-deterministic counters go in.
