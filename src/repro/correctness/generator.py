@@ -303,6 +303,49 @@ def _template_group_count(rng, wrapped):
     return f"group-count-{wanted}", query, oracle
 
 
+def _template_group_agg(rng, wrapped):
+    """``count`` / ``sum`` / ``avg`` / ``min`` / ``max`` pushed into a
+    GROUP-BY on ``station``: a missing station is a group of its own and
+    a null one another; a null ``value`` (a record whose duplicate
+    ``dataType`` turned it into a TMIN or TMAX) is counted, and is a
+    type error for the other four."""
+    wanted = rng.choice(["TMIN", "TMAX"])
+    function = rng.choice(["count", "sum", "avg", "min", "max"])
+    query = (
+        f'for $m in collection("{COLLECTION}"){_scan_path(wrapped)} '
+        f'where $m("dataType") eq "{wanted}" '
+        'group by $s := $m("station") '
+        f'return {function}($m("value"))'
+    )
+
+    def oracle(documents):
+        from repro.errors import ItemTypeError
+
+        groups: dict = {}
+        for m in _measurements(documents):
+            if m.get("dataType", _ABSENT) != wanted:
+                continue
+            values = groups.setdefault(m.get("station", _ABSENT), [])
+            if "value" in m:
+                values.append(m["value"])
+        if function == "count":
+            return [len(values) for values in groups.values()]
+        for values in groups.values():
+            for value in values:
+                if value is None:
+                    raise ItemTypeError(f"{function}() expects a number, got null")
+        out = []
+        for values in groups.values():
+            if function == "sum":
+                out.append(sum(values))
+            elif values:
+                pick = {"avg": lambda v: sum(v) / len(v), "min": min, "max": max}
+                out.append(pick[function](values))
+        return out
+
+    return f"group-agg-{function}-{wanted}", query, oracle
+
+
 def _template_join(rng, wrapped):
     left_type, right_type = rng.sample(_DATA_TYPES, 2)
     query = (
@@ -422,7 +465,7 @@ _TEMPLATES = [
     _template_predicate_eq,
     _template_predicate_gt,
     _template_let_month,
-    _template_group_count,
+    (_template_group_count, _template_group_agg),
     (_template_join, _template_join_pair),
     _template_join_seq,
 ]

@@ -1,16 +1,24 @@
 """Aggregate accumulators with partial/combine decomposition.
 
-Each accumulator folds a tuple stream for one
-:class:`~repro.algebra.operators.AggregateSpec`.  The partial/combine
-split implements Algebricks' **two-step aggregation** (Section 4.3):
-every partition folds its local tuples into a partial state, and a
-central step combines partials into the final value — so ``count``,
-``sum``, ``avg``, ``min`` and ``max`` parallelize without shipping raw
-tuples.
+Each accumulator class defines one aggregate of an
+:class:`~repro.algebra.operators.AggregateSpec` as functions of a
+*state*: :meth:`~Accumulator.start` one, :meth:`~Accumulator.fold` a
+tuple's argument items into it, :meth:`~Accumulator.take` it as a
+picklable partial, :meth:`~Accumulator.merge` two partials and take the
+:meth:`~Accumulator.value` of one.  The partial/combine split implements
+Algebricks' **two-step aggregation** (Section 4.3): every partition
+folds its local tuples into a partial state, and a central step combines
+partials into the final value — so ``count``, ``sum``, ``avg``, ``min``
+and ``max`` parallelize without shipping raw tuples.
+
+An accumulator *object* is one state: what an ungrouped AGGREGATE folds
+a stream into.  A GROUP-BY keeps a list of states per group and calls
+the class functions on it, so a group costs no object per aggregate;
+for every aggregate but ``sequence`` the state is its own partial.
 
 ``sequence`` is the materializing aggregate (it collects every item);
-its accumulator charges the memory tracker, which is how the naive
-group-by plans show their memory cost.
+its state charges the memory tracker, which is how the naive group-by
+plans show their memory cost.
 
 ``sum``/``avg``/``min``/``max`` check every folded value exactly like
 their scalar builtins in :mod:`repro.jsoniq.functions` (same error
@@ -21,7 +29,8 @@ accumulator.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import operator
+from typing import Iterable
 
 from repro.errors import PlanError
 from repro.algebra.context import EvaluationContext
@@ -33,206 +42,239 @@ from repro.jsonlib.items import sizeof_item
 
 
 class Accumulator:
-    """Base class: fold tuples, expose a partial, finish to a sequence.
+    """An aggregate over one state.
 
-    *argument* is the compiled closure of ``spec.argument``; an
-    accumulator never evaluates through the spec's expression node.
+    Subclasses define the aggregate with the static functions below;
+    the instance methods apply them to ``self.state``.  *argument* is
+    the compiled closure of ``spec.argument``: an accumulator never
+    evaluates through the spec's expression node.
     """
 
-    __slots__ = ("spec", "argument")
+    __slots__ = ("spec", "argument", "state")
 
     def __init__(self, spec: AggregateSpec, argument: Evaluator):
         self.spec = spec
         self.argument = argument
+        self.state = self.start()
+
+    # -- the aggregate ------------------------------------------------------------
+
+    @staticmethod
+    def start() -> object:
+        """A fresh state."""
+        raise NotImplementedError
+
+    @staticmethod
+    def fold(state: object, values: list, ctx: EvaluationContext) -> object:
+        """*state* with one tuple's argument items folded in."""
+        raise NotImplementedError
+
+    @staticmethod
+    def take(state: object, ctx: EvaluationContext) -> object:
+        """*state* as a picklable partial, releasing what it holds."""
+        return state
+
+    @staticmethod
+    def merge(left: object, right: object) -> object:
+        """Two partials as one."""
+        raise NotImplementedError
+
+    @staticmethod
+    def value(partial: object) -> list:
+        """The final value of a partial, as a sequence."""
+        raise NotImplementedError
+
+    # -- one state ----------------------------------------------------------------
 
     def add(self, tup: Tuple, ctx: EvaluationContext) -> None:
         """Fold one input tuple."""
-        raise NotImplementedError
+        self.state = self.fold(self.state, self.argument(tup, ctx), ctx)
 
     def partial(self) -> object:
         """Partition-local partial state (cheap to ship)."""
-        raise NotImplementedError
+        return self.state
 
     def absorb(self, partial: object) -> None:
         """Combine another accumulator's partial into this one."""
-        raise NotImplementedError
+        self.state = self.merge(self.partial(), partial)
 
     def finish(self, ctx: EvaluationContext) -> list:
         """The aggregate's final value as a sequence."""
-        raise NotImplementedError
+        return self.value(self.take(self.state, ctx))
+
+
+class _Items:
+    """A ``sequence`` state: the items, what they charged, and the
+    :class:`~repro.hyracks.spill.SpilledSequence` holding them instead
+    when the context can spill."""
+
+    __slots__ = ("items", "charged_bytes", "store")
+
+    def __init__(self):
+        self.items: list = []
+        self.charged_bytes = 0
+        self.store = None
+
+    def as_list(self) -> list:
+        return self.items if self.store is None else list(self.store)
 
 
 class SequenceAccumulator(Accumulator):
     """``sequence(...)`` — concatenates every argument item.
 
     The materializing aggregate.  Without a spill manager on the context
-    it charges the tracker (raising on budget overflow, the behaviour
-    the naive plans rely on); with one, the items live in a
+    its state charges the tracker (raising on budget overflow, the
+    behaviour the naive plans rely on); with one, the items live in a
     :class:`~repro.hyracks.spill.SpilledSequence` that overflows to run
-    files instead.
+    files instead.  Its partial is the item list.
     """
 
-    __slots__ = ("items", "charged_bytes", "_store")
+    __slots__ = ()
 
-    def __init__(self, spec: AggregateSpec, argument: Evaluator):
-        super().__init__(spec, argument)
-        self.items: list = []
-        self.charged_bytes = 0
-        self._store = None
+    start = _Items
 
-    def add(self, tup, ctx):
-        values = self.argument(tup, ctx)
+    @staticmethod
+    def fold(state, values, ctx):
         if (
-            self._store is None
+            state.store is None
             and ctx.spill is not None
             and ctx.memory is not None
-            and not self.items
+            and not state.items
         ):
             from repro.hyracks.spill import SpilledSequence
 
-            self._store = SpilledSequence(ctx, label="sequence")
-        if self._store is not None:
+            state.store = SpilledSequence(ctx, label="sequence")
+        if state.store is not None:
             for value in values:
-                self._store.append(value, sizeof_item(value))
-            return
-        self.items.extend(values)
+                state.store.append(value, sizeof_item(value))
+            return state
+        state.items.extend(values)
         if ctx.memory is not None:
             n_bytes = sum(sizeof_item(v) for v in values)
-            self.charged_bytes += n_bytes
+            state.charged_bytes += n_bytes
             ctx.charge(n_bytes)
+        return state
+
+    @staticmethod
+    def take(state, ctx):
+        if type(state) is not _Items:  # already a partial
+            return state
+        items = state.as_list()
+        if state.store is not None:
+            state.store.close()
+            state.store = None
+        elif state.charged_bytes:
+            ctx.release(state.charged_bytes)
+            state.charged_bytes = 0
+        return items
+
+    @staticmethod
+    def merge(left, right):
+        return left + right
+
+    @staticmethod
+    def value(partial):
+        return partial
 
     def partial(self):
-        if self._store is not None:
-            return list(self._store)
-        return self.items
+        return self.state.as_list()
 
     def absorb(self, partial):
-        self.items.extend(partial)
-
-    def release_charges(self, ctx) -> None:
-        """Drop this accumulator's memory charge (its partial was spilled)."""
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-            return
-        if self.charged_bytes:
-            ctx.release(self.charged_bytes)
-            self.charged_bytes = 0
-
-    def finish(self, ctx):
-        if self._store is not None:
-            self.items = list(self._store)
-            self._store.close()
-            self._store = None
-            return self.items
-        if self.charged_bytes:
-            ctx.release(self.charged_bytes)
-            self.charged_bytes = 0
-        return self.items
+        self.state.items.extend(partial)
 
 
 class CountAccumulator(Accumulator):
     """``count(...)`` — number of argument items across all tuples."""
 
-    __slots__ = ("n",)
+    __slots__ = ()
 
-    def __init__(self, spec: AggregateSpec, argument: Evaluator):
-        super().__init__(spec, argument)
-        self.n = 0
+    @staticmethod
+    def start():
+        return 0
 
-    def add(self, tup, ctx):
-        self.n += len(self.argument(tup, ctx))
+    @staticmethod
+    def fold(state, values, ctx):
+        return state + len(values)
 
-    def partial(self):
-        return self.n
+    merge = staticmethod(operator.add)
 
-    def absorb(self, partial):
-        self.n += partial
-
-    def finish(self, ctx):
-        return [self.n]
+    @staticmethod
+    def value(partial):
+        return [partial]
 
 
-class SumAccumulator(Accumulator):
+class SumAccumulator(CountAccumulator):
     """``sum(...)`` — numeric sum (0 when no items were seen)."""
 
-    __slots__ = ("total",)
+    __slots__ = ()
 
-    def __init__(self, spec: AggregateSpec, argument: Evaluator):
-        super().__init__(spec, argument)
-        self.total: int | float = 0
-
-    def add(self, tup, ctx):
-        for value in as_numbers(self.argument(tup, ctx), "sum"):
-            self.total += value
-
-    def partial(self):
-        return self.total
-
-    def absorb(self, partial):
-        self.total += partial
-
-    def finish(self, ctx):
-        return [self.total]
+    @staticmethod
+    def fold(state, values, ctx):
+        for value in as_numbers(values, "sum"):
+            state += value
+        return state
 
 
 class AvgAccumulator(Accumulator):
     """``avg(...)`` — decomposes into a (sum, count) partial."""
 
-    __slots__ = ("total", "n")
+    __slots__ = ()
 
-    def __init__(self, spec: AggregateSpec, argument: Evaluator):
-        super().__init__(spec, argument)
-        self.total: int | float = 0
-        self.n = 0
+    @staticmethod
+    def start():
+        return (0, 0)
 
-    def add(self, tup, ctx):
-        for value in as_numbers(self.argument(tup, ctx), "avg"):
-            self.total += value
-            self.n += 1
+    @staticmethod
+    def fold(state, values, ctx):
+        total, n = state
+        for value in as_numbers(values, "avg"):
+            total += value
+            n += 1
+        return (total, n)
 
-    def partial(self):
-        return (self.total, self.n)
+    @staticmethod
+    def merge(left, right):
+        return (left[0] + right[0], left[1] + right[1])
 
-    def absorb(self, partial):
+    @staticmethod
+    def value(partial):
         total, n = partial
-        self.total += total
-        self.n += n
-
-    def finish(self, ctx):
-        if self.n == 0:
-            return []
-        return [self.total / self.n]
+        return [] if n == 0 else [total / n]
 
 
-class MinMaxAccumulator(Accumulator):
-    """``min(...)`` / ``max(...)``."""
+class MinAccumulator(Accumulator):
+    """``min(...)``; :class:`MaxAccumulator` is the same with ``max``."""
 
-    __slots__ = ("best", "pick")
+    __slots__ = ()
 
-    def __init__(self, spec: AggregateSpec, argument: Evaluator):
-        super().__init__(spec, argument)
-        self.best = None
-        self.pick = min if spec.function == "min" else max
+    function, pick = "min", staticmethod(min)
 
-    def add(self, tup, ctx):
-        pick = self.pick
-        for value in as_numbers(self.argument(tup, ctx), self.spec.function):
-            self.best = value if self.best is None else pick(self.best, value)
+    @staticmethod
+    def start():
+        return None
 
-    def partial(self):
-        return self.best
+    @classmethod
+    def fold(cls, state, values, ctx):
+        pick = cls.pick
+        for value in as_numbers(values, cls.function):
+            state = value if state is None else pick(state, value)
+        return state
 
-    def absorb(self, partial):
-        if partial is None:
-            return
-        if self.best is None:
-            self.best = partial
-        else:
-            self.best = self.pick(self.best, partial)
+    @classmethod
+    def merge(cls, left, right):
+        if left is None:
+            return right
+        return left if right is None else cls.pick(left, right)
 
-    def finish(self, ctx):
-        return [] if self.best is None else [self.best]
+    @staticmethod
+    def value(partial):
+        return [] if partial is None else [partial]
+
+
+class MaxAccumulator(MinAccumulator):
+    __slots__ = ()
+
+    function, pick = "max", staticmethod(max)
 
 
 _ACCUMULATORS = {
@@ -240,33 +282,26 @@ _ACCUMULATORS = {
     "count": CountAccumulator,
     "sum": SumAccumulator,
     "avg": AvgAccumulator,
-    "min": MinMaxAccumulator,
-    "max": MinMaxAccumulator,
+    "min": MinAccumulator,
+    "max": MaxAccumulator,
 }
 
 
-def accumulator_factory(
-    specs: Iterable[AggregateSpec], ctx: EvaluationContext
-) -> Callable[[], list[Accumulator]]:
-    """``new() -> [accumulator per spec, in order]``.
-
-    Each spec's accumulator class and compiled argument are resolved
-    here, once per operator run; a GROUP-BY then calls ``new()`` per
-    group without re-deriving either.
-    """
-    parts = []
-    for spec in specs:
-        try:
-            accumulator_class = _ACCUMULATORS[spec.function]
-        except KeyError:
-            raise PlanError(f"no accumulator for {spec.function!r}") from None
-        parts.append((accumulator_class, spec, ctx.compiled(spec.argument)))
-    return lambda: [cls(spec, argument) for cls, spec, argument in parts]
+def accumulator_classes(specs: Iterable[AggregateSpec]) -> list[type]:
+    """The accumulator class of each spec, in order."""
+    try:
+        return [_ACCUMULATORS[spec.function] for spec in specs]
+    except KeyError as error:
+        raise PlanError(f"no accumulator for {error.args[0]!r}") from None
 
 
 def make_accumulators(specs, ctx: EvaluationContext) -> list[Accumulator]:
-    """One accumulator list for *specs* (an ungrouped aggregate)."""
-    return accumulator_factory(specs, ctx)()
+    """One accumulator per spec, in order (an ungrouped aggregate)."""
+    specs = list(specs)
+    return [
+        cls(spec, ctx.compiled(spec.argument))
+        for cls, spec in zip(accumulator_classes(specs), specs)
+    ]
 
 
 def fold_stream(specs, stream: Iterable[Tuple], ctx) -> list[Accumulator]:
@@ -285,9 +320,55 @@ def take_partials(accumulators: list[Accumulator], ctx) -> list:
     """The accumulators' picklable partial states, with their memory
     charges (and spilled run files) released: the partials leave the
     partition, so nothing stays charged on their behalf."""
-    partials = [acc.partial() for acc in accumulators]
-    for acc in accumulators:
-        release = getattr(acc, "release_charges", None)
-        if release is not None:
-            release(ctx)
-    return partials
+    return [acc.take(acc.state, ctx) for acc in accumulators]
+
+
+class GroupStates:
+    """The aggregates of a GROUP-BY over a list of states per group.
+
+    Resolved once per operator run: the class and compiled argument of
+    each spec, and which states hold something to release.
+    """
+
+    __slots__ = ("classes", "arguments", "variables", "new", "_held")
+
+    def __init__(self, specs: Iterable[AggregateSpec], ctx: EvaluationContext):
+        specs = list(specs)
+        self.classes = accumulator_classes(specs)
+        self.arguments = [ctx.compiled(spec.argument) for spec in specs]
+        self.variables = [spec.variable for spec in specs]
+        self._held = [
+            (i, cls) for i, cls in enumerate(self.classes)
+            if cls.take is not Accumulator.take
+        ]
+        #: ``new() -> [fresh state per spec]``; only a held state is an
+        #: object of its own, the others start as a shared constant
+        starts = [cls.start for cls in self.classes]
+        if self._held:
+            self.new = lambda: [start() for start in starts]
+        else:
+            self.new = [start() for start in starts].copy
+
+    def add(self, states: list, tup: Tuple, ctx: EvaluationContext) -> None:
+        """Fold one input tuple into *states*, spec by spec."""
+        for i, cls in enumerate(self.classes):
+            states[i] = cls.fold(states[i], self.arguments[i](tup, ctx), ctx)
+
+    def take(self, states: list, ctx: EvaluationContext) -> list:
+        """*states* as partials (in place), releasing what they hold."""
+        for i, cls in self._held:
+            states[i] = cls.take(states[i], ctx)
+        return states
+
+    def merge(self, partials: list, more: list) -> None:
+        """Merge the partials *more* into *partials*, in place."""
+        for i, cls in enumerate(self.classes):
+            partials[i] = cls.merge(partials[i], more[i])
+
+    def bindings(self, partials: list, key_vars: list, key_values) -> dict:
+        """A group's output tuple: *key_vars* bound to *key_values*, and
+        the aggregates' variables to the values of *partials*."""
+        out = dict(zip(key_vars, key_values))
+        for variable, cls, partial in zip(self.variables, self.classes, partials):
+            out[variable] = cls.value(partial)
+        return out

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -79,6 +80,7 @@ from repro.hyracks.memory import MemoryTracker
 from repro.hyracks.operators import (
     canonical_key,
     execute,
+    grouped_input,
     hash_join,
     keyed_tuples,
     run_chain,
@@ -90,7 +92,7 @@ from repro.hyracks.recovery import (
     run_units_with_recovery,
     simulate_worker_kill,
 )
-from repro.hyracks.spill import stable_bucket
+from repro.hyracks.spill import GROUP_ENTRY_BYTES, fold_group_table, stable_bucket
 from repro.hyracks.tuples import sizeof_tuples
 
 # BackendError and WorkerCrashError live in repro.errors with the rest of
@@ -125,7 +127,7 @@ class PipelinedWork:
 
 @dataclass(frozen=True)
 class GroupTableWork:
-    """Partition-local GROUP-BY: fold tuples into a partials table.
+    """Partition-local GROUP-BY: fold its input into a partials table.
 
     Returns ``{key: (key_values, [partial, ...])}`` — plain picklable
     partial states rather than accumulator objects, so the table ships
@@ -136,21 +138,14 @@ class GroupTableWork:
     group_by: GroupBy
 
     def __call__(self, ctx: EvaluationContext):
-        from repro.hyracks.spill import GROUP_ENTRY_BYTES, fold_group_table
-
-        nested = self.group_by.nested_root
-        key_exprs = [expr for _, expr in self.group_by.keys]
-        source = execute(self.group_by.input_op, ctx)
-        if ctx.profile is not None:
-            source = ctx.profile.count_input(self.group_by, source)
-        table = fold_group_table(
-            key_exprs, nested.specs, source, ctx, op=self.group_by
+        group_by = self.group_by
+        aggregates, table = fold_group_table(
+            group_by, grouped_input(group_by, ctx), ctx
         )
-        if ctx.profile is not None:
-            ctx.profile.add(self.group_by, "groups", len(table))
-        out: dict = {}
-        for key, (key_values, accumulators) in table.items():
-            out[key] = (key_values, take_partials(accumulators, ctx))
+        out = {
+            key: (key_values, aggregates.take(states, ctx))
+            for key, (key_values, states, _) in table.items()
+        }
         if ctx.memory is not None:
             ctx.memory.release(GROUP_ENTRY_BYTES * len(table))
         return out
@@ -643,12 +638,25 @@ def _snapshot(collector) -> dict | None:
     return None if collector is None else collector.data()
 
 
-def _run_pickled_units(blobs: list[bytes]) -> list[PartitionOutcome]:
+def _run_pickled_units(blobs: list[bytes]) -> bytes:
     """Process-pool entry point: execute a run of work units one after
     another, each from its own blob (no unit shares a plan, source or
-    fault-plan copy with its neighbour), outcomes in unit order."""
+    fault-plan copy with its neighbour); the outcomes, in unit order, go
+    back pickled here.
+
+    The scanners accept items nested as deep as the interpreter's
+    recursion limit, and pickling one takes two levels of it per level
+    of nesting, so the outcomes are pickled with three times the room:
+    an item ``sequential`` answers with crosses the pool too.
+    """
     mark_pool_worker()
-    return [execute_work_unit(pickle.loads(blob)) for blob in blobs]
+    outcomes = [execute_work_unit(pickle.loads(blob)) for blob in blobs]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(3 * limit)
+    try:
+        return pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------

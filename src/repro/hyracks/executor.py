@@ -66,7 +66,7 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.algebra.plan import LogicalPlan
-from repro.hyracks.aggregates import accumulator_factory, make_accumulators
+from repro.hyracks.aggregates import GroupStates, make_accumulators
 from repro.hyracks.backends import (
     BroadcastScanWork,
     ExchangeWork,
@@ -706,26 +706,20 @@ class PartitionedExecutor:
         )
 
         def finalized(ctx):
-            # Coordinator: combine partials, finalize groups.
-            new_accumulators = accumulator_factory(
-                group_by.nested_root.specs, ctx
-            )
+            # Coordinator: merge the partition tables in partition order.
+            # A group's first entry is taken as it came (key values and
+            # partials); a later partition's partials merge into it.
+            aggregates = GroupStates(group_by.nested_root.specs, ctx)
             combined: dict = {}
             for table in local_tables:
-                # Workers ship plain partial values (picklable; spill-backed
-                # accumulator state never crosses the process boundary).
-                for key, (key_values, partials) in table.items():
+                for key, entry in table.items():
                     state = combined.get(key)
                     if state is None:
-                        state = (key_values, new_accumulators())
-                        combined[key] = state
-                    for target, partial_value in zip(state[1], partials):
-                        target.absorb(partial_value)
-            for key_values, accumulators in combined.values():
-                out = dict(zip(key_vars, key_values))
-                for accumulator in accumulators:
-                    out[accumulator.spec.variable] = accumulator.finish(ctx)
-                yield out
+                        combined[key] = entry
+                    else:
+                        aggregates.merge(state[1], entry[1])
+            for key_values, partials in combined.values():
+                yield aggregates.bindings(partials, key_vars, key_values)
 
         return self._finish(result, global_ops, finalized)
 

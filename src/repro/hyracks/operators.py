@@ -17,8 +17,11 @@ The **frame gear** runs the SELECT and ASSIGN operators that sit
 directly on a DATASCAN inside the scan's own loop, a column at a time
 over the frames the scan cuts (:func:`_execute_datascan`): an ASSIGN
 adds a column, each conjunct of a SELECT narrows the frame, and only
-the rows left at the top become tuples for the operators above.  It is
-taken when every expression of the run has a column form
+the rows left at the top become tuples for the operators above; a join
+above takes their keys a column at a time too (:func:`keyed_tuples`),
+and a GROUP-BY above takes its keys and aggregate arguments that way
+and no tuples at all (:func:`grouped_input`).  It is taken when every
+expression involved has a column form
 (:meth:`~repro.algebra.expressions.Expression.compile_column`); a frame
 whose column evaluation raises is run again through the tuple gear,
 which stays the authority on errors.
@@ -70,6 +73,7 @@ from repro.algebra.rules.base import conjuncts, subtree_variables
 from repro.hyracks.aggregates import fold_stream
 from repro.hyracks.spill import (
     GROUP_ENTRY_BYTES as _GROUP_ENTRY_BYTES,
+    GroupedRows,
     fold_group_table,
 )
 from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple, sizeof_tuples
@@ -90,6 +94,7 @@ __all__ = [
     "canonical_item",
     "canonical_key",
     "execute",
+    "grouped_input",
     "hash_join",
     "keyed_tuples",
     "run_chain",
@@ -119,6 +124,11 @@ def execute(op: Operator, ctx: EvaluationContext) -> Iterator[Tuple]:
         return stream
     if isinstance(op, Join):
         stream = _execute_join(op, ctx)
+        if ctx.profile is not None:
+            stream = ctx.profile.observe(op, stream)
+        return stream
+    if isinstance(op, GroupBy):
+        stream = _execute_group_by(op, grouped_input(op, ctx), ctx)
         if ctx.profile is not None:
             stream = ctx.profile.observe(op, stream)
         return stream
@@ -312,17 +322,48 @@ def _frame_keys(frame: Frame, columns: list) -> list:
     return [None if None in key else key for key in keys] if holes else keys
 
 
+def _grouped_rows(frame: Frame, key_columns: list, arg_columns: list) -> GroupedRows:
+    """The live rows of *frame* as the GROUP-BY fold takes them: the
+    canonical key of each key sequence (a column of exact ``str`` takes
+    one canonical component per distinct string, as :func:`_frame_keys`
+    does), the key sequences, and each aggregate's argument sequence."""
+    components = []
+    sequences = []
+    for column in key_columns:
+        values = column(frame)
+        if set(map(type, values)) == {str}:
+            canonical = {value: (("str", value),) for value in set(values)}
+            components.append(map(canonical.__getitem__, values))
+        else:
+            components.append(
+                [() if v is ABSENT else (canonical_item(v),) for v in values]
+            )
+        sequences.append([[] if v is ABSENT else [v] for v in values])
+    arguments = [
+        [[] if item is ABSENT else [item] for item in column(frame)]
+        for column in arg_columns
+    ]
+    return GroupedRows(
+        list(zip(*components)), list(zip(*sequences)), list(zip(*arguments))
+    )
+
+
 def _execute_datascan(
     op: DataScan,
     ctx: EvaluationContext,
     run: list[Operator] = (),
     steps: list | None = None,
     keyed: tuple | None = None,
+    grouped: tuple | None = None,
 ) -> Iterator[Tuple]:
     """DATASCAN alone, or with *steps* (:func:`_frame_steps` of *run*)
     the SELECT / ASSIGN operators of *run* above it in the frame gear.
     With *keyed* (:func:`keyed_tuples`: key columns, a queue) the frame
-    gear queues the join key of each tuple it is about to yield.
+    gear queues the join key of each tuple it is about to yield.  With
+    *grouped* (:func:`grouped_input`: the GROUP-BY, its key and argument
+    columns) it yields no tuples: one
+    :class:`~repro.hyracks.spill.GroupedRows` per frame, and the tuples
+    of a frame whose columns raised.
 
     Either way the scan accounts what a tuple-at-a-time consumer would
     have pulled: every row of a finished frame, and of a frame that
@@ -349,7 +390,7 @@ def _execute_datascan(
     variable = op.variable
     # Only the frame gear of a run reads the profile's clock here: a scan
     # alone, in either gear, is timed from outside, by ``observe``.
-    timed = profile is not None and bool(run)
+    timed = profile is not None and (bool(run) or grouped is not None)
     clock = profile.clock if timed else lambda: 0.0
 
     def tuple_gear(items):
@@ -375,15 +416,21 @@ def _execute_datascan(
                 for mask in forms:
                     # a conjunct sees only the rows the one before kept
                     frame = narrow(frame, mask(frame))
-            tuples = _frame_tuples(frame)
+            if grouped is None:
+                tuples = _frame_tuples(frame)
             marks.append((clock(), frame[None]))
+            if grouped is not None:  # after the last mark: the GROUP-BY's work
+                batch = _grouped_rows(frame, *grouped[1:])
         except Exception:
             # The frame again, from its first row, through the closures:
             # the tuple gear decides what it raises and what comes first.
             rows = tuple_gear(items)
             if timed:
                 rows = profile.observe(op, rows)
-            yield from run_chain(run, rows, ctx)
+            rows = run_chain(run, rows, ctx)
+            if grouped is not None and profile is not None:
+                rows = profile.count_input(grouped[0], rows)
+            yield from rows
             return
         if keyed is not None:  # after the last mark: this is the join's work
             columns, queue = keyed
@@ -391,10 +438,19 @@ def _execute_datascan(
                 queue.extend(_frame_keys(frame, columns))
             except Exception:
                 pass  # join_key decides what is raised, tuple by tuple
+        live = frame[None]
         try:
-            for position, tup in zip(frame[None], tuples):
-                consumed = position + 1
-                yield tup
+            if grouped is None:
+                for position, tup in zip(live, tuples):
+                    consumed = position + 1
+                    yield tup
+            elif live:
+                try:
+                    yield batch
+                finally:  # the fold took them all, or raised on its last
+                    consumed = live[batch.taken - 1] + 1 if batch.taken else 0
+                    if profile is not None:
+                        profile.charge(grouped[0], 0.0, tuples_in=batch.taken)
             consumed = len(items)
         finally:
             if timed:
@@ -516,9 +572,10 @@ def execute_nested_plan(
 
 
 def _execute_group_by(
-    op: GroupBy, source: Iterable[Tuple], ctx: EvaluationContext
+    op: GroupBy, source: Iterable, ctx: EvaluationContext
 ) -> Iterator[Tuple]:
-    """Hash grouping.
+    """Hash grouping of *source* (tuples, or what :func:`grouped_input`
+    yields).
 
     A GROUP-BY's nested plan is always AGGREGATE over
     NESTED-TUPLE-SOURCE (the :class:`~repro.algebra.operators.GroupBy`
@@ -529,17 +586,11 @@ def _execute_group_by(
     the groups have been emitted.
     """
     key_vars = [var for var, _ in op.keys]
-    groups = fold_group_table(
-        [expr for _, expr in op.keys], op.nested_root.specs, source, ctx, op=op
-    )
-    if ctx.profile is not None:
-        ctx.profile.add(op, "groups", len(groups))
+    aggregates, groups = fold_group_table(op, source, ctx)
     try:
-        for key_values, accumulators in groups.values():
-            out = dict(zip(key_vars, key_values))
-            for accumulator in accumulators:
-                out[accumulator.spec.variable] = accumulator.finish(ctx)
-            yield out
+        for key_values, states, _ in groups.values():
+            partials = aggregates.take(states, ctx)
+            yield aggregates.bindings(partials, key_vars, key_values)
     finally:
         ctx.release(_GROUP_ENTRY_BYTES * len(groups))
 
@@ -738,6 +789,35 @@ def keyed_tuples(
         if key is None and profile is not None:
             profile.add(op, "join_keys_dropped", 1)
         yield key, tup
+
+
+def grouped_input(op: GroupBy, ctx: EvaluationContext) -> Iterator:
+    """The input of GROUP-BY *op* as
+    :func:`~repro.hyracks.spill.fold_group_table` consumes it, counted
+    into the GROUP-BY's ``tuples_in`` on a profile.
+
+    An input in the scan's frame gear (:func:`_scan_run`; a DATASCAN
+    alone too) whose key expressions and aggregate arguments all have
+    column forms comes a frame at a time, as
+    :class:`~repro.hyracks.spill.GroupedRows`, and no tuple is built for
+    it; a frame whose columns raise comes as tuples, which the fold keys
+    through the closures.  Any other input is tuples.
+    """
+    functions = ctx.functions
+    geared = _scan_run(op.input_op, functions)
+    keys = [expr.compile_column(functions) for _, expr in op.keys]
+    arguments = [
+        spec.argument.compile_column(functions) for spec in op.nested_root.specs
+    ]
+    if geared is None or None in keys or None in arguments:
+        tuples = execute(op.input_op, ctx)
+        if ctx.profile is not None:
+            tuples = ctx.profile.count_input(op, tuples)
+        return tuples
+    scan, run, steps = geared
+    return _execute_datascan(
+        scan, ctx, run, steps, grouped=(op, keys, arguments)
+    )
 
 
 def _compile_residual(

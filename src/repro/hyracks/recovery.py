@@ -480,7 +480,7 @@ def _run_pooled(
                     lose_twin(flight)
                     continue
                 try:
-                    outcomes = future.result()
+                    outcomes = pickle.loads(future.result())
                 except CancelledError:  # pragma: no cover - defensive
                     continue
                 except BrokenProcessPool as broken:
@@ -561,7 +561,7 @@ def _harvest(flights: dict, results: dict[int, object]) -> None:
         if not future.done() or future.cancelled():
             continue
         try:
-            outcomes = future.result()
+            outcomes = pickle.loads(future.result())
         except Exception:
             continue
         for state, outcome in zip(flight.states, outcomes):

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.envutil import env_setting
 from repro.errors import SpillError
-from repro.hyracks.aggregates import accumulator_factory, take_partials
+from repro.hyracks.aggregates import GroupStates
 from repro.hyracks.frames import DEFAULT_FRAME_BYTES
 from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple
 from repro.jsonlib.items import canonical_key
@@ -506,8 +506,33 @@ class SpilledSequence:
 # ---------------------------------------------------------------------------
 
 
-def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
-    """Fold *source* into ``key -> (key_values, accumulators)``.
+class GroupedRows:
+    """One frame of a GROUP-BY's input, as the scan's frame gear hands
+    it to :func:`fold_group_table`: per live row its group key, its key
+    sequences and one argument sequence per aggregate.  *taken* is set
+    by the fold to the rows it took, the one it raised on included,
+    which is what the scan accounts."""
+
+    __slots__ = ("keys", "key_values", "arguments", "taken")
+
+    def __init__(self, keys: list, key_values: list, arguments: list):
+        self.keys = keys
+        self.key_values = key_values
+        self.arguments = arguments
+        self.taken = 0
+
+
+def fold_group_table(op, source: Iterable, ctx) -> tuple[GroupStates, dict]:
+    """GROUP-BY *op*'s aggregates, and *source* folded into ``key ->
+    (key_values, states, first_seq)``, one state per aggregate (the
+    table's size counted as ``groups`` on a profile).
+
+    *source* yields input tuples, keyed here through the key closures
+    and folded through the argument closures, or :class:`GroupedRows`
+    frames, whose keys and argument items the frame gear took a column
+    at a time.  Either way a group's key is the canonical key of each
+    key sequence, its entry is made (and charged) before its first row
+    is folded, and rows fold in arrival order.
 
     The returned dict's insertion order is **first-seen key order** —
     with or without spilling — which is what keeps results byte-identical
@@ -522,10 +547,12 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
     salted key buckets and folding goes on; at the end each bucket is
     merged one level deeper by :func:`_merge_group_bucket`.
     """
-    key_evaluators = [ctx.compiled(expr) for expr in key_exprs]
-    new_accumulators = accumulator_factory(specs, ctx)
+    key_evaluators = [ctx.compiled(expr) for _, expr in op.keys]
+    aggregates = GroupStates(op.nested_root.specs, ctx)
+    new_states = aggregates.new
+    folds = list(enumerate(cls.fold for cls in aggregates.classes))
     limits = ctx.limits
-    table: dict = {}  # key -> (key_values, accumulators, first_seq)
+    table: dict = {}  # key -> (key_values, states, first_seq)
     writers: list[RunWriter] | None = None
     seq = 0
 
@@ -537,9 +564,30 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
         _spill_event(ctx, op, fanout if writers is None else 0)
         if writers is None:
             writers = _bucket_runs(ctx.spill, "group", 0)
-        _shed_groups(table, writers, 0, ctx)
+        _shed_groups(table, aggregates, writers, 0, ctx)
+
+    def fold_rows(rows: GroupedRows) -> None:
+        nonlocal seq
+        first = seq
+        try:
+            for key, key_values, arguments in zip(
+                rows.keys, rows.key_values, rows.arguments
+            ):
+                state = table.get(key)
+                if state is None:
+                    charge(ctx, GROUP_ENTRY_BYTES, shed)
+                    state = table[key] = (key_values, new_states(), seq)
+                states = state[1]
+                for i, fold in folds:
+                    states[i] = fold(states[i], arguments[i], ctx)
+                seq += 1
+        finally:
+            rows.taken = seq - first + (seq - first < len(rows.keys))
 
     for tup in source:
+        if type(tup) is GroupedRows:
+            fold_rows(tup)
+            continue
         if limits is not None:
             limits.checkpoint()
         key_values = [evaluate(tup, ctx) for evaluate in key_evaluators]
@@ -547,47 +595,44 @@ def fold_group_table(key_exprs, specs, source: Iterable[Tuple], ctx, op=None):
         state = table.get(key)
         if state is None:
             charge(ctx, GROUP_ENTRY_BYTES, shed)
-            state = (key_values, new_accumulators(), seq)
-            table[key] = state
-        for accumulator in state[1]:
-            accumulator.add(tup, ctx)
+            state = table[key] = (key_values, new_states(), seq)
+        aggregates.add(state[1], tup, ctx)
         seq += 1
 
-    if writers is None:
-        # Never spilled: the dict is already in first-seen order.
-        return {key: (kv, accs) for key, (kv, accs, _) in table.items()}
+    if writers is not None:
+        shed()
+        entries: list = []  # (first_seq, key, key_values, partials)
+        _merge_buckets(writers, aggregates, ctx, op, 1, entries)
+        entries.sort(key=lambda entry: entry[0])
+        table = {key: (kv, partials, first) for first, key, kv, partials in entries}
+    # else never spilled: the dict is already in first-seen order
+    if ctx.profile is not None:
+        ctx.profile.add(op, "groups", len(table))
+    return aggregates, table
 
-    shed()
-    entries: list = []  # (first_seq, key, key_values, accumulators)
-    _merge_buckets(writers, new_accumulators, ctx, op, 1, entries)
-    entries.sort(key=lambda entry: entry[0])
-    return {key: (kv, accs) for _, key, kv, accs in entries}
 
-
-def _shed_groups(table: dict, writers: list, depth: int, ctx) -> None:
+def _shed_groups(table: dict, aggregates, writers: list, depth: int, ctx) -> None:
     """Write every entry of *table* to its salted bucket at *depth* as
     ``(key, key_values, partials, first_seq)``, release the entries'
     charges, and empty the table."""
     fanout = len(writers)
-    for key, (key_values, accumulators, first_seq) in table.items():
+    for key, (key_values, states, first_seq) in table.items():
         writers[stable_bucket(key, fanout, salt=depth)].write(
-            (key, key_values, take_partials(accumulators, ctx), first_seq)
+            (key, key_values, aggregates.take(states, ctx), first_seq)
         )
     ctx.release(GROUP_ENTRY_BYTES * len(table))
     table.clear()
 
 
-def _merge_buckets(writers, new_accumulators, ctx, op, depth: int, entries):
+def _merge_buckets(writers, aggregates, ctx, op, depth: int, entries):
     """Finish one split's bucket runs and merge each at *depth*."""
     for handle in [writer.finish() for writer in writers]:
-        _merge_group_bucket(handle, new_accumulators, ctx, op, depth, entries)
+        _merge_group_bucket(handle, aggregates, ctx, op, depth, entries)
         handle.delete()
 
 
-def _merge_group_bucket(
-    handle, new_accumulators, ctx, op, depth: int, entries: list
-):
-    """Absorb one bucket's partial records into *entries*; when the
+def _merge_group_bucket(handle, aggregates, ctx, op, depth: int, entries: list):
+    """Merge one bucket's partial records into *entries*; when the
     bucket overflows, shed its table and the rest of its records to
     buckets salted by *depth* and merge those one level deeper."""
     limits = ctx.limits
@@ -613,29 +658,27 @@ def _merge_group_bucket(
                 if table and depth < spill.config.max_recursion:
                     _spill_event(ctx, op, fanout)
                     writers = _bucket_runs(spill, "group", depth)
-                    _shed_groups(table, writers, depth, ctx)
+                    _shed_groups(table, aggregates, writers, depth, ctx)
                     writers[stable_bucket(key, fanout, salt=depth)].write(
                         record
                     )
                     continue
                 memory.force_allocate(GROUP_ENTRY_BYTES)
-            state = (key_values, new_accumulators(), first_seq)
-            table[key] = state
-        elif first_seq < state[2]:
-            state = (state[0], state[1], first_seq)
-            table[key] = state
-        for accumulator, partial in zip(state[1], partials):
-            accumulator.absorb(partial)
+            table[key] = (key_values, partials, first_seq)
+            continue
+        if first_seq < state[2]:
+            table[key] = state = (state[0], state[1], first_seq)
+        aggregates.merge(state[1], partials)
 
     if writers is not None:
-        _merge_buckets(writers, new_accumulators, ctx, op, depth + 1, entries)
+        _merge_buckets(writers, aggregates, ctx, op, depth + 1, entries)
         return
 
     # Entries stay charged (GROUP_ENTRY_BYTES each): the merged table is
     # in memory, and the caller releases it after emission — the same
     # contract as the never-spilled path.
-    for key, (key_values, accumulators, first_seq) in table.items():
-        entries.append((first_seq, key, key_values, accumulators))
+    for key, (key_values, partials, first_seq) in table.items():
+        entries.append((first_seq, key, key_values, partials))
 
 
 # ---------------------------------------------------------------------------

@@ -566,28 +566,38 @@ class Translator:
     ) -> tuple[Expression, Operator]:
         """An aggregate over a nested FLWOR.
 
-        At top level (empty scope over EMPTY-TUPLE-SOURCE) the FLWOR is
-        inlined into the main pipeline and capped with an AGGREGATE —
-        the shape that lets the two-step aggregation parallelize Q2's
-        ``avg``.  Otherwise it becomes a SUBPLAN (Figure 11).
+        A FLWOR that reads no variable of the enclosing scope is built on
+        its own EMPTY-TUPLE-SOURCE and capped with an AGGREGATE; over an
+        EMPTY-TUPLE-SOURCE that is the whole pipeline (the shape that
+        lets the two-step aggregation parallelize Q2's ``avg``), over
+        anything else its one tuple joins the chain's.  Otherwise, and
+        inside a nested plan (which holds no JOIN), it becomes a SUBPLAN
+        (Figure 11).
         """
         previous_flwor = self._current_flwor
         self._current_flwor = flwor
         try:
             result_var = self._fresh("agg")
-            if not scope and isinstance(chain, EmptyTupleSource):
+            leaf = chain
+            while leaf.inputs:
+                leaf = leaf.inputs[0]
+            if not isinstance(leaf, NestedTupleSource) and not (
+                ast_free_variables(flwor) & scope.keys()
+            ):
                 inner_scope: dict[str, str] = {}
                 inner_chain = self._translate_clauses(
-                    flwor.clauses, chain, inner_scope
+                    flwor.clauses, EmptyTupleSource(), inner_scope
                 )
                 return_expr, inner_chain = self._translate_expression(
                     flwor.return_expr, inner_chain, inner_scope
                 )
-                chain = Aggregate(
+                inner_chain = Aggregate(
                     inner_chain,
                     [AggregateSpec(result_var, aggregate, return_expr)],
                 )
-                return VariableRef(result_var), chain
+                if not isinstance(chain, EmptyTupleSource):
+                    inner_chain = Join(chain, inner_chain, TRUE_LITERAL)
+                return VariableRef(result_var), inner_chain
             nested_scope = dict(scope)
             nested: Operator = NestedTupleSource()
             nested = self._translate_clauses(flwor.clauses, nested, nested_scope)

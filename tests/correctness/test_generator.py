@@ -31,10 +31,15 @@ def test_every_partition_text_parses():
         assert isinstance(documents, list)
         # The oracle must accept whatever the generator produced —
         # either a value or a pinned semantics error (a join keyed on a
-        # multi-item sequence raises the comparison's ItemTypeError).
+        # multi-item sequence raises the comparison's ItemTypeError, and
+        # so does a null value under a grouped sum / avg / min / max).
         try:
             assert isinstance(case.expected(), list)
         except ReproError as error:
+            if "-group-agg-" in case.name:
+                function = case.name.split("-group-agg-")[1].split("-")[0]
+                assert str(error) == f"{function}() expects a number, got null"
+                continue
             assert "multi-item sequence" in str(error)
             errors += 1
     # The error oracle is part of the population, not a fluke.
@@ -128,3 +133,29 @@ def test_join_pair_template_takes_every_other_turn_of_the_join_slot():
     assert any(value is None for value in answers)  # null equals null
     assert any(isinstance(value, float) for value in answers)
     assert any(isinstance(value, int) for value in answers)
+
+
+def test_group_agg_template_takes_every_other_turn_of_the_group_slot():
+    """The pushed-down aggregates share group-count's place in the
+    rotation (the other templates keep their counts) and are not
+    vacuous: every function turns up, some cases answer, and in others
+    a null value pins the aggregate's type error."""
+    cases = generate_cases(0, 200)
+    names = [c.name.split("-", 1)[1] for c in cases]
+    aggregated = [c for c in cases if "-group-agg-" in c.name]
+    assert len(aggregated) == 12
+    assert sum(n.startswith("group-") for n in names) == 25
+    assert 'group by $s := $m("station")' in aggregated[0].query_text
+    functions, kinds = set(), set()
+    for seed in range(4):
+        for case in generate_cases(seed, 200):
+            if "-group-agg-" not in case.name:
+                continue
+            functions.add(case.name.split("-group-agg-")[1].split("-")[0])
+            try:
+                case.expected()
+                kinds.add("value")
+            except ItemTypeError:
+                kinds.add("error")
+    assert functions == {"count", "sum", "avg", "min", "max"}
+    assert kinds == {"value", "error"}

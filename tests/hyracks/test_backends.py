@@ -116,6 +116,23 @@ class TestCleanParity:
         result = run_backend("process", max_workers=1)
         assert result.items == run_backend("sequential").items
 
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_a_deeply_nested_item_crosses_the_pool(self, backend):
+        # 600 levels parse on either backend; a worker's outcome holding
+        # such an item is pickled with room for two levels per level
+        deep = "[" * 600 + "]" * 600
+        source = InMemorySource(
+            {"/c": [['{"k": %s}\n{"k": 1}' % deep], ['{"k": 2}']]}
+        )
+        with JsonProcessor(source=source, backend=backend, max_workers=2) as processor:
+            items = processor.execute('for $r in collection("/c") return $r("k")').items
+            count = processor.execute('count(for $r in collection("/c") return $r)')
+        assert items[1:] == [1, 2] and count.items == [3]
+        depth, item = 0, items[0]
+        while item:
+            depth, (item,) = depth + 1, item
+        assert depth == 599
+
 
 class TestFaultParity:
     """Identical degradation under a fixed fault seed, every backend."""

@@ -7,7 +7,9 @@ the same plan took before.  The two must agree on everything a caller
 can see: the tuples and their order, the exception and its message, what
 the scan accounted and every profile counter, also when the consumer
 stops early or the source fails inside a frame.  ``keyed_tuples`` keys a
-join's input in the same gear, against ``join_key`` over the tuple gear.
+join's input in the same gear, against ``join_key`` over the tuple gear,
+and a GROUP-BY folds its input's key and argument columns
+(``grouped_input``), against the same GROUP-BY over the tuple gear.
 
 The vocabulary is not a list kept by hand: whatever answers
 ``compile_column`` (an ``Expression`` subclass) or carries a ``column``
@@ -16,6 +18,7 @@ The vocabulary is not a list kept by hand: whatever answers
 """
 
 import datetime
+import os
 from itertools import islice
 
 import pytest
@@ -37,10 +40,22 @@ from repro.algebra.expressions import (
     keys_or_members,
     value_by_key,
 )
-from repro.algebra.operators import Assign, DataScan, EmptyTupleSource, Join, Select
+from repro.algebra.operators import (
+    Aggregate,
+    AggregateSpec,
+    Assign,
+    DataScan,
+    EmptyTupleSource,
+    GroupBy,
+    Join,
+    NestedTupleSource,
+    Select,
+)
 from repro.algebra.plan import LogicalPlan
 from repro.errors import ItemTypeError, ReproError, UnboundVariableError
 from repro.hyracks.executor import ExecutionStats
+from repro.hyracks.memory import MemoryTracker
+from repro.hyracks.spill import SpillConfig, SpillManager
 from repro.jsoniq.functions import BUILTIN_FUNCTIONS
 from repro.jsonlib.items import sizeof_rows
 from repro.jsonlib.path import parse_path
@@ -438,6 +453,203 @@ def test_a_multi_item_key_has_no_column_form():
         ItemTypeError, "value comparison 'eq' over a multi-item sequence"
     )
     assert [pair[0] for pair in seen["tuples"]] == [((("num", 1),),), None]
+
+
+# -- the grouped route --------------------------------------------------------------
+
+AGGREGATES = ("count", "sum", "avg", "min", "max", "sequence")
+
+
+@st.composite
+def grouped_runs(draw):
+    """The specs of a run, 1-2 group keys and 1-3 aggregate specs, each
+    ``(function, argument)``, over the run's variables."""
+    specs, keys = draw(runs(shortest=0, keys=2))
+    variables = ["$r"] + [v for v, _ in specs if v is not None and v != "$r"]
+    value = expressions(sorted(set(variables)))[1]
+    aggregates = draw(
+        st.lists(st.tuples(st.sampled_from(AGGREGATES), value), min_size=1, max_size=3)
+    )
+    return specs, keys, aggregates
+
+
+def grouped_streams(specs, keys, aggregates):
+    """``(run, group_by, column route, tuple route)`` of a GROUP-BY over
+    the run of *specs* keyed by *keys* folding *aggregates*."""
+    run = build_run(specs)
+    top = run[-1] if run else DataScan("/c", "$r", PATH)
+    group_by = GroupBy(
+        top,
+        [(f"$k{i}", key) for i, key in enumerate(keys)],
+        Aggregate(
+            NestedTupleSource(),
+            [AggregateSpec(f"$a{i}", f, arg) for i, (f, arg) in enumerate(aggregates)],
+        ),
+    )
+
+    def column_route(scan, run, ctx):
+        return physical.execute(group_by, ctx)
+
+    def tuple_route(scan, run, ctx):
+        scan = run[0].input_op if run else top
+        return physical.run_chain([group_by], tuple_gear(scan, run, ctx), ctx)
+
+    return run, group_by, column_route, tuple_route
+
+
+def assert_grouped_routes_agree(
+    source_of, specs, keys, aggregates, pulls=(None,), column=True
+):
+    run, group_by, column_route, tuple_route = grouped_streams(specs, keys, aggregates)
+    expressions = [*keys, *(argument for _, argument in aggregates)]
+    geared = physical._scan_run(group_by.input_op, BUILTIN_FUNCTIONS) is not None
+    geared &= all(e.compile_column(BUILTIN_FUNCTIONS) is not None for e in expressions)
+    assert geared is column
+    seen = None
+    for pull in pulls:
+        for profiled in (False, True):
+            expected = outcome(
+                tuple_route, source_of(), run, pull, profiled, root=group_by
+            )
+            actual = outcome(
+                column_route, source_of(), run, pull, profiled, root=group_by
+            )
+            assert actual == expected
+            # 1 and 1.0 are equal: the raw key a group keeps must be too
+            assert repr(actual["tuples"]) == repr(expected["tuples"])
+            seen = expected
+    return seen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    files=st.lists(st.lists(ROWS, max_size=12), min_size=1, max_size=4),
+    grouped_run=grouped_runs(),
+    sized=st.booleans(),
+    frame_rows=st.sampled_from([3, 256]),
+    pull=st.integers(1, 6),
+    fail_after=st.one_of(st.none(), st.integers(0, 30)),
+)
+def test_grouped_routes_agree(files, grouped_run, sized, frame_rows, pull, fail_after):
+    fail = None if sized or fail_after is None else ValueError("source broke")
+    original = physical._FRAME_ROWS
+    physical._FRAME_ROWS = frame_rows
+    try:
+        assert_grouped_routes_agree(
+            lambda: FrameSource(files, sized, fail_after, fail),
+            *grouped_run,
+            pulls=(None, pull),
+        )
+    finally:
+        physical._FRAME_ROWS = original
+
+
+def test_a_null_key_and_a_missing_key_are_two_groups():
+    rows = [{"k": None, "v": 1}, {"v": 2}, {"k": None, "v": 3}, {"v": 4}]
+    seen = assert_grouped_routes_agree(
+        one_file(rows), [], [key("k")], [("count", key("v")), ("sum", key("v"))]
+    )
+    assert seen["tuples"] == [
+        {"$k0": [None], "$a0": [2], "$a1": [4]},
+        {"$k0": [], "$a0": [2], "$a1": [6]},
+    ]
+    assert seen["counters"][0] == {"tuples_in": 4, "tuples_out": 2, "groups": 2}
+
+
+def test_one_and_one_point_zero_land_in_one_group():
+    rows = [{"k": 1, "v": 1}, {"k": 1.0, "v": 2.5}, {"k": "1", "v": 4}]
+    seen = assert_grouped_routes_agree(
+        one_file(rows), [], [key("k")], [("max", key("v")), ("sequence", key("v"))]
+    )
+    assert repr(seen["tuples"]) == repr([
+        {"$k0": [1], "$a0": [2.5], "$a1": [1, 2.5]},
+        {"$k0": ["1"], "$a0": [4], "$a1": [4]},
+    ])
+
+
+def test_a_sum_type_error_on_the_last_row_of_a_later_frame():
+    rows = [{"k": i % 3, "v": i} for i in range(physical._FRAME_ROWS + 40)]
+    rows.append({"k": 0, "v": "x"})
+    specs = [(None, compare("ge", key("k"), 0))]
+    for source in (one_file(rows), lambda: FrameSource([rows[:200], rows[200:]], True)):
+        seen = assert_grouped_routes_agree(
+            source, specs, [key("k")], [("count", key("v")), ("sum", key("v"))]
+        )
+        assert seen["error"] == (ItemTypeError, "sum() expects a number, got string")
+        assert seen["scanned"][0] == len(rows)
+    # under a SELECT that rejects the row, nothing raises
+    specs = [(None, compare("ne", key("k"), 0))]
+    seen = assert_grouped_routes_agree(
+        one_file(rows), specs, [key("k")], [("sum", key("v"))]
+    )
+    assert seen["error"] is None and len(seen["tuples"]) == 2
+
+
+def test_a_key_column_that_raises_is_the_tuple_gears_error():
+    rows = [{"d": "2003-12-25T00:00:00", "v": 1}] * 5 + [{"d": "not a date", "v": 2}]
+    keys = [call("dateTime", key("d"))]
+    seen = assert_grouped_routes_agree(
+        lambda: FrameSource([rows, rows]), [], keys, [("count", key("v"))]
+    )
+    assert seen["error"] == (ItemTypeError, "cannot parse dateTime from 'not a date'")
+    assert seen["scanned"][0] == 6
+    # the rows that parse group as one, a frame at a time
+    seen = assert_grouped_routes_agree(
+        one_file(rows[:5]), [], keys, [("count", key("v"))]
+    )
+    assert seen["tuples"] == [{"$k0": [datetime.datetime(2003, 12, 25)], "$a0": [5]}]
+
+
+def test_an_argument_without_a_column_form_keeps_the_tuple_route():
+    rows = [{"k": 1, "v": [1, 2]}, {"k": 1, "v": [3]}, {"k": 2}]
+    seen = assert_grouped_routes_agree(
+        one_file(rows), [], [key("k")], [("count", keys_or_members(key("v")))],
+        column=False,
+    )
+    assert [tup["$a0"] for tup in seen["tuples"]] == [[3], [0]]
+
+
+def test_a_budget_sheds_the_table_alike_on_both_routes(tmp_path):
+    rows = [{"k": i % 40, "v": i} for i in range(300)] + [{"v": 0}]
+    specs = [(None, compare("ge", key("v"), 0))]
+    _, group_by, column_route, tuple_route = grouped_streams(
+        specs, [key("k")], [("count", key("v")), ("sum", key("v"))]
+    )
+    run = build_run(specs)
+
+    def spilled(route):
+        labels = []
+
+        class Manager(SpillManager):
+            def new_run(self, label="run"):
+                labels.append(label)
+                return super().new_run(label)
+
+        memory = MemoryTracker(96 * 9)
+        spill = Manager(SpillConfig(directory=str(tmp_path), fanout=2, max_recursion=3))
+        stats = ExecutionStats()
+        ctx = EvaluationContext(
+            source=FrameSource([rows[:150], rows[150:]], sized=True),
+            memory=memory, spill=spill, stats=stats,
+        )
+        try:
+            tuples = list(route(run[0].input_op, run, ctx))
+        finally:
+            spill.close()
+        return {
+            "tuples": repr(tuples),
+            "spill": (spill.events, spill.run_files, spill.max_recursion_depth, labels),
+            "peak": memory.peak,
+            "scanned": (stats.items_scanned, stats.scanned_item_bytes),
+        }, spill.bytes_spilled
+
+    expected, expected_bytes = spilled(tuple_route)
+    actual, actual_bytes = spilled(column_route)
+    assert actual == expected
+    assert actual_bytes <= expected_bytes
+    events, files, depth, labels = actual["spill"]
+    assert events > 1 and depth > 1 and labels[:2] == ["group-b0", "group-b1"]
+    assert os.listdir(tmp_path) == []
 
 
 # -- cases worth naming -------------------------------------------------------------

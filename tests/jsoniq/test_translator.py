@@ -1,5 +1,7 @@
 """Unit tests for AST → naive plan translation (paper figure shapes)."""
 
+import json
+
 import pytest
 
 from repro.errors import TranslationError, UnboundVariableError
@@ -166,6 +168,44 @@ class TestNestedFlwor:
         (subplan,) = plan.operators_of(Subplan)
         assert isinstance(subplan.nested_root, Aggregate)
         assert subplan.nested_root.specs[0].function == "sequence"
+
+
+class TestTwoAggregatedFlwors:
+    """A FLWOR that reads nothing of the enclosing scope is built on its
+    own EMPTY-TUPLE-SOURCE and capped with its AGGREGATE, the second one
+    in an expression too; it never lands in a SUBPLAN's nested plan."""
+
+    COUNT_R = 'count(for $r in collection("/c") return $r)'
+    COUNT_S = 'count(for $s in collection("/c") return $s)'
+    QUERIES = {
+        f"{COUNT_R} + {COUNT_S}": [10],
+        f"({COUNT_R}, {COUNT_S})": [5, 5],
+        f"let $x := {COUNT_R} let $y := {COUNT_S} return $x + $y": [10],
+        'sum(for $r in collection("/c") return $r("v")) div ' + COUNT_S: [3],
+        f'for $r in collection("/c") where $r("v") gt 3 return {COUNT_S}': [5, 5],
+    }
+
+    def test_the_second_flwor_joins_its_aggregate(self):
+        plan = plan_of(f"{self.COUNT_R} + {self.COUNT_S}")
+        assert plan.operators_of(Subplan) == []
+        (join,) = plan.operators_of(Join)
+        assert isinstance(join.left, Aggregate)
+        assert isinstance(join.right, Aggregate)
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    @pytest.mark.parametrize("rewrites", ["all", "none"])
+    def test_answers(self, rewrites, backend):
+        from repro import InMemorySource, JsonProcessor
+        from repro.algebra.rules import RewriteConfig
+
+        rows = [{"v": v} for v in range(1, 6)]
+        texts = ["\n".join(json.dumps(row) for row in rows[:3]),
+                 "\n".join(json.dumps(row) for row in rows[3:])]
+        source = InMemorySource({"/c": [[texts[0]], [texts[1]]]})
+        config = getattr(RewriteConfig, rewrites)()
+        with JsonProcessor(source=source, rewrite=config, backend=backend) as processor:
+            for query, expected in self.QUERIES.items():
+                assert processor.execute(query).items == expected, query
 
 
 class TestJoins:

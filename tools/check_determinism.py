@@ -13,8 +13,11 @@ frames.  Every scenario is then replayed on the ``process`` backend at
 the backend cuts the units into runs must never show.  The join
 scenario (rows with a missing key, a null key and one hot key on one
 side) is replayed once more under a memory budget that sends its
-buckets down the grace path, with its spill events, run files and
-recursion depth in the payload.  Exits non-zero on any mismatch.
+buckets down the grace path, and the two GROUP-BY scenarios (a
+``count`` and a ``sum`` folded a frame at a time over rows with a
+missing key and a null key) under one that makes their tables shed
+groups to disk, with spill events, run files and recursion depth in the
+payload.  Exits non-zero on any mismatch.
 
 ``--chaos`` switches to the worker-crash battery: seeded kill/stall
 schedules replayed twice with ``max_workers=1`` (serialized pool
@@ -52,23 +55,54 @@ JOIN_QUERY = (
     'for $a in collection("/keys") for $b in collection("/events") '
     'where $a("v") eq $b("v") + 1 return $b("v")'
 )
+GROUP_QUERY = (
+    'for $r in collection("/groups")() group by $g := $r("g") '
+    'return {function}($r("v"))'
+)
 #: rows per partition of ``/keys`` that share the one hot key
 HOT_ROWS = 25
 #: a query budget under which the join scenario's buckets overflow into
 #: the grace path (the replay checks that they did)
 GRACE_BUDGET = 2048
+#: a query budget under which the GROUP-BY scenarios' tables shed their
+#: groups to disk and merge the buckets recursively
+GROUP_BUDGET = 96 * 32
+#: rows per line of ``/groups``: each line is one JSON array, which the
+#: query's ``()`` step unnests inside the scan, so the GROUP-BY sits on
+#: the DATASCAN and takes its frames a column at a time
+GROUP_ROWS_PER_LINE = 10
 
 
-def make_source(on_malformed: str, keys: bool = False) -> InMemorySource:
+def make_source(
+    on_malformed: str, keys: bool = False, groups: bool = False
+) -> InMemorySource:
     """``/events``, and with *keys* the join's other side ``/keys``: per
     partition, keys that unify with an event's ``v + 1`` (every third a
-    float), a missing key, a null key and ``HOT_ROWS`` rows on one key."""
+    float), a missing key, a null key and ``HOT_ROWS`` rows on one key.
+    With *groups*, ``/groups``: per partition ``RECORDS`` rows over 50
+    group keys (every third a float that unifies with its integer), a
+    row with no key and one with a null key, ``GROUP_ROWS_PER_LINE``
+    rows to a line."""
     collections = {
         "/events": [
             ["\n".join(json.dumps({"v": p * 1000 + i}) for i in range(RECORDS))]
             for p in range(PARTITIONS)
         ]
     }
+    if groups:
+        collections["/groups"] = []
+        for p in range(PARTITIONS):
+            rows = [
+                {"g": (i * 7 + p) % 50 * (1.0 if i % 3 == 0 else 1), "v": i}
+                for i in range(RECORDS)
+            ]
+            rows[p * 11] = {"v": -p}
+            rows[p * 13 + 1] = {"g": None, "v": p}
+            lines = [
+                json.dumps(rows[i:i + GROUP_ROWS_PER_LINE])
+                for i in range(0, RECORDS, GROUP_ROWS_PER_LINE)
+            ]
+            collections["/groups"].append(["\n".join(lines)])
     if keys:
         collections["/keys"] = []
         for p in range(PARTITIONS):
@@ -121,11 +155,36 @@ def scenario_join_exchange(seed: int):
     return make_source("skip_record", keys=True), plan, config, JOIN_QUERY
 
 
+def scenario_group_by(function: str):
+    """A GROUP-BY folding *function* a frame at a time over rows with a
+    missing and a null key, one partition retried, one corrupted."""
+
+    def scenario(seed: int):
+        plan = FaultPlan(seed=seed)
+        plan.fail_partition(2, times=1)
+        plan.corrupt_records(1, fraction=0.03)
+        config = ResilienceConfig(
+            partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
+        )
+        query = GROUP_QUERY.replace("{function}", function)
+        return make_source("skip_record", groups=True), plan, config, query
+
+    return scenario
+
+
 SCENARIOS = {
     "retry+corruption": scenario_retry_and_corruption,
     "skip_partition": scenario_skip_partition,
     "retry-exhausted+straggler": scenario_exhausted_degrades,
     "join-exchange+retry+corruption": scenario_join_exchange,
+    "group-by-count+retry+corruption": scenario_group_by("count"),
+    "group-by-sum+retry+corruption": scenario_group_by("sum"),
+}
+#: the scenarios replayed once more under a budget that makes them spill
+SPILL_BUDGETS = {
+    "join-exchange+retry+corruption": GRACE_BUDGET,
+    "group-by-count+retry+corruption": GROUP_BUDGET,
+    "group-by-sum+retry+corruption": GROUP_BUDGET,
 }
 
 
@@ -276,8 +335,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.chaos:
             continue
-        # the join is replayed once more, its buckets overflowing
-        budgets = (None, GRACE_BUDGET) if factory is scenario_join_exchange else (None,)
+        # the join and the GROUP-BYs are replayed once more, spilling
+        budgets = (None, SPILL_BUDGETS[name]) if name in SPILL_BUDGETS else (None,)
         for budget in budgets:
             label = name if budget is None else f"{name} under {budget} bytes"
             reference, _ = run_once(
