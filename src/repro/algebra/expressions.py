@@ -159,26 +159,21 @@ class Expression:
         """Paper-style rendering used by the plan printer."""
         raise NotImplementedError
 
-    def free_variables(self) -> set[str]:
-        """All variable names referenced in this subtree."""
-        names: set[str] = set()
+    def walk(self) -> Iterable["Expression"]:
+        """Every node in this subtree, this one first."""
         stack: list[Expression] = [self]
         while stack:
             node = stack.pop()
-            if isinstance(node, VariableRef):
-                names.add(node.name)
+            yield node
             stack.extend(node.child_expressions())
-        return names
+
+    def free_variables(self) -> set[str]:
+        """All variable names referenced in this subtree."""
+        return {node.name for node in self.walk() if isinstance(node, VariableRef)}
 
     def contains(self, predicate) -> bool:
         """True if any node in this subtree satisfies *predicate*."""
-        stack: list[Expression] = [self]
-        while stack:
-            node = stack.pop()
-            if predicate(node):
-                return True
-            stack.extend(node.child_expressions())
-        return False
+        return any(map(predicate, self.walk()))
 
     def __eq__(self, other: object) -> bool:
         if type(self) is not type(other):

@@ -14,9 +14,10 @@ focus) printed in braces::
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from repro.algebra.operators import Operator
+from repro.algebra.expressions import CollectionExpr, JsonDocExpr
+from repro.algebra.operators import DataScan, Operator
 
 
 class LogicalPlan:
@@ -70,6 +71,44 @@ class LogicalPlan:
 
     def __repr__(self) -> str:
         return f"LogicalPlan(\n{self.explain()}\n)"
+
+
+class ReadSet(NamedTuple):
+    """What a plan reads, each part sorted: collection names, and the
+    argument of every ``json-doc`` call as the plan prints it."""
+
+    collections: tuple[str, ...]
+    documents: tuple[str, ...]
+
+
+def read_set(root: Operator, inputs: bool = True) -> ReadSet:
+    """The collections and ``json-doc`` URIs the plan under *root* reads.
+
+    A collection counts whether a DATASCAN streams it or a
+    ``collection()`` expression materializes it, in any operator's
+    expressions or nested plans.  With ``inputs=False`` only what *root*
+    reads itself counts: its expressions and its nested plans, not the
+    operators that feed it.
+    """
+    if inputs:
+        operators = LogicalPlan(root).iter_operators()
+    else:
+        operators = itertools.chain(
+            [root],
+            *(LogicalPlan(nested).iter_operators() for nested in root.nested_plans()),
+        )
+    collections: set[str] = set()
+    documents: set[str] = set()
+    for op in operators:
+        if isinstance(op, DataScan):
+            collections.add(op.collection)
+        for expression in op.used_expressions():
+            for node in expression.walk():
+                if isinstance(node, CollectionExpr):
+                    collections.add(node.name)
+                elif isinstance(node, JsonDocExpr):
+                    documents.add(node.uri_expr.to_string())
+    return ReadSet(tuple(sorted(collections)), tuple(sorted(documents)))
 
 
 def _transform(node: Operator, visit: Callable[[Operator], Operator]) -> Operator:

@@ -859,22 +859,22 @@ def ablation_group_cardinality() -> ExperimentResult:
 
 def ablation_frame_size() -> ExperimentResult:
     """Frame size vs exchange frame counts (Hyracks' restriction)."""
-    from repro.hyracks.frames import frame_stream
+    from repro.hyracks.tuples import count_frames, sizeof_tuples
 
     workload = W.sensor_workload(partitions=1, bytes_per_partition=150_000)
     catalog = workload.catalog
     items = catalog.read_collection("/sensors")
     from repro.correctness.oracle import iter_measurements
 
-    tuples = [{"r": [m]} for m in iter_measurements(items)]
+    sizes = sizeof_tuples([{"r": [m]} for m in iter_measurements(items)])
     rows = []
     for frame_bytes in (4 * 1024, 32 * 1024, 128 * 1024):
-        frames = list(frame_stream(tuples, frame_bytes=frame_bytes))
+        frames = count_frames(sizes, frame_bytes)
         rows.append(
             [
                 f"{frame_bytes // 1024}KB",
-                len(frames),
-                round(sum(len(f) for f in frames) / max(len(frames), 1), 1),
+                frames,
+                round(len(sizes) / max(frames, 1), 1),
             ]
         )
     return ExperimentResult(

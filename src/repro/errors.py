@@ -150,23 +150,6 @@ class RuntimeExecutionError(ReproError):
     """Base class for errors raised while executing a physical job."""
 
 
-class FrameOverflowError(_PickleByInitArgs, RuntimeExecutionError):
-    """A single tuple exceeded the fixed frame size.
-
-    Mirrors Hyracks' dataflow frame size restriction discussed in
-    Section 4.2 of the paper.
-    """
-
-    def __init__(self, tuple_bytes: int, frame_bytes: int):
-        self._init_args = (tuple_bytes, frame_bytes)
-        super().__init__(
-            f"tuple of {tuple_bytes} bytes does not fit in a "
-            f"{frame_bytes}-byte frame"
-        )
-        self.tuple_bytes = tuple_bytes
-        self.frame_bytes = frame_bytes
-
-
 class MemoryBudgetExceededError(_PickleByInitArgs, RuntimeExecutionError):
     """An operator (or engine) exceeded its memory budget."""
 

@@ -1,11 +1,11 @@
-"""Hyracks substrate: frames, physical operators, executor, cluster model.
+"""Hyracks substrate: tuples, physical operators, executor, cluster model.
 
 This package stands in for the Hyracks dataflow runtime of the paper's
 architecture (Section 3.1): tuple streams move through pull-based
-physical operators; exchange boundaries serialize tuples into fixed-size
-frames; memory is tracked and can be budgeted; and a simulated cluster
-places partitions on (node, core, hyperthread) slots to compose a
-makespan from really-measured per-partition work.
+physical operators; exchange boundaries charge the fixed-size frames
+their tuples fill; memory is tracked and can be budgeted; and a
+simulated cluster places partitions on (node, core, hyperthread) slots
+to compose a makespan from really-measured per-partition work.
 """
 
 from repro.hyracks.backends import (

@@ -73,8 +73,8 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.algebra.context import EvaluationContext
-from repro.algebra.operators import Aggregate, DataScan, GroupBy, Join, Operator
-from repro.algebra.plan import LogicalPlan
+from repro.algebra.operators import Aggregate, GroupBy, Join, Operator
+from repro.algebra.plan import LogicalPlan, read_set
 from repro.hyracks.aggregates import fold_stream, take_partials
 from repro.hyracks.memory import MemoryTracker
 from repro.hyracks.operators import (
@@ -456,13 +456,6 @@ class PartitionOutcome:
     profile: object = None
 
 
-def _scan_collections(plan: LogicalPlan) -> tuple[str, ...]:
-    """The collection names a plan scans, sorted for determinism."""
-    return tuple(
-        sorted({scan.collection for scan in plan.operators_of(DataScan)})
-    )
-
-
 def _wrap_partition_error(
     plan: LogicalPlan, partition: int, attempts: int, error: Exception
 ) -> PartitionExecutionError:
@@ -476,7 +469,7 @@ def _wrap_partition_error(
     wrapped = PartitionExecutionError(
         partition,
         error,
-        collections=_scan_collections(plan),
+        collections=read_set(plan.root).collections,
         file_path=file_path,
         attempts=attempts,
     )
@@ -606,7 +599,7 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
             ):
                 report.record_skipped_partition(
                     unit.partition,
-                    _scan_collections(unit.plan),
+                    read_set(unit.plan.root).collections,
                     attempts,
                     failure,
                 )

@@ -1,21 +1,31 @@
 """Partitioned query execution.
 
 The executor takes a (rewritten) logical plan and runs it over a
-partitioned collection, mirroring how VXQuery's Hyracks jobs run:
+partitioned collection, mirroring how VXQuery's Hyracks jobs run.  Where
+each operator runs follows from one bottom-up physical property (as in
+Algebricks), the partitioning an operator's output comes in: DATASCAN
+delivers ``partitioned``; ASSIGN, SELECT, UNNEST and SUBPLAN keep their
+input's unless they read a collection themselves (in an expression or a
+nested plan), which needs the whole input, ``global``; a JOIN with
+equality keys over two partitioned sides delivers ``hash-partitioned``
+(one share per exchange bucket); anything else delivers ``global``.
 
-- **pipelined plans** (selections like Q0/Q0b) run one plan instance per
-  partition; results concatenate;
-- **grouped aggregations** (Q1/Q1b) run partition-local GROUP-BYs and a
-  coordinator combine when two-step aggregation is enabled; with it
-  disabled, raw tuples ship to the coordinator (the ablation of
-  Section 4.3's last rule);
-- **global aggregates** (Q2's ``avg``) use the same partial/combine
-  decomposition;
-- **equi-joins** hash-exchange both sides into per-partition buckets and
-  join each bucket locally (Hyracks' hash-partitioned join);
-- plans with no DATASCAN — the naive, pre-pipelining shape — cannot be
-  partitioned at all and run as a single global instance, exactly the
-  behaviour that makes the "before rules" bars of Figures 13-16 tall.
+The strategy is one lookup in ``_STRATEGIES`` from the root-most
+blocking operator and the partitioning it sees; the operators above it
+run at the coordinator:
+
+- none, over ``partitioned``: ``pipelined`` (Q0/Q0b), one plan instance
+  per partition, results concatenated;
+- GROUP-BY over ``partitioned``: partition-local GROUP-BYs and a
+  coordinator combine (``grouped-two-step``, Q1/Q1b); with two-step
+  aggregation disabled, raw tuples ship to the coordinator
+  (``grouped-raw``, the ablation of Section 4.3's last rule);
+- AGGREGATE over ``partitioned``: the same partial/combine
+  decomposition (``aggregated-two-step`` / ``aggregated-raw``);
+- JOIN over ``partitioned`` or AGGREGATE over ``hash-partitioned``
+  (Q2): ``hash-join``, both sides hashed into per-partition buckets;
+- any other pair runs as one ``global`` instance — the naive plans
+  among them, which makes the "before rules" bars of Figures 13-16 tall.
 
 Partition work is dispatched through a pluggable
 :mod:`~repro.hyracks.backends` layer: ``sequential`` (the default) runs
@@ -65,7 +75,7 @@ from repro.algebra.operators import (
     Subplan,
     Unnest,
 )
-from repro.algebra.plan import LogicalPlan
+from repro.algebra.plan import LogicalPlan, read_set
 from repro.hyracks.aggregates import GroupStates, make_accumulators
 from repro.hyracks.backends import (
     BroadcastScanWork,
@@ -82,7 +92,12 @@ from repro.hyracks.backends import (
 from repro.hyracks.cluster import ClusterSpec
 from repro.hyracks.memory import MemoryTracker
 from repro.hyracks.operators import run_chain, run_plan, split_join_condition
-from repro.hyracks.tuples import Tuple, sizeof_tuples
+from repro.hyracks.tuples import (
+    DEFAULT_FRAME_BYTES,
+    Tuple,
+    count_frames,
+    sizeof_tuples,
+)
 from repro.jsonlib.items import Item
 from repro.observability.profile import (
     ProfileCollector,
@@ -91,9 +106,6 @@ from repro.observability.profile import (
 )
 from repro.resilience.policies import ResilienceConfig
 from repro.resilience.report import DegradationReport
-
-_CHAIN_OPS = (Assign, Select, Unnest, Subplan)
-
 
 @dataclass
 class ExecutionStats:
@@ -413,21 +425,20 @@ class PartitionedExecutor:
         return result
 
     def _dispatch(self, plan: LogicalPlan, result: QueryResult) -> QueryResult:
-        scans = plan.operators_of(DataScan)
-        partition_counts = {
-            self._source.partition_count(scan.collection) for scan in scans
-        }
-        if not scans or len(partition_counts) > 1:
-            # Nothing to partition, or collections partitioned
-            # differently (they cannot share one partition-aligned job):
-            # run a single global instance.
+        global_ops, blocking, seen = _placement(plan)
+        strategy = _STRATEGIES.get((type(blocking), seen))
+        if strategy is None:
             return self._run_global(plan, result)
-        (partitions,) = partition_counts
+        collections = read_set(plan.root).collections
+        counts = {self._source.partition_count(name) for name in collections}
+        if len(counts) > 1:
+            # Collections partitioned differently cannot share one
+            # partition-aligned job: run a single global instance.
+            return self._run_global(plan, result)
+        (partitions,) = counts
         if partitions <= 0:
-            raise PlanError(
-                f"collection {scans[0].collection!r} has no partitions"
-            )
-        return self._run_partitioned(plan, partitions, result)
+            raise PlanError(f"collection {collections[0]!r} has no partitions")
+        return strategy(self, plan, global_ops, blocking, partitions, result)
 
     # -- contexts ---------------------------------------------------------------
 
@@ -557,24 +568,14 @@ class PartitionedExecutor:
     def _record_frames(self, op: Operator, sizes=(), n_bytes: int = 0) -> None:
         """Charge ``frames_emitted`` for tuples shipped at an exchange.
 
-        Raw tuple streams are packed through a real
-        :class:`~repro.hyracks.frames.FrameWriter`, one entry of *sizes*
-        (``sizeof_tuples``, taken a frame at a time by whoever held the
-        tuples) per tuple in shipping order; partial/byte-counted
-        exchanges charge whole frames over *n_bytes*.  Only runs while
-        profiling, so the unprofiled path never packs frames twice.
+        Raw tuple streams count the frames :func:`count_frames` packs
+        *sizes* into (``sizeof_tuples``, one entry per tuple in shipping
+        order); partial/byte-counted exchanges charge whole frames over
+        *n_bytes*.  Only runs while profiling.
         """
         if self._profile is None:
             return
-        from repro.hyracks.frames import DEFAULT_FRAME_BYTES, FrameWriter
-
-        writer = FrameWriter(allow_big_objects=True)
-        for size in sizes:
-            writer.write(None, size)
-        writer.flush()
-        frames = writer.frames_emitted
-        if n_bytes > 0:
-            frames += -(-n_bytes // DEFAULT_FRAME_BYTES)  # ceil division
+        frames = count_frames(sizes) + -(-n_bytes // DEFAULT_FRAME_BYTES)
         if frames:
             self._profile.add(op, "frames_emitted", frames)
 
@@ -630,48 +631,11 @@ class PartitionedExecutor:
         result.peak_memory_bytes = memory.peak
         return result
 
-    def _run_partitioned(
-        self, plan: LogicalPlan, partitions: int, result: QueryResult
-    ) -> QueryResult:
-        global_ops, boundary = _split(plan)
-        if isinstance(boundary, GroupBy):
-            if _find_join(boundary.input_op) is None and _is_chain_to_scan(
-                boundary.input_op
-            ):
-                return self._run_grouped(
-                    plan, global_ops, boundary, partitions, result
-                )
-            return self._run_global(plan, result)
-        if isinstance(boundary, Aggregate):
-            join_parts = _find_join(boundary.input_op)
-            if join_parts is not None:
-                mid_ops, join = join_parts
-                if _is_chain_to_scan(join.left) and _is_chain_to_scan(join.right):
-                    return self._run_join(
-                        plan, global_ops, boundary, mid_ops, join, partitions, result
-                    )
-                return self._run_global(plan, result)
-            if _is_chain_to_scan(boundary.input_op):
-                return self._run_aggregated(
-                    plan, global_ops, boundary, partitions, result
-                )
-            return self._run_global(plan, result)
-        if isinstance(boundary, Join):
-            if _is_chain_to_scan(boundary.left) and _is_chain_to_scan(
-                boundary.right
-            ):
-                return self._run_join(
-                    plan, global_ops, None, [], boundary, partitions, result
-                )
-            return self._run_global(plan, result)
-        if isinstance(boundary, DataScan) or _is_chain_to_scan(boundary):
-            return self._run_pipelined(plan, partitions, result)
-        return self._run_global(plan, result)
-
     def _run_pipelined(
-        self, plan: LogicalPlan, partitions: int, result: QueryResult
+        self, plan: LogicalPlan, global_ops, blocking, partitions: int, result
     ) -> QueryResult:
-        """Fully pipelined plan: one independent instance per partition."""
+        """Fully pipelined plan: one independent instance per partition
+        runs every operator (*global_ops* and *blocking* are empty)."""
         result.strategy = "pipelined"
         for outcome in self._map(plan, [PipelinedWork(plan)] * partitions, result):
             result.items.extend(outcome.value)
@@ -770,9 +734,7 @@ class PartitionedExecutor:
         self,
         plan: LogicalPlan,
         global_ops: list[Operator],
-        aggregate: Aggregate | None,
-        mid_ops: list[Operator],
-        join: Join,
+        blocking: Aggregate | Join,
         partitions: int,
         result: QueryResult,
     ) -> QueryResult:
@@ -790,10 +752,13 @@ class PartitionedExecutor:
         partition contributes no tuples to any bucket; a skipped phase-2
         bucket contributes nothing to the result.
         """
+        if isinstance(blocking, Join):
+            aggregate, mid_ops, join = None, [], blocking
+        else:
+            aggregate = blocking
+            mid_ops, join = _peel(aggregate.input_op)
+            mid_ops.reverse()
         left_keys, right_keys, residual = split_join_condition(join)
-        if not left_keys:
-            # Cross products cannot hash-partition; run globally.
-            return self._run_global(plan, result)
         result.strategy = "hash-join"
         stats = result.stats
         buckets = partitions
@@ -899,46 +864,76 @@ def _fold_recovery_event(
 
 
 # ---------------------------------------------------------------------------
-# Plan-shape analysis
+# Placement: where each operator runs
 # ---------------------------------------------------------------------------
 
+#: one instance per scan partition
+PARTITIONED = "partitioned"
+#: one instance per join bucket (the exchange hashed both sides by key)
+HASH_PARTITIONED = "hash-partitioned"
+#: one instance over the whole input, at the coordinator
+GLOBAL = "global"
 
-def _split(plan: LogicalPlan) -> tuple[list[Operator], Operator]:
-    """Peel non-blocking operators off the root.
-
-    Returns (global_ops top-down including DISTRIBUTE-RESULT, boundary).
-    """
-    global_ops: list[Operator] = []
-    node = plan.root
-    while isinstance(node, (DistributeResult,) + _CHAIN_OPS):
-        global_ops.append(node)
-        node = node.inputs[0]
-    return global_ops, node
+_CHAIN_OPS = (Assign, Select, Unnest, Subplan, DistributeResult)
 
 
-def _is_chain_to_scan(op: Operator) -> bool:
-    """True if *op* is a chain of pipelined operators over a DATASCAN."""
-    node = op
-    while isinstance(node, _CHAIN_OPS):
-        node = node.inputs[0]
-    return isinstance(node, DataScan)
+def _delivered(op: Operator) -> str:
+    """The partitioning *op*'s output stream comes in."""
+    if isinstance(op, DataScan):
+        return PARTITIONED
+    if isinstance(op, _CHAIN_OPS):
+        return _required(op)
+    if isinstance(op, Join) and _required(op) == PARTITIONED:
+        return HASH_PARTITIONED
+    return GLOBAL
 
 
-def _find_join(op: Operator) -> tuple[list[Operator], Join] | None:
-    """Find a JOIN along the unary chain below *op* (inclusive).
+def _required(op: Operator) -> str:
+    """The partitioning *op* sees its input in.
 
-    Returns (ops between, bottom-up order; the join), or None.
-    """
-    mid: list[Operator] = []
-    node = op
-    while True:
-        if isinstance(node, Join):
-            return list(reversed(mid)), node
-        if isinstance(node, _CHAIN_OPS):
-            mid.append(node)
-            node = node.inputs[0]
-            continue
-        return None
+    An operator that reads a collection itself (in an expression or a
+    nested plan) needs its input gathered: per partition it would read
+    only that partition's share.  A JOIN sees partitioned input when
+    both sides are and it has equality keys to hash them on."""
+    if read_set(op, inputs=False).collections or not op.inputs:
+        return GLOBAL
+    if isinstance(op, Join):
+        sides = {_delivered(side) for side in op.inputs}
+        keyed = split_join_condition(op)[0]
+        return PARTITIONED if sides == {PARTITIONED} and keyed else GLOBAL
+    return _delivered(op.inputs[0])
+
+
+def _peel(op: Operator) -> tuple[list[Operator], Operator]:
+    """Walk down the pipelined operators from *op*: (them top-down, the
+    first operator that is not one)."""
+    chain_ops: list[Operator] = []
+    while isinstance(op, _CHAIN_OPS):
+        chain_ops.append(op)
+        op = op.inputs[0]
+    return chain_ops, op
+
+
+def _placement(plan: LogicalPlan):
+    """``(global_ops, blocking, seen)``: the root-most blocking operator,
+    the operators above it (top-down) and the partitioning it sees.  With
+    no blocking operator every operator runs per partition: *blocking*
+    is None and *seen* is what the root delivers."""
+    global_ops, blocking = _peel(plan.root)
+    if not blocking.inputs:
+        return [], None, _delivered(plan.root)
+    return global_ops, blocking, _required(blocking)
+
+
+#: (root-most blocking operator type, the partitioning it sees) ->
+#: strategy; every other pair runs as one global instance.
+_STRATEGIES = {
+    (type(None), PARTITIONED): PartitionedExecutor._run_pipelined,
+    (GroupBy, PARTITIONED): PartitionedExecutor._run_grouped,
+    (Aggregate, PARTITIONED): PartitionedExecutor._run_aggregated,
+    (Aggregate, HASH_PARTITIONED): PartitionedExecutor._run_join,
+    (Join, PARTITIONED): PartitionedExecutor._run_join,
+}
 
 
 def _finish_through_globals(

@@ -56,8 +56,12 @@ from typing import Callable, Iterable, Iterator
 from repro.envutil import env_setting
 from repro.errors import SpillError
 from repro.hyracks.aggregates import GroupStates
-from repro.hyracks.frames import DEFAULT_FRAME_BYTES
-from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple
+from repro.hyracks.tuples import (
+    DEFAULT_FRAME_BYTES,
+    Tuple,
+    merge_tuples,
+    sizeof_tuple,
+)
 from repro.jsonlib.items import canonical_key
 
 #: environment variable consulted for a default spill directory

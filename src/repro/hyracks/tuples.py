@@ -1,4 +1,4 @@
-"""Tuple representation and size estimation.
+"""Tuple representation, size estimation and frame counting.
 
 A runtime tuple is a mapping from variable names to sequences (lists of
 items).  Tuples are copied on extension (ASSIGN and UNNEST build
@@ -9,11 +9,14 @@ references safely; sequences themselves are shared.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.jsonlib.items import add_columns, columns_of, sizeof_item, sizeof_rows
 
 Tuple = dict
+
+#: byte budget of a frame, Hyracks' unit of data movement (Section 3.1)
+DEFAULT_FRAME_BYTES = 32 * 1024
 
 _TUPLE_BASE = 64
 _PER_FIELD = 24
@@ -61,3 +64,22 @@ def sizeof_tuples(tuples: list[Tuple]) -> list[int]:
 def project_tuple(tup: Tuple, variables: list[str]) -> Tuple:
     """Keep only *variables* (missing names are simply absent)."""
     return {name: tup[name] for name in variables if name in tup}
+
+
+def count_frames(sizes: Iterable[int], frame_bytes: int = DEFAULT_FRAME_BYTES) -> int:
+    """Frames a stream of tuples of these *sizes* packs into, in order.
+
+    A tuple joins the open frame while it fits and opens the next one
+    when it does not; a tuple bigger than a frame gets a frame of its
+    own (VXQuery's oversized frame), and a partial frame counts.
+    """
+    frames = used = 0
+    for size in sizes:
+        if used and used + size > frame_bytes:
+            frames += 1
+            used = 0
+        if size > frame_bytes:
+            frames += 1
+        else:
+            used += size
+    return frames + (used > 0)

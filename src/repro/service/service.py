@@ -91,7 +91,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.algebra.operators import DataScan
+from repro.algebra.plan import read_set
 from repro.algebra.rules import RewriteConfig
 from repro.cache.config import resolve_fingerprint_mode
 from repro.compiler.pipeline import (
@@ -383,9 +383,9 @@ class QueryService:
         backend is replaced in place (default 3).
     clock:
         Name from the injectable ``CLOCKS`` registry (default
-        ``"wall"``) used for load-shedding duration estimates and
-        circuit-breaker cooldowns — register a scripted clock to make
-        both deterministic in tests.
+        ``"wall"``) used for load-shedding duration estimates,
+        circuit-breaker cooldowns and :meth:`drain` timeouts — register
+        a scripted clock to make them deterministic in tests.
     circuit_failure_threshold / circuit_cooldown_seconds:
         Per-tenant circuit breaker: after *threshold* consecutive
         failures the tenant's submissions are rejected with
@@ -1185,14 +1185,15 @@ class QueryService:
             self.result_cache is not None
             and resolve_profile_config(request.profile) is None
         ):
-            collections = sorted(
-                {
-                    scan.collection
-                    for scan in compiled.plan.operators_of(DataScan)
-                }
-            )
-            fingerprints = source_fingerprints(
-                self._source, collections, self._fingerprint_mode
+            # Every collection the plan reads is fingerprinted; a json-doc
+            # read is not, so such a plan skips the cache.
+            reads = read_set(compiled.plan.root)
+            fingerprints = (
+                None
+                if reads.documents
+                else source_fingerprints(
+                    self._source, reads.collections, self._fingerprint_mode
+                )
             )
             if fingerprints is not None:
                 result_key = (
@@ -1309,14 +1310,12 @@ class QueryService:
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until no queries are queued or running; True on success."""
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
+        deadline = self._clock() + timeout if timeout is not None else None
         with self._idle:
             while self._queue or any(self._running.values()):
                 remaining = None
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
+                    remaining = deadline - self._clock()
                     if remaining <= 0:
                         return False
                 self._idle.wait(remaining)

@@ -44,7 +44,7 @@ from repro.algebra.operators import (
     Subplan,
     Unnest,
 )
-from repro.algebra.plan import LogicalPlan
+from repro.algebra.plan import LogicalPlan, read_set
 from repro.algebra.rules.base import conjuncts, subtree_variables
 from repro.jsonlib.path import KeysOrMembers, ValueByIndex, ValueByKey
 from repro.stats.sampling import CollectionStats, KeyStats, StatsSnapshot
@@ -254,11 +254,10 @@ class CostModel:
 
     def _scope_collections(self, scope: Operator) -> list[CollectionStats]:
         found: dict[str, CollectionStats] = {}
-        for op in LogicalPlan(scope).iter_operators():
-            if isinstance(op, DataScan):
-                stats = self.snapshot.for_collection(op.collection)
-                if stats is not None:
-                    found.setdefault(stats.collection, stats)
+        for name in read_set(scope).collections:
+            stats = self.snapshot.for_collection(name)
+            if stats is not None:
+                found.setdefault(stats.collection, stats)
         return [found[name] for name in sorted(found)]
 
 

@@ -128,6 +128,73 @@ class TestStrategySelection:
         assert result.items == [pytest.approx(6.0)]  # 7 - 1 on S1/d1
 
 
+# -- a collection read inside an expression ----------------------------------------
+
+#: 2 partitions x 5 rows: partition p holds v = 5p .. 5p + 4
+TEN_ROWS = {
+    "/c": [
+        ["\n".join(json.dumps({"v": 5 * p + i}) for i in range(5))]
+        for p in range(2)
+    ]
+}
+FOR_R = 'for $r in collection("/c") '
+COUNT_C = 'count(collection("/c"))'
+
+
+class TestCollectionReadInAnExpression:
+    """A ``collection()`` read in an expression or a nested plan reads the
+    whole collection, wherever its operator runs: a partition-local
+    instance would see its own share only."""
+
+    @pytest.mark.parametrize(
+        "query,items,strategy",
+        [
+            (FOR_R + f'where $r("v") le 2 return {COUNT_C}', [10] * 3, "global"),
+            (
+                FOR_R + f'where $r("v") lt {COUNT_C} - 8 return $r("v")',
+                [0, 1],
+                "global",
+            ),
+            (
+                FOR_R + f"let $n := {COUNT_C} "
+                'group by $k := $r("v") mod 2 return ($k, count($r), sum($n))',
+                [0, 5, 50, 1, 5, 50],
+                "global",
+            ),
+            (f"sum({FOR_R}return {COUNT_C})", [100], "global"),
+            (
+                # the read sits above the join, at the coordinator
+                FOR_R + 'for $s in collection("/c") '
+                f'where $r("v") eq $s("v") return {COUNT_C}',
+                [10] * 10,
+                "hash-join",
+            ),
+        ],
+        ids=["select", "where", "group-by", "aggregate", "above-join"],
+    )
+    @pytest.mark.parametrize(
+        "config", [RewriteConfig(), RewriteConfig.none()], ids=["all", "none"]
+    )
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_every_cell_reads_the_whole_collection(
+        self, backend, config, query, items, strategy
+    ):
+        executor = PartitionedExecutor(
+            InMemorySource(collections=TEN_ROWS),
+            two_step_aggregation=config.two_step_aggregation,
+            backend=backend,
+            max_workers=2,
+        )
+        try:
+            result = executor.run(compile_query(query, config).plan)
+        finally:
+            executor.close()
+        assert result.items == items
+        assert result.strategy == (
+            strategy if config == RewriteConfig() else "global"
+        )
+
+
 class TestCrossPartitionJoin:
     def test_join_matches_across_partitions(self, source):
         # S1/d2 TMIN lives in partition A, its TMAX in partition B; a

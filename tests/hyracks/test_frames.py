@@ -1,10 +1,11 @@
-"""Unit tests for the frame layer."""
+"""Unit tests for the frame count an exchange charges."""
 
-import pytest
-
-from repro.errors import FrameOverflowError
-from repro.hyracks.frames import FrameWriter, frame_stream, unframe
-from repro.hyracks.tuples import sizeof_tuple
+from repro.hyracks.tuples import (
+    DEFAULT_FRAME_BYTES,
+    count_frames,
+    sizeof_tuple,
+    sizeof_tuples,
+)
 
 
 def tuples_of_size(count, payload="x" * 100):
@@ -12,75 +13,46 @@ def tuples_of_size(count, payload="x" * 100):
 
 
 class TestFrameWriter:
+    """How many frames a tuple stream of given sizes is written into."""
+
     def test_packs_multiple_tuples_per_frame(self):
-        frames = []
-        writer = FrameWriter(frame_bytes=4096, on_frame=frames.append)
-        for tup in tuples_of_size(10):
-            writer.write(tup)
-        writer.flush()
-        assert sum(len(f) for f in frames) == 10
-        assert len(frames) < 10
+        sizes = sizeof_tuples(tuples_of_size(10))
+        assert 1 <= count_frames(sizes, frame_bytes=4096) < 10
 
     def test_respects_capacity(self):
-        frames = []
-        writer = FrameWriter(frame_bytes=1024, on_frame=frames.append)
-        for tup in tuples_of_size(50):
-            writer.write(tup)
-        writer.flush()
-        for frame in frames:
-            assert frame.used <= frame.capacity
+        # No 1 KiB frame holds more of these tuples than fit in it.
+        sizes = sizeof_tuples(tuples_of_size(50))
+        per_frame = 1024 // max(sizes)
+        assert count_frames(sizes, frame_bytes=1024) >= -(-50 // per_frame)
 
-    def test_oversized_tuple_raises_by_default(self):
-        writer = FrameWriter(frame_bytes=128)
-        with pytest.raises(FrameOverflowError):
-            writer.write({"v": ["y" * 1000]})
+    def test_greedy_packing(self):
+        assert count_frames([60, 60, 60], frame_bytes=128) == 2
+        assert count_frames([64, 64, 64, 64], frame_bytes=128) == 2
+        assert count_frames([100, 30, 100], frame_bytes=128) == 3
 
     def test_big_object_path(self):
-        frames = []
-        writer = FrameWriter(
-            frame_bytes=128, allow_big_objects=True, on_frame=frames.append
-        )
-        writer.write({"v": ["y" * 1000]})
-        writer.flush()
-        assert writer.big_object_count == 1
-        assert len(frames) == 1
-        assert frames[0].capacity > 128
+        # An oversized tuple gets a frame of its own; the open frame is
+        # flushed first and the next tuple opens a new one.
+        assert count_frames([sizeof_tuple({"v": ["y" * 1000]})], 128) == 1
+        assert count_frames([50, 1000, 50], frame_bytes=128) == 3
 
     def test_counters(self):
-        writer = FrameWriter(frame_bytes=1 << 20)
-        tuples = tuples_of_size(5)
-        for tup in tuples:
-            writer.write(tup)
-        writer.flush()
-        assert writer.tuples_written == 5
-        assert writer.bytes_written == sum(sizeof_tuple(t) for t in tuples)
-        assert writer.frames_emitted == 1
+        sizes = sizeof_tuples(tuples_of_size(5))
+        assert sizes == [sizeof_tuple(t) for t in tuples_of_size(5)]
+        assert count_frames(sizes, frame_bytes=1 << 20) == 1
 
     def test_flush_empty_is_noop(self):
-        frames = []
-        writer = FrameWriter(on_frame=frames.append)
-        writer.flush()
-        assert frames == []
+        assert count_frames([]) == 0
+
+    def test_default_frame_is_32_kib(self):
+        assert DEFAULT_FRAME_BYTES == 32 * 1024
+        assert count_frames([DEFAULT_FRAME_BYTES, 1]) == 2
 
 
 class TestFrameStream:
-    def test_roundtrip(self):
-        tuples = tuples_of_size(123)
-        frames = frame_stream(tuples, frame_bytes=2048)
-        assert list(unframe(frames)) == tuples
-
-    def test_lazy_emission(self):
-        # The generator must emit frames before the input is exhausted.
-        produced = []
-
-        def source():
-            for tup in tuples_of_size(1000):
-                produced.append(tup)
-                yield tup
-
-        stream = frame_stream(source(), frame_bytes=1024)
-        next(stream)
-        assert len(produced) < 1000
-
     def test_empty_input(self):
-        assert list(frame_stream([])) == []
+        assert count_frames(iter(())) == 0
+
+    def test_counts_a_one_shot_stream(self):
+        sizes = sizeof_tuples(tuples_of_size(123))
+        assert count_frames(iter(sizes), 2048) == count_frames(sizes, 2048)

@@ -5,8 +5,14 @@ import os
 
 import pytest
 
+from repro.algebra.rules import RewriteConfig
 from repro.data.catalog import CollectionCatalog, InMemorySource
-from repro.service import CachedResult, ResultCache, source_fingerprints
+from repro.service import (
+    CachedResult,
+    QueryService,
+    ResultCache,
+    source_fingerprints,
+)
 
 
 def entry(tag: str) -> CachedResult:
@@ -134,3 +140,64 @@ class TestSourceFingerprints:
         assert [label for label, _ in first] == sorted(
             label for label, _ in first
         )
+
+
+def write_rows(base, name: str, count: int) -> None:
+    directory = base / name
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "part.json").write_text(
+        "\n".join(json.dumps({"n": i}) for i in range(count))
+    )
+
+
+class TestServiceKeysEveryInput:
+    """The service's cache key covers every input the plan reads, not
+    only the collections a DATASCAN streams."""
+
+    @pytest.mark.parametrize(
+        "query,before,after",
+        [
+            # ASSIGN over EMPTY-TUPLE-SOURCE: no DATASCAN at all
+            ('count(collection("/d"))', [3], [5]),
+            (
+                'for $r in collection("/c") return count(collection("/d"))',
+                [3, 3],
+                [5, 5],
+            ),
+        ],
+        ids=["no-scan", "read-in-return"],
+    )
+    @pytest.mark.parametrize(
+        "config", [RewriteConfig(), RewriteConfig.none()], ids=["all", "none"]
+    )
+    def test_collection_read_in_an_expression(
+        self, tmp_path, config, query, before, after
+    ):
+        write_rows(tmp_path, "c", 2)
+        write_rows(tmp_path, "d", 3)
+        with QueryService(
+            CollectionCatalog(str(tmp_path)),
+            rewrite=config,
+            result_cache_size=16,
+        ) as service:
+            assert service.execute(query).items == before
+            assert service.execute(query).result_cache_hit
+            write_rows(tmp_path, "d", 5)
+            rerun = service.execute(query)
+            assert rerun.items == after
+            assert not rerun.result_cache_hit
+
+    def test_json_doc_is_never_served_from_the_cache(self, tmp_path):
+        write_rows(tmp_path, "c", 2)
+        document = tmp_path / "doc.json"
+        document.write_text('{"n": 1}')
+        query = f'json-doc("{document}")("n")'
+        with QueryService(
+            CollectionCatalog(str(tmp_path)), result_cache_size=16
+        ) as service:
+            assert service.execute(query).items == [1]
+            document.write_text('{"n": 22}')
+            rerun = service.execute(query)
+            assert rerun.items == [22]
+            assert not rerun.result_cache_hit
+

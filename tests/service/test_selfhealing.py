@@ -9,6 +9,7 @@ tests run on scripted clocks from the injectable ``CLOCKS`` registry,
 so no assertion depends on wall time.
 """
 
+import itertools
 import json
 import pickle
 import threading
@@ -421,6 +422,31 @@ def test_shedding_uses_tenant_deadline_ceiling():
             service.submit(FILTER_QUERY, tenant="capped")
         assert excinfo.value.reason == "predicted-timeout"
         source.release()
+        assert running.result().items == [120]
+
+
+def test_drain_times_out_on_the_service_clock(monkeypatch):
+    # Every read of this clock is a minute after the last, so a drain's
+    # 30-second deadline has passed at its first check: no real waiting.
+    minutes = itertools.count(step=60.0)
+    monkeypatch.setitem(CLOCKS, "leaping", lambda: lambda: next(minutes))
+    source = make_gated()
+    with QueryService(
+        source, backend="sequential", max_concurrent_queries=1, clock="leaping"
+    ) as service:
+        running = service.submit(COUNT_QUERY)
+        source.wait_entered()
+        drained = []
+        drainer = threading.Thread(
+            target=lambda: drained.append(service.drain(timeout=30))
+        )
+        drainer.start()
+        drainer.join(5)
+        returned_in_time = not drainer.is_alive()
+        source.release()
+        drainer.join(60)
+        assert returned_in_time
+        assert drained == [False]
         assert running.result().items == [120]
 
 
