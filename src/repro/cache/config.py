@@ -2,11 +2,16 @@
 
 Scan modes select the per-record projector used by every DATASCAN:
 
-- ``ondemand`` (default) — the single-pass navigator
-  (:mod:`repro.jsonlib.tape`): walks each record's text along the
-  projection path, hops everything else undecoded, and decodes each
-  match in place with the stdlib C scanner; an irregular record is
-  re-projected by ``text``.
+- ``ondemand`` (default) — the on-demand navigator
+  (:mod:`repro.jsonlib.ondemand`): walks each record's text along the
+  projection path's head key by key, up to its first ``()`` array,
+  decodes each member of that array with one call of the stdlib C
+  scanner and navigates the rest of the path over it in Python; a
+  counted scan (a profile, or a segment cache's cold fill) decodes with
+  a second decoder that refuses repeated keys, so its counters equal
+  the key walk's.  Memory stays bounded by the largest top-level value
+  plus one decoded member.  An irregular record is re-projected by
+  ``text``.
 - ``text`` — the raw-text skipper (:mod:`repro.jsonlib.textscan`),
   the canonical reference implementation and fallback authority.
 

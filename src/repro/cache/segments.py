@@ -401,20 +401,6 @@ class SegmentCache:
     def _io_ok(self) -> None:
         self._io_errors = 0
 
-    def source_fingerprint(self, file_path: str) -> tuple:
-        """Fingerprint an on-disk source under this cache's mode.
-
-        ``stat`` mode keys by :func:`file_fingerprint` (fast, with the
-        documented same-size in-place rewrite window); ``content`` mode
-        keys by :func:`content_file_fingerprint` (reads the bytes, no
-        staleness window).  The mode is part of the fingerprint tuple
-        itself, so switching modes never serves a segment keyed under
-        the other mode.
-        """
-        if self.fingerprint_mode == "content":
-            return content_file_fingerprint(file_path)
-        return file_fingerprint(file_path)
-
     # -- keys ------------------------------------------------------------------
 
     def _segment_path(self, key: str) -> str:

@@ -40,10 +40,12 @@ from repro.cache.config import (
 from repro.cache.segments import (
     SegmentCache,
     canonical_projection,
+    content_file_fingerprint,
+    file_fingerprint,
     text_fingerprint,
 )
 from repro.errors import FileScanError, JsonError, ReproError
-from repro.jsonlib import tape, textscan
+from repro.jsonlib import ondemand, textscan
 from repro.jsonlib.items import Item, sizeof_rows
 from repro.jsonlib.parser import parse
 from repro.jsonlib.path import Path
@@ -53,7 +55,7 @@ from repro.stats.sampling import SourceStatistics
 
 #: scan mode -> the module whose ``scan_file`` / ``scan_text`` projects a
 #: unit; both produce byte-identical items, errors and skip events.
-_SCANNERS = {"ondemand": tape, "text": textscan}
+_SCANNERS = {"ondemand": ondemand, "text": textscan}
 
 
 def _scan_plain(
@@ -191,8 +193,9 @@ class _PartitionedSource:
       and the sampler;
     - ``_scanner(unit)``: the unit bound to the scan mode's scanner,
       called as ``scan(path, **options)``;
-    - ``_fingerprint(unit)``: the segment cache's fingerprint of the
-      unit (may raise :class:`OSError`: scan cold);
+    - ``_fingerprint(unit, mode)``: the unit's fingerprint under the
+      fingerprint mode (``stat`` | ``content``), for the segment and
+      result caches (may raise :class:`OSError`: scan cold);
     - ``_size(unit)``: its size, for the sampler's extrapolation.
     """
 
@@ -353,6 +356,20 @@ class _PartitionedSource:
 
     # -- DataSource protocol ----------------------------------------------------
 
+    def fingerprints(self, names, mode: str):
+        """``(source id, fingerprint)`` of every unit of the collections
+        *names* under the fingerprint *mode*, in (collection, partition,
+        unit) order: the result cache's key.  None when a file vanished
+        mid-lookup, so the caller skips the cache for the request."""
+        try:
+            return tuple(
+                (source_id, self._fingerprint(unit, mode))
+                for name in names
+                for source_id, unit in self._units(name, None)
+            )
+        except OSError:
+            return None
+
     def partition_count(self, name: str) -> int:
         """Number of partitions of a collection."""
         return len(self._partitions(name))
@@ -402,7 +419,9 @@ class _PartitionedSource:
                     self, source_id, scan, path, self._counters
                 ), None
             else:
-                fingerprint_of = partial(self._fingerprint, unit)
+                fingerprint_of = partial(
+                    self._fingerprint, unit, self.segment_cache.fingerprint_mode
+                )
                 yield _scan_cached(self, source_id, fingerprint_of, scan, path)
 
 
@@ -510,8 +529,11 @@ class CollectionCatalog(_PartitionedSource):
     def _scanner(self, file_path: str):
         return partial(_SCANNERS[self.scan_mode].scan_file, file_path)
 
-    def _fingerprint(self, file_path: str):
-        return self.segment_cache.source_fingerprint(file_path)
+    @staticmethod
+    def _fingerprint(file_path: str, mode: str):
+        if mode == "content":
+            return content_file_fingerprint(file_path)
+        return file_fingerprint(file_path)
 
     _size = staticmethod(os.path.getsize)
 
@@ -575,5 +597,9 @@ class InMemorySource(_PartitionedSource):
     def _scanner(self, text: str):
         return partial(_SCANNERS[self.scan_mode].scan_text, text)
 
-    _fingerprint = staticmethod(text_fingerprint)
+    @staticmethod
+    def _fingerprint(text: str, mode: str):
+        # Texts are keyed by content whatever the mode: no staleness.
+        return text_fingerprint(text)
+
     _size = staticmethod(len)

@@ -60,6 +60,11 @@ class ItemTypeError(JsonError):
     """A JSONiq navigation or function was applied to the wrong item type."""
 
 
+class ItemDepthError(JsonError):
+    """An item nested deeper than a grouping or join key may be
+    (:data:`repro.jsonlib.items.MAX_KEY_DEPTH`)."""
+
+
 class FileScanError(_PickleByInitArgs, JsonError):
     """A JSON file could not be scanned.
 

@@ -10,9 +10,10 @@ parsing layer that Apache VXQuery relies on.  It provides:
   DATASCAN operator's second argument (Section 4.2 of the paper): it
   emits only the sub-items matched by a path, hopping everything else
   undecoded, and is the canonical definition of errors and offsets,
-- :mod:`repro.jsonlib.tape` — the on-demand navigator, the default scan
-  mode: the skipper's walkers with each match decoded in place by the
-  stdlib C scanner, any irregular record handed back to the skipper,
+- :mod:`repro.jsonlib.ondemand` — the on-demand navigator, the default
+  scan mode: the skipper's walkers over the path's head, each member of
+  its first ``()`` decoded whole by the stdlib C scanner and navigated
+  in Python, any irregular record handed back to the skipper,
 - :mod:`repro.jsonlib.parser` — ``parse`` / ``parse_many``: the scanners
   over the empty path, so a whole-text decode is one more scan.
 """

@@ -37,7 +37,7 @@ from itertools import repeat
 from operator import add, itemgetter
 from typing import Any, Iterable
 
-from repro.errors import ItemTypeError
+from repro.errors import ItemDepthError, ItemTypeError
 
 Item = Any
 
@@ -287,7 +287,15 @@ def canonical_atomic(item: Item) -> tuple:
     return (type(item).__name__, item)
 
 
-def canonical_item(item: Item) -> tuple:
+#: How deeply a grouping or join key may nest.  Canonicalizing recurses
+#: once per level, and the keys it builds are hashed, compared, pickled
+#: and printed level by level too, so the bound sits well under the
+#: interpreter's recursion limit: a deeper key is an
+#: :class:`~repro.errors.ItemDepthError` on every backend.
+MAX_KEY_DEPTH = 400
+
+
+def canonical_item(item: Item, depth: int = 0) -> tuple:
     """A hashable canonical form of one item, recursing into containers.
 
     Containers canonicalize structurally so the numeric unification of
@@ -295,15 +303,21 @@ def canonical_item(item: Item) -> tuple:
     ``{"a": [1.0]}`` share a key, matching :func:`deep_equals`.  Object
     keys are sorted, making the form (and its ``repr``, which the
     hash-join exchange buckets on) independent of insertion order.
+    *depth* counts the containers around *item*; plain loops keep the
+    recursion at one frame per level.
     """
+    if not isinstance(item, (dict, list)):
+        return canonical_atomic(item)
+    if depth == MAX_KEY_DEPTH:
+        raise ItemDepthError(f"a key nested deeper than {MAX_KEY_DEPTH} levels")
+    members = []
     if isinstance(item, dict):
-        return (
-            "obj",
-            tuple(sorted((key, canonical_item(value)) for key, value in item.items())),
-        )
-    if isinstance(item, list):
-        return ("arr", tuple(canonical_item(value) for value in item))
-    return canonical_atomic(item)
+        for key, value in item.items():
+            members.append((key, canonical_item(value, depth + 1)))
+        return ("obj", tuple(sorted(members)))
+    for value in item:
+        members.append(canonical_item(value, depth + 1))
+    return ("arr", tuple(members))
 
 
 def canonical_key(sequence: list) -> tuple:

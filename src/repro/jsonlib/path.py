@@ -10,7 +10,7 @@ Section 3.2 of the paper:
 
 Paths serve two purposes here.  :func:`navigate` evaluates a path against
 a materialized item (the naive execution strategy), and the scanners
-(:mod:`repro.jsonlib.textscan`, :mod:`repro.jsonlib.tape`) evaluate a
+(:mod:`repro.jsonlib.textscan`, :mod:`repro.jsonlib.ondemand`) evaluate a
 path directly against raw text (the optimized DATASCAN strategy of
 Section 4.2).  The equivalence of the two is a property-based test
 invariant.
@@ -159,6 +159,84 @@ def navigate(item: Item, path: Path) -> list[Item]:
         if not current:
             break
     return current
+
+
+def navigate_into(
+    item: Item, steps: tuple, index: int, out: list, counters=None
+) -> None:
+    """Append ``navigate(item, Path(steps[index:]))`` to *out*.
+
+    The on-demand scanner's navigator over a decoded member
+    (:func:`repro.jsonlib.textscan._walk_array`).  When *counters* (a
+    ``ScanCounters``) is given it counts exactly what the scanners' key
+    walk counts over the item's text, provided no object in *item*
+    repeated a key: ``matched`` per item, ``skipped`` per value passed
+    over, and ``tape_tokens`` one per key read at a walked object, one
+    per member visited and one per decode call (a trailing ``()`` over
+    an array is one call, also when it is empty).  Any other empty
+    container counts nothing.
+    """
+    size = len(steps)
+    while index < size:
+        step = steps[index]
+        index += 1
+        if isinstance(step, ValueByKey):
+            if not isinstance(item, dict):
+                break
+            found = step.key in item
+            if counters is not None:
+                counters.tape_tokens += len(item)
+                counters.skipped += len(item) - found
+            if not found:
+                return
+            item = item[step.key]
+        elif isinstance(step, ValueByIndex):
+            if not isinstance(item, list):
+                break
+            if not 1 <= step.index <= len(item):
+                if counters is not None:
+                    counters.tape_tokens += len(item)
+                    counters.skipped += len(item)
+                return
+            if counters is not None:
+                # The members before the target, then the rest at once.
+                counters.tape_tokens += step.index
+                counters.skipped += step.index - 1 + (step.index < len(item))
+            item = item[step.index - 1]
+        elif isinstance(item, list):
+            if index < size:
+                if counters is not None:
+                    counters.tape_tokens += len(item)
+                for member in item:
+                    navigate_into(member, steps, index, out, counters)
+                return
+            out.extend(item)
+            if counters is not None:
+                counters.matched += len(item)
+                counters.tape_tokens += 1
+            return
+        elif isinstance(item, dict):
+            # Keys-or-members over an object yields its keys, and each
+            # value is passed over.
+            if counters is not None:
+                counters.tape_tokens += len(item)
+                counters.skipped += len(item)
+            if index == size:
+                out.extend(item)
+                if counters is not None:
+                    counters.matched += len(item)
+            return
+        else:
+            break
+    else:
+        out.append(item)
+        if counters is not None:
+            counters.matched += 1
+            counters.tape_tokens += 1
+        return
+    # A step that does not apply to the item's type passes it over.
+    if counters is not None:
+        counters.skipped += 1
 
 
 def navigate_sequence(items: Iterable[Item], path: Path) -> list[Item]:

@@ -18,30 +18,29 @@ checked property-based in the test suite.  Over the empty path it is
 also the whole-text decoder: :func:`repro.jsonlib.parser.parse_many`
 and the un-rewritten plan's ``read_collection`` read every top-level
 value through it.  The path walkers take the value decoder as a
-parameter: with this module's pure-Python builder
-they are ``scan_mode="text"``, the canonical definition of errors,
-offsets and partial counts; with the C scanner they are the on-demand
-navigator (:mod:`repro.jsonlib.tape`), which hands every irregular
-record back to the former.  :func:`scan_file` feeds the
+parameter: with this module's pure-Python builder they are
+``scan_mode="text"``, the canonical definition of errors, offsets and
+partial counts; with the C scanner (``_DECODER``) they are the
+on-demand navigator (:mod:`repro.jsonlib.ondemand`), which walks the
+path's head key by key up to its first keys-or-members array, decodes
+each member of that array with one C call, navigates the rest of the
+path over the built member in Python, and hands every irregular record
+back to the former.  :func:`scan_file` feeds the
 skipper through a sliding buffer, so memory is bounded by the read
-chunk size plus the largest single top-level value — never by file (or
+chunk size plus the largest single top-level value (plus, on the
+on-demand route, one decoded member of it) — never by file (or
 collection) size.
 """
 
 from __future__ import annotations
 
-import functools
+import json
 import re
 from typing import Iterator
 
 from repro.errors import JsonSyntaxError
 from repro.jsonlib.items import Item
-from repro.jsonlib.path import (
-    KeysOrMembers,
-    Path,
-    ValueByIndex,
-    ValueByKey,
-)
+from repro.jsonlib.path import Path, ValueByIndex, ValueByKey, navigate_into
 
 _WS = r"[ \t\n\r]*"
 _WS_RE = re.compile(_WS)
@@ -100,11 +99,12 @@ class ScanCounters:
     Navigation accounting (every scan mode): ``matched`` counts items
     the projection materialized; ``skipped`` counts the values it
     jumped over (a bulk container skip counts once).  On-demand
-    accounting (:mod:`repro.jsonlib.tape`; zero in the other modes):
+    accounting (:mod:`repro.jsonlib.ondemand`; zero in the other modes):
     ``tape_records`` counts the records projected on the on-demand
-    path, ``tape_tokens`` the walkers' steps on them (one per key
-    read, member visited and decode call; a member taken whole by
-    :func:`_member_pattern` counts the steps of its key walk).
+    path, ``tape_tokens`` the key walk's steps on them (one per key
+    read, member visited and decode call; a member decoded whole counts
+    the steps its key walk would have taken, see
+    :func:`repro.jsonlib.path.navigate_into`).
     Segment-cache accounting
     (:mod:`repro.cache`): ``cache_hits`` / ``cache_misses`` count
     per-file cache probes; a hit replays the stored scan's
@@ -352,13 +352,12 @@ def _project(
     end)``.  With the default this is the raw-text skipper: the
     authority on malformed input, whose counts are exact up to the
     character that raised.  Any other decoder makes it the on-demand
-    navigator (:mod:`repro.jsonlib.tape`), which stages each record and
-    re-projects it with the default when anything goes wrong; that
-    licence lets the walkers hand it a trailing keys-or-members array
-    in one call and take same-shaped rows under a ``()("key")`` tail
-    one anchored match each (:func:`_member_pattern`), and has them
-    count their steps into ``tape_tokens`` (one per key read, member
-    visited and decode call).
+    navigator (:mod:`repro.jsonlib.ondemand`), which stages each record
+    and re-projects it with the default when anything goes wrong; that
+    licence lets the walkers decode each member of a keys-or-members
+    array whole and navigate the rest of the path over it in Python
+    (:func:`_walk_array`), and has them count their steps into
+    ``tape_tokens`` (one per key read, member visited and decode call).
     """
     if step_index == len(path):
         item, end = decode(text, pos)
@@ -510,98 +509,29 @@ def _skip_to_container_end(text: str, pos: int, start: int) -> int:
             return i
 
 
-# Same-shaped rows under a `()("key")` tail (Q0b's `("date")`).  The
-# navigator's array walk learns the shape of the members its key walk
-# has just walked and takes each following member of that shape in one
-# anchored match.  The pattern proves every member it takes, strictly:
-# whatever it does not spell out exactly (a duplicate, missing,
-# reordered or escaped key, a nested or malformed value, a trailing
-# comma, a truncated buffer) does not match and is walked key by key,
-# which stays the only definition of errors and of every count.
-_SCALAR = rf'(?:"{_STRING_BODY}"|{_NUMBER}(?![0-9.eE+-])|{_LITERAL})'
-_PAIR_RE = re.compile(
-    rf'{_WS}"({_PLAIN_RUN})"{_WS}:{_WS}{_SCALAR}{_WS}(?:,|(\}}))'
+def _reject_constant(token: str):
+    """Refuse ``NaN``/``Infinity``, which :func:`_build_value` rejects
+    (``json.dumps`` emits them, so they do occur)."""
+    raise ValueError(f"invalid literal {token}")
+
+
+def _unique_pairs(pairs: list) -> dict:
+    """An object's dict, refusing a repeated key (which it would hide)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated object key")
+    return obj
+
+
+#: The navigator's decoder: ``scan_once(text, pos)`` returns ``(value,
+#: end offset)`` with :func:`_build_value`'s value semantics (int unless
+#: ``./e/E``, the last duplicate key wins, surrogate pairs combine and
+#: lone ones are kept).  A counted scan decodes members with the second,
+#: because a built dict hides the repeated keys the key walk counts.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_COUNTING_DECODER = json.JSONDecoder(
+    parse_constant=_reject_constant, object_pairs_hook=_unique_pairs
 )
-#: Learning budget, so irregular data never pays for speculation.
-#: Within one array a shape is adopted once two walked members running
-#: have it, and after `_ROW_MISSES` walked members running the rest of
-#: the array is the key walk's alone.  Rows wider than `_ROW_KEYS` are
-#: never learned (the pattern grows with the row).  Across arrays a
-#: compile must be earned first: it costs the key walk of 130-240 rows
-#: of the same width (0.4 ms against 2-3 us a key), so each row walked
-#: under such a tail earns one credit, a shape is adopted only on
-#: `_COMPILE_ROWS` credits and a compile spends them all.  Data that
-#: keeps bringing new shapes thus scans within twice the key walk
-#: alone, however few rows each shape has.
-_ROW_MISSES = 3
-_ROW_KEYS = 32
-_COMPILE_ROWS = 256
-#: Starts full, so a process's first shape compiles on its second row;
-#: like the hint below, shared by threads without a lock (a lost update
-#: loses one row's credit).
-_compile_credit = _COMPILE_ROWS
-#: Last shape adopted per target key, tried on the next array's first
-#: member (the paper's arrays hold a few dozen rows).  Only a hint: a
-#: stale one costs a failed match, so threads share it through plain
-#: dict reads and writes, and it is emptied when full.
-_SHAPE_HINT: dict[str, tuple[str, ...]] = {}
-_SHAPE_HINT_SIZE = 64
-
-
-def _flat_shape(text: str, start: int, end: int, target: str):
-    """Keys of the flat object ``text[start:end]``, or None.
-
-    Flat: at most `_ROW_KEYS` keys, each free of escapes and distinct,
-    every value a strict scalar, *target* among the keys.
-    """
-    if text[start] != "{":
-        return None
-    keys = []
-    pos = start + 1
-    while True:
-        pair = _PAIR_RE.match(text, pos, end)
-        if pair is None:
-            return None
-        keys.append(pair.group(1))
-        pos = pair.end()
-        if pair.lastindex == 2:
-            break
-        if len(keys) == _ROW_KEYS:
-            return None
-    if target not in keys or len(set(keys)) != len(keys):
-        return None
-    return tuple(keys)
-
-
-@functools.lru_cache(maxsize=64)
-def _member_pattern(keys: tuple[str, ...], target: str):
-    """``(match, pairs)`` for array members of the flat shape *keys*.
-
-    The anchored pattern spells the member out key by key, captures
-    *target*'s value (group 1) and ends on the array's ``,`` (and the
-    whitespace after it) or ``]`` (group 2).  The body runs only on a
-    memo miss, which is the compile the learning budget meters.
-    """
-    global _compile_credit
-    _compile_credit = 0
-    pairs = [
-        rf'"{re.escape(key)}"{_WS}:{_WS}'
-        + (f"({_SCALAR})" if key == target else _SCALAR)
-        + _WS
-        for key in keys
-    ]
-    member = rf"\{{{_WS}" + f",{_WS}".join(pairs) + rf"\}}{_WS}"
-    return re.compile(rf"{member}(?:,{_WS}|(\]))").match, len(keys)
-
-
-def _adopt_shape(keys: tuple[str, ...], target: str):
-    """:func:`_member_pattern` of a shape just learned, which also
-    becomes the hint for the next array under *target*."""
-    if _SHAPE_HINT.get(target) != keys:
-        if len(_SHAPE_HINT) >= _SHAPE_HINT_SIZE:
-            _SHAPE_HINT.clear()
-        _SHAPE_HINT[target] = keys
-    return _member_pattern(keys, target)
 
 
 def _walk_array(
@@ -614,100 +544,78 @@ def _walk_array(
     counters: ScanCounters | None,
     decode,
 ) -> int:
-    """Walk an array; ``target_index`` None means keys-or-members."""
-    global _compile_credit
+    """Walk an array; ``target_index`` None means keys-or-members.
+
+    The navigator decodes each member of a keys-or-members array whole,
+    with one call, and navigates the rest of the path over it in Python
+    (:func:`~repro.jsonlib.path.navigate_into`, which counts the steps
+    of the key walk it replaces).  A member the decoder refuses (a
+    repeated key while counting, a non-standard constant, an integer
+    too long to convert, nesting too deep, a region only the skipper's
+    leniency accepts) is walked key by key instead, as the path's head
+    is.  The array's own steps are one per member visited, or one decode
+    call for a trailing ``()``.
+    """
     start = pos
     navigating = decode is not _build_value
-    if target_index is None and navigating and step_index + 1 == len(path):
-        # A trailing keys-or-members step materializes every member
-        # (the paper queries' `("results")()` shape): the navigator's
-        # decoder takes the whole array in one call.  The skipper walks
-        # on, member by member, so its partial counts stay exact.
-        members, end = decode(text, start)
-        out.extend(members)
-        if counters is not None:
-            counters.matched += len(members)
-            counters.tape_tokens += 1
-        return end
+    whole = navigating and target_index is None
+    trailing = step_index + 1 == len(path)
+    take = decode
+    if whole and counters is not None and not trailing:
+        take = _COUNTING_DECODER.scan_once
     pos = _skip_ws(text, pos + 1)  # past '['
-    if text.startswith("]", pos):
-        return pos + 1
-    count_steps = counters is not None and navigating
-    row_key = take = last_shape = None
-    pairs = misses = 0
-    if (
-        target_index is None
-        and navigating
-        and step_index + 2 == len(path)
-        and isinstance(path[step_index + 1], ValueByKey)
-    ):
-        row_key = path[step_index + 1].key
-        hinted = _SHAPE_HINT.get(row_key)
-        if hinted is not None:
-            take, pairs = _member_pattern(hinted, row_key)
     position = 0
-    while True:
-        position += 1
-        if take is not None:
-            hit = take(text, pos)
-            if hit is not None:
-                # One member, whole: exactly what the key walk would
-                # have added, so no count depends on the route taken.
-                out.append(decode(text, hit.start(1))[0])
-                if counters is not None:
-                    counters.matched += 1
-                    counters.skipped += pairs - 1
-                    counters.tape_tokens += pairs + 1
-                misses = 0
-                pos = hit.end()
-                if hit.lastindex == 1:  # ended past the array's `,`
-                    continue
-                if count_steps:
-                    counters.tape_tokens += position
-                return pos
-        if target_index is None or position == target_index:
-            member = pos
-            pos = _project(
-                text, pos, path, step_index + 1, out, counters, decode
-            )
-            if target_index is not None:
-                # Positions only grow, so no later member can match:
-                # skip the rest of the array in one bulk hop.
-                end = _skip_to_container_end(text, pos, start)
-                if counters is not None and text[_skip_ws(text, pos)] != "]":
-                    counters.skipped += 1
-                if count_steps:
-                    counters.tape_tokens += position
-                return end
-            if row_key is not None:
-                if _compile_credit < _COMPILE_ROWS:
-                    _compile_credit += 1
-                misses += 1
-                if misses > _ROW_MISSES:
-                    take = None
+    if text.startswith("]", pos):
+        end = pos + 1
+    else:
+        while True:
+            position += 1
+            if whole:
+                try:
+                    item, pos = take(text, pos)
+                except (ValueError, StopIteration, RecursionError):
+                    pos = _project(
+                        text, pos, path, step_index + 1, out, counters, decode
+                    )
                 else:
-                    shape = _flat_shape(text, member, pos, row_key)
+                    if not trailing:
+                        navigate_into(
+                            item, path.steps, step_index + 1, out, counters
+                        )
+                    else:
+                        out.append(item)
+                        if counters is not None:
+                            counters.matched += 1
+            elif target_index is None or position == target_index:
+                pos = _project(
+                    text, pos, path, step_index + 1, out, counters, decode
+                )
+                if target_index is not None:
+                    # Positions only grow, so no later member can match:
+                    # skip the rest of the array in one bulk hop.
+                    end = _skip_to_container_end(text, pos, start)
                     if (
-                        shape is not None
-                        and shape == last_shape
-                        and _compile_credit >= _COMPILE_ROWS
+                        counters is not None
+                        and text[_skip_ws(text, pos)] != "]"
                     ):
-                        take, pairs = _adopt_shape(shape, row_key)
-                    last_shape = shape
-        else:
-            pos = _skip(text, pos, counters)
-        pos = _skip_ws(text, pos)
-        ch = text[pos : pos + 1]
-        if ch == ",":
-            pos = _skip_ws(text, pos + 1)
-            continue
-        if ch == "]":
-            if count_steps:
-                counters.tape_tokens += position
-            return pos + 1
-        if not ch:
-            raise JsonSyntaxError("unterminated array", pos)
-        raise JsonSyntaxError(f"expected ',' or ']', found {ch!r}", pos)
+                        counters.skipped += 1
+                    break
+            else:
+                pos = _skip(text, pos, counters)
+            pos = _skip_ws(text, pos)
+            ch = text[pos : pos + 1]
+            if ch == ",":
+                pos = _skip_ws(text, pos + 1)
+                continue
+            if ch == "]":
+                end = pos + 1
+                break
+            if not ch:
+                raise JsonSyntaxError("unterminated array", pos)
+            raise JsonSyntaxError(f"expected ',' or ']', found {ch!r}", pos)
+    if counters is not None and navigating:
+        counters.tape_tokens += 1 if whole and trailing else position
+    return end
 
 
 def _resync(text: str, pos: int, error: JsonSyntaxError) -> int:
@@ -736,7 +644,7 @@ def _default_projector(
     """Per-record projector of the raw-text skipper.
 
     ``scan_text``/``scan_file`` delegate each top-level value to a
-    projector with this signature; :mod:`repro.jsonlib.tape` plugs its
+    projector with this signature; :mod:`repro.jsonlib.ondemand` plugs its
     on-demand projector into the same sliding-buffer machinery.
     """
     return _project(text, pos, path, 0, out, counters)

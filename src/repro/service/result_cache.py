@@ -30,43 +30,20 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.cache.config import validate_fingerprint_mode
-from repro.cache.segments import (
-    content_file_fingerprint,
-    file_fingerprint,
-    text_fingerprint,
-)
 
 
 def source_fingerprints(source, collections, mode: str):
     """Fingerprint every input of *collections* under *mode*.
 
-    Returns a tuple of ``(label, fingerprint)`` pairs in deterministic
-    (collection, partition, file) order, or ``None`` when the source
-    cannot be fingerprinted (unknown source type, or a file vanished
-    mid-lookup) — the caller then skips the cache for this request.
+    Returns the source's ``fingerprints(collections, mode)``: ``(label,
+    fingerprint)`` pairs in deterministic (collection, partition, file)
+    order, or ``None`` when the source cannot be fingerprinted (a
+    source without that method, or a file vanished mid-lookup) — the
+    caller then skips the cache for this request.
     """
     validate_fingerprint_mode(mode)
-    pairs = []
-    files = getattr(source, "files", None)
-    if files is not None:
-        fingerprint_one = (
-            content_file_fingerprint if mode == "content" else file_fingerprint
-        )
-        try:
-            for name in collections:
-                for path in files(name):
-                    pairs.append((path, fingerprint_one(path)))
-        except OSError:
-            return None
-        return tuple(pairs)
-    units = getattr(source, "_units", None)
-    if units is not None:
-        # In-memory sources are always content-keyed.
-        for name in collections:
-            for label, text in units(name, None):
-                pairs.append((label, text_fingerprint(text)))
-        return tuple(pairs)
-    return None
+    fingerprints = getattr(source, "fingerprints", None)
+    return None if fingerprints is None else fingerprints(collections, mode)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from repro.algebra.context import normalize_collection_name as _normalize
 from repro.errors import JsonError, ReproError
 from repro.jsonlib.items import canonical_atomic, is_atomic, sizeof_item
 from repro.jsonlib.path import Path
-from repro.jsonlib.tape import scan_text
+from repro.jsonlib.ondemand import scan_text
 
 #: environment variable consulted when no explicit sample limit is given.
 SAMPLE_ENV_VAR = "REPRO_STATS_SAMPLE"

@@ -9,9 +9,10 @@ from repro.algebra.context import EvaluationContext
 from repro.algebra.expressions import VariableRef
 from repro.algebra.operators import AggregateSpec
 from repro.algebra.rules import RewriteConfig
-from repro.errors import ItemTypeError, ReproError
+from repro.errors import ItemDepthError, ItemTypeError, ReproError
 from repro.hyracks.aggregates import make_accumulators
 from repro.hyracks.memory import MemoryTracker
+from repro.jsonlib.items import MAX_KEY_DEPTH
 from repro.jsoniq.functions import BUILTIN_FUNCTIONS
 
 CTX = EvaluationContext()
@@ -188,3 +189,37 @@ class TestTypeChecks:
         query = self.QUERIES[shape].replace("{function}", function).replace("{key}", "n")
         for config in (RewriteConfig.all(), RewriteConfig.none()):
             assert self.execute(query, config, backend) == [expected]
+
+
+class TestDeepGroupingKey:
+    """A grouping key nested past ``MAX_KEY_DEPTH`` is a typed error,
+    worded the same on every backend, not a bare ``RecursionError``."""
+
+    QUERY = (
+        'for $r in collection("/c")() group by $k := $r("k") '
+        "return count($r)"
+    )
+
+    @staticmethod
+    def execute(depth, backend):
+        key = "[" * depth + "1" + "]" * depth
+        text = "[%s]" % ", ".join(['{"k": %s}' % key] * 3)
+        source = InMemorySource(collections={"/c": [[text]]})
+        with JsonProcessor(source=source, backend=backend) as processor:
+            return processor.execute(TestDeepGroupingKey.QUERY).items
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_deep_key_raises_item_depth_error(self, backend):
+        with pytest.raises(ReproError) as excinfo:
+            self.execute(600, backend)
+        error = excinfo.value
+        if not isinstance(error, ItemDepthError):
+            error = error.__cause__
+        assert isinstance(error, ItemDepthError)
+        assert str(error) == (
+            f"a key nested deeper than {MAX_KEY_DEPTH} levels"
+        )
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_key_within_the_bound_groups(self, backend):
+        assert self.execute(300, backend) == [3]

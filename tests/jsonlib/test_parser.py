@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import JsonSyntaxError
-from repro.jsonlib import tape, textscan
+from repro.jsonlib import ondemand, textscan
 from repro.jsonlib.parser import parse, parse_many
 from repro.jsonlib.path import Path
 
@@ -35,7 +35,7 @@ def scan_chunked(tmp_path, text, chunk_size):
     file.write_text(text, encoding="utf-8")
     text_items, ondemand_items = (
         list(scanner.scan_file(str(file), Path(), chunk_size=chunk_size))
-        for scanner in (textscan, tape)
+        for scanner in (textscan, ondemand)
     )
     assert text_items == ondemand_items
     return text_items
@@ -206,7 +206,7 @@ class TestErrors:
         # Offsets are absolute in the file, however many reads came first.
         file = tmp_path / "doc.json"
         file.write_text("[0]\n" * 5 + "[1, 2, x]", encoding="utf-8")
-        for scanner in (textscan, tape):
+        for scanner in (textscan, ondemand):
             with pytest.raises(JsonSyntaxError) as excinfo:
                 list(scanner.scan_file(str(file), Path(), chunk_size=4))
             assert excinfo.value.offset == 27

@@ -12,19 +12,19 @@ import pytest
 
 from repro.correctness.oracle import reference_documents
 from repro.errors import JsonSyntaxError
-from repro.jsonlib import tape, textscan
+from repro.jsonlib import ondemand, textscan
 from repro.jsonlib.path import Path, navigate, parse_path
 
 
 def project_text(text, path):
     items = list(textscan.scan_text(text, path))
-    assert list(tape.scan_text(text, path)) == items
+    assert list(ondemand.scan_text(text, path)) == items
     return items
 
 
 def project_file(file_path, path, **options):
     items = list(textscan.scan_file(file_path, path, **options))
-    assert list(tape.scan_file(file_path, path, **options)) == items
+    assert list(ondemand.scan_file(file_path, path, **options)) == items
     return items
 
 SENSOR_FILE = """
@@ -141,7 +141,7 @@ class TestProjectFile:
 
 class TestErrors:
     def test_truncated_stream(self):
-        for scan_text in (textscan.scan_text, tape.scan_text):
+        for scan_text in (textscan.scan_text, ondemand.scan_text):
             with pytest.raises(JsonSyntaxError):
                 # cut inside the array
                 list(scan_text('{"a": [1, 2', parse_path('("a")')))

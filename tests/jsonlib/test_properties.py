@@ -21,7 +21,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jsonlib import tape, textscan
+from repro.jsonlib import ondemand, textscan
 from repro.jsonlib.items import sizeof_item
 from repro.jsonlib.parser import parse, parse_many
 from repro.jsonlib.path import Path
@@ -61,7 +61,7 @@ def test_chunking_invariance(values, data):
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as out:
             out.write(text)
-        for scanner in (textscan, tape):
+        for scanner in (textscan, ondemand):
             read = list(scanner.scan_file(file, Path(), chunk_size=chunk_size))
             assert read == parse_many(text) == values
     finally:

@@ -1,7 +1,7 @@
 """Scanner differential fuzz: on-demand against the raw-text skipper.
 
 ROADMAP item 4's "scanner differential fuzz".  The on-demand scanner
-(:mod:`repro.jsonlib.tape`) promises byte-identity with the skipper
+(:mod:`repro.jsonlib.ondemand`) promises byte-identity with the skipper
 (:mod:`repro.jsonlib.textscan`) on *everything observable*: the items
 yielded (also those yielded before an error), the error's class,
 message and offset, the ``matched``/``skipped`` counters and the
@@ -12,10 +12,11 @@ mutated both must also equal ``navigate(json.loads(...))``.
 Documents are rendered by this file, not by ``json.dumps``, so that
 objects can repeat keys and spacing varies; a text mutation then
 optionally breaks the result.  The recursive documents almost never
-hold an array of same-shaped rows under a ``()("key")`` tail, the one
-shape the navigator takes by anchored match, so a second strategy
-builds exactly those, each row optionally broken in one of the ways the
-match must refuse.  The examples are derandomized so the tier-1 gate
+hold the paper's layout, arrays of flat rows under a ``()("key")``
+tail, so a second strategy builds exactly those, each row optionally
+broken in one of the ways a decoded member must be refused (a repeated
+key, a non-standard constant, an integer too long to convert,
+malformed text).  The examples are derandomized so the tier-1 gate
 does the same work on every host; to fuzz wider, raise ``max_examples``
 and drop ``derandomize`` locally.
 """
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import JsonSyntaxError
-from repro.jsonlib import tape, textscan
+from repro.jsonlib import ondemand, textscan
 from repro.jsonlib.path import (
     KeysOrMembers,
     Path,
@@ -156,7 +157,7 @@ def observe(scan, source, path, on_malformed, **kwargs):
 def check_equivalence(text, path, on_malformed, chunk_size, documents):
     """On-demand equals text, in memory and from a file; and both equal
     the stdlib on *documents* (the texts of a scan nothing broke)."""
-    in_memory = observe(tape.scan_text, text, path, on_malformed)
+    in_memory = observe(ondemand.scan_text, text, path, on_malformed)
     assert in_memory == observe(textscan.scan_text, text, path, on_malformed)
 
     handle, file_path = tempfile.mkstemp(suffix=".json")
@@ -164,7 +165,7 @@ def check_equivalence(text, path, on_malformed, chunk_size, documents):
         with os.fdopen(handle, "w", encoding="utf-8", newline="") as out:
             out.write(text)
         from_file = observe(
-            tape.scan_file, file_path, path, on_malformed,
+            ondemand.scan_file, file_path, path, on_malformed,
             chunk_size=chunk_size,
         )
         assert from_file == observe(
@@ -286,7 +287,7 @@ def row_cases(draw):
         elif layout == "results":
             documents.append(Obj([("results", rows())]))
         else:
-            # Two arrays, so that the shape hint carries over.
+            # Two members of "root", each decoded whole by the navigator.
             documents.append(
                 Obj([(
                     "root",
@@ -311,24 +312,17 @@ def row_cases(draw):
     mutated=st.booleans(),
     on_malformed=st.sampled_from(["fail", "skip_record"]),
     chunk_size=st.integers(min_value=1, max_value=64),
-    fresh=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_row_arrays_ondemand_equals_text_equals_stdlib(
-    case, style, joiner, mutated, on_malformed, chunk_size, fresh, data
+    case, style, joiner, mutated, on_malformed, chunk_size, data
 ):
     documents, path, valid = case
     rendered = [render(doc, style) for doc in documents]
     text = joiner.join(rendered)
     if mutated:
         text = mutate(text, data)
-    if fresh:
-        # Otherwise the memo, the hint and the compile credit are
-        # whatever earlier examples left: no such state may show.
-        textscan._SHAPE_HINT.clear()
-        textscan._member_pattern.cache_clear()
-        textscan._compile_credit = textscan._COMPILE_ROWS
     check_equivalence(
         text, path, on_malformed, chunk_size,
         rendered if valid and not mutated else None,

@@ -4,17 +4,19 @@ The on-demand scanner's contract is *byte-identity* with the raw-text
 skipper (:mod:`repro.jsonlib.textscan`): same items, same counters,
 same errors (message and offset), same recorder events — on well-formed
 input, hostile Unicode, duplicate keys, BOM-prefixed texts, and records
-split across ``scan_file``'s sliding chunk buffer.  (``tape`` is the
-module's historical name; it walks the text and builds no index.)
+split across ``scan_file``'s sliding chunk buffer.  (The file keeps
+the module's old name, ``tape``.)
 """
 
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.correctness.oracle import reference_documents
 from repro.errors import JsonSyntaxError
-from repro.jsonlib import tape, textscan
+from repro.jsonlib import ondemand, textscan
 from repro.jsonlib.path import Path, navigate, parse_path
 from repro.jsonlib.textscan import ScanCounters
 
@@ -30,7 +32,7 @@ def both_scans(text, path, **kwargs):
     """(tape items, skipper items) with their counters for one text."""
     tape_counters, text_counters = ScanCounters(), ScanCounters()
     tape_items = list(
-        tape.scan_text(text, path, counters=tape_counters, **kwargs)
+        ondemand.scan_text(text, path, counters=tape_counters, **kwargs)
     )
     text_items = list(
         textscan.scan_text(text, path, counters=text_counters, **kwargs)
@@ -38,23 +40,52 @@ def both_scans(text, path, **kwargs):
     return (tape_items, tape_counters), (text_items, text_counters)
 
 
-def assert_parity(text, path_text):
-    """Tape == skipper == parse-then-navigate, items and counters."""
+def assert_parity(text, path_text, counted=True, expected=None):
+    """Tape == skipper == *expected* (by default parse-then-navigate),
+    in items and, when *counted*, in counters; returns the tape's."""
     path = parse_path(path_text)
+    if expected is None:
+        expected = reference(text, path)
+    if not counted:
+        assert (
+            list(ondemand.scan_text(text, path))
+            == list(textscan.scan_text(text, path))
+            == expected
+        )
+        return None
     (tape_items, tape_c), (text_items, text_c) = both_scans(text, path)
-    assert tape_items == text_items == reference(text, path)
+    assert tape_items == text_items == expected
     assert tape_c.matched == text_c.matched
     assert tape_c.skipped == text_c.skipped
     assert tape_c.tape_records > 0
     assert (text_c.tape_records, text_c.tape_tokens) == (0, 0)
+    return tape_c
+
+
+def outcome(scanner, text, path, counted=True, on_malformed="fail"):
+    """Everything a caller sees of one scan: items or error, the
+    navigation counters and the skip events."""
+    counters = ScanCounters() if counted else None
+    events, items = [], []
+    try:
+        for item in scanner.scan_text(
+            text, path, on_malformed=on_malformed, counters=counters,
+            recorder=lambda offset, message: events.append((offset, message)),
+        ):
+            items.append(item)
+    except JsonSyntaxError as error:
+        items = (type(error).__name__, str(error), error.offset)
+    if counters is None:
+        return repr(items), events
+    return repr(items), events, counters.matched, counters.skipped
 
 
 class DecoderSpy:
-    """Stands in for the module's decoder; logs each (start, end) decoded."""
+    """Stands in for a module decoder; logs each (start, end) decoded."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, spans):
         self.inner = inner
-        self.spans = []
+        self.spans = spans
 
     def scan_once(self, text, pos):
         value, end = self.inner.scan_once(text, pos)
@@ -64,14 +95,17 @@ class DecoderSpy:
 
 @pytest.fixture
 def spy(monkeypatch):
-    spy = DecoderSpy(tape._DECODER)
-    monkeypatch.setattr(tape, "_DECODER", spy)
-    return spy
+    """Both navigator decoders, logging into one list of spans."""
+    spans = []
+    for name in ("_DECODER", "_COUNTING_DECODER"):
+        inner = getattr(textscan, name)
+        monkeypatch.setattr(textscan, name, DecoderSpy(inner, spans))
+    return SimpleNamespace(spans=spans)
 
 
 def scan_counted(text, path_text):
     counters = ScanCounters()
-    items = list(tape.scan_text(text, parse_path(path_text), counters=counters))
+    items = list(ondemand.scan_text(text, parse_path(path_text), counters=counters))
     return items, counters
 
 
@@ -88,16 +122,25 @@ class TestNavigator:
         assert spy.spans == [(start, start + len('{"deep": [4, 5]}'))]
         assert counters.tape_records == 1
 
-    def test_bulk_array_is_one_decode_call_per_array(self, spy):
+    def test_one_decode_call_per_member_of_the_first_array(self, spy):
         text = (
             '{"root": [{"m": {"count": 3}, "results": [{"v": 1}, 2, [3]]},'
             ' {"m": {"count": 1}, "results": [4]}]}'
         )
-        items, counters = scan_counted(text, '("root")()("results")()')
-        assert items == [{"v": 1}, 2, [3], 4]
-        assert [text[a:b] for a, b in spy.spans] == [
-            '[{"v": 1}, 2, [3]]', "[4]",
-        ]
+        members = ['{"m": {"count": 3}, "results": [{"v": 1}, 2, [3]]}',
+                   '{"m": {"count": 1}, "results": [4]}']
+        for counted in (False, True):
+            spy.spans.clear()
+            counters = ScanCounters() if counted else None
+            items = list(
+                ondemand.scan_text(
+                    text, parse_path('("root")()("results")()'),
+                    counters=counters,
+                )
+            )
+            assert items == [{"v": 1}, 2, [3], 4]
+            # Each member of "root" whole, never the root array itself.
+            assert [text[a:b] for a, b in spy.spans] == members
         assert counters.matched == 4
         # Steps: 5 keys read, 2 members of "root" visited, 2 decode calls.
         assert (counters.tape_records, counters.tape_tokens) == (1, 9)
@@ -147,7 +190,7 @@ class TestNavigator:
         never run, partial matches before the error included."""
         path = parse_path(path_text)
         outcomes = []
-        for project in (tape.project_record, textscan._default_projector):
+        for project in (ondemand.project_record, textscan._default_projector):
             out = ["earlier record"]
             counters = ScanCounters()
             counters.matched, counters.skipped = 5, 7
@@ -210,7 +253,7 @@ class TestDuplicateKeys:
 
     def test_lazy_navigator_buffers_only_final_occurrence(self):
         path = parse_path('("a")')
-        items = list(tape.scan_text('{"a": 1, "a": 2, "a": 3}', path))
+        items = list(ondemand.scan_text('{"a": 1, "a": 2, "a": 3}', path))
         assert items == [3]
 
 
@@ -230,7 +273,7 @@ class TestHostileUnicode:
     def test_bom_prefixed_text(self):
         text = '{"v": [1, 2]}'
         path = parse_path('("v")()')
-        assert list(tape.scan_text("\ufeff" + text, path)) == [1, 2]
+        assert list(ondemand.scan_text("\ufeff" + text, path)) == [1, 2]
         (tape_items, tape_c), (text_items, text_c) = both_scans(
             "\ufeff" + text, path
         )
@@ -245,7 +288,7 @@ class TestHostileUnicode:
             b"\xef\xbb\xbf" + '{"v": ["é", 2]}'.encode("utf-8")
         )
         path = parse_path('("v")()')
-        assert list(tape.scan_file(str(target), path)) == ["é", 2]
+        assert list(ondemand.scan_file(str(target), path)) == ["é", 2]
 
     def test_unicode_in_skipped_subtrees(self):
         text = '{"skip": {"deep": ["\U0001f600", "‮"]}, "take": 1}'
@@ -271,7 +314,7 @@ class TestChunkBoundaries:
         target.write_text(self.TEXT, encoding="utf-8")
         tape_c, text_c = ScanCounters(), ScanCounters()
         tape_items = list(
-            tape.scan_file(
+            ondemand.scan_file(
                 str(target), self.PATH, chunk_size=chunk_size,
                 counters=tape_c,
             )
@@ -283,7 +326,7 @@ class TestChunkBoundaries:
             )
         )
         assert tape_items == text_items
-        assert tape_items == list(tape.scan_text(self.TEXT, self.PATH))
+        assert tape_items == list(ondemand.scan_text(self.TEXT, self.PATH))
         assert (tape_c.matched, tape_c.skipped) == (
             text_c.matched, text_c.skipped,
         )
@@ -298,7 +341,7 @@ class TestChunkBoundaries:
         target = tmp_path / "dirty.json"
         target.write_text(text, encoding="utf-8")
         results = {}
-        for name, scanner in (("tape", tape), ("text", textscan)):
+        for name, scanner in (("tape", ondemand), ("text", textscan)):
             events = []
             counters = ScanCounters()
             items = list(
@@ -335,7 +378,7 @@ class TestFallbackIdentity:
     def test_same_error_and_partial_counters(self, text):
         path = parse_path('("a")')
         outcomes = {}
-        for name, scanner in (("tape", tape), ("text", textscan)):
+        for name, scanner in (("tape", ondemand), ("text", textscan)):
             counters = ScanCounters()
             try:
                 items = list(
@@ -368,7 +411,7 @@ class TestFallbackIdentity:
     ):
         path = parse_path(path_text)
         outcomes = {}
-        for name, scanner in (("tape", tape), ("text", textscan)):
+        for name, scanner in (("tape", ondemand), ("text", textscan)):
             counters = ScanCounters()
             try:
                 items = list(
@@ -399,20 +442,21 @@ class TestFallbackIdentity:
         )
 
 
+class Refuses:
+    """A decoder that refuses everything: every member walked key by key."""
+
+    @staticmethod
+    def scan_once(text, pos):
+        raise StopIteration(pos)
+
+
 class TestSameShapedRows:
-    """A ``()("key")`` tail over same-shaped rows is taken one anchored
-    match per member; nothing observable tells the two routes apart."""
+    """Rows of the paper's layout under a ``()("key")`` tail: each member
+    of the first ``()`` is decoded whole and navigated; nothing
+    observable tells that route from the key walk."""
 
     ROW = '{"date": "d%d", "dataType": "TMIN", "station": "S", "value": %d.5}'
     PATH = '("root")()("results")()("date")'
-
-    @pytest.fixture(autouse=True)
-    def empty_memo_and_hint(self, monkeypatch):
-        textscan._member_pattern.cache_clear()
-        textscan._SHAPE_HINT.clear()
-        monkeypatch.setattr(
-            textscan, "_compile_credit", textscan._COMPILE_ROWS
-        )
 
     @staticmethod
     def document(row=ROW, rows=5):
@@ -426,7 +470,8 @@ class TestSameShapedRows:
         )
 
     def test_one_match_and_one_decode_per_row(self, spy, monkeypatch):
-        text = self.document()
+        rows = [self.ROW % (n, n) for n in range(6)]
+        text = "[%s]" % ", ".join(rows)
         walked = []
         walk_object = textscan._walk_object
 
@@ -435,33 +480,30 @@ class TestSameShapedRows:
             return walk_object(text, pos, *rest)
 
         monkeypatch.setattr(textscan, "_walk_object", spying_walk)
-        items, counters = scan_counted(text, self.PATH)
-        assert items == ["d%d" % n for n in range(10)]
-        # Two rows to learn the shape; the second array starts on the hint.
-        rows_walked = [p for p in walked if text.startswith('{"date"', p)]
-        assert rows_walked == [text.index('{"date": "d0"'),
-                               text.index('{"date": "d1"')]
-        assert [text[a:b] for a, b in spy.spans] == [
-            '"d%d"' % n for n in range(10)
-        ]
+        items, counters = scan_counted(text, '()("date")')
+        assert items == ["d%d" % n for n in range(6)]
+        # The bare array's rows are the records: one call each, whole,
+        # and no key walk over any of them.
+        assert [text[a:b] for a, b in spy.spans] == rows
+        assert walked == []
         assert counters.tape_records == 1
 
-    def test_counters_do_not_depend_on_the_route(self):
-        matched = scan_counted(self.document(), self.PATH)
-        assert textscan._member_pattern.cache_info().misses == 1
-        # One escaped key keeps every row on the key walk.
-        walked = scan_counted(
+    def test_counters_do_not_depend_on_the_route(self, monkeypatch):
+        decoded = scan_counted(self.document(), self.PATH)
+        escaped = scan_counted(
             self.document(self.ROW.replace("station", "st\\u0061tion")),
             self.PATH,
         )
-        assert textscan._member_pattern.cache_info().misses == 1
-        assert matched[0] == walked[0]
-        assert matched[1].as_dict() == walked[1].as_dict()
+        monkeypatch.setattr(textscan, "_COUNTING_DECODER", Refuses)
+        walked = scan_counted(self.document(), self.PATH)
+        assert decoded[0] == escaped[0] == walked[0]
+        assert decoded[1].as_dict() == escaped[1].as_dict()
+        assert decoded[1].as_dict() == walked[1].as_dict()
         # Per row 1 matched and 3 skipped (plus the 2 "metadata"), and
         # 4 keys read plus 1 decode call; 10 + 2 members visited and
         # 2 x 2 + 1 keys read above the rows.
-        assert (matched[1].matched, matched[1].skipped) == (10, 32)
-        assert matched[1].tape_tokens == 10 * 5 + 12 + 5
+        assert (decoded[1].matched, decoded[1].skipped) == (10, 32)
+        assert decoded[1].tape_tokens == 10 * 5 + 12 + 5
 
     def test_repeated_target_key_is_walked_and_last_wins(self):
         rows = ['{"date": %d, "v": 0}' % n for n in range(6)]
@@ -475,91 +517,175 @@ class TestSameShapedRows:
         assert (text_c.matched, text_c.skipped) == (6, 7)
         assert tape_c.tape_records == 1
 
-    def test_a_stale_hint_changes_nothing_observable(self, monkeypatch):
-        monkeypatch.setattr(textscan, "_COMPILE_ROWS", 0)  # each scan learns
-        text = "[%s]" % ", ".join(
-            '{"v": %d, "date": %d, "w": null}' % (n, n) for n in range(6)
-        )
-        fresh = scan_counted(text, '()("date")')
-        scan_counted(self.document(), self.PATH)
-        assert textscan._SHAPE_HINT["date"] != ("v", "date", "w")
-        hinted = scan_counted(text, '()("date")')
-        assert hinted[0] == fresh[0] == list(range(6))
-        assert hinted[1].as_dict() == fresh[1].as_dict()
 
+SENSOR_PATHS = [
+    '("root")()("results")()',
+    '("root")()("results")()("date")',
+    '("root")()("metadata")("count")',
+]
+
+MEMBER = '{"metadata": {"count": %s}, "results": [%s]}'
+ROW = '{"date": "d%d", "v": %s}'
+
+
+def sensor_record(count="2", rows=(ROW % (1, "1"), ROW % (2, "2.5"))):
+    return '{"root": [%s, %s]}' % (
+        MEMBER % (count, ", ".join(rows)), MEMBER % ("1", ROW % (3, "3")),
+    )
+
+
+def among_others(record):
+    """*record* between two regular ones."""
+    return "\n".join([sensor_record(), record, sensor_record()])
+
+
+#: A record repeating each key of the paper's layout once.
+DUPLICATED = {
+    "root": '{"root": [%s], "root": [%s]}' % (
+        MEMBER % ("9", ROW % (9, "9")), MEMBER % ("2", ROW % (1, "1")),
+    ),
+    "results": '{"root": [%s]}' % MEMBER.replace(
+        '"results"', '"results": [%s], "results"'
+    ) % ("2", ROW % (9, "9"), ROW % (1, "1")),
+    "metadata": '{"root": [%s]}' % (
+        MEMBER[:-1] + ', "metadata": {"count": 7}}'
+    ) % ("2", ROW % (1, "1")),
+    "date": sensor_record(rows=['{"date": "d1", "v": 1, "date": "d9"}']),
+}
+
+
+class TestPerRecordRoute:
+    """Each member of the path's first ``()`` is decoded with one C call
+    and the rest of the path is navigated over it; nothing observable
+    tells this route from the key walk."""
+
+    @pytest.mark.parametrize("counted", [True, False], ids=["counted", "plain"])
+    @pytest.mark.parametrize("path_text", SENSOR_PATHS)
+    @pytest.mark.parametrize("key", sorted(DUPLICATED))
+    def test_a_repeated_key(self, key, path_text, counted):
+        counters = assert_parity(
+            among_others(DUPLICATED[key]), path_text, counted
+        )
+        if counted:
+            # No record was handed to the skipper.
+            assert counters.tape_records == 3
+
+    @pytest.mark.parametrize("path_text", SENSOR_PATHS)
     @pytest.mark.parametrize(
-        "row",
+        "record",
         [
+            pytest.param(sensor_record(count="NaN"), id="NaN-skipped"),
             pytest.param(
-                lambda n: '{"k%d": 1, "date": 2, "j%d": 3}' % (n, n),
-                id="all-different-keys",
+                sensor_record(rows=[ROW % (1, "[-Infinity]")]),
+                id="-Infinity-skipped",
             ),
             pytest.param(
-                lambda n: '{"a": 1, "date": 2}' if n % 2
-                else '{"date": 2, "a": 1}',
-                id="alternating-key-orders",
+                sensor_record(rows=[ROW % (1, "9" * 5000)]),
+                id="long-integer",
             ),
             pytest.param(
-                lambda n: '{"a": 1, "date": 2, "b": [%d]}' % n,
-                id="nested-value",
+                sensor_record(rows=[ROW % (1, "-Infinity")]),
+                id="-Infinity-walked",
+            ),
+            pytest.param(
+                sensor_record(count='1 "x": 2'), id="lenient-missing-comma"
             ),
         ],
     )
-    def test_irregular_rows_pay_three_looks_and_no_compile(
-        self, row, monkeypatch
+    @pytest.mark.parametrize("on_malformed", ["fail", "skip_record"])
+    def test_a_record_the_decoder_refuses(
+        self, record, path_text, on_malformed
     ):
-        looks = []
-        flat_shape = textscan._flat_shape
+        text = among_others(record)
+        path = parse_path(path_text)
+        for counted in (True, False):
+            seen = outcome(ondemand, text, path, counted, on_malformed)
+            assert seen == outcome(
+                textscan, text, path, counted, on_malformed
+            )
 
-        def spying_shape(*args):
-            looks.append(args)
-            return flat_shape(*args)
-
-        monkeypatch.setattr(textscan, "_flat_shape", spying_shape)
-        text = "[%s]" % ", ".join(row(n) for n in range(200))
-        items, counters = scan_counted(text, '()("date")')
-        assert items == [2] * 200
+    @pytest.mark.parametrize(
+        "path_text, expected",
+        [
+            ('("root")()("results")()("date")', ["d1", "d2", "d3"]),
+            ('("root")()("results")()', [
+                {"date": "d1", "v": 1}, {"date": "d2", "v": 2.5},
+                {"date": "d3", "v": 3},
+            ]),
+        ],
+    )
+    def test_a_lenient_skipped_region_keeps_the_skippers_items(
+        self, path_text, expected
+    ):
+        # "metadata" misses a comma: the decoder refuses the member, the
+        # key walk hops the region as the skipper does.
+        record = sensor_record(count='1 "x": 2')
+        counters = assert_parity(record, path_text, expected=expected)
         assert counters.tape_records == 1
-        assert len(looks) == textscan._ROW_MISSES
-        assert textscan._member_pattern.cache_info().misses == 0
-        assert textscan._SHAPE_HINT == {}
 
-    def test_rows_wider_than_the_bound_are_never_compiled(self):
-        wide = "{%s}" % ", ".join(
-            '"k%d": %d' % (n, n) for n in range(1000)
-        )
-        text = "[%s]" % ", ".join([wide] * 4)
-        assert scan_counted(text, '()("k7")')[0] == [7] * 4
-        assert textscan._member_pattern.cache_info().misses == 0
-        assert textscan._SHAPE_HINT == {}
-        # The bound itself is still learned.
-        edge = "{%s}" % ", ".join(
-            '"k%d": %d' % (n, n) for n in range(textscan._ROW_KEYS)
-        )
-        text = "[%s]" % ", ".join([edge] * 4)
-        assert scan_counted(text, '()("k7")')[0] == [7] * 4
-        assert textscan._member_pattern.cache_info().misses == 1
+    @pytest.mark.parametrize("frames", [0, 600])
+    @pytest.mark.parametrize(
+        "path_text, matched",
+        [(SENSOR_PATHS[0], True), (SENSOR_PATHS[1], False)],
+    )
+    def test_nesting_past_the_recursion_limit(
+        self, path_text, matched, frames
+    ):
+        depth = sys.getrecursionlimit() + 50
+        deep = "[" * depth + "]" * depth
+        # A row's "v": matched whole by ("results")(), hopped by ("date").
+        record = sensor_record(rows=[ROW % (1, deep)])
+        text = among_others(record)
+        path = parse_path(path_text)
 
-    @pytest.mark.parametrize("rows", [2, 4, 32])
-    def test_rotating_shapes_compile_only_what_the_walk_has_earned(self, rows):
-        # Every array brings a shape no cache has seen.  The first
-        # compile is free, each later one needs `_COMPILE_ROWS` walked
-        # rows since the one before, whatever the rows per shape.
-        arrays = 400
-        text = "[%s]" % ", ".join(
-            "[%s]" % ", ".join(['{"date": 1, "s%d": 2}' % n] * rows)
-            for n in range(arrays)
-        )
-        items, counters = scan_counted(text, '()()("date")')
-        assert items == [1] * (arrays * rows)
-        compiles = textscan._member_pattern.cache_info().misses
-        assert 2 <= compiles <= 1 + arrays * rows // textscan._COMPILE_ROWS
+        def beneath(frames, scanner):
+            if frames:
+                return beneath(frames - 1, scanner)
+            return outcome(scanner, text, path)
 
-    def test_shape_hint_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(textscan, "_SHAPE_HINT_SIZE", 4)
-        monkeypatch.setattr(textscan, "_COMPILE_ROWS", 0)
-        for n in range(10):
-            text = '[{"t%d": 1}, {"t%d": 2}, {"t%d": 3}]' % (n, n, n)
-            assert scan_counted(text, '()("t%d")' % n)[0] == [1, 2, 3]
-            assert textscan._SHAPE_HINT["t%d" % n] == ("t%d" % n,)
-            assert len(textscan._SHAPE_HINT) <= 4
+        seen = beneath(frames, ondemand)
+        assert seen == beneath(frames, textscan)
+        if matched:
+            offset = text.index(record)
+            assert seen[0] == repr((
+                "JsonSyntaxError",
+                f"maximum nesting depth exceeded (at offset {offset})",
+                offset,
+            ))
+        else:
+            assert seen[0] == repr(["d1", "d2", "d3", "d1", "d3"] + [
+                "d1", "d2", "d3"
+            ])
+
+    @pytest.mark.parametrize(
+        "text, path_text",
+        [
+            pytest.param(
+                among_others(DUPLICATED["date"]), SENSOR_PATHS[1],
+                id="repeated-date",
+            ),
+            pytest.param(
+                among_others(DUPLICATED["results"]), SENSOR_PATHS[0],
+                id="repeated-results",
+            ),
+            pytest.param(sensor_record(), SENSOR_PATHS[2], id="all-skip"),
+            ('[{"a": [1, {"b": 2}], "c": 3}, [4, [5]], {}, []]', "()(2)"),
+            ('[[{"a": 1}, {"b": 2}], [], 7]', "()()()"),
+            ('[[{"a": 1}, {"b": 2}], [], 7]', '()(1)("a")'),
+            ('[{"a": {"b": 1, "c": 2}}, {"a": []}]', '()("a")()'),
+            ('{"r": [[], [[]], {}, {"k": {}}]}', '("r")()()'),
+            ('{"r": [[], [[]], {}, {"k": {}}]}', '("r")()("k")()'),
+        ],
+    )
+    def test_decoded_members_count_like_the_key_walk(
+        self, text, path_text, monkeypatch
+    ):
+        path = parse_path(path_text)
+        decoded = ScanCounters()
+        items = list(ondemand.scan_text(text, path, counters=decoded))
+
+        # Every member refused is every member walked key by key.
+        monkeypatch.setattr(textscan, "_COUNTING_DECODER", Refuses)
+        walked = ScanCounters()
+        assert list(ondemand.scan_text(text, path, counters=walked)) == items
+        assert decoded.as_dict() == walked.as_dict()

@@ -18,9 +18,12 @@ cannot measure parallelism.
 
 ``BENCH_scan.json`` (``--scan``) — benchmarks the DATASCAN projection
 itself, keyed by projection (the Listing-6 one Q0/Q1/Q1b/Q2 scan with,
-and the deeper ``("date")`` one Q0b pushes down), under every scan mode
+the deeper ``("date")`` one Q0b pushes down, and an all-skip
+``("metadata")("count")`` one no paper query scans), under every scan mode
 (``ondemand`` / ``text``): uncached plus segment-cache cold and warm
-passes, with items-per-second and the warm-vs-cold speedup.  The
+passes, with items-per-second and the warm-vs-cold speedup, and the
+``matched``/``skipped`` counts of one counted uncached pass, which must
+equal the ``text`` mode's (the tool exits non-zero otherwise).  The
 baseline row, ``reference``, is no product option: the tool itself
 parses every file fully and then navigates
 (``navigate_sequence(parse_many(text), path)``, where ``parse_many`` is
@@ -53,16 +56,20 @@ from repro.data.catalog import CollectionCatalog
 from repro.hyracks.backends import BACKENDS, usable_cores
 from repro.jsonlib.parser import parse_many
 from repro.jsonlib.path import navigate_sequence, parse_path
+from repro.jsonlib.textscan import ScanCounters
 from repro.bench.queries import q0, q1, q2
 
 QUERIES = {"Q0": q0, "Q1": q1, "Q2": q2}
 
 #: Every distinct DATASCAN projection of the paper queries' rewritten
 #: plans (tests/golden_plans), with the queries that scan through it:
-#: the Listing-6 shape, and the deeper one Q0b pushes down.
+#: the Listing-6 shape, and the deeper one Q0b pushes down; plus one no
+#: paper query scans, where all but one small value of each record is
+#: skipped (the case most in favour of walking keys over decoding).
 SCAN_PROJECTIONS = {
     '("root")()("results")()': ["Q0", "Q1", "Q1b", "Q2"],
     '("root")()("results")()("date")': ["Q0b"],
+    '("root")()("metadata")("count")': [],
 }
 
 
@@ -195,6 +202,18 @@ def _timed_scan(catalog: CollectionCatalog, path) -> tuple[float, int]:
     return time.perf_counter() - start, count
 
 
+def _counted_scan(catalog: CollectionCatalog, path) -> ScanCounters:
+    """One untimed pass with scan counters attached."""
+    counters = ScanCounters()
+    catalog.attach_scan_counters(counters)
+    try:
+        for _ in catalog.scan_collection("/sensors", path):
+            pass
+    finally:
+        catalog.attach_scan_counters(None)
+    return counters
+
+
 def bench_reference(base_dir: str, path, repeat: int) -> dict:
     """Best-of-*repeat* parse-everything-then-navigate over the same files."""
     files = CollectionCatalog(base_dir).files("/sensors")
@@ -226,6 +245,7 @@ def bench_scan_mode(
         seconds, count = _timed_scan(catalog, path)
         items = count
         uncached = seconds if uncached is None else min(uncached, seconds)
+    counted = _counted_scan(catalog, path)
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         cached = CollectionCatalog(
@@ -244,6 +264,8 @@ def bench_scan_mode(
         shutil.rmtree(cache_dir, ignore_errors=True)
     return {
         "items": items,
+        "matched": counted.matched,
+        "skipped": counted.skipped,
         "uncached_seconds": uncached,
         "items_per_second": items / uncached if uncached > 0 else None,
         "cache_cold_seconds": cold_seconds,
@@ -298,6 +320,16 @@ def run_scan(args: argparse.Namespace) -> dict:
                     f"warm {entry['cache_warm_seconds']:.3f}s "
                     f"({entry['warm_speedup_vs_cold']:.1f}x)"
                 )
+            # Every mode must navigate alike: its matched/skipped counts
+            # are the text skipper's, the canonical ones.
+            text_counts = (modes["text"]["matched"], modes["text"]["skipped"])
+            for mode, entry in modes.items():
+                counts = (entry["matched"], entry["skipped"])
+                if counts != text_counts:
+                    raise SystemExit(
+                        f"scan/{projection}/{mode}: matched/skipped {counts} "
+                        f"differ from text's {text_counts}"
+                    )
             report["projections"][projection] = {
                 "queries": queries,
                 "reference": reference,
