@@ -8,9 +8,21 @@ translating and rewriting plans, and executing jobs on the runtime.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
+
+
+def causes(error: BaseException | None) -> Iterator[BaseException]:
+    """*error*, then its ``__cause__``, and so on down the chain; each
+    error once, so a chain that loops back ends where it would repeat."""
+    seen: set[int] = set()
+    while error is not None and id(error) not in seen:
+        seen.add(id(error))
+        yield error
+        error = error.__cause__
 
 
 class _PickleByInitArgs:

@@ -11,10 +11,11 @@ folds its local tuples into a partial state, and a central step combines
 partials into the final value — so ``count``, ``sum``, ``avg``, ``min``
 and ``max`` parallelize without shipping raw tuples.
 
-An accumulator *object* is one state: what an ungrouped AGGREGATE folds
-a stream into.  A GROUP-BY keeps a list of states per group and calls
-the class functions on it, so a group costs no object per aggregate;
-for every aggregate but ``sequence`` the state is its own partial.
+:class:`GroupStates` runs every aggregate: it keeps a list of states per
+group and calls the class functions on it, so a group costs no object
+per aggregate; for every aggregate but ``sequence`` the state is its
+own partial.  An ungrouped AGGREGATE is the one group of no keys
+(:meth:`GroupStates.fold_table`).
 
 ``sequence`` is the materializing aggregate (it collects every item);
 its state charges the memory tracker, which is how the naive group-by
@@ -24,7 +25,7 @@ plans show their memory cost.
 their scalar builtins in :mod:`repro.jsoniq.functions` (same error
 class, same message), so a query answers — or fails — the same way
 whether or not the group-by rules pushed the aggregate into an
-accumulator.
+accumulator; ``min``/``max`` share the builtins' NaN-absorbing rule.
 """
 
 from __future__ import annotations
@@ -34,30 +35,14 @@ from typing import Iterable
 
 from repro.errors import PlanError
 from repro.algebra.context import EvaluationContext
-from repro.algebra.expressions import Evaluator
 from repro.algebra.operators import AggregateSpec
 from repro.hyracks.tuples import Tuple
-from repro.jsoniq.functions import as_numbers
+from repro.jsoniq.functions import as_numbers, number_max, number_min
 from repro.jsonlib.items import sizeof_item
 
 
 class Accumulator:
-    """An aggregate over one state.
-
-    Subclasses define the aggregate with the static functions below;
-    the instance methods apply them to ``self.state``.  *argument* is
-    the compiled closure of ``spec.argument``: an accumulator never
-    evaluates through the spec's expression node.
-    """
-
-    __slots__ = ("spec", "argument", "state")
-
-    def __init__(self, spec: AggregateSpec, argument: Evaluator):
-        self.spec = spec
-        self.argument = argument
-        self.state = self.start()
-
-    # -- the aggregate ------------------------------------------------------------
+    """An aggregate, as static functions of a state; never instantiated."""
 
     @staticmethod
     def start() -> object:
@@ -83,24 +68,6 @@ class Accumulator:
     def value(partial: object) -> list:
         """The final value of a partial, as a sequence."""
         raise NotImplementedError
-
-    # -- one state ----------------------------------------------------------------
-
-    def add(self, tup: Tuple, ctx: EvaluationContext) -> None:
-        """Fold one input tuple."""
-        self.state = self.fold(self.state, self.argument(tup, ctx), ctx)
-
-    def partial(self) -> object:
-        """Partition-local partial state (cheap to ship)."""
-        return self.state
-
-    def absorb(self, partial: object) -> None:
-        """Combine another accumulator's partial into this one."""
-        self.state = self.merge(self.partial(), partial)
-
-    def finish(self, ctx: EvaluationContext) -> list:
-        """The aggregate's final value as a sequence."""
-        return self.value(self.take(self.state, ctx))
 
 
 class _Items:
@@ -128,8 +95,6 @@ class SequenceAccumulator(Accumulator):
     :class:`~repro.hyracks.spill.SpilledSequence` that overflows to run
     files instead.  Its partial is the item list.
     """
-
-    __slots__ = ()
 
     start = _Items
 
@@ -176,17 +141,9 @@ class SequenceAccumulator(Accumulator):
     def value(partial):
         return partial
 
-    def partial(self):
-        return self.state.as_list()
-
-    def absorb(self, partial):
-        self.state.items.extend(partial)
-
 
 class CountAccumulator(Accumulator):
     """``count(...)`` — number of argument items across all tuples."""
-
-    __slots__ = ()
 
     @staticmethod
     def start():
@@ -206,8 +163,6 @@ class CountAccumulator(Accumulator):
 class SumAccumulator(CountAccumulator):
     """``sum(...)`` — numeric sum (0 when no items were seen)."""
 
-    __slots__ = ()
-
     @staticmethod
     def fold(state, values, ctx):
         for value in as_numbers(values, "sum"):
@@ -217,8 +172,6 @@ class SumAccumulator(CountAccumulator):
 
 class AvgAccumulator(Accumulator):
     """``avg(...)`` — decomposes into a (sum, count) partial."""
-
-    __slots__ = ()
 
     @staticmethod
     def start():
@@ -245,9 +198,7 @@ class AvgAccumulator(Accumulator):
 class MinAccumulator(Accumulator):
     """``min(...)``; :class:`MaxAccumulator` is the same with ``max``."""
 
-    __slots__ = ()
-
-    function, pick = "min", staticmethod(min)
+    function, pick = "min", staticmethod(number_min)
 
     @staticmethod
     def start():
@@ -272,9 +223,7 @@ class MinAccumulator(Accumulator):
 
 
 class MaxAccumulator(MinAccumulator):
-    __slots__ = ()
-
-    function, pick = "max", staticmethod(max)
+    function, pick = "max", staticmethod(number_max)
 
 
 _ACCUMULATORS = {
@@ -295,36 +244,9 @@ def accumulator_classes(specs: Iterable[AggregateSpec]) -> list[type]:
         raise PlanError(f"no accumulator for {error.args[0]!r}") from None
 
 
-def make_accumulators(specs, ctx: EvaluationContext) -> list[Accumulator]:
-    """One accumulator per spec, in order (an ungrouped aggregate)."""
-    specs = list(specs)
-    return [
-        cls(spec, ctx.compiled(spec.argument))
-        for cls, spec in zip(accumulator_classes(specs), specs)
-    ]
-
-
-def fold_stream(specs, stream: Iterable[Tuple], ctx) -> list[Accumulator]:
-    """Fold every tuple of *stream* into fresh accumulators for *specs*."""
-    accumulators = make_accumulators(specs, ctx)
-    limits = ctx.limits
-    for tup in stream:
-        if limits is not None:
-            limits.checkpoint()
-        for accumulator in accumulators:
-            accumulator.add(tup, ctx)
-    return accumulators
-
-
-def take_partials(accumulators: list[Accumulator], ctx) -> list:
-    """The accumulators' picklable partial states, with their memory
-    charges (and spilled run files) released: the partials leave the
-    partition, so nothing stays charged on their behalf."""
-    return [acc.take(acc.state, ctx) for acc in accumulators]
-
-
 class GroupStates:
-    """The aggregates of a GROUP-BY over a list of states per group.
+    """The aggregates of a GROUP-BY or an AGGREGATE over a list of
+    states per group.
 
     Resolved once per operator run: the class and compiled argument of
     each spec, and which states hold something to release.
@@ -353,6 +275,17 @@ class GroupStates:
         """Fold one input tuple into *states*, spec by spec."""
         for i, cls in enumerate(self.classes):
             states[i] = cls.fold(states[i], self.arguments[i](tup, ctx), ctx)
+
+    def fold_table(self, stream: Iterable[Tuple], ctx: EvaluationContext) -> dict:
+        """*stream* folded into the one group of no keys, as the table a
+        GROUP-BY's partition returns: ``{(): ((), partials)}``."""
+        states = self.new()
+        limits = ctx.limits
+        for tup in stream:
+            if limits is not None:
+                limits.checkpoint()
+            self.add(states, tup, ctx)
+        return {(): ((), self.take(states, ctx))}
 
     def take(self, states: list, ctx: EvaluationContext) -> list:
         """*states* as partials (in place), releasing what they hold."""

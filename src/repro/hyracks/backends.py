@@ -71,11 +71,12 @@ from repro.errors import (
     QueryTimeoutError,
     ReproError,
     WorkerCrashError,
+    causes,
 )
 from repro.algebra.context import EvaluationContext
 from repro.algebra.operators import Aggregate, GroupBy, Join, Operator
 from repro.algebra.plan import LogicalPlan, read_set
-from repro.hyracks.aggregates import fold_stream, take_partials
+from repro.hyracks.aggregates import GroupStates
 from repro.hyracks.memory import MemoryTracker
 from repro.hyracks.operators import (
     canonical_key,
@@ -130,9 +131,8 @@ class GroupTableWork:
     """Partition-local GROUP-BY: fold its input into a partials table.
 
     Returns ``{key: (key_values, [partial, ...])}`` — plain picklable
-    partial states rather than accumulator objects, so the table ships
-    cleanly across process workers even when a spilling
-    ``SequenceAccumulator`` held its items in run files.
+    partials, so the table ships cleanly across process workers even
+    when a spilling ``sequence`` state held its items in run files.
     """
 
     group_by: GroupBy
@@ -163,15 +163,14 @@ class TupleStreamWork:
 
 @dataclass(frozen=True)
 class FoldPartialsWork:
-    """Global aggregate: fold a partition into accumulator partials."""
+    """Global aggregate: fold a partition into the partials table of
+    the one group of no keys, ``{(): ((), [partial, ...])}``."""
 
     aggregate: Aggregate
 
     def __call__(self, ctx: EvaluationContext):
         stream = execute(self.aggregate.input_op, ctx)
-        return take_partials(
-            fold_stream(self.aggregate.specs, stream, ctx), ctx
-        )
+        return GroupStates(self.aggregate.specs, ctx).fold_table(stream, ctx)
 
 
 class Parcel:
@@ -350,7 +349,8 @@ class BroadcastScanWork:
 
 @dataclass(frozen=True)
 class JoinBucketWork:
-    """Join phase 2: join one bucket locally, optionally fold a partial.
+    """Join phase 2: join one bucket locally, optionally fold its
+    partials table (as :class:`FoldPartialsWork` returns it).
 
     ``parts`` are the bucket's parcels in partition order, each opening
     to a ``(left, right)`` pair of shares; they are opened here, in the
@@ -380,9 +380,7 @@ class JoinBucketWork:
         )
         stream = run_chain(list(self.mid_ops), joined, ctx)
         if self.aggregate is not None:
-            return take_partials(
-                fold_stream(self.aggregate.specs, stream, ctx), ctx
-            )
+            return GroupStates(self.aggregate.specs, ctx).fold_table(stream, ctx)
         return list(stream)
 
 
@@ -459,13 +457,9 @@ class PartitionOutcome:
 def _wrap_partition_error(
     plan: LogicalPlan, partition: int, attempts: int, error: Exception
 ) -> PartitionExecutionError:
-    file_path = None
-    node: Exception | None = error
-    while node is not None:
-        if isinstance(node, FileScanError):
-            file_path = node.file_path
-            break
-        node = node.__cause__
+    file_path = next(
+        (e.file_path for e in causes(error) if isinstance(e, FileScanError)), None
+    )
     wrapped = PartitionExecutionError(
         partition,
         error,

@@ -76,7 +76,7 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.algebra.plan import LogicalPlan, read_set
-from repro.hyracks.aggregates import GroupStates, make_accumulators
+from repro.hyracks.aggregates import GroupStates
 from repro.hyracks.backends import (
     BroadcastScanWork,
     ExchangeWork,
@@ -591,29 +591,49 @@ class PartitionedExecutor:
         self._record_frames(op, sizes)
         return shipped
 
-    def _combine_partials(
+    def _combine(
         self,
         op: Operator,
-        aggregate: Aggregate,
-        outcomes: list[PartitionOutcome],
+        blocking: GroupBy | Aggregate,
+        tables: list[dict],
         stats: ExecutionStats,
     ):
-        """Charge the exchange for one aggregate partial per outcome at
-        *op*; return the stream maker that absorbs them into the one
-        final tuple."""
-        partials = [outcome.value for outcome in outcomes]
-        stats.exchange_tuples += len(partials)
-        stats.exchange_bytes += len(partials) * _PARTIAL_TUPLE_BYTES
-        self._record_frames(op, n_bytes=len(partials) * _PARTIAL_TUPLE_BYTES)
+        """Charge the exchange at *op* for one partial tuple per entry of
+        the partition *tables*; return the stream maker that merges them
+        into one tuple per group of *blocking*.
 
-        def final_tuple(ctx):
-            accumulators = make_accumulators(aggregate.specs, ctx)
-            for partial in partials:
-                for accumulator, value in zip(accumulators, partial):
-                    accumulator.absorb(value)
-            yield {acc.spec.variable: acc.finish(ctx) for acc in accumulators}
+        Tables merge in partition order: a group's first entry is taken
+        as it came (key values and partials), a later one's partials
+        merge into it.  An AGGREGATE starts from its group of no keys
+        with empty partials, so it answers one tuple even when no
+        partition was kept.
+        """
+        shipped = sum(len(table) for table in tables)
+        stats.exchange_tuples += shipped
+        stats.exchange_bytes += shipped * _PARTIAL_TUPLE_BYTES
+        self._record_frames(op, n_bytes=shipped * _PARTIAL_TUPLE_BYTES)
+        if isinstance(blocking, GroupBy):
+            specs = blocking.nested_root.specs
+            key_vars = [var for var, _ in blocking.keys]
+        else:
+            specs, key_vars = blocking.specs, []
 
-        return final_tuple
+        def combined(ctx):
+            aggregates = GroupStates(specs, ctx)
+            merged: dict = {}
+            if isinstance(blocking, Aggregate):
+                merged[()] = ((), aggregates.take(aggregates.new(), ctx))
+            for table in tables:
+                for key, entry in table.items():
+                    group = merged.get(key)
+                    if group is None:
+                        merged[key] = entry
+                    else:
+                        aggregates.merge(group[1], entry[1])
+            for key_values, partials in merged.values():
+                yield aggregates.bindings(partials, key_vars, key_values)
+
+        return combined
 
     # -- strategies ---------------------------------------------------------------
 
@@ -641,93 +661,33 @@ class PartitionedExecutor:
             result.items.extend(outcome.value)
         return result
 
-    def _run_grouped(
-        self,
-        plan: LogicalPlan,
-        global_ops: list[Operator],
-        group_by: GroupBy,
-        partitions: int,
-        result: QueryResult,
-    ) -> QueryResult:
-        """Partition-local GROUP-BY plus coordinator combine."""
-        if not self._two_step:
-            return self._run_raw(
-                plan, global_ops, group_by, "grouped-raw", partitions, result
-            )
-        result.strategy = "grouped-two-step"
-        key_vars = [var for var, _ in group_by.keys]
-        local_tables = [
-            outcome.value
-            for outcome in self._map(
-                plan, [GroupTableWork(group_by)] * partitions, result
-            )
-        ]
-        shipped_groups = sum(len(table) for table in local_tables)
-        result.stats.exchange_tuples += shipped_groups
-        result.stats.exchange_bytes += shipped_groups * _PARTIAL_TUPLE_BYTES
-        self._record_frames(
-            group_by, n_bytes=shipped_groups * _PARTIAL_TUPLE_BYTES
-        )
-
-        def finalized(ctx):
-            # Coordinator: merge the partition tables in partition order.
-            # A group's first entry is taken as it came (key values and
-            # partials); a later partition's partials merge into it.
-            aggregates = GroupStates(group_by.nested_root.specs, ctx)
-            combined: dict = {}
-            for table in local_tables:
-                for key, entry in table.items():
-                    state = combined.get(key)
-                    if state is None:
-                        combined[key] = entry
-                    else:
-                        aggregates.merge(state[1], entry[1])
-            for key_values, partials in combined.values():
-                yield aggregates.bindings(partials, key_vars, key_values)
-
-        return self._finish(result, global_ops, finalized)
-
-    def _run_raw(
+    def _run_two_step(
         self,
         plan: LogicalPlan,
         global_ops: list[Operator],
         op: GroupBy | Aggregate,
-        strategy: str,
         partitions: int,
         result: QueryResult,
     ) -> QueryResult:
-        """Two-step disabled: ship raw tuples and run *op* (the GROUP-BY
-        or the AGGREGATE) at the coordinator."""
-        result.strategy = strategy
-        outcomes = self._map(
-            plan, [TupleStreamWork(op.input_op)] * partitions, result
-        )
-        shipped = self._ship_raw(op, outcomes, result.stats)
-        return self._finish(
-            result, global_ops, lambda ctx: run_chain([op], iter(shipped), ctx)
-        )
-
-    def _run_aggregated(
-        self,
-        plan: LogicalPlan,
-        global_ops: list[Operator],
-        aggregate: Aggregate,
-        partitions: int,
-        result: QueryResult,
-    ) -> QueryResult:
-        """Global aggregate with partial/combine across partitions."""
+        """Partition-local GROUP-BY or AGGREGATE *op* plus coordinator
+        combine; with two-step aggregation off, the partitions ship raw
+        tuples and *op* runs at the coordinator."""
+        kind = "grouped" if isinstance(op, GroupBy) else "aggregated"
         if not self._two_step:
-            return self._run_raw(
-                plan, global_ops, aggregate, "aggregated-raw", partitions, result
+            result.strategy = f"{kind}-raw"
+            outcomes = self._map(
+                plan, [TupleStreamWork(op.input_op)] * partitions, result
             )
-        result.strategy = "aggregated-two-step"
-        outcomes = self._map(
-            plan, [FoldPartialsWork(aggregate)] * partitions, result
-        )
+            shipped = self._ship_raw(op, outcomes, result.stats)
+            return self._finish(
+                result, global_ops, lambda ctx: run_chain([op], iter(shipped), ctx)
+            )
+        result.strategy = f"{kind}-two-step"
+        work = GroupTableWork(op) if kind == "grouped" else FoldPartialsWork(op)
+        outcomes = self._map(plan, [work] * partitions, result)
+        tables = [outcome.value for outcome in outcomes]
         return self._finish(
-            result,
-            global_ops,
-            self._combine_partials(aggregate, aggregate, outcomes, result.stats),
+            result, global_ops, self._combine(op, op, tables, result.stats)
         )
 
     def _run_join(
@@ -817,10 +777,9 @@ class PartitionedExecutor:
             charge_delay=False,
         )
         if use_two_step:
+            tables = [outcome.value for outcome in bucket_outcomes]
             return self._finish(
-                result,
-                global_ops,
-                self._combine_partials(join, aggregate, bucket_outcomes, stats),
+                result, global_ops, self._combine(join, aggregate, tables, stats)
             )
         # Joined tuples ship to the coordinator for the global
         # aggregate / result assembly.
@@ -929,8 +888,8 @@ def _placement(plan: LogicalPlan):
 #: strategy; every other pair runs as one global instance.
 _STRATEGIES = {
     (type(None), PARTITIONED): PartitionedExecutor._run_pipelined,
-    (GroupBy, PARTITIONED): PartitionedExecutor._run_grouped,
-    (Aggregate, PARTITIONED): PartitionedExecutor._run_aggregated,
+    (GroupBy, PARTITIONED): PartitionedExecutor._run_two_step,
+    (Aggregate, PARTITIONED): PartitionedExecutor._run_two_step,
     (Aggregate, HASH_PARTITIONED): PartitionedExecutor._run_join,
     (Join, PARTITIONED): PartitionedExecutor._run_join,
 }

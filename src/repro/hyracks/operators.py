@@ -70,7 +70,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.plan import LogicalPlan
 from repro.algebra.rules.base import conjuncts, subtree_variables
-from repro.hyracks.aggregates import fold_stream
+from repro.hyracks.aggregates import GroupStates
 from repro.hyracks.spill import (
     GROUP_ENTRY_BYTES as _GROUP_ENTRY_BYTES,
     GroupedRows,
@@ -532,10 +532,9 @@ def _execute_select(
 def _execute_aggregate(
     op: Aggregate, source: Iterable[Tuple], ctx: EvaluationContext
 ) -> Iterator[Tuple]:
-    yield {
-        acc.spec.variable: acc.finish(ctx)
-        for acc in fold_stream(op.specs, source, ctx)
-    }
+    aggregates = GroupStates(op.specs, ctx)
+    _, partials = aggregates.fold_table(source, ctx)[()]
+    yield aggregates.bindings(partials, (), ())
 
 
 def _execute_subplan(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import datetime
 import math
 import re
+from functools import reduce
 from typing import Callable
 
 from repro.errors import ItemTypeError
@@ -142,16 +143,32 @@ def fn_avg(args: list) -> Sequence:
     return [sum(values) / len(values)]
 
 
+def number_min(left, right):
+    """The lesser of two numbers, the first on a tie; a NaN absorbs
+    (F&O 3.1 ``fn:min``), so the answer does not depend on the order.
+    Shared with the runtime's incremental ``min``."""
+    if left != left:
+        return left
+    return right if right < left or right != right else left
+
+
+def number_max(left, right):
+    """The greater of two numbers, like :func:`number_min`."""
+    if left != left:
+        return left
+    return right if right > left or right != right else left
+
+
 def fn_min(args: list) -> Sequence:
     """``min($seq)``; empty for the empty sequence."""
     values = as_numbers(args[0], "min")
-    return [min(values)] if values else []
+    return [reduce(number_min, values)] if values else []
 
 
 def fn_max(args: list) -> Sequence:
     """``max($seq)``; empty for the empty sequence."""
     values = as_numbers(args[0], "max")
-    return [max(values)] if values else []
+    return [reduce(number_max, values)] if values else []
 
 
 # ---------------------------------------------------------------------------

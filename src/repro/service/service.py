@@ -108,6 +108,7 @@ from repro.errors import (
     QueryTimeoutError,
     RecoveryExhaustedError,
     SlotFailureError,
+    causes,
 )
 from repro.hyracks.backends import BACKENDS, resolve_backend
 from repro.hyracks.executor import PartitionedExecutor
@@ -136,10 +137,7 @@ def _is_query_retryable(error: BaseException) -> bool:
     slot death) or an exhausted-recovery escalation is retryable,
     because a read-only query re-derives everything from the source.
     """
-    seen: set[int] = set()
-    current: BaseException | None = error
-    while current is not None and id(current) not in seen:
-        seen.add(id(current))
+    for current in causes(error):
         if isinstance(
             current, (QueryCancelledError, QueryTimeoutError, AdmissionError)
         ):
@@ -148,8 +146,15 @@ def _is_query_retryable(error: BaseException) -> bool:
             return True
         if getattr(current, "retryable", False):
             return True
-        current = current.__cause__
     return False
+
+
+def _drop_flag(request) -> None:
+    """Remove a finished request's cancellation flag file, if any."""
+    try:
+        os.unlink(request.token.flag_path)
+    except OSError:
+        pass
 
 
 @dataclass(frozen=True)
@@ -942,17 +947,15 @@ class QueryService:
             if self._closed or any(not s.abandoned for s in self._slots):
                 return
             orphans = list(self._queue)
-            self._queue.clear()
             for request in orphans:
-                self._queued[request.tenant] -= 1
-                request.state = "orphaned"
+                self._finish_locked(
+                    request,
+                    error=SlotFailureError(
+                        -1, "every slot worker exhausted its restart budget"
+                    ),
+                )
         for request in orphans:
-            self._finish(
-                request,
-                error=SlotFailureError(
-                    -1, "every slot worker exhausted its restart budget"
-                ),
-            )
+            _drop_flag(request)
 
     def inject_slot_failure(self, slot: int = 0) -> None:
         """Make *slot*'s worker die before executing its next request.
@@ -1003,15 +1006,10 @@ class QueryService:
         service lock so supervision and ``stats()`` readers observe a
         consistent slot.
         """
-        is_backend_error = False
-        current = error
-        seen: set[int] = set()
-        while current is not None and id(current) not in seen:
-            seen.add(id(current))
-            if isinstance(current, (BackendError, SlotFailureError)):
-                is_backend_error = True
-                break
-            current = current.__cause__
+        is_backend_error = any(
+            isinstance(current, (BackendError, SlotFailureError))
+            for current in causes(error)
+        )
         with self._lock:
             if not is_backend_error:
                 slot.backend_failures = 0
@@ -1096,49 +1094,51 @@ class QueryService:
     def _finish(
         self, request: _Request, response=None, error=None, duration=None
     ) -> None:
+        with self._lock:
+            self._finish_locked(request, response, error, duration)
+        _drop_flag(request)
+
+    def _finish_locked(
+        self, request: _Request, response=None, error=None, duration=None
+    ) -> None:
+        """A request's one terminal transition, from queued or running:
+        free its place, feed the breaker, count the outcome and wake the
+        ticket.  The caller holds the lock and drops the flag file."""
         request.response = response
         request.error = error
-        with self._lock:
-            if request.state == "running":
-                self._running[request.tenant] -= 1
-                self._running_requests.remove(request)
-            request.state = "done"
-            if duration is not None:
-                self._recent_durations.append(duration)
-            self._breaker_result_locked(request.tenant, error)
-            if error is None:
-                self._counters["completed"] += 1
-            elif isinstance(error, QueryCancelledError):
-                self._counters["cancelled"] += 1
-            else:
-                self._counters["failed"] += 1
-            # Set the ticket's event inside the critical section: anyone
-            # who observes the post-finish counters (a drain() returning,
-            # a stats() reader) must also observe the ticket as done.
-            request.event.set()
-            self._work_ready.notify_all()
-            self._idle.notify_all()
-        try:
-            os.unlink(request.token.flag_path)
-        except OSError:
-            pass
+        if request.state == "queued":
+            self._queue.remove(request)
+            self._queued[request.tenant] -= 1
+        elif request.state == "running":
+            self._running[request.tenant] -= 1
+            self._running_requests.remove(request)
+        request.state = "done"
+        if duration is not None:
+            self._recent_durations.append(duration)
+        self._breaker_result_locked(request.tenant, error)
+        if error is None:
+            self._counters["completed"] += 1
+        elif isinstance(error, QueryCancelledError):
+            self._counters["cancelled"] += 1
+        else:
+            self._counters["failed"] += 1
+        # Set the ticket's event inside the critical section: anyone
+        # who observes the post-finish counters (a drain() returning,
+        # a stats() reader) must also observe the ticket as done.
+        request.event.set()
+        self._work_ready.notify_all()
+        self._idle.notify_all()
 
     def _cancel(self, request: _Request, reason: str) -> bool:
         with self._lock:
-            if request.state == "queued":
-                self._queue.remove(request)
-                self._queued[request.tenant] -= 1
-                request.state = "done"
-                request.error = QueryCancelledError(reason)
-                self._counters["cancelled"] += 1
-                self._work_ready.notify_all()
-                self._idle.notify_all()
-                request.event.set()
-                return True
             if request.state == "running":
                 request.token.cancel(reason)
                 return True
-            return False
+            if request.state != "queued":
+                return False
+            self._finish_locked(request, error=QueryCancelledError(reason))
+        _drop_flag(request)
+        return True
 
     # -- statistics ------------------------------------------------------------
 

@@ -1,6 +1,9 @@
-"""Unit tests for aggregate accumulators and their partial/combine split."""
+"""Unit tests for the aggregate accumulators, driven the one way the
+runtime drives them: :class:`GroupStates` over a list of states."""
 
+import itertools
 import json
+import math
 
 import pytest
 
@@ -10,7 +13,11 @@ from repro.algebra.expressions import VariableRef
 from repro.algebra.operators import AggregateSpec
 from repro.algebra.rules import RewriteConfig
 from repro.errors import ItemDepthError, ItemTypeError, ReproError
-from repro.hyracks.aggregates import make_accumulators
+from repro.hyracks.aggregates import (
+    CountAccumulator,
+    GroupStates,
+    SumAccumulator,
+)
 from repro.hyracks.memory import MemoryTracker
 from repro.jsonlib.items import MAX_KEY_DEPTH
 from repro.jsoniq.functions import BUILTIN_FUNCTIONS
@@ -18,72 +25,73 @@ from repro.jsoniq.functions import BUILTIN_FUNCTIONS
 CTX = EvaluationContext()
 
 
-def spec(function):
-    return AggregateSpec("out", function, VariableRef("x"))
+def spec(function, variable="out"):
+    return AggregateSpec(variable, function, VariableRef("x"))
 
 
-def make_accumulator(aggregate_spec, ctx=CTX):
-    (accumulator,) = make_accumulators([aggregate_spec], ctx)
-    return accumulator
+def tuples(values):
+    return [{"x": [value]} for value in values]
 
 
-def feed(accumulator, values, ctx=CTX):
-    for value in values:
-        accumulator.add({"x": [value]}, ctx)
+def partials(function, stream, ctx=CTX):
+    """*function* over *stream*, folded as a partition folds it: the
+    partials of the one group of no keys."""
+    aggregates = GroupStates([spec(function)], ctx)
+    table = aggregates.fold_table(stream, ctx)
+    assert list(table) == [()]
+    key_values, folded = table[()]
+    assert key_values == ()
+    return folded
+
+
+def value(function, folded, ctx=CTX):
+    """The final value of the partials *folded*."""
+    return GroupStates([spec(function)], ctx).bindings(folded, (), ())["out"]
+
+
+def aggregate(function, values, ctx=CTX):
+    return value(function, partials(function, tuples(values), ctx), ctx)
 
 
 class TestAccumulators:
     def test_count(self):
-        acc = make_accumulator(spec("count"))
-        feed(acc, [1, 2, 3])
-        assert acc.finish(CTX) == [3]
+        assert aggregate("count", [1, 2, 3]) == [3]
 
     def test_count_counts_items_not_tuples(self):
-        acc = make_accumulator(spec("count"))
-        acc.add({"x": [1, 2]}, CTX)
-        acc.add({"x": []}, CTX)
-        assert acc.finish(CTX) == [2]
+        folded = partials("count", [{"x": [1, 2]}, {"x": []}])
+        assert value("count", folded) == [2]
 
     def test_sum(self):
-        acc = make_accumulator(spec("sum"))
-        feed(acc, [1, 2, 3.5])
-        assert acc.finish(CTX) == [6.5]
+        assert aggregate("sum", [1, 2, 3.5]) == [6.5]
 
     def test_sum_empty_is_zero(self):
-        acc = make_accumulator(spec("sum"))
-        assert acc.finish(CTX) == [0]
+        assert aggregate("sum", []) == [0]
 
     def test_avg(self):
-        acc = make_accumulator(spec("avg"))
-        feed(acc, [2, 4, 6])
-        assert acc.finish(CTX) == [4]
+        assert aggregate("avg", [2, 4, 6]) == [4]
 
     def test_avg_empty_is_empty(self):
-        acc = make_accumulator(spec("avg"))
-        assert acc.finish(CTX) == []
+        assert aggregate("avg", []) == []
 
     def test_min_max(self):
-        low = make_accumulator(spec("min"))
-        high = make_accumulator(spec("max"))
-        feed(low, [3, 1, 2])
-        feed(high, [3, 1, 2])
-        assert low.finish(CTX) == [1]
-        assert high.finish(CTX) == [3]
+        assert aggregate("min", [3, 1, 2]) == [1]
+        assert aggregate("max", [3, 1, 2]) == [3]
 
     def test_sequence(self):
-        acc = make_accumulator(spec("sequence"))
-        feed(acc, ["a", "b"])
-        assert acc.finish(CTX) == ["a", "b"]
+        assert aggregate("sequence", ["a", "b"]) == ["a", "b"]
 
     def test_sequence_charges_and_releases_memory(self):
         tracker = MemoryTracker()
         ctx = EvaluationContext(memory=tracker)
-        acc = make_accumulator(spec("sequence"))
-        feed(acc, ["payload"] * 10, ctx)
+        aggregates = GroupStates([spec("sequence")], ctx)
+        states = aggregates.new()
+        for tup in tuples(["payload"] * 10):
+            aggregates.add(states, tup, ctx)
         assert tracker.used > 0
-        acc.finish(ctx)
+        aggregates.take(states, ctx)
         assert tracker.used == 0
         assert tracker.peak > 0
+        assert states == [["payload"] * 10]
 
 
 class TestPartialCombine:
@@ -101,29 +109,24 @@ class TestPartialCombine:
         ],
     )
     def test_split_equals_whole(self, function, values):
-        whole = make_accumulator(spec(function))
-        feed(whole, values)
-        expected = whole.finish(CTX)
-
-        left = make_accumulator(spec(function))
-        right = make_accumulator(spec(function))
-        feed(left, values[:2])
-        feed(right, values[2:])
-        combined = make_accumulator(spec(function))
-        combined.absorb(left.partial())
-        combined.absorb(right.partial())
-        assert combined.finish(CTX) == expected
+        expected = aggregate(function, values)
+        aggregates = GroupStates([spec(function)], CTX)
+        combined = aggregates.take(aggregates.new(), CTX)
+        aggregates.merge(combined, partials(function, tuples(values[:2])))
+        aggregates.merge(combined, partials(function, tuples(values[2:])))
+        assert value(function, combined) == expected
 
     def test_minmax_absorb_empty_partial(self):
-        acc = make_accumulator(spec("min"))
-        empty = make_accumulator(spec("min"))
-        feed(acc, [7])
-        acc.absorb(empty.partial())
-        assert acc.finish(CTX) == [7]
+        folded = partials("min", tuples([7]))
+        GroupStates([spec("min")], CTX).merge(folded, partials("min", []))
+        assert value("min", folded) == [7]
 
-    def test_make_accumulators_order(self):
-        accs = make_accumulators([spec("count"), spec("sum")], CTX)
-        assert [a.spec.function for a in accs] == ["count", "sum"]
+    def test_group_states_keep_spec_order(self):
+        aggregates = GroupStates([spec("count", "n"), spec("sum", "s")], CTX)
+        assert aggregates.classes == [CountAccumulator, SumAccumulator]
+        _, folded = aggregates.fold_table(tuples([2, 3]), CTX)[()]
+        bindings = aggregates.bindings(folded, (), ())
+        assert list(bindings.items()) == [("n", [2]), ("s", [5])]
 
 
 class TestTypeChecks:
@@ -140,10 +143,11 @@ class TestTypeChecks:
         message = rf"{function}\(\) expects a number, got {type_name}"
         with pytest.raises(ItemTypeError, match=message):
             BUILTIN_FUNCTIONS[(function, 1)]([[1, value]])
-        acc = make_accumulator(spec(function))
-        acc.add({"x": [1]}, CTX)
+        aggregates = GroupStates([spec(function)], CTX)
+        states = aggregates.new()
+        aggregates.add(states, {"x": [1]}, CTX)
         with pytest.raises(ItemTypeError, match=message):
-            acc.add({"x": [value]}, CTX)
+            aggregates.add(states, {"x": [value]}, CTX)
 
     QUERIES = {
         "grouped": 'for $r in collection("/c") group by $k := $r("b") '
@@ -189,6 +193,46 @@ class TestTypeChecks:
         query = self.QUERIES[shape].replace("{function}", function).replace("{key}", "n")
         for config in (RewriteConfig.all(), RewriteConfig.none()):
             assert self.execute(query, config, backend) == [expected]
+
+
+class TestNaNAbsorbs:
+    """``min``/``max`` over a NaN answer NaN (F&O 3.1), whatever the
+    order of the records, their partitioning, or the rewrites."""
+
+    ROWS = ['{"v": 1}', '{"v": 1e400}', '{"v": 3}']  # 1e400 - 1e400 is NaN
+
+    @pytest.mark.parametrize("function", ["min", "max"])
+    def test_builtin_and_accumulator(self, function):
+        pick = BUILTIN_FUNCTIONS[(function, 1)]
+        nan = float("nan")
+        for values in itertools.permutations([1, nan, 3]):
+            (answer,) = pick([list(values)])
+            assert math.isnan(answer)
+            (answer,) = aggregate(function, values)
+            assert math.isnan(answer)
+        aggregates = GroupStates([spec(function)], CTX)
+        for left, right in ([nan], [2]), ([2], [nan]):
+            merged = list(left)
+            aggregates.merge(merged, right)
+            assert math.isnan(merged[0])
+
+    @pytest.mark.parametrize("rewrites", ["all", "none"])
+    @pytest.mark.parametrize("function", ["min", "max"])
+    def test_query_answers_nan_in_every_order(self, function, rewrites):
+        query = (
+            f'{function}(for $r in collection("/c") '
+            'return $r("v") - $r("v"))'
+        )
+        config = getattr(RewriteConfig, rewrites)()
+        for rows in itertools.permutations(self.ROWS):
+            for cut in (None, 1, 2):
+                parts = [rows] if cut is None else [rows[:cut], rows[cut:]]
+                source = InMemorySource(
+                    collections={"/c": [["\n".join(part)] for part in parts]}
+                )
+                with JsonProcessor(source=source, rewrite=config) as processor:
+                    items = processor.execute(query).items
+                assert len(items) == 1 and math.isnan(items[0]), (rows, cut, items)
 
 
 class TestDeepGroupingKey:

@@ -11,11 +11,14 @@ from repro import (
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.algebra.rules import RewriteConfig
 from repro.errors import PartitionExecutionError
 from repro.resilience import TransientFaultError
 
 QUERY = 'for $r in collection("/events") return $r("v")'
 COUNT_QUERY = 'count(for $r in collection("/events") return $r)'
+#: what each aggregate answers over no input
+ZERO_KEPT = {"count": [0], "sum": [0], "avg": [], "min": [], "max": []}
 
 
 def make_source(on_malformed="fail", partitions=4, per_partition=5):
@@ -154,6 +157,41 @@ class TestSkipPartition:
         assert result.strategy == "aggregated-two-step"
         assert result.items == [15]  # 3 of 4 partitions x 5 records
         assert result.is_partial
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    @pytest.mark.parametrize(
+        "strategy,function",
+        [
+            (strategy, function)
+            for strategy in ("aggregated-two-step", "aggregated-raw")
+            for function in ZERO_KEPT
+        ]
+        + [("hash-join", "count"), ("hash-join", "sum")],
+    )
+    def test_aggregate_over_zero_kept_partitions(self, strategy, function, backend):
+        """Every partition skipped: the AGGREGATE still answers its one
+        tuple, over the empty input."""
+        if strategy == "hash-join":
+            query = (
+                f'{function}(for $a in collection("/events") '
+                'for $b in collection("/events") '
+                'where $a("v") eq $b("v") return $b("v"))'
+            )
+        else:
+            query = f'{function}(for $r in collection("/events") return $r("v"))'
+        plan = FaultPlan()
+        for partition in range(4):
+            plan.fail_partition(partition, permanent=True)
+        config = ResilienceConfig(partition_policy="skip_partition")
+        rewrite = RewriteConfig(two_step_aggregation=strategy != "aggregated-raw")
+        with make_processor(
+            plan=plan, config=config, rewrite=rewrite, backend=backend
+        ) as processor:
+            result = processor.execute(query)
+        assert result.strategy == strategy
+        assert result.items == ZERO_KEPT[function]
+        assert result.is_partial
+        assert len(result.degradation.skipped_partitions) == 4
 
     def test_grouped_query_with_retry(self):
         plan = FaultPlan().fail_partition(2, times=1)

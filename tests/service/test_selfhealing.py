@@ -579,3 +579,78 @@ def test_breaker_ignores_cancellations(scripted_clock):
         breakers = service.stats()["circuit_breakers"]
         assert breakers.get("t", {"state": "closed"})["state"] != "open"
         assert service.execute(COUNT_QUERY, tenant="t").items == [120]
+
+
+@pytest.mark.parametrize("later", [60.0, 1000.0])
+def test_halfopen_probe_cancelled_while_queued_is_released(scripted_clock, later):
+    """A half-open probe cancelled before it left the queue must give
+    the probe back: the cancel takes the same terminal transition as
+    any finish, which clears the breaker's ``probing`` flag.  Before,
+    the queued-cancel path kept its own bookkeeping and never told the
+    breaker, so every later submission of the tenant was rejected
+    ``circuit-open (probe in flight)`` for good."""
+    source = make_gated()
+    with QueryService(
+        source,
+        backend="sequential",
+        max_concurrent_queries=1,
+        clock="scripted",
+        circuit_failure_threshold=1,
+        circuit_cooldown_seconds=10.0,
+    ) as service:
+        with pytest.raises(Exception):
+            service.execute("count(((", tenant="t")
+        holder = service.submit(COUNT_QUERY, tenant="other")
+        source.wait_entered()  # the one slot is busy from here on
+        scripted_clock["now"] = 50.0  # cooldown elapsed: half-open
+        probe = service.submit(COUNT_QUERY, tenant="t")
+        assert probe.cancel("client went away")
+        with pytest.raises(QueryCancelledError):
+            probe.result()
+        assert service.stats()["circuit_breakers"]["t"]["state"] == "half-open"
+        scripted_clock["now"] = later
+        retry = service.submit(COUNT_QUERY, tenant="t")  # admitted as the probe
+        source.release()
+        assert holder.result().items == [120]
+        assert retry.result().items == [120]
+        stats = service.stats()
+        assert stats["circuit_breakers"]["t"] == {
+            "state": "closed",
+            "consecutive_failures": 0,
+        }
+        assert stats["cancelled"] == 1
+
+
+def test_backend_replaced_after_consecutive_backend_errors(monkeypatch):
+    """``backend_failure_threshold`` consecutive backend errors on a
+    slot swap in a fresh backend, once, and the next query answers."""
+    from repro.hyracks.backends import SequentialBackend
+
+    left = [3]
+    run_units = SequentialBackend.run_units
+
+    def flaky(self, units):
+        if left[0]:
+            left[0] -= 1
+            raise BackendError("injected backend failure")
+        return run_units(self, units)
+
+    monkeypatch.setattr(SequentialBackend, "run_units", flaky)
+    with QueryService(
+        make_source(),
+        backend="sequential",
+        max_concurrent_queries=1,
+        max_query_retries=0,
+        backend_failure_threshold=3,
+    ) as service:
+        first = service._slots[0].backend
+        for attempt in range(3):
+            with pytest.raises(BackendError):
+                service.execute(COUNT_QUERY)
+            replaced = service._slots[0].backend is not first
+            assert replaced == (attempt == 2)
+        assert service.execute(COUNT_QUERY).items == [120]
+        events = service.stats()["slot_restarts"]
+    assert [e["kind"] for e in events] == ["backend-replaced"]
+    assert events[0]["slot"] == 0
+    assert "3 consecutive backend failures" in events[0]["message"]
