@@ -6,7 +6,7 @@ and implements the :class:`~repro.algebra.context.DataSource` protocol:
 
 - ``read_collection`` materializes every item (the naive strategy the
   un-rewritten plans use: the same scanner over the empty path),
-- ``scan_collection`` / ``scan_frames`` stream items through the
+- ``scan_collection`` / ``scan_units`` stream items through the
   projecting scanner (the DATASCAN strategy),
 - ``partition_count`` drives partitioned-parallel execution.
 
@@ -89,13 +89,14 @@ def _scan_plain(
 
 def _scan_cached(
     source, source_id: str, fingerprint_of, scan, path: Path
-) -> tuple[list[Item], list[int] | None]:
+) -> tuple[list[Item], list[int] | None, bool]:
     """Serve one file or text from the segment cache, scanning cold on miss.
 
-    Returns ``(items, sizes)``: *sizes* is ``sizeof_item`` of each item,
-    read from the segment on a hit and measured once for the store on a
-    miss (the whole file as one frame of ``sizeof_rows``); None when
-    nothing was stored or a skipped file yields nothing.
+    Returns ``(items, sizes, hit)``: *sizes* is ``sizeof_item`` of each
+    item, read from the segment on a hit and measured once for the store
+    on a miss (the whole file as one frame of ``sizeof_rows``); None when
+    nothing was stored or a skipped file yields nothing.  *hit* says the
+    items came from a segment.
 
     The observable behaviour (items, errors, skip events, and the
     ``matched``/``skipped`` counter deltas) is byte-identical with the
@@ -132,7 +133,7 @@ def _scan_cached(
                 counters.absorb(segment.counters)
             for offset, message in segment.skip_events:
                 record_skip(offset, message)
-            return segment.items, segment.sizes
+            return segment.items, segment.sizes, True
         if status == "corrupt":
             if counters is not None:
                 counters.cache_corrupt += 1
@@ -159,7 +160,7 @@ def _scan_cached(
     except JsonError as error:
         if policy == "skip_file":
             source._record_skipped_file(source_id, error)
-            return [], None
+            return [], None, False
         if policy == "fail":
             raise FileScanError(source_id, error) from error
         raise
@@ -167,7 +168,7 @@ def _scan_cached(
         if counters is not None:
             counters.merge(attempt)
     if fingerprint is None:
-        return items, None
+        return items, None, False
     sizes = sizeof_rows(items)
     stored = cache.store(
         source_id, fingerprint, projection, policy,
@@ -175,7 +176,7 @@ def _scan_cached(
     )
     if not stored and cache.disabled_reason is not None:
         cache_event("disabled", cache.disabled_reason)
-    return items, sizes
+    return items, sizes, False
 
 
 class _PartitionedSource:
@@ -398,31 +399,38 @@ class _PartitionedSource:
         largest top-level value (by the largest unit under ``skip_file``
         or a segment cache, which buffer one unit's matches).
         """
-        for items, _sizes in self.scan_frames(name, path, partition):
+        for items, _sizes, _again in self.scan_units(name, path, partition):
             yield from items
 
-    def scan_frames(
+    def scan_units(
         self, name: str, path: Path, partition: int | None = None
-    ) -> Iterator[tuple[Iterable[Item], list[int] | None]]:
-        """:meth:`scan_collection` one unit at a time, as ``(items, sizes)``.
+    ) -> Iterator[tuple[Iterable[Item], list[int] | None, object]]:
+        """:meth:`scan_collection` one unit at a time, as ``(items, sizes,
+        again)``.
 
         *sizes* is ``sizeof_item`` of each item where the segment cache
         already knows it (a hit, or a miss just sized for its store),
         so DATASCAN need not measure the items again; it is None for
         items streamed from text, which DATASCAN cuts into frames and
-        sizes itself.
+        sizes itself.  *again* is for a read two DATASCANs of one join
+        share: None when the unit's items may serve both (streamed from
+        text, or a segment-cache hit), else a callable serving the unit
+        again as a read of its own would (a second cache probe, which
+        finds what the first one stored), as ``(items, sizes, hit)``.
         """
         for source_id, unit in self._units(name, partition):
             scan = self._scanner(unit)
             if self.segment_cache is None:
                 yield _scan_plain(
                     self, source_id, scan, path, self._counters
-                ), None
-            else:
-                fingerprint_of = partial(
-                    self._fingerprint, unit, self.segment_cache.fingerprint_mode
-                )
-                yield _scan_cached(self, source_id, fingerprint_of, scan, path)
+                ), None, None
+                continue
+            fingerprint_of = partial(
+                self._fingerprint, unit, self.segment_cache.fingerprint_mode
+            )
+            serve = partial(_scan_cached, self, source_id, fingerprint_of, scan, path)
+            items, sizes, hit = serve()
+            yield items, sizes, None if hit else serve
 
 
 class CollectionCatalog(_PartitionedSource):

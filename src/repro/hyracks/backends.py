@@ -83,7 +83,7 @@ from repro.hyracks.operators import (
     execute,
     grouped_input,
     hash_join,
-    keyed_tuples,
+    keyed_inputs,
     run_chain,
     run_plan,
 )
@@ -202,31 +202,16 @@ class Parcel:
         return Parcel, (None, sealed)
 
 
-def _join_side_counters(join: Join) -> tuple[str, str]:
-    """(left counter, right counter) following the physical build side."""
-    if join.build_side == "left":
-        return "build_tuples", "probe_tuples"
-    return "probe_tuples", "build_tuples"
-
-
-def _keyed_side(join: Join, side: Operator, key_exprs, counter: str, ctx):
-    """One input of *join* as the keyed pairs phase 1 keeps, counted and
-    checked as pulled; as in hash_join an empty key (None) is dropped."""
-    limits = ctx.limits
-    pairs = keyed_tuples(side, key_exprs, ctx, join)
-    if ctx.profile is not None:
-        pairs = ctx.profile.count_into(join, counter, pairs)
-    for pair in pairs:
-        if limits is not None:
-            limits.checkpoint()
-        if pair[0] is not None:
-            yield pair
-
-
 @dataclass(frozen=True)
 class ExchangeWork:
-    """Join phase 1: scan both sides, hash keyed tuples into buckets
+    """Join phase 1: key both inputs, hash keyed tuples into buckets
     (the key that picked a tuple's bucket travels with it).
+
+    Both inputs come from :func:`~repro.hyracks.operators.keyed_inputs`,
+    which reads a partition once when they scan the same collection
+    under the same projection (a self-join): each frame goes to the left
+    input, then to the right, and every input's bucket order, counters
+    and errors stay what reading it on its own gives.
 
     When the join carries ``skew_keys`` (hot keys detected by the cost
     phase), those keys' buckets are split: hot *build*-side tuples are
@@ -250,42 +235,45 @@ class ExchangeWork:
 
     def __call__(self, ctx: EvaluationContext):
         buckets = self.buckets
-        left_counter, right_counter = _join_side_counters(self.join)
         skew = set(self.join.skew_keys)
         spread: dict = {}
-        build_is_left = self.join.build_side == "left"
-        exchanged_tuples = 0
-        exchanged_bytes = 0
-        shares = []  # per side, per bucket: (rows, keys, sizes)
-        for side, key_exprs, counter, is_build in (
-            (self.join.left, self.left_keys, left_counter, build_is_left),
-            (self.join.right, self.right_keys, right_counter, not build_is_left),
+        build = 0 if self.join.build_side == "left" else 1
+        # Per side, rows and keys side by side, not as pairs: a pair kept
+        # per tuple is one more object for the collector to walk.
+        rows = [[[] for _ in range(buckets)] for _side in range(2)]
+        keys = [[[] for _ in range(buckets)] for _side in range(2)]
+        for side, pairs in keyed_inputs(
+            self.join, self.left_keys, self.right_keys, ctx
         ):
-            # Rows and keys side by side, not as pairs: a pair kept per
-            # tuple is one more object for the collector to walk.
-            rows: list[list] = [[] for _ in range(buckets)]
-            keys: list[list] = [[] for _ in range(buckets)]
-            for key, tup in _keyed_side(self.join, side, key_exprs, counter, ctx):
+            side_rows, side_keys = rows[side], keys[side]
+            for key, tup in pairs:
                 if not skew or key not in skew:
                     into = (stable_bucket(key, buckets),)
-                elif is_build:
+                elif side == build:
                     into = range(buckets)
                 else:
                     turn = spread.get(key, 0)
                     spread[key] = turn + 1
                     into = ((stable_bucket(key, buckets) + turn) % buckets,)
                 for bucket in into:
-                    rows[bucket].append(tup)
-                    keys[bucket].append(key)
+                    side_rows[bucket].append(tup)
+                    side_keys[bucket].append(key)
+        exchanged_tuples = 0
+        exchanged_bytes = 0
+        shares = []  # per side, per bucket: (rows, keys, sizes)
+        for side_rows, side_keys in zip(rows, keys):
             # What crosses the exchange is what sits in the buckets (a hot
             # build tuple once per bucket); one side's tuples share a shape,
             # so the side is sized as one frame, and the sizes ride along.
-            weighed = sizeof_tuples(list(chain.from_iterable(rows)))
+            weighed = sizeof_tuples(list(chain.from_iterable(side_rows)))
             exchanged_tuples += len(weighed)
             exchanged_bytes += sum(weighed)
             cut = iter(weighed)
             shares.append(
-                [(r, k, list(islice(cut, len(r)))) for r, k in zip(rows, keys)]
+                [
+                    (r, k, list(islice(cut, len(r))))
+                    for r, k in zip(side_rows, side_keys)
+                ]
             )
         parts = [[Parcel(share)] for share in zip(*shares)]
         profiled = ctx.profile is not None  # the coordinator's packing
@@ -302,7 +290,9 @@ class BroadcastScanWork:
     while the *broadcast* (tiny) side's tuples go to every bucket.
     Both sides keep their keys; empty-key tuples are dropped on both,
     exactly like the hash exchange, so results are byte-identical with
-    ``exchange="hash"``.
+    ``exchange="hash"``.  Both inputs come from
+    :func:`~repro.hyracks.operators.keyed_inputs`, one read for a
+    self-join, as in :class:`ExchangeWork`.
 
     Returns what :class:`ExchangeWork` returns, a bucket's share being a
     list of parcels: one parcel holds the broadcast side and is handed
@@ -317,17 +307,16 @@ class BroadcastScanWork:
     buckets: int
 
     def __call__(self, ctx: EvaluationContext):
-        sides = []  # the left side's share, then the right's
-        for side, key_exprs, counter in zip(
-            (self.join.left, self.join.right),
-            (self.left_keys, self.right_keys),
-            _join_side_counters(self.join),
+        kept = ([], []), ([], [])  # per side: rows, keys
+        for side, pairs in keyed_inputs(
+            self.join, self.left_keys, self.right_keys, ctx
         ):
-            rows, keys = [], []
-            for key, tup in _keyed_side(self.join, side, key_exprs, counter, ctx):
+            rows, keys = kept[side]
+            for key, tup in pairs:
                 rows.append(tup)
                 keys.append(key)
-            sides.append((rows, keys, sizeof_tuples(rows)))
+        # the left side's share, then the right's
+        sides = [(rows, keys, sizeof_tuples(rows)) for rows, keys in kept]
         nothing = ([], [], [])
         parcels = Parcel((sides[0], nothing)), Parcel((nothing, sides[1]))
         shared = 0 if self.join.exchange == "broadcast-left" else 1

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from copy import copy
 from itertools import islice, repeat
 from typing import Iterable, Iterator
 
@@ -86,6 +87,7 @@ from repro.jsonlib.items import (
     item_type_name,
     sizeof_rows,
 )
+from repro.jsonlib.textscan import ScanCounters
 
 # Re-exported here for backwards compatibility: the canonical grouping /
 # join / distinct-values key lives in repro.jsonlib.items so the JSONiq
@@ -96,6 +98,7 @@ __all__ = [
     "execute",
     "grouped_input",
     "hash_join",
+    "keyed_inputs",
     "keyed_tuples",
     "run_chain",
     "run_operator",
@@ -219,47 +222,63 @@ _FRAME_ROWS = 256
 
 def _sized_frames(
     op: DataScan, ctx: EvaluationContext, track: bool
-) -> Iterator[tuple[list[Item], Iterable[int]]]:
-    """The scan under *op* as ``(items, sizes)`` frames, *items* a list.
+) -> Iterator[tuple[list[Item], Iterable[int], object]]:
+    """The scan under *op* as ``(items, sizes, again)`` frames, *items* a
+    list.
 
     A source that keeps row sizes (the catalogs' segment cache) hands
-    them over per file, and such a frame passes through.  Any other
+    them over per unit, and such a frame passes through.  Any other
     stream is cut into lists of at most ``_FRAME_ROWS`` rows, each sized
     in one call (not at all unless *track*).  Rows taken before the
     stream raised go out, sized, before the error does; closing this
     closes the stream being cut.
+
+    *again* matters only to a read two DATASCANs share
+    (:func:`keyed_inputs`): what the source's ``scan_units`` says of the
+    frame's unit on its first frame (None: the frame serves both; a
+    callable: it serves the second DATASCAN the unit again), and False
+    on the unit's later frames, which that second serving covered.
     """
-    scan_frames = getattr(ctx.source, "scan_frames", None)
-    if scan_frames is not None:
-        frames = scan_frames(op.collection, op.project_path, ctx.partition)
+    scan_units = getattr(ctx.source, "scan_units", None)
+    if scan_units is not None:
+        units = scan_units(op.collection, op.project_path, ctx.partition)
     else:
         scan = ctx.source.scan_collection(
             op.collection, op.project_path, partition=ctx.partition
         )
-        frames = ((scan, None),)
-    for items, sizes in frames:
-        if sizes is not None:
-            yield items, sizes
-            continue
-        stream = iter(items)
-        try:
-            while True:
-                rows: list[Item] = []
-                failure = None
-                try:
-                    # extend() keeps what it took when the stream raises
-                    rows.extend(islice(stream, _FRAME_ROWS))
-                except Exception as error:
-                    failure = error
-                yield rows, sizeof_rows(rows) if track else repeat(0)
-                if failure is not None:
-                    raise failure
-                if len(rows) < _FRAME_ROWS:
-                    break
-        finally:
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()
+        units = ((scan, None, None),)
+    for items, sizes, again in units:
+        yield from _cut(items, sizes, track, again)
+
+
+def _cut(
+    items: Iterable[Item], sizes, track: bool, again: object = None
+) -> Iterator[tuple[list[Item], Iterable[int], object]]:
+    """One unit's *items* as :func:`_sized_frames` frames."""
+    if sizes is not None:
+        yield items, sizes, again
+        return
+    stream = iter(items)
+    try:
+        while True:
+            rows: list[Item] = []
+            failure = None
+            try:
+                # extend() keeps what it took when the stream raises
+                rows.extend(islice(stream, _FRAME_ROWS))
+            except Exception as error:
+                failure = error
+            yield rows, sizeof_rows(rows) if track else repeat(0), again
+            if again:
+                again = False
+            if failure is not None:
+                raise failure
+            if len(rows) < _FRAME_ROWS:
+                break
+    finally:
+        close = getattr(stream, "close", None)
+        if close is not None:
+            close()
 
 
 def _scan_run(op: Operator, functions: dict) -> tuple | None:
@@ -307,7 +326,7 @@ def _frame_keys(frame: Frame, columns: list) -> list:
     around :func:`_key_component`; a column of exact ``str`` takes one
     canonical component per distinct string, shared by its rows."""
     components = []
-    holes = False  # may a component be None (an absent item)?
+    holes = False  # may a component be None (an absent item, NaN)?
     for column in columns:
         values = column(frame)
         if set(map(type, values)) == {str}:
@@ -357,9 +376,46 @@ def _execute_datascan(
     grouped: tuple | None = None,
 ) -> Iterator[Tuple]:
     """DATASCAN alone, or with *steps* (:func:`_frame_steps` of *run*)
-    the SELECT / ASSIGN operators of *run* above it in the frame gear.
-    With *keyed* (:func:`keyed_tuples`: key columns, a queue) the frame
-    gear queues the join key of each tuple it is about to yield.  With
+    the SELECT / ASSIGN operators of *run* above it in the frame gear,
+    over the frames of its own read (:class:`_Scan` says what the
+    arguments do; :func:`keyed_inputs` hands two of them one read)."""
+    scan = _Scan(op, ctx, run, steps, keyed, grouped)
+    counters = _attached_counters(ctx)
+    frames = _sized_frames(op, ctx, scan.track)
+    try:
+        started = scan.clock()
+        for items, sizes, _again in frames:
+            try:
+                yield from scan.frame(items, sizes, started)
+            finally:
+                started = scan.clock()
+    finally:
+        frames.close()
+        if counters is not None:
+            ctx.source.attach_scan_counters(None)
+        scan.close(counters)
+
+
+def _attached_counters(ctx: EvaluationContext):
+    """Fresh scan counters attached to the source, which credits every
+    scan it runs on this thread to them until they are detached; None
+    unless profiled and the source counts."""
+    if ctx.profile is None or not hasattr(ctx.source, "attach_scan_counters"):
+        return None
+    counters = ScanCounters()
+    ctx.source.attach_scan_counters(counters)
+    return counters
+
+
+class _Scan:
+    """One DATASCAN, fed its frames one at a time (:meth:`frame`) and
+    accounted when it closes (:meth:`close`).
+
+    Without *steps* each row is a tuple (the tuple gear); with *steps*
+    (:func:`_frame_steps` of *run*) the SELECT / ASSIGN operators of
+    *run* run on the frame a column at a time (the frame gear).  With
+    *keyed* (:func:`keyed_tuples`: key columns, a queue) the frame gear
+    queues the join key of each tuple it is about to yield.  With
     *grouped* (:func:`grouped_input`: the GROUP-BY, its key and argument
     columns) it yields no tuples: one
     :class:`~repro.hyracks.spill.GroupedRows` per frame, and the tuples
@@ -370,134 +426,136 @@ def _execute_datascan(
     raised or that the consumer closed, the rows up to the last one
     pulled (the one its last tuple came from).
     """
-    if ctx.source is None:
-        raise RuntimeExecutionError("no data source configured for DATASCAN")
-    scanned = 0
-    scanned_bytes = 0
-    consumed = 0  # rows pulled of the frame at hand
-    profile = ctx.profile
-    track = ctx.stats is not None or profile is not None
-    attach_counters = None
-    counters = None
-    if profile is not None:
-        attach_counters = getattr(ctx.source, "attach_scan_counters", None)
-        if attach_counters is not None:
-            from repro.jsonlib.textscan import ScanCounters
 
-            counters = ScanCounters()
-            attach_counters(counters)
-    limits = ctx.limits
-    variable = op.variable
-    # Only the frame gear of a run reads the profile's clock here: a scan
-    # alone, in either gear, is timed from outside, by ``observe``.
-    timed = profile is not None and (bool(run) or grouped is not None)
-    clock = profile.clock if timed else lambda: 0.0
+    def __init__(self, op, ctx, run=(), steps=None, keyed=None, grouped=None):
+        if ctx.source is None:
+            raise RuntimeExecutionError("no data source configured for DATASCAN")
+        self.op, self.ctx, self.run = op, ctx, run
+        self.steps, self.keyed, self.grouped = steps, keyed, grouped
+        self.scanned = 0
+        self.scanned_bytes = 0
+        self.track = ctx.stats is not None or ctx.profile is not None
+        # Only the frame gear of a run reads the profile's clock here: a
+        # scan alone, in either gear, is timed from outside, by ``observe``.
+        self.timed = ctx.profile is not None and (bool(run) or grouped is not None)
+        self.clock = ctx.profile.clock if self.timed else _no_clock
 
-    def tuple_gear(items):
-        nonlocal consumed
-        for item in items:
+    def frame(self, items: list, sizes, started: float) -> Iterator:
+        """The scan's output of one frame; *started* is the clock's
+        reading before the frame was fetched (the timed gear's span
+        starts there)."""
+        op, ctx, run, steps = self.op, self.ctx, self.run, self.steps
+        keyed, grouped, timed, clock = self.keyed, self.grouped, self.timed, self.clock
+        profile = ctx.profile
+        limits = ctx.limits
+        variable = op.variable
+        consumed = 0  # rows pulled of this frame
+
+        def tuple_gear(items):
+            nonlocal consumed
+            for item in items:
+                if limits is not None:
+                    limits.checkpoint()
+                consumed += 1
+                yield {variable: [item]}
+
+        def frame_gear(items):
+            nonlocal consumed
             if limits is not None:
-                limits.checkpoint()
-            consumed += 1
-            yield {variable: [item]}
-
-    def frame_gear(items):
-        nonlocal consumed
-        if limits is not None:
-            limits.check()
-        try:
-            frame = {None: range(len(items)), variable: items}
-            marks = []  # per operator, scan first: (its end, its live rows)
-            for assigned, forms in steps:
+                limits.check()
+            try:
+                frame = {None: range(len(items)), variable: items}
+                marks = []  # per operator, scan first: (its end, its live rows)
+                for assigned, forms in steps:
+                    marks.append((clock(), frame[None]))
+                    if assigned is not None:
+                        frame[assigned] = forms[0](frame)
+                        continue
+                    for mask in forms:
+                        # a conjunct sees only the rows the one before kept
+                        frame = narrow(frame, mask(frame))
+                if grouped is None:
+                    tuples = _frame_tuples(frame)
                 marks.append((clock(), frame[None]))
-                if assigned is not None:
-                    frame[assigned] = forms[0](frame)
-                    continue
-                for mask in forms:
-                    # a conjunct sees only the rows the one before kept
-                    frame = narrow(frame, mask(frame))
-            if grouped is None:
-                tuples = _frame_tuples(frame)
-            marks.append((clock(), frame[None]))
-            if grouped is not None:  # after the last mark: the GROUP-BY's work
-                batch = _grouped_rows(frame, *grouped[1:])
-        except Exception:
-            # The frame again, from its first row, through the closures:
-            # the tuple gear decides what it raises and what comes first.
-            rows = tuple_gear(items)
-            if timed:
-                rows = profile.observe(op, rows)
-            rows = run_chain(run, rows, ctx)
-            if grouped is not None and profile is not None:
-                rows = profile.count_input(grouped[0], rows)
-            yield from rows
-            return
-        if keyed is not None:  # after the last mark: this is the join's work
-            columns, queue = keyed
-            try:
-                queue.extend(_frame_keys(frame, columns))
+                if grouped is not None:  # after the last mark: the GROUP-BY's work
+                    batch = _grouped_rows(frame, *grouped[1:])
             except Exception:
-                pass  # join_key decides what is raised, tuple by tuple
-        live = frame[None]
-        try:
-            if grouped is None:
-                for position, tup in zip(live, tuples):
-                    consumed = position + 1
-                    yield tup
-            elif live:
+                # The frame again, from its first row, through the closures:
+                # the tuple gear decides what it raises and what comes first.
+                rows = tuple_gear(items)
+                if timed:
+                    rows = profile.observe(op, rows)
+                rows = run_chain(run, rows, ctx)
+                if grouped is not None and profile is not None:
+                    rows = profile.count_input(grouped[0], rows)
+                yield from rows
+                return
+            if keyed is not None:  # after the last mark: this is the join's work
+                columns, queue = keyed
                 try:
-                    yield batch
-                finally:  # the fold took them all, or raised on its last
-                    consumed = live[batch.taken - 1] + 1 if batch.taken else 0
-                    if profile is not None:
-                        profile.charge(grouped[0], 0.0, tuples_in=batch.taken)
-            consumed = len(items)
-        finally:
-            if timed:
-                passed = 0
-                for node, (mark, live) in zip((op, *run), marks):
-                    entered, passed = passed, bisect_left(live, consumed)
-                    profile.charge(
-                        node, mark - started, tuples_in=entered, tuples_out=passed
-                    )
-
-    gear = tuple_gear if steps is None else frame_gear
-    frames = _sized_frames(op, ctx, track)
-    try:
-        started = clock()
-        for items, sizes in frames:
-            consumed = 0
+                    queue.extend(_frame_keys(frame, columns))
+                except Exception:
+                    pass  # join_key decides what is raised, tuple by tuple
+            live = frame[None]
             try:
-                yield from gear(items)
+                if grouped is None:
+                    for position, tup in zip(live, tuples):
+                        consumed = position + 1
+                        yield tup
+                elif live:
+                    try:
+                        yield batch
+                    finally:  # the fold took them all, or raised on its last
+                        consumed = live[batch.taken - 1] + 1 if batch.taken else 0
+                        if profile is not None:
+                            profile.charge(grouped[0], 0.0, tuples_in=batch.taken)
+                consumed = len(items)
             finally:
-                scanned += consumed
-                if track:
-                    scanned_bytes += sum(islice(sizes, consumed))
-                started = clock()
-    finally:
-        frames.close()
-        if attach_counters is not None:
-            attach_counters(None)
+                if timed:
+                    passed = 0
+                    for node, (mark, live) in zip((op, *run), marks):
+                        entered, passed = passed, bisect_left(live, consumed)
+                        profile.charge(
+                            node, mark - started, tuples_in=entered, tuples_out=passed
+                        )
+
+        try:
+            yield from (tuple_gear if steps is None else frame_gear)(items)
+        finally:
+            self.scanned += consumed
+            if self.track:
+                self.scanned_bytes += sum(islice(sizes, consumed))
+
+    def close(self, counters) -> None:
+        """Account the scan: rows and bytes, and with *counters* (the
+        :class:`~repro.jsonlib.textscan.ScanCounters` its read credited)
+        the projection, on-demand and cache counts."""
+        op, ctx, profile = self.op, self.ctx, self.ctx.profile
         if ctx.stats is not None:
-            ctx.stats.items_scanned += scanned
-            ctx.stats.scanned_item_bytes += scanned_bytes
-        if profile is not None:
-            profile.add(op, "items_scanned", scanned)
-            profile.add(op, "bytes_scanned", scanned_bytes)
-            if counters is not None:
-                profile.add(op, "projection_hits", counters.matched)
-                profile.add(op, "projection_skips", counters.skipped)
-                # Scan fast-path diagnostics (zero when the mode/cache
-                # that produces them is off, keeping profiles stable).
-                if counters.tape_records:
-                    profile.add(op, "tape_records", counters.tape_records)
-                    profile.add(op, "tape_tokens", counters.tape_tokens)
-                if counters.cache_hits:
-                    profile.add(op, "cache_hits", counters.cache_hits)
-                if counters.cache_misses:
-                    profile.add(op, "cache_misses", counters.cache_misses)
-                if counters.cache_corrupt:
-                    profile.add(op, "cache_corrupt", counters.cache_corrupt)
+            ctx.stats.items_scanned += self.scanned
+            ctx.stats.scanned_item_bytes += self.scanned_bytes
+        if profile is None:
+            return
+        profile.add(op, "items_scanned", self.scanned)
+        profile.add(op, "bytes_scanned", self.scanned_bytes)
+        if counters is not None:
+            profile.add(op, "projection_hits", counters.matched)
+            profile.add(op, "projection_skips", counters.skipped)
+            # Scan fast-path diagnostics (zero when the mode/cache
+            # that produces them is off, keeping profiles stable).
+            if counters.tape_records:
+                profile.add(op, "tape_records", counters.tape_records)
+                profile.add(op, "tape_tokens", counters.tape_tokens)
+            if counters.cache_hits:
+                profile.add(op, "cache_hits", counters.cache_hits)
+            if counters.cache_misses:
+                profile.add(op, "cache_misses", counters.cache_misses)
+            if counters.cache_corrupt:
+                profile.add(op, "cache_corrupt", counters.cache_corrupt)
+
+
+def _no_clock() -> float:
+    return 0.0
 
 
 def _execute_assign(
@@ -686,21 +744,10 @@ def _execute_join(op: Join, ctx: EvaluationContext) -> Iterator[Tuple]:
     if left_keys:
         left_stream = keyed_tuples(op.left, left_keys, ctx, op)
         right_stream = keyed_tuples(op.right, right_keys, ctx, op)
-        # Profile counters follow the *physical* role: whichever input
-        # the (possibly cost-swapped) hash join materializes counts as
-        # build_tuples, the streamed one as probe_tuples.
         if ctx.profile is not None:
-            build_on_left = op.build_side == "left"
-            left_stream = ctx.profile.count_into(
-                op,
-                "build_tuples" if build_on_left else "probe_tuples",
-                left_stream,
-            )
-            right_stream = ctx.profile.count_into(
-                op,
-                "probe_tuples" if build_on_left else "build_tuples",
-                right_stream,
-            )
+            left_counter, right_counter = _side_counters(op)
+            left_stream = ctx.profile.count_into(op, left_counter, left_stream)
+            right_stream = ctx.profile.count_into(op, right_counter, right_stream)
         yield from hash_join(
             left_stream, right_stream, residual, ctx,
             op=op, build_side=op.build_side,
@@ -720,19 +767,34 @@ def _execute_join(op: Join, ctx: EvaluationContext) -> Iterator[Tuple]:
         yield from _nested_loop_join(left_stream, right_stream, op, ctx)
 
 
-def _key_component(item: Item) -> tuple:
+def _side_counters(join: Join) -> tuple[str, str]:
+    """The profile counters of *join*'s left and right input: they follow
+    the *physical* role, the input the (possibly cost-swapped) hash join
+    materializes counting as ``build_tuples``, the other as
+    ``probe_tuples``."""
+    if join.build_side == "left":
+        return "build_tuples", "probe_tuples"
+    return "probe_tuples", "build_tuples"
+
+
+def _key_component(item: Item) -> tuple | None:
     """One join-key component, canonical; an object or array raises like
-    the ``eq`` the key came from would (``null`` still equals ``null``)."""
+    the ``eq`` the key came from would (``null`` still equals ``null``),
+    and NaN, which equals nothing, not even NaN, is None: a key that
+    cannot join (grouping and ``distinct-values`` keep NaN one value)."""
     if isinstance(item, (dict, list)):
         raise ItemTypeError(
             f"value comparison 'eq' over an {item_type_name(item)} item"
         )
+    if isinstance(item, float) and item != item:
+        return None
     return (canonical_atomic(item),)
 
 
 def join_key(tup: Tuple, keys: list[Evaluator], ctx: EvaluationContext):
     """Canonical equi-join key of *tup*, or None when any component is
-    the empty sequence (``x eq ()`` is false, so the tuple cannot join).
+    the empty sequence or NaN (``x eq ()`` and ``x eq NaN`` are false, so
+    the tuple cannot join).
     The one definition of the rule, called by :func:`keyed_tuples` only.
 
     *keys* are the compiled closures of the key expressions
@@ -754,7 +816,10 @@ def join_key(tup: Tuple, keys: list[Evaluator], ctx: EvaluationContext):
             raise ItemTypeError(
                 "value comparison 'eq' over a multi-item sequence"
             )
-        key.append(_key_component(value[0]))
+        component = _key_component(value[0])
+        if component is None:
+            return None
+        key.append(component)
     return tuple(key)
 
 
@@ -771,23 +836,242 @@ def keyed_tuples(
     frame whose key columns raise queues none and is keyed like any
     other side, by :func:`join_key`, which decides what is raised.
     """
-    closures = [ctx.compiled(expr) for expr in key_exprs]
-    profile = ctx.profile
     queued: deque = deque()
-    geared = _scan_run(side, ctx.functions)
-    columns = [expr.compile_column(ctx.functions) for expr in key_exprs]
-    if geared is None or None in columns:
+    keying = _keying(side, key_exprs, ctx)
+    if keying is None:
         tuples = execute(side, ctx)
     else:
-        scan, run, steps = geared
+        (scan, run, steps), columns = keying
         tuples = _execute_datascan(scan, ctx, run, steps, (columns, queued))
-        if profile is not None and not run:
-            tuples = profile.observe(scan, tuples)
+        if ctx.profile is not None and not run:
+            tuples = ctx.profile.observe(scan, tuples)
+    yield from _keyed(tuples, queued, key_exprs, ctx, op)
+
+
+def _keying(side: Operator, key_exprs: list[Expression], ctx: EvaluationContext):
+    """``(_scan_run(side), key columns)`` when join input *side* is keyed
+    in the frame gear, else None."""
+    geared = _scan_run(side, ctx.functions)
+    columns = [expr.compile_column(ctx.functions) for expr in key_exprs]
+    return None if geared is None or None in columns else (geared, columns)
+
+
+def _keyed(tuples, queued: deque, key_exprs, ctx: EvaluationContext, op: Join):
+    """*tuples* with their keys: the next of *queued* while it has one,
+    else :func:`join_key`'s."""
+    closures = [ctx.compiled(expr) for expr in key_exprs]
+    profile = ctx.profile
     for tup in tuples:
         key = queued.popleft() if queued else join_key(tup, closures, ctx)
         if key is None and profile is not None:
             profile.add(op, "join_keys_dropped", 1)
         yield key, tup
+
+
+def _kept(pairs, join: Join, counter: str, ctx: EvaluationContext):
+    """Keyed *pairs* of one input of *join* as phase 1 of an exchange
+    keeps them: counted and checked as pulled; as in :func:`hash_join` a
+    pair whose key is None is dropped."""
+    limits = ctx.limits
+    if ctx.profile is not None:
+        pairs = ctx.profile.count_into(join, counter, pairs)
+    for pair in pairs:
+        if limits is not None:
+            limits.checkpoint()
+        if pair[0] is not None:
+            yield pair
+
+
+def keyed_inputs(
+    join: Join, left_keys: list, right_keys: list, ctx: EvaluationContext
+) -> Iterator[tuple]:
+    """Both inputs of *join* as the pairs phase 1 of an exchange keeps,
+    keyed by :func:`keyed_tuples`' rules and counted into the join's
+    build or probe counter (following the physical build side): runs of
+    ``(key, tuple)`` pairs, each as ``(side, pairs)``, *side* 0 for the
+    left input and 1 for the right, each input's pairs in its own order.
+
+    Each read is made once.  When both inputs are keyed in the frame
+    gear over DATASCANs of the same collection and projection path (a
+    self-join: variables, runs and keys may differ), one read feeds
+    both (:func:`_read_once`); otherwise the left input is drained, then
+    the right, each reading for itself.
+    """
+    inputs = list(
+        zip((join.left, join.right), (left_keys, right_keys), _side_counters(join))
+    )
+    keyings = [_keying(side, key_exprs, ctx) for side, key_exprs, _ in inputs]
+    if None not in keyings and _reads_once(ctx.source):
+        left_scan, right_scan = (keying[0][0] for keying in keyings)
+        if (left_scan.collection, left_scan.project_path) == (
+            right_scan.collection, right_scan.project_path
+        ):
+            yield from _read_once(join, inputs, keyings, ctx)
+            return
+    for side, (op, key_exprs, counter) in enumerate(inputs):
+        yield side, _kept(keyed_tuples(op, key_exprs, ctx, join), join, counter, ctx)
+
+
+def _reads_once(source) -> bool:
+    """Whether *source* can serve two DATASCANs one read: it says per
+    unit what the segment cache served (``scan_units``), or it has no
+    segment cache, so a second read would have served the same."""
+    if source is None:
+        return False
+    return (
+        hasattr(source, "scan_units")
+        or getattr(source, "segment_cache", None) is None
+    )
+
+
+def _read_once(join: Join, inputs: list, keyings: list, ctx: EvaluationContext):
+    """:func:`keyed_inputs` over one read: each frame of the left
+    input's scan goes to the left input, then to the right one, so the
+    right input lags by at most a frame and no frame is kept.
+
+    What each input shows is what it showed reading for itself, left
+    first.  The right input records its profile apart, on a fork with a
+    clock of its own (so neither input's spans see the other's clock
+    reads), and its scan is accounted, and the fork absorbed, once the
+    left input has finished; an error it raises is held until then, and
+    a left error, which would have come first, wins.  Its scan counters
+    are the share of the read's counters each frame it took added; a
+    unit the segment cache did not serve from a segment it is served
+    again (``again``, :func:`_sized_frames`), counted on counters of its
+    own, as its own read would have been.
+    """
+    right_ctx = ctx
+    if ctx.profile is not None:
+        right_ctx = copy(ctx)
+        right_ctx.profile = ctx.profile.fork()
+    left, right = (
+        _FedInput(join, key_exprs, counter, keying, fed_ctx)
+        for (_side, key_exprs, counter), keying, fed_ctx in zip(
+            inputs, keyings, (ctx, right_ctx)
+        )
+    )
+    shared = _attached_counters(ctx)  # the left input's: the read credits them
+    if shared is not None:
+        right.counters = ScanCounters()
+    track = left.scan.track
+    frames = _sized_frames(left.scan.op, ctx, track)
+    held = None
+    finished = False
+    try:
+        while True:
+            started = left.scan.clock()
+            before = None if shared is None else shared.as_dict()
+            frame = next(frames, None)
+            again = None if frame is None else frame[2]
+            if before is not None and held is None and again is None:
+                right.counters.merge(_since(shared, before))
+            if frame is None:
+                break
+            items, sizes, again = frame
+            # A run is a frame's pairs in a list: what an input raises
+            # is raised here, where its accounting is closed.
+            yield 0, list(left.pairs(items, sizes, started))
+            if held is not None or again is False:
+                continue
+            try:
+                if again is None:
+                    served = list(right.pairs(items, sizes, right.scan.clock()))
+                else:
+                    served = list(right.served_again(again, shared, track))
+            except Exception as error:
+                held = error
+                continue
+            yield 1, served
+        finished = True
+    finally:
+        frames.close()
+        if shared is not None:
+            ctx.source.attach_scan_counters(None)
+        left.close(shared, finished)
+    right.close(right.counters, held is None)
+    if ctx.profile is not None:
+        ctx.profile.absorb(right_ctx.profile.data())
+    if held is not None:
+        raise held
+
+
+def _since(counters: ScanCounters, before: dict) -> ScanCounters:
+    """What *counters* took since their ``as_dict()`` was *before*."""
+    taken = ScanCounters()
+    for field, value in before.items():
+        setattr(taken, field, getattr(counters, field) - value)
+    return taken
+
+
+class _FedInput:
+    """One join input keyed in the frame gear whose frames are handed to
+    it (:func:`_read_once`): its scan, the pairs of each frame as
+    :func:`keyed_tuples` and :func:`_kept` would give them, and, for a
+    bare DATASCAN on a profile, the ``observe`` span it is timed by."""
+
+    def __init__(self, join, key_exprs, counter, keying, ctx):
+        (scan, run, steps), columns = keying
+        self.join, self.key_exprs, self.counter = join, key_exprs, counter
+        self.ctx = ctx
+        self.queued: deque = deque()
+        self.scan = _Scan(scan, ctx, run, steps, (columns, self.queued))
+        self.observed = ctx.profile is not None and not run
+        self.pending = None  # the clock's reading the open observe span began at
+        self.counters = None
+
+    def pairs(self, items: list, sizes, started: float) -> Iterator[tuple]:
+        """The kept pairs of one frame; the scan accounts it on close."""
+        tuples = self.scan.frame(items, sizes, started)
+        try:
+            stream = self._observed(tuples) if self.observed else tuples
+            keyed = _keyed(stream, self.queued, self.key_exprs, self.ctx, self.join)
+            yield from _kept(keyed, self.join, self.counter, self.ctx)
+        finally:
+            tuples.close()
+
+    def served_again(self, again, shared, track: bool) -> Iterator[tuple]:
+        """The pairs of a unit served to this input again (by *again*),
+        its scan counters credited to this input's alone meanwhile and
+        *shared* attached again after; the clock is read before each
+        frame is fetched."""
+        source = self.ctx.source
+        started = self.scan.clock()
+        own = _attached_counters(self.ctx)
+        try:
+            items, sizes, _hit = again()
+        finally:
+            if own is not None:
+                source.attach_scan_counters(shared)
+                self.counters.merge(own)
+        for items, sizes, _again in _cut(items, sizes, track):
+            yield from self.pairs(items, sizes, started)
+            started = self.scan.clock()
+
+    def _observed(self, tuples):
+        """*tuples* timed and counted as ``profile.observe`` times the
+        whole scan: the span of the pull that ends a frame runs on into
+        the next frame's first tuple."""
+        profile, op = self.ctx.profile, self.scan.op
+        clock = profile.clock
+        tuples = iter(tuples)
+        while True:
+            if self.pending is None:
+                self.pending = clock()
+            try:
+                tup = next(tuples)
+            except StopIteration:
+                return
+            profile.charge(op, clock() - self.pending, tuples_out=1)
+            self.pending = None
+            yield tup
+
+    def close(self, counters, finished: bool) -> None:
+        """Account the scan; a finished observed scan ends its last span."""
+        self.scan.close(counters)
+        if finished and self.observed:
+            clock = self.ctx.profile.clock
+            started = clock() if self.pending is None else self.pending
+            self.ctx.profile.charge(self.scan.op, clock() - started)
 
 
 def grouped_input(op: GroupBy, ctx: EvaluationContext) -> Iterator:

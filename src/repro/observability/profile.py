@@ -136,6 +136,16 @@ class ProfileCollector:
         }
         self._nodes: dict[int, _Node] = {}
 
+    def fork(self) -> "ProfileCollector":
+        """An empty collector over the same plan with a clock of its own,
+        for work recorded apart and merged later with :meth:`absorb`."""
+        fork = ProfileCollector.__new__(ProfileCollector)
+        fork.config = self.config
+        fork.clock = make_clock(self.config.clock)
+        fork._index = self._index
+        fork._nodes = {}
+        return fork
+
     # -- lookup -----------------------------------------------------------------
 
     def _node(self, op: Operator) -> _Node:

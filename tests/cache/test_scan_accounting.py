@@ -167,7 +167,7 @@ def test_closed_midway_accounts_only_what_was_yielded(kind, plain_and_warm):
     plain, warm = plain_and_warm(kind)
     total = run_datascan(plain, None)
     assert run_datascan(warm, None) == total
-    rows_in_first_file = len(next(iter(warm.scan_frames("/varied", PATH)))[0])
+    rows_in_first_file = len(next(iter(warm.scan_units("/varied", PATH)))[0])
     assert rows_in_first_file == 300
     for pull in (1, 7, 300, 303):
         expected = run_datascan(plain, pull)
@@ -334,7 +334,7 @@ def test_sources_without_frames_keep_the_per_item_loop(base_dir, tmp_path, measu
     # runs the one loop every source gets, over frames it cuts itself.
     warm = make_source("disk", base_dir, str(tmp_path / "cache"))
     wrapped = FaultPlan().wrap(warm)
-    assert not hasattr(wrapped, "scan_frames")
+    assert not hasattr(wrapped, "scan_units")
     for collection in ("/varied", "/sensors"):
         expected = run_datascan(warm, None, collection=collection)
         measured()

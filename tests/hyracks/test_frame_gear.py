@@ -65,15 +65,15 @@ PATH = parse_path("()")
 
 
 class FrameSource:
-    """*files* of rows, served like a catalog (``scan_frames``: one sized
+    """*files* of rows, served like a catalog (``scan_units``: one sized
     frame per file, as a warm segment cache does) or, with *sized* off,
     as one unsized stream that may raise *fail* after *fail_after* rows."""
 
     def __init__(self, files, sized=False, fail_after=None, fail=None):
         self.files, self.fail_after, self.fail = files, fail_after, fail
         if sized:
-            self.scan_frames = lambda name, path, partition: (
-                (list(rows), sizeof_rows(rows)) for rows in self.files
+            self.scan_units = lambda name, path, partition: (
+                (list(rows), sizeof_rows(rows), None) for rows in self.files
             )
 
     def scan_collection(self, name, path, partition=None):

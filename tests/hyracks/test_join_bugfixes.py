@@ -355,3 +355,102 @@ class TestKeyedOnce:
         assert keying.keyed(events) == 4 * (len(KEYED_A) + len(KEYED_B))
         assert keying.keyed(events) == keying.keyed(events, "1")
         assert not [e for e in events if e[0] == "canonical_atomic" and e[2] != "1"]
+
+
+# ---------------------------------------------------------------------------
+# Fix 5: NaN is no join key
+# ---------------------------------------------------------------------------
+
+
+#: ``1e400`` reads as infinity, so ``k - k`` is NaN on the first two rows
+NAN_ROWS = [
+    '{"k": 1e400, "t": "a"}',
+    '{"k": 1e400, "t": "b"}',
+    '{"k": 2, "t": "a"}',
+    '{"k": 2, "t": "b"}',
+]
+NAN_JOIN = (
+    'count(for $a in collection("/c") for $b in collection("/c") '
+    'where $a("k") - $a("k") eq $b("k") - $b("k") '
+    'and $a("t") eq "a" and $b("t") eq "b" return 1)'
+)
+
+
+def nan_source(rows, partitions, **collections):
+    texts = [["\n".join(rows[p::partitions])] for p in range(partitions)]
+    return InMemorySource({"/c": texts, **collections}, stats_sample=10_000)
+
+
+class TestNaNJoinKeys:
+    """``NaN eq NaN`` is false, so a NaN key joins nothing on any route,
+    while grouping keeps every NaN in one group."""
+
+    CONFIGS = {"all": RewriteConfig(), "none": RewriteConfig.none()}
+    #: budgets that send each plan's join down the grace path; the naive
+    #: plan holds both materialized collections besides
+    GRACE_BUDGETS = {"all": 1024, "none": 100_000}
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_a_nan_key_joins_nothing(self, config, backend, partitions):
+        with JsonProcessor(
+            source=nan_source(NAN_ROWS, partitions),
+            rewrite=self.CONFIGS[config],
+            backend=backend,
+            max_workers=2,
+        ) as processor:
+            result = processor.execute(NAN_JOIN)
+        assert result.strategy == ("hash-join" if config == "all" else "global")
+        assert result.items == [1]
+
+    def test_the_comparison_agrees(self):
+        compared = NAN_JOIN.replace("count(", "(").replace(
+            'where $a("k") - $a("k") eq $b("k") - $b("k") and ', "where "
+        ).replace("return 1", 'return ($a("k") - $a("k")) eq ($b("k") - $b("k"))')
+        processor = JsonProcessor(source=nan_source(NAN_ROWS, 1))
+        # (NaN, NaN), (NaN, 0), (0, NaN), (0, 0)
+        assert processor.evaluate(compared) == [False, False, False, True]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_the_grace_path(self, config, backend):
+        rows = NAN_ROWS * 30
+        with JsonProcessor(
+            source=nan_source(rows, 2),
+            rewrite=self.CONFIGS[config],
+            backend=backend,
+            max_workers=2,
+            memory_budget_bytes=self.GRACE_BUDGETS[config],
+        ) as processor:
+            result = processor.execute(NAN_JOIN)
+        assert result.stats.spill_events > 0
+        assert result.items == [30 * 30]
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_the_broadcast_path(self, backend):
+        query = NAN_JOIN.replace('collection("/c") where', 'collection("/big") where')
+        big = [json.dumps({"k": i, "t": "c"}) for i in range(300)]
+        texts = [["\n".join(NAN_ROWS + big[p::2])] for p in range(2)]
+        with JsonProcessor(
+            source=nan_source(NAN_ROWS[:1] + NAN_ROWS[2:3], 2, **{"/big": texts}),
+            backend=backend,
+            max_workers=2,
+        ) as processor:
+            assert "broadcast-left" in processor.explain(query)
+            assert processor.evaluate(query) == [2]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_grouping_keeps_nan_one_group(self, config, backend):
+        query = (
+            'for $r in collection("/c") group by $g := $r("k") - $r("k") '
+            "return count($r)"
+        )
+        with JsonProcessor(
+            source=nan_source(NAN_ROWS, 2),
+            rewrite=self.CONFIGS[config],
+            backend=backend,
+            max_workers=2,
+        ) as processor:
+            assert sorted(processor.evaluate(query)) == [2, 2]

@@ -10,10 +10,12 @@ DATASCAN cuts a scan into, so retries and corrupt records land inside
 frames.  Every scenario is then replayed on the ``process`` backend at
 ``max_workers`` 1, 2 and 3 (its 4 partitions cut into one run of four,
 2 + 2 and 2 + 1 + 1) and diffed against ``sequential``'s payload: how
-the backend cuts the units into runs must never show.  The join
-scenario (rows with a missing key, a null key and one hot key on one
-side) is replayed once more under a memory budget that sends its
-buckets down the grace path, and the two GROUP-BY scenarios (a
+the backend cuts the units into runs must never show.  The two join
+scenarios (``/keys`` against ``/events``, over rows with a missing key,
+a null key and one hot key on one side; ``/events`` against itself under
+one projection, which the exchange reads once for both inputs) are
+replayed once more under a memory budget that sends their buckets down
+the grace path, and the two GROUP-BY scenarios (a
 ``count`` and a ``sum`` folded a frame at a time over rows with a
 missing key and a null key) under one that makes their tables shed
 groups to disk, with spill events, run files and recursion depth in the
@@ -54,6 +56,12 @@ COUNT_QUERY = 'count(for $r in collection("/events") return $r)'
 JOIN_QUERY = (
     'for $a in collection("/keys") for $b in collection("/events") '
     'where $a("v") eq $b("v") + 1 return $b("v")'
+)
+#: both inputs read /events under one projection: the exchange scans
+#: each partition once and feeds both
+SELF_JOIN_QUERY = (
+    'for $a in collection("/events")("v") for $b in collection("/events")("v") '
+    "where $a eq $b + 2 return $a"
 )
 GROUP_QUERY = (
     'for $r in collection("/groups")() group by $g := $r("g") '
@@ -155,6 +163,16 @@ def scenario_join_exchange(seed: int):
     return make_source("skip_record", keys=True), plan, config, JOIN_QUERY
 
 
+def scenario_self_join_exchange(seed: int):
+    plan = FaultPlan(seed=seed)
+    plan.fail_partition(2, times=1)
+    plan.corrupt_records(0, fraction=0.02)
+    config = ResilienceConfig(
+        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
+    )
+    return make_source("skip_record"), plan, config, SELF_JOIN_QUERY
+
+
 def scenario_group_by(function: str):
     """A GROUP-BY folding *function* a frame at a time over rows with a
     missing and a null key, one partition retried, one corrupted."""
@@ -177,12 +195,14 @@ SCENARIOS = {
     "skip_partition": scenario_skip_partition,
     "retry-exhausted+straggler": scenario_exhausted_degrades,
     "join-exchange+retry+corruption": scenario_join_exchange,
+    "self-join-exchange+retry+corruption": scenario_self_join_exchange,
     "group-by-count+retry+corruption": scenario_group_by("count"),
     "group-by-sum+retry+corruption": scenario_group_by("sum"),
 }
 #: the scenarios replayed once more under a budget that makes them spill
 SPILL_BUDGETS = {
     "join-exchange+retry+corruption": GRACE_BUDGET,
+    "self-join-exchange+retry+corruption": GRACE_BUDGET,
     "group-by-count+retry+corruption": GROUP_BUDGET,
     "group-by-sum+retry+corruption": GROUP_BUDGET,
 }
