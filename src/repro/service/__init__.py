@@ -2,18 +2,14 @@
 
 from repro.compiler.pipeline import PlanCache
 from repro.errors import AdmissionError, CacheIOError, SlotFailureError
+from repro.service.admission import TenantQuota
 from repro.service.events import QueryRetryEvent, SlotRestartEvent
 from repro.service.result_cache import (
     CachedResult,
     ResultCache,
     source_fingerprints,
 )
-from repro.service.service import (
-    QueryService,
-    QueryTicket,
-    ServiceResponse,
-    TenantQuota,
-)
+from repro.service.service import QueryService, QueryTicket, ServiceResponse
 
 __all__ = [
     "AdmissionError",

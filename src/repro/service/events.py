@@ -23,13 +23,16 @@ class SlotRestartEvent:
       with a fresh thread and a fresh backend;
     - ``"backend-replaced"`` — the slot's backend accumulated
       ``backend_failure_threshold`` consecutive backend-level failures
-      and was swapped for a fresh instance (the thread lived on);
+      and is swapped for a fresh instance (the thread lives on);
     - ``"abandoned"`` — the slot died with its restart budget already
-      spent; it stays down for the life of the service.
+      spent (or while the service closed), or, right after one of the
+      two events above, its replacement backend or thread could not be
+      built (``"respawn failed: ..."``); it stays down for the life of
+      the service.
 
     ``restarts`` is the slot's lifetime restart count *after* this
-    event; ``request_id`` is the request in flight when the slot died
-    (None when it died idle).
+    event; ``request_id`` is the request in flight when it happened
+    (None when the slot died idle).
     """
 
     slot: int

@@ -4,7 +4,20 @@ Everything below this module is one-shot: a
 :class:`~repro.JsonProcessor` compiles and runs a single query and its
 executor carries per-query mutable state.  :class:`QueryService` is the
 long-lived counterpart — the shape of a VXQuery/Hyracks cluster
-controller fielding many concurrent queries:
+controller fielding many concurrent queries — and it is wiring over
+three pieces, each the one owner of its facts:
+
+- **admission** (:mod:`repro.service.admission`): tenant quotas, the
+  per-tenant circuit breaker and the one ordered check a submission
+  passes, lock-free;
+- **the request lifecycle**: ``request.state`` (queued, running, done)
+  is the only record of where a request is, and
+  :meth:`QueryService._move_locked` the only code that moves it, so the
+  admission queue and the running list never disagree with it;
+- **slot repair**: :meth:`QueryService._repair_slot` is the one way a
+  slot's backend (and, after a death, its thread) is replaced.
+
+Around them:
 
 - **long-lived catalogs**: one shared data source; per-query scan
   state (degradation reports, scan counters) is thread-local on the
@@ -15,12 +28,6 @@ controller fielding many concurrent queries:
   processes persist across queries, so fork/spawn cost is paid once —
   but no backend instance is ever shared by two in-flight queries,
   because backends carry per-run recovery/pool state;
-- **admission control**: a bounded queue with per-tenant
-  :class:`TenantQuota` limits (max concurrent queries, queue depth,
-  memory budget, deadline ceiling).  Over-quota submissions are
-  rejected synchronously with a structured
-  :class:`~repro.errors.AdmissionError` — they never enter the queue,
-  so they cannot crash or starve admitted queries;
 - **scheduling**: admitted requests run FIFO, skipping over tenants
   that are at their concurrency limit (no head-of-line blocking across
   tenants).  Each query runs under its own
@@ -43,41 +50,6 @@ result items plus the per-request telemetry the observability layers
 already produce: the
 :class:`~repro.observability.profile.QueryProfile` (when profiling)
 and the :class:`~repro.resilience.report.DegradationReport`.
-
-**Self-healing.**  The service supervises itself one layer above the
-per-query resilience machinery:
-
-- **slot supervision**: each slot's worker thread runs under a
-  supervisor; if the thread dies (a crash in the service loop, or an
-  injected death via :meth:`QueryService.inject_slot_failure`), the
-  supervisor replaces both the thread and the slot's backend under a
-  bounded restart budget (``max_slot_restarts``), recording a
-  structured :class:`~repro.service.events.SlotRestartEvent` in
-  ``stats()`` (the most recent events; ``slot_restarts_total`` counts
-  them all).  A slot whose budget is spent is *abandoned*; when every
-  slot is abandoned, queued requests fail cleanly and new submissions
-  are rejected with ``AdmissionError("no-slots", ...)``.  A slot whose
-  backend keeps failing (``backend_failure_threshold`` consecutive
-  backend-level errors) gets a fresh backend in place;
-- **query-level retry**: queries are read-only, so a request that
-  fails with a classified-retryable error — a dead slot
-  (:class:`~repro.errors.SlotFailureError`), exhausted worker recovery
-  (:class:`~repro.errors.RecoveryExhaustedError`), or transient
-  spill/cache I/O (anything in the ``__cause__`` chain with
-  ``retryable = True``, never a timeout or cancellation) — is re-queued
-  at the front, preferring a different slot, up to
-  ``max_query_retries`` times, with whatever remains of its *original*
-  deadline and the same cancellation token.  Retry provenance rides on
-  the response (``retries`` / ``retry_causes``) and in ``stats()``
-  (the most recent events; ``retried`` counts them all);
-- **overload protection**: a submission whose predicted queue wait
-  (mean recent query duration × backlog ÷ live slots, measured on the
-  injectable clock from the ``CLOCKS`` registry) already exceeds its
-  deadline is shed at admission (``"predicted-timeout"``), and an
-  optional per-tenant circuit breaker (``circuit_failure_threshold``)
-  opens after N consecutive failures, admitting one probe per
-  ``circuit_cooldown_seconds`` until a success closes it
-  (``"circuit-open"`` while open).
 """
 
 from __future__ import annotations
@@ -103,7 +75,6 @@ from repro.compiler.pipeline import (
 from repro.errors import (
     AdmissionError,
     BackendError,
-    ProcessorClosedError,
     QueryCancelledError,
     QueryTimeoutError,
     RecoveryExhaustedError,
@@ -116,6 +87,7 @@ from repro.hyracks.limits import CancellationToken
 from repro.observability.clock import CLOCKS, make_clock
 from repro.observability.profile import resolve_profile_config
 from repro.resilience.policies import ResilienceConfig
+from repro.service.admission import Breaker, TenantQuota, admit, is_failure
 from repro.service.events import QueryRetryEvent, SlotRestartEvent
 from repro.service.result_cache import (
     CachedResult,
@@ -149,45 +121,17 @@ def _is_query_retryable(error: BaseException) -> bool:
     return False
 
 
+def _count(requests, tenant: str) -> int:
+    """How many of *requests* belong to *tenant*."""
+    return sum(1 for request in requests if request.tenant == tenant)
+
+
 def _drop_flag(request) -> None:
     """Remove a finished request's cancellation flag file, if any."""
     try:
         os.unlink(request.token.flag_path)
     except OSError:
         pass
-
-
-@dataclass(frozen=True)
-class TenantQuota:
-    """Admission limits for one tenant.
-
-    ``max_concurrent`` queries may execute at once and ``max_queued``
-    more may wait; a submission beyond ``max_concurrent + max_queued``
-    in flight is rejected.  ``memory_budget_bytes`` is both the cap on
-    what a request may ask for and the default budget when it asks for
-    nothing; ``deadline_ceiling_seconds`` likewise caps and defaults
-    the per-query deadline.  ``None`` means unlimited.
-    """
-
-    max_concurrent: int = 2
-    max_queued: int = 8
-    memory_budget_bytes: int | None = None
-    deadline_ceiling_seconds: float | None = None
-
-    def __post_init__(self):
-        if self.max_concurrent < 1:
-            raise ValueError(
-                f"max_concurrent must be >= 1, got {self.max_concurrent!r}"
-            )
-        if self.max_queued < 0:
-            raise ValueError(
-                f"max_queued must be >= 0, got {self.max_queued!r}"
-            )
-        if (
-            self.deadline_ceiling_seconds is not None
-            and self.deadline_ceiling_seconds <= 0
-        ):
-            raise ValueError("deadline_ceiling_seconds must be positive")
 
 
 @dataclass
@@ -252,7 +196,7 @@ class _Request:
         self.event = threading.Event()
         self.response = None
         self.error = None
-        self.state = "queued"
+        self.state = None  # then "queued" | "running" | "done"
         self.submitted_at = time.perf_counter()
         self.retries = 0
         self.retry_causes: list[str] = []
@@ -286,18 +230,6 @@ class _Slot:
         self.backend_failures = 0
         self.abandoned = False
         self.current = None  # the _Request in flight (worker thread only)
-
-
-class _Breaker:
-    """Per-tenant circuit-breaker state (all transitions service-side)."""
-
-    __slots__ = ("state", "failures", "opened_at", "probing")
-
-    def __init__(self):
-        self.state = "closed"  # "closed" | "open" | "half-open"
-        self.failures = 0
-        self.opened_at = 0.0
-        self.probing = False
 
 
 class QueryTicket:
@@ -499,10 +431,11 @@ class QueryService:
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
+        # Where each request is, by ``request.state``; only _move_locked
+        # changes either list.  Bounded by max_queue_depth (plus retries
+        # re-queued from a slot) and by the slot count.
         self._queue: list[_Request] = []
-        self._running: dict[str, int] = {}
-        self._queued: dict[str, int] = {}
-        self._running_requests: list[_Request] = []
+        self._running: list[_Request] = []
         self._closed = False
         self._request_seq = itertools.count(1)
         self._counters = {
@@ -520,11 +453,11 @@ class QueryService:
         self._max_query_retries = max_query_retries
         self._max_slot_restarts = max_slot_restarts
         self._backend_failure_threshold = backend_failure_threshold
-        self._clock_name = clock
         self._clock = make_clock(clock)
         self._circuit_threshold = circuit_failure_threshold
         self._circuit_cooldown = circuit_cooldown_seconds
-        self._breakers: dict[str, _Breaker] = {}
+        # Only tenants whose requests have failed have a breaker.
+        self._breakers: dict[str, Breaker] = {}
         self._recent_durations: deque = deque(maxlen=32)
         # The most recent events only; the ``retried`` and
         # ``slot_restarts_total`` counters hold the exact totals.
@@ -562,12 +495,8 @@ class QueryService:
     def _quota(self, tenant: str) -> TenantQuota:
         return self.quotas.get(tenant, self.default_quota)
 
-    def _reject(self, reason, tenant, message, limit=None, requested=None):
-        self._counters["rejected"] += 1
-        self._rejected_by_reason[reason] = (
-            self._rejected_by_reason.get(reason, 0) + 1
-        )
-        raise AdmissionError(reason, tenant, message, limit, requested)
+    def _live_slots_locked(self) -> int:
+        return sum(1 for slot in self._slots if not slot.abandoned)
 
     def submit(
         self,
@@ -582,86 +511,34 @@ class QueryService:
 
         Admission is deterministic in the submission order: given the
         same sequence of submits/finishes, the same submission is
-        rejected with the same reason, because every check runs under
-        the service lock against exact queued/running counts.
+        rejected with the same reason, because
+        :func:`~repro.service.admission.admit` runs under the service
+        lock against exact queued/running counts.
         """
         quota = self._quota(tenant)
         with self._lock:
-            if self._closed:
-                self._reject("closed", tenant, "service is closed")
-            if all(slot.abandoned for slot in self._slots):
-                self._reject(
-                    "no-slots",
-                    tenant,
-                    "every slot worker exhausted its restart budget; "
-                    "no live slot can execute this query",
-                )
-            self._check_breaker(tenant)
-            if (
-                memory_budget_bytes is not None
-                and quota.memory_budget_bytes is not None
-                and memory_budget_bytes > quota.memory_budget_bytes
-            ):
-                self._reject(
-                    "memory-quota",
-                    tenant,
-                    f"requested {memory_budget_bytes} bytes exceeds the "
-                    f"tenant budget of {quota.memory_budget_bytes} bytes",
-                    limit=quota.memory_budget_bytes,
-                    requested=memory_budget_bytes,
-                )
-            if (
-                deadline_seconds is not None
-                and quota.deadline_ceiling_seconds is not None
-                and deadline_seconds > quota.deadline_ceiling_seconds
-            ):
-                self._reject(
-                    "deadline-quota",
-                    tenant,
-                    f"requested {deadline_seconds:g}s deadline exceeds the "
-                    f"tenant ceiling of {quota.deadline_ceiling_seconds:g}s",
-                    limit=quota.deadline_ceiling_seconds,
-                    requested=deadline_seconds,
-                )
-            in_flight = self._running.get(tenant, 0) + self._queued.get(
-                tenant, 0
+            rejection = admit(
+                tenant,
+                quota,
+                memory_budget_bytes,
+                deadline_seconds,
+                closed=self._closed,
+                live_slots=self._live_slots_locked(),
+                breaker=self._breakers.get(tenant),
+                clock=self._clock,
+                in_flight=_count(self._queue, tenant)
+                + _count(self._running, tenant),
+                queued=len(self._queue),
+                running=len(self._running),
+                max_queue_depth=self._max_queue_depth,
+                durations=self._recent_durations,
             )
-            allowed = quota.max_concurrent + quota.max_queued
-            if in_flight >= allowed:
-                self._reject(
-                    "tenant-quota",
-                    tenant,
-                    f"{in_flight} queries already in flight "
-                    f"(limit {quota.max_concurrent} running "
-                    f"+ {quota.max_queued} queued)",
-                    limit=allowed,
-                    requested=in_flight + 1,
+            if rejection is not None:
+                self._counters["rejected"] += 1
+                self._rejected_by_reason[rejection.reason] = (
+                    self._rejected_by_reason.get(rejection.reason, 0) + 1
                 )
-            if len(self._queue) >= self._max_queue_depth:
-                self._reject(
-                    "service-queue",
-                    tenant,
-                    f"service admission queue is full "
-                    f"({self._max_queue_depth} waiting)",
-                    limit=self._max_queue_depth,
-                    requested=len(self._queue) + 1,
-                )
-            effective_deadline = (
-                deadline_seconds
-                if deadline_seconds is not None
-                else quota.deadline_ceiling_seconds
-            )
-            if effective_deadline is not None and self._recent_durations:
-                predicted = self._predicted_wait_locked()
-                if predicted > effective_deadline:
-                    self._reject(
-                        "predicted-timeout",
-                        tenant,
-                        f"predicted queue wait {predicted:.3f}s already "
-                        f"exceeds the {effective_deadline:g}s deadline",
-                        limit=effective_deadline,
-                        requested=predicted,
-                    )
+                raise rejection
             request_id = next(self._request_seq)
             token = CancellationToken(
                 flag_path=os.path.join(self._flag_dir, f"cancel-{request_id}")
@@ -681,12 +558,7 @@ class QueryService:
                 else quota.deadline_ceiling_seconds,
                 token,
             )
-            # Every admission check has passed and the request is about
-            # to enqueue: only now claim the half-open probe, so a
-            # rejection above can never leak it and lock the tenant out.
-            self._grant_probe_locked(tenant)
-            self._queue.append(request)
-            self._queued[tenant] = self._queued.get(tenant, 0) + 1
+            self._move_locked(request, "queued")
             self._counters["submitted"] += 1
             self._work_ready.notify()
         return QueryTicket(self, request)
@@ -695,90 +567,29 @@ class QueryService:
         """Submit and block for the response (one-shot convenience)."""
         return self.submit(query, tenant=tenant, **kwargs).result()
 
-    # -- overload protection ---------------------------------------------------
+    # -- the request lifecycle -------------------------------------------------
 
-    def _live_slot_count_locked(self) -> int:
-        return sum(1 for slot in self._slots if not slot.abandoned)
-
-    def _predicted_wait_locked(self) -> float:
-        """Predicted queue wait for a new submission (service lock held).
-
-        Mean of the last few completed-query durations (measured on the
-        injectable service clock) × current backlog ÷ live slots — a
-        deterministic estimate under a scripted clock, because every
-        input is service-side state.
-        """
-        if not self._recent_durations:
-            return 0.0
-        mean = sum(self._recent_durations) / len(self._recent_durations)
-        backlog = len(self._queue) + sum(self._running.values())
-        return mean * backlog / max(1, self._live_slot_count_locked())
-
-    def _check_breaker(self, tenant: str) -> None:
-        """Reject (under the lock) when the tenant's breaker is open.
-
-        Pure check: it transitions open → half-open once the cooldown
-        elapses but never claims the half-open probe itself — the probe
-        is granted by :meth:`_grant_probe_locked` as the *last*
-        admission step, so a submission that passes here but is
-        rejected by a later check (quota, queue depth, predicted
-        timeout) cannot strand the breaker with a phantom probe that
-        locks the tenant out forever.
-        """
-        if self._circuit_threshold is None:
-            return
-        breaker = self._breakers.get(tenant)
-        if breaker is None or breaker.state == "closed":
-            return
-        if breaker.state == "open":
-            if self._clock() - breaker.opened_at >= self._circuit_cooldown:
-                breaker.state = "half-open"
-                breaker.probing = False
-        if breaker.state == "half-open" and not breaker.probing:
-            return
-        self._reject(
-            "circuit-open",
-            tenant,
-            f"circuit breaker open after {breaker.failures} consecutive "
-            f"failures (cooldown {self._circuit_cooldown:g}s"
-            + (", probe in flight)" if breaker.probing else ")"),
-            limit=self._circuit_threshold,
-            requested=breaker.failures,
-        )
-
-    def _grant_probe_locked(self, tenant: str) -> None:
-        """Claim the half-open probe for a submission that will enqueue."""
-        if self._circuit_threshold is None:
-            return
-        breaker = self._breakers.get(tenant)
-        if breaker is not None and breaker.state == "half-open":
-            breaker.probing = True  # admit exactly one probe
-
-    def _breaker_result_locked(self, tenant: str, error) -> None:
-        """Feed one final request outcome into the tenant's breaker."""
-        if self._circuit_threshold is None:
-            return
-        breaker = self._breakers.setdefault(tenant, _Breaker())
-        if error is None or isinstance(error, QueryCancelledError):
-            # A cancel is a client verdict, not a service failure.
-            if error is None:
-                breaker.state = "closed"
-                breaker.failures = 0
-            breaker.probing = False
-            return
-        breaker.failures += 1
-        breaker.probing = False
-        if (
-            breaker.state in ("open", "half-open")
-            or breaker.failures >= self._circuit_threshold
-        ):
-            breaker.state = "open"
-            breaker.opened_at = self._clock()
-
-    # -- scheduling ------------------------------------------------------------
+    def _move_locked(self, request: _Request, state: str) -> None:
+        """Move *request* to *state* (the service lock held): the one
+        place ``_queue`` and ``_running`` change.  A request queued from
+        running (a retry) goes to the front of the queue, a new one to
+        the back."""
+        if request.state == "queued":
+            self._queue.remove(request)
+        elif request.state == "running":
+            self._running.remove(request)
+        if state == "queued":
+            front = request.state == "running"
+            self._queue.insert(0 if front else len(self._queue), request)
+        elif state == "running":
+            self._running.append(request)
+        request.state = state
 
     def _next_request(self, slot: _Slot) -> _Request | None:
-        """Claim the next runnable request (None = service shut down).
+        """Claim the next runnable request; None once the slot is
+        abandoned, or the service closed with nothing left queued (a
+        request this slot may not run yet can become runnable, and the
+        slot that would have run it can die).
 
         FIFO over the admission queue, skipping requests whose tenant
         is at its concurrency limit — a backlogged tenant never blocks
@@ -786,317 +597,79 @@ class QueryService:
         slot (honored only while another live slot could take them).
         """
         with self._work_ready:
-            while True:
-                for index, request in enumerate(self._queue):
+            while not slot.abandoned:
+                for request in self._queue:
                     if (
                         request.avoid_slot == slot.index
-                        and self._live_slot_count_locked() > 1
+                        and self._live_slots_locked() > 1
                     ):
                         continue
                     quota = self._quota(request.tenant)
-                    if (
-                        self._running.get(request.tenant, 0)
-                        < quota.max_concurrent
+                    if _count(self._running, request.tenant) < (
+                        quota.max_concurrent
                     ):
-                        del self._queue[index]
-                        self._queued[request.tenant] -= 1
-                        self._running[request.tenant] = (
-                            self._running.get(request.tenant, 0) + 1
-                        )
-                        self._running_requests.append(request)
-                        request.state = "running"
+                        self._move_locked(request, "running")
                         return request
-                if self._closed:
+                if self._closed and not self._queue:
                     return None
                 self._work_ready.wait()
+            return None
 
-    def _worker_main(self, slot: _Slot) -> None:
-        """Thread target: the worker loop under slot supervision.
-
-        Anything that escapes the loop — a crash in the scheduling
-        machinery or an injected slot death — is a *slot* failure, not
-        a query failure: the supervisor replaces the slot (under its
-        restart budget) and routes the in-flight request, if any, into
-        query-level retry on the replacement.
-        """
-        try:
-            self._worker_loop(slot)
-        except BaseException as error:  # noqa: BLE001 - supervised
-            self._supervise_slot_death(slot, error)
-
-    def _worker_loop(self, slot: _Slot) -> None:
-        while True:
-            request = self._next_request(slot)
-            if request is None:
-                return
-            slot.current = request
-            with self._lock:
-                pending = self._kill_slots.get(slot.index, 0)
-                if pending == 1:
-                    del self._kill_slots[slot.index]
-                elif pending:
-                    self._kill_slots[slot.index] = pending - 1
-            if pending:
-                # Escapes to _worker_main with slot.current still set,
-                # exactly like a genuine crash between claim and finish.
-                raise SlotFailureError(slot.index, "injected slot death")
-            started_clock = self._clock()
-            try:
-                response = self._execute_request(request, slot.backend)
-            except BaseException as error:  # noqa: BLE001 - routed to ticket
-                slot.current = None
-                self._complete_request(
-                    slot,
-                    request,
-                    error=error,
-                    duration=self._clock() - started_clock,
-                )
-            else:
-                slot.current = None
-                self._complete_request(
-                    slot,
-                    request,
-                    response=response,
-                    duration=self._clock() - started_clock,
-                )
-
-    def _record_slot_event(self, event: SlotRestartEvent) -> None:
-        """Log one slot event and count it; the caller holds the lock."""
-        self._slot_events.append(event)
-        self._counters["slot_restarts_total"] += 1
-
-    def _supervise_slot_death(self, slot: _Slot, error: BaseException) -> None:
-        """Replace a dead slot worker (bounded) and rescue its request."""
-        request = slot.current
-        slot.current = None
-        detail = f"{type(error).__name__}: {error}"
-        old_backend = slot.backend
-        with self._lock:
-            respawn = not self._closed and slot.restarts < self._max_slot_restarts
-            if respawn:
-                slot.restarts += 1
-                kind = "worker-death"
-            else:
-                slot.abandoned = True
-                kind = "abandoned"
-            self._record_slot_event(
-                SlotRestartEvent(
-                    slot=slot.index,
-                    kind=kind,
-                    restarts=slot.restarts,
-                    message=detail,
-                    request_id=request.id if request is not None else None,
-                )
-            )
-        if respawn:
-            # Fresh backend first (the old one may be wedged), then a
-            # fresh thread; both outside the lock — backend construction
-            # can fork processes.  The respawn itself is supervised: if
-            # the new backend or thread cannot be built (e.g. fork
-            # failure under the same resource exhaustion that killed the
-            # slot), the slot is marked abandoned instead of lingering
-            # as a phantom "live" slot that will never run anything.
-            try:
-                old_backend.close()
-            except Exception:
-                pass
-            try:
-                new_backend = resolve_backend(
-                    self._backend_name, max_workers=self._max_workers
-                )
-                with self._lock:
-                    slot.backend = new_backend
-                    slot.backend_failures = 0
-                self._spawn_worker(slot)
-            except Exception as spawn_error:
-                respawn = False
-                with self._lock:
-                    slot.abandoned = True
-                    self._record_slot_event(
-                        SlotRestartEvent(
-                            slot=slot.index,
-                            kind="abandoned",
-                            restarts=slot.restarts,
-                            message=(
-                                f"respawn failed: "
-                                f"{type(spawn_error).__name__}: "
-                                f"{spawn_error}"
-                            ),
-                            request_id=(
-                                request.id if request is not None else None
-                            ),
-                        )
-                    )
-                    self._work_ready.notify_all()
-        if request is not None:
-            failure = SlotFailureError(slot.index, detail)
-            if isinstance(error, Exception):
-                failure.__cause__ = error
-            # note_backend=False: the replacement worker already owns
-            # slot.backend (or the slot is abandoned) — see
-            # _complete_request.
-            self._complete_request(
-                slot, request, error=failure, note_backend=False
-            )
-        if not respawn:
-            self._fail_orphans()
-
-    def _fail_orphans(self) -> None:
-        """Fail every queued request once no live slot remains to run it."""
-        with self._lock:
-            if self._closed or any(not s.abandoned for s in self._slots):
-                return
-            orphans = list(self._queue)
-            for request in orphans:
-                self._finish_locked(
-                    request,
-                    error=SlotFailureError(
-                        -1, "every slot worker exhausted its restart budget"
-                    ),
-                )
-        for request in orphans:
-            _drop_flag(request)
-
-    def inject_slot_failure(self, slot: int = 0) -> None:
-        """Make *slot*'s worker die before executing its next request.
-
-        A test/chaos hook: the death takes the real supervision path —
-        the slot's thread raises out of its loop with the claimed
-        request in flight, the supervisor replaces thread and backend
-        under the restart budget, and the request is retried on the
-        replacement.  Repeated calls queue additional deaths, one per
-        claimed request.  Raises :class:`ValueError` for an unknown
-        slot.
-        """
-        if not 0 <= slot < len(self._slots):
-            raise ValueError(
-                f"slot must be in [0, {len(self._slots)}), got {slot!r}"
-            )
-        with self._lock:
-            self._kill_slots[slot] = self._kill_slots.get(slot, 0) + 1
-            self._work_ready.notify_all()
-
-    # -- retry -----------------------------------------------------------------
-
-    def _complete_request(
+    def _route(
         self, slot: _Slot, request: _Request, response=None, error=None,
-        duration=None, note_backend=True,
+        duration=None,
     ) -> None:
-        """Route one execution outcome: retry, backend health, or finish.
+        """Send one execution outcome on: a retryable failure back to
+        the queue, anything else to the ticket.
 
-        ``note_backend=False`` skips the backend-health bookkeeping —
-        used by the slot supervisor, which runs on the *dying* worker
-        thread after the replacement worker already owns (and may be
-        executing on) ``slot.backend``; touching the backend there
-        would race the new worker, and the supervisor already swapped
-        in a fresh backend anyway.
+        Queries are read-only, so a request that fails with a
+        classified-retryable error — a dead slot
+        (:class:`~repro.errors.SlotFailureError`), exhausted worker
+        recovery (:class:`~repro.errors.RecoveryExhaustedError`), or
+        transient spill/cache I/O (anything in the ``__cause__`` chain
+        with ``retryable = True``, never a timeout or cancellation) — is
+        re-queued at the front, preferring a different slot, up to
+        ``max_query_retries`` times, with whatever remains of its
+        *original* deadline and the same cancellation token.  Retry
+        provenance rides on the response (``retries`` /
+        ``retry_causes``) and in ``stats()``.
         """
-        if note_backend:
-            self._note_backend_result(slot, error)
-        if error is not None and self._maybe_retry(slot, request, error):
-            return
-        self._finish(request, response=response, error=error, duration=duration)
-
-    def _note_backend_result(self, slot: _Slot, error) -> None:
-        """Track consecutive backend failures; replace a broken backend.
-
-        Only ever called on the slot's *owning* worker thread with no
-        query in flight, so no other thread executes on this backend
-        concurrently; the counter and the swap still happen under the
-        service lock so supervision and ``stats()`` readers observe a
-        consistent slot.
-        """
-        is_backend_error = any(
-            isinstance(current, (BackendError, SlotFailureError))
-            for current in causes(error)
-        )
         with self._lock:
-            if not is_backend_error:
-                slot.backend_failures = 0
-                return
-            slot.backend_failures += 1
-            if slot.backend_failures < self._backend_failure_threshold:
-                return
-            old_backend = slot.backend
-        # Close and rebuild outside the lock — backend construction can
-        # fork processes; the owning thread is the only user meanwhile.
-        try:
-            old_backend.close()
-        except Exception:
-            pass
-        new_backend = resolve_backend(
-            self._backend_name, max_workers=self._max_workers
-        )
-        with self._lock:
-            slot.backend = new_backend
-            slot.backend_failures = 0
-            self._record_slot_event(
-                SlotRestartEvent(
-                    slot=slot.index,
-                    kind="backend-replaced",
-                    restarts=slot.restarts,
-                    message=(
-                        f"replaced backend after "
-                        f"{self._backend_failure_threshold} consecutive "
-                        f"backend failures"
-                    ),
+            if error is not None and self._may_retry_locked(request, error):
+                request.retries += 1
+                request.retry_causes.append(f"{type(error).__name__}: {error}")
+                request.avoid_slot = slot.index
+                self._move_locked(request, "queued")
+                self._counters["retried"] += 1
+                self._retry_events.append(
+                    QueryRetryEvent(
+                        request_id=request.id,
+                        tenant=request.tenant,
+                        attempt=request.retries,
+                        slot=slot.index,
+                        error=type(error).__name__,
+                        message=str(error),
+                    )
                 )
-            )
-
-    def _maybe_retry(self, slot: _Slot, request: _Request, error) -> bool:
-        """Re-queue a retryable failure (front of queue, other slot first)."""
-        if self._max_query_retries <= 0:
-            return False
-        if request.retries >= self._max_query_retries:
-            return False
-        if not _is_query_retryable(error):
-            return False
-        if request.token.cancelled:
-            return False
-        if (
-            request.deadline is not None
-            and request.first_started_at is not None
-            and time.perf_counter() - request.first_started_at
-            >= request.deadline
-        ):
-            return False
-        with self._lock:
-            if self._closed:
-                return False
-            if all(s.abandoned for s in self._slots):
-                return False
-            request.retries += 1
-            cause = f"{type(error).__name__}: {error}"
-            request.retry_causes.append(cause)
-            request.avoid_slot = slot.index
-            if request.state == "running":
-                self._running[request.tenant] -= 1
-                self._running_requests.remove(request)
-            request.state = "queued"
-            self._queue.insert(0, request)
-            self._queued[request.tenant] = (
-                self._queued.get(request.tenant, 0) + 1
-            )
-            self._counters["retried"] += 1
-            self._retry_events.append(
-                QueryRetryEvent(
-                    request_id=request.id,
-                    tenant=request.tenant,
-                    attempt=request.retries,
-                    slot=slot.index,
-                    error=type(error).__name__,
-                    message=str(error),
-                )
-            )
-            self._work_ready.notify_all()
-        return True
-
-    def _finish(
-        self, request: _Request, response=None, error=None, duration=None
-    ) -> None:
-        with self._lock:
+                self._work_ready.notify_all()
+                return
             self._finish_locked(request, response, error, duration)
         _drop_flag(request)
+
+    def _may_retry_locked(self, request: _Request, error) -> bool:
+        return (
+            request.retries < self._max_query_retries
+            and _is_query_retryable(error)
+            and not request.token.cancelled
+            and not (
+                request.deadline is not None
+                and request.first_started_at is not None
+                and time.perf_counter() - request.first_started_at
+                >= request.deadline
+            )
+            and not self._closed
+            and self._live_slots_locked() > 0
+        )
 
     def _finish_locked(
         self, request: _Request, response=None, error=None, duration=None
@@ -1106,16 +679,17 @@ class QueryService:
         ticket.  The caller holds the lock and drops the flag file."""
         request.response = response
         request.error = error
-        if request.state == "queued":
-            self._queue.remove(request)
-            self._queued[request.tenant] -= 1
-        elif request.state == "running":
-            self._running[request.tenant] -= 1
-            self._running_requests.remove(request)
-        request.state = "done"
+        self._move_locked(request, "done")
         if duration is not None:
             self._recent_durations.append(duration)
-        self._breaker_result_locked(request.tenant, error)
+        if self._circuit_threshold is not None:
+            breaker = self._breakers.get(request.tenant)
+            if breaker is None and is_failure(error):
+                breaker = self._breakers[request.tenant] = Breaker(
+                    self._circuit_threshold, self._circuit_cooldown
+                )
+            if breaker is not None:
+                breaker.record(error, self._clock)
         if error is None:
             self._counters["completed"] += 1
         elif isinstance(error, QueryCancelledError):
@@ -1139,6 +713,171 @@ class QueryService:
             self._finish_locked(request, error=QueryCancelledError(reason))
         _drop_flag(request)
         return True
+
+    # -- slots -----------------------------------------------------------------
+
+    def _worker_main(self, slot: _Slot) -> None:
+        """Thread target: the worker loop under slot supervision.
+
+        Anything that escapes the loop — a crash in the scheduling
+        machinery or an injected slot death — is a *slot* failure, not
+        a query failure: the slot is repaired and the in-flight request,
+        if any, fails with a :class:`~repro.errors.SlotFailureError` that
+        query-level retry may send to the replacement.
+        """
+        try:
+            self._worker_loop(slot)
+        except BaseException as death:  # noqa: BLE001 - supervised
+            detail = f"{type(death).__name__}: {death}"
+            failure = SlotFailureError(slot.index, detail)
+            if isinstance(death, Exception):
+                failure.__cause__ = death
+            request, slot.current = slot.current, None
+            self._repair_slot(slot, request, failure, died=detail)
+
+    def _worker_loop(self, slot: _Slot) -> None:
+        while (request := self._next_request(slot)) is not None:
+            slot.current = request
+            with self._lock:
+                pending = self._kill_slots.pop(slot.index, 0)
+                if pending > 1:
+                    self._kill_slots[slot.index] = pending - 1
+            if pending:
+                # Escapes to _worker_main with slot.current still set,
+                # exactly like a genuine crash between claim and finish.
+                raise SlotFailureError(slot.index, "injected slot death")
+            started = self._clock()
+            response = error = None
+            try:
+                response = self._execute_request(request, slot.backend)
+            except BaseException as failure:  # noqa: BLE001 - routed to ticket
+                error = failure
+            slot.current = None
+            duration = self._clock() - started
+            with self._lock:
+                if any(
+                    isinstance(current, (BackendError, SlotFailureError))
+                    for current in causes(error)
+                ):
+                    slot.backend_failures += 1
+                else:
+                    slot.backend_failures = 0
+                worn = slot.backend_failures >= self._backend_failure_threshold
+            if worn:
+                self._repair_slot(slot, request, error, duration=duration)
+            else:
+                self._route(slot, request, response, error, duration)
+
+    def _repair_slot(
+        self, slot: _Slot, request, error, died=None, duration=None
+    ) -> None:
+        """Replace a slot's backend, and its thread after a death, then
+        route the request it held; the one place a slot is mended.
+
+        Two things call it, each on the thread that owned the slot, so
+        nothing else is running on the backend it closes: the worker
+        loop, once ``backend_failure_threshold`` consecutive backend-
+        level failures wore the backend out (the thread lives on), and
+        the supervisor, once the worker thread died (*died* says how).
+        A death costs one of the slot's ``max_slot_restarts``; past the
+        budget, or once the service is closed, the slot is *abandoned*
+        for the life of the service instead.  So is a slot whose new
+        backend or thread cannot be built (a fork failing under the
+        resource exhaustion that killed the slot, say), rather than
+        lingering as a live slot that never runs anything.  Each step is
+        a :class:`~repro.service.events.SlotRestartEvent` naming the
+        request in flight; the request is then retried or finished with
+        *error* whatever happened to the slot.  Once every slot is
+        abandoned, queued requests fail with a ``SlotFailureError`` and
+        new submissions are rejected with ``"no-slots"``.
+        """
+
+        def record(kind, message):
+            self._slot_events.append(
+                SlotRestartEvent(
+                    slot=slot.index,
+                    kind=kind,
+                    restarts=slot.restarts,
+                    message=message,
+                    request_id=request.id if request is not None else None,
+                )
+            )
+            self._counters["slot_restarts_total"] += 1
+
+        with self._lock:
+            if died is None:
+                record(
+                    "backend-replaced",
+                    f"replaced backend after {self._backend_failure_threshold}"
+                    f" consecutive backend failures",
+                )
+            elif self._closed or slot.restarts >= self._max_slot_restarts:
+                slot.abandoned = True
+                record("abandoned", died)
+            else:
+                slot.restarts += 1
+                record("worker-death", died)
+        if not slot.abandoned:
+            # Outside the lock: building a backend can fork processes.
+            try:
+                slot.backend.close()
+            except Exception:
+                pass
+            try:
+                backend = resolve_backend(
+                    self._backend_name, max_workers=self._max_workers
+                )
+                with self._lock:
+                    slot.backend = backend
+                    slot.backend_failures = 0
+                if died is not None:
+                    self._spawn_worker(slot)
+            except Exception as failure:
+                with self._lock:
+                    slot.abandoned = True
+                    record(
+                        "abandoned",
+                        f"respawn failed: {type(failure).__name__}: {failure}",
+                    )
+        if request is not None:
+            self._route(slot, request, error=error, duration=duration)
+        if slot.abandoned:
+            self._fail_orphans()
+
+    def _fail_orphans(self) -> None:
+        """Wake the workers after a slot was abandoned, and fail every
+        queued request once no live slot remains to run it (closing
+        too: a slot that dies then is not respawned)."""
+        with self._lock:
+            self._work_ready.notify_all()
+            if self._live_slots_locked():
+                return
+            orphans = list(self._queue)
+            for request in orphans:
+                self._finish_locked(
+                    request,
+                    error=SlotFailureError(-1, "no live slot is left"),
+                )
+        for request in orphans:
+            _drop_flag(request)
+
+    def inject_slot_failure(self, slot: int = 0) -> None:
+        """Make *slot*'s worker die before executing its next request.
+
+        A test/chaos hook: the death takes the real supervision path —
+        the slot's thread raises out of its loop with the claimed
+        request in flight, the slot is repaired under the restart
+        budget, and the request is retried on the replacement.
+        Repeated calls queue additional deaths, one per claimed request.
+        Raises :class:`ValueError` for an unknown slot.
+        """
+        if not 0 <= slot < len(self._slots):
+            raise ValueError(
+                f"slot must be in [0, {len(self._slots)}), got {slot!r}"
+            )
+        with self._lock:
+            self._kill_slots[slot] = self._kill_slots.get(slot, 0) + 1
+            self._work_ready.notify_all()
 
     # -- statistics ------------------------------------------------------------
 
@@ -1178,7 +917,7 @@ class QueryService:
             stats=compile_stats(self._source, self._cost),
         )
         request.token.check()  # cancelled between dequeue and start
-        result_key = None
+        result_key = cached = None
         # Profiled requests bypass the result cache: a cached response
         # cannot carry a fresh execution profile.
         if (
@@ -1188,12 +927,8 @@ class QueryService:
             # Every collection the plan reads is fingerprinted; a json-doc
             # read is not, so such a plan skips the cache.
             reads = read_set(compiled.plan.root)
-            fingerprints = (
-                None
-                if reads.documents
-                else source_fingerprints(
-                    self._source, reads.collections, self._fingerprint_mode
-                )
+            fingerprints = None if reads.documents else source_fingerprints(
+                self._source, reads.collections, self._fingerprint_mode
             )
             if fingerprints is not None:
                 result_key = (
@@ -1203,73 +938,62 @@ class QueryService:
                     fingerprints,
                 )
                 cached = self.result_cache.get(result_key)
-                if cached is not None:
-                    return ServiceResponse(
-                        request_id=request.id,
-                        tenant=request.tenant,
-                        query=request.query,
-                        items=list(cached.items),
-                        backend=backend.name,
-                        strategy=cached.strategy,
-                        wall_seconds=time.perf_counter() - started,
-                        queue_seconds=queue_seconds,
-                        plan_cache_hit=plan_hit,
-                        result_cache_hit=True,
-                        degradation=cached.degradation,
-                        stats=cached.stats,
-                        retries=request.retries,
-                        retry_causes=list(request.retry_causes),
-                    )
-        executor = PartitionedExecutor(
-            self._source,
-            functions=self._functions,
-            two_step_aggregation=self._rewrite.two_step_aggregation,
-            memory_budget_bytes=request.memory_budget,
-            resilience=self._resilience,
-            backend=backend,
-            spill=self._spill,
-            spill_dir=self._spill_dir,
-            deadline_seconds=remaining_deadline,
-        )
-        # The executor borrows this slot's backend; never executor.close().
-        result = executor.run(
-            compiled.plan, profile=request.profile, cancellation=request.token
-        )
-        if result.profile is not None:
-            result.profile.rewrite = compiled.audit
-        if (
-            result_key is not None
-            and result.profile is None
-            and not result.is_partial
-        ):
-            self.result_cache.put(
-                result_key,
-                CachedResult(
-                    items=list(result.items),
-                    stats=result.stats,
-                    degradation=result.degradation,
-                    strategy=result.strategy,
-                ),
+        if cached is not None:
+            # A hit replays what the cache kept (a copy of its items): no
+            # profile, deadline slack or warnings, and never partial.
+            result, fresh = cached, {"items": list(cached.items)}
+        else:
+            executor = PartitionedExecutor(
+                self._source,
+                functions=self._functions,
+                two_step_aggregation=self._rewrite.two_step_aggregation,
+                memory_budget_bytes=request.memory_budget,
+                resilience=self._resilience,
+                backend=backend,
+                spill=self._spill,
+                spill_dir=self._spill_dir,
+                deadline_seconds=remaining_deadline,
             )
+            # The executor borrows this slot's backend; never executor.close().
+            result = executor.run(
+                compiled.plan,
+                profile=request.profile,
+                cancellation=request.token,
+            )
+            if result.profile is not None:
+                result.profile.rewrite = compiled.audit
+            elif result_key is not None and not result.is_partial:
+                self.result_cache.put(
+                    result_key,
+                    CachedResult(
+                        items=list(result.items),
+                        stats=result.stats,
+                        degradation=result.degradation,
+                        strategy=result.strategy,
+                    ),
+                )
+            fresh = {
+                "items": result.items,
+                "profile": result.profile,
+                "deadline_slack_seconds": result.deadline_slack_seconds,
+                "is_partial": result.is_partial,
+                "warnings": result.warnings,
+            }
         return ServiceResponse(
             request_id=request.id,
             tenant=request.tenant,
             query=request.query,
-            items=result.items,
-            backend=result.backend,
+            backend=backend.name,
             strategy=result.strategy,
             wall_seconds=time.perf_counter() - started,
             queue_seconds=queue_seconds,
             plan_cache_hit=plan_hit,
-            result_cache_hit=False,
-            profile=result.profile,
+            result_cache_hit=cached is not None,
             degradation=result.degradation,
             stats=result.stats,
-            deadline_slack_seconds=result.deadline_slack_seconds,
-            is_partial=result.is_partial,
-            warnings=result.warnings,
             retries=request.retries,
             retry_causes=list(request.retry_causes),
+            **fresh,
         )
 
     # -- introspection ---------------------------------------------------------
@@ -1282,14 +1006,14 @@ class QueryService:
                 sorted(self._rejected_by_reason.items())
             )
             counters["queued"] = len(self._queue)
-            counters["running"] = sum(self._running.values())
+            counters["running"] = len(self._running)
             counters["slot_restarts"] = [
                 event.to_dict() for event in self._slot_events
             ]
             counters["query_retries"] = [
                 event.to_dict() for event in self._retry_events
             ]
-            live = self._live_slot_count_locked()
+            live = self._live_slots_locked()
             counters["slots"] = {
                 "total": len(self._slots),
                 "live": live,
@@ -1312,7 +1036,7 @@ class QueryService:
         """Block until no queries are queued or running; True on success."""
         deadline = self._clock() + timeout if timeout is not None else None
         with self._idle:
-            while self._queue or any(self._running.values()):
+            while self._queue or self._running:
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - self._clock()
@@ -1336,13 +1060,12 @@ class QueryService:
                 return
             self._closed = True
             pending = list(self._queue) if cancel_pending else []
-            running = list(self._running_requests) if cancel_pending else []
+            running = list(self._running) if cancel_pending else []
             self._work_ready.notify_all()
-        if cancel_pending:
-            for request in pending:
-                self._cancel(request, "service shutting down")
-            for request in running:
-                request.token.cancel("service shutting down")
+        for request in pending:
+            self._cancel(request, "service shutting down")
+        for request in running:
+            request.token.cancel("service shutting down")
         self.drain()
         with self._lock:
             self._work_ready.notify_all()

@@ -67,6 +67,15 @@ class GatedSource(InMemorySource):
         return super()._units(name, partition)
 
 
+def close_within(service, seconds: float = 10.0) -> bool:
+    """Close *service* on a helper thread; False if close() is still
+    blocked after *seconds* (a request stranded in flight)."""
+    closer = threading.Thread(target=service.close, daemon=True)
+    closer.start()
+    closer.join(seconds)
+    return not closer.is_alive()
+
+
 GROUP_QUERY = (
     'for $r in collection("/s")("root")()("results")() '
     'group by $d := $r("date") return count($r("station"))'

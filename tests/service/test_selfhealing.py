@@ -13,6 +13,7 @@ import itertools
 import json
 import pickle
 import threading
+import time
 
 import pytest
 
@@ -36,6 +37,7 @@ from tests.service.conftest import (
     FILTER_QUERY,
     GROUP_QUERY,
     GatedSource,
+    close_within,
     make_rows,
     make_source,
 )
@@ -654,3 +656,182 @@ def test_backend_replaced_after_consecutive_backend_errors(monkeypatch):
     assert [e["kind"] for e in events] == ["backend-replaced"]
     assert events[0]["slot"] == 0
     assert "3 consecutive backend failures" in events[0]["message"]
+
+
+@pytest.mark.parametrize("failed_builds", [1, 10])
+def test_failed_backend_replacement_still_finishes_the_request(
+    monkeypatch, failed_builds
+):
+    """A backend worn out by ``backend_failure_threshold`` failures whose
+    replacement cannot be built (once, or every time) abandons the slot,
+    and the request that wore it out still reaches its ticket: it used
+    to stay ``running`` forever, so ``drain`` and ``close`` never
+    returned."""
+    from repro.hyracks.backends import SequentialBackend
+
+    run_units = SequentialBackend.run_units
+    backend_failures = [1]
+
+    def flaky(self, units):
+        if backend_failures[0]:
+            backend_failures[0] -= 1
+            raise BackendError("injected backend failure")
+        return run_units(self, units)
+
+    monkeypatch.setattr(SequentialBackend, "run_units", flaky)
+    service = QueryService(
+        make_source(),
+        backend="sequential",
+        max_concurrent_queries=1,
+        max_query_retries=0,
+        backend_failure_threshold=1,
+    )
+    resolve = service_module.resolve_backend
+    builds_to_fail = [failed_builds]
+
+    def broken_resolve(*args, **kwargs):
+        if builds_to_fail[0]:
+            builds_to_fail[0] -= 1
+            raise RuntimeError("fork failed: out of resources")
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(
+        "repro.service.service.resolve_backend", broken_resolve
+    )
+    try:
+        ticket = service.submit(COUNT_QUERY)
+        with pytest.raises(BackendError):
+            ticket.result(timeout=5)
+        assert service.drain(2)
+        stats = service.stats()
+        assert (stats["running"], stats["failed"]) == (0, 1)
+        events = stats["slot_restarts"]
+        assert [event["kind"] for event in events] == [
+            "backend-replaced",
+            "abandoned",
+        ]
+        assert {event["request_id"] for event in events} == {
+            ticket.request_id
+        }
+        assert "respawn failed: RuntimeError" in events[-1]["message"]
+        assert stats["slots"] == {"total": 1, "live": 0, "abandoned": 1}
+        with pytest.raises(AdmissionError) as excinfo:
+            service.submit(COUNT_QUERY)
+        assert excinfo.value.reason == "no-slots"
+        assert close_within(service)
+    finally:
+        close_within(service)
+
+
+def test_per_tenant_state_is_not_kept_for_tenants_that_never_failed():
+    """Tenant names come from clients (``tools/serve.py``), so a service
+    must not keep an entry per name it has seen: after 500 tenants with
+    one successful query each, no dict on the service holds a tenant and
+    ``stats()`` lists no breaker.  A tenant that failed keeps its
+    breaker."""
+    with QueryService(
+        make_source(5),
+        backend="sequential",
+        max_concurrent_queries=1,
+        result_cache_size=1,
+        circuit_failure_threshold=1,
+    ) as service:
+        for index in range(500):
+            response = service.execute(COUNT_QUERY, tenant=f"tenant-{index}")
+            assert response.items == [10]
+        assert service.stats()["circuit_breakers"] == {}
+        holding = [
+            name
+            for name, value in vars(service).items()
+            if isinstance(value, dict)
+            and any(str(key).startswith("tenant-") for key in value)
+        ]
+        assert holding == []
+        with pytest.raises(Exception):
+            service.execute("count(((", tenant="tenant-0")
+        assert list(service.stats()["circuit_breakers"]) == ["tenant-0"]
+
+
+def start_closing(service) -> threading.Thread:
+    """Run ``close()`` on a helper thread; return it once close has
+    begun (submissions are rejected from then on)."""
+    closer = threading.Thread(target=service.close, daemon=True)
+    closer.start()
+    deadline = time.monotonic() + 10
+    while not service._closed and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert service._closed
+    return closer
+
+
+def test_last_slot_dying_during_close_fails_the_queued_requests():
+    """A slot that dies while the service closes is abandoned, not
+    respawned.  When it was the last live slot, the requests still
+    queued behind it can never run, so they fail at once; they used to
+    stay queued, and close(), which drains first, never returned."""
+    source = make_gated()
+    service = QueryService(
+        source, backend="sequential", max_concurrent_queries=1
+    )
+    try:
+        running = service.submit(COUNT_QUERY)
+        source.wait_entered()
+        claimed = service.submit(COUNT_QUERY)
+        stranded = service.submit(COUNT_QUERY)
+        service.inject_slot_failure(0)  # fires when `claimed` is claimed
+        closer = start_closing(service)
+        source.release()
+        assert running.result(timeout=5).items == [120]
+        for ticket in (claimed, stranded):
+            with pytest.raises(SlotFailureError):
+                ticket.result(timeout=5)
+        closer.join(10)
+        assert not closer.is_alive()
+        stats = service.stats()
+        assert stats["slots"] == {"total": 1, "live": 0, "abandoned": 1}
+        assert (stats["queued"], stats["running"], stats["failed"]) == (
+            0, 0, 2
+        )
+    finally:
+        source.release()
+        close_within(service)
+
+
+def test_idle_slot_keeps_serving_the_queue_while_closing():
+    """close() lets the queue empty: a slot with nothing it may run yet
+    (the tenant is at its concurrency limit) must not exit just because
+    the service is closing, or when the busy slot then dies the queued
+    requests are left with a live slot that has no thread, and close()
+    never returns."""
+    source = make_gated()
+    service = QueryService(
+        source,
+        backend="sequential",
+        max_concurrent_queries=2,
+        default_quota=TenantQuota(max_concurrent=1, max_queued=4),
+    )
+    try:
+        running = service.submit(COUNT_QUERY, tenant="a")
+        source.wait_entered()
+        busy = next(slot for slot in service._slots if slot.current)
+        idle = next(slot for slot in service._slots if slot is not busy)
+        claimed = service.submit(COUNT_QUERY, tenant="a")
+        queued = service.submit(COUNT_QUERY, tenant="a")
+        # Dying while the service closes abandons `busy`.
+        service.inject_slot_failure(busy.index)
+        closer = start_closing(service)
+        idle.thread.join(0.5)  # an idle slot that quits on close is gone
+        source.release()
+        assert running.result(timeout=5).items == [120]
+        # Either slot may claim either request first, and the death
+        # fires only if `busy` claims one: each ends one way or the other.
+        for ticket in (claimed, queued):
+            try:
+                assert ticket.result(timeout=5).items == [120]
+            except SlotFailureError:
+                pass
+        closer.join(10)
+        assert not closer.is_alive()
+    finally:
+        source.release()
+        close_within(service)

@@ -53,6 +53,10 @@ from repro.bench.queries import q0, q0b, q1, q1b, q2
 
 QUERIES = {"Q0": q0, "Q0b": q0b, "Q1": q1, "Q1b": q1b, "Q2": q2}
 
+#: Seconds one ticket, or the drain before a close, may take: a request
+#: stranded in flight fails the run with a message instead of hanging it.
+WAIT_SECONDS = 300.0
+
 
 def host_info() -> dict:
     return {
@@ -66,6 +70,17 @@ def host_info() -> dict:
 def canonical(items) -> str:
     """Byte-comparable serialization of a result item list."""
     return json.dumps(items, sort_keys=False, separators=(",", ":"))
+
+
+def shut(service) -> None:
+    """``close()`` after a bounded drain (close itself drains unbounded)."""
+    if not service.drain(WAIT_SECONDS):
+        stats = service.stats()
+        raise RuntimeError(
+            f"service did not drain within {WAIT_SECONDS:g}s: "
+            f"{stats['queued']} queued, {stats['running']} running"
+        )
+    service.close()
 
 
 def one_shot_references(base_dir: str) -> dict[str, str]:
@@ -107,7 +122,9 @@ def soak_backend(
         for round_index in range(rounds):
             for name, query_fn in QUERIES.items():
                 started = time.perf_counter()
-                response = service.execute(query_fn(), tenant=tenant)
+                response = service.submit(query_fn(), tenant=tenant).result(
+                    timeout=WAIT_SECONDS
+                )
                 elapsed = time.perf_counter() - started
                 rows.append(
                     {
@@ -130,7 +147,7 @@ def soak_backend(
         for rows in pool.map(run_tenant, tenant_names):
             cells.extend(rows)
     stats = service.stats()
-    service.close()
+    shut(service)
     mismatches = [c for c in cells if not c["identical"]]
     latency_summary = {
         name: {
@@ -195,9 +212,9 @@ def admission_rejections(base_dir: str) -> dict:
         except AdmissionError as error:
             rejections[error.reason] = rejections.get(error.reason, 0) + 1
     for ticket in tickets:
-        ticket.result()
+        ticket.result(timeout=WAIT_SECONDS)
     stats = service.stats()
-    service.close()
+    shut(service)
     return {
         "burst_size": burst,
         "rejections_by_reason": dict(sorted(rejections.items())),

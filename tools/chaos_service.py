@@ -62,6 +62,11 @@ QUERIES = {
 # Scan-shaped queries that actually exercise the segment cache.
 CACHE_QUERIES = ("pipelined", "count")
 
+#: Seconds one ticket, or the drain before a close, may take: a request
+#: stranded in flight fails its scenario with a message instead of
+#: hanging the sweep.
+WAIT_SECONDS = 120.0
+
 BACKEND_NAMES = tuple(BACKENDS)
 
 
@@ -98,7 +103,18 @@ def canonical(items) -> str:
 
 
 def run_one(service, query_text):
-    return service.submit(query_text).result()
+    return service.submit(query_text).result(timeout=WAIT_SECONDS)
+
+
+def shut(service) -> None:
+    """``close()`` after a bounded drain (close itself drains unbounded)."""
+    if not service.drain(WAIT_SECONDS):
+        stats = service.stats()
+        raise RuntimeError(
+            f"service did not drain within {WAIT_SECONDS:g}s: "
+            f"{stats['queued']} queued, {stats['running']} running"
+        )
+    service.close()
 
 
 def sequential_baselines(data_dir) -> dict:
@@ -109,7 +125,7 @@ def sequential_baselines(data_dir) -> dict:
             for name, text in QUERIES.items()
         }
     finally:
-        service.close()
+        shut(service)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +185,7 @@ def scenario_slot_death(data_dir, backend, baselines, budget):
             summary["error"] = "; ".join(problems)
         cells.append(summary)
     finally:
-        service.close()
+        shut(service)
     return cells
 
 
@@ -214,7 +230,7 @@ def scenario_slot_storm(data_dir, backend, baselines, budget):
             )
         cells.append(summary)
     finally:
-        service.close()
+        shut(service)
     return cells
 
 
@@ -229,7 +245,7 @@ def scenario_cache_corrupt(data_dir, backend, baselines, budget):
             try:
                 run_one(primer, text)
             finally:
-                primer.close()
+                shut(primer)
             segments = [
                 entry
                 for entry in os.listdir(cache_dir)
@@ -256,7 +272,7 @@ def scenario_cache_corrupt(data_dir, backend, baselines, budget):
             try:
                 response = run_one(reader, text)
             finally:
-                reader.close()
+                shut(reader)
             corrupt_events = [
                 event
                 for event in response.degradation.cache_events
@@ -328,7 +344,7 @@ def scenario_disk_full(data_dir, backend, baselines, budget):
                 "error": f"full disk still published segments: {published}",
             })
     finally:
-        service.close()
+        shut(service)
         shutil.rmtree(cache_dir, ignore_errors=True)
     return cells
 
