@@ -512,17 +512,13 @@ class Join(Operator):
     the condition, and the physical layer picks a hash join for
     equi-conditions.
 
-    ``build_side``, ``exchange``, and ``skew_keys`` are physical
-    annotations set by the cost phase (:mod:`repro.stats.cost`) and
-    honored by the executor; the defaults reproduce the un-costed
-    behavior exactly (build on the right, hash-partition both sides, no
-    skew handling).  ``skew_keys`` is a tuple of canonical join-key
-    tuples — hot keys whose exchange buckets are split (probe tuples
-    spread, build tuples replicated).
+    ``build_side`` and ``exchange`` are physical annotations set by the
+    cost phase (:mod:`repro.stats.cost`) and honored by the executor;
+    the defaults reproduce the un-costed behavior exactly (build on the
+    right, hash-partition both sides).
     """
 
-    __slots__ = ("left", "right", "condition", "build_side", "exchange",
-                 "skew_keys")
+    __slots__ = ("left", "right", "condition", "build_side", "exchange")
     name = "JOIN"
 
     def __init__(
@@ -532,7 +528,6 @@ class Join(Operator):
         condition: Expression,
         build_side: str = "right",
         exchange: str = "hash",
-        skew_keys: tuple = (),
     ):
         if build_side not in JOIN_BUILD_SIDES:
             raise PlanError(f"unknown join build side {build_side!r}")
@@ -543,7 +538,6 @@ class Join(Operator):
         self.condition = condition
         self.build_side = build_side
         self.exchange = exchange
-        self.skew_keys = tuple(skew_keys)
 
     @property
     def inputs(self):
@@ -553,7 +547,7 @@ class Join(Operator):
         left, right = inputs
         return Join(
             left, right, self.condition,
-            self.build_side, self.exchange, self.skew_keys,
+            self.build_side, self.exchange,
         )
 
     def used_expressions(self):
@@ -563,14 +557,13 @@ class Join(Operator):
         (condition,) = expressions
         return Join(
             self.left, self.right, condition,
-            self.build_side, self.exchange, self.skew_keys,
+            self.build_side, self.exchange,
         )
 
     def with_physical(
         self,
         build_side: str | None = None,
         exchange: str | None = None,
-        skew_keys: tuple | None = None,
     ) -> "Join":
         """Rebuild with new physical annotations (None leaves one as-is)."""
         return Join(
@@ -579,17 +572,12 @@ class Join(Operator):
             self.condition,
             self.build_side if build_side is None else build_side,
             self.exchange if exchange is None else exchange,
-            self.skew_keys if skew_keys is None else tuple(skew_keys),
         )
 
     @property
     def annotated(self) -> bool:
         """True when any physical annotation differs from the default."""
-        return (
-            self.build_side != "right"
-            or self.exchange != "hash"
-            or bool(self.skew_keys)
-        )
+        return self.build_side != "right" or self.exchange != "hash"
 
     def signature(self):
         base = f"JOIN( {self.condition.to_string()} )"
@@ -600,14 +588,12 @@ class Join(Operator):
             parts.append(f"build={self.build_side}")
         if self.exchange != "hash":
             parts.append(f"exchange={self.exchange}")
-        if self.skew_keys:
-            parts.append(f"skew={len(self.skew_keys)}")
         return f"{base} [{' '.join(parts)}]"
 
     def _key(self):
         return (
             self.left, self.right, self.condition,
-            self.build_side, self.exchange, self.skew_keys,
+            self.build_side, self.exchange,
         )
 
 

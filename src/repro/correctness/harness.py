@@ -21,7 +21,7 @@ Runs each query through the full matrix of
   kill schedule that forces the worker-loss recovery path, paper
   queries only),
 - cost-based planning on/off (cost planning only re-shapes the
-  physical join — build side, exchange, skew splitting — so the
+  physical join — build side, exchange, join order — so the
   answer must be identical with it disabled; paper queries get
   explicit cost-off cells on every backend plus spill/crash variants,
   generated cases a rotating cost-off cell),

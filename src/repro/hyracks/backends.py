@@ -36,9 +36,8 @@ Worker *loss* is handled one layer up, in
 :mod:`~repro.hyracks.recovery`, which owns the process backend's only
 dispatch loop: a dead pool worker does not abort the query — the
 pool is rebuilt, only unfinished units are rescheduled (with a bounded
-attempt budget), repeated loss steps the remaining units down to the
-sequential tier, and a watchdog launches speculative duplicates for
-stragglers.
+attempt budget), and repeated loss steps the remaining units down to
+the sequential tier.  A slow worker is waited for, never duplicated.
 
 Two behavioural fine points:
 
@@ -213,14 +212,6 @@ class ExchangeWork:
     input, then to the right, and every input's bucket order, counters
     and errors stay what reading it on its own gives.
 
-    When the join carries ``skew_keys`` (hot keys detected by the cost
-    phase), those keys' buckets are split: hot *build*-side tuples are
-    replicated into every bucket and hot *probe*-side tuples are spread
-    round-robin, so no single bucket worker absorbs the whole hot key.
-    The spread counter is per partition and follows scan order, so the
-    bucket layout — and therefore the merged result — is deterministic
-    on every backend.
-
     Returns each bucket's share (one :class:`Parcel` holding this
     partition's ``(left, right)`` for it, a side being its rows, their
     keys and their sizes), the exchanged tuple and byte counts, and,
@@ -235,9 +226,6 @@ class ExchangeWork:
 
     def __call__(self, ctx: EvaluationContext):
         buckets = self.buckets
-        skew = set(self.join.skew_keys)
-        spread: dict = {}
-        build = 0 if self.join.build_side == "left" else 1
         # Per side, rows and keys side by side, not as pairs: a pair kept
         # per tuple is one more object for the collector to walk.
         rows = [[[] for _ in range(buckets)] for _side in range(2)]
@@ -247,24 +235,16 @@ class ExchangeWork:
         ):
             side_rows, side_keys = rows[side], keys[side]
             for key, tup in pairs:
-                if not skew or key not in skew:
-                    into = (stable_bucket(key, buckets),)
-                elif side == build:
-                    into = range(buckets)
-                else:
-                    turn = spread.get(key, 0)
-                    spread[key] = turn + 1
-                    into = ((stable_bucket(key, buckets) + turn) % buckets,)
-                for bucket in into:
-                    side_rows[bucket].append(tup)
-                    side_keys[bucket].append(key)
+                bucket = stable_bucket(key, buckets)
+                side_rows[bucket].append(tup)
+                side_keys[bucket].append(key)
         exchanged_tuples = 0
         exchanged_bytes = 0
         shares = []  # per side, per bucket: (rows, keys, sizes)
         for side_rows, side_keys in zip(rows, keys):
-            # What crosses the exchange is what sits in the buckets (a hot
-            # build tuple once per bucket); one side's tuples share a shape,
-            # so the side is sized as one frame, and the sizes ride along.
+            # What crosses the exchange is what sits in the buckets; one
+            # side's tuples share a shape, so the side is sized as one
+            # frame, and the sizes ride along.
             weighed = sizeof_tuples(list(chain.from_iterable(side_rows)))
             exchanged_tuples += len(weighed)
             exchanged_bytes += sum(weighed)
@@ -645,20 +625,13 @@ class ExecutionBackend:
 
     name = "abstract"
 
-    def __init__(self):
-        #: RecoveryEvents accumulated by the crash-recovery layer while
-        #: running units; the executor drains them into the query's
-        #: stats and degradation report after each map phase.
-        self._recovery_events: list = []
+    def run_units(self, units: list[WorkUnit], events: list):
+        """Run *units*; yield their outcomes in submission order.
 
-    def run_units(self, units: list[WorkUnit]):
+        Every :class:`~repro.hyracks.recovery.RecoveryEvent` of the run
+        is appended to *events*, the caller's own list: the backend
+        keeps none."""
         raise NotImplementedError
-
-    def drain_recovery_events(self) -> list:
-        """Return and clear the recovery events of the last run."""
-        events = list(self._recovery_events)
-        self._recovery_events.clear()
-        return events
 
     def close(self) -> None:
         """Release pooled workers (no-op for poolless backends)."""
@@ -684,12 +657,11 @@ class SequentialBackend(ExecutionBackend):
     name = "sequential"
 
     def __init__(self, max_workers: int | None = None):
-        super().__init__()
         del max_workers  # accepted for interface symmetry
 
-    def run_units(self, units: list[WorkUnit]):
+    def run_units(self, units: list[WorkUnit], events: list):
         for unit in units:
-            yield run_unit_with_crash_retry(unit, self._recovery_events)
+            yield run_unit_with_crash_retry(unit, events)
 
 
 class ProcessBackend(ExecutionBackend):
@@ -705,7 +677,6 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, max_workers: int | None = None):
-        super().__init__()
         self._max_workers = max_workers or usable_cores()
         self._pool = None
         self._pool_lock = threading.Lock()
@@ -727,8 +698,8 @@ class ProcessBackend(ExecutionBackend):
                 )
             return self._pool
 
-    def run_units(self, units: list[WorkUnit]):
-        return run_units_with_recovery(units, self, self._recovery_events)
+    def run_units(self, units: list[WorkUnit], events: list):
+        return run_units_with_recovery(units, self, events)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -120,17 +120,13 @@ class ExecutionStats:
     spill_run_files: int = 0
     spill_bytes: int = 0
     spill_recursion_depth: int = 0
-    #: crash-recovery counters (worker loss, ladder, speculation).
+    #: crash-recovery counters (worker loss, ladder).
     #: ``worker_crashes`` and ``ladder_steps`` are deterministic under a
-    #: seeded kill schedule; pool rebuilds and the speculative counters
-    #: are timing-dependent and deliberately kept out of the
-    #: degradation report.
+    #: seeded kill schedule; pool rebuilds are timing-dependent and
+    #: deliberately kept out of the degradation report.
     worker_crashes: int = 0
     pool_rebuilds: int = 0
     ladder_steps: int = 0
-    speculative_launched: int = 0
-    speculative_wins: int = 0
-    speculative_losses: int = 0
 
     def merge(self, other: "ExecutionStats") -> None:
         """Fold another stats object into this one (coordinator merge)."""
@@ -146,9 +142,6 @@ class ExecutionStats:
         self.worker_crashes += other.worker_crashes
         self.pool_rebuilds += other.pool_rebuilds
         self.ladder_steps += other.ladder_steps
-        self.speculative_launched += other.speculative_launched
-        self.speculative_wins += other.speculative_wins
-        self.speculative_losses += other.speculative_losses
 
 
 @dataclass
@@ -511,8 +504,9 @@ class PartitionedExecutor:
         ]
         started = time.perf_counter()
         outcomes: list[PartitionOutcome] = []
+        events: list = []
         try:
-            for outcome in self._backend.run_units(units):
+            for outcome in self._backend.run_units(units, events):
                 if outcome.error is not None:
                     # A query-global limit fired in a worker.  Fold what
                     # that partition measured, attach the merged report,
@@ -525,12 +519,10 @@ class PartitionedExecutor:
         finally:
             self._parallel_wall += time.perf_counter() - started
             # Fold whatever the crash-recovery layer logged (worker
-            # losses, ladder steps, speculation) into the query's stats
-            # and degradation report — on success and on unwind alike.
-            drain = getattr(self._backend, "drain_recovery_events", None)
-            if drain is not None:
-                for event in drain():
-                    _fold_recovery_event(event, stats, report)
+            # losses, ladder steps) into the query's stats and
+            # degradation report — on success and on unwind alike.
+            for event in events:
+                _fold_recovery_event(event, stats, report)
             # Work units attach their own per-partition reports to the
             # (thread-local) source slot; restore the query-level report
             # for any coordinator-side scanning that follows.
@@ -752,7 +744,6 @@ class PartitionedExecutor:
                     {
                         "build_side": join.build_side,
                         "exchange": join.exchange,
-                        "skew_keys": len(join.skew_keys),
                     },
                 )
             for detail, side in zip(("left_buckets", "right_buckets"), sizes):
@@ -801,9 +792,9 @@ def _fold_recovery_event(
     """Route one recovery-layer event into stats and/or the report.
 
     Worker losses and ladder steps are deterministic under a seeded kill
-    schedule and belong in the degradation report; pool rebuilds and the
-    speculation counters are timing-dependent and stay stats-only so the
-    report keeps its byte-identical-across-runs guarantee.
+    schedule and belong in the degradation report; pool rebuilds are
+    timing-dependent and stay stats-only so the report keeps its
+    byte-identical-across-runs guarantee.
     """
     kind = event.kind
     if kind == "worker_loss":
@@ -814,12 +805,6 @@ def _fold_recovery_event(
         report.record_ladder_step(event.tier, event.to_tier, event.message)
     elif kind == "pool_rebuild":
         stats.pool_rebuilds += 1
-    elif kind == "speculative_launch":
-        stats.speculative_launched += 1
-    elif kind == "speculative_win":
-        stats.speculative_wins += 1
-    elif kind == "speculative_loss":
-        stats.speculative_losses += 1
 
 
 # ---------------------------------------------------------------------------

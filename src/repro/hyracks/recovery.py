@@ -1,15 +1,15 @@
-"""Crash recovery, the degradation ladder, and speculative execution.
+"""Crash recovery and the degradation ladder.
 
 The paper's engine inherits Hyracks' cluster execution model, where
-worker loss and stragglers are absorbed by the runtime rather than
-surfaced to the query author.  This module gives the process backend
-the same posture (:func:`run_units_with_recovery` is the one loop every
-process-backend query runs).  What is in flight is a **run**: the
-pending units are cut, in order, into one contiguous run per pool worker
-(:func:`cut_runs`), one future each, executed in the worker unit by unit
-with each unit unpickled from its own blob.  Everything the engine
-promises stays per unit — attempt offsets, crash sentinels, the attempt
-budget, results keyed by unit index:
+worker loss is absorbed by the runtime rather than surfaced to the
+query author.  This module gives the process backend the same posture
+(:func:`run_units_with_recovery` is the one loop every process-backend
+query runs).  What is in flight is a **run**: the pending units are
+cut, in order, into one contiguous run per pool worker
+(:func:`cut_runs`), one future each, executed in the worker unit by
+unit with each unit unpickled from its own blob.  Everything the
+engine promises stays per unit — attempt offsets, crash sentinels, the
+attempt budget, results keyed by unit index:
 
 - **worker-loss recovery** — when a pool worker dies
   (``BrokenProcessPool`` in the pool,
@@ -26,16 +26,10 @@ budget, results keyed by unit index:
   of looping;
 - **degradation ladder** — after repeated pool loss the remaining units
   step down process→sequential (attempt offsets carried), recorded in
-  the :class:`~repro.resilience.report.DegradationReport`;
-- **speculative stragglers** — a watchdog (reading a clock from the
-  :data:`repro.observability.clock.CLOCKS` registry) records a duration
-  per unit (a run's time over its length) and flags a run in flight
-  longer than its length times a multiple of the median: each of its
-  units not yet resolved earns a single-unit duplicate at the next
-  attempt number.  First result wins per unit, and completed futures
-  are processed in (first unit index, primary-before-speculative) order,
-  so the winning result is selected deterministically and output stays
-  byte-identical: both attempts run the same deterministic work.
+  the :class:`~repro.resilience.report.DegradationReport`.
+
+A slow unit is waited for, never duplicated: as in Hyracks' partitioned
+dataflow, each unit's work runs once unless a worker died under it.
 
 Determinism under injected crashes hinges on one bookkeeping rule: the
 kill/stall faults are keyed on the **unit-level attempt number**
@@ -69,7 +63,6 @@ from repro.errors import (
     RecoveryExhaustedError,
     WorkerCrashError,
 )
-from repro.observability.clock import make_clock
 
 #: exit status an injected kill dies with (distinguishable in core dumps
 #: and CI logs from a real interpreter fault)
@@ -166,15 +159,15 @@ def read_crash_sentinels(directory: str) -> list[tuple[int, int, str]]:
 
 @dataclass(frozen=True)
 class RecoveryEvent:
-    """One recovery-layer happening, drained by the executor after a run.
+    """One recovery-layer happening, appended to the events list the
+    executor hands the backend for one phase and folds after it.
 
     ``worker_loss`` and ``ladder_step`` are deterministic under a seeded
-    kill schedule and land in the degradation report;
-    ``pool_rebuild``/``speculative_*`` are timing-dependent and only
-    feed the execution-stats counters.
+    kill schedule and land in the degradation report; ``pool_rebuild``
+    only feeds the execution-stats counters.
     """
 
-    kind: str  # worker_loss | ladder_step | pool_rebuild | speculative_*
+    kind: str  # worker_loss | ladder_step | pool_rebuild
     partition: int = -1
     attempt: int = 0
     tier: str = ""
@@ -231,25 +224,13 @@ class _PoolLost(Exception):
 class _UnitState:
     """Coordinator-side bookkeeping for one work unit."""
 
-    __slots__ = ("unit", "index", "crashes", "speculated", "blob0")
+    __slots__ = ("unit", "index", "crashes", "blob0")
 
     def __init__(self, unit, index: int):
         self.unit = unit
         self.index = index
         self.crashes = 0  # crashes attributed to this unit == attempt offset
-        self.speculated = False
         self.blob0 = None  # cached pickle of the offset-0 unit
-
-
-class _Flight:
-    """One in-flight future: a run of units (or one speculative twin)."""
-
-    __slots__ = ("states", "speculative", "started_at")
-
-    def __init__(self, states, speculative, started_at):
-        self.states = states
-        self.speculative = speculative
-        self.started_at = started_at
 
 
 def _with_offset(unit, offset: int):
@@ -291,8 +272,6 @@ def run_units_with_recovery(units: list, host, events: list) -> list:
         states.append(state)
         by_partition[unit.partition] = state
     results: dict[int, object] = {}
-    durations: list[float] = []
-    clock = make_clock(policy.clock)
     losses = 0  # pool losses so far
     try:
         # Pickle up front: one clear BackendError instead of an opaque
@@ -316,10 +295,6 @@ def run_units_with_recovery(units: list, host, events: list) -> list:
                     host._ensure_pool(),
                     cut_runs(pending, host._max_workers),
                     results,
-                    policy,
-                    events,
-                    clock,
-                    durations,
                 )
                 break
             except _PoolLost as loss:
@@ -410,13 +385,9 @@ def _run_pooled(
     pool,
     runs: list[list[_UnitState]],
     results: dict[int, object],
-    policy,
-    events: list,
-    clock,
-    durations: list[float],
 ) -> None:
-    """Drive the process pool, one flight per run, until every unit of
-    *runs* resolves.
+    """Submit one future per run and wait until every unit of *runs*
+    resolves.
 
     Raises :class:`_PoolLost` when the pool breaks, leaving ``results``
     holding everything that finished.
@@ -424,61 +395,27 @@ def _run_pooled(
     from concurrent.futures.process import BrokenProcessPool
     from repro.hyracks.backends import _run_pickled_units
 
-    flights: dict[object, _Flight] = {}
-
-    def launch(run: list[_UnitState], speculative: bool) -> None:
-        # A twin runs as the next unit-level attempt, so an attempt-1
-        # stall (or kill) does not refire on it.
-        offsets = [state.crashes + speculative for state in run]
-        blobs = [
-            state.blob0
-            if offset == 0
-            else pickle.dumps(_with_offset(state.unit, offset))
-            for state, offset in zip(run, offsets)
-        ]
-        try:
-            future = pool.submit(_run_pickled_units, blobs)
-        except BrokenProcessPool as broken:
-            _harvest(flights, results)
-            raise _PoolLost(broken) from broken
-        flights[future] = _Flight(run, speculative, clock())
-
-    def resolved(flight: _Flight) -> bool:
-        return all(state.index in results for state in flight.states)
-
-    def lose_twin(flight: _Flight) -> None:
-        if flight.speculative:  # a twin is one unit
-            events.append(
-                RecoveryEvent(
-                    "speculative_loss",
-                    partition=flight.states[0].unit.partition,
-                )
-            )
-
+    flights: dict[object, list[_UnitState]] = {}
     try:
         for run in runs:
-            for state in run:
-                state.speculated = False
-            launch(run, False)
+            blobs = [
+                state.blob0
+                if state.crashes == 0
+                else pickle.dumps(_with_offset(state.unit, state.crashes))
+                for state in run
+            ]
+            try:
+                future = pool.submit(_run_pickled_units, blobs)
+            except BrokenProcessPool as broken:
+                _harvest(flights, results)
+                raise _PoolLost(broken) from broken
+            flights[future] = run
         while flights:
-            timeout = (
-                policy.watchdog_interval_seconds if policy.speculate else None
-            )
-            done, _ = wait(
-                set(flights), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            # Deterministic first-result-wins: within one wakeup, process
-            # completions by first unit index with the primary ahead of a
-            # speculative twin, so the selected result never depends on
-            # which future the OS happened to finish first.
-            for future in sorted(
-                done,
-                key=lambda f: (flights[f].states[0].index, flights[f].speculative),
-            ):
-                flight = flights.pop(future)
-                if resolved(flight):
-                    lose_twin(flight)
-                    continue
+            done, _ = wait(set(flights), return_when=FIRST_COMPLETED)
+            # Within one wakeup, take runs in unit order, so which error
+            # escapes never depends on which future the OS finished first.
+            for future in sorted(done, key=lambda f: flights[f][0].index):
+                run = flights.pop(future)
                 try:
                     outcomes = pickle.loads(future.result())
                 except CancelledError:  # pragma: no cover - defensive
@@ -486,26 +423,8 @@ def _run_pooled(
                 except BrokenProcessPool as broken:
                     _harvest(flights, results)
                     raise _PoolLost(broken) from broken
-                # Durations are per unit: a run's time over its length.
-                seconds = max(clock() - flight.started_at, 0.0) / len(outcomes)
-                for state, outcome in zip(flight.states, outcomes):
-                    if state.index in results:
-                        continue  # a twin got there first
+                for state, outcome in zip(run, outcomes):
                     results[state.index] = outcome
-                    durations.append(seconds)
-                    if flight.speculative:
-                        events.append(
-                            RecoveryEvent(
-                                "speculative_win", partition=state.unit.partition
-                            )
-                        )
-                for other, twin in list(flights.items()):
-                    if resolved(twin) and other.cancel():
-                        lose_twin(flights.pop(other))
-            if policy.speculate and flights:
-                _maybe_speculate(
-                    flights, results, policy, events, clock, durations, launch
-                )
     except _PoolLost:
         raise  # the broken pool has already failed every flight
     except BaseException:
@@ -518,51 +437,14 @@ def _run_pooled(
         raise
 
 
-def _maybe_speculate(
-    flights: dict,
-    results: dict[int, object],
-    policy,
-    events: list,
-    clock,
-    durations: list[float],
-    launch,
-) -> None:
-    """Launch single-unit twins for the unresolved units of runs in
-    flight far past the median unit time times their length."""
-    if len(durations) < policy.min_speculation_samples:
-        return
-    median = sorted(durations)[len(durations) // 2]
-    threshold = max(
-        policy.speculative_multiplier * median,
-        policy.speculative_floor_seconds,
-    )
-    now = clock()
-    for flight in list(flights.values()):
-        if (
-            flight.speculative
-            or now - flight.started_at < threshold * len(flight.states)
-        ):
-            continue
-        for state in flight.states:
-            if state.speculated or state.index in results:
-                continue
-            state.speculated = True
-            events.append(
-                RecoveryEvent(
-                    "speculative_launch", partition=state.unit.partition
-                )
-            )
-            launch([state], True)
-
-
 def _harvest(flights: dict, results: dict[int, object]) -> None:
     """Keep every finished result a breaking pool already produced."""
-    for future, flight in flights.items():
+    for future, run in flights.items():
         if not future.done() or future.cancelled():
             continue
         try:
             outcomes = pickle.loads(future.result())
         except Exception:
             continue
-        for state, outcome in zip(flight.states, outcomes):
+        for state, outcome in zip(run, outcomes):
             results.setdefault(state.index, outcome)

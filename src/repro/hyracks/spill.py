@@ -144,8 +144,9 @@ class SpillConfig:
     cleanup of one query's directory tree cannot delete the other's run
     files.  Within a query the scope is deterministic (it is part of
     the pickled config), while attempt directories inside it stay
-    ``mkdtemp``-unique because straggler speculation can run duplicate
-    attempts of the *same* partition concurrently.
+    ``mkdtemp``-unique because a crash retry runs the *same* partition
+    again in a fresh worker while the dead worker's directory may
+    still be on disk.
     """
 
     directory: str | None = None

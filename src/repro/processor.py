@@ -62,9 +62,9 @@ class JsonProcessor:
         ``recovery`` field
         (:class:`~repro.resilience.policies.RecoveryPolicy`) governs
         worker-loss recovery on the process backend: crashed work units
-        are rescheduled up to ``max_unit_attempts`` times, repeated pool
-        loss steps the remaining units down to sequential execution,
-        and straggling units earn speculative duplicates.  All
+        are rescheduled up to ``max_unit_attempts`` times, and repeated
+        pool loss steps the remaining units down to sequential
+        execution; a slow unit is waited for, never duplicated.  All
         recovery is recorded on the result's ``degradation`` report and
         ``stats``.
     fault_plan:
@@ -120,7 +120,7 @@ class JsonProcessor:
         Cost-based join planning: when on and the source samples
         statistics (``stats_snapshot``), compilation runs the cost phase
         (:func:`repro.stats.cost.apply_cost_planning`) — build-side
-        choice, join ordering, broadcast exchange, skew splitting.
+        choice, join ordering, broadcast exchange.
         ``None`` consults the ``REPRO_COST`` environment variable (unset
         means on).  Purely a physical-plan decision: results are
         byte-identical with cost planning on or off.

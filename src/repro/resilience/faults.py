@@ -129,11 +129,11 @@ class StallFault:
     """One partition's worker stalls (really sleeps) before executing.
 
     Unlike :meth:`FaultPlan.delay_partition` — which charges a
-    *simulated* straggler delay — a stall burns wall-clock time, which
-    is what the speculative-execution watchdog reacts to.  ``attempt``
-    of ``None`` stalls every attempt; an integer stalls only that
-    unit-level attempt (so a speculative duplicate, running as the next
-    attempt, escapes the stall).
+    *simulated* straggler delay — a stall burns wall-clock time: a
+    real slow worker, which the coordinator waits for.  ``attempt`` of
+    ``None`` stalls every attempt; an integer stalls only that
+    unit-level attempt (so a crash retry, running as the next attempt,
+    escapes the stall).
     """
 
     partition: int
@@ -263,11 +263,11 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Make *partition*'s worker sleep *seconds* of real wall time.
 
-        This is the straggler the speculative-execution watchdog is
-        built for.  The default ``attempt=1`` stalls only the first
-        unit attempt, so a speculative duplicate (running as the next
-        attempt) escapes the stall and wins; ``attempt=None`` stalls
-        every attempt.
+        A slow partition is waited for, never duplicated, and must
+        answer byte-identically.  The default ``attempt=1`` stalls only
+        the first unit attempt, so a crash retry (running as the next
+        attempt) escapes the stall; ``attempt=None`` stalls every
+        attempt.
         """
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds!r}")

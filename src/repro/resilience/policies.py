@@ -13,12 +13,11 @@ Three independent knobs:
   the broken record (``skip_record``), or drop the whole file
   (``skip_file``);
 - the **recovery policy** (:class:`RecoveryPolicy`) decides what the
-  execution backend does when a *worker* dies or straggles: how many
-  times a crashed work unit may be rescheduled, when repeated pool loss
-  steps the remaining units down the process→sequential degradation
-  ladder, and when a slow unit earns a speculative duplicate.  It has
-  no off switch: the recovery engine is the process backend's only
-  dispatch loop.
+  execution backend does when a *worker* dies: how many times a crashed
+  work unit may be rescheduled, and when repeated pool loss steps the
+  remaining units down the process→sequential degradation ladder.  It
+  has no off switch: the recovery engine is the process backend's only
+  dispatch loop.  A slow worker is waited for, never duplicated.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ def validate_on_malformed(value: str) -> str:
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """Worker-loss recovery and straggler mitigation for the backends.
+    """Worker-loss recovery for the backends.
 
     Parameters
     ----------
@@ -55,35 +54,12 @@ class RecoveryPolicy:
     max_losses_per_tier:
         Pool losses tolerated before the process backend runs the
         remaining units sequentially (process→sequential).
-    speculate:
-        Launch a speculative duplicate for straggling units
-        (first-result-wins; the result stays byte-identical because the
-        duplicate runs the same deterministic work).
-    speculative_multiplier / speculative_floor_seconds:
-        A unit speculates once it has run longer than
-        ``max(multiplier * median_completed_seconds, floor_seconds)``.
-    min_speculation_samples:
-        Completed units required before the median is trusted.
-    watchdog_interval_seconds:
-        How often the coordinator's wait loop wakes to check stragglers.
-    clock:
-        Name in the :data:`repro.observability.clock.CLOCKS` registry
-        the watchdog reads (``wall`` by default; tests can register and
-        name an injectable clock).
     """
 
     max_unit_attempts: int = 3
     max_losses_per_tier: int = 2
-    speculate: bool = True
-    speculative_multiplier: float = 4.0
-    speculative_floor_seconds: float = 0.5
-    min_speculation_samples: int = 2
-    watchdog_interval_seconds: float = 0.05
-    clock: str = "wall"
 
     def __post_init__(self):
-        from repro.observability.clock import CLOCKS
-
         if self.max_unit_attempts < 1:
             raise ValueError(
                 f"max_unit_attempts must be >= 1, got {self.max_unit_attempts!r}"
@@ -92,15 +68,6 @@ class RecoveryPolicy:
             raise ValueError(
                 f"max_losses_per_tier must be >= 0, "
                 f"got {self.max_losses_per_tier!r}"
-            )
-        if self.watchdog_interval_seconds <= 0:
-            raise ValueError(
-                f"watchdog_interval_seconds must be > 0, "
-                f"got {self.watchdog_interval_seconds!r}"
-            )
-        if self.clock not in CLOCKS:
-            raise ValueError(
-                f"clock must be one of {sorted(CLOCKS)}, got {self.clock!r}"
             )
 
 
@@ -119,8 +86,8 @@ class ResilienceConfig:
         retryable): ``fail`` raises, ``skip`` degrades to skipping the
         partition.
     recovery:
-        The :class:`RecoveryPolicy` governing worker-loss recovery,
-        the degradation ladder, and speculative execution.
+        The :class:`RecoveryPolicy` governing worker-loss recovery
+        and the degradation ladder.
     """
 
     partition_policy: str = "fail_fast"

@@ -27,7 +27,7 @@ Around them:
   slot, owned by that slot's worker thread.  Pools of forked
   processes persist across queries, so fork/spawn cost is paid once —
   but no backend instance is ever shared by two in-flight queries,
-  because backends carry per-run recovery/pool state;
+  because a worker lost in one query rebuilds the pool under both;
 - **scheduling**: admitted requests run FIFO, skipping over tenants
   that are at their concurrency limit (no head-of-line blocking across
   tenants).  Each query runs under its own

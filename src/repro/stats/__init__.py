@@ -3,8 +3,7 @@
 ``sampling`` builds :class:`CollectionStats` snapshots from a bounded
 prefix of each partition at registration time; ``cost`` consumes a
 :class:`StatsSnapshot` to pick hash-join build sides, order multi-join
-graphs, switch tiny-side exchanges to broadcast, and split skewed
-exchange buckets.  Both halves are deterministic given the snapshot, so
+graphs, and switch tiny-side exchanges to broadcast.  Both halves are deterministic given the snapshot, so
 plans (and therefore results) are reproducible across backends.
 """
 

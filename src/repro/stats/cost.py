@@ -1,8 +1,8 @@
 """Cost-based join planning over a sampled :class:`StatsSnapshot`.
 
 The rewrite fixpoint is purely structural: it never looks at the data,
-so hash joins always build on the right, every join exchanges both
-sides, and skewed keys hot-spot one bucket.  This module adds the
+so hash joins always build on the right and every join exchanges both
+sides.  This module adds the
 data-dependent phase that runs *after* the fixpoint when statistics are
 available:
 
@@ -13,9 +13,9 @@ available:
 * **Broadcast exchange** — when one side is tiny and the other is much
   larger, the tiny side is replicated to every partition instead of
   hash-exchanging both sides (``Join.exchange``).
-* **Skew splitting** — join-key values that dominate the sample are
-  carried as ``Join.skew_keys``; the exchange replicates the hot build
-  rows and spreads the hot probe rows round-robin.
+
+A hot join key hashes to one bucket like every other key: as in
+Hyracks' partitioned dataflow, there is no hot-key bucket splitting.
 
 Every decision is a plan-annotation (or a re-association of existing
 operators), recorded through the same :class:`RewriteAudit` as the
@@ -69,12 +69,6 @@ BROADCAST_MIN_RATIO = 4.0
 
 #: swap the build side only on a clear win, not an estimation wobble.
 BUILD_SWAP_MARGIN = 0.9
-
-#: a key value is "hot" when it holds this share of the sampled values...
-SKEW_MIN_SHARE = 0.125
-
-#: ... over at least this many sampled occurrences.
-SKEW_MIN_COUNT = 8
 
 
 def resolve_cost_enabled(explicit: bool | None = None) -> bool:
@@ -291,10 +285,10 @@ def apply_cost_planning(
     """Apply the cost-based decisions to *plan*, in a fixed order.
 
     Runs join re-ordering, then build-side choice, then exchange
-    selection, then skew-key detection; each category that changes the
-    plan is recorded as one audit firing (``CostJoinOrder``,
-    ``CostBuildSide``, ``CostBroadcast``, ``CostSkewSplit``) and, when
-    *trace* is given, appended as an explain step.
+    selection; each category that changes the plan is recorded as one
+    audit firing (``CostJoinOrder``, ``CostBuildSide``,
+    ``CostBroadcast``) and, when *trace* is given, appended as an
+    explain step.
     """
     if snapshot is None or not snapshot:
         return plan
@@ -303,7 +297,6 @@ def apply_cost_planning(
         ("CostJoinOrder", _order_joins),
         ("CostBuildSide", _choose_build_sides),
         ("CostBroadcast", _choose_exchanges),
-        ("CostSkewSplit", _mark_skew),
     ):
         rewritten = transform(plan, model)
         if rewritten is not plan:
@@ -375,37 +368,6 @@ def _choose_exchanges(plan: LogicalPlan, model: CostModel) -> LogicalPlan:
         # the natural build side: keep the two decisions consistent.
         build_side = "left" if exchange == "broadcast-left" else "right"
         return join.with_physical(build_side=build_side, exchange=exchange)
-
-    return _transform_joins(plan, visit)
-
-
-# -- skew --------------------------------------------------------------
-
-
-def _mark_skew(plan: LogicalPlan, model: CostModel) -> LogicalPlan:
-    def visit(join: Join) -> Join | None:
-        left_keys, right_keys, _ = _hash_keys(join)
-        if len(left_keys) != 1 or join.exchange != "hash":
-            return None
-        # "probe" here is the non-build side: its hot rows are spread
-        # round-robin while the (smaller) build side's are replicated.
-        probe_expr = (
-            left_keys[0] if join.build_side == "right" else right_keys[0]
-        )
-        probe_scope = join.left if join.build_side == "right" else join.right
-        stats = model._field_stats(probe_expr, probe_scope)
-        if stats is None or stats.count < SKEW_MIN_COUNT:
-            return None
-        hot = []
-        for value, count in stats.top:
-            if count >= SKEW_MIN_COUNT and count / stats.count >= SKEW_MIN_SHARE:
-                hot.append(((value,),))
-        if not hot:
-            return None
-        skew_keys = tuple(sorted(hot, key=repr))
-        if skew_keys == join.skew_keys:
-            return None
-        return join.with_physical(skew_keys=skew_keys)
 
     return _transform_joins(plan, visit)
 

@@ -46,12 +46,6 @@ DEFAULT_SAMPLE_LIMIT = 64
 #: distinct-value tracking stops growing past this many values per key.
 _DISTINCT_CAP = 256
 
-#: how many most-common values each key keeps (skew detection input).
-_TOP_VALUES = 8
-
-#: value-frequency counting tracks at most this many candidate values.
-_TOP_TRACK_CAP = 4 * _TOP_VALUES
-
 #: per-document guard: stop walking a pathological document past this.
 _MAX_WALK_NODES = 10_000
 
@@ -98,7 +92,6 @@ class KeyStats:
     avg_bytes: float  # mean sizeof_item of the values
     arrays: int  # occurrences whose value is an array
     avg_array_len: float  # mean length of those arrays
-    top: tuple = ()  # ((canonical_atomic, count), ...) most-common first
 
     def _fingerprint_parts(self):
         return (
@@ -109,7 +102,6 @@ class KeyStats:
             round(self.avg_bytes, 6),
             self.arrays,
             round(self.avg_array_len, 6),
-            self.top,
         )
 
 
@@ -268,15 +260,14 @@ class StatsSnapshot:
 
 
 class _KeyAccumulator:
-    __slots__ = ("count", "bytes", "values", "saturated", "counts",
-                 "arrays", "array_members")
+    __slots__ = ("count", "bytes", "values", "saturated", "arrays",
+                 "array_members")
 
     def __init__(self):
         self.count = 0
         self.bytes = 0
         self.values: set = set()
         self.saturated = False
-        self.counts: dict = {}
         self.arrays = 0
         self.array_members = 0
 
@@ -292,15 +283,8 @@ class _KeyAccumulator:
                 self.values.add(canonical)
             elif canonical not in self.values:
                 self.saturated = True
-            if canonical in self.counts or len(self.counts) < _TOP_TRACK_CAP:
-                self.counts[canonical] = self.counts.get(canonical, 0) + 1
 
     def finish(self, key: str) -> KeyStats:
-        top = tuple(
-            sorted(
-                self.counts.items(), key=lambda pair: (-pair[1], repr(pair[0]))
-            )[:_TOP_VALUES]
-        )
         return KeyStats(
             key=key,
             count=self.count,
@@ -311,7 +295,6 @@ class _KeyAccumulator:
             avg_array_len=(
                 self.array_members / self.arrays if self.arrays else 0.0
             ),
-            top=top,
         )
 
 

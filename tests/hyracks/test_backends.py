@@ -327,7 +327,7 @@ class TestResolution:
 
     def test_backend_instances_are_context_managers(self):
         with ProcessBackend(max_workers=1) as backend:
-            assert backend.run_units([]) is not None
+            assert backend.run_units([], []) is not None
 
     def test_stable_bucket_is_deterministic(self):
         assert stable_bucket(("a", 1), 4) == stable_bucket(("a", 1), 4)
@@ -413,7 +413,7 @@ class TestDistribution:
             for partition in range(partitions)
         ]
         with ProcessBackend(max_workers=2) as backend:
-            outcomes = list(backend.run_units(units))
+            outcomes = list(backend.run_units(units, []))
         assert [o.partition for o in outcomes] == list(range(partitions))
         for outcome in outcomes:
             assert outcome.error is None and not outcome.skipped
@@ -588,12 +588,6 @@ class TestParcelsThroughTheExchange:
             assert len(opens) == partitions * (1 + partitions)
 
 
-STATIONS = [{"station": f"s{i % 30}", "name": f"n{i}"} for i in range(599)] + [
-    {"station": "HOT", "name": "hub"}
-]
-READINGS = [{"station": "HOT", "value": i} for i in range(1200)] + [
-    {"station": f"s{i % 30}", "value": i} for i in range(800)
-]
 # Keys that unify (2 and 2.0), that never do (true, "2"), null, and none.
 HOLES_A = (
     [{"k": i % 7, "v": i} for i in range(60)]
@@ -619,12 +613,6 @@ def rows_source(collections, partitions):
 
 KEYED_JOINS = {
     "broadcast-left": (broadcast_source, BROADCAST_QUERY, "broadcast-left"),
-    "skew": (
-        lambda: rows_source({"/stations": STATIONS, "/readings": READINGS}, 2),
-        'for $s in collection("/stations")() for $r in collection("/readings")() '
-        'where $s("station") eq $r("station") return $r("value")',
-        "skew=1",
-    ),
     "missing-and-null": (
         lambda: rows_source({"/a": HOLES_A, "/b": HOLES_B}, 4),
         'for $a in collection("/a")() for $b in collection("/b")() '
@@ -649,13 +637,6 @@ PARENT_VALUES = {
         "counters": {"build_tuples": 5, "frames_emitted": 5, "probe_tuples": 120},
         "left_buckets": [5, 5, 5, 5],
         "right_buckets": [30, 30, 30, 30],
-    },
-    "skew": {
-        "exchange": (19775, 13167817),
-        "peak_memory_bytes": 127499,
-        "counters": {"build_tuples": 600, "frames_emitted": 405, "probe_tuples": 2000},
-        "left_buckets": [281, 320],
-        "right_buckets": [974, 1026],
     },
     "missing-and-null": {
         "exchange": (697, 388207),

@@ -1,5 +1,5 @@
 """Worker-loss recovery: crash rescheduling, the degradation ladder,
-straggler speculation, and error plumbing."""
+slow workers waited for, and error plumbing."""
 
 import json
 import os
@@ -22,8 +22,7 @@ from repro import (
     ResilienceConfig,
     WorkerCrashError,
 )
-from repro.hyracks.backends import PipelinedWork, WorkUnit
-from repro.hyracks.recovery import cut_runs, run_units_with_recovery
+from repro.hyracks.recovery import cut_runs
 
 BACKEND_NAMES = ["sequential", "process"]
 
@@ -61,17 +60,6 @@ def run_backend(backend, query=QUERY, plan=None, config=None, **kwargs):
     )
     with processor:
         return processor.execute(query)
-
-
-def speculation_policy(**overrides) -> RecoveryPolicy:
-    defaults = dict(
-        speculative_floor_seconds=0.1,
-        speculative_multiplier=2.0,
-        min_speculation_samples=2,
-        watchdog_interval_seconds=0.02,
-    )
-    defaults.update(overrides)
-    return RecoveryPolicy(**defaults)
 
 
 class TestCrashRecovery:
@@ -276,44 +264,21 @@ class TestRunGranularity:
         assert accounting(result) == accounting(baseline)
         assert result.degradation.ladder_steps == []
 
-    def test_a_stalled_run_earns_twins_for_its_unresolved_units_only(self):
-        """Runs [0, 1] and [2, 3]; partition 1 stalls.  The second run
-        resolves, the first overstays, and twins go out for 0 and 1
-        (neither is in ``results``: a run reports when it ends)."""
-        source = FaultPlan().stall_partition(1, seconds=1.0).wrap(make_source())
-        config = ResilienceConfig(recovery=speculation_policy())
-        plan = JsonProcessor(source=source).compile(QUERY).plan
-        units = [
-            WorkUnit(
-                plan=plan,
-                partition=partition,
-                work=PipelinedWork(plan),
-                source=source,
-                functions=None,
-                memory_budget=None,
-                resilience=config,
-            )
-            for partition in range(PARTITIONS)
-        ]
-        events: list = []
-        with ProcessBackend(max_workers=2) as backend:
-            outcomes = run_units_with_recovery(units, backend, events)
-        assert [
-            value for outcome in outcomes for value in outcome.value
-        ] == run_backend("sequential").items
-        launched = [e.partition for e in events if e.kind == "speculative_launch"]
-        assert launched and set(launched) <= {0, 1}
-        assert len(launched) == len(set(launched))
-        won = [e.partition for e in events if e.kind == "speculative_win"]
-        assert set(won) <= set(launched)
-        # and nothing of it reaches the degradation report
-        result = run_backend(
-            "process",
-            plan=FaultPlan().stall_partition(1, seconds=1.0),
-            config=config,
+    def test_a_stalled_unit_runs_once(self, tmp_path):
+        """Runs [0, 1] and [2, 3]; partition 3 stalls for a second and a
+        half.  No worker died, so the stall is waited for: every unit's
+        work runs exactly once, and the answer is sequential's."""
+        source = CountingSource(make_source(), str(tmp_path))
+        processor = JsonProcessor(
+            source=FaultPlan().stall_partition(3, seconds=1.5).wrap(source),
+            backend="process",
             max_workers=2,
         )
-        assert result.stats.speculative_launched >= 1
+        with processor:
+            result = processor.execute(QUERY)
+        assert result.items == run_backend("sequential").items
+        assert source.scans() == {partition: 1 for partition in range(PARTITIONS)}
+        assert result.stats.worker_crashes == result.stats.pool_rebuilds == 0
         assert not result.degradation.is_degraded
 
 
@@ -336,7 +301,7 @@ class TestDegradationLadder:
         for partition, attempt in kills:
             plan.kill_worker(partition, attempt=attempt)
         config = ResilienceConfig(
-            recovery=RecoveryPolicy(max_losses_per_tier=1, speculate=False)
+            recovery=RecoveryPolicy(max_losses_per_tier=1)
         )
         baseline = run_backend("sequential")
         result = run_backend(
@@ -357,38 +322,11 @@ class TestDegradationLadder:
     def test_sequential_has_no_ladder(self):
         plan = FaultPlan().kill_worker(0, attempt=1).kill_worker(1, attempt=1)
         config = ResilienceConfig(
-            recovery=RecoveryPolicy(max_losses_per_tier=0, speculate=False)
+            recovery=RecoveryPolicy(max_losses_per_tier=0)
         )
         result = run_backend("sequential", plan=plan, config=config)
         assert result.degradation.ladder_steps == []
         assert len(result.degradation.worker_losses) == 2
-
-
-class TestSpeculation:
-    def test_straggler_earns_a_speculative_twin(self):
-        plan = FaultPlan().stall_partition(3, seconds=1.0)
-        config = ResilienceConfig(recovery=speculation_policy())
-        baseline = run_backend("sequential")
-        result = run_backend("process", plan=plan, config=config, max_workers=2)
-        assert result.items == baseline.items
-        assert result.stats.speculative_launched >= 1
-        # Speculation never shows up on the degradation report: it is
-        # timing-dependent, and the report must stay byte-identical.
-        assert not result.degradation.is_degraded
-
-    def test_speculate_disabled(self):
-        plan = FaultPlan().stall_partition(3, seconds=0.3)
-        config = ResilienceConfig(
-            recovery=speculation_policy(speculate=False)
-        )
-        baseline = run_backend("sequential")
-        result = run_backend("process", plan=plan, config=config, max_workers=2)
-        assert result.items == baseline.items
-        assert result.stats.speculative_launched == 0
-
-    def test_policy_rejects_unknown_clock(self):
-        with pytest.raises(ValueError, match="clock"):
-            RecoveryPolicy(clock="sundial")
 
 
 class TestErrorPlumbing:

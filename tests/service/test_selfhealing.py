@@ -631,11 +631,11 @@ def test_backend_replaced_after_consecutive_backend_errors(monkeypatch):
     left = [3]
     run_units = SequentialBackend.run_units
 
-    def flaky(self, units):
+    def flaky(self, units, events):
         if left[0]:
             left[0] -= 1
             raise BackendError("injected backend failure")
-        return run_units(self, units)
+        return run_units(self, units, events)
 
     monkeypatch.setattr(SequentialBackend, "run_units", flaky)
     with QueryService(
@@ -672,11 +672,11 @@ def test_failed_backend_replacement_still_finishes_the_request(
     run_units = SequentialBackend.run_units
     backend_failures = [1]
 
-    def flaky(self, units):
+    def flaky(self, units, events):
         if backend_failures[0]:
             backend_failures[0] -= 1
             raise BackendError("injected backend failure")
-        return run_units(self, units)
+        return run_units(self, units, events)
 
     monkeypatch.setattr(SequentialBackend, "run_units", flaky)
     service = QueryService(

@@ -80,11 +80,11 @@ class ServiceMachine(RuleBasedStateMachine):
         machine = self
 
         class FlakyBackend(SequentialBackend):
-            def run_units(self, units):
+            def run_units(self, units, events):
                 if machine.backend_failures:
                     machine.backend_failures -= 1
                     raise BackendError("injected backend failure")
-                return super().run_units(units)
+                return super().run_units(units, events)
 
         def resolve(name=None, max_workers=None):
             if machine.failed_builds:

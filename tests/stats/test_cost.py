@@ -1,10 +1,9 @@
 """Tests for the cost-based join planning phase.
 
-Each decision — build-side choice, broadcast exchange, skew splitting,
-join ordering — is exercised through a real ``JsonProcessor`` over
-sampled in-memory data, asserting both the plan annotation (via
-``explain``) and that results stay canonically equal with the cost
-phase off.  Also covers ``REPRO_COST`` resolution, determinism, and
+Each decision — build-side choice, broadcast exchange, join ordering —
+is exercised through a real ``JsonProcessor`` over sampled in-memory
+data, asserting both the plan annotation (via ``explain``) and that
+results stay canonically equal with the cost phase off.  Also covers ``REPRO_COST`` resolution, determinism, and
 the inert cases (no stats, unknown collection, cost disabled).
 """
 
@@ -16,7 +15,6 @@ import pytest
 from repro import JsonProcessor
 from repro.algebra.rules import RewriteConfig
 from repro.data.catalog import InMemorySource
-from repro.jsonlib.items import canonical_atomic
 from repro.stats.cost import COST_ENV_VAR, resolve_cost_enabled
 
 
@@ -158,25 +156,7 @@ SKEW_JOIN = (
 
 
 class TestSkew:
-    def test_hot_key_is_split(self):
-        explain = processor(
-            {"/stations": STATIONS, "/readings": READINGS}, partitions=2
-        ).explain(SKEW_JOIN, show_trace=True)
-        assert "skew=1" in explain
-        assert "CostSkewSplit" in explain
-
-    def test_skew_keys_are_canonical_join_keys(self):
-        proc = processor({"/stations": STATIONS, "/readings": READINGS})
-        compiled = proc.compile(SKEW_JOIN)
-        joins = [
-            op
-            for op in _walk(compiled.plan.root)
-            if type(op).__name__ == "Join"
-        ]
-        (join,) = joins
-        # One hot key; its shape matches join_key's output exactly: a
-        # tuple of key components, each a canonical-key tuple.
-        assert join.skew_keys == (((canonical_atomic("HOT"),),),)
+    """A hot join key hashes to one bucket like every other key."""
 
     def test_results_match_cost_off(self):
         data = {"/stations": STATIONS, "/readings": READINGS}
@@ -263,9 +243,3 @@ class TestDeterminismAndInertCases:
         )
         off = processor({"/tiny": TINY, "/big": BIG}, cost=False)
         assert off.compile(TINY_BIG_JOIN).stats_fingerprint is None
-
-
-def _walk(op):
-    yield op
-    for child in op.inputs:
-        yield from _walk(child)

@@ -133,7 +133,7 @@ class TestPinnedFingerprint:
         assert [p.sampled_documents for p in stats.partitions] == [3, 1]
         assert stats.key("id").count == 3
         assert source.stats_snapshot().fingerprint() == (
-            "8e7c8d5ebbdf46fd7a3623b343e32a22886917fa"
+            "9b1c2875eb38e651b96e9032559a1314e017452d"
         )
 
 
@@ -150,13 +150,6 @@ class TestSampling:
         tags = stats.key("tags")
         assert tags.arrays == 30
         assert tags.avg_array_len == 2.0
-
-    def test_top_values_most_common_first(self):
-        rows = [{"s": "HOT"}] * 20 + [{"s": f"c{i}"} for i in range(5)]
-        stats = rows_source({"/x": rows}).collection_stats("/x")
-        top = stats.key("s").top
-        assert top[0] == (("str", "HOT"), 20)
-        assert all(count <= 20 for _, count in top)
 
     def test_extrapolation_from_prefix(self):
         texts = [json.dumps({"k": i}) for i in range(100)]

@@ -2,7 +2,8 @@
 """Benchmark the cost-based join planner against the un-costed plans.
 
 Builds three synthetic join workloads — a tiny-dimension broadcast
-candidate, a hot-key skew candidate, and a three-way join chain written
+candidate, a hot-key join (its hot key hashes to one bucket like every
+other key; the smaller side builds), and a three-way join chain written
 worst-first — and runs each with cost-based planning on and off across
 the configured backends.  Every cost-on run's items are checked
 canonically equal to the cost-off run's before anything is reported —
@@ -32,7 +33,7 @@ from repro import JsonProcessor
 from repro.data.catalog import InMemorySource
 from repro.hyracks.backends import BACKENDS
 
-ANNOTATION = re.compile(r"\[(?:build|exchange|skew)[^]]*\]")
+ANNOTATION = re.compile(r"\[(?:build|exchange)[^]]*\]")
 
 
 def scenarios(scale: int) -> dict:
@@ -56,13 +57,13 @@ def scenarios(scale: int) -> dict:
             'return {"label": $d("label"), "v": $f("v")}',
             "exchange=broadcast",
         ),
-        "skew": (
+        "hot-key": (
             data,
             'for $s in collection("/stations")() '
             'for $f in collection("/fact")() '
             'where $s("station") eq $f("station") '
             'return $f("v")',
-            "skew=",
+            "build=left",
         ),
         "join-order": (
             data,

@@ -6,8 +6,9 @@ under the process backend), stalled partitions, and combinations with
 transient partition failures — across the paper-shaped query set on
 every backend, and asserts every disturbed run's result is
 byte-identical to an undisturbed sequential baseline.  This is the CI
-gate that worker-loss recovery, the degradation ladder, and straggler
-speculation are semantics-preserving.
+gate that worker-loss recovery and the degradation ladder are
+semantics-preserving, and that a slow partition (waited for, never
+duplicated) still answers byte-identically.
 
 Writes ``BENCH_chaos.json`` and exits nonzero on any mismatch.
 
@@ -106,16 +107,9 @@ def schedule_kill_twice():
 
 
 def schedule_stall():
-    """One straggling partition; speculation may duplicate it."""
+    """One straggling partition, waited for."""
     plan = FaultPlan().stall_partition(3, seconds=0.4)
-    config = ResilienceConfig(
-        recovery=RecoveryPolicy(
-            speculative_floor_seconds=0.1,
-            speculative_multiplier=2.0,
-            watchdog_interval_seconds=0.02,
-        )
-    )
-    return plan, config
+    return plan, ResilienceConfig()
 
 
 def schedule_kill_and_stall():
@@ -125,14 +119,7 @@ def schedule_kill_and_stall():
         .kill_worker(0, attempt=1)
         .stall_partition(2, seconds=0.3)
     )
-    config = ResilienceConfig(
-        recovery=RecoveryPolicy(
-            speculative_floor_seconds=0.1,
-            speculative_multiplier=2.0,
-            watchdog_interval_seconds=0.02,
-        )
-    )
-    return plan, config
+    return plan, ResilienceConfig()
 
 
 def schedule_cascade():
@@ -159,7 +146,7 @@ def schedule_ladder():
         .kill_worker(2, attempt=1)
     )
     config = ResilienceConfig(
-        recovery=RecoveryPolicy(max_losses_per_tier=1, speculate=False)
+        recovery=RecoveryPolicy(max_losses_per_tier=1)
     )
     return plan, config
 
@@ -249,7 +236,6 @@ def main(argv: list[str] | None = None) -> int:
                     worker_crashes=result.stats.worker_crashes,
                     pool_rebuilds=result.stats.pool_rebuilds,
                     ladder_steps=result.stats.ladder_steps,
-                    speculative_launched=result.stats.speculative_launched,
                     worker_losses=len(result.degradation.worker_losses),
                 )
                 if not ok:
@@ -265,8 +251,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(
                         f"OK   {schedule_name}/{query_name}/{backend}: "
                         f"crashes={cell['worker_crashes']} "
-                        f"ladder={cell['ladder_steps']} "
-                        f"speculated={cell['speculative_launched']}"
+                        f"ladder={cell['ladder_steps']}"
                     )
                 cells.append(cell)
 

@@ -25,8 +25,8 @@ payload.  Exits non-zero on any mismatch.
 schedules replayed twice with ``max_workers=1`` (serialized pool
 execution makes crash batches — and therefore worker-loss event order —
 deterministic), diffing items, the degradation report, the accounting,
-and the deterministic recovery counters.  Timing-dependent counters
-(speculation, pool rebuilds) are excluded from the payload.
+and the deterministic recovery counters.  Pool rebuilds, a
+timing-dependent counter, are excluded from the payload.
 
 Usage::
 
@@ -229,14 +229,7 @@ def chaos_kill_and_stall(seed: int):
     plan = FaultPlan(seed=seed)
     plan.kill_worker(1, attempt=1)
     plan.stall_partition(3, seconds=0.2)
-    config = ResilienceConfig(
-        recovery=RecoveryPolicy(
-            speculative_floor_seconds=0.05,
-            speculative_multiplier=2.0,
-            watchdog_interval_seconds=0.02,
-        )
-    )
-    return make_source("fail"), plan, config, COUNT_QUERY
+    return make_source("fail"), plan, ResilienceConfig(), COUNT_QUERY
 
 
 def chaos_kill_ladder(seed: int):
@@ -244,7 +237,7 @@ def chaos_kill_ladder(seed: int):
     for partition in (0, 1, 2):
         plan.kill_worker(partition, attempt=1)
     config = ResilienceConfig(
-        recovery=RecoveryPolicy(max_losses_per_tier=1, speculate=False)
+        recovery=RecoveryPolicy(max_losses_per_tier=1)
     )
     return make_source("fail"), plan, config, QUERY
 

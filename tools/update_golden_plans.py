@@ -14,7 +14,7 @@ phase: every query is compiled under the ``all`` config against the
 deterministic :func:`demo_snapshot` statistics.  For the paper queries
 (symmetric self-joins over one collection) the cost phase must leave
 the plan untouched; the ``QJ*`` demo joins pin each cost decision —
-broadcast exchange, skew splitting, and join reordering.
+broadcast exchange and join reordering — and that a hot key takes none.
 
 Usage::
 
@@ -50,8 +50,9 @@ COST_DEMO_QUERIES = {
         'where $d("k") eq $f("k") '
         'return {"label": $d("label"), "v": $f("v")}'
     ),
-    # Self-join on a column where one value carries half the rows:
-    # the hot key's exchange bucket is split.
+    # Self-join on a column where one value carries half the rows: the
+    # hot key hashes to one bucket like every other key, so the plan is
+    # the un-costed one.
     "QJskew": (
         'for $a in collection("/fact")() '
         'for $b in collection("/fact")() '
