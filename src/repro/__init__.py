@@ -36,7 +36,6 @@ from repro.data.generator import SensorDataConfig, write_sensor_collection
 from repro.errors import (
     AdmissionError,
     BackendError,
-    CacheIOError,
     ProcessorClosedError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -81,7 +80,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AdmissionError",
     "BackendError",
-    "CacheIOError",
     "CancellationToken",
     "ClusterSpec",
     "CollectionCatalog",

@@ -499,10 +499,6 @@ class GroupBy(Operator):
 #: valid build-side annotations (which input a hash join materializes).
 JOIN_BUILD_SIDES = ("right", "left")
 
-#: valid exchange annotations: hash-partition both sides, or replicate
-#: one tiny side to every partition instead.
-JOIN_EXCHANGES = ("hash", "broadcast-left", "broadcast-right")
-
 
 class Join(Operator):
     """Binary join; a condition of literal ``true`` is a cross product.
@@ -512,13 +508,12 @@ class Join(Operator):
     the condition, and the physical layer picks a hash join for
     equi-conditions.
 
-    ``build_side`` and ``exchange`` are physical annotations set by the
-    cost phase (:mod:`repro.stats.cost`) and honored by the executor;
-    the defaults reproduce the un-costed behavior exactly (build on the
-    right, hash-partition both sides).
+    ``build_side`` is the one physical annotation, set by the cost phase
+    (:mod:`repro.stats.cost`) and honored by the executor; the default
+    reproduces the un-costed behavior exactly (build on the right).
     """
 
-    __slots__ = ("left", "right", "condition", "build_side", "exchange")
+    __slots__ = ("left", "right", "condition", "build_side")
     name = "JOIN"
 
     def __init__(
@@ -527,17 +522,13 @@ class Join(Operator):
         right: Operator,
         condition: Expression,
         build_side: str = "right",
-        exchange: str = "hash",
     ):
         if build_side not in JOIN_BUILD_SIDES:
             raise PlanError(f"unknown join build side {build_side!r}")
-        if exchange not in JOIN_EXCHANGES:
-            raise PlanError(f"unknown join exchange {exchange!r}")
         self.left = left
         self.right = right
         self.condition = condition
         self.build_side = build_side
-        self.exchange = exchange
 
     @property
     def inputs(self):
@@ -545,56 +536,23 @@ class Join(Operator):
 
     def with_inputs(self, inputs):
         left, right = inputs
-        return Join(
-            left, right, self.condition,
-            self.build_side, self.exchange,
-        )
+        return Join(left, right, self.condition, self.build_side)
 
     def used_expressions(self):
         return (self.condition,)
 
     def with_expressions(self, expressions):
         (condition,) = expressions
-        return Join(
-            self.left, self.right, condition,
-            self.build_side, self.exchange,
-        )
-
-    def with_physical(
-        self,
-        build_side: str | None = None,
-        exchange: str | None = None,
-    ) -> "Join":
-        """Rebuild with new physical annotations (None leaves one as-is)."""
-        return Join(
-            self.left,
-            self.right,
-            self.condition,
-            self.build_side if build_side is None else build_side,
-            self.exchange if exchange is None else exchange,
-        )
-
-    @property
-    def annotated(self) -> bool:
-        """True when any physical annotation differs from the default."""
-        return self.build_side != "right" or self.exchange != "hash"
+        return Join(self.left, self.right, condition, self.build_side)
 
     def signature(self):
         base = f"JOIN( {self.condition.to_string()} )"
-        if not self.annotated:
+        if self.build_side == "right":
             return base
-        parts = []
-        if self.build_side != "right":
-            parts.append(f"build={self.build_side}")
-        if self.exchange != "hash":
-            parts.append(f"exchange={self.exchange}")
-        return f"{base} [{' '.join(parts)}]"
+        return f"{base} [build={self.build_side}]"
 
     def _key(self):
-        return (
-            self.left, self.right, self.condition,
-            self.build_side, self.exchange,
-        )
+        return (self.left, self.right, self.condition, self.build_side)
 
 
 class Sort(Operator):

@@ -182,6 +182,14 @@ def _measurements(documents: list[Item]):
     return list(iter_measurements(documents))
 
 
+def _greater(value, threshold) -> bool:
+    """``value gt threshold`` for a record's value: () is false, and so
+    are null and anything not a number (incomparable)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return value > threshold
+
+
 def _template_path(rng, wrapped):
     key = rng.choice(["station", "date", "value"])
     query = (
@@ -238,17 +246,11 @@ def _template_predicate_gt(rng, wrapped):
     )
 
     def oracle(documents):
-        out = []
-        for m in _measurements(documents):
-            value = m.get("value", _ABSENT)
-            # () gt n is false; null gt n is false (incomparable).
-            if value is _ABSENT or value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            if value > threshold and "station" in m:
-                out.append(m["station"])
-        return out
+        return [
+            m["station"]
+            for m in _measurements(documents)
+            if _greater(m.get("value", _ABSENT), threshold) and "station" in m
+        ]
 
     return f"select-gt{threshold}", query, oracle
 
@@ -347,12 +349,15 @@ def _template_group_agg(rng, wrapped):
 
 
 def _template_join(rng, wrapped):
+    """Self-join on ``station``; the left side keeps only positive
+    values, so it estimates smaller and a costed plan builds on it."""
     left_type, right_type = rng.sample(_DATA_TYPES, 2)
     query = (
         f'for $a in collection("{COLLECTION}"){_scan_path(wrapped)} '
         f'for $b in collection("{COLLECTION}"){_scan_path(wrapped)} '
         f'where $a("station") eq $b("station") '
         f'and $a("dataType") eq "{left_type}" '
+        f'and $a("value") gt 0 '
         f'and $b("dataType") eq "{right_type}" '
         'return $b("value")'
     )
@@ -364,7 +369,9 @@ def _template_join(rng, wrapped):
         left_stations = [
             canonical_item(m["station"])
             for m in measurements
-            if m.get("dataType", _ABSENT) == left_type and "station" in m
+            if m.get("dataType", _ABSENT) == left_type
+            and "station" in m
+            and _greater(m.get("value", _ABSENT), 0)
         ]
         out = []
         for b in measurements:

@@ -20,11 +20,10 @@ Runs each query through the full matrix of
 - injected worker crashes (a :class:`~repro.resilience.faults.FaultPlan`
   kill schedule that forces the worker-loss recovery path, paper
   queries only),
-- cost-based planning on/off (cost planning only re-shapes the
-  physical join — build side, exchange, join order — so the
-  answer must be identical with it disabled; paper queries get
-  explicit cost-off cells on every backend plus spill/crash variants,
-  generated cases a rotating cost-off cell),
+- cost-based planning on/off (cost planning only picks a hash join's
+  build side, so the answer must be identical with it disabled; paper
+  queries get explicit cost-off cells on every backend plus
+  spill/crash variants, generated cases a rotating cost-off cell),
 
 and asserts that every cell's result is canonically equal to an
 independent oracle.  The rule toggles are also the axis that pins the

@@ -200,30 +200,6 @@ class SpillError(_PickleByInitArgs, RuntimeExecutionError):
         super().__init__(message)
 
 
-class CacheIOError(_PickleByInitArgs, RuntimeExecutionError):
-    """A segment-cache read or write hit an I/O failure (ENOSPC, EIO).
-
-    The cache layer itself degrades on I/O errors (a failed store is
-    skipped, a failed load is a miss, repeated failures turn the cache
-    off for the rest of the process) — this class exists so the *event*
-    travels as a structured, picklable error object in degradation
-    reports and retry classification rather than a raw :class:`OSError`.
-    Retryable: the cache is an accelerator, so a fresh execution that
-    bypasses (or repairs) the cache can succeed.
-    """
-
-    retryable = True
-
-    def __init__(self, operation: str, path: str, detail: str):
-        self._init_args = (operation, path, detail)
-        super().__init__(
-            f"segment cache {operation} failed for {path!r}: {detail}"
-        )
-        self.operation = operation
-        self.path = path
-        self.detail = detail
-
-
 class SlotFailureError(_PickleByInitArgs, RuntimeExecutionError):
     """A service slot worker died while holding a request.
 

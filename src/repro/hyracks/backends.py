@@ -212,9 +212,9 @@ class ExchangeWork:
     input, then to the right, and every input's bucket order, counters
     and errors stay what reading it on its own gives.
 
-    Returns each bucket's share (one :class:`Parcel` holding this
-    partition's ``(left, right)`` for it, a side being its rows, their
-    keys and their sizes), the exchanged tuple and byte counts, and,
+    Returns one :class:`Parcel` per bucket (this partition's share of
+    it, opening to ``(left, right)``, a side being its rows, their keys
+    and their sizes), the exchanged tuple and byte counts, and,
     when profiled, each shipped tuple's size per side and bucket (the
     coordinator's ``frames_emitted`` and bucket details).
     """
@@ -255,65 +255,10 @@ class ExchangeWork:
                     for r, k in zip(side_rows, side_keys)
                 ]
             )
-        parts = [[Parcel(share)] for share in zip(*shares)]
+        parcels = [Parcel(share) for share in zip(*shares)]
         profiled = ctx.profile is not None  # the coordinator's packing
         sizes = [[share[2] for share in side] for side in shares] if profiled else []
-        return parts, exchanged_tuples, exchanged_bytes, sizes
-
-
-@dataclass(frozen=True)
-class BroadcastScanWork:
-    """Join phase 1 (broadcast exchange): no hash partitioning at all.
-
-    The partition's tuples of the *local* (big) side stay where they
-    were scanned — bucket index = partition index, zero exchange cost —
-    while the *broadcast* (tiny) side's tuples go to every bucket.
-    Both sides keep their keys; empty-key tuples are dropped on both,
-    exactly like the hash exchange, so results are byte-identical with
-    ``exchange="hash"``.  Both inputs come from
-    :func:`~repro.hyracks.operators.keyed_inputs`, one read for a
-    self-join, as in :class:`ExchangeWork`.
-
-    Returns what :class:`ExchangeWork` returns, a bucket's share being a
-    list of parcels: one parcel holds the broadcast side and is handed
-    to every bucket (pickled once, however many reference it), one holds
-    the local side and goes to this partition's own bucket; each opens
-    to a ``(left, right)`` pair with one side empty.
-    """
-
-    join: Join
-    left_keys: tuple
-    right_keys: tuple
-    buckets: int
-
-    def __call__(self, ctx: EvaluationContext):
-        kept = ([], []), ([], [])  # per side: rows, keys
-        for side, pairs in keyed_inputs(
-            self.join, self.left_keys, self.right_keys, ctx
-        ):
-            rows, keys = kept[side]
-            for key, tup in pairs:
-                rows.append(tup)
-                keys.append(key)
-        # the left side's share, then the right's
-        sides = [(rows, keys, sizeof_tuples(rows)) for rows, keys in kept]
-        nothing = ([], [], [])
-        parcels = Parcel((sides[0], nothing)), Parcel((nothing, sides[1]))
-        shared = 0 if self.join.exchange == "broadcast-left" else 1
-        parts = [[parcels[shared]] for _ in range(self.buckets)]
-        parts[ctx.partition].append(parcels[1 - shared])
-        weighed = sides[shared][2]
-        sizes = []
-        if ctx.profile is not None:
-            sizes = [[[] for _ in range(self.buckets)] for _side in sides]
-            sizes[shared] = [weighed] * self.buckets
-            sizes[1 - shared][ctx.partition] = sides[1 - shared][2]
-        return (
-            parts,
-            len(weighed) * self.buckets,
-            sum(weighed) * self.buckets,
-            sizes,
-        )
+        return parcels, exchanged_tuples, exchanged_bytes, sizes
 
 
 @dataclass(frozen=True)
@@ -321,20 +266,21 @@ class JoinBucketWork:
     """Join phase 2: join one bucket locally, optionally fold its
     partials table (as :class:`FoldPartialsWork` returns it).
 
-    ``parts`` are the bucket's parcels in partition order, each opening
-    to a ``(left, right)`` pair of shares; they are opened here, in the
-    worker, and each side is their rows chained and zipped back with
-    their keys, the build side charged the sizes that came with it.
+    ``parcels`` are the bucket's shares, one from each partition in
+    partition order, each opening to a ``(left, right)`` pair; they are
+    opened here, in the worker, and each side is their rows chained and
+    zipped back with their keys, the build side charged the sizes that
+    came with it.
     """
 
-    parts: tuple
+    parcels: tuple
     residual: object
     mid_ops: tuple
     aggregate: Aggregate | None
     build_side: str = "right"
 
     def __call__(self, ctx: EvaluationContext):
-        shares = [part.open() for part in self.parts]
+        shares = [parcel.open() for parcel in self.parcels]
 
         def column(side, field):
             return chain.from_iterable(share[side][field] for share in shares)

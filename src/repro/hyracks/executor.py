@@ -78,7 +78,6 @@ from repro.algebra.operators import (
 from repro.algebra.plan import LogicalPlan, read_set
 from repro.hyracks.aggregates import GroupStates
 from repro.hyracks.backends import (
-    BroadcastScanWork,
     ExchangeWork,
     FoldPartialsWork,
     GroupTableWork,
@@ -714,37 +713,27 @@ class PartitionedExecutor:
         result.strategy = "hash-join"
         stats = result.stats
         buckets = partitions
-        # The coordinator moves sealed parcels and opens none: parts[b]
-        # is what bucket b's join opens, in partition order.  sizes[side]
-        # [b] lists that side of the bucket's tuple sizes (profiled runs
-        # only; the workers weigh every exchanged tuple anyway).  A
-        # broadcast exchange keeps the big side in its scan partition
-        # (bucket = partition index, zero shipping) and hands every
-        # bucket the tiny side.
-        parts: list[list] = [[] for _ in range(buckets)]
+        # The coordinator moves sealed parcels and opens none: parcels[b]
+        # is what bucket b's join opens, one parcel per partition in
+        # partition order.  sizes[side][b] lists that side of the
+        # bucket's tuple sizes (profiled runs only; the workers weigh
+        # every exchanged tuple anyway).
+        parcels: list[list] = [[] for _ in range(buckets)]
         sizes = [[[] for _ in range(buckets)] for _side in range(2)]
-        broadcast = join.exchange in ("broadcast-left", "broadcast-right")
-        exchange = (BroadcastScanWork if broadcast else ExchangeWork)(
-            join, tuple(left_keys), tuple(right_keys), buckets
-        )
+        exchange = ExchangeWork(join, tuple(left_keys), tuple(right_keys), buckets)
         for outcome in self._map(plan, [exchange] * partitions, result):
             shipped, n_tuples, n_bytes, weighed = outcome.value
-            for bucket_parts, share in zip(parts, shipped):
-                bucket_parts.extend(share)
+            for bucket_parcels, parcel in zip(parcels, shipped):
+                bucket_parcels.append(parcel)
             for side, side_weighed in zip(sizes, weighed):
                 for bucket_sizes, chunk in zip(side, side_weighed):
                     bucket_sizes.extend(chunk)
             stats.exchange_tuples += n_tuples
             stats.exchange_bytes += n_bytes
         if self._profile is not None:
-            if join.annotated:
+            if join.build_side != "right":
                 self._profile.set_detail(
-                    join,
-                    "physical",
-                    {
-                        "build_side": join.build_side,
-                        "exchange": join.exchange,
-                    },
+                    join, "physical", {"build_side": join.build_side}
                 )
             for detail, side in zip(("left_buckets", "right_buckets"), sizes):
                 self._profile.set_detail(join, detail, list(map(len, side)))
@@ -756,13 +745,13 @@ class PartitionedExecutor:
             plan,
             [
                 JoinBucketWork(
-                    tuple(bucket_parts),
+                    tuple(bucket_parcels),
                     residual,
                     tuple(mid_ops),
                     aggregate if use_two_step else None,
                     build_side=join.build_side,
                 )
-                for bucket_parts in parts
+                for bucket_parcels in parcels
             ],
             result,
             charge_delay=False,

@@ -119,11 +119,12 @@ class JsonProcessor:
     cost:
         Cost-based join planning: when on and the source samples
         statistics (``stats_snapshot``), compilation runs the cost phase
-        (:func:`repro.stats.cost.apply_cost_planning`) — build-side
-        choice, join ordering, broadcast exchange.
+        (:func:`repro.stats.cost.apply_cost_planning`), which builds
+        each hash join on its estimated-smaller input.
         ``None`` consults the ``REPRO_COST`` environment variable (unset
-        means on).  Purely a physical-plan decision: results are
-        byte-identical with cost planning on or off.
+        means on).  Purely a physical-plan decision: results are the
+        same multiset with cost planning on or off (building on the
+        other side may change their order).
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """Long-lived multi-tenant query service (see :mod:`.service`)."""
 
 from repro.compiler.pipeline import PlanCache
-from repro.errors import AdmissionError, CacheIOError, SlotFailureError
+from repro.errors import AdmissionError, SlotFailureError
 from repro.service.admission import TenantQuota
 from repro.service.events import QueryRetryEvent, SlotRestartEvent
 from repro.service.result_cache import (
@@ -13,7 +13,6 @@ from repro.service.service import QueryService, QueryTicket, ServiceResponse
 
 __all__ = [
     "AdmissionError",
-    "CacheIOError",
     "CachedResult",
     "PlanCache",
     "QueryRetryEvent",

@@ -2,9 +2,9 @@
 
 ``sampling`` builds :class:`CollectionStats` snapshots from a bounded
 prefix of each partition at registration time; ``cost`` consumes a
-:class:`StatsSnapshot` to pick hash-join build sides, order multi-join
-graphs, and switch tiny-side exchanges to broadcast.  Both halves are deterministic given the snapshot, so
-plans (and therefore results) are reproducible across backends.
+:class:`StatsSnapshot` to pick each hash join's build side.  Both halves
+are deterministic given the snapshot, so plans (and therefore results)
+are reproducible across backends.
 """
 
 from repro.stats.sampling import (

@@ -1,38 +1,27 @@
-"""Cost-based join planning over a sampled :class:`StatsSnapshot`.
+"""Cost-based build-side choice over a sampled :class:`StatsSnapshot`.
 
 The rewrite fixpoint is purely structural: it never looks at the data,
-so hash joins always build on the right and every join exchanges both
-sides.  This module adds the
-data-dependent phase that runs *after* the fixpoint when statistics are
-available:
+so hash joins always build on the right.  This module adds the one
+data-dependent decision, run *after* the fixpoint when statistics are
+available: the estimated-smaller input of each hash join becomes its
+build side (``Join.build_side``).
 
-* **Join ordering** — multi-join graphs are re-associated left-deep,
-  greedily joining the smallest connected inputs first.
-* **Build-side choice** — the estimated-smaller input becomes the hash
-  build side (``Join.build_side``).
-* **Broadcast exchange** — when one side is tiny and the other is much
-  larger, the tiny side is replicated to every partition instead of
-  hash-exchanging both sides (``Join.exchange``).
+Joins run in the order of the query's ``for`` clauses, and every keyed
+join hash-partitions both sides, as in Hyracks' partitioned dataflow: a
+tiny side is exchanged like any other, and a hot join key hashes to
+one bucket like every other key.
 
-A hot join key hashes to one bucket like every other key: as in
-Hyracks' partitioned dataflow, there is no hot-key bucket splitting.
-
-Every decision is a plan-annotation (or a re-association of existing
-operators), recorded through the same :class:`RewriteAudit` as the
-rewrite rules, and deterministic given the snapshot: ties break on
-original operand order, candidate scans sort by name, and the sampled
-statistics themselves are positional.  The phase is advisory — with no
-snapshot (or ``REPRO_COST`` off) plans are byte-identical to today's.
+The decision is a plan annotation, recorded through the same
+:class:`RewriteAudit` as the rewrite rules, and deterministic given the
+snapshot: ties keep the default, candidate scans sort by name, and the
+sampled statistics themselves are positional.  The phase is advisory —
+with no snapshot (or ``REPRO_COST`` off) plans are byte-identical to
+the un-costed ones.
 """
 
 from __future__ import annotations
 
-from repro.algebra.expressions import (
-    AndExpr,
-    ComparisonExpr,
-    Expression,
-    PathStepExpr,
-)
+from repro.algebra.expressions import ComparisonExpr, Expression, PathStepExpr
 from repro.algebra.operators import (
     Aggregate,
     Assign,
@@ -45,7 +34,7 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.algebra.plan import LogicalPlan, read_set
-from repro.algebra.rules.base import conjuncts, subtree_variables
+from repro.algebra.rules.base import conjuncts
 from repro.jsonlib.path import KeysOrMembers, ValueByIndex, ValueByKey
 from repro.stats.sampling import CollectionStats, KeyStats, StatsSnapshot
 
@@ -60,12 +49,6 @@ DEFAULT_FANOUT = 4.0
 
 #: selectivity assumed for a predicate the model can't estimate.
 DEFAULT_SELECTIVITY = 0.5
-
-#: broadcast only sides estimated at most this many tuples ...
-BROADCAST_MAX_TUPLES = 512.0
-
-#: ... and only when the other side is at least this many times larger.
-BROADCAST_MIN_RATIO = 4.0
 
 #: swap the build side only on a clear win, not an estimation wobble.
 BUILD_SWAP_MARGIN = 0.9
@@ -96,10 +79,10 @@ def resolve_cost_enabled(explicit: bool | None = None) -> bool:
 class CostModel:
     """Cardinality estimates for logical operators from sampled stats.
 
-    Estimates are coarse — the consumers only ever *compare* two
-    estimates (which join input is smaller, is one side tiny) — but they
-    are deterministic functions of the snapshot, which is what the
-    byte-identity guarantees need.
+    Estimates are coarse — the one consumer only ever *compares* two
+    estimates (which join input is smaller) — but they are deterministic
+    functions of the snapshot, which is what the byte-identity
+    guarantees need.
     """
 
     def __init__(self, snapshot: StatsSnapshot):
@@ -282,208 +265,36 @@ def apply_cost_planning(
     audit=None,
     trace: list | None = None,
 ) -> LogicalPlan:
-    """Apply the cost-based decisions to *plan*, in a fixed order.
+    """Choose each hash join's build side from *snapshot*.
 
-    Runs join re-ordering, then build-side choice, then exchange
-    selection; each category that changes the plan is recorded as one
-    audit firing (``CostJoinOrder``, ``CostBuildSide``,
-    ``CostBroadcast``) and, when *trace* is given, appended as an
-    explain step.
+    A plan the choice changes is recorded as one ``CostBuildSide``
+    audit firing and, when *trace* is given, appended as an explain
+    step.
     """
     if snapshot is None or not snapshot:
         return plan
-    model = CostModel(snapshot)
-    for name, transform in (
-        ("CostJoinOrder", _order_joins),
-        ("CostBuildSide", _choose_build_sides),
-        ("CostBroadcast", _choose_exchanges),
-    ):
-        rewritten = transform(plan, model)
-        if rewritten is not plan:
-            if audit is not None:
-                audit.record(name, plan, rewritten)
-            if trace is not None:
-                trace.append((name, rewritten))
-            plan = rewritten
-    return plan
-
-
-def _transform_joins(plan: LogicalPlan, visit) -> LogicalPlan:
-    changed = False
-
-    def visitor(op: Operator) -> Operator:
-        nonlocal changed
-        if isinstance(op, Join):
-            replacement = visit(op)
-            if replacement is not None:
-                changed = True
-                return replacement
-        return op
-
-    rewritten = plan.transform_bottom_up(visitor)
-    return rewritten if changed else plan
-
-
-# -- build side --------------------------------------------------------
-
-
-def _hash_keys(join: Join):
     from repro.hyracks.operators import split_join_condition
 
-    return split_join_condition(join)
+    model = CostModel(snapshot)
+    changed = False
 
-
-def _choose_build_sides(plan: LogicalPlan, model: CostModel) -> LogicalPlan:
-    def visit(join: Join) -> Join | None:
-        left_keys, _, _ = _hash_keys(join)
-        if not left_keys:
-            return None  # nested-loop join: no build side to choose
-        left = model.cardinality(join.left)
-        right = model.cardinality(join.right)
+    def visit(op: Operator) -> Operator:
+        nonlocal changed
+        if not isinstance(op, Join) or not split_join_condition(op)[0]:
+            return op  # not a hash join: no build side to choose
+        left = model.cardinality(op.left)
+        right = model.cardinality(op.right)
         side = "left" if left < right * BUILD_SWAP_MARGIN else "right"
-        if side == join.build_side:
-            return None
-        return join.with_physical(build_side=side)
+        if side == op.build_side:
+            return op
+        changed = True
+        return Join(op.left, op.right, op.condition, side)
 
-    return _transform_joins(plan, visit)
-
-
-# -- exchange ----------------------------------------------------------
-
-
-def _choose_exchanges(plan: LogicalPlan, model: CostModel) -> LogicalPlan:
-    def visit(join: Join) -> Join | None:
-        left_keys, _, _ = _hash_keys(join)
-        if not left_keys:
-            return None
-        left = model.cardinality(join.left)
-        right = model.cardinality(join.right)
-        small, big = min(left, right), max(left, right)
-        if small > BROADCAST_MAX_TUPLES or big < small * BROADCAST_MIN_RATIO:
-            return None
-        exchange = "broadcast-left" if left <= right else "broadcast-right"
-        if exchange == join.exchange:
-            return None
-        # The broadcast side is replicated everywhere, so it is also
-        # the natural build side: keep the two decisions consistent.
-        build_side = "left" if exchange == "broadcast-left" else "right"
-        return join.with_physical(build_side=build_side, exchange=exchange)
-
-    return _transform_joins(plan, visit)
-
-
-# -- join ordering -----------------------------------------------------
-
-
-def _order_joins(plan: LogicalPlan, model: CostModel) -> LogicalPlan:
-    """Re-associate chains of >= 2 nested joins greedily by cardinality."""
-
-    def find_root(op: Operator, parent_is_join: bool, out: list) -> None:
-        is_join = isinstance(op, Join)
-        if is_join and not parent_is_join:
-            out.append(op)
-        for child in op.inputs:
-            find_root(child, is_join, out)
-
-    roots: list[Join] = []
-    find_root(plan.root, False, roots)
-    for root in roots:
-        reordered = _reorder_tree(root, model)
-        if reordered is not None:
-            from repro.algebra.rules.base import replace_operator
-
-            return replace_operator(plan, root, reordered)
-    return plan
-
-
-def _reorder_tree(root: Join, model: CostModel) -> Join | None:
-    leaves: list[Operator] = []
-    predicates: list[Expression] = []
-
-    def collect(op: Operator) -> None:
-        if isinstance(op, Join) and not op.annotated:
-            predicates.extend(
-                c
-                for c in conjuncts(op.condition)
-                if not _is_true_literal(c)
-            )
-            collect(op.left)
-            collect(op.right)
-        else:
-            leaves.append(op)
-
-    collect(root)
-    if len(leaves) < 3:
-        return None  # a 2-way join has no ordering freedom beyond build side
-
-    leaf_vars = [subtree_variables(leaf) for leaf in leaves]
-    all_vars = set().union(*leaf_vars)
-    for predicate in predicates:
-        if not predicate.free_variables() <= all_vars:
-            return None  # correlated condition: leave the tree alone
-
-    cards = [model.cardinality(leaf) for leaf in leaves]
-    order = _greedy_order(leaves, leaf_vars, cards, predicates)
-    if order is None or order == list(range(len(leaves))):
-        return None
-
-    # Rebuild left-deep in the chosen order, attaching each predicate to
-    # the first join where all its variables are bound.
-    remaining = list(predicates)
-    bound = set(leaf_vars[order[0]])
-    current: Operator = leaves[order[0]]
-    for position in order[1:]:
-        bound |= leaf_vars[position]
-        applicable = [
-            p for p in remaining if p.free_variables() <= bound
-        ]
-        remaining = [p for p in remaining if p not in applicable]
-        condition = _and_all(applicable)
-        current = Join(current, leaves[position], condition)
-    if remaining:
-        return None  # should be unreachable given the closure check above
-    return current if isinstance(current, Join) else None
-
-
-def _greedy_order(leaves, leaf_vars, cards, predicates) -> list[int] | None:
-    """Greedy smallest-connected-first order; None when disconnected."""
-    count = len(leaves)
-    start = min(range(count), key=lambda i: (cards[i], i))
-    order = [start]
-    bound = set(leaf_vars[start])
-    remaining = set(range(count)) - {start}
-    while remaining:
-        connected = [
-            i
-            for i in sorted(remaining)
-            if any(
-                p.free_variables() & bound
-                and p.free_variables() <= bound | leaf_vars[i]
-                for p in predicates
-            )
-        ]
-        if not connected:
-            # Re-ordering would introduce a cross product the original
-            # plan may not have had: abstain rather than risk a blowup.
-            return None
-        best = min(connected, key=lambda i: (cards[i], i))
-        order.append(best)
-        bound |= leaf_vars[best]
-        remaining.discard(best)
-    return order
-
-
-def _is_true_literal(expression: Expression) -> bool:
-    from repro.algebra.expressions import Literal
-
-    return isinstance(expression, Literal) and expression.sequence == [True]
-
-
-def _and_all(predicates: list[Expression]) -> Expression:
-    from repro.algebra.expressions import Literal
-
-    if not predicates:
-        return Literal([True])
-    if len(predicates) == 1:
-        return predicates[0]
-    return AndExpr(predicates)
+    rewritten = plan.transform_bottom_up(visit)
+    if not changed:
+        return plan
+    if audit is not None:
+        audit.record("CostBuildSide", plan, rewritten)
+    if trace is not None:
+        trace.append(("CostBuildSide", rewritten))
+    return rewritten

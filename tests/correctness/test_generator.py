@@ -159,3 +159,24 @@ def test_group_agg_template_takes_every_other_turn_of_the_group_slot():
                 kinds.add("error")
     assert functions == {"count", "sum", "avg", "min", "max"}
     assert kinds == {"value", "error"}
+
+
+def test_a_generated_join_meets_the_cost_phase():
+    """The join template filters its left side on one more conjunct, so
+    the two sides estimate apart and a costed plan builds on the left:
+    the harness's cost-off cells then compare two different plans."""
+    from repro import JsonProcessor
+    from repro.correctness.generator import COLLECTION
+    from repro.data.catalog import InMemorySource
+
+    built_left = 0
+    for case in generate_cases(0, 120):
+        if "-join-" not in case.name or "-join-pair-" in case.name:
+            continue
+        source = InMemorySource({COLLECTION: [list(p) for p in case.partitions]})
+        processor = JsonProcessor(source=source, cost=True)
+        if "[build=left]" in processor.explain(case.query_text):
+            built_left += 1
+            answer = processor.evaluate(case.query_text)
+            assert sorted(map(repr, answer)) == sorted(map(repr, case.expected()))
+    assert built_left

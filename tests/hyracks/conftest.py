@@ -5,7 +5,7 @@ import os
 import pytest
 
 import repro.hyracks.operators as physical
-from repro.hyracks.backends import BroadcastScanWork, ExchangeWork, JoinBucketWork
+from repro.hyracks.backends import ExchangeWork, JoinBucketWork
 
 
 @pytest.fixture
@@ -39,9 +39,7 @@ def keying(monkeypatch, tmp_path):
     counted("sizeof_tuple")
     counted("_frame_keys", lambda frame, columns: len(frame[None]))
 
-    for work, name in (
-        (ExchangeWork, "1"), (BroadcastScanWork, "1"), (JoinBucketWork, "2")
-    ):
+    for work, name in ((ExchangeWork, "1"), (JoinBucketWork, "2")):
         def call(self, ctx, real=work.__call__, name=name):
             phase[0] = name
             try:

@@ -467,22 +467,6 @@ class TestParcel:
         assert (Counted.reduced, Counted.restored) == (1, 1)
 
 
-TINY = [{"k": i, "label": f"t{i}"} for i in range(5)]
-BIG = [{"k": i % 5, "v": i} for i in range(120)]
-BROADCAST_QUERY = (
-    'for $t in collection("/tiny")() for $b in collection("/big")() '
-    'where $t("k") eq $b("k") return {"label": $t("label"), "v": $b("v")}'
-)
-
-
-def broadcast_source(partitions=4):
-    data = {}
-    for name, rows in (("/tiny", TINY), ("/big", BIG)):
-        parts = [rows[p::partitions] for p in range(partitions)]
-        data[name] = [[json.dumps(part)] for part in parts]
-    return InMemorySource(data, stats_sample=10_000)
-
-
 def sensor_q2(tmp_path):
     """(source factory, query): the paper's Q2 over 4 x 32 KiB of sensors."""
     from repro.bench.queries import q2
@@ -545,21 +529,15 @@ class TestParcelsThroughTheExchange:
 
         return events
 
-    @pytest.mark.parametrize("shape", ["Q2", "broadcast-left"])
     @pytest.mark.parametrize("profile", [None, "counter"])
-    def test_the_coordinator_opens_no_parcel(self, shape, profile, spy, tmp_path):
-        if shape == "Q2":
-            make, query = sensor_q2(tmp_path)
-        else:
-            make, query = broadcast_source, BROADCAST_QUERY
+    def test_the_coordinator_opens_no_parcel(self, profile, spy, tmp_path):
+        make, query = sensor_q2(tmp_path)
         partitions = 4
 
         def run(backend):
             with JsonProcessor(
                 source=make(), backend=backend, max_workers=2
             ) as processor:
-                if shape != "Q2":
-                    assert "broadcast-left" in processor.explain(query)
                 return processor.execute(query, profile=profile)
 
         sequential = run("sequential")
@@ -575,17 +553,11 @@ class TestParcelsThroughTheExchange:
         assert [e for e in events if e[1]] and all(
             event == "copy" for event, here in events if here
         )
-        opens = [e for e in events if e[0] == "open"]
-        walks = [e for e in events if e[0] == "walk"]
         # ... each parcel's rows were pickled once, by the phase-1 unit
-        # that made them (the broadcast side: once per partition, not
-        # once per bucket), and opened once by each bucket that holds it.
-        if shape == "Q2":
-            assert len(walks) == partitions * partitions
-            assert len(opens) == partitions * partitions
-        else:
-            assert len(walks) == 2 * partitions
-            assert len(opens) == partitions * (1 + partitions)
+        # that made them, and opened once, by the bucket that holds it:
+        # one parcel per partition and bucket.
+        assert len([e for e in events if e[0] == "walk"]) == partitions * partitions
+        assert len([e for e in events if e[0] == "open"]) == partitions * partitions
 
 
 # Keys that unify (2 and 2.0), that never do (true, "2"), null, and none.
@@ -612,12 +584,11 @@ def rows_source(collections, partitions):
 
 
 KEYED_JOINS = {
-    "broadcast-left": (broadcast_source, BROADCAST_QUERY, "broadcast-left"),
     "missing-and-null": (
         lambda: rows_source({"/a": HOLES_A, "/b": HOLES_B}, 4),
         'for $a in collection("/a")() for $b in collection("/b")() '
         'where $a("k") eq $b("k") and $a("v") ge 3 return [$a("v"), $b("w")]',
-        "JOIN",
+        "[build=left]",  # the plan PARENT_VALUES pins
     ),
 }
 
@@ -630,13 +601,6 @@ PARENT_VALUES = {
         "counters": {"build_tuples": 800, "frames_emitted": 33, "probe_tuples": 800},
         "left_buckets": [215, 181, 179, 225],
         "right_buckets": [215, 181, 179, 225],
-    },
-    "broadcast-left": {
-        "exchange": (140, 84760),
-        "peak_memory_bytes": 1840,
-        "counters": {"build_tuples": 5, "frames_emitted": 5, "probe_tuples": 120},
-        "left_buckets": [5, 5, 5, 5],
-        "right_buckets": [30, 30, 30, 30],
     },
     "missing-and-null": {
         "exchange": (697, 388207),
@@ -680,7 +644,7 @@ class TestKeyedOnceSizedOnce:
 
         def run(backend, profile):
             with JsonProcessor(
-                source=make(), backend=backend, max_workers=2
+                source=make(), backend=backend, max_workers=2, cost=True
             ) as processor:
                 assert marker in processor.explain(query)
                 return processor.execute(query, profile=profile)

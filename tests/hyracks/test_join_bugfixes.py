@@ -263,7 +263,8 @@ class TestStructuredJoinKeys:
         # differently partitioned collections run one global instance
         "in-process hash": dict(a_partitions=1, b_partitions=2),
         "exchange": dict(a_partitions=2, b_partitions=2),
-        "broadcast": dict(a_partitions=2, b_partitions=2, filler=True),
+        # a larger /b: the costed plan builds on /a
+        "build-left": dict(a_partitions=2, b_partitions=2, filler=True, cost=True),
         "grace": dict(memory_budget_bytes=300),
         "rewrites off": dict(rewrite=RewriteConfig.none()),
     }
@@ -284,8 +285,8 @@ class TestStructuredJoinKeys:
         with self.processor(
             a_rows, b_rows, backend=backend, max_workers=2, **self.ROUTES[route]
         ) as processor:
-            if route == "broadcast":
-                assert "broadcast-left" in processor.explain(STRUCTURED_JOIN)
+            if route == "build-left":
+                assert "[build=left]" in processor.explain(STRUCTURED_JOIN)
             assert_structured_error(
                 lambda: processor.evaluate(STRUCTURED_JOIN), kind
             )
@@ -428,7 +429,7 @@ class TestNaNJoinKeys:
         assert result.items == [30 * 30]
 
     @pytest.mark.parametrize("backend", ["sequential", "process"])
-    def test_the_broadcast_path(self, backend):
+    def test_the_build_left_path(self, backend):
         query = NAN_JOIN.replace('collection("/c") where', 'collection("/big") where')
         big = [json.dumps({"k": i, "t": "c"}) for i in range(300)]
         texts = [["\n".join(NAN_ROWS + big[p::2])] for p in range(2)]
@@ -436,8 +437,9 @@ class TestNaNJoinKeys:
             source=nan_source(NAN_ROWS[:1] + NAN_ROWS[2:3], 2, **{"/big": texts}),
             backend=backend,
             max_workers=2,
+            cost=True,
         ) as processor:
-            assert "broadcast-left" in processor.explain(query)
+            assert "[build=left]" in processor.explain(query)
             assert processor.evaluate(query) == [2]
 
     @pytest.mark.parametrize("config", CONFIGS)

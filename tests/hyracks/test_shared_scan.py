@@ -311,20 +311,21 @@ def test_the_right_input_lags_by_at_most_one_frame(monkeypatch, tmp_path):
 class TestOtherPaths:
     def answers(self, directory, query, backend):
         with JsonProcessor(
-            source=make_catalog(directory), backend=backend, max_workers=2
+            source=make_catalog(directory), backend=backend, max_workers=2,
+            cost=True,
         ) as processor:
             plan = processor.explain(query)
             return plan, processor.execute(query, profile="counter")
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_broadcast_self_join(self, backend, tmp_path):
+    def test_a_self_join_built_on_the_left(self, backend, tmp_path):
         directory = write_collection(str(tmp_path))
         query = (
             'for $a in collection("/c")() for $b in collection("/c")() '
             'where $a("k") eq $b("k") and $a("v") eq 10007 return $b("v")'
         )
         plan, shared = self.answers(directory, query, backend)
-        assert "broadcast-left" in plan
+        assert "[build=left]" in plan
         _, unshared = self.answers(directory, reference(query), backend)
         assert shared.items and observed(shared) == observed(unshared)
 

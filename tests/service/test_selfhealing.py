@@ -20,7 +20,6 @@ import pytest
 from repro.errors import (
     AdmissionError,
     BackendError,
-    CacheIOError,
     QueryCancelledError,
     QueryTimeoutError,
     RecoveryExhaustedError,
@@ -60,7 +59,6 @@ def test_retryable_classification_walks_cause_chain():
     exhausted = RecoveryExhaustedError((1,), (3,), "process")
     assert _is_query_retryable(exhausted)
     assert _is_query_retryable(SlotFailureError(0, "died"))
-    assert _is_query_retryable(CacheIOError("store", "/t/x.seg", "ENOSPC"))
     wrapped = BackendError("boom", cause=SlotFailureError(1))
     assert _is_query_retryable(wrapped)
     assert not _is_query_retryable(QueryCancelledError("client cancel"))
@@ -73,10 +71,7 @@ def test_retryable_classification_walks_cause_chain():
 
 
 def test_selfhealing_errors_and_events_pickle_round_trip():
-    for original in (
-        SlotFailureError(2, "injected slot death"),
-        CacheIOError("load", "/cache/ab.seg", "[Errno 5] EIO"),
-    ):
+    for original in (SlotFailureError(2, "injected slot death"),):
         clone = pickle.loads(pickle.dumps(original))
         assert type(clone) is type(original)
         assert str(clone) == str(original)

@@ -17,9 +17,10 @@ from repro.resilience.faults import FaultPlan
 
 BACKENDS = ("sequential", "process")
 
-# A workload that triggers all three per-join decisions: the tiny
-# dimension table broadcasts, the skewed fact join splits its hot key,
-# and the build side swaps onto the smaller input.
+# A workload whose costed plan differs from the un-costed one: the
+# stations-facts join builds on the smaller stations side.  Its hot key
+# hashes to one bucket and its tiny dimension table is hash-exchanged
+# like any other input.
 DIMS = [{"g": i, "label": f"g{i}"} for i in range(4)]
 FACTS = [{"station": "HOT", "g": i % 4, "v": i} for i in range(700)] + [
     {"station": f"s{i % 25}", "g": i % 4, "v": i} for i in range(500)
@@ -99,7 +100,7 @@ class TestBackendByteIdentity:
         on = JsonProcessor(source=make_source(), cost=True)
         off = JsonProcessor(source=make_source(), cost=False)
         assert on.compile(QUERY).plan.explain() != off.compile(QUERY).plan.explain()
-        assert "broadcast" in on.compile(QUERY).plan.explain()
+        assert "build=left" in on.compile(QUERY).plan.explain()
 
 
 class TestDegradedCells:

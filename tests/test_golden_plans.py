@@ -54,22 +54,23 @@ def test_toggles_change_the_plan():
 
 
 def test_cost_changes_the_demo_plans():
-    """Sanity: the cost phase is not vacuous — the broadcast and the
-    join-order demo joins pick up a different physical annotation from
-    the demo statistics."""
-    assert "exchange=broadcast" in render("QJbroadcast", "cost")
-    for name in ("QJbroadcast", "QJorder"):
-        assert render(name, "cost") != render(name, "all").replace(
-            "toggle 'all'", "toggle 'cost'"
-        )
+    """Sanity: the cost phase is not vacuous — the tiny-dimension demo
+    join builds on its dimension side under the demo statistics."""
+    costed = render("QJbroadcast", "cost")
+    assert "[build=left]" in costed
+    assert costed != render("QJbroadcast", "all").replace(
+        "toggle 'all'", "toggle 'cost'"
+    )
 
 
 def test_cost_leaves_symmetric_paper_queries_alone():
     """The paper queries are self-joins over one collection: stats are
     present for ``/sensors``, but no decision fires — only the header
     line may differ from the ``all`` golden.  So with the hot-key
-    self-join QJskew: a hot key is hashed like every other key."""
-    for query_name in ("Q0", "Q1", "Q2", "QJskew"):
+    self-join QJskew (a hot key is hashed like every other key) and the
+    chain QJorder (joins run in the order the query writes them, and
+    each already builds on its smaller input)."""
+    for query_name in ("Q0", "Q1", "Q2", "QJskew", "QJorder"):
         costed = render(query_name, "cost")
         baseline = render(query_name, "all")
         assert costed.replace("toggle 'cost'", "toggle 'all'") == baseline

@@ -192,14 +192,14 @@ class TestPlanCache:
         processor = JsonProcessor(source, cost=True)
         before = processor.compile(JOIN)
         assert processor.compile(JOIN) is before
-        assert "exchange=broadcast-left" in before.plan.explain()
+        assert "build=left" in before.plan.explain()
         # /tiny becomes the larger side: the cost phase must see it
         source.add_collection("/tiny", [[json.dumps(TINY * 200)]])
         after = processor.compile(JOIN)
         assert compiles == [JOIN, JOIN]
         assert after.stats_fingerprint == source.stats_snapshot().fingerprint()
         assert after.stats_fingerprint != before.stats_fingerprint
-        assert "exchange=broadcast-left" not in after.plan.explain()
+        assert "build=left" not in after.plan.explain()
 
     def test_refresh_stats_recompiles_against_fresh_stats(
         self, tmp_path, compiles

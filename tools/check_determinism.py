@@ -306,8 +306,8 @@ def describe(result, budget: int | None, chaos: bool) -> str:
         payload["spill_run_files"] = result.stats.spill_run_files
         payload["spill_recursion_depth"] = result.stats.spill_recursion_depth
     if chaos:
-        # Speculation and pool-rebuild counters are timing-dependent;
-        # only the serialized-execution-deterministic counters go in.
+        # The pool-rebuild counter is timing-dependent; only the
+        # serialized-execution-deterministic counters go in.
         payload["worker_crashes"] = result.stats.worker_crashes
         payload["ladder_steps"] = result.stats.ladder_steps
     return json.dumps(payload, sort_keys=True, indent=2)

@@ -13,8 +13,9 @@ The pseudo-toggle ``cost`` additionally pins the cost-based planning
 phase: every query is compiled under the ``all`` config against the
 deterministic :func:`demo_snapshot` statistics.  For the paper queries
 (symmetric self-joins over one collection) the cost phase must leave
-the plan untouched; the ``QJ*`` demo joins pin each cost decision —
-broadcast exchange and join reordering — and that a hot key takes none.
+the plan untouched; the ``QJ*`` demo joins pin its one decision, the
+build side: a tiny dimension side builds, a join chain keeps the
+query's order, and a hot key changes nothing.
 
 Usage::
 
@@ -41,9 +42,11 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / (
 #: pseudo-toggle name for the cost-phase goldens.
 COST_TOGGLE = "cost"
 
-#: joins crafted so the demo statistics trigger each cost decision.
+#: joins crafted so the demo statistics show what the cost phase decides.
 COST_DEMO_QUERIES = {
-    # /dim is tiny next to /fact: broadcast the dimension side.
+    # /dim is tiny next to /fact: both sides hash-exchange and the
+    # dimension side builds.  (Named for the broadcast exchange that
+    # once replicated it.)
     "QJbroadcast": (
         'for $d in collection("/dim")() '
         'for $f in collection("/fact")() '
@@ -59,8 +62,8 @@ COST_DEMO_QUERIES = {
         'where $a("station") eq $b("station") '
         'return $b("v")'
     ),
-    # Three-way chain written largest-first: the cost order starts
-    # from the cheapest pair instead.
+    # Three-way chain written largest-first: it runs in the order
+    # written, each join already building on its smaller (right) input.
     "QJorder": (
         'for $f in collection("/fact")() '
         'for $m in collection("/mid")() '
