@@ -14,6 +14,7 @@ filter/group/join over flattened rows for the SQL engine).
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import shutil
 import tempfile
@@ -23,11 +24,31 @@ from repro.baselines.docstore import DocumentStore
 from repro.baselines.sqlengine import InMemorySQLEngine
 from repro.data.catalog import CollectionCatalog
 from repro.data.generator import SensorDataConfig, write_sensor_collection
+from repro.envutil import env_setting
+from repro.errors import ReproError
+
+#: environment variable scaling every benchmark dataset
+BENCH_SCALE_ENV_VAR = "REPRO_BENCH_SCALE"
 
 
 def bench_scale() -> float:
-    """The global data-size multiplier (``REPRO_BENCH_SCALE``)."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+    """The global data-size multiplier (``REPRO_BENCH_SCALE``).
+
+    Unset or empty means no override (1.0); anything but a positive
+    finite number is an error naming the variable.
+    """
+    value = env_setting(BENCH_SCALE_ENV_VAR, "")
+    if not value:
+        return 1.0
+    try:
+        scale = float(value)
+    except ValueError:
+        scale = math.nan
+    if not 0 < scale < math.inf:
+        raise ReproError(
+            f"{BENCH_SCALE_ENV_VAR} must be a positive number, got {value!r}"
+        )
+    return scale
 
 
 _WORK_DIR: str | None = None

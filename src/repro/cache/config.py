@@ -36,13 +36,10 @@ SCAN_MODE_ENV = "REPRO_SCAN_MODE"
 SEGMENT_CACHE_ENV = "REPRO_SEGMENT_CACHE"
 
 #: How caches fingerprint on-disk sources: ``stat`` (size, timestamps,
-#: inode — fast, with a same-size in-place rewrite staleness window) or
-#: ``content`` (hash the bytes — no staleness window; the right choice
-#: for a long-lived server).
+#: inode — fast, with a same-size in-place rewrite staleness window; a
+#: segment cache's default) or ``content`` (hash the bytes — no
+#: staleness window; what the long-lived query service configures).
 FINGERPRINT_MODES = ("stat", "content")
-
-#: Environment default for :func:`resolve_fingerprint_mode`.
-FINGERPRINT_ENV = "REPRO_CACHE_FINGERPRINT"
 
 
 def validate_scan_mode(mode: str) -> str:
@@ -72,24 +69,11 @@ def validate_fingerprint_mode(mode: str) -> str:
     return mode
 
 
-def resolve_fingerprint_mode(mode: str | None = None) -> str:
-    """Resolve a fingerprint mode: explicit > $REPRO_CACHE_FINGERPRINT > stat."""
-    if mode is not None:
-        return validate_fingerprint_mode(mode)
-    env = env_setting(FINGERPRINT_ENV, "")
-    if env:
-        return validate_fingerprint_mode(env)
-    return "stat"
-
-
-def resolve_segment_cache(
-    cache_dir: str | None = None, fingerprint_mode: str | None = None
-):
+def resolve_segment_cache(cache_dir: str | None = None):
     """Resolve a segment cache: explicit directory > $REPRO_SEGMENT_CACHE > off.
 
-    Returns a :class:`~repro.cache.segments.SegmentCache` or ``None``
-    (cache disabled).  *fingerprint_mode* resolves through
-    :func:`resolve_fingerprint_mode`.
+    Returns a :class:`~repro.cache.segments.SegmentCache` with ``stat``
+    fingerprints or ``None`` (cache disabled).
     """
     from repro.cache.segments import SegmentCache
 
@@ -100,6 +84,4 @@ def resolve_segment_cache(
         # environment sets a directory — same contract as
         # ``configure_scan(segment_cache_dir="")``.
         return None
-    return SegmentCache(
-        cache_dir, fingerprint_mode=resolve_fingerprint_mode(fingerprint_mode)
-    )
+    return SegmentCache(cache_dir)

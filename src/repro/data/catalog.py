@@ -31,7 +31,6 @@ from typing import Iterable, Iterator
 
 from repro.algebra.context import normalize_collection_name as _normalize
 from repro.cache.config import (
-    resolve_fingerprint_mode,
     resolve_scan_mode,
     resolve_segment_cache,
     validate_fingerprint_mode,
@@ -200,16 +199,11 @@ class _PartitionedSource:
     - ``_size(unit)``: its size, for the sampler's extrapolation.
     """
 
-    def __init__(
-        self, on_malformed, scan_mode, segment_cache_dir, fingerprint_mode,
-        stats_sample,
-    ):
+    def __init__(self, on_malformed, scan_mode, segment_cache_dir, stats_sample):
         self._collections: dict[str, list[list[str]]] = {}
         self.on_malformed = validate_on_malformed(on_malformed)
         self.scan_mode = resolve_scan_mode(scan_mode)
-        self.segment_cache = resolve_segment_cache(
-            segment_cache_dir, fingerprint_mode
-        )
+        self.segment_cache = resolve_segment_cache(segment_cache_dir)
         self.stats = SourceStatistics(stats_sample)
         self._local = threading.local()
 
@@ -223,9 +217,10 @@ class _PartitionedSource:
 
         ``None`` leaves a setting untouched; an empty
         ``segment_cache_dir`` string disables the cache.
-        ``fingerprint_mode`` (``"stat"`` | ``"content"``) selects how
-        cached segments detect file changes; in-memory texts are always
-        keyed by content hash, so the mode changes nothing for them.
+        ``fingerprint_mode`` (``"stat"``, the default, | ``"content"``)
+        selects how cached segments detect file changes; in-memory texts
+        are always keyed by content hash, so the mode changes nothing
+        for them.
         """
         if scan_mode is not None:
             self.scan_mode = validate_scan_mode(scan_mode)
@@ -233,7 +228,7 @@ class _PartitionedSource:
             self.segment_cache = (
                 SegmentCache(
                     segment_cache_dir,
-                    fingerprint_mode=resolve_fingerprint_mode(fingerprint_mode),
+                    "stat" if fingerprint_mode is None else fingerprint_mode,
                 )
                 if segment_cache_dir
                 else None
@@ -448,13 +443,9 @@ class CollectionCatalog(_PartitionedSource):
         on_malformed: str = "fail",
         scan_mode: str | None = None,
         segment_cache_dir: str | None = None,
-        fingerprint_mode: str | None = None,
         stats_sample: int | None = None,
     ):
-        super().__init__(
-            on_malformed, scan_mode, segment_cache_dir, fingerprint_mode,
-            stats_sample,
-        )
+        super().__init__(on_malformed, scan_mode, segment_cache_dir, stats_sample)
         if base_dir is not None:
             self.discover(base_dir)
 
@@ -563,13 +554,9 @@ class InMemorySource(_PartitionedSource):
         on_malformed: str = "fail",
         scan_mode: str | None = None,
         segment_cache_dir: str | None = None,
-        fingerprint_mode: str | None = None,
         stats_sample: int | None = None,
     ):
-        super().__init__(
-            on_malformed, scan_mode, segment_cache_dir, fingerprint_mode,
-            stats_sample,
-        )
+        super().__init__(on_malformed, scan_mode, segment_cache_dir, stats_sample)
         for name, partitions in (collections or {}).items():
             self._register(name, partitions)
         self._documents = dict(documents or {})

@@ -18,17 +18,17 @@ ambiguity, so every ``REPRO_*`` variable now resolves through
 
 Variables resolved through this rule: ``REPRO_BACKEND``,
 ``REPRO_SPILL_DIR``, ``REPRO_DEADLINE``, ``REPRO_PROFILE``,
-``REPRO_SCAN_MODE``, ``REPRO_SEGMENT_CACHE``,
-``REPRO_CACHE_FINGERPRINT``, ``REPRO_STATS_SAMPLE``, ``REPRO_COST``.
+``REPRO_SCAN_MODE``, ``REPRO_SEGMENT_CACHE``, ``REPRO_COST``,
+``REPRO_BENCH_SCALE``.
 For most of them the built-in default *is* the off/neutral setting, so
-rules 2 and 3 currently coincide for an empty string — the contract
-matters because it pins what a future non-neutral default must do, and
-because callers must distinguish "unset" from "set but empty" to honour
-it.  ``REPRO_STATS_SAMPLE`` and ``REPRO_COST`` are the first variables
-where the rules *diverge*: both features default **on** (64 sampled
-documents per partition; cost-based planning enabled), so unset means
-on while set-but-empty (or ``0`` / ``off`` / ``false`` / ``no`` for
-``REPRO_COST``) means explicitly off.
+rules 2 and 3 coincide for an empty string — the contract matters
+because it pins what a non-neutral default must do, and because callers
+must distinguish "unset" from "set but empty" to honour it.
+``REPRO_COST`` is where the rules *diverge*: cost-based planning
+defaults **on**, so unset means on while set-but-empty (or ``0`` /
+``off`` / ``false`` / ``no``) means explicitly off.
+``REPRO_BENCH_SCALE`` is a multiplier with no off value: unset or empty
+means no override (1.0).
 """
 
 from __future__ import annotations

@@ -96,11 +96,7 @@ class FileScanError(_PickleByInitArgs, JsonError):
 # ---------------------------------------------------------------------------
 
 
-class QueryError(ReproError):
-    """Base class for errors in the JSONiq frontend."""
-
-
-class LexerError(_PickleByInitArgs, QueryError):
+class LexerError(_PickleByInitArgs, ReproError):
     """Query text could not be tokenized."""
 
     def __init__(self, message: str, position: int | None = None):
@@ -111,7 +107,7 @@ class LexerError(_PickleByInitArgs, QueryError):
         self.position = position
 
 
-class ParseError(_PickleByInitArgs, QueryError):
+class ParseError(_PickleByInitArgs, ReproError):
     """Query token stream did not match the grammar."""
 
     def __init__(self, message: str, position: int | None = None):
@@ -122,11 +118,11 @@ class ParseError(_PickleByInitArgs, QueryError):
         self.position = position
 
 
-class TranslationError(QueryError):
+class TranslationError(ReproError):
     """The AST could not be translated into a logical plan."""
 
 
-class UnknownFunctionError(_PickleByInitArgs, QueryError):
+class UnknownFunctionError(_PickleByInitArgs, ReproError):
     """A query referenced a function that is not in the builtin library."""
 
     def __init__(self, name: str, arity: int):
@@ -136,7 +132,7 @@ class UnknownFunctionError(_PickleByInitArgs, QueryError):
         self.arity = arity
 
 
-class UnboundVariableError(_PickleByInitArgs, QueryError):
+class UnboundVariableError(_PickleByInitArgs, ReproError):
     """A query referenced a variable that is not in scope."""
 
     def __init__(self, name: str):
@@ -349,8 +345,8 @@ class WorkerCrashError(_PickleByInitArgs, RuntimeExecutionError):
 class RecoveryExhaustedError(BackendError):
     """A partition kept killing its worker until the attempt budget ran out.
 
-    The recovery layer reschedules a crashed partition up to
-    ``RecoveryPolicy.max_unit_attempts`` times; a deterministically
+    The recovery layer starts a crashing partition at most
+    ``recovery.MAX_UNIT_ATTEMPTS`` times; a deterministically
     crashing partition escalates here instead of looping forever.
     """
 
@@ -415,9 +411,6 @@ class AdmissionError(_PickleByInitArgs, ReproError):
       (mean recent query duration × backlog ÷ live slots, measured on
       the service's injectable clock) already exceeds the request's
       deadline, so admitting it could only produce a timeout;
-    - ``"circuit-open"`` — the tenant's circuit breaker is open after
-      ``circuit_failure_threshold`` consecutive failures and its
-      cooldown has not elapsed (one probe is admitted once it has);
     - ``"no-slots"`` — every slot worker exhausted its restart budget,
       so no live slot exists to execute the query.
     """
@@ -445,11 +438,7 @@ class AdmissionError(_PickleByInitArgs, ReproError):
 # ---------------------------------------------------------------------------
 
 
-class BaselineError(ReproError):
-    """Base class for errors raised by the simulated comparison systems."""
-
-
-class DocumentTooLargeError(_PickleByInitArgs, BaselineError):
+class DocumentTooLargeError(_PickleByInitArgs, ReproError):
     """A document exceeded the document store's size limit.
 
     Mirrors MongoDB's 16 MB document limit that makes the naive Q2 join
@@ -466,5 +455,5 @@ class DocumentTooLargeError(_PickleByInitArgs, BaselineError):
         self.limit_bytes = limit_bytes
 
 
-class LoadError(BaselineError):
+class LoadError(ReproError):
     """A baseline engine failed during its load phase."""

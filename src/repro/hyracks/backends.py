@@ -63,13 +63,11 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 from repro.errors import (
-    BackendError,
     FileScanError,
     PartitionExecutionError,
     QueryCancelledError,
     QueryTimeoutError,
     ReproError,
-    WorkerCrashError,
     causes,
 )
 from repro.algebra.context import EvaluationContext
@@ -78,7 +76,6 @@ from repro.algebra.plan import LogicalPlan, read_set
 from repro.hyracks.aggregates import GroupStates
 from repro.hyracks.memory import MemoryTracker
 from repro.hyracks.operators import (
-    canonical_key,
     execute,
     grouped_input,
     hash_join,
@@ -94,10 +91,6 @@ from repro.hyracks.recovery import (
 )
 from repro.hyracks.spill import GROUP_ENTRY_BYTES, fold_group_table, stable_bucket
 from repro.hyracks.tuples import sizeof_tuples
-
-# BackendError and WorkerCrashError live in repro.errors with the rest of
-# the hierarchy; imported (not just used) here because this module is
-# their historical home and callers import them from it.
 
 
 def usable_cores() -> int:
@@ -299,12 +292,6 @@ class JoinBucketWork:
         return list(stream)
 
 
-# ``stable_bucket`` (the process-stable CRC32 bucket hash used by the
-# exchange) now lives in repro.hyracks.spill, shared with the spilling
-# operators' partition-and-recurse logic; imported above and re-exported
-# here for existing callers.
-
-
 # ---------------------------------------------------------------------------
 # Work units and outcomes
 # ---------------------------------------------------------------------------
@@ -318,7 +305,6 @@ class WorkUnit:
     partition: int
     work: object  # one of the *Work callables above
     source: object
-    functions: object | None
     memory_budget: int | None
     resilience: object
     charge_delay: bool = True
@@ -456,7 +442,6 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
                 )
             ctx = EvaluationContext(
                 source=source,
-                functions=unit.functions,
                 memory=memory,
                 partition=unit.partition,
                 stats=stats,
@@ -613,7 +598,7 @@ class SequentialBackend(ExecutionBackend):
 class ProcessBackend(ExecutionBackend):
     """Partitions on a ``ProcessPoolExecutor`` — real multi-core execution.
 
-    Work units are pickled up front (one clear :class:`BackendError`
+    Work units are pickled up front (one clear :class:`~repro.errors.BackendError`
     instead of an opaque pool crash when a source or function library is
     not picklable) and each worker is handed one contiguous run of them,
     executed by ``_run_pickled_units``.  The pool persists across

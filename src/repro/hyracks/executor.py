@@ -212,14 +212,15 @@ class PartitionedExecutor:
     ----------
     source:
         A :class:`~repro.algebra.context.DataSource`.
-    functions:
-        Scalar-function library (defaults to the builtins).
     two_step_aggregation:
         Enable partition-local/global aggregation (Section 4.3); when
         off, grouped and global aggregations ship raw tuples to the
         coordinator.
     memory_budget_bytes:
-        Optional per-instance memory budget.
+        Optional per-instance memory budget.  Blocking operators spill
+        to disk when a charge would exceed it; only a charge that no
+        operator can shed raises
+        :class:`~repro.errors.MemoryBudgetExceededError`.
     resilience:
         Per-partition error handling
         (:class:`~repro.resilience.policies.ResilienceConfig`); the
@@ -232,10 +233,6 @@ class PartitionedExecutor:
     max_workers:
         Worker cap for the ``process`` backend (default: the cores this
         process may run on); must be positive.
-    spill:
-        With a memory budget set, let blocking operators degrade to
-        disk when the budget is hit (the default) instead of raising
-        :class:`~repro.errors.MemoryBudgetExceededError` (``False``).
     spill_dir:
         Root directory for spill run files (default: ``REPRO_SPILL_DIR``
         or the system temp dir), or a
@@ -249,13 +246,11 @@ class PartitionedExecutor:
     def __init__(
         self,
         source,
-        functions=None,
         two_step_aggregation: bool = True,
         memory_budget_bytes: int | None = None,
         resilience: ResilienceConfig | None = None,
         backend=None,
         max_workers: int | None = None,
-        spill: bool = True,
         spill_dir: str | None = None,
         deadline_seconds: float | None = None,
     ):
@@ -263,7 +258,6 @@ class PartitionedExecutor:
         from repro.hyracks.spill import resolve_spill_config
 
         self._source = source
-        self._functions = functions
         self._two_step = two_step_aggregation
         self._memory_budget = memory_budget_bytes
         self._resilience = resilience if resilience is not None else ResilienceConfig()
@@ -272,7 +266,7 @@ class PartitionedExecutor:
         # spill config without a budget would be inert — skip it.
         self._spill_config = (
             resolve_spill_config(spill_dir)
-            if spill and memory_budget_bytes is not None
+            if memory_budget_bytes is not None
             else None
         )
         self._deadline_seconds = resolve_deadline_seconds(deadline_seconds)
@@ -454,7 +448,6 @@ class PartitionedExecutor:
             self._open_spills.append(spill)
         return EvaluationContext(
             source=self._source,
-            functions=self._functions,
             memory=memory,
             partition=partition,
             stats=stats,
@@ -491,7 +484,6 @@ class PartitionedExecutor:
                 partition=partition,
                 work=work,
                 source=self._source,
-                functions=self._functions,
                 memory_budget=self._memory_budget,
                 resilience=self._resilience,
                 charge_delay=charge_delay,

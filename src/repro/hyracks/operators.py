@@ -89,12 +89,7 @@ from repro.jsonlib.items import (
 )
 from repro.jsonlib.textscan import ScanCounters
 
-# Re-exported here for backwards compatibility: the canonical grouping /
-# join / distinct-values key lives in repro.jsonlib.items so the JSONiq
-# builtins share exactly the same numeric-equality semantics.
 __all__ = [
-    "canonical_item",
-    "canonical_key",
     "execute",
     "grouped_input",
     "hash_join",

@@ -19,9 +19,8 @@ attempt budget, results keyed by unit index:
   the pool, and re-cuts whatever has no result yet.  Units that had
   finished *inside* a lost run run again with unchanged offsets, like
   any other collateral unit; their first outcomes never reached the
-  coordinator, so nothing is counted twice.  Each unit has
-  a bounded attempt budget (:class:`~repro.resilience.policies.RecoveryPolicy`
-  ``max_unit_attempts``), so a deterministically crashing partition
+  coordinator, so nothing is counted twice.  Each unit may start
+  ``MAX_UNIT_ATTEMPTS`` times, so a deterministically crashing partition
   escalates with :class:`~repro.errors.RecoveryExhaustedError` instead
   of looping;
 - **degradation ladder** — after repeated pool loss the remaining units
@@ -63,6 +62,10 @@ from repro.errors import (
     RecoveryExhaustedError,
     WorkerCrashError,
 )
+
+#: how many times one work unit may *start* (first run plus crash
+#: reschedules) before it raises RecoveryExhaustedError
+MAX_UNIT_ATTEMPTS = 3
 
 #: exit status an injected kill dies with (distinguishable in core dumps
 #: and CI logs from a real interpreter fault)
@@ -184,7 +187,6 @@ def run_unit_with_crash_retry(unit, events: list) -> object:
     """
     from repro.hyracks.backends import execute_work_unit
 
-    policy = unit.resilience.recovery
     crashes = unit.attempt_offset
     while True:
         try:
@@ -199,7 +201,7 @@ def run_unit_with_crash_retry(unit, events: list) -> object:
                     message=crash.detail or str(crash),
                 )
             )
-            if crashes >= policy.max_unit_attempts:
+            if crashes >= MAX_UNIT_ATTEMPTS:
                 raise RecoveryExhaustedError(
                     (unit.partition,),
                     (crashes,),
@@ -303,7 +305,7 @@ def run_units_with_recovery(units: list, host, events: list) -> list:
                 # raise: the backend outlives this query.
                 host.close()
                 _account_pool_loss(
-                    loss, crash_dir, by_partition, results, policy, events
+                    loss, crash_dir, by_partition, results, events
                 )
             if losses <= policy.max_losses_per_tier:
                 events.append(RecoveryEvent("pool_rebuild", tier="process"))
@@ -332,7 +334,6 @@ def _account_pool_loss(
     crash_dir: str,
     by_partition: dict[int, _UnitState],
     results: dict[int, object],
-    policy,
     events: list,
 ) -> None:
     """Attribute a pool breakage to the units that caused it.
@@ -358,7 +359,7 @@ def _account_pool_loss(
             crashed.append(state)
             _note_crash(state, str(loss.cause), events)
     exhausted = [
-        state for state in crashed if state.crashes >= policy.max_unit_attempts
+        state for state in crashed if state.crashes >= MAX_UNIT_ATTEMPTS
     ]
     if exhausted:
         raise RecoveryExhaustedError(

@@ -49,21 +49,19 @@ class JsonProcessor:
     rewrite:
         Which rewrite-rule families to apply (default: all).
     memory_budget_bytes:
-        Optional per-plan-instance memory budget.  With spilling on (the
-        default), blocking operators degrade to disk when the budget is
-        hit; with ``spill=False``, exceeding it raises
-        :class:`~repro.errors.MemoryBudgetExceededError`.
-    functions:
-        Override the builtin scalar-function library.
+        Optional per-plan-instance memory budget.  Blocking operators
+        (GROUP-BY, JOIN, ORDER-BY, sequence aggregates) spill to disk
+        when a charge would exceed it; only a charge that no operator
+        can shed raises :class:`~repro.errors.MemoryBudgetExceededError`.
     resilience:
         Per-partition error handling
         (:class:`~repro.resilience.policies.ResilienceConfig`):
         ``fail_fast`` (default), ``retry``, or ``skip_partition``.  Its
         ``recovery`` field
         (:class:`~repro.resilience.policies.RecoveryPolicy`) governs
-        worker-loss recovery on the process backend: crashed work units
-        are rescheduled up to ``max_unit_attempts`` times, and repeated
-        pool loss steps the remaining units down to sequential
+        worker-loss recovery on the process backend: a work unit whose
+        worker crashes is rescheduled, up to three starts in all, and
+        repeated pool loss steps the remaining units down to sequential
         execution; a slow unit is waited for, never duplicated.  All
         recovery is recorded on the result's ``degradation`` report and
         ``stats``.
@@ -83,10 +81,6 @@ class JsonProcessor:
     max_workers:
         Worker cap for the ``process`` backend (default: the cores this
         process may run on); a non-positive count is a ``ValueError``.
-    spill:
-        With a memory budget set, let blocking operators (GROUP-BY,
-        JOIN, ORDER-BY, sequence aggregates) spill to disk when the
-        budget is hit (the default) instead of raising.
     spill_dir:
         Root directory for spill run files (default: ``REPRO_SPILL_DIR``
         or the system temp dir).
@@ -107,15 +101,10 @@ class JsonProcessor:
         an unchanged file × projection deserialize segments instead of
         scanning JSON.  ``None`` leaves the source's own setting
         (``REPRO_SEGMENT_CACHE`` environment variable); an empty string
-        disables the cache explicitly.
-    cache_fingerprint:
-        How cached segments detect file changes: ``"stat"`` (size,
-        timestamps, inode — fast, with a documented same-size in-place
-        rewrite staleness window) or ``"content"`` (hash the bytes —
-        slower per lookup, no staleness window; what a long-lived
-        server should use).  ``None`` leaves the source's own setting
-        (``REPRO_CACHE_FINGERPRINT`` environment variable, default
-        ``stat``).
+        disables the cache explicitly.  Cached segments detect file
+        changes by ``stat`` fingerprint (size, timestamps, inode);
+        :class:`~repro.service.QueryService` configures ``content``
+        fingerprints instead.
     cost:
         Cost-based join planning: when on and the source samples
         statistics (``stats_snapshot``), compilation runs the cost phase
@@ -132,23 +121,18 @@ class JsonProcessor:
         source=None,
         rewrite: RewriteConfig | None = None,
         memory_budget_bytes: int | None = None,
-        functions=None,
         resilience: ResilienceConfig | None = None,
         fault_plan: FaultPlan | None = None,
         backend=None,
         max_workers: int | None = None,
-        spill: bool = True,
         spill_dir: str | None = None,
         deadline_seconds: float | None = None,
         scan_mode: str | None = None,
         segment_cache_dir: str | None = None,
-        cache_fingerprint: str | None = None,
         cost: bool | None = None,
     ):
         if (
-            scan_mode is not None
-            or segment_cache_dir is not None
-            or cache_fingerprint is not None
+            scan_mode is not None or segment_cache_dir is not None
         ) and source is not None:
             configure = getattr(source, "configure_scan", None)
             if configure is None:
@@ -156,11 +140,7 @@ class JsonProcessor:
                     "this data source does not support scan_mode/"
                     "segment_cache_dir configuration"
                 )
-            configure(
-                scan_mode=scan_mode,
-                segment_cache_dir=segment_cache_dir,
-                fingerprint_mode=cache_fingerprint,
-            )
+            configure(scan_mode=scan_mode, segment_cache_dir=segment_cache_dir)
         if fault_plan is not None:
             source = fault_plan.wrap(source)
         self.source = source
@@ -170,13 +150,11 @@ class JsonProcessor:
         self.plan_cache = PlanCache()
         self._executor = PartitionedExecutor(
             source,
-            functions=functions,
             two_step_aggregation=self.rewrite.two_step_aggregation,
             memory_budget_bytes=memory_budget_bytes,
             resilience=resilience,
             backend=backend,
             max_workers=max_workers,
-            spill=spill,
             spill_dir=spill_dir,
             deadline_seconds=deadline_seconds,
         )

@@ -30,7 +30,6 @@ from repro.resilience.faults import (
     CorruptRecordError,
     FaultInjectingSource,
     FaultPlan,
-    InjectedFaultError,
     PermanentFaultError,
     TransientFaultError,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "DegradationReport",
     "FaultInjectingSource",
     "FaultPlan",
-    "InjectedFaultError",
     "LadderStep",
     "ON_MALFORMED_POLICIES",
     "PARTITION_POLICIES",

@@ -28,19 +28,13 @@ from repro.jsonlib.path import Path
 from repro.resilience.retry import stable_seed
 
 
-class InjectedFaultError(RuntimeExecutionError):
-    """Base class for errors raised by fault injection."""
-
-    retryable = True
-
-
-class TransientFaultError(InjectedFaultError):
+class TransientFaultError(RuntimeExecutionError):
     """An injected fault that goes away after a bounded number of attempts."""
 
     retryable = True
 
 
-class PermanentFaultError(InjectedFaultError):
+class PermanentFaultError(RuntimeExecutionError):
     """An injected fault that never goes away; retrying cannot help."""
 
     retryable = False

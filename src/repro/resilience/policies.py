@@ -12,10 +12,11 @@ Three independent knobs:
   a raw scan does with malformed JSON — raise (``fail``), resync past
   the broken record (``skip_record``), or drop the whole file
   (``skip_file``);
-- the **recovery policy** (:class:`RecoveryPolicy`) decides what the
-  execution backend does when a *worker* dies: how many times a crashed
-  work unit may be rescheduled, and when repeated pool loss steps the
-  remaining units down the process→sequential degradation ladder.  It
+- the **recovery policy** (:class:`RecoveryPolicy`) decides when
+  repeated *worker* loss steps the remaining units down the
+  process→sequential degradation ladder (a crashed work unit is
+  rescheduled until it has started
+  :data:`~repro.hyracks.recovery.MAX_UNIT_ATTEMPTS` times).  It
   has no off switch: the recovery engine is the process backend's only
   dispatch loop.  A slow worker is waited for, never duplicated.
 """
@@ -46,24 +47,14 @@ class RecoveryPolicy:
 
     Parameters
     ----------
-    max_unit_attempts:
-        How many times one work unit may *start* (first run plus
-        crash reschedules).  A unit that kills its worker this many
-        times raises :class:`~repro.errors.RecoveryExhaustedError`
-        instead of looping.
     max_losses_per_tier:
         Pool losses tolerated before the process backend runs the
         remaining units sequentially (process→sequential).
     """
 
-    max_unit_attempts: int = 3
     max_losses_per_tier: int = 2
 
     def __post_init__(self):
-        if self.max_unit_attempts < 1:
-            raise ValueError(
-                f"max_unit_attempts must be >= 1, got {self.max_unit_attempts!r}"
-            )
         if self.max_losses_per_tier < 0:
             raise ValueError(
                 f"max_losses_per_tier must be >= 0, "

@@ -24,32 +24,34 @@ def stable_seed(*parts) -> int:
     return zlib.crc32(":".join(str(part) for part in parts).encode("utf-8"))
 
 
+#: Simulated backoff before the first retry, in seconds.
+BASE_BACKOFF_SECONDS = 0.05
+#: Growth of the backoff from one retry to the next.
+BACKOFF_MULTIPLIER = 2.0
+#: Largest fraction by which the seeded jitter inflates a backoff.
+JITTER = 0.1
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How (and how often) a failed partition is re-executed.
 
     ``max_attempts`` counts the first try: the default of 3 means one
     initial attempt plus up to two retries.  The backoff before retry
-    *n* is ``base_backoff_seconds * multiplier**(n - 1)``, inflated by a
-    deterministic jitter of up to ``jitter`` (a fraction).
+    *n* is ``BASE_BACKOFF_SECONDS * BACKOFF_MULTIPLIER**(n - 1)``,
+    inflated by a jitter of up to ``JITTER`` (a fraction) drawn from
+    ``seed``.
     """
 
     max_attempts: int = 3
-    base_backoff_seconds: float = 0.05
-    multiplier: float = 2.0
-    jitter: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_backoff_seconds < 0 or self.jitter < 0:
-            raise ValueError("backoff and jitter must be non-negative")
 
     def backoff_seconds(self, attempt: int) -> float:
         """Simulated backoff charged before retrying after failure *attempt*."""
-        base = self.base_backoff_seconds * self.multiplier ** (attempt - 1)
-        if not self.jitter:
-            return base
+        base = BASE_BACKOFF_SECONDS * BACKOFF_MULTIPLIER ** (attempt - 1)
         rng = random.Random(stable_seed("backoff", self.seed, attempt))
-        return base * (1.0 + self.jitter * rng.random())
+        return base * (1.0 + JITTER * rng.random())

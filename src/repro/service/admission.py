@@ -1,11 +1,10 @@
-"""Admission for the query service: tenant quotas, the per-tenant
-circuit breaker and the one ordered check every submission passes.
+"""Admission for the query service: tenant quotas and the one ordered
+check every submission passes.
 
-Nothing here takes a lock or keeps a clock of its own.
+Nothing here takes a lock or keeps state of its own.
 :class:`~repro.service.QueryService` calls :func:`admit` under its lock
-with the counts it holds and the clock it was configured with, so the
-same inputs always give the same verdict, and the checks can be driven
-without a thread or a service.
+with the counts it holds, so the same inputs always give the same
+verdict, and the checks can be driven without a thread or a service.
 
 An over-quota submission is rejected synchronously with a structured
 :class:`~repro.errors.AdmissionError`: it never enters the queue, so it
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import AdmissionError, QueryCancelledError
+from repro.errors import AdmissionError
 
 
 @dataclass(frozen=True)
@@ -52,66 +51,6 @@ class TenantQuota:
             raise ValueError("deadline_ceiling_seconds must be positive")
 
 
-def is_failure(error: BaseException | None) -> bool:
-    """Whether a final outcome counts against a tenant's breaker: a
-    cancel is the client's verdict, not a service failure."""
-    return error is not None and not isinstance(error, QueryCancelledError)
-
-
-class Breaker:
-    """One tenant's circuit breaker.
-
-    ``closed`` until ``threshold`` consecutive failures open it; once
-    ``cooldown`` seconds have passed on the clock handed in it is
-    ``half-open`` and admits one probe, whose success closes it and
-    whose failure opens it again.  The clock is read only when a
-    transition needs the time, so a counting clock stays deterministic.
-    """
-
-    __slots__ = ("threshold", "cooldown", "state", "failures", "opened_at",
-                 "probing")
-
-    def __init__(self, threshold: int, cooldown: float):
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.state = "closed"  # "closed" | "open" | "half-open"
-        self.failures = 0
-        self.opened_at = 0.0
-        self.probing = False
-
-    def check(self, clock) -> bool:
-        """Whether a submission may pass, moving open -> half-open once
-        the cooldown has elapsed.  It never claims the probe: that is
-        :meth:`claim_probe`, the last admission step, so a submission
-        rejected by a later check cannot strand a phantom probe that
-        locks the tenant out."""
-        if self.state == "open" and clock() - self.opened_at >= self.cooldown:
-            self.state = "half-open"
-            self.probing = False
-        return self.state == "closed" or (
-            self.state == "half-open" and not self.probing
-        )
-
-    def claim_probe(self) -> None:
-        """Admit exactly one probe while half-open."""
-        if self.state == "half-open":
-            self.probing = True
-
-    def record(self, error: BaseException | None, clock) -> None:
-        """Feed one final request outcome; every outcome gives the probe
-        back, a success closes the breaker, a cancel changes nothing
-        else."""
-        self.probing = False
-        if error is None:
-            self.state = "closed"
-            self.failures = 0
-        elif is_failure(error):
-            self.failures += 1
-            if self.state != "closed" or self.failures >= self.threshold:
-                self.state = "open"
-                self.opened_at = clock()
-
-
 def admit(
     tenant: str,
     quota: TenantQuota,
@@ -120,8 +59,6 @@ def admit(
     *,
     closed: bool,
     live_slots: int,
-    breaker: Breaker | None,
-    clock,
     in_flight: int,
     queued: int,
     running: int,
@@ -131,14 +68,13 @@ def admit(
     """The first reason to reject a submission, or None to admit it.
 
     The checks run in this order: ``closed``, ``no-slots``,
-    ``circuit-open``, ``memory-quota``, ``deadline-quota``,
+    ``memory-quota``, ``deadline-quota``,
     ``tenant-quota`` (*in_flight* is the tenant's queued plus running
     requests), ``service-queue`` and ``predicted-timeout``.  The last
     sheds a submission whose predicted queue wait, the mean of the
     recent *durations* times the backlog (*queued* + *running*) over
     the live slots, already exceeds its deadline (or its tenant's
-    ceiling).  An admitted submission claims the breaker's half-open
-    probe, if there is one to claim.
+    ceiling).
     """
 
     def reject(reason, message, limit=None, requested=None):
@@ -151,15 +87,6 @@ def admit(
             "no-slots",
             "every slot worker exhausted its restart budget; "
             "no live slot can execute this query",
-        )
-    if breaker is not None and not breaker.check(clock):
-        return reject(
-            "circuit-open",
-            f"circuit breaker open after {breaker.failures} consecutive "
-            f"failures (cooldown {breaker.cooldown:g}s"
-            + (", probe in flight)" if breaker.probing else ")"),
-            limit=breaker.threshold,
-            requested=breaker.failures,
         )
     if (
         memory_bytes is not None
@@ -215,6 +142,4 @@ def admit(
                 limit=deadline,
                 requested=predicted,
             )
-    if breaker is not None:
-        breaker.claim_probe()
     return None

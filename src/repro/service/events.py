@@ -22,7 +22,7 @@ class SlotRestartEvent:
       service loop itself, or an injected slot death) and was replaced
       with a fresh thread and a fresh backend;
     - ``"backend-replaced"`` — the slot's backend accumulated
-      ``backend_failure_threshold`` consecutive backend-level failures
+      ``BACKEND_FAILURE_THRESHOLD`` (3) consecutive backend-level failures
       and is swapped for a fresh instance (the thread lives on);
     - ``"abandoned"`` — the slot died with its restart budget already
       spent (or while the service closed), or, right after one of the

@@ -7,15 +7,16 @@ long-lived counterpart — the shape of a VXQuery/Hyracks cluster
 controller fielding many concurrent queries — and it is wiring over
 three pieces, each the one owner of its facts:
 
-- **admission** (:mod:`repro.service.admission`): tenant quotas, the
-  per-tenant circuit breaker and the one ordered check a submission
-  passes, lock-free;
+- **admission** (:mod:`repro.service.admission`): tenant quotas and
+  the one ordered check a submission passes, lock-free;
 - **the request lifecycle**: ``request.state`` (queued, running, done)
   is the only record of where a request is, and
   :meth:`QueryService._move_locked` the only code that moves it, so the
   admission queue and the running list never disagree with it;
 - **slot repair**: :meth:`QueryService._repair_slot` is the one way a
-  slot's backend (and, after a death, its thread) is replaced.
+  slot's backend (and, after a death, its thread) is replaced: after a
+  death, or once ``BACKEND_FAILURE_THRESHOLD`` consecutive backend-level
+  failures wore the backend out.
 
 Around them:
 
@@ -40,10 +41,10 @@ Around them:
   :class:`~repro.JsonProcessor` compiles through too;
 - **result cache** (optional): keyed by plan fingerprint × source
   fingerprints with file-change invalidation — see
-  :mod:`repro.service.result_cache`.  The service defaults both the
-  result cache and any segment cache it configures to ``content``
-  fingerprints: a long-lived server must not serve stale bytes through
-  the ``stat`` fingerprint's same-size rewrite window.
+  :mod:`repro.service.result_cache`.  Both the result cache and any
+  segment cache the service configures use ``content`` fingerprints: a
+  long-lived server must not serve stale bytes through the ``stat``
+  fingerprint's same-size rewrite window.
 
 Every completed query returns a :class:`ServiceResponse` carrying the
 result items plus the per-request telemetry the observability layers
@@ -65,7 +66,6 @@ from dataclasses import dataclass, field
 
 from repro.algebra.plan import read_set
 from repro.algebra.rules import RewriteConfig
-from repro.cache.config import resolve_fingerprint_mode
 from repro.compiler.pipeline import (
     PLAN_CACHE_CAPACITY,
     PlanCache,
@@ -87,7 +87,7 @@ from repro.hyracks.limits import CancellationToken
 from repro.observability.clock import CLOCKS, make_clock
 from repro.observability.profile import resolve_profile_config
 from repro.resilience.policies import ResilienceConfig
-from repro.service.admission import Breaker, TenantQuota, admit, is_failure
+from repro.service.admission import TenantQuota, admit
 from repro.service.events import QueryRetryEvent, SlotRestartEvent
 from repro.service.result_cache import (
     CachedResult,
@@ -98,6 +98,10 @@ from repro.service.result_cache import (
 #: Slot and retry events kept for ``stats()``: the most recent ones.  A
 #: long-lived service under chaos must not grow with its history.
 _EVENT_HISTORY = 256
+
+#: Consecutive backend-level failures on one slot before its backend is
+#: replaced in place.
+BACKEND_FAILURE_THRESHOLD = 3
 
 
 def _is_query_retryable(error: BaseException) -> bool:
@@ -298,15 +302,13 @@ class QueryService:
         per-tenant overrides by name.
     plan_cache_size / result_cache_size:
         LRU capacities; ``result_cache_size=0`` (default) disables
-        result caching.
-    cache_fingerprint:
-        Fingerprint mode for the result cache and any segment cache
-        this service configures; defaults to ``"content"`` (a
-        long-lived server must detect same-size in-place rewrites).
+        result caching.  The result cache fingerprints sources by
+        content (a long-lived server must detect same-size in-place
+        rewrites).
     segment_cache_dir:
-        When given, (re)configures the source's segment cache under
-        ``cache_fingerprint``.
-    memory_budget_bytes / spill / spill_dir / resilience:
+        When given, (re)configures the source's segment cache with
+        ``content`` fingerprints.
+    memory_budget_bytes / spill_dir / resilience:
         Per-query execution defaults, as on
         :class:`~repro.JsonProcessor`.
     max_query_retries:
@@ -315,19 +317,11 @@ class QueryService:
     max_slot_restarts:
         Per-slot supervisor restart budget (default 3); a slot that
         dies beyond it is abandoned for the life of the service.
-    backend_failure_threshold:
-        Consecutive backend-level failures on one slot before its
-        backend is replaced in place (default 3).
     clock:
         Name from the injectable ``CLOCKS`` registry (default
-        ``"wall"``) used for load-shedding duration estimates,
-        circuit-breaker cooldowns and :meth:`drain` timeouts — register
-        a scripted clock to make them deterministic in tests.
-    circuit_failure_threshold / circuit_cooldown_seconds:
-        Per-tenant circuit breaker: after *threshold* consecutive
-        failures the tenant's submissions are rejected with
-        ``AdmissionError("circuit-open", ...)`` until the cooldown
-        admits a half-open probe (default ``None`` = breaker off).
+        ``"wall"``) used for load-shedding duration estimates and
+        :meth:`drain` timeouts — register a scripted clock to make them
+        deterministic in tests.
     """
 
     def __init__(
@@ -342,20 +336,14 @@ class QueryService:
         quotas: dict[str, TenantQuota] | None = None,
         plan_cache_size: int = PLAN_CACHE_CAPACITY,
         result_cache_size: int = 0,
-        cache_fingerprint: str = "content",
         segment_cache_dir: str | None = None,
         memory_budget_bytes: int | None = None,
-        spill: bool = True,
         spill_dir: str | None = None,
         resilience: ResilienceConfig | None = None,
-        functions=None,
         cost: bool | None = None,
         max_query_retries: int = 1,
         max_slot_restarts: int = 3,
-        backend_failure_threshold: int = 3,
         clock: str = "wall",
-        circuit_failure_threshold: int | None = None,
-        circuit_cooldown_seconds: float = 30.0,
     ):
         if backend is not None and backend not in BACKENDS:
             raise ValueError(
@@ -375,45 +363,24 @@ class QueryService:
             raise ValueError(
                 f"max_slot_restarts must be >= 0, got {max_slot_restarts!r}"
             )
-        if backend_failure_threshold < 1:
-            raise ValueError(
-                f"backend_failure_threshold must be >= 1, "
-                f"got {backend_failure_threshold!r}"
-            )
         if clock not in CLOCKS:
             raise ValueError(
                 f"unknown service clock {clock!r}; "
                 f"expected one of {sorted(CLOCKS)}"
             )
-        if (
-            circuit_failure_threshold is not None
-            and circuit_failure_threshold < 1
-        ):
-            raise ValueError(
-                f"circuit_failure_threshold must be >= 1 or None, "
-                f"got {circuit_failure_threshold!r}"
-            )
-        if circuit_cooldown_seconds < 0:
-            raise ValueError(
-                f"circuit_cooldown_seconds must be >= 0, "
-                f"got {circuit_cooldown_seconds!r}"
-            )
         self._source = source
         self._rewrite = rewrite if rewrite is not None else RewriteConfig.all()
         self._cost = cost_enabled(self._rewrite, cost)
-        self._functions = functions
         self._resilience = resilience
         self._memory_budget = memory_budget_bytes
-        self._spill = spill
         self._spill_dir = spill_dir
         self._max_workers = max_workers
-        self._fingerprint_mode = resolve_fingerprint_mode(cache_fingerprint)
         if segment_cache_dir is not None:
             configure = getattr(source, "configure_scan", None)
             if configure is not None:
                 configure(
                     segment_cache_dir=segment_cache_dir,
-                    fingerprint_mode=self._fingerprint_mode,
+                    fingerprint_mode="content",
                 )
         self.default_quota = (
             default_quota if default_quota is not None else TenantQuota()
@@ -452,12 +419,7 @@ class QueryService:
         self._backend_name = backend
         self._max_query_retries = max_query_retries
         self._max_slot_restarts = max_slot_restarts
-        self._backend_failure_threshold = backend_failure_threshold
         self._clock = make_clock(clock)
-        self._circuit_threshold = circuit_failure_threshold
-        self._circuit_cooldown = circuit_cooldown_seconds
-        # Only tenants whose requests have failed have a breaker.
-        self._breakers: dict[str, Breaker] = {}
         self._recent_durations: deque = deque(maxlen=32)
         # The most recent events only; the ``retried`` and
         # ``slot_restarts_total`` counters hold the exact totals.
@@ -524,8 +486,6 @@ class QueryService:
                 deadline_seconds,
                 closed=self._closed,
                 live_slots=self._live_slots_locked(),
-                breaker=self._breakers.get(tenant),
-                clock=self._clock,
                 in_flight=_count(self._queue, tenant)
                 + _count(self._running, tenant),
                 queued=len(self._queue),
@@ -675,21 +635,12 @@ class QueryService:
         self, request: _Request, response=None, error=None, duration=None
     ) -> None:
         """A request's one terminal transition, from queued or running:
-        free its place, feed the breaker, count the outcome and wake the
-        ticket.  The caller holds the lock and drops the flag file."""
+        free its place, count the outcome and wake the ticket.  The caller holds the lock and drops the flag file."""
         request.response = response
         request.error = error
         self._move_locked(request, "done")
         if duration is not None:
             self._recent_durations.append(duration)
-        if self._circuit_threshold is not None:
-            breaker = self._breakers.get(request.tenant)
-            if breaker is None and is_failure(error):
-                breaker = self._breakers[request.tenant] = Breaker(
-                    self._circuit_threshold, self._circuit_cooldown
-                )
-            if breaker is not None:
-                breaker.record(error, self._clock)
         if error is None:
             self._counters["completed"] += 1
         elif isinstance(error, QueryCancelledError):
@@ -762,7 +713,7 @@ class QueryService:
                     slot.backend_failures += 1
                 else:
                     slot.backend_failures = 0
-                worn = slot.backend_failures >= self._backend_failure_threshold
+                worn = slot.backend_failures >= BACKEND_FAILURE_THRESHOLD
             if worn:
                 self._repair_slot(slot, request, error, duration=duration)
             else:
@@ -776,7 +727,7 @@ class QueryService:
 
         Two things call it, each on the thread that owned the slot, so
         nothing else is running on the backend it closes: the worker
-        loop, once ``backend_failure_threshold`` consecutive backend-
+        loop, once ``BACKEND_FAILURE_THRESHOLD`` consecutive backend-
         level failures wore the backend out (the thread lives on), and
         the supervisor, once the worker thread died (*died* says how).
         A death costs one of the slot's ``max_slot_restarts``; past the
@@ -808,7 +759,7 @@ class QueryService:
             if died is None:
                 record(
                     "backend-replaced",
-                    f"replaced backend after {self._backend_failure_threshold}"
+                    f"replaced backend after {BACKEND_FAILURE_THRESHOLD}"
                     f" consecutive backend failures",
                 )
             elif self._closed or slot.restarts >= self._max_slot_restarts:
@@ -928,7 +879,7 @@ class QueryService:
             # read is not, so such a plan skips the cache.
             reads = read_set(compiled.plan.root)
             fingerprints = None if reads.documents else source_fingerprints(
-                self._source, reads.collections, self._fingerprint_mode
+                self._source, reads.collections, "content"
             )
             if fingerprints is not None:
                 result_key = (
@@ -945,12 +896,10 @@ class QueryService:
         else:
             executor = PartitionedExecutor(
                 self._source,
-                functions=self._functions,
                 two_step_aggregation=self._rewrite.two_step_aggregation,
                 memory_budget_bytes=request.memory_budget,
                 resilience=self._resilience,
                 backend=backend,
-                spill=self._spill,
                 spill_dir=self._spill_dir,
                 deadline_seconds=remaining_deadline,
             )
@@ -1018,13 +967,6 @@ class QueryService:
                 "total": len(self._slots),
                 "live": live,
                 "abandoned": len(self._slots) - live,
-            }
-            counters["circuit_breakers"] = {
-                tenant: {
-                    "state": breaker.state,
-                    "consecutive_failures": breaker.failures,
-                }
-                for tenant, breaker in sorted(self._breakers.items())
             }
         counters["plan_cache"] = self.plan_cache.stats()
         counters["result_cache"] = (

@@ -9,7 +9,6 @@ are reproducible across backends.
 
 from repro.stats.sampling import (
     DEFAULT_SAMPLE_LIMIT,
-    SAMPLE_ENV_VAR,
     CollectionStats,
     KeyStats,
     PartitionStats,
@@ -26,7 +25,6 @@ from repro.stats.cost import (
 
 __all__ = [
     "DEFAULT_SAMPLE_LIMIT",
-    "SAMPLE_ENV_VAR",
     "COST_ENV_VAR",
     "CollectionStats",
     "KeyStats",

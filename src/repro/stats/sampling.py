@@ -21,9 +21,9 @@ skipped silently (their bytes still count toward extrapolation), and a
 collection that cannot be sampled at all simply has no stats, which the
 cost model treats as "leave the plan alone".
 
-``REPRO_STATS_SAMPLE`` sets the per-partition document sample limit when
-no explicit value is given (``repro.envutil`` resolution rule: unset
-means the default, set-but-empty or ``0`` disables sampling).
+The per-partition document sample limit is the source's
+``stats_sample`` (default :data:`DEFAULT_SAMPLE_LIMIT`; ``0`` disables
+sampling).
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from repro.jsonlib.items import canonical_atomic, is_atomic, sizeof_item
 from repro.jsonlib.path import Path
 from repro.jsonlib.ondemand import scan_text
 
-#: environment variable consulted when no explicit sample limit is given.
-SAMPLE_ENV_VAR = "REPRO_STATS_SAMPLE"
-
 #: documents sampled per partition when nothing else is configured.
 DEFAULT_SAMPLE_LIMIT = 64
 
@@ -51,33 +48,13 @@ _MAX_WALK_NODES = 10_000
 
 
 def resolve_stats_sample(explicit: int | None = None) -> int:
-    """Resolve the per-partition sample limit (0 disables sampling).
-
-    An explicit argument wins; otherwise ``REPRO_STATS_SAMPLE`` is
-    consulted (set-but-empty means off), else :data:`DEFAULT_SAMPLE_LIMIT`.
-    """
-    if explicit is not None:
-        limit = int(explicit)
-        if limit < 0:
-            raise ReproError(
-                f"stats sample limit must be >= 0, got {explicit!r}"
-            )
-        return limit
-    from repro.envutil import env_setting
-
-    value = env_setting(SAMPLE_ENV_VAR)
-    if value is None:
+    """Resolve the per-partition sample limit (0 disables sampling):
+    an explicit limit, else :data:`DEFAULT_SAMPLE_LIMIT`."""
+    if explicit is None:
         return DEFAULT_SAMPLE_LIMIT
-    if not value:
-        return 0
-    try:
-        limit = int(value)
-    except ValueError:
-        raise ReproError(
-            f"{SAMPLE_ENV_VAR} must be an integer, got {value!r}"
-        ) from None
+    limit = int(explicit)
     if limit < 0:
-        raise ReproError(f"{SAMPLE_ENV_VAR} must be >= 0, got {value!r}")
+        raise ReproError(f"stats sample limit must be >= 0, got {explicit!r}")
     return limit
 
 

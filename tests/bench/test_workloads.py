@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import workloads as W
+from repro.errors import ReproError
 
 
 class TestPredicate:
@@ -77,3 +78,19 @@ class TestWorkloadBuilding:
         assert W.bench_scale() == 2.5
         monkeypatch.delenv("REPRO_BENCH_SCALE")
         assert W.bench_scale() == 1.0
+
+    def test_scale_env_empty_means_no_override(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "")
+        assert W.bench_scale() == 1.0
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "  ")
+        assert W.bench_scale() == 1.0
+
+    @pytest.mark.parametrize(
+        "value", ["lots", "0", "0.0", "-2", "nan", "inf", "1e999"]
+    )
+    def test_scale_env_rejects_what_is_not_a_positive_number(
+        self, monkeypatch, value
+    ):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", value)
+        with pytest.raises(ReproError, match="REPRO_BENCH_SCALE"):
+            W.bench_scale()

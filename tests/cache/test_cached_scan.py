@@ -311,9 +311,7 @@ class TestProcessorIntegration:
                 fault_plan=FaultPlan().fail_partition(0, times=1),
                 resilience=ResilienceConfig(
                     partition_policy="retry",
-                    retry=RetryPolicy(
-                        max_attempts=3, base_backoff_seconds=0.0, seed=7
-                    ),
+                    retry=RetryPolicy(max_attempts=3, seed=7),
                 ),
                 **kwargs,
             ) as p:

@@ -232,7 +232,6 @@ def broken_unit(base_dir, policy):
         partition=0,
         work=PipelinedWork(plan),
         source=source,
-        functions=None,
         memory_budget=None,
         resilience=ResilienceConfig(
             partition_policy=policy, retry=RetryPolicy(max_attempts=3)

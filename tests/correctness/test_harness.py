@@ -72,10 +72,9 @@ class TestEagerNavigationSource:
             EagerNavigationSource(inner),
             scan_mode="text",
             segment_cache_dir=str(tmp_path),
-            cache_fingerprint="content",
         )
         assert inner.scan_mode == "text"
-        assert inner.segment_cache.fingerprint_mode == "content"
+        assert inner.segment_cache.cache_dir == str(tmp_path)
         assert processor.evaluate(
             'for $r in collection("/c") return $r("v")'
         ) == [1]

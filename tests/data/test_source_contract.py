@@ -45,9 +45,7 @@ KINDS = ("disk", "memory")
 def _pinned_scan_env(monkeypatch):
     # Every cell sets its own mode and cache; the CI legs that run the
     # suite under these variables must not leak into the "off" cells.
-    for name in (
-        "REPRO_SEGMENT_CACHE", "REPRO_SCAN_MODE", "REPRO_CACHE_FINGERPRINT"
-    ):
+    for name in ("REPRO_SEGMENT_CACHE", "REPRO_SCAN_MODE"):
         monkeypatch.delenv(name, raising=False)
 
 

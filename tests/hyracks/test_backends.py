@@ -16,19 +16,18 @@ from repro import (
     SequentialBackend,
 )
 from repro.data.catalog import CollectionCatalog
-from repro.errors import PartitionExecutionError
+from repro.errors import BackendError, PartitionExecutionError
 from repro.hyracks.backends import (
     BACKENDS,
-    BackendError,
     Parcel,
     PipelinedWork,
     WorkUnit,
     execute_work_unit,
     resolve_backend,
-    stable_bucket,
 )
 from repro.hyracks.cluster import ClusterSpec
 from repro.hyracks.executor import QueryResult
+from repro.hyracks.spill import stable_bucket
 from repro.resilience import TransientFaultError
 
 BACKEND_NAMES = ["sequential", "process"]
@@ -141,7 +140,7 @@ class TestFaultParity:
         plan = FaultPlan(seed=7).fail_partition(1, times=2).delay_partition(3, 0.5)
         config = ResilienceConfig(
             partition_policy="retry",
-            retry=RetryPolicy(max_attempts=3, base_backoff_seconds=0.01, seed=7),
+            retry=RetryPolicy(max_attempts=3, seed=7),
         )
         return plan, config
 
@@ -154,7 +153,7 @@ class TestFaultParity:
         plan = FaultPlan(seed=13).fail_partition(0, permanent=True)
         config = ResilienceConfig(
             partition_policy="retry",
-            retry=RetryPolicy(max_attempts=4, base_backoff_seconds=0.01, seed=13),
+            retry=RetryPolicy(max_attempts=4, seed=13),
             on_exhausted="skip",
         )
         return plan, config
@@ -178,7 +177,7 @@ class TestFaultParity:
         )
         config = ResilienceConfig(
             partition_policy="retry",
-            retry=RetryPolicy(max_attempts=3, base_backoff_seconds=0.01, seed=17),
+            retry=RetryPolicy(max_attempts=3, seed=17),
         )
         return plan, config
 
@@ -240,7 +239,6 @@ class TestPicklability:
             partition=0,
             work=PipelinedWork(plan),
             source=catalog,
-            functions=None,
             memory_budget=None,
             resilience=ResilienceConfig(),
         )
@@ -406,7 +404,6 @@ class TestDistribution:
                 partition=partition,
                 work=PipelinedWork(plan),
                 source=catalog,
-                functions=None,
                 memory_budget=None,
                 resilience=ResilienceConfig(),
             )

@@ -291,21 +291,6 @@ class TestQueryLevelByteIdentity:
         assert spilled.items == unlimited.items
         assert spilled.stats.spill_recursion_depth == max_recursion
 
-    def test_spill_disabled_keeps_raising(self, spill_root):
-        from repro.errors import PartitionExecutionError
-
-        source = make_source()
-        # fail_fast wraps the partition's budget overflow, naming it.
-        with pytest.raises(PartitionExecutionError) as exc_info:
-            run(
-                source,
-                GROUP_QUERY,
-                spill_root=spill_root,
-                memory_budget_bytes=512,
-                spill=False,
-            )
-        assert isinstance(exc_info.value.__cause__, MemoryBudgetExceededError)
-
     def test_budget_without_spill_need_never_spills(self, spill_root):
         source = make_source(records_per_partition=10)
         result = run(

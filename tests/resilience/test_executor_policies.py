@@ -231,18 +231,18 @@ class TestSimulatedClock:
         plan = FaultPlan().fail_partition(1, times=2)
         config = ResilienceConfig(
             partition_policy="retry",
-            retry=RetryPolicy(
-                max_attempts=3, base_backoff_seconds=0.2, jitter=0.0
-            ),
+            retry=RetryPolicy(max_attempts=3),
         )
         result = make_processor(plan=plan, config=config).execute(QUERY)
-        # 0.2 + 0.4 backoff on partition 1.
-        assert result.injected_seconds[1] == pytest.approx(0.6)
+        # About 0.05 + 0.1 backoff on partition 1, each up to 10% jitter.
+        backoff = config.retry.backoff_seconds(1) + config.retry.backoff_seconds(2)
+        assert 0.15 <= backoff <= 0.165
+        assert result.injected_seconds[1] == pytest.approx(backoff)
         clean = make_processor().execute(QUERY)
         difference = result.simulated_seconds(cluster) - clean.simulated_seconds(
             cluster
         )
-        assert difference >= 0.55
+        assert difference >= backoff - 0.05
 
 
 class TestDeterminism:

@@ -8,14 +8,16 @@ from repro.resilience import (
     RetryPolicy,
     TransientFaultError,
 )
+from repro.resilience import retry
 
 
 class TestRetryPolicy:
-    def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(base_backoff_seconds=0.1, multiplier=2.0, jitter=0.0)
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.2)
-        assert policy.backoff_seconds(3) == pytest.approx(0.4)
+    def test_backoff_grows_exponentially_without_jitter(self, monkeypatch):
+        monkeypatch.setattr(retry, "JITTER", 0.0)
+        policy = RetryPolicy()
+        assert policy.backoff_seconds(1) == pytest.approx(0.05)
+        assert policy.backoff_seconds(2) == pytest.approx(0.1)
+        assert policy.backoff_seconds(3) == pytest.approx(0.2)
 
     def test_jitter_is_deterministic_per_seed(self):
         a = RetryPolicy(seed=42)
@@ -26,15 +28,14 @@ class TestRetryPolicy:
         assert a.backoff_seconds(1) != c.backoff_seconds(1)
 
     def test_jitter_bounded(self):
-        policy = RetryPolicy(base_backoff_seconds=1.0, multiplier=1.0, jitter=0.5)
+        policy = RetryPolicy(seed=3)
         for attempt in range(1, 10):
-            assert 1.0 <= policy.backoff_seconds(attempt) <= 1.5
+            base = 0.05 * 2.0 ** (attempt - 1)
+            assert base <= policy.backoff_seconds(attempt) <= base * 1.1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff_seconds=-1)
 
 
 class TestFaultPlan:

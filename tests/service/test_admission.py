@@ -4,9 +4,9 @@ import pickle
 
 import pytest
 
-from repro.errors import AdmissionError, QueryCancelledError
+from repro.errors import AdmissionError
 from repro.service import QueryService, TenantQuota
-from repro.service.admission import Breaker, admit
+from repro.service.admission import admit
 
 from tests.service.conftest import COUNT_QUERY, GatedSource, make_source
 
@@ -146,7 +146,6 @@ class TestAdmission:
 REASONS = {
     "closed": ({"closed": True}, {}),
     "no-slots": ({"live_slots": 0}, {}),
-    "circuit-open": ({"breaker": "open"}, {}),
     "memory-quota": ({"memory_bytes": 11}, {"memory_budget_bytes": 10}),
     "deadline-quota": (
         {"deadline_seconds": 11.0}, {"deadline_ceiling_seconds": 10.0}
@@ -159,12 +158,6 @@ REASONS = {
 }
 
 
-def open_breaker():
-    breaker = Breaker(threshold=1, cooldown=10.0)
-    breaker.record(RuntimeError("failed"), lambda: 0.0)
-    return breaker
-
-
 def verdict(*reasons, quota=None, **overrides):
     """admit() for tenant "t" with every named reason's trigger applied
     and nothing else in the way."""
@@ -173,8 +166,6 @@ def verdict(*reasons, quota=None, **overrides):
         "deadline_seconds": None,
         "closed": False,
         "live_slots": 1,
-        "breaker": None,
-        "clock": lambda: 0.0,
         "in_flight": 0,
         "queued": 0,
         "running": 0,
@@ -186,8 +177,6 @@ def verdict(*reasons, quota=None, **overrides):
         triggers, quota_fields = REASONS[reason]
         arguments.update(triggers)
         fields.update(quota_fields)
-    if arguments["breaker"] == "open":
-        arguments["breaker"] = open_breaker()
     arguments.update(overrides)
     return admit("t", quota or TenantQuota(**fields), **arguments)
 
@@ -222,9 +211,6 @@ class TestAdmit:
         assert (queue.limit, queue.requested) == (4, 5)
         shed = verdict("predicted-timeout")
         assert (shed.limit, shed.requested) == (11.0, 20.0)
-        circuit = verdict("circuit-open")
-        assert (circuit.limit, circuit.requested) == (1, 1)
-        assert "cooldown 10s)" in str(circuit)
 
     def test_predicted_wait_spreads_the_backlog_over_live_slots(self):
         # mean 4 x backlog (2 queued + 1 running) / 2 live slots = 6s
@@ -246,84 +232,3 @@ class TestAdmit:
         # without a deadline or a history, nothing is shed
         assert verdict(durations=[100.0], queued=3) is None
         assert verdict(deadline_seconds=0.5, queued=3) is None
-
-
-class TestBreaker:
-    def test_open_half_open_closed_on_a_float_clock(self):
-        now = [0.0]
-
-        def clock():
-            return now[0]
-
-        breaker = Breaker(threshold=2, cooldown=10.0)
-        breaker.record(RuntimeError("one"), clock)
-        assert breaker.state == "closed" and breaker.check(clock)
-        now[0] = 1.5
-        breaker.record(RuntimeError("two"), clock)
-        assert (breaker.state, breaker.opened_at) == ("open", 1.5)
-        now[0] = 11.25  # 9.75 s of a 10 s cooldown
-        assert not breaker.check(clock) and breaker.state == "open"
-        now[0] = 11.5
-        assert breaker.check(clock) and breaker.state == "half-open"
-        breaker.claim_probe()
-        assert not breaker.check(clock)  # one probe at a time
-        breaker.record(RuntimeError("probe"), clock)  # failing probe reopens
-        assert (breaker.state, breaker.opened_at) == ("open", 11.5)
-        assert breaker.failures == 3
-        now[0] = 21.5
-        assert breaker.check(clock)
-        breaker.claim_probe()
-        breaker.record(None, clock)  # a successful probe closes
-        assert (breaker.state, breaker.failures, breaker.probing) == (
-            "closed", 0, False
-        )
-        assert breaker.check(clock)
-
-    def test_a_cancel_gives_the_probe_back_and_changes_nothing_else(self):
-        now = [0.0]
-        breaker = Breaker(threshold=1, cooldown=5.0)
-        breaker.record(RuntimeError("failed"), lambda: now[0])
-        now[0] = 5.0
-        assert breaker.check(lambda: now[0])
-        breaker.claim_probe()
-        breaker.record(QueryCancelledError("client"), lambda: now[0])
-        assert (breaker.state, breaker.failures, breaker.probing) == (
-            "half-open", 1, False
-        )
-        assert breaker.check(lambda: now[0])
-
-    def test_the_clock_is_read_only_when_a_transition_needs_it(self):
-        reads = []
-
-        def clock():
-            reads.append(None)
-            return 100.0
-
-        breaker = Breaker(threshold=2, cooldown=1.0)
-        breaker.check(clock)
-        breaker.record(None, clock)
-        breaker.record(RuntimeError("one"), clock)
-        assert reads == []
-        breaker.record(RuntimeError("two"), clock)  # opens: reads the time
-        assert len(reads) == 1
-
-    def test_a_later_rejection_does_not_consume_the_probe(self):
-        breaker = open_breaker()
-
-        def after_cooldown():
-            return 50.0
-
-        rejected = verdict(
-            "deadline-quota", breaker=breaker, clock=after_cooldown
-        )
-        assert rejected.reason == "deadline-quota"
-        assert breaker.state == "half-open" and not breaker.probing
-        for reason in ("tenant-quota", "service-queue", "predicted-timeout"):
-            later = verdict(reason, breaker=breaker, clock=after_cooldown)
-            assert later.reason == reason
-            assert not breaker.probing
-        assert verdict(breaker=breaker, clock=after_cooldown) is None
-        assert breaker.probing  # the admitted submission is the probe
-        again = verdict(breaker=breaker, clock=after_cooldown)
-        assert again.reason == "circuit-open"
-        assert "probe in flight" in str(again)

@@ -1,12 +1,12 @@
 """Self-healing query-service behaviour: slot supervision, query-level
-retry, load shedding, and the per-tenant circuit breaker.
+retry and load shedding.
 
 Slot death is injected *in the service layer* (the worker thread raises
 after claiming a request), so the same schedule is exercised identically
 on the sequential and process backends — the determinism the
-cross-backend parametrisation below pins down.  Breaker and shedding
-tests run on scripted clocks from the injectable ``CLOCKS`` registry,
-so no assertion depends on wall time.
+cross-backend parametrisation below pins down.  Shedding tests run on
+clocks from the injectable ``CLOCKS`` registry, so no assertion depends
+on wall time.
 """
 
 import itertools
@@ -447,179 +447,11 @@ def test_drain_times_out_on_the_service_clock(monkeypatch):
         assert running.result().items == [120]
 
 
-# -- circuit breaker -----------------------------------------------------------
-
-
-@pytest.fixture()
-def scripted_clock(monkeypatch):
-    state = {"now": 0.0}
-    monkeypatch.setitem(CLOCKS, "scripted", lambda: lambda: state["now"])
-    return state
-
-
-def test_circuit_breaker_open_halfopen_close_cycle(scripted_clock):
-    with QueryService(
-        make_source(),
-        backend="sequential",
-        max_concurrent_queries=1,
-        clock="scripted",
-        circuit_failure_threshold=2,
-        circuit_cooldown_seconds=100.0,
-    ) as service:
-        bad = "count((("  # parse error → deterministic failure
-        for _ in range(2):
-            with pytest.raises(Exception):
-                service.execute(bad, tenant="flaky")
-        stats = service.stats()
-        assert stats["circuit_breakers"]["flaky"] == {
-            "state": "open",
-            "consecutive_failures": 2,
-        }
-        # Open: rejected without touching a slot.
-        with pytest.raises(AdmissionError) as excinfo:
-            service.submit(COUNT_QUERY, tenant="flaky")
-        assert excinfo.value.reason == "circuit-open"
-        pickle.loads(pickle.dumps(excinfo.value))
-        # Other tenants are unaffected.
-        assert service.execute(COUNT_QUERY, tenant="steady").items == [120]
-        # Cooldown elapses on the scripted clock: one probe is admitted.
-        scripted_clock["now"] = 150.0
-        with pytest.raises(Exception):
-            service.execute(bad, tenant="flaky")  # failing probe reopens
-        with pytest.raises(AdmissionError) as reopened:
-            service.submit(COUNT_QUERY, tenant="flaky")
-        assert reopened.value.reason == "circuit-open"
-        # Second cooldown, successful probe closes the breaker for good.
-        scripted_clock["now"] = 300.0
-        assert service.execute(COUNT_QUERY, tenant="flaky").items == [120]
-        assert service.execute(COUNT_QUERY, tenant="flaky").items == [120]
-        stats = service.stats()
-        assert stats["circuit_breakers"]["flaky"] == {
-            "state": "closed",
-            "consecutive_failures": 0,
-        }
-        assert stats["rejected_by_reason"]["circuit-open"] == 2
-
-
-def test_circuit_breaker_admits_single_probe(scripted_clock):
-    source = make_gated()
-    with QueryService(
-        source,
-        backend="sequential",
-        max_concurrent_queries=1,
-        clock="scripted",
-        circuit_failure_threshold=1,
-        circuit_cooldown_seconds=10.0,
-    ) as service:
-        with pytest.raises(Exception):
-            service.execute("count(((", tenant="t")
-        scripted_clock["now"] = 50.0
-        probe = service.submit(COUNT_QUERY, tenant="t")
-        source.wait_entered()
-        # Probe in flight: a second submission is still rejected.
-        with pytest.raises(AdmissionError) as excinfo:
-            service.submit(COUNT_QUERY, tenant="t")
-        assert excinfo.value.reason == "circuit-open"
-        source.release()
-        assert probe.result().items == [120]
-        assert service.stats()["circuit_breakers"]["t"]["state"] == "closed"
-
-
-def test_halfopen_probe_not_leaked_by_later_rejection(scripted_clock):
-    """A submission that passes the breaker check but is rejected by a
-    *later* admission step (here: the tenant deadline ceiling) must not
-    claim the half-open probe — pre-fix, the leaked ``probing`` flag was
-    only cleared when a request finished, so with nothing in flight the
-    tenant was locked out with ``circuit-open (probe in flight)``
-    forever."""
-    with QueryService(
-        make_source(),
-        backend="sequential",
-        max_concurrent_queries=1,
-        clock="scripted",
-        circuit_failure_threshold=1,
-        circuit_cooldown_seconds=10.0,
-        quotas={"t": TenantQuota(deadline_ceiling_seconds=10.0)},
-    ) as service:
-        with pytest.raises(Exception):
-            service.execute("count(((", tenant="t")
-        assert service.stats()["circuit_breakers"]["t"]["state"] == "open"
-        scripted_clock["now"] = 50.0  # cooldown elapsed → half-open
-        with pytest.raises(AdmissionError) as excinfo:
-            service.submit(COUNT_QUERY, tenant="t", deadline_seconds=99.0)
-        assert excinfo.value.reason == "deadline-quota"
-        # The probe was not consumed by the rejected submission: a clean
-        # submission is admitted as the probe and closes the breaker.
-        assert service.execute(COUNT_QUERY, tenant="t").items == [120]
-        assert service.stats()["circuit_breakers"]["t"] == {
-            "state": "closed",
-            "consecutive_failures": 0,
-        }
-
-
-def test_breaker_ignores_cancellations(scripted_clock):
-    source = make_gated()
-    with QueryService(
-        source,
-        backend="sequential",
-        max_concurrent_queries=1,
-        clock="scripted",
-        circuit_failure_threshold=1,
-    ) as service:
-        ticket = service.submit(COUNT_QUERY, tenant="t")
-        source.wait_entered()
-        ticket.cancel("client went away")
-        source.release()
-        with pytest.raises(QueryCancelledError):
-            ticket.result()
-        # A cancel is not a service failure: the breaker stays closed.
-        breakers = service.stats()["circuit_breakers"]
-        assert breakers.get("t", {"state": "closed"})["state"] != "open"
-        assert service.execute(COUNT_QUERY, tenant="t").items == [120]
-
-
-@pytest.mark.parametrize("later", [60.0, 1000.0])
-def test_halfopen_probe_cancelled_while_queued_is_released(scripted_clock, later):
-    """A half-open probe cancelled before it left the queue must give
-    the probe back: the cancel takes the same terminal transition as
-    any finish, which clears the breaker's ``probing`` flag.  Before,
-    the queued-cancel path kept its own bookkeeping and never told the
-    breaker, so every later submission of the tenant was rejected
-    ``circuit-open (probe in flight)`` for good."""
-    source = make_gated()
-    with QueryService(
-        source,
-        backend="sequential",
-        max_concurrent_queries=1,
-        clock="scripted",
-        circuit_failure_threshold=1,
-        circuit_cooldown_seconds=10.0,
-    ) as service:
-        with pytest.raises(Exception):
-            service.execute("count(((", tenant="t")
-        holder = service.submit(COUNT_QUERY, tenant="other")
-        source.wait_entered()  # the one slot is busy from here on
-        scripted_clock["now"] = 50.0  # cooldown elapsed: half-open
-        probe = service.submit(COUNT_QUERY, tenant="t")
-        assert probe.cancel("client went away")
-        with pytest.raises(QueryCancelledError):
-            probe.result()
-        assert service.stats()["circuit_breakers"]["t"]["state"] == "half-open"
-        scripted_clock["now"] = later
-        retry = service.submit(COUNT_QUERY, tenant="t")  # admitted as the probe
-        source.release()
-        assert holder.result().items == [120]
-        assert retry.result().items == [120]
-        stats = service.stats()
-        assert stats["circuit_breakers"]["t"] == {
-            "state": "closed",
-            "consecutive_failures": 0,
-        }
-        assert stats["cancelled"] == 1
+# -- backend replacement ------------------------------------------------------
 
 
 def test_backend_replaced_after_consecutive_backend_errors(monkeypatch):
-    """``backend_failure_threshold`` consecutive backend errors on a
+    """``BACKEND_FAILURE_THRESHOLD`` (3) consecutive backend errors on a
     slot swap in a fresh backend, once, and the next query answers."""
     from repro.hyracks.backends import SequentialBackend
 
@@ -638,7 +470,6 @@ def test_backend_replaced_after_consecutive_backend_errors(monkeypatch):
         backend="sequential",
         max_concurrent_queries=1,
         max_query_retries=0,
-        backend_failure_threshold=3,
     ) as service:
         first = service._slots[0].backend
         for attempt in range(3):
@@ -657,7 +488,7 @@ def test_backend_replaced_after_consecutive_backend_errors(monkeypatch):
 def test_failed_backend_replacement_still_finishes_the_request(
     monkeypatch, failed_builds
 ):
-    """A backend worn out by ``backend_failure_threshold`` failures whose
+    """A backend worn out by ``BACKEND_FAILURE_THRESHOLD`` failures whose
     replacement cannot be built (once, or every time) abandons the slot,
     and the request that wore it out still reaches its ticket: it used
     to stay ``running`` forever, so ``drain`` and ``close`` never
@@ -674,12 +505,12 @@ def test_failed_backend_replacement_still_finishes_the_request(
         return run_units(self, units, events)
 
     monkeypatch.setattr(SequentialBackend, "run_units", flaky)
+    monkeypatch.setattr(service_module, "BACKEND_FAILURE_THRESHOLD", 1)
     service = QueryService(
         make_source(),
         backend="sequential",
         max_concurrent_queries=1,
         max_query_retries=0,
-        backend_failure_threshold=1,
     )
     resolve = service_module.resolve_backend
     builds_to_fail = [failed_builds]
@@ -721,30 +552,31 @@ def test_failed_backend_replacement_still_finishes_the_request(
 def test_per_tenant_state_is_not_kept_for_tenants_that_never_failed():
     """Tenant names come from clients (``tools/serve.py``), so a service
     must not keep an entry per name it has seen: after 500 tenants with
-    one successful query each, no dict on the service holds a tenant and
-    ``stats()`` lists no breaker.  A tenant that failed keeps its
-    breaker."""
-    with QueryService(
-        make_source(5),
-        backend="sequential",
-        max_concurrent_queries=1,
-        result_cache_size=1,
-        circuit_failure_threshold=1,
-    ) as service:
-        for index in range(500):
-            response = service.execute(COUNT_QUERY, tenant=f"tenant-{index}")
-            assert response.items == [10]
-        assert service.stats()["circuit_breakers"] == {}
-        holding = [
+    one successful query each, no dict on the service holds a tenant.
+    A tenant that failed leaves nothing behind either."""
+
+    def holding():
+        return [
             name
             for name, value in vars(service).items()
             if isinstance(value, dict)
             and any(str(key).startswith("tenant-") for key in value)
         ]
-        assert holding == []
+
+    with QueryService(
+        make_source(5),
+        backend="sequential",
+        max_concurrent_queries=1,
+        result_cache_size=1,
+    ) as service:
+        for index in range(500):
+            response = service.execute(COUNT_QUERY, tenant=f"tenant-{index}")
+            assert response.items == [10]
+        assert holding() == []
         with pytest.raises(Exception):
             service.execute("count(((", tenant="tenant-0")
-        assert list(service.stats()["circuit_breakers"]) == ["tenant-0"]
+        assert holding() == []
+        assert "circuit_breakers" not in service.stats()
 
 
 def start_closing(service) -> threading.Thread:

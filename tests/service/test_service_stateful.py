@@ -1,7 +1,9 @@
 """A stateful test of the query service: hypothesis drives one service
 through submits, held and released slots, cancels, slot deaths, backend
 failures, failed backend rebuilds, a scripted clock and close, and
-checks the service's books after every step.
+checks the service's books after every step.  The service runs under a
+memory budget that makes its GROUP-BY spill, into a spill root of its
+own, so every check also sees what the spill scopes left behind.
 
 Every wait is bounded, so a request stranded in flight fails the test
 instead of hanging it.
@@ -9,6 +11,8 @@ instead of hanging it.
 
 import json
 import os
+import shutil
+import tempfile
 import threading
 
 from hypothesis import HealthCheck, settings
@@ -30,6 +34,7 @@ from repro.service import service as service_module
 from tests.service.conftest import (
     COUNT_QUERY,
     FILTER_QUERY,
+    GROUP_QUERY,
     close_within,
     make_rows,
 )
@@ -37,11 +42,13 @@ from tests.service.conftest import (
 CLOCK = "stateful-scripted"
 WAIT = 5.0  # seconds any one ticket may take once nothing holds a slot
 FAULTS = 4  # slot deaths, backend failures and failed builds per run
+BUDGET = 512  # bytes per query: the GROUP-BY spills, the rest fit
 
 QUERIES = {
     "count": COUNT_QUERY,
     "filter": FILTER_QUERY,
-    "broken": "count(((",  # fails to parse: feeds the breaker
+    "group": GROUP_QUERY,  # spills under BUDGET
+    "broken": "count(((",  # fails to parse
 }
 
 
@@ -94,6 +101,10 @@ class ServiceMachine(RuleBasedStateMachine):
 
         self.real_resolve = service_module.resolve_backend
         service_module.resolve_backend = resolve
+        # One backend-level failure wears a slot's backend out.
+        self.real_threshold = service_module.BACKEND_FAILURE_THRESHOLD
+        service_module.BACKEND_FAILURE_THRESHOLD = 1
+        self.spill_root = tempfile.mkdtemp(prefix="repro-stateful-spill-")
         self.source = ValveSource(
             collections={
                 "/s": [[json.dumps({"root": [{"results": make_rows(20)}]})]]
@@ -107,12 +118,12 @@ class ServiceMachine(RuleBasedStateMachine):
             default_quota=TenantQuota(max_concurrent=1, max_queued=2),
             max_query_retries=1,
             max_slot_restarts=2,
-            backend_failure_threshold=1,
             clock=CLOCK,
-            circuit_failure_threshold=2,
-            circuit_cooldown_seconds=10.0,
+            memory_budget_bytes=BUDGET,
+            spill_dir=self.spill_root,
         )
         self.tickets = []
+        self.group_tickets = []
         self.submitted = 0  # submissions tried, admitted or not
         self.closed = False
 
@@ -123,7 +134,9 @@ class ServiceMachine(RuleBasedStateMachine):
                 self.close_service()
         finally:
             service_module.resolve_backend = self.real_resolve
+            service_module.BACKEND_FAILURE_THRESHOLD = self.real_threshold
             CLOCKS.pop(CLOCK, None)
+            shutil.rmtree(self.spill_root, ignore_errors=True)
 
     # -- rules ----------------------------------------------------------------
 
@@ -149,6 +162,8 @@ class ServiceMachine(RuleBasedStateMachine):
             except AdmissionError:
                 continue
             self.tickets.append(ticket)
+            if query == "group":
+                self.group_tickets.append(ticket)
 
     @precondition(lambda self: not self.closed)
     @rule()
@@ -210,6 +225,7 @@ class ServiceMachine(RuleBasedStateMachine):
             if not terminates(ticket)
         ]
         assert not stranded, f"tickets never terminated: {stranded}"
+        self.check_spill_scopes()
         assert not os.path.exists(self.service._flag_dir)
         alive = [
             slot.index
@@ -245,12 +261,24 @@ class ServiceMachine(RuleBasedStateMachine):
         assert not stranded, f"tickets never terminated: {stranded}"
         stats = self.service.stats()
         assert (stats["queued"], stats["running"]) == (0, 0)
-        probing = [
-            tenant
-            for tenant, breaker in self.service._breakers.items()
-            if breaker.state == "half-open" and breaker.probing
+        self.check_spill_scopes()
+
+    def check_spill_scopes(self):
+        """Nothing in flight: no query's spill scope is left, and every
+        GROUP-BY that answered spilled on the way."""
+        left = [
+            name
+            for name in os.listdir(self.spill_root)
+            if name.startswith("repro-spill-q")
         ]
-        assert not probing, f"half-open with a probe claimed: {probing}"
+        assert not left, f"spill scopes left behind: {left}"
+        for ticket in self.group_tickets:
+            try:
+                response = ticket.result(0)
+            except Exception:
+                continue
+            assert response.items == [3, 3, 3, 3, 3, 3, 2]
+            assert response.stats.spill_events > 0
 
 
 ServiceMachine.TestCase.settings = settings(

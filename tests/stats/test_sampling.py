@@ -1,6 +1,6 @@
 """Tests for the sampled statistics catalog.
 
-Covers ``REPRO_STATS_SAMPLE`` resolution, sampling determinism (same
+Covers sample-limit resolution, sampling determinism (same
 data, same fingerprint), invalidation on registration, extrapolation
 from a partial prefix, per-key statistics (distinct counts, top values,
 array fanout), tolerance of malformed texts, and pickling (stats travel
@@ -18,7 +18,6 @@ from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.errors import ReproError
 from repro.stats.sampling import (
     DEFAULT_SAMPLE_LIMIT,
-    SAMPLE_ENV_VAR,
     resolve_stats_sample,
 )
 
@@ -36,11 +35,12 @@ def rows_source(collections, stats_sample=None, partitions=1):
 
 class TestResolveStatsSample:
     def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(SAMPLE_ENV_VAR, "5")
+        # The limit is the source's own setting: the environment is not read.
+        monkeypatch.setenv("REPRO_STATS_SAMPLE", "5")
         assert resolve_stats_sample(17) == 17
+        assert resolve_stats_sample() == DEFAULT_SAMPLE_LIMIT
 
-    def test_explicit_zero_disables(self, monkeypatch):
-        monkeypatch.setenv(SAMPLE_ENV_VAR, "5")
+    def test_explicit_zero_disables(self):
         assert resolve_stats_sample(0) == 0
 
     def test_explicit_negative_rejected(self):
@@ -48,26 +48,8 @@ class TestResolveStatsSample:
             resolve_stats_sample(-1)
 
     def test_unset_env_means_default(self, monkeypatch):
-        monkeypatch.delenv(SAMPLE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_STATS_SAMPLE", raising=False)
         assert resolve_stats_sample() == DEFAULT_SAMPLE_LIMIT
-
-    def test_empty_env_disables(self, monkeypatch):
-        monkeypatch.setenv(SAMPLE_ENV_VAR, "")
-        assert resolve_stats_sample() == 0
-
-    def test_env_integer(self, monkeypatch):
-        monkeypatch.setenv(SAMPLE_ENV_VAR, "12")
-        assert resolve_stats_sample() == 12
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(SAMPLE_ENV_VAR, "lots")
-        with pytest.raises(ReproError):
-            resolve_stats_sample()
-
-    def test_env_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv(SAMPLE_ENV_VAR, "-3")
-        with pytest.raises(ReproError):
-            resolve_stats_sample()
 
 
 class TestDeterminism:

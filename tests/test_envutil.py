@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.cache.config import (
-    resolve_fingerprint_mode,
-    resolve_scan_mode,
-    resolve_segment_cache,
-)
+from repro.cache.config import resolve_scan_mode, resolve_segment_cache
 from repro.envutil import env_setting
 from repro.errors import ReproError
 from repro.hyracks.backends import resolve_backend
@@ -92,14 +88,3 @@ class TestConsumersHonourTheRule:
         assert resolve_segment_cache(None) is not None
         # explicit "" disables even when the environment enables
         assert resolve_segment_cache("") is None
-
-    def test_cache_fingerprint(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_FINGERPRINT", raising=False)
-        assert resolve_fingerprint_mode(None) == "stat"
-        monkeypatch.setenv("REPRO_CACHE_FINGERPRINT", "")
-        assert resolve_fingerprint_mode(None) == "stat"
-        monkeypatch.setenv("REPRO_CACHE_FINGERPRINT", "content")
-        assert resolve_fingerprint_mode(None) == "content"
-        assert resolve_fingerprint_mode("stat") == "stat"
-        with pytest.raises(ReproError):
-            resolve_fingerprint_mode("mtime")
