@@ -2,8 +2,9 @@
 
 The context carries everything an expression may need beyond the current
 tuple: the scalar-function library, the data-source resolver that turns
-collection/document names into items, and an optional memory tracker that
-materializing evaluations charge.  It also owns the memo of compiled
+collection/document names into items, the degradation report its reads
+record skips on, and an optional memory tracker that materializing
+evaluations charge.  It also owns the memo of compiled
 expressions (:meth:`EvaluationContext.compiled`), so one partition
 attempt compiles each expression of its plan at most once.
 """
@@ -30,17 +31,24 @@ class DataSource(Protocol):
 
     Implementations: :class:`repro.data.catalog.CollectionCatalog` for real
     partitioned directories, and in-memory fakes in the tests.
+
+    A read records what it skips or degrades on the
+    :class:`~repro.resilience.report.DegradationReport` passed as
+    *report* (None: nothing is recorded); a source keeps no per-query
+    state, so one source serves concurrent queries.
     """
 
     def read_document(self, uri: str) -> Item:
         """Materialize the single JSON document at *uri*."""
 
-    def read_collection(self, name: str, partition: int | None = None) -> list[Item]:
+    def read_collection(
+        self, name: str, partition: int | None = None, report=None
+    ) -> list[Item]:
         """Materialize every top-level item of a collection (one partition,
         or all partitions when *partition* is None)."""
 
     def scan_collection(
-        self, name: str, path: Path, partition: int | None = None
+        self, name: str, path: Path, partition: int | None = None, report=None
     ) -> Iterator[Item]:
         """Stream the items of a collection projected through *path*."""
 
@@ -79,6 +87,11 @@ class EvaluationContext:
     limits:
         Optional :class:`repro.hyracks.limits.ExecutionLimits` checked at
         frame boundaries (deadline + cancellation token).
+    report:
+        Optional :class:`repro.resilience.report.DegradationReport` the
+        context's collection reads record skipped records and files and
+        segment-cache events on: the query's on the coordinator, the
+        work unit's in a partition.
     """
 
     def __init__(
@@ -91,6 +104,7 @@ class EvaluationContext:
         profile=None,
         spill=None,
         limits=None,
+        report=None,
     ):
         if functions is None:
             from repro.jsoniq.functions import BUILTIN_FUNCTIONS
@@ -104,6 +118,7 @@ class EvaluationContext:
         self.profile = profile
         self.spill = spill
         self.limits = limits
+        self.report = report
         # (id(node), as_condition) -> (node, closure).  Keyed by identity
         # because nodes hash by type and compare structurally; the entry
         # holds its node so the id cannot be reused while the memo lives.

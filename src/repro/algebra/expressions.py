@@ -310,7 +310,9 @@ class CollectionExpr(Expression):
                 raise TranslationError(
                     "no data source configured for collection()"
                 )
-            items = ctx.source.read_collection(name, partition=ctx.partition)
+            items = ctx.source.read_collection(
+                name, partition=ctx.partition, report=ctx.report
+            )
             charge_sequence(ctx, items)
             return items
 

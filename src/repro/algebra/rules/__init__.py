@@ -33,12 +33,6 @@ class RewriteConfig:
     engine so every rule fire is checked; it is on by default and only
     meant to be disabled by tests that construct deliberately broken
     plans.
-
-    ``cost`` enables the cost-based planning phase
-    (:func:`repro.stats.cost.apply_cost_planning`) that runs after the
-    rewrite fixpoint when sampled statistics are available.  It is not a
-    rule *family* — it never fires without a stats snapshot, so it does
-    not participate in ``label()``/``without_family``/``TOGGLE_CONFIGS``.
     """
 
     path: bool = True
@@ -46,7 +40,6 @@ class RewriteConfig:
     groupby: bool = True
     two_step_aggregation: bool = True
     validate: bool = True
-    cost: bool = True
 
     @classmethod
     def none(cls) -> "RewriteConfig":

@@ -212,22 +212,3 @@ def replace_operator(
     if not replaced:
         raise RewriteError("operator to replace not found in plan")
     return rewritten
-
-
-def parent_chain(plan: LogicalPlan, target: Operator) -> list[Operator]:
-    """Operators from the root down to (excluding) *target*, main tree only."""
-    path: list[Operator] = []
-
-    def walk(op: Operator) -> bool:
-        if op is target:
-            return True
-        path.append(op)
-        for child in op.inputs:
-            if walk(child):
-                return True
-        path.pop()
-        return False
-
-    if not walk(plan.root):
-        raise RewriteError("operator not found in plan")
-    return path

@@ -63,16 +63,20 @@ class MaterializingSource:
     def read_document(self, uri: str) -> Item:
         return self._inner.read_document(uri)
 
-    def read_collection(self, name: str, partition: int | None = None):
-        return self._inner.read_collection(name, partition)
+    def read_collection(
+        self, name: str, partition: int | None = None, report=None
+    ):
+        return self._inner.read_collection(name, partition, report=report)
 
     def scan_collection(
-        self, name: str, path: Path, partition: int | None = None
+        self, name: str, path: Path, partition: int | None = None, report=None
     ) -> Iterator[Item]:
         # An empty path makes the inner scan yield whole top-level
         # documents, fully built — the materialization the pipelining
         # rules avoid.
-        for document in self._inner.scan_collection(name, Path(), partition):
+        for document in self._inner.scan_collection(
+            name, Path(), partition, report=report
+        ):
             if self.memory is not None:
                 n_bytes = sizeof_item(document)
                 self.memory.allocate(n_bytes)
@@ -123,7 +127,9 @@ class AdmStorage:
     def read_document(self, uri: str) -> Item:
         raise LoadError("ADM storage holds collections, not documents")
 
-    def read_collection(self, name: str, partition: int | None = None):
+    def read_collection(
+        self, name: str, partition: int | None = None, report=None
+    ):
         items: list[Item] = []
         paths = (
             self._paths(name)
@@ -136,7 +142,7 @@ class AdmStorage:
         return items
 
     def scan_collection(
-        self, name: str, path: Path, partition: int | None = None
+        self, name: str, path: Path, partition: int | None = None, report=None
     ) -> Iterator[Item]:
         adm_paths = (
             self._paths(name)

@@ -81,7 +81,7 @@ def compile_query(
     """Compile *text* under *config* (default: all rule families on).
 
     When *stats* (a :class:`~repro.stats.sampling.StatsSnapshot`) is
-    given and ``config.cost`` is on, the cost-based planning phase runs
+    given, the cost-based planning phase runs
     after the rewrite fixpoint; its decisions land in the trace and the
     audit like rule firings, and the snapshot's fingerprint is kept on
     the result (it is part of the plan-cache key).
@@ -94,7 +94,7 @@ def compile_query(
     audit = RewriteAudit()
     plan = rule_pipeline(config).rewrite(naive_plan, trace=trace, audit=audit)
     stats_fingerprint = None
-    if config.cost and stats is not None and stats:
+    if stats:
         from repro.stats.cost import apply_cost_planning
 
         plan = apply_cost_planning(plan, stats, audit=audit, trace=trace)
@@ -112,18 +112,6 @@ def compile_query(
 
 
 # -- what a compile runs against -----------------------------------------------
-
-
-def cost_enabled(config: RewriteConfig, cost: bool | None) -> bool:
-    """Whether compiles under *config* run the cost phase.
-
-    Never when ``config.cost`` is off; otherwise *cost*, else the
-    ``REPRO_COST`` environment variable
-    (:func:`~repro.stats.cost.resolve_cost_enabled`).
-    """
-    from repro.stats.cost import resolve_cost_enabled
-
-    return resolve_cost_enabled(cost) if config.cost else False
 
 
 def compile_stats(source, cost: bool):

@@ -135,22 +135,19 @@ class EagerNavigationSource:
     def __init__(self, inner):
         self._inner = inner
 
-    def scan_collection(self, name, path, partition=None):
+    def scan_collection(self, name, path, partition=None, report=None):
         return navigate_sequence(
-            self._inner.read_collection(name, partition), path
+            self._inner.read_collection(name, partition, report=report), path
         )
 
-    def read_collection(self, name, partition=None):
-        return self._inner.read_collection(name, partition)
+    def read_collection(self, name, partition=None, report=None):
+        return self._inner.read_collection(name, partition, report=report)
 
     def read_document(self, uri):
         return self._inner.read_document(uri)
 
     def partition_count(self, name):
         return self._inner.partition_count(name)
-
-    def attach_degradation(self, report):
-        self._inner.attach_degradation(report)
 
     def attach_scan_counters(self, counters):
         self._inner.attach_scan_counters(counters)

@@ -17,9 +17,10 @@ concrete class only registers collections and says where a unit's text
 comes from.
 
 Both sources take an ``on_malformed`` policy (``fail`` | ``skip_record``
-| ``skip_file``) deciding what a scan does with malformed JSON, and an
-``attach_degradation`` hook the executor uses to collect the skips of
-one query into its :class:`~repro.resilience.report.DegradationReport`.
+| ``skip_file``) deciding what a scan does with malformed JSON.  Each
+read takes the :class:`~repro.resilience.report.DegradationReport` its
+skips and cache events go to as ``report=`` (None: not recorded), so a
+catalog shared by concurrent queries holds no per-query state.
 """
 
 from __future__ import annotations
@@ -57,16 +58,33 @@ from repro.stats.sampling import SourceStatistics
 _SCANNERS = {"ondemand": ondemand, "text": textscan}
 
 
+def _recorder(report, source_id: str):
+    """The scanners' skip callback, recording on *report* (if any)."""
+
+    def record(offset: int | None, message: str) -> None:
+        if report is not None:
+            report.record_skipped_record(source_id, offset, message)
+
+    return record
+
+
+def _skip_file(report, source_id: str, cause: Exception) -> None:
+    if report is not None:
+        report.record_skipped_file(source_id, cause)
+
+
 def _scan_plain(
-    source, source_id: str, scan, path: Path, counters: ScanCounters | None
+    source, source_id: str, scan, path: Path, counters: ScanCounters | None,
+    report,
 ) -> Iterator[Item]:
     """Stream one file or text through *scan* under the source's policy,
-    accumulating its projection accounting on *counters* (when given)."""
+    accumulating its projection accounting on *counters* (when given)
+    and recording its skips on *report* (when given)."""
     if source.on_malformed == "skip_record":
         yield from scan(
             path,
             on_malformed="skip_record",
-            recorder=source._recorder(source_id),
+            recorder=_recorder(report, source_id),
             counters=counters,
         )
     elif source.on_malformed == "skip_file":
@@ -76,7 +94,7 @@ def _scan_plain(
         try:
             items = list(scan(path, counters=counters))
         except JsonError as error:
-            source._record_skipped_file(source_id, error)
+            _skip_file(report, source_id, error)
             return
         yield from items
     else:
@@ -87,7 +105,7 @@ def _scan_plain(
 
 
 def _scan_cached(
-    source, source_id: str, fingerprint_of, scan, path: Path
+    source, source_id: str, fingerprint_of, scan, path: Path, report
 ) -> tuple[list[Item], list[int] | None, bool]:
     """Serve one file or text from the segment cache, scanning cold on miss.
 
@@ -101,7 +119,8 @@ def _scan_cached(
     ``matched``/``skipped`` counter deltas) is byte-identical with the
     uncached scan: a cold scan stages its counters and merges them even
     when the scan fails mid-file (matching the direct pass-through), a
-    hit replays the stored deltas and skip events.  Only complete scans
+    hit replays the stored deltas and skip events.  Skips and cache
+    events are recorded on *report* (when given).  Only complete scans
     are stored; a failed or skipped file is rescanned next time.
     *fingerprint_of* takes no argument; an :class:`OSError` from it (or
     a cache that turned itself off) means scan cold, no probe, no store.
@@ -110,11 +129,11 @@ def _scan_cached(
     cache = source.segment_cache
     policy = source.on_malformed
     projection = canonical_projection(path)
-    record_skip = source._recorder(source_id)
+    record_skipped = _recorder(report, source_id)
 
     def cache_event(kind: str, message: str) -> None:
-        if source._report is not None:
-            source._report.record_cache_event(kind, source_id, message)
+        if report is not None:
+            report.record_cache_event(kind, source_id, message)
 
     fingerprint = None
     if cache.disabled_reason is None:
@@ -131,7 +150,7 @@ def _scan_cached(
                 counters.cache_hits += 1
                 counters.absorb(segment.counters)
             for offset, message in segment.skip_events:
-                record_skip(offset, message)
+                record_skipped(offset, message)
             return segment.items, segment.sizes, True
         if status == "corrupt":
             if counters is not None:
@@ -151,14 +170,14 @@ def _scan_cached(
     if policy == "skip_record":
         def recorder(offset: int | None, message: str) -> None:
             events.append((offset, message))
-            record_skip(offset, message)
+            record_skipped(offset, message)
 
         resilient = {"on_malformed": "skip_record", "recorder": recorder}
     try:
         items = list(scan(path, counters=attempt, **resilient))
     except JsonError as error:
         if policy == "skip_file":
-            source._record_skipped_file(source_id, error)
+            _skip_file(report, source_id, error)
             return [], None, False
         if policy == "fail":
             raise FileScanError(source_id, error) from error
@@ -238,39 +257,25 @@ class _PartitionedSource:
                 fingerprint_mode
             )
 
-    # -- resilience wiring -------------------------------------------------------
-
-    @property
-    def _report(self):
-        return getattr(self._local, "report", None)
+    # -- scan counters -----------------------------------------------------------
 
     @property
     def _counters(self):
         return getattr(self._local, "scan_counters", None)
-
-    def attach_degradation(self, report) -> None:
-        """Attach (or detach, with None) a degradation report.
-
-        While attached, records and files skipped under a non-``fail``
-        ``on_malformed`` policy are recorded on *report*.  The
-        attachment is **per thread**, so parallel execution backends can
-        give every partition worker its own report without racing.
-        """
-        self._local.report = report
 
     def attach_scan_counters(self, counters) -> None:
         """Attach (or detach, with None) projection scan counters.
 
         While attached, every raw-text scan accumulates its projection
         hit/skip counts on *counters* (a
-        :class:`~repro.jsonlib.textscan.ScanCounters`).  Per thread,
-        like :meth:`attach_degradation`.
+        :class:`~repro.jsonlib.textscan.ScanCounters`).  The attachment
+        is **per thread**, so concurrent scans count apart.
         """
         self._local.scan_counters = counters
 
     def __getstate__(self):
-        # The report/counters attachments are per-thread runtime state;
-        # a pickled catalog (a process-backend work unit) starts detached.
+        # The counters attachment is per-thread runtime state; a pickled
+        # catalog (a process-backend work unit) starts detached.
         state = self.__dict__.copy()
         del state["_local"]
         return state
@@ -278,17 +283,6 @@ class _PartitionedSource:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._local = threading.local()
-
-    def _recorder(self, source_id: str):
-        def record(offset: int | None, message: str) -> None:
-            if self._report is not None:
-                self._report.record_skipped_record(source_id, offset, message)
-
-        return record
-
-    def _record_skipped_file(self, source_id: str, cause: Exception) -> None:
-        if self._report is not None:
-            self._report.record_skipped_file(source_id, cause)
 
     # -- registration ----------------------------------------------------------
 
@@ -370,35 +364,43 @@ class _PartitionedSource:
         """Number of partitions of a collection."""
         return len(self._partitions(name))
 
-    def read_collection(self, name: str, partition: int | None = None) -> list[Item]:
+    def read_collection(
+        self, name: str, partition: int | None = None, report=None
+    ) -> list[Item]:
         """Materialize every top-level item of the collection.
 
         Each unit is the scan mode's scan over the empty path, under the
-        same ``on_malformed`` policy as a DATASCAN; it charges no scan
-        counters and never touches the segment cache, so accounting and
-        cached segments stay DATASCAN's own.
+        same ``on_malformed`` policy as a DATASCAN, its skips recorded
+        on *report*; it charges no scan counters and never touches the
+        segment cache, so accounting and cached segments stay
+        DATASCAN's own.
         """
         items: list[Item] = []
         for source_id, unit in self._units(name, partition):
             items.extend(
-                _scan_plain(self, source_id, self._scanner(unit), Path(), None)
+                _scan_plain(
+                    self, source_id, self._scanner(unit), Path(), None, report
+                )
             )
         return items
 
     def scan_collection(
-        self, name: str, path: Path, partition: int | None = None
+        self, name: str, path: Path, partition: int | None = None, report=None
     ) -> Iterator[Item]:
-        """Stream the collection's items projected through *path*.
+        """Stream the collection's items projected through *path*,
+        recording skips and cache events on *report*.
 
         Memory is bounded by the scanner's read-ahead buffer and the
         largest top-level value (by the largest unit under ``skip_file``
         or a segment cache, which buffer one unit's matches).
         """
-        for items, _sizes, _again in self.scan_units(name, path, partition):
+        for items, _sizes, _again in self.scan_units(
+            name, path, partition, report
+        ):
             yield from items
 
     def scan_units(
-        self, name: str, path: Path, partition: int | None = None
+        self, name: str, path: Path, partition: int | None = None, report=None
     ) -> Iterator[tuple[Iterable[Item], list[int] | None, object]]:
         """:meth:`scan_collection` one unit at a time, as ``(items, sizes,
         again)``.
@@ -417,13 +419,15 @@ class _PartitionedSource:
             scan = self._scanner(unit)
             if self.segment_cache is None:
                 yield _scan_plain(
-                    self, source_id, scan, path, self._counters
+                    self, source_id, scan, path, self._counters, report
                 ), None, None
                 continue
             fingerprint_of = partial(
                 self._fingerprint, unit, self.segment_cache.fingerprint_mode
             )
-            serve = partial(_scan_cached, self, source_id, fingerprint_of, scan, path)
+            serve = partial(
+                _scan_cached, self, source_id, fingerprint_of, scan, path, report
+            )
             items, sizes, hit = serve()
             yield items, sizes, None if hit else serve
 

@@ -60,6 +60,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 
 from repro.errors import (
@@ -388,12 +389,8 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
     report = DegradationReport()
     source = unit.source
     config = unit.resilience
-    attach = getattr(source, "attach_degradation", None)
-    if attach is not None:
-        attach(report)
-    delay_hook = (
-        getattr(source, "injected_delay", None) if unit.charge_delay else None
-    )
+    # The fault schedule of a fault-injecting source wrapper, if any.
+    faults = getattr(source, "plan", None)
     measured = 0.0
     injected = 0.0
     peak = 0
@@ -402,122 +399,114 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
     value = None
     skipped = False
     error = None
-    spill_hook = getattr(source, "check_spill_fault", None)
-    kill_hook = getattr(source, "check_worker_kill", None)
-    stall_hook = getattr(source, "injected_stall", None)
-    try:
-        while True:
-            attempts += 1
-            # Crash/stall faults key on the unit-level attempt (offset +
-            # in-worker attempt) and run *outside* the try below: an
-            # injected worker death must reach the recovery layer, not
-            # the partition retry policy.
-            unit_attempt = unit.attempt_offset + attempts
-            if kill_hook is not None:
-                kill_message = kill_hook(unit.partition, unit_attempt)
-                if kill_message is not None:
-                    simulate_worker_kill(unit, unit_attempt, kill_message)
-            if stall_hook is not None:
-                stall = stall_hook(unit.partition, unit_attempt)
-                if stall > 0:
-                    time.sleep(stall)
-            memory = MemoryTracker(unit.memory_budget, context="query execution")
-            if unit.profile is not None:
-                # A fresh collector per attempt (like the fresh memory
-                # tracker): retried attempts do not leak half-executed
-                # counters into the reported profile.
-                from repro.observability.profile import ProfileCollector
+    while True:
+        attempts += 1
+        # Crash/stall faults key on the unit-level attempt (offset +
+        # in-worker attempt) and run *outside* the try below: an
+        # injected worker death must reach the recovery layer, not
+        # the partition retry policy.
+        unit_attempt = unit.attempt_offset + attempts
+        if faults is not None:
+            kill_message = faults.worker_kill_message(unit.partition, unit_attempt)
+            if kill_message is not None:
+                simulate_worker_kill(unit, unit_attempt, kill_message)
+            stall = faults.stall_seconds(unit.partition, unit_attempt)
+            if stall > 0:
+                time.sleep(stall)
+        memory = MemoryTracker(unit.memory_budget, context="query execution")
+        if unit.profile is not None:
+            # A fresh collector per attempt (like the fresh memory
+            # tracker): retried attempts do not leak half-executed
+            # counters into the reported profile.
+            from repro.observability.profile import ProfileCollector
 
-                collector = ProfileCollector(unit.plan, unit.profile)
-            spill_manager = None
-            if unit.spill is not None:
-                from repro.hyracks.spill import SpillManager
+            collector = ProfileCollector(unit.plan, unit.profile)
+        spill_manager = None
+        if unit.spill is not None:
+            from repro.hyracks.spill import SpillManager
 
-                fault_hook = None
-                if spill_hook is not None:
-                    partition = unit.partition
-                    fault_hook = lambda: spill_hook(partition)  # noqa: E731
-                spill_manager = SpillManager(
-                    unit.spill, partition=unit.partition, fault_hook=fault_hook
-                )
-            ctx = EvaluationContext(
-                source=source,
-                memory=memory,
-                partition=unit.partition,
-                stats=stats,
-                profile=collector,
-                spill=spill_manager,
-                limits=unit.limits,
+            fault_hook = None
+            if faults is not None:
+                fault_hook = partial(faults.spill_write_attempt, unit.partition)
+            spill_manager = SpillManager(
+                unit.spill, partition=unit.partition, fault_hook=fault_hook
             )
-            failure = None
-            attempt_started = time.perf_counter()
-            try:
-                try:
-                    if unit.limits is not None:
-                        unit.limits.check()
-                    value = unit.work(ctx)
-                finally:
-                    # Guaranteed spill cleanup: every run file of this
-                    # attempt is removed on success, error, timeout, or
-                    # cancellation before anything else happens.
-                    if spill_manager is not None:
-                        spill_manager.fold_stats(stats)
-                        spill_manager.close()
-            except (ReproError, OSError) as raised:
-                failure = raised
-            measured += time.perf_counter() - attempt_started
-            peak = max(peak, memory.peak)
-            if isinstance(failure, (QueryTimeoutError, QueryCancelledError)):
-                # Query-global limits: never retried, never skipped, and
-                # returned *unwrapped* so the coordinator re-raises the
-                # limit error itself in partition order.
-                report.record_cancellation(unit.partition, failure)
-                error = failure
-                break
-            if delay_hook is not None:
-                injected += delay_hook(unit.partition)
-            if failure is None:
-                break
-            if (
-                config.partition_policy == "retry"
-                and getattr(failure, "retryable", True)
-                and attempts < config.retry.max_attempts
-            ):
-                backoff = config.retry.backoff_seconds(attempts)
-                injected += backoff
-                report.record_retry(unit.partition, attempts, backoff, failure)
-                continue
-            if config.partition_policy == "skip_partition" or (
-                config.partition_policy == "retry"
-                and config.on_exhausted == "skip"
-            ):
-                report.record_skipped_partition(
-                    unit.partition,
-                    read_set(unit.plan.root).collections,
-                    attempts,
-                    failure,
-                )
-                skipped = True
-            else:
-                error = _wrap_partition_error(
-                    unit.plan, unit.partition, attempts, failure
-                )
-            break
-        return PartitionOutcome(
-            unit.partition,
-            value=value,
-            skipped=skipped,
-            measured_seconds=measured,
-            injected_seconds=injected,
-            peak_memory_bytes=peak,
+        ctx = EvaluationContext(
+            source=source,
+            memory=memory,
+            partition=unit.partition,
             stats=stats,
+            profile=collector,
+            spill=spill_manager,
+            limits=unit.limits,
             report=report,
-            error=error,
-            profile=_snapshot(collector),
         )
-    finally:
-        if attach is not None:
-            attach(None)
+        failure = None
+        attempt_started = time.perf_counter()
+        try:
+            try:
+                if unit.limits is not None:
+                    unit.limits.check()
+                value = unit.work(ctx)
+            finally:
+                # Guaranteed spill cleanup: every run file of this
+                # attempt is removed on success, error, timeout, or
+                # cancellation before anything else happens.
+                if spill_manager is not None:
+                    spill_manager.fold_stats(stats)
+                    spill_manager.close()
+        except (ReproError, OSError) as raised:
+            failure = raised
+        measured += time.perf_counter() - attempt_started
+        peak = max(peak, memory.peak)
+        if isinstance(failure, (QueryTimeoutError, QueryCancelledError)):
+            # Query-global limits: never retried, never skipped, and
+            # returned *unwrapped* so the coordinator re-raises the
+            # limit error itself in partition order.
+            report.record_cancellation(unit.partition, failure)
+            error = failure
+            break
+        if faults is not None and unit.charge_delay:
+            injected += faults.injected_delay(unit.partition)
+        if failure is None:
+            break
+        if (
+            config.partition_policy == "retry"
+            and getattr(failure, "retryable", True)
+            and attempts < config.retry.max_attempts
+        ):
+            backoff = config.retry.backoff_seconds(attempts)
+            injected += backoff
+            report.record_retry(unit.partition, attempts, backoff, failure)
+            continue
+        if config.partition_policy == "skip_partition" or (
+            config.partition_policy == "retry"
+            and config.on_exhausted == "skip"
+        ):
+            report.record_skipped_partition(
+                unit.partition,
+                read_set(unit.plan.root).collections,
+                attempts,
+                failure,
+            )
+            skipped = True
+        else:
+            error = _wrap_partition_error(
+                unit.plan, unit.partition, attempts, failure
+            )
+        break
+    return PartitionOutcome(
+        unit.partition,
+        value=value,
+        skipped=skipped,
+        measured_seconds=measured,
+        injected_seconds=injected,
+        peak_memory_bytes=peak,
+        stats=stats,
+        report=report,
+        error=error,
+        profile=_snapshot(collector),
+    )
 
 
 def _snapshot(collector) -> dict | None:

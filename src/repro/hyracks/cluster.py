@@ -43,11 +43,6 @@ class ClusterSpec:
         """Partitions across the whole cluster."""
         return self.nodes * self.partitions_per_node
 
-    @property
-    def slots_per_node(self) -> int:
-        """Schedulable hardware threads per node."""
-        return self.cores_per_node * self.hyperthreads_per_core
-
     def single_node(self, partitions: int) -> "ClusterSpec":
         """A one-node variant with *partitions* partitions (Figure 17)."""
         return ClusterSpec(

@@ -351,9 +351,6 @@ class PartitionedExecutor:
             else None
         )
         self._open_spills = []
-        attach = getattr(self._source, "attach_degradation", None)
-        if attach is not None:
-            attach(report)
         try:
             result = self._dispatch(
                 plan, QueryResult([], stats=stats, degradation=report)
@@ -392,8 +389,6 @@ class PartitionedExecutor:
                     shutil.rmtree(scope_dir, ignore_errors=True)
             limits = self._limits
             self._limits = None
-            if attach is not None:
-                attach(None)
         if limits is not None:
             result.deadline_slack_seconds = limits.remaining_seconds()
         result.wall_seconds = time.perf_counter() - started
@@ -429,31 +424,28 @@ class PartitionedExecutor:
     # -- contexts ---------------------------------------------------------------
 
     def _context(
-        self, partition: int | None, memory: MemoryTracker, stats: ExecutionStats
+        self, memory: MemoryTracker, result: QueryResult
     ) -> EvaluationContext:
+        """The coordinator's context: no partition, the query's stats and
+        degradation report.  Spill faults are scheduled per partition,
+        so its spill manager has no fault hook."""
         spill = None
         spill_config = self._query_spill or self._spill_config
         if spill_config is not None:
             from repro.hyracks.spill import SpillManager
 
-            fault_hook = None
-            check = getattr(self._source, "check_spill_fault", None)
-            if check is not None:
-                fault_hook = lambda: check(partition)  # noqa: E731
-            spill = SpillManager(
-                spill_config, partition=partition, fault_hook=fault_hook
-            )
+            spill = SpillManager(spill_config)
             # run() closes every registered manager in its finally block,
             # so coordinator-side run files never outlive the query.
             self._open_spills.append(spill)
         return EvaluationContext(
             source=self._source,
             memory=memory,
-            partition=partition,
-            stats=stats,
+            stats=result.stats,
             profile=self._profile,
             spill=spill,
             limits=self._limits,
+            report=result.degradation,
         )
 
     def _tracker(self) -> MemoryTracker:
@@ -514,12 +506,6 @@ class PartitionedExecutor:
             # degradation report — on success and on unwind alike.
             for event in events:
                 _fold_recovery_event(event, stats, report)
-            # Work units attach their own per-partition reports to the
-            # (thread-local) source slot; restore the query-level report
-            # for any coordinator-side scanning that follows.
-            attach = getattr(self._source, "attach_degradation", None)
-            if attach is not None:
-                attach(report)
         if not result.partition_seconds:
             result.partition_seconds = [0.0] * len(outcomes)
             result.injected_seconds = [0.0] * len(outcomes)
@@ -541,7 +527,7 @@ class PartitionedExecutor:
         """The coordinator's share of a partitioned strategy, timed: run
         ``make_stream(ctx)`` through the operators peeled off the root."""
         memory = self._tracker()
-        ctx = self._context(None, memory, result.stats)
+        ctx = self._context(memory, result)
         started = time.perf_counter()
         result.items = _finish_through_globals(global_ops, make_stream(ctx), ctx)
         result.global_seconds = time.perf_counter() - started
@@ -627,7 +613,7 @@ class PartitionedExecutor:
         resilience policies do not apply here.
         """
         memory = self._tracker()
-        ctx = self._context(None, memory, result.stats)
+        ctx = self._context(memory, result)
         started = time.perf_counter()
         result.items = run_plan(plan, ctx)
         result.partition_seconds = [time.perf_counter() - started]

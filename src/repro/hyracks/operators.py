@@ -236,10 +236,15 @@ def _sized_frames(
     """
     scan_units = getattr(ctx.source, "scan_units", None)
     if scan_units is not None:
-        units = scan_units(op.collection, op.project_path, ctx.partition)
+        units = scan_units(
+            op.collection, op.project_path, ctx.partition, report=ctx.report
+        )
     else:
         scan = ctx.source.scan_collection(
-            op.collection, op.project_path, partition=ctx.partition
+            op.collection,
+            op.project_path,
+            partition=ctx.partition,
+            report=ctx.report,
         )
         units = ((scan, None, None),)
     for items, sizes, again in units:

@@ -61,11 +61,6 @@ def sizeof_tuples(tuples: list[Tuple]) -> list[int]:
     return add_columns(constant, sizes, len(tuples))
 
 
-def project_tuple(tup: Tuple, variables: list[str]) -> Tuple:
-    """Keep only *variables* (missing names are simply absent)."""
-    return {name: tup[name] for name in variables if name in tup}
-
-
 def count_frames(sizes: Iterable[int], frame_bytes: int = DEFAULT_FRAME_BYTES) -> int:
     """Frames a stream of tuples of these *sizes* packs into, in order.
 

@@ -21,18 +21,14 @@ plan, the rewritten plan, and the rewrite trace.
 from __future__ import annotations
 
 from repro.algebra.rules import RewriteConfig
-from repro.compiler.pipeline import (
-    CompiledQuery,
-    PlanCache,
-    compile_stats,
-    cost_enabled,
-)
+from repro.compiler.pipeline import CompiledQuery, PlanCache, compile_stats
 from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.errors import ReproError
 from repro.hyracks.executor import PartitionedExecutor, QueryResult
 from repro.jsonlib.items import Item
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policies import ResilienceConfig
+from repro.stats.cost import resolve_cost_enabled
 
 
 class JsonProcessor:
@@ -146,7 +142,7 @@ class JsonProcessor:
         self.source = source
         self._closed = False
         self.rewrite = rewrite if rewrite is not None else RewriteConfig.all()
-        self.cost = cost_enabled(self.rewrite, cost)
+        self.cost = resolve_cost_enabled(cost)
         self.plan_cache = PlanCache()
         self._executor = PartitionedExecutor(
             source,

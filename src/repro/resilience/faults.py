@@ -17,8 +17,8 @@ rewinds them.
 
 from __future__ import annotations
 
+import copy
 import errno
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -205,10 +205,10 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Make the first *times* segment-cache I/O attempts fail (or all).
 
-        Wire the plan into a cache with
-        ``cache.fault_hook = plan.cache_io_attempt`` (``wrap()`` does
-        this automatically when the wrapped source exposes a
-        ``segment_cache``).  The injected :class:`OSError` (ENOSPC)
+        ``wrap()`` hooks it into the wrapper's own copy of the wrapped
+        source's ``segment_cache`` (the caller's cache is left alone);
+        elsewhere wire it with ``cache.fault_hook =
+        plan.cache_io_attempt``.  The injected :class:`OSError` (ENOSPC)
         never reaches the query: the cache absorbs it — a failed store
         is skipped, a failed load is a miss — and ``permanent=True``
         drives the cache into its disabled (cache-off) state after its
@@ -408,14 +408,8 @@ class FaultPlan:
         )
 
     def wrap(self, source) -> "FaultInjectingSource":
-        """A :class:`FaultInjectingSource` injecting this plan into *source*.
-
-        When the wrapped source exposes a ``segment_cache``, the plan's
-        cache-I/O schedule is hooked into it too.
-        """
-        wrapped = FaultInjectingSource(self, source)
-        wrapped._hook_segment_cache()
-        return wrapped
+        """A :class:`FaultInjectingSource` injecting this plan into *source*."""
+        return FaultInjectingSource(self, source)
 
 
 class FaultInjectingSource:
@@ -424,42 +418,36 @@ class FaultInjectingSource:
     Partition failures raise at scan start; corrupt records either raise
     a :class:`CorruptRecordError` or — when the wrapped source's
     ``on_malformed`` policy is ``skip_record`` — are dropped and recorded
-    in the attached degradation report, exactly like a really-malformed
-    record would be.
+    in the read's degradation report, exactly like a really-malformed
+    record would be.  The executor reads the plan's other faults (delays,
+    spill writes, worker kills, stalls) from :attr:`plan`.
+
+    The wrapper reads through a shallow copy of *source* with a copy of
+    its segment cache, so the plan's cache-I/O hook, and the cache-off
+    state a permanent cache fault drives, stay with the wrapper: the
+    caller's source is never rewired.
     """
 
     def __init__(self, plan: FaultPlan, source):
         self.plan = plan
-        self._source = source
-        self._local = threading.local()
-
-    # -- resilience wiring ------------------------------------------------------
-
-    @property
-    def _report(self):
-        return getattr(self._local, "report", None)
+        self._source = copy.copy(source)
+        cache = getattr(source, "segment_cache", None)
+        if cache is not None:
+            self._source.segment_cache = copy.copy(cache)
+        self._hook_segment_cache()
 
     @property
     def on_malformed(self) -> str:
         return getattr(self._source, "on_malformed", "fail")
 
-    def attach_degradation(self, report) -> None:
-        """Attach (or detach, with None) the per-query degradation report.
-
-        The attachment is per thread, mirroring the catalogs'.
-        """
-        self._local.report = report
-        attach = getattr(self._source, "attach_degradation", None)
-        if attach is not None:
-            attach(report)
-
     def configure_scan(
         self, scan_mode=None, segment_cache_dir=None, fingerprint_mode=None
     ) -> None:
-        """Delegate scan-mode/segment-cache configuration to the inner source.
+        """Delegate scan-mode/segment-cache configuration to the wrapper's
+        copy of the source.
 
-        Any segment cache the inner source ends up with (including one
-        just built here) gets the plan's cache-I/O fault hook.
+        Any segment cache the copy ends up with (including one just
+        built here) gets the plan's cache-I/O fault hook.
         """
         configure = getattr(self._source, "configure_scan", None)
         if configure is not None:
@@ -472,43 +460,13 @@ class FaultInjectingSource:
 
     @property
     def segment_cache(self):
-        """The inner source's segment cache (None when caching is off)."""
+        """The wrapper's segment cache (None when caching is off)."""
         return getattr(self._source, "segment_cache", None)
 
     def _hook_segment_cache(self) -> None:
         cache = self.segment_cache
         if cache is not None:
             cache.fault_hook = self.plan.cache_io_attempt
-
-    def check_cache_io(self, operation: str = "store") -> None:
-        """Cache-I/O hook: raise ``OSError`` if the plan schedules a fault."""
-        self.plan.cache_io_attempt(operation)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._local = threading.local()
-
-    def injected_delay(self, partition: int | None) -> float:
-        return self.plan.injected_delay(partition)
-
-    def check_spill_fault(self, partition: int | None) -> None:
-        """Spill-write hook: raise if the plan schedules a spill fault."""
-        self.plan.spill_write_attempt(partition)
-
-    def check_worker_kill(
-        self, partition: int | None, attempt: int
-    ) -> str | None:
-        """Kill hook: the scheduled kill message for this attempt, or None."""
-        return self.plan.worker_kill_message(partition, attempt)
-
-    def injected_stall(self, partition: int | None, attempt: int) -> float:
-        """Stall hook: real wall-clock seconds to sleep before this attempt."""
-        return self.plan.stall_seconds(partition, attempt)
 
     # -- DataSource protocol ----------------------------------------------------
 
@@ -524,43 +482,48 @@ class FaultInjectingSource:
     def read_document(self, uri: str):
         return self._source.read_document(uri)
 
-    def read_collection(self, name: str, partition: int | None = None) -> list:
+    def read_collection(
+        self, name: str, partition: int | None = None, report=None
+    ) -> list:
         self.plan.begin_attempt(name, partition)
-        items = self._source.read_collection(name, partition)
+        items = self._source.read_collection(name, partition, report=report)
         return [
             item
             for index, item in enumerate(items)
-            if not self._corrupted(name, partition, index)
+            if not self._corrupted(name, partition, index, report)
         ]
 
     def scan_collection(
-        self, name: str, path: Path, partition: int | None = None
+        self, name: str, path: Path, partition: int | None = None, report=None
     ) -> Iterator:
         # A generator, so the fault raises when the scan is *pulled*
         # (inside the executor's per-partition attempt), not when the
         # plan is built.
         self.plan.begin_attempt(name, partition)
         for index, item in enumerate(
-            self._source.scan_collection(name, path, partition)
+            self._source.scan_collection(name, path, partition, report=report)
         ):
-            if self._corrupted(name, partition, index):
+            if self._corrupted(name, partition, index, report):
                 continue
             yield item
 
     # -- internals --------------------------------------------------------------
 
-    def _corrupted(self, name: str, partition: int | None, index: int) -> bool:
+    def _corrupted(
+        self, name: str, partition: int | None, index: int, report
+    ) -> bool:
         """Apply the on-malformed policy to an injected-corrupt record.
 
-        Returns True when the record must be dropped; raises when the
-        policy is not ``skip_record``.
+        Returns True when the record must be dropped (recorded on
+        *report*, when given); raises when the policy is not
+        ``skip_record``.
         """
         if not self.plan.should_corrupt(name, partition, index):
             return False
         message = f"injected corrupt record {index}"
         if self.on_malformed == "skip_record":
-            if self._report is not None:
-                self._report.record_skipped_record(
+            if report is not None:
+                report.record_skipped_record(
                     f"{_normalize(name)}[partition {partition}]", index, message
                 )
             return True

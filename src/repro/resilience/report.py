@@ -165,10 +165,6 @@ class DegradationReport:
             RetryEvent(partition, attempt, backoff_seconds, str(cause))
         )
 
-    def record_skip(self, source: str, offset: int | None, message: str) -> None:
-        """Callback-shaped alias used by the jsonlib scanners."""
-        self.record_skipped_record(source, offset, message)
-
     def record_cancellation(self, partition: int, cause: Exception) -> None:
         """Record a deadline/cancel observed while executing *partition*.
 

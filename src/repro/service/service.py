@@ -20,9 +20,11 @@ three pieces, each the one owner of its facts:
 
 Around them:
 
-- **long-lived catalogs**: one shared data source; per-query scan
-  state (degradation reports, scan counters) is thread-local on the
-  catalog, so concurrent query threads never see each other's events;
+- **long-lived catalogs**: one shared data source holding no
+  per-query state: each query's degradation report travels in its
+  evaluation contexts and is passed to every read (a profile's scan
+  counters are attached per thread), so concurrent queries never see
+  each other's events;
 - **a shared backend pool**: one
   :class:`~repro.hyracks.backends.ExecutionBackend` per concurrency
   slot, owned by that slot's worker thread.  Pools of forked
@@ -66,12 +68,7 @@ from dataclasses import dataclass, field
 
 from repro.algebra.plan import read_set
 from repro.algebra.rules import RewriteConfig
-from repro.compiler.pipeline import (
-    PLAN_CACHE_CAPACITY,
-    PlanCache,
-    compile_stats,
-    cost_enabled,
-)
+from repro.compiler.pipeline import PLAN_CACHE_CAPACITY, PlanCache, compile_stats
 from repro.errors import (
     AdmissionError,
     BackendError,
@@ -94,6 +91,7 @@ from repro.service.result_cache import (
     ResultCache,
     source_fingerprints,
 )
+from repro.stats.cost import resolve_cost_enabled
 
 #: Slot and retry events kept for ``stats()``: the most recent ones.  A
 #: long-lived service under chaos must not grow with its history.
@@ -284,7 +282,8 @@ class QueryService:
         The shared data source (catalog) all queries run against.
     rewrite:
         Rewrite-toggle config applied to every query (default: all
-        rules).  Part of the plan-cache key.
+        rules).  Part of the plan-cache key.  The cost phase runs as
+        ``REPRO_COST`` says (unset means on).
     backend:
         Backend *name* (``"sequential"`` | ``"process"``)
         for partition work; ``None`` consults ``REPRO_BACKEND``.  The
@@ -340,7 +339,6 @@ class QueryService:
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
         resilience: ResilienceConfig | None = None,
-        cost: bool | None = None,
         max_query_retries: int = 1,
         max_slot_restarts: int = 3,
         clock: str = "wall",
@@ -370,7 +368,7 @@ class QueryService:
             )
         self._source = source
         self._rewrite = rewrite if rewrite is not None else RewriteConfig.all()
-        self._cost = cost_enabled(self._rewrite, cost)
+        self._cost = resolve_cost_enabled()
         self._resilience = resilience
         self._memory_budget = memory_budget_bytes
         self._spill_dir = spill_dir

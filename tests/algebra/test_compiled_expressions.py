@@ -295,7 +295,7 @@ class Raises:
 class Source:
     """A data source answering the two materializing expressions."""
 
-    def read_collection(self, name, partition=None):
+    def read_collection(self, name, partition=None, report=None):
         return [{"name": name, "partition": partition}]
 
     def read_document(self, uri):

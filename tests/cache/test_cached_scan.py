@@ -170,11 +170,7 @@ class TestDegradationReplay:
 
     def events(self, catalog):
         report = DegradationReport()
-        catalog.attach_degradation(report)
-        try:
-            items = list(catalog.scan_collection("/sensors", PATH))
-        finally:
-            catalog.attach_degradation(None)
+        items = list(catalog.scan_collection("/sensors", PATH, report=report))
         return items, report.skipped_records
 
     def test_warm_hit_replays_skip_events_byte_identically(self, tmp_path):
@@ -261,7 +257,7 @@ class TestProcessorIntegration:
 
     def test_unsupported_source_rejected(self):
         class Bare:
-            def read_collection(self, name, partition=None):
+            def read_collection(self, name, partition=None, report=None):
                 return []
 
             def partition_count(self, name):

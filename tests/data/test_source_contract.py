@@ -75,10 +75,9 @@ def observe(source, partition=None):
     counters = ScanCounters()
     report = DegradationReport()
     source.attach_scan_counters(counters)
-    source.attach_degradation(report)
     items = error = None
     try:
-        items = list(source.scan_collection("/c", PATH, partition))
+        items = list(source.scan_collection("/c", PATH, partition, report=report))
     except FileScanError as raised:
         error = (
             unit_of(raised.file_path),
@@ -86,7 +85,6 @@ def observe(source, partition=None):
         )
     finally:
         source.attach_scan_counters(None)
-        source.attach_degradation(None)
     return {
         "items": items,
         "error": error,

@@ -72,11 +72,11 @@ class FrameSource:
     def __init__(self, files, sized=False, fail_after=None, fail=None):
         self.files, self.fail_after, self.fail = files, fail_after, fail
         if sized:
-            self.scan_units = lambda name, path, partition: (
+            self.scan_units = lambda name, path, partition, report: (
                 (list(rows), sizeof_rows(rows), None) for rows in self.files
             )
 
-    def scan_collection(self, name, path, partition=None):
+    def scan_collection(self, name, path, partition=None, report=None):
         rows = (row for rows in self.files for row in rows)
         if self.fail is None:
             return rows

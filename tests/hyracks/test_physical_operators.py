@@ -49,7 +49,7 @@ class StreamSource:
         self.good, self.last, self.fail = good, last, fail
         self.pulled = self.closed = 0
 
-    def scan_collection(self, name, path, partition=None):
+    def scan_collection(self, name, path, partition=None, report=None):
         try:
             for i in range(self.good):
                 self.pulled += 1

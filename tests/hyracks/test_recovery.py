@@ -184,10 +184,10 @@ class CountingSource:
     def partition_count(self, name):
         return self.inner.partition_count(name)
 
-    def scan_collection(self, name, path, partition=None):
+    def scan_collection(self, name, path, partition=None, report=None):
         fd, _ = tempfile.mkstemp(prefix=f"scan-{partition}-", dir=self.log_dir)
         os.close(fd)
-        return self.inner.scan_collection(name, path, partition)
+        return self.inner.scan_collection(name, path, partition, report=report)
 
     def scans(self) -> dict:
         counts: dict = {}
@@ -376,7 +376,7 @@ class BuggyWrapper:
             if name.startswith(event)
         }
 
-    def scan_collection(self, name, path, partition=None):
+    def scan_collection(self, name, path, partition=None, report=None):
         if partition == 0:
             give_up = time.monotonic() + 10.0
             while not self.logged("started") and time.monotonic() < give_up:
@@ -384,7 +384,9 @@ class BuggyWrapper:
             raise ValueError("bug in the source wrapper")
         self._log("started", partition)
         time.sleep(0.2)
-        items = list(self.inner.scan_collection(name, path, partition))
+        items = list(
+            self.inner.scan_collection(name, path, partition, report=report)
+        )
         self._log("finished", partition)
         return iter(items)
 

@@ -76,6 +76,11 @@ def write_collection(base, partitions=2, files=2, rows=300, record=row, broken=(
 
 
 def make_catalog(directory, **options):
+    """``/c`` and ``/c2`` over *directory*, with no segment cache unless
+    *options* give one: a cache from the environment would serve
+    ``/c2`` what ``/c`` stored, and a self-join a unit again from the
+    segment its left read stored."""
+    options.setdefault("segment_cache_dir", "")
     source = CollectionCatalog(stats_sample=10_000, **options)
     source.register_directory("/c", directory)
     source.register_directory("/c2", directory)
@@ -146,7 +151,7 @@ class TestOneRead:
             SensorDataConfig(seed=5, stations=20, target_file_bytes=8 * 1024),
         )
         with JsonProcessor.from_directory(
-            str(base), backend=backend, max_workers=2
+            str(base), backend=backend, max_workers=2, segment_cache_dir=""
         ) as processor:
             result = processor.execute(q2())
         assert result.strategy == "hash-join"

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from repro import FaultPlan, InMemorySource, JsonProcessor
+from repro import CollectionCatalog, FaultPlan, InMemorySource, JsonProcessor
 from repro.resilience.report import CacheEvent, DegradationReport
 
 PARTITIONS = 3
@@ -73,8 +73,8 @@ class TestFaultPlanCacheIO:
         source = make_source()
         source.configure_scan(segment_cache_dir=str(tmp_path))
         plan = FaultPlan().fail_cache_io(permanent=True)
-        plan.wrap(source)
-        clone = pickle.loads(pickle.dumps(source.segment_cache))
+        wrapped = plan.wrap(source)
+        clone = pickle.loads(pickle.dumps(wrapped.segment_cache))
         with pytest.raises(OSError):
             clone.fault_hook("store")
 
@@ -136,6 +136,56 @@ class TestDiskFullDegradesToCacheOff:
         assert payload["cache_events"], "cache events must be serialized"
         for event in payload["cache_events"]:
             assert set(event) == {"kind", "source", "message"}
+
+
+class TestWrappingLeavesTheCatalogAlone:
+    """A fault plan's cache hook, and the cache-off state it drives, stay
+    with the processor that wraps the catalog: a fault-free processor
+    built on the same catalog afterwards caches as if none had been."""
+
+    def catalog(self, tmp_path, cache_name):
+        data = tmp_path / "data" / "events" / "partition0"
+        if not data.is_dir():
+            data.mkdir(parents=True)
+            (data / "a.json").write_text(
+                "\n".join(json.dumps({"v": i}) for i in range(RECORDS)),
+                encoding="utf-8",
+            )
+        return CollectionCatalog(
+            str(tmp_path / "data"), segment_cache_dir=str(tmp_path / cache_name)
+        )
+
+    @staticmethod
+    def segments(directory):
+        if not os.path.isdir(directory):
+            return []
+        return sorted(
+            name for name in os.listdir(directory) if name.endswith(".seg")
+        )
+
+    def execute(self, catalog, plan=None):
+        processor = JsonProcessor(catalog, fault_plan=plan)
+        try:
+            return processor.execute(QUERY).items
+        finally:
+            processor.close()
+
+    def test_a_clean_processor_after_a_faulted_one_stores(self, tmp_path):
+        control = self.catalog(tmp_path, "control")
+        assert self.execute(control) == list(range(RECORDS))
+
+        catalog = self.catalog(tmp_path, "cache")
+        plan = FaultPlan().fail_cache_io(times=1000, operation="store")
+        assert self.execute(catalog, plan) == list(range(RECORDS))
+        assert self.segments(tmp_path / "cache") == []  # every store failed
+        assert catalog.segment_cache.fault_hook is None
+        assert catalog.segment_cache.disabled_reason is None
+
+        assert self.execute(catalog) == list(range(RECORDS))
+        assert len(self.segments(tmp_path / "cache")) == 1
+        assert self.segments(tmp_path / "cache") == self.segments(
+            tmp_path / "control"
+        )
 
 
 class TestCorruptSegmentsDetected:

@@ -5,6 +5,8 @@ catalogs, and the registration bugfixes (empty partitions, empty base
 dirs).
 """
 
+from itertools import chain
+
 import pytest
 
 from repro import JsonProcessor, RewriteConfig
@@ -102,8 +104,9 @@ class TestCollectionCatalogPolicies:
     def test_skip_record_survives_and_records(self, faulty_dir):
         catalog = CollectionCatalog(str(faulty_dir), on_malformed="skip_record")
         report = DegradationReport()
-        catalog.attach_degradation(report)
-        items = list(catalog.scan_collection("/events", parse_path('("v")')))
+        items = list(
+            catalog.scan_collection("/events", parse_path('("v")'), report=report)
+        )
         assert items == [1, 3, 1, 2, 3]  # bad.json sorts before good.json
         assert len(report.skipped_records) == 1
         assert report.skipped_records[0].source.endswith("bad.json")
@@ -112,8 +115,9 @@ class TestCollectionCatalogPolicies:
     def test_skip_file_drops_whole_file(self, faulty_dir):
         catalog = CollectionCatalog(str(faulty_dir), on_malformed="skip_file")
         report = DegradationReport()
-        catalog.attach_degradation(report)
-        items = list(catalog.scan_collection("/events", parse_path('("v")')))
+        items = list(
+            catalog.scan_collection("/events", parse_path('("v")'), report=report)
+        )
         # bad.json (entirely dropped) sorts before good.json
         assert items == [1, 2, 3]
         assert len(report.skipped_files) == 1
@@ -179,8 +183,9 @@ class TestInMemorySourcePolicies:
     def test_skip_record(self):
         source = self._source("skip_record")
         report = DegradationReport()
-        source.attach_degradation(report)
-        items = list(source.scan_collection("/events", parse_path('("v")')))
+        items = list(
+            source.scan_collection("/events", parse_path('("v")'), report=report)
+        )
         assert items == [1, 2, 3, 1, 3]
         assert len(report.skipped_records) == 1
         assert "partition 1" in report.skipped_records[0].source
@@ -188,8 +193,9 @@ class TestInMemorySourcePolicies:
     def test_skip_file(self):
         source = self._source("skip_file")
         report = DegradationReport()
-        source.attach_degradation(report)
-        items = list(source.scan_collection("/events", parse_path('("v")')))
+        items = list(
+            source.scan_collection("/events", parse_path('("v")'), report=report)
+        )
         assert items == [1, 2, 3]
         assert len(report.skipped_files) == 1
 
@@ -206,6 +212,57 @@ class TestInMemorySourcePolicies:
             {"v": 2},
             {"v": 3},
         ]
+
+
+
+class TestReportPerRead:
+    """The report is an argument of each read, not state of the source:
+    two reads of one catalog advanced alternately in one thread each
+    record exactly their own skips on their own report."""
+
+    #: collection -> (its one file's text, the malformed record in it)
+    TEXTS = {
+        "/a": (BAD_MIDDLE, '{"v": oops}'),
+        "/b": ('{"v": nope}\n{"v": 4}\n{"v": 5}\n', '{"v": nope}'),
+    }
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_interleaved_reads_keep_their_skips_apart(self, tmp_path, cached):
+        source = CollectionCatalog(
+            on_malformed="skip_record",
+            segment_cache_dir=str(tmp_path / "cache") if cached else "",
+        )
+        files = {}
+        for name, (text, _bad) in self.TEXTS.items():
+            directory = tmp_path / name.strip("/")
+            directory.mkdir()
+            files[name] = directory / "t.json"
+            files[name].write_text(text, encoding="utf-8")
+            source.register_directory(name, str(directory))
+        reports = {name: DegradationReport() for name in self.TEXTS}
+        streams = {
+            name: chain.from_iterable(
+                items
+                for items, _sizes, _again in source.scan_units(
+                    name, parse_path('("v")'), report=report
+                )
+            )
+            for name, report in reports.items()
+        }
+        pulled = {name: [] for name in self.TEXTS}
+        while streams:
+            for name in list(streams):
+                item = next(streams[name], None)
+                if item is None:
+                    del streams[name]
+                else:
+                    pulled[name].append(item)
+        assert pulled == {"/a": [1, 3], "/b": [4, 5]}
+        for name, (text, bad) in self.TEXTS.items():
+            assert [
+                (skip.source, skip.offset)
+                for skip in reports[name].skipped_records
+            ] == [(str(files[name]), text.index(bad))]
 
 
 # Deeper than the interpreter recurses.

@@ -32,25 +32,20 @@ GROUP_QUERY = (
 )
 
 
-class CancelOnSpill:
-    """Source wrapper whose spill-fault hook cancels its token.
+class CancelOnSpill(FaultPlan):
+    """Fault plan whose spill-write hook cancels its token.
 
-    The hook runs on every spill write, so cancelling there guarantees
-    the query was mid-spill when the limit was observed.  Module level
-    with the token as state, so it pickles into process-pool workers.
+    The hook runs on every spill write of a partition, so cancelling
+    there guarantees the query was mid-spill when the limit was
+    observed.  Module level with the token as state, so it pickles into
+    process-pool workers.
     """
 
-    def __init__(self, inner, token):
-        self._inner = inner
+    def __init__(self, token):
+        super().__init__()
         self._token = token
 
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            # Unpickling probes dunders before _inner exists.
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-    def check_spill_fault(self, partition):
+    def spill_write_attempt(self, partition):
         self._token.cancel("mid-spill cancel")
         self._token.check()
 
@@ -130,11 +125,11 @@ class TestCancellationCleanup:
     def test_cancel_mid_spill_leaves_no_temp_files(self, spill_root):
         """Cancel fired from inside the spill path (see CancelOnSpill)."""
         token = CancellationToken()
-        source = CancelOnSpill(make_source(), token)
         processor = JsonProcessor(
-            source=source,
+            source=make_source(),
             memory_budget_bytes=512,
             spill_dir=spill_root,
+            fault_plan=CancelOnSpill(token),
         )
         with pytest.raises(QueryCancelledError) as exc_info:
             processor.execute(GROUP_QUERY, cancellation=token)

@@ -7,13 +7,11 @@ equal with the cost phase off; a join chain keeps the query's order.  Also cover
 the inert cases (no stats, unknown collection, cost disabled).
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from repro import JsonProcessor
-from repro.algebra.rules import RewriteConfig
 from repro.data.catalog import InMemorySource
 from repro.stats.cost import COST_ENV_VAR, resolve_cost_enabled
 
@@ -212,14 +210,6 @@ class TestDeterminismAndInertCases:
         proc = processor({"/tiny": TINY, "/big": BIG}, cost=None)
         assert proc.cost is False
         assert "build=" not in proc.explain(TINY_BIG_JOIN)
-
-    def test_cost_off_via_rewrite_config(self):
-        proc = JsonProcessor(
-            source=rows_source({"/tiny": TINY, "/big": BIG}),
-            rewrite=dataclasses.replace(RewriteConfig.all(), cost=False),
-            cost=True,  # the config still wins: no cost phase at all
-        )
-        assert proc.cost is False
 
     def test_unknown_collection_compiles(self):
         proc = processor({"/tiny": TINY})
