@@ -81,9 +81,9 @@ class EvaluationContext:
         when present, the physical operators record per-operator
         counters and timing spans on it.
     spill:
-        Optional :class:`repro.hyracks.spill.SpillManager`; when present,
-        the blocking operators degrade to disk instead of raising when a
-        memory charge is declined.
+        Optional :class:`repro.hyracks.spill.SpillManager`, set whenever
+        *memory* has a budget: the blocking operators degrade to disk
+        when a memory charge is declined.
     limits:
         Optional :class:`repro.hyracks.limits.ExecutionLimits` checked at
         frame boundaries (deadline + cancellation token).
@@ -146,11 +146,6 @@ class EvaluationContext:
             self._compiled[key] = entry
         return entry[1]
 
-    def charge(self, n_bytes: int) -> None:
-        """Charge *n_bytes* against the memory tracker, if any."""
-        if self.memory is not None:
-            self.memory.allocate(n_bytes)
-
     def release(self, n_bytes: int) -> None:
         """Release *n_bytes* from the memory tracker, if any."""
         if self.memory is not None:
@@ -169,5 +164,5 @@ def charge_sequence(ctx: EvaluationContext, items: Iterable[Item]) -> int:
     from repro.jsonlib.items import sizeof_sequence
 
     n_bytes = sizeof_sequence(items)
-    ctx.charge(n_bytes)
+    ctx.memory.allocate(n_bytes)  # nothing sheds it: raises past a budget
     return n_bytes

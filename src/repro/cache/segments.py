@@ -464,25 +464,6 @@ class SegmentCache:
         self._io_ok()
         return True
 
-    def load(
-        self,
-        source_id: str,
-        fingerprint: tuple,
-        projection: str,
-        policy: str,
-    ) -> CachedSegment | None:
-        """Load a segment; None on miss, stale fingerprint, or bad file.
-
-        Any defect in the file (wrong magic, truncation, a header that
-        is not the expected object, a malformed section) is a cache
-        miss, never an error: the caller falls back to a cold scan and
-        the next complete store overwrites the bad file.
-        """
-        segment, _status = self.load_classified(
-            source_id, fingerprint, projection, policy
-        )
-        return segment
-
     def load_classified(
         self,
         source_id: str,

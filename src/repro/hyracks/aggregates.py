@@ -19,7 +19,7 @@ own partial.  An ungrouped AGGREGATE is the one group of no keys
 
 ``sequence`` is the materializing aggregate (it collects every item);
 its state charges the memory tracker, which is how the naive group-by
-plans show their memory cost.
+plans show their memory cost, and spills under a budget.
 
 ``sum``/``avg``/``min``/``max`` check every folded value exactly like
 their scalar builtins in :mod:`repro.jsoniq.functions` (same error
@@ -70,67 +70,36 @@ class Accumulator:
         raise NotImplementedError
 
 
-class _Items:
-    """A ``sequence`` state: the items, what they charged, and the
-    :class:`~repro.hyracks.spill.SpilledSequence` holding them instead
-    when the context can spill."""
-
-    __slots__ = ("items", "charged_bytes", "store")
-
-    def __init__(self):
-        self.items: list = []
-        self.charged_bytes = 0
-        self.store = None
-
-    def as_list(self) -> list:
-        return self.items if self.store is None else list(self.store)
-
-
 class SequenceAccumulator(Accumulator):
     """``sequence(...)`` — concatenates every argument item.
 
-    The materializing aggregate.  Without a spill manager on the context
-    its state charges the tracker (raising on budget overflow, the
-    behaviour the naive plans rely on); with one, the items live in a
-    :class:`~repro.hyracks.spill.SpilledSequence` that overflows to run
-    files instead.  Its partial is the item list.
+    The materializing aggregate.  Its state is a
+    :class:`~repro.hyracks.spill.SpilledSequence`, opened on the first
+    fold (where the context is known): each item charges the tracker,
+    and under a budget the items overflow to run files.  Its partial is
+    the item list.
     """
 
-    start = _Items
+    @staticmethod
+    def start():
+        return None
 
     @staticmethod
     def fold(state, values, ctx):
-        if (
-            state.store is None
-            and ctx.spill is not None
-            and ctx.memory is not None
-            and not state.items
-        ):
+        if state is None:
             from repro.hyracks.spill import SpilledSequence
 
-            state.store = SpilledSequence(ctx, label="sequence")
-        if state.store is not None:
-            for value in values:
-                state.store.append(value, sizeof_item(value))
-            return state
-        state.items.extend(values)
-        if ctx.memory is not None:
-            n_bytes = sum(sizeof_item(v) for v in values)
-            state.charged_bytes += n_bytes
-            ctx.charge(n_bytes)
+            state = SpilledSequence(ctx, label="sequence")
+        for value in values:
+            state.append(value, sizeof_item(value))
         return state
 
     @staticmethod
     def take(state, ctx):
-        if type(state) is not _Items:  # already a partial
-            return state
-        items = state.as_list()
-        if state.store is not None:
-            state.store.close()
-            state.store = None
-        elif state.charged_bytes:
-            ctx.release(state.charged_bytes)
-            state.charged_bytes = 0
+        if state is None or type(state) is list:  # nothing folded, or a partial
+            return state or []
+        items = list(state)
+        state.close()
         return items
 
     @staticmethod

@@ -314,7 +314,7 @@ class WorkUnit:
     #: identity survives the round trip because plan and work pickle
     #: together, so profile indices match the coordinator's.
     profile: object = None
-    #: SpillConfig, or None to keep the raising memory-budget behaviour.
+    #: SpillConfig, set whenever there is a memory budget (None without).
     #: The worker builds a fresh SpillManager per attempt and closes it
     #: (removing every run file) no matter how the attempt ended.
     spill: object = None

@@ -430,11 +430,10 @@ class PartitionedExecutor:
         degradation report.  Spill faults are scheduled per partition,
         so its spill manager has no fault hook."""
         spill = None
-        spill_config = self._query_spill or self._spill_config
-        if spill_config is not None:
+        if self._query_spill is not None:
             from repro.hyracks.spill import SpillManager
 
-            spill = SpillManager(spill_config)
+            spill = SpillManager(self._query_spill)
             # run() closes every registered manager in its finally block,
             # so coordinator-side run files never outlive the query.
             self._open_spills.append(spill)
@@ -480,7 +479,7 @@ class PartitionedExecutor:
                 resilience=self._resilience,
                 charge_delay=charge_delay,
                 profile=self._profile_config,
-                spill=self._query_spill or self._spill_config,
+                spill=self._query_spill,
                 limits=self._limits,
             )
             for partition, work in enumerate(works)

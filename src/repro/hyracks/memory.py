@@ -9,9 +9,13 @@ behaviour.
 Two charging disciplines coexist:
 
 - :meth:`MemoryTracker.allocate` raises
-  :class:`~repro.errors.MemoryBudgetExceededError` on overflow — the
-  behaviour non-spillable paths (expression materialization, the SQL
-  baseline) keep;
+  :class:`~repro.errors.MemoryBudgetExceededError` on overflow.  Only
+  the charges nothing can shed take it: the ``collection()`` and
+  ``json-doc()`` materialization of the naive plans
+  (:func:`~repro.algebra.context.charge_sequence`) and the SQL
+  baseline's tables.  Every blocking operator charges through
+  :func:`repro.hyracks.spill.charge`, which raises the same way only
+  for a context built with a budget and no spill manager;
 - :meth:`MemoryTracker.try_allocate` *declines* instead of raising, so
   spilling operators can react by degrading to disk
   (:mod:`repro.hyracks.spill`); :meth:`MemoryTracker.force_allocate`

@@ -72,10 +72,15 @@ from repro.algebra.operators import (
 from repro.algebra.plan import LogicalPlan
 from repro.algebra.rules.base import conjuncts, subtree_variables
 from repro.hyracks.aggregates import GroupStates
+from repro.hyracks.limits import CHECK_STRIDE
 from repro.hyracks.spill import (
     GROUP_ENTRY_BYTES as _GROUP_ENTRY_BYTES,
     GroupedRows,
+    SpilledSequence,
+    charge,
+    external_sort,
     fold_group_table,
+    grace_join_overflow,
 )
 from repro.hyracks.tuples import Tuple, merge_tuples, sizeof_tuple, sizeof_tuples
 from repro.jsonlib.items import (
@@ -83,7 +88,6 @@ from repro.jsonlib.items import (
     Item,
     canonical_atomic,
     canonical_item,
-    canonical_key,
     item_type_name,
     sizeof_rows,
 )
@@ -655,35 +659,14 @@ def _execute_group_by(
 def _execute_sort(
     op: Sort, source: Iterable[Tuple], ctx: EvaluationContext
 ) -> Iterator[Tuple]:
-    """Blocking sort: materialize, order by canonical keys, emit.
+    """Blocking sort: :func:`~repro.hyracks.spill.external_sort`.
 
-    Descending keys are handled by sorting in passes from the least
-    significant key to the most significant (stable sorts compose).
-    With a spill manager on the context the sort runs externally
-    (:func:`~repro.hyracks.spill.external_sort`), producing the exact
-    same order via composite keys with an arrival-sequence tie-break.
+    Tuples order by composite keys (one canonical key per spec, with its
+    direction, and the arrival sequence last, so equal keys keep their
+    input order).  Without a budget the charge never declines, and the
+    sort is one in-memory run that writes no file.
     """
-    if ctx.spill is not None and ctx.memory is not None:
-        from repro.hyracks.spill import external_sort
-
-        yield from external_sort(op.specs, source, ctx, op=op)
-        return
-    tuples = list(source)
-    charged = 0
-    try:
-        if ctx.memory is not None:
-            charged = sum(sizeof_tuple(t) for t in tuples)
-            ctx.charge(charged)
-        for expression, descending in reversed(op.specs):
-            evaluate = ctx.compiled(expression)
-            tuples.sort(
-                key=lambda tup: canonical_key(evaluate(tup, ctx)),
-                reverse=descending,
-            )
-        yield from tuples
-    finally:
-        if charged:
-            ctx.release(charged)
+    return external_sort(op.specs, source, ctx, op=op)
 
 
 def _execute_distribute(
@@ -1147,11 +1130,12 @@ def hash_join(
 
     A build tuple is charged its entry of *build_sizes* (one per pair:
     what the exchange measured), or ``sizeof_tuple`` when there are
-    none.  When a spill manager is configured and the build side
-    outgrows the memory budget, the join hands off to
+    none, through :func:`~repro.hyracks.spill.charge`.  When the budget
+    declines a charge, the join hands off to
     :func:`~repro.hyracks.spill.grace_join_overflow` (grace hash join),
     which re-emits results in probe order so the output stays
-    byte-identical.
+    byte-identical.  Without a budget no charge declines, and the table
+    is one in-memory build.
     """
     residual = _compile_residual(residual, ctx)
     if build_side == "left":
@@ -1171,26 +1155,20 @@ def hash_join(
             if ctx.memory is not None:
                 if n_bytes is None:
                     n_bytes = sizeof_tuple(tup)
-                if ctx.spill is not None:
-                    if not ctx.memory.try_allocate(n_bytes):
-                        from repro.hyracks.spill import grace_join_overflow
-
-                        # The overflowing tuple joins the table uncharged;
-                        # the grace path writes the table out and releases
-                        # the accumulated charge itself.
-                        table.setdefault(key, []).append(tup)
-                        overflow = grace_join_overflow(
-                            table, charged, build_iter, probe_pairs,
-                            residual, ctx, op=op,
-                        )
-                        table = {}
-                        charged = 0
-                        yield from overflow
-                        return
-                    charged += n_bytes
-                else:
-                    ctx.charge(n_bytes)
-                    charged += n_bytes
+                if not charge(ctx, n_bytes):
+                    # The overflowing tuple joins the table uncharged;
+                    # the grace path writes the table out and releases
+                    # the accumulated charge itself.
+                    table.setdefault(key, []).append(tup)
+                    overflow = grace_join_overflow(
+                        table, charged, build_iter, probe_pairs,
+                        residual, ctx, op=op,
+                    )
+                    table = {}
+                    charged = 0
+                    yield from overflow
+                    return
+                charged += n_bytes
             table.setdefault(key, []).append(tup)
         for key, tup in probe_pairs:
             if limits is not None:
@@ -1206,18 +1184,21 @@ def hash_join(
             ctx.release(charged)
 
 
-#: how often the nested-loop build loop re-checks limits; the build is
-#: pure materialization, so a small stride keeps cancellation prompt
-#: without a per-tuple branch dominating the loop.
-_NLJOIN_CHECK_STRIDE = 64
-
-
 def _nested_loop_join(
     left_stream: Iterable[Tuple],
     right_stream: Iterable[Tuple],
     op: Join,
     ctx: EvaluationContext,
 ) -> Iterator[Tuple]:
+    """Join every left tuple with every right tuple the condition admits.
+
+    The inner (right) side is materialized in a
+    :class:`~repro.hyracks.spill.SpilledSequence`, sized by the frame
+    (``CHECK_STRIDE`` tuples at a time through :func:`sizeof_tuples`)
+    with a limits check per frame, so a deadline or a cancellation
+    unwinds mid-build.  Under a budget the inner side overflows to run
+    files and is replayed once per left tuple.
+    """
     limits = ctx.limits
     # None: the condition is the literal true, every pair joins.
     condition = (
@@ -1225,45 +1206,20 @@ def _nested_loop_join(
         if _is_always_true(op.condition)
         else ctx.compiled(op.condition, as_condition=True)
     )
-    if ctx.spill is not None and ctx.memory is not None:
-        from repro.hyracks.spill import SpilledSequence
-
-        right_seq = SpilledSequence(ctx, label="nljoin", op=op)
-        try:
-            for tup in right_stream:
-                if limits is not None:
-                    limits.checkpoint()
-                right_seq.append(tup, sizeof_tuple(tup))
-            for left_tuple in left_stream:
-                if limits is not None:
-                    limits.checkpoint()
-                for right_tuple in right_seq:
-                    joined = merge_tuples(left_tuple, right_tuple)
-                    if condition is None or condition(joined, ctx):
-                        yield joined
-        finally:
-            right_seq.close()
-        return
-    # Materialize the inner side with strided limit checkpoints (like
-    # the spill path above) so a deadline or cancellation can unwind
-    # mid-build instead of only after the whole inner side is in memory.
-    right: list[Tuple] = []
-    for index, tup in enumerate(right_stream):
-        if limits is not None and index % _NLJOIN_CHECK_STRIDE == 0:
-            limits.checkpoint()
-        right.append(tup)
-    charged = 0
+    right = iter(right_stream)
+    right_seq = SpilledSequence(ctx, label="nljoin", op=op)
     try:
-        if ctx.memory is not None:
-            charged = sum(sizeof_tuples(right))
-            ctx.charge(charged)
+        while chunk := list(islice(right, CHECK_STRIDE)):
+            if limits is not None:
+                limits.check()
+            for tup, n_bytes in zip(chunk, sizeof_tuples(chunk)):
+                right_seq.append(tup, n_bytes)
         for left_tuple in left_stream:
             if limits is not None:
                 limits.checkpoint()
-            for right_tuple in right:
+            for right_tuple in right_seq:
                 joined = merge_tuples(left_tuple, right_tuple)
                 if condition is None or condition(joined, ctx):
                     yield joined
     finally:
-        if charged:
-            ctx.release(charged)
+        right_seq.close()

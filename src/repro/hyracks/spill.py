@@ -26,13 +26,15 @@ The GROUP-BY and the join each have one split-and-recurse: the top
 level sheds to the depth-0 buckets through the same code a bucket that
 overflows uses to split at its own depth.
 
+These are the only implementations of the blocking operators: a
+budget comes with a spill manager, and without a budget no charge
+declines, so each runs as one in-memory run that writes no file.
 Spilling triggers when the :class:`~repro.hyracks.memory.MemoryTracker`
-*declines* a charge (``try_allocate``) instead of raising; with no spill
-manager on the context the old raising behaviour is preserved exactly.
-Results are byte-identical with spill on and off: every external
-algorithm tags records with arrival sequence numbers and restores the
-in-memory emission order (first-seen order for groups, probe order for
-joins, stable spec order for sorts).
+*declines* a charge (``try_allocate``) instead of raising.  Results are
+byte-identical with spill on and off: every external algorithm tags
+records with arrival sequence numbers and restores the in-memory
+emission order (first-seen order for groups, probe order for joins,
+spec order with ties in arrival order for sorts).
 
 Spill writes run through an optional **fault hook** (the resilience
 layer's :meth:`~repro.resilience.faults.FaultPlan.fail_spill`), so a
@@ -407,24 +409,30 @@ class SpillManager:
 # ---------------------------------------------------------------------------
 
 
-def charge(ctx, n_bytes: int, shed: Callable[[], None]) -> None:
-    """Charge *n_bytes* for a spilling operator's in-memory state.
+def charge(ctx, n_bytes: int, shed: Callable[[], None] | None = None) -> bool:
+    """Charge *n_bytes* for a spilling operator's in-memory state; False
+    when the budget declined it and there is no *shed*.
 
-    Without a spill manager the charge raises on overflow (the
-    non-spilling behaviour).  With one, a declined charge calls *shed*,
-    which writes the operator's state to disk (a no-op when it holds
-    nothing), retries, and finally forces the irreducible remainder,
-    recording the overdraft.
+    A budget comes with a spill manager, so only a context built without
+    one raises on overflow here.  With a manager, a declined charge
+    calls *shed*, which writes the operator's state to disk (a no-op
+    when it holds nothing), retries, and finally forces the irreducible
+    remainder, recording the overdraft.  Without a *shed* the caller
+    hands its state to disk itself (the grace join), and nothing was
+    charged.
     """
     memory = ctx.memory
     if memory is None:
-        return
+        return True
     if ctx.spill is None:
         memory.allocate(n_bytes)  # raises on overflow
     elif not memory.try_allocate(n_bytes):
+        if shed is None:
+            return False
         shed()
         if not memory.try_allocate(n_bytes):
             memory.force_allocate(n_bytes)
+    return True
 
 
 def _spill_event(ctx, op, files: int) -> None:
@@ -487,14 +495,8 @@ class SpilledSequence:
         ctx.release(self._charged)
         self._charged = 0
 
-    @property
-    def spilled(self) -> bool:
-        return bool(self._runs)
-
     def __iter__(self) -> Iterator:
-        for run in self._runs:
-            yield from run
-        yield from self._buffer
+        return itertools.chain(*self._runs, self._buffer)
 
     def close(self) -> None:
         """Release the remaining charge and the run files."""
@@ -847,9 +849,8 @@ def sort_key_for(keys, tup: Tuple, ctx, seq: int) -> tuple:
     specs as ``(compiled closure, descending)`` pairs.
 
     Lexicographic comparison over per-spec :class:`_OrderKey` components
-    with the arrival sequence as final tie-break reproduces exactly what
-    the in-memory path computes with its stable least-significant-first
-    sort passes.
+    with the arrival sequence as final tie-break is a stable sort by the
+    specs, most significant first.
     """
     return tuple(
         _OrderKey(canonical_key(evaluate(tup, ctx)), descending)
@@ -863,7 +864,8 @@ def external_sort(specs, source: Iterable[Tuple], ctx, op=None) -> Iterator[Tupl
     Tuples are charged as they buffer; a declined charge sorts the
     buffer into a run file.  Runs (plus the in-memory tail) merge with
     ``heapq.merge`` over composite keys, streaming the result without
-    ever re-materializing the whole input.
+    ever re-materializing the whole input.  Without a budget nothing
+    declines: the one buffer is sorted and no run is written.
     """
     keys = [(ctx.compiled(expr), descending) for expr, descending in specs]
     limits = ctx.limits

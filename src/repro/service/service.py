@@ -43,10 +43,10 @@ Around them:
   :class:`~repro.JsonProcessor` compiles through too;
 - **result cache** (optional): keyed by plan fingerprint × source
   fingerprints with file-change invalidation — see
-  :mod:`repro.service.result_cache`.  Both the result cache and any
-  segment cache the service configures use ``content`` fingerprints: a
-  long-lived server must not serve stale bytes through the ``stat``
-  fingerprint's same-size rewrite window.
+  :mod:`repro.service.result_cache`.  Both the result cache and the
+  source's segment cache, however it was configured, use ``content``
+  fingerprints: a long-lived server must not serve stale bytes through
+  the ``stat`` fingerprint's same-size rewrite window.
 
 Every completed query returns a :class:`ServiceResponse` carrying the
 result items plus the per-request telemetry the observability layers
@@ -305,8 +305,9 @@ class QueryService:
         content (a long-lived server must detect same-size in-place
         rewrites).
     segment_cache_dir:
-        When given, (re)configures the source's segment cache with
-        ``content`` fingerprints.
+        When given, replaces the source's segment cache.  Whichever
+        segment cache the source then has uses ``content``
+        fingerprints.
     memory_budget_bytes / spill_dir / resilience:
         Per-query execution defaults, as on
         :class:`~repro.JsonProcessor`.
@@ -373,13 +374,11 @@ class QueryService:
         self._memory_budget = memory_budget_bytes
         self._spill_dir = spill_dir
         self._max_workers = max_workers
-        if segment_cache_dir is not None:
-            configure = getattr(source, "configure_scan", None)
-            if configure is not None:
-                configure(
-                    segment_cache_dir=segment_cache_dir,
-                    fingerprint_mode="content",
-                )
+        configure = getattr(source, "configure_scan", None)
+        if configure is not None:
+            configure(
+                segment_cache_dir=segment_cache_dir, fingerprint_mode="content"
+            )
         self.default_quota = (
             default_quota if default_quota is not None else TenantQuota()
         )

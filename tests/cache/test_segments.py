@@ -37,7 +37,8 @@ def store(cache, items, key=KEY, counters=None, events=None):
 
 
 def load(cache, key=KEY):
-    return cache.load(*key)
+    segment, _status = cache.load_classified(*key)
+    return segment
 
 
 def segment_file(tmp_path):
@@ -312,7 +313,7 @@ class TestStoreLoad:
         cache = SegmentCache(str(tmp_path))
         store(cache, [{"v": 1.5}])
         clone = pickle.loads(pickle.dumps(cache))
-        assert clone.load(*KEY).items == [{"v": 1.5}]
+        assert load(clone).items == [{"v": 1.5}]
 
 
 class TestCrashSafety:
@@ -331,7 +332,7 @@ class TestCrashSafety:
         assert loaded is None and status == "corrupt"
         assert not segment.exists()
         assert store(cache, [{"v": 9.0}])  # next store repairs
-        assert cache.load(*KEY).items == [{"v": 9.0}]
+        assert load(cache).items == [{"v": 9.0}]
 
     def test_bit_flip_fails_checksum(self, tmp_path):
         cache = SegmentCache(str(tmp_path))

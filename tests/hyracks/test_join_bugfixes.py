@@ -2,8 +2,8 @@
 
 Three fixes, each with a failing-before/passing-after test:
 
-- the non-spill nested-loop build now checkpoints limits with a stride,
-  so cancellation can unwind while the inner side is still streaming
+- the nested-loop build checks limits once per frame of the inner
+  side, so cancellation can unwind while the inner side is still streaming
   (before: ``list(right_stream)`` consumed the whole input first);
 - a join keyed on a multi-item sequence raises the same
   ``ItemTypeError`` on every physical path (naive nested loop, hash,
@@ -24,8 +24,8 @@ from repro.algebra.operators import EmptyTupleSource, Join
 from repro.algebra.rules import RewriteConfig
 from repro.data.catalog import InMemorySource
 from repro.errors import ItemTypeError, QueryCancelledError, ReproError
-from repro.hyracks.limits import CancellationToken, ExecutionLimits
-from repro.hyracks.operators import _NLJOIN_CHECK_STRIDE, _nested_loop_join
+from repro.hyracks.limits import CHECK_STRIDE, CancellationToken, ExecutionLimits
+from repro.hyracks.operators import _nested_loop_join
 
 MULTI_SEQ_MESSAGE = "value comparison 'eq' over a multi-item sequence"
 
@@ -54,7 +54,7 @@ class TestNestedLoopBuildCancellation:
         )
         with pytest.raises(QueryCancelledError):
             list(joined)
-        # The regression: without the strided checkpoint the build loop
+        # The regression: without the per-frame check the build loop
         # materialized all 50k tuples before anything could raise.
         assert 100 < len(consumed) < 50_000
 
@@ -64,9 +64,9 @@ class TestNestedLoopBuildCancellation:
             limits=ExecutionLimits(token=CancellationToken())
         )
         left = [{"l": [i]} for i in range(3)]
-        right = ({"r": [i]} for i in range(2 * _NLJOIN_CHECK_STRIDE + 1))
+        right = ({"r": [i]} for i in range(2 * CHECK_STRIDE + 1))
         joined = list(_nested_loop_join(iter(left), right, op, ctx))
-        assert len(joined) == 3 * (2 * _NLJOIN_CHECK_STRIDE + 1)
+        assert len(joined) == 3 * (2 * CHECK_STRIDE + 1)
 
 
 # ---------------------------------------------------------------------------

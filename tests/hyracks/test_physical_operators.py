@@ -31,9 +31,8 @@ from repro.algebra.plan import LogicalPlan
 from repro.data.catalog import InMemorySource
 from repro.hyracks.executor import ExecutionStats
 from repro.hyracks.memory import MemoryTracker
-from repro.jsonlib.items import sizeof_item
+from repro.jsonlib.items import canonical_key, sizeof_item
 from repro.hyracks.operators import (
-    canonical_key,
     execute,
     run_operator,
     run_plan,

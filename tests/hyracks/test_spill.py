@@ -28,23 +28,39 @@ from repro.hyracks.spill import (
     resolve_spill_config,
     stable_bucket,
 )
+from repro.jsonlib.items import canonical_key
+
+
+def partition_rows(p: int, records_per_partition: int = 120) -> list:
+    """The rows of partition *p* of :func:`make_source`."""
+    return [
+        {
+            "date": f"d{(p * records_per_partition + i) % 17}",
+            "dataType": "TMIN" if i % 2 == 0 else "TMAX",
+            "station": f"S{i % 5}",
+            "value": (i * 13 + p * 7) % 101,
+        }
+        for i in range(records_per_partition)
+    ]
 
 
 def make_source(records_per_partition: int = 120, partitions: int = 2):
     """An InMemorySource with enough rows to overflow small budgets."""
-    texts = []
-    for p in range(partitions):
-        rows = [
-            {
-                "date": f"d{(p * records_per_partition + i) % 17}",
-                "dataType": "TMIN" if i % 2 == 0 else "TMAX",
-                "station": f"S{i % 5}",
-                "value": (i * 13 + p * 7) % 101,
-            }
-            for i in range(records_per_partition)
-        ]
-        texts.append(json.dumps({"root": [{"results": rows}]}))
+    texts = [
+        json.dumps({"root": [{"results": partition_rows(p, records_per_partition)}]})
+        for p in range(partitions)
+    ]
     return InMemorySource(collections={"/s": [[t] for t in texts]})
+
+
+def multi_pass_sort(rows: list, specs: list) -> list:
+    """*rows* sorted by *specs*, ``(sequence of a row, descending)``
+    pairs, the way a stable sort composes: one pass per spec, least
+    significant first, each ordering by the spec's canonical key."""
+    rows = list(rows)
+    for sequence_of, descending in reversed(specs):
+        rows.sort(key=lambda row: canonical_key(sequence_of(row)), reverse=descending)
+    return rows
 
 
 GROUP_QUERY = (
@@ -67,7 +83,15 @@ GROUP_SEQUENCE_QUERY = (
 )
 SORT_QUERY = (
     'for $r in collection("/s")("root")()("results")() '
-    'order by $r("value") descending, $r("station") return $r("value")'
+    'order by $r("value") descending, $r("station") return $r'
+)
+# No equality between the sides: a JOIN(true) with the ``lt`` above it,
+# whose inner side is a SpilledSequence replayed per outer tuple.
+NESTED_LOOP_QUERY = (
+    'for $a in collection("/s")("root")()("results")() '
+    'for $b in collection("/s")("root")()("results")() '
+    'where $a("station") eq "S1" and $b("dataType") eq "TMAX" '
+    'and $a("value") lt $b("value") return [$a("value"), $b("value")]'
 )
 JOIN_QUERY = (
     "avg( "
@@ -88,12 +112,12 @@ def spill_root(tmp_path):
     assert os.listdir(str(root)) == [], "spill run files leaked"
 
 
-def run(source, query, spill_root=None, **kwargs):
-    config = RewriteConfig.all()
+def run(source, query, spill_root=None, config=None, **kwargs):
     executor = PartitionedExecutor(
         source, spill_dir=spill_root, **kwargs
     )
-    return executor.run(compile_query(query, config).plan)
+    plan = compile_query(query, config or RewriteConfig.all()).plan
+    return executor.run(plan)
 
 
 class TestStableBucket:
@@ -204,7 +228,7 @@ class TestSpilledSequence:
             seq = SpilledSequence(ctx, label="t")
             for i in range(100):
                 seq.append(i, 64)
-            assert seq.spilled
+            assert manager.run_files > 0
             assert list(seq) == list(range(100))
             assert list(seq) == list(range(100))  # re-iterable
             seq.close()
@@ -219,21 +243,34 @@ class TestSpilledSequence:
                 seq.append(i, 64)
 
 
-class TestExternalSort:
-    def test_matches_in_memory_sort(self, spill_root):
-        tuples = [
-            {"v": [(i * 37) % 50], "s": [f"s{i % 3}"]} for i in range(200)
-        ]
+#: sort keys of every kind: numbers equal across int and float, strings,
+#: booleans, null and the empty sequence
+MIXED_KEYS = [[3], [1.0], [1], ["a"], [True], [None], [], [2.5], ["b"], [False]]
 
-        specs = [(VariableRef("v"), True), (VariableRef("s"), False)]
-        plain_ctx = EvaluationContext()
-        expected = list(external_sort(specs, iter(tuples), plain_ctx))
+
+class TestExternalSort:
+    TUPLES = [
+        {"v": MIXED_KEYS[(i * 7) % len(MIXED_KEYS)], "s": [f"s{i % 3}"], "i": [i]}
+        for i in range(200)
+    ]
+    SPECS = [(VariableRef("v"), True), (VariableRef("s"), False)]
+    EXPECTED = multi_pass_sort(
+        TUPLES, [(lambda tup: tup["v"], True), (lambda tup: tup["s"], False)]
+    )
+
+    def test_unbudgeted_is_the_multi_pass_order(self):
+        tracker = MemoryTracker()
+        ctx = EvaluationContext(memory=tracker)
+        assert list(external_sort(self.SPECS, iter(self.TUPLES), ctx)) == self.EXPECTED
+        assert tracker.used == 0
+
+    def test_spilled_is_the_multi_pass_order(self, spill_root):
         tracker = MemoryTracker(budget=512)
         with SpillManager(SpillConfig(directory=spill_root)) as manager:
             ctx = EvaluationContext(memory=tracker, spill=manager)
-            got = list(external_sort(specs, iter(tuples), ctx))
+            got = list(external_sort(self.SPECS, iter(self.TUPLES), ctx))
             assert manager.events > 0
-        assert got == expected
+        assert got == self.EXPECTED
         assert tracker.used == 0
 
 
@@ -241,13 +278,18 @@ class TestQueryLevelByteIdentity:
     """Tiny budgets force spilling; results must match unlimited runs."""
 
     @pytest.mark.parametrize(
-        "query",
+        "query, config",
         [
-            GROUP_QUERY,
-            GROUP_GENERAL_QUERY,
-            GROUP_SEQUENCE_QUERY,
-            SORT_QUERY,
-            JOIN_QUERY,
+            (GROUP_QUERY, None),
+            (GROUP_GENERAL_QUERY, None),
+            (GROUP_SEQUENCE_QUERY, None),
+            (SORT_QUERY, None),
+            (JOIN_QUERY, None),
+            (NESTED_LOOP_QUERY, None),
+            # Without the group-by rules the GROUP-BY keeps the naive
+            # ``sequence`` state of each group's members; with no rules
+            # at all, collection() would charge what nothing can shed.
+            (GROUP_QUERY, RewriteConfig.path_and_pipelining()),
         ],
         ids=[
             "group-incremental",
@@ -255,18 +297,34 @@ class TestQueryLevelByteIdentity:
             "group-sequence",
             "order-by",
             "join",
+            "nested-loop-join",
+            "naive-group-sequence",
         ],
     )
-    def test_spilled_equals_unlimited(self, spill_root, query):
+    def test_spilled_equals_unlimited(self, spill_root, query, config):
         source = make_source()
-        unlimited = run(source, query)
+        unlimited = run(source, query, config=config)
         spilled = run(
-            source, query, spill_root=spill_root, memory_budget_bytes=512
+            source, query, spill_root=spill_root, config=config,
+            memory_budget_bytes=512,
         )
         assert spilled.items == unlimited.items
         assert spilled.stats.spill_events > 0
         assert spilled.stats.spill_run_files > 0
         assert spilled.stats.spill_bytes > 0
+
+    @pytest.mark.parametrize("budget", [None, 512])
+    def test_order_by_is_the_multi_pass_order(self, spill_root, budget):
+        rows = partition_rows(0) + partition_rows(1)
+        expected = multi_pass_sort(
+            rows,
+            [(lambda row: [row["value"]], True), (lambda row: [row["station"]], False)],
+        )
+        result = run(
+            make_source(), SORT_QUERY, spill_root=spill_root,
+            memory_budget_bytes=budget,
+        )
+        assert result.items == expected
 
     @pytest.mark.parametrize("max_recursion", [2, 6])
     @pytest.mark.parametrize("budget", [256, 512])

@@ -138,6 +138,40 @@ class TestResultCache:
             assert service.stats()["result_cache"] is None
 
 
+class TestSegmentCacheFingerprints:
+    """The service fingerprints segments by content whichever way the
+    source's segment cache was configured."""
+
+    def test_a_same_size_rewrite_is_seen(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SEGMENT_CACHE", str(tmp_path / "segments"))
+        # A filesystem whose timestamps do not move within one tick: the
+        # stat fingerprint sees size, mtime and inode only.
+        import repro.data.catalog as catalog_module
+
+        stat_fingerprint = catalog_module.file_fingerprint
+        monkeypatch.setattr(
+            catalog_module,
+            "file_fingerprint",
+            lambda path: tuple(
+                part for i, part in enumerate(stat_fingerprint(path)) if i != 3
+            ),
+        )
+        base = TestResultCache().make_base(tmp_path, make_rows(20))
+        path = os.path.join(base, "s", "part.json")
+        catalog = CollectionCatalog(base)
+        with QueryService(catalog, backend="sequential") as service:
+            assert catalog.segment_cache.fingerprint_mode == "content"
+            first = service.execute(FILTER_QUERY)
+            before = os.stat(path)
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text.replace("TMIN", "TMAX"))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            second = service.execute(FILTER_QUERY)
+        assert first.items and second.items == []
+
+
 class TestCancellation:
     def gated(self, **kwargs):
         source = GatedSource(

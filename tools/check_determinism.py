@@ -18,8 +18,12 @@ replayed once more under a memory budget that sends their buckets down
 the grace path, and the two GROUP-BY scenarios (a
 ``count`` and a ``sum`` folded a frame at a time over rows with a
 missing key and a null key) under one that makes their tables shed
-groups to disk, with spill events, run files and recursion depth in the
-payload.  Exits non-zero on any mismatch.
+groups to disk.  An ORDER BY on two keys, the first descending, and a
+non-equi self-join of ``/keys``, which runs as a nested loop, are
+replayed under a budget that sorts runs to disk and sends the join's
+inner side to run files.  Every spilling replay carries spill events,
+run files and recursion depth in its payload.  Exits non-zero on any
+mismatch.
 
 ``--chaos`` switches to the worker-crash battery: seeded kill/stall
 schedules replayed twice with ``max_workers=1`` (serialized pool
@@ -67,6 +71,17 @@ GROUP_QUERY = (
     'for $r in collection("/groups")() group by $g := $r("g") '
     'return {function}($r("v"))'
 )
+#: two keys, the first descending, over rows with a missing and a null
+#: key and integer keys tied with floats
+ORDER_QUERY = (
+    'for $r in collection("/groups")() '
+    'order by $r("g") descending, $r("v") return $r("v")'
+)
+#: no equality conjunct, so the join is a nested loop
+NESTED_LOOP_QUERY = (
+    'for $a in collection("/keys")("w") for $b in collection("/keys")("w") '
+    "where $a lt $b return $a"
+)
 #: rows per partition of ``/keys`` that share the one hot key
 HOT_ROWS = 25
 #: a query budget under which the join scenario's buckets overflow into
@@ -75,6 +90,9 @@ GRACE_BUDGET = 2048
 #: a query budget under which the GROUP-BY scenarios' tables shed their
 #: groups to disk and merge the buckets recursively
 GROUP_BUDGET = 96 * 32
+#: a query budget under which the ORDER BY sorts runs to disk and the
+#: nested-loop join's inner side overflows to run files
+MATERIALIZE_BUDGET = 2048
 #: rows per line of ``/groups``: each line is one JSON array, which the
 #: query's ``()`` step unnests inside the scan, so the GROUP-BY sits on
 #: the DATASCAN and takes its frames a column at a time
@@ -190,6 +208,26 @@ def scenario_group_by(function: str):
     return scenario
 
 
+def scenario_order_by(seed: int):
+    plan = FaultPlan(seed=seed)
+    plan.fail_partition(0, times=1)
+    plan.corrupt_records(2, fraction=0.03)
+    config = ResilienceConfig(
+        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
+    )
+    return make_source("skip_record", groups=True), plan, config, ORDER_QUERY
+
+
+def scenario_nested_loop_join(seed: int):
+    plan = FaultPlan(seed=seed)
+    plan.fail_partition(3, times=1)
+    plan.corrupt_records(1, fraction=0.02)
+    config = ResilienceConfig(
+        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
+    )
+    return make_source("skip_record", keys=True), plan, config, NESTED_LOOP_QUERY
+
+
 SCENARIOS = {
     "retry+corruption": scenario_retry_and_corruption,
     "skip_partition": scenario_skip_partition,
@@ -198,6 +236,8 @@ SCENARIOS = {
     "self-join-exchange+retry+corruption": scenario_self_join_exchange,
     "group-by-count+retry+corruption": scenario_group_by("count"),
     "group-by-sum+retry+corruption": scenario_group_by("sum"),
+    "order-by+retry+corruption": scenario_order_by,
+    "nested-loop-join+retry+corruption": scenario_nested_loop_join,
 }
 #: the scenarios replayed once more under a budget that makes them spill
 SPILL_BUDGETS = {
@@ -205,6 +245,8 @@ SPILL_BUDGETS = {
     "self-join-exchange+retry+corruption": GRACE_BUDGET,
     "group-by-count+retry+corruption": GROUP_BUDGET,
     "group-by-sum+retry+corruption": GROUP_BUDGET,
+    "order-by+retry+corruption": MATERIALIZE_BUDGET,
+    "nested-loop-join+retry+corruption": MATERIALIZE_BUDGET,
 }
 
 
@@ -348,7 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.chaos:
             continue
-        # the join and the GROUP-BYs are replayed once more, spilling
+        # the joins, the GROUP-BYs and the ORDER BY are replayed once
+        # more, spilling
         budgets = (None, SPILL_BUDGETS[name]) if name in SPILL_BUDGETS else (None,)
         for budget in budgets:
             label = name if budget is None else f"{name} under {budget} bytes"
