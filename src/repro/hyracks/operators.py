@@ -175,7 +175,7 @@ def _dispatch_operator(
     if isinstance(op, GroupBy):
         return _execute_group_by(op, source, ctx)
     if isinstance(op, Sort):
-        return _execute_sort(op, source, ctx)
+        return external_sort(op.specs, source, ctx, op=op)
     if isinstance(op, DistributeResult):
         return _execute_distribute(op, source, ctx)
     raise PlanError(f"no physical implementation for {op.name}")
@@ -654,19 +654,6 @@ def _execute_group_by(
             yield aggregates.bindings(partials, key_vars, key_values)
     finally:
         ctx.release(_GROUP_ENTRY_BYTES * len(groups))
-
-
-def _execute_sort(
-    op: Sort, source: Iterable[Tuple], ctx: EvaluationContext
-) -> Iterator[Tuple]:
-    """Blocking sort: :func:`~repro.hyracks.spill.external_sort`.
-
-    Tuples order by composite keys (one canonical key per spec, with its
-    direction, and the arrival sequence last, so equal keys keep their
-    input order).  Without a budget the charge never declines, and the
-    sort is one in-memory run that writes no file.
-    """
-    return external_sort(op.specs, source, ctx, op=op)
 
 
 def _execute_distribute(
