@@ -264,7 +264,8 @@ class TestExternalSort:
         assert list(external_sort(self.SPECS, iter(self.TUPLES), ctx)) == self.EXPECTED
         assert tracker.used == 0
 
-    def test_spilled_is_the_multi_pass_order(self, spill_root):
+    def test_matches_in_memory_sort(self, spill_root):
+        """The spilling sort yields the order of an in-memory multi-pass sort."""
         tracker = MemoryTracker(budget=512)
         with SpillManager(SpillConfig(directory=spill_root)) as manager:
             ctx = EvaluationContext(memory=tracker, spill=manager)
