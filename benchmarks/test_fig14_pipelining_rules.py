@@ -5,8 +5,12 @@ authors' 8 GB-heap testbed, driven by no longer buffering whole
 documents/collections.  At our MB scale the Python runtime absorbs small
 materializations, so the reproduction asserts the *mechanism*:
 
-- the join query Q2 (whose naive form copies unpruned collection-sized
-  tuples into the join build side) speeds up by a large factor, and
+- the join query Q2 speeds up by a large factor: every tuple of its
+  naive form binds the whole collection sequence, which the tuples share
+  rather than copy; the memory model charges those bytes per tuple (a
+  Hyracks frame of serialized tuples would hold them), and most of the
+  naive time is the engine re-measuring that one shared sequence for
+  each tuple it charges, and
 - every query's materialized-memory footprint collapses (whole
   collection -> at most streaming state).
 """

@@ -23,6 +23,7 @@ import datetime
 import math
 import re
 from functools import reduce
+from operator import attrgetter
 from typing import Callable
 
 from repro.errors import ItemTypeError
@@ -101,15 +102,35 @@ def _item_function(name: str, kernel: Callable, on_empty=ABSENT) -> FunctionImpl
     The sequence function applies it to a singleton argument and answers
     *on_empty* for an empty one; ``.column`` does the same to every entry
     of a column.
+
+    ``.column`` calls the kernel once per row only when it must.  Every
+    kernel is a pure function of its item, so a column of exact ``str``
+    is evaluated once per distinct string (in the order of first
+    appearance, so the first row that raises still raises) and the rows
+    look their answers up.  A kernel may carry a bulk form for one exact
+    type, ``kernel.bulk = (type, function)``, mapped over a column of
+    only that type; a ``datetime`` column takes no table, as hashing a
+    datetime costs more than reading one of its fields.  A column of
+    mixed or other types, absent entries included, is evaluated row by
+    row.
     """
 
     def function(args: list) -> Sequence:
         value = kernel(_singleton(args[0], name), name) if args[0] else on_empty
         return [] if value is ABSENT else [value]
 
-    function.column = lambda column: [
-        on_empty if item is ABSENT else kernel(item, name) for item in column
-    ]
+    bulk_type, bulk = getattr(kernel, "bulk", (None, None))
+
+    def column(items: list) -> list:
+        kinds = set(map(type, items))
+        if kinds == {str}:
+            table = {item: kernel(item, name) for item in dict.fromkeys(items)}
+            return list(map(table.__getitem__, items))
+        if bulk is not None and kinds == {bulk_type}:
+            return list(map(bulk, items))
+        return [on_empty if item is ABSENT else kernel(item, name) for item in items]
+
+    function.column = column
     return function
 
 
@@ -226,6 +247,7 @@ def _datetime_component(component: str) -> Callable:
             )
         return getattr(item, component)
 
+    accessor.bulk = (datetime.datetime, attrgetter(component))
     return accessor
 
 

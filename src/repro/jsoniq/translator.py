@@ -288,7 +288,10 @@ class Translator:
     ) -> Operator:
         free = ast_free_variables(clause.source)
         independent = not (free & scope.keys())
-        if independent and saw_for:
+        # A nested plan holds no JOIN: there every `for` is an UNNEST over
+        # its domain, evaluated per outer tuple.
+        nested = isinstance(_leaf(chain), NestedTupleSource)
+        if independent and saw_for and not nested:
             # An independent second `for` is a cross product: build the
             # right branch on its own EMPTY-TUPLE-SOURCE and JOIN.  The
             # built-in rules later fold SELECT equi-predicates into it.
@@ -578,10 +581,7 @@ class Translator:
         self._current_flwor = flwor
         try:
             result_var = self._fresh("agg")
-            leaf = chain
-            while leaf.inputs:
-                leaf = leaf.inputs[0]
-            if not isinstance(leaf, NestedTupleSource) and not (
+            if not isinstance(_leaf(chain), NestedTupleSource) and not (
                 ast_free_variables(flwor) & scope.keys()
             ):
                 inner_scope: dict[str, str] = {}
@@ -611,6 +611,13 @@ class Translator:
             return VariableRef(result_var), chain
         finally:
             self._current_flwor = previous_flwor
+
+
+def _leaf(chain: Operator) -> Operator:
+    """The operator at the bottom of *chain*'s first inputs."""
+    while chain.inputs:
+        chain = chain.inputs[0]
+    return chain
 
 
 def translate(ast: AstNode) -> LogicalPlan:

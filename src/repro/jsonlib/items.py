@@ -83,8 +83,20 @@ def atomize(item: Item) -> Item:
     return item
 
 
+#: The exact types of a column's entries that atomize to themselves: the
+#: atomic types and the absent entry.  Exact, so no subclass qualifies.
+_ATOMIZED_TYPES = frozenset((*_ATOMIC_TYPES, _Absent))
+
+
 def atomize_column(column: list) -> list:
-    """:func:`atomize` over a column; an absent entry stays absent."""
+    """:func:`atomize` over a column; an absent entry stays absent.
+
+    A column whose every entry is of an exact atomic type (or absent) is
+    its own atomization and is copied whole; any other column is
+    atomized entry by entry, which raises on the first object or array.
+    """
+    if set(map(type, column)) <= _ATOMIZED_TYPES:
+        return list(column)
     return [item if item is ABSENT else atomize(item) for item in column]
 
 

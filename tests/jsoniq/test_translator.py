@@ -170,6 +170,61 @@ class TestNestedFlwor:
         assert subplan.nested_root.specs[0].function == "sequence"
 
 
+class TestCorrelatedNestedFlwor:
+    """A nested FLWOR that reads the outer tuple and whose first ``for``
+    ranges over something that does not: inside the nested plan that
+    ``for`` is an UNNEST, never a JOIN, in every clause kind."""
+
+    QUERIES = {
+        # in a return clause
+        "for $b in (1, 2) return sum(for $c in (3, 4) return $b + $c)": [9, 11],
+        # in a let clause
+        "for $b in (1, 2) let $s := (for $c in (3, 4) return $b + $c) "
+        "return $s": [4, 5, 5, 6],
+        # behind a where clause
+        "for $b in (1, 2) where sum(for $c in (3, 4) return $b + $c) gt 10 "
+        "return $b": [2],
+        # in an array constructor
+        "for $b in (1, 2) return [for $c in (3, 4) return $b * $c]": [
+            [3, 4],
+            [6, 8],
+        ],
+        # in an object constructor
+        'for $b in (1, 2) return {"b": $b, "c": [for $c in (3, 4) return $b * $c]}': [
+            {"b": 1, "c": [3, 4]},
+            {"b": 2, "c": [6, 8]},
+        ],
+        # correlated count over a collection, v = 7, 8, 9, 7
+        'for $r in collection("/c") where $r("v") eq 7 return '
+        'count(for $s in collection("/c") where $s("v") gt $r("v") return $s)': [2, 2],
+    }
+
+    @pytest.mark.parametrize("query", list(QUERIES))
+    def test_the_inner_for_is_an_unnest(self, query):
+        plan = plan_of(query)
+        assert plan.operators_of(Join) == []
+        (subplan, *_) = plan.operators_of(Subplan)
+        nested = []
+        node = subplan.nested_root
+        while node.inputs:
+            (node,) = node.inputs
+            nested.append(node)
+        assert any(isinstance(op, Unnest) for op in nested)
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    @pytest.mark.parametrize("rewrites", ["all", "none"])
+    def test_answers(self, rewrites, backend):
+        from repro import InMemorySource, JsonProcessor
+        from repro.algebra.rules import RewriteConfig
+
+        texts = ['{"v": 7}\n{"v": 8}', '{"v": 9}\n{"v": 7}']
+        source = InMemorySource({"/c": [[texts[0]], [texts[1]]]})
+        config = getattr(RewriteConfig, rewrites)()
+        with JsonProcessor(source=source, rewrite=config, backend=backend) as processor:
+            for query, expected in self.QUERIES.items():
+                assert processor.execute(query).items == expected, query
+
+
 class TestTwoAggregatedFlwors:
     """A FLWOR that reads nothing of the enclosing scope is built on its
     own EMPTY-TUPLE-SOURCE and capped with its AGGREGATE, the second one

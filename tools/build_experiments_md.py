@@ -113,8 +113,13 @@ COMMENTARY = {
         "whole collection/file from being buffered.",
         "both columns decode with the same scanner, as in the "
         "paper, so the times price the rules alone.  Q2 speeds up by two "
-        "orders of magnitude (~150-210x over three runs; its naive join "
-        "physically copies collection-sized tuples into the build side); "
+        "orders of magnitude (~150-210x over three runs; each tuple of "
+        "its naive join binds the whole collection sequence, which the "
+        "tuples share rather than copy: the memory model charges those "
+        "bytes per tuple, as Hyracks frames of serialized tuples would "
+        "hold them, and most of the naive time is the engine re-measuring "
+        "that one shared sequence for every tuple it charges, see ROADMAP "
+        "item 5); "
         "the selections speed up ~1.5-2.7x and the grouped queries "
         "~1-1.5x, while their materialized memory drops from the whole "
         "collection (~2.6 MB here) to zero — the paper's mechanism, "

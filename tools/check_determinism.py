@@ -22,8 +22,13 @@ groups to disk.  An ORDER BY on two keys, the first descending, and a
 non-equi self-join of ``/keys``, which runs as a nested loop, are
 replayed under a budget that sorts runs to disk and sends the join's
 inner side to run files.  Every spilling replay carries spill events,
-run files and recursion depth in its payload.  Exits non-zero on any
-mismatch.
+run files and recursion depth in its payload.  A date filter of Q0's
+shape (``dateTime(data($r("date")))`` and three accessor conjuncts)
+runs over ``/dates``, whose homogeneous date columns the column
+kernels take in bulk; one partition's column mixes in a null, so the
+kernels go row by row there, and another's a null and a number, which
+fails that partition on every attempt until it is skipped.  Exits
+non-zero on any mismatch.
 
 ``--chaos`` switches to the worker-crash battery: seeded kill/stall
 schedules replayed twice with ``max_workers=1`` (serialized pool
@@ -77,6 +82,26 @@ ORDER_QUERY = (
     'for $r in collection("/groups")() '
     'order by $r("g") descending, $r("v") return $r("v")'
 )
+#: Q0's shape over ``/dates``: the frame gear's column kernels, in bulk
+#: over a homogeneous column and row by row over a mixed one
+DATE_QUERY = (
+    'for $r in collection("/dates")() '
+    'let $datetime := dateTime(data($r("date"))) '
+    "where year-from-dateTime($datetime) ge 2003 "
+    "and month-from-dateTime($datetime) eq 12 "
+    "and day-from-dateTime($datetime) eq 25 "
+    'return $r("v")'
+)
+#: the timestamps of ``/dates``, each on many rows, Dec 25 among them
+DATES = [
+    "%d%02d%02dT%02d:00" % (
+        2002 + d // 3 % 3,
+        12 if d % 4 == 0 else 1 + d % 11,
+        25 if d % 3 == 0 else 1 + d % 28,
+        d % 2,
+    )
+    for d in range(40)
+]
 #: no equality conjunct, so the join is a nested loop
 NESTED_LOOP_QUERY = (
     'for $a in collection("/keys")("w") for $b in collection("/keys")("w") '
@@ -100,7 +125,7 @@ GROUP_ROWS_PER_LINE = 10
 
 
 def make_source(
-    on_malformed: str, keys: bool = False, groups: bool = False
+    on_malformed: str, keys: bool = False, groups: bool = False, dates: bool = False
 ) -> InMemorySource:
     """``/events``, and with *keys* the join's other side ``/keys``: per
     partition, keys that unify with an event's ``v + 1`` (every third a
@@ -108,7 +133,10 @@ def make_source(
     With *groups*, ``/groups``: per partition ``RECORDS`` rows over 50
     group keys (every third a float that unifies with its integer), a
     row with no key and one with a null key, ``GROUP_ROWS_PER_LINE``
-    rows to a line."""
+    rows to a line.  With *dates*, ``/dates``: per partition ``RECORDS``
+    rows over the ``DATES`` timestamps, as many to a line; partition 1
+    has a null date, and partition 3 a null and a number, which
+    ``dateTime`` rejects."""
     collections = {
         "/events": [
             ["\n".join(json.dumps({"v": p * 1000 + i}) for i in range(RECORDS))]
@@ -129,6 +157,22 @@ def make_source(
                 for i in range(0, RECORDS, GROUP_ROWS_PER_LINE)
             ]
             collections["/groups"].append(["\n".join(lines)])
+    if dates:
+        collections["/dates"] = []
+        for p in range(PARTITIONS):
+            rows = [
+                {"date": DATES[(i * 7 + p) % len(DATES)], "v": p * 1000 + i}
+                for i in range(RECORDS)
+            ]
+            if p in (1, 3):
+                rows[40]["date"] = None
+            if p == 3:
+                rows[200]["date"] = 20031225
+            lines = [
+                json.dumps(rows[i:i + GROUP_ROWS_PER_LINE])
+                for i in range(0, RECORDS, GROUP_ROWS_PER_LINE)
+            ]
+            collections["/dates"].append(["\n".join(lines)])
     if keys:
         collections["/keys"] = []
         for p in range(PARTITIONS):
@@ -218,6 +262,20 @@ def scenario_order_by(seed: int):
     return make_source("skip_record", groups=True), plan, config, ORDER_QUERY
 
 
+def scenario_date_filter(seed: int):
+    """Q0's shape; partition 3's number date fails it for good, and
+    the partition is skipped once retrying cannot help."""
+    plan = FaultPlan(seed=seed)
+    plan.fail_partition(0, times=1)
+    plan.corrupt_records(2, fraction=0.02)
+    config = ResilienceConfig(
+        partition_policy="retry",
+        retry=RetryPolicy(max_attempts=3, seed=seed),
+        on_exhausted="skip",
+    )
+    return make_source("skip_record", dates=True), plan, config, DATE_QUERY
+
+
 def scenario_nested_loop_join(seed: int):
     plan = FaultPlan(seed=seed)
     plan.fail_partition(3, times=1)
@@ -238,6 +296,7 @@ SCENARIOS = {
     "group-by-sum+retry+corruption": scenario_group_by("sum"),
     "order-by+retry+corruption": scenario_order_by,
     "nested-loop-join+retry+corruption": scenario_nested_loop_join,
+    "date-filter+retry+corruption": scenario_date_filter,
 }
 #: the scenarios replayed once more under a budget that makes them spill
 SPILL_BUDGETS = {
