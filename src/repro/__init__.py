@@ -64,7 +64,6 @@ from repro.resilience import (
     FaultPlan,
     RecoveryPolicy,
     ResilienceConfig,
-    RetryPolicy,
 )
 from repro.service import (
     QueryRetryEvent,
@@ -104,7 +103,6 @@ __all__ = [
     "RecoveryPolicy",
     "ReproError",
     "ResilienceConfig",
-    "RetryPolicy",
     "RewriteAudit",
     "RewriteConfig",
     "SCAN_MODES",

@@ -464,11 +464,60 @@ def _template_join_seq(rng, wrapped):
     return "join-seq", query, oracle
 
 
+#: The nested templates draw nothing from the case's random stream, as
+#: ``keys``, whose slot they share, draws nothing: every other case
+#: keeps its data and query.
+_NESTED_THRESHOLDS = (-100, 0, 100)
+
+
+def _template_nested_literal(rng, wrapped):
+    """A correlated nested FLWOR whose ``for`` ranges over a literal
+    sequence: each measurement answers the array of thresholds its
+    value exceeds, ``[]`` for a missing or null value or one below them
+    all."""
+    literal = ", ".join(map(str, _NESTED_THRESHOLDS))
+    query = (
+        f'for $m in collection("{COLLECTION}"){_scan_path(wrapped)} '
+        f'return [for $t in ({literal}) where $m("value") gt $t return $t]'
+    )
+
+    def oracle(documents):
+        return [
+            [t for t in _NESTED_THRESHOLDS if _greater(m.get("value", _ABSENT), t)]
+            for m in _measurements(documents)
+        ]
+
+    return "nested-literal", query, oracle
+
+
+def _template_nested_member(rng, wrapped):
+    """A correlated nested FLWOR whose ``for`` ranges over the outer
+    measurement's ``attributes`` members (``[]`` without any) and whose
+    return reads the outer measurement again."""
+    query = (
+        f'for $m in collection("{COLLECTION}"){_scan_path(wrapped)} '
+        'return [for $a in $m("attributes")() where $a ne "," '
+        'return [$a, $m("station")]]'
+    )
+
+    def oracle(documents):
+        out = []
+        for m in _measurements(documents):
+            attributes = m.get("attributes", _ABSENT)
+            members = attributes if isinstance(attributes, list) else []
+            station = [m["station"]] if "station" in m else []
+            out.append([[a, *station] for a in members if a != ","])
+        return out
+
+    return "nested-member", query, oracle
+
+
 _ABSENT = ("absent",)
 
 _TEMPLATES = [
     _template_path,
-    _template_keys,
+    # a slot its templates take in turn: keys keeps the first turn
+    (_template_keys, _template_nested_literal, _template_nested_member),
     _template_predicate_eq,
     _template_predicate_gt,
     _template_let_month,

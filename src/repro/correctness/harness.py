@@ -302,13 +302,14 @@ class _MatrixRunner:
                 configure(scan_mode=scan_mode, segment_cache_dir="")
         if projection == "eager":
             source = EagerNavigationSource(source)
+        if fault_plan is not None:
+            source = fault_plan.wrap(source)
         processor = JsonProcessor(
             source=source,
             rewrite=config,
             backend=self._backends[backend_name],
             memory_budget_bytes=memory_budget,
             spill_dir=self._spill_dir,
-            fault_plan=fault_plan,
             cost=cost,
         )
         if scan_mode == "cached-warm":

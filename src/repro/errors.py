@@ -25,6 +25,27 @@ def causes(error: BaseException | None) -> Iterator[BaseException]:
         error = error.__cause__
 
 
+def is_retryable(error: BaseException | None) -> bool:
+    """Whether running the failed work again could succeed.
+
+    The one rule for every retry: a partition attempt and a service
+    request alike.  Walks :func:`causes`; the first error that decides
+    wins.  A timeout, a cancellation or a rejected admission is a
+    verdict on the query and answers no; an :class:`OSError` or a class
+    marked ``retryable = True`` came from outside the query and answers
+    yes.  A chain in which nothing decides is the query's own error,
+    which would come back on every attempt: no.
+    """
+    for current in causes(error):
+        if isinstance(
+            current, (QueryTimeoutError, QueryCancelledError, AdmissionError)
+        ):
+            return False
+        if isinstance(current, OSError) or getattr(current, "retryable", False):
+            return True
+    return False
+
+
 class _PickleByInitArgs:
     """Mixin for exceptions whose ``__init__`` composes the message.
 
@@ -226,8 +247,6 @@ class QueryTimeoutError(_PickleByInitArgs, RuntimeExecutionError):
     every spill file and memory tracker released on the way out.
     """
 
-    retryable = False
-
     def __init__(self, deadline_seconds: float, elapsed_seconds: float):
         self._init_args = (deadline_seconds, elapsed_seconds)
         super().__init__(
@@ -244,8 +263,6 @@ class QueryCancelledError(_PickleByInitArgs, RuntimeExecutionError):
     Like :class:`QueryTimeoutError`, cancellation is query-global —
     retry and skip policies do not apply.
     """
-
-    retryable = False
 
     def __init__(self, reason: str = ""):
         self._init_args = (reason,)
@@ -329,8 +346,6 @@ class WorkerCrashError(_PickleByInitArgs, RuntimeExecutionError):
     the recovery layer, not by the in-worker retry loop.
     """
 
-    retryable = False
-
     def __init__(self, partition: int, attempt: int, message: str = ""):
         self._init_args = (partition, attempt, message)
         text = f"worker executing partition {partition} died (attempt {attempt})"
@@ -348,7 +363,10 @@ class RecoveryExhaustedError(BackendError):
     The recovery layer starts a crashing partition at most
     ``recovery.MAX_UNIT_ATTEMPTS`` times; a deterministically
     crashing partition escalates here instead of looping forever.
+    Retryable: the service re-executes the request on a fresh slot.
     """
+
+    retryable = True
 
     def __init__(
         self,

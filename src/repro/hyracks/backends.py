@@ -20,7 +20,7 @@ comes back as a :class:`PartitionOutcome` carrying that partition's own
 (:class:`~repro.hyracks.executor.PartitionedExecutor`) merges outcomes
 **in partition order**, so results, stats, and degradation reports are
 byte-identical across both backends — including under injected
-faults, retries, and ``skip_partition`` degradation.
+faults, retries, and skipped partitions.
 
 What the pool is paid per is the *worker*, not the partition: the
 process backend cuts a phase's units, in order, into one contiguous run
@@ -41,7 +41,7 @@ the sequential tier.  A slow worker is waited for, never duplicated.
 
 Two behavioural fine points:
 
-- ``fail_fast`` errors are *returned* in the outcome rather than raised
+- partition errors are *returned* in the outcome rather than raised
   inside the worker, and the coordinator raises the first error in
   partition order — deterministic even when several partitions fail
   concurrently;
@@ -70,6 +70,7 @@ from repro.errors import (
     QueryTimeoutError,
     ReproError,
     causes,
+    is_retryable,
 )
 from repro.algebra.context import EvaluationContext
 from repro.algebra.operators import Aggregate, GroupBy, Join, Operator
@@ -308,7 +309,6 @@ class WorkUnit:
     source: object
     memory_budget: int | None
     resilience: object
-    charge_delay: bool = True
     #: ProfileConfig, or None for unprofiled execution.  The worker
     #: builds its own ProfileCollector over the (pickled) plan; operator
     #: identity survives the round trip because plan and work pickle
@@ -336,7 +336,7 @@ class PartitionOutcome:
     """What one partition's worker produced and measured.
 
     ``value`` is the work product (None when skipped or failed);
-    ``error`` carries the wrapped ``fail_fast`` error — or a raw
+    ``error`` carries the wrapped partition error — or a raw
     query-global :class:`~repro.errors.QueryTimeoutError` /
     :class:`~repro.errors.QueryCancelledError` — instead of raising in
     the worker, so the coordinator can surface failures in deterministic
@@ -347,7 +347,6 @@ class PartitionOutcome:
     value: object = None
     skipped: bool = False
     measured_seconds: float = 0.0
-    injected_seconds: float = 0.0
     peak_memory_bytes: int = 0
     stats: object = None
     report: object = None
@@ -392,7 +391,6 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
     # The fault schedule of a fault-injecting source wrapper, if any.
     faults = getattr(source, "plan", None)
     measured = 0.0
-    injected = 0.0
     peak = 0
     attempts = 0
     collector = None
@@ -466,23 +464,12 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
             report.record_cancellation(unit.partition, failure)
             error = failure
             break
-        if faults is not None and unit.charge_delay:
-            injected += faults.injected_delay(unit.partition)
         if failure is None:
             break
-        if (
-            config.partition_policy == "retry"
-            and getattr(failure, "retryable", True)
-            and attempts < config.retry.max_attempts
-        ):
-            backoff = config.retry.backoff_seconds(attempts)
-            injected += backoff
-            report.record_retry(unit.partition, attempts, backoff, failure)
+        if attempts < config.max_attempts and is_retryable(failure):
+            report.record_retry(unit.partition, attempts, failure)
             continue
-        if config.partition_policy == "skip_partition" or (
-            config.partition_policy == "retry"
-            and config.on_exhausted == "skip"
-        ):
+        if config.on_exhausted == "skip":
             report.record_skipped_partition(
                 unit.partition,
                 read_set(unit.plan.root).collections,
@@ -500,7 +487,6 @@ def execute_work_unit(unit: WorkUnit) -> PartitionOutcome:
         value=value,
         skipped=skipped,
         measured_seconds=measured,
-        injected_seconds=injected,
         peak_memory_bytes=peak,
         stats=stats,
         report=report,
@@ -567,11 +553,11 @@ class ExecutionBackend:
 class SequentialBackend(ExecutionBackend):
     """One partition after another in the calling thread (the default).
 
-    Lazily yields outcomes, so a ``fail_fast`` error on partition *i*
-    means partitions *i+1..n* never execute.  Injected worker kills are
-    absorbed by the crash-retry loop that is also the process backend's
-    last tier, so recovery semantics (attempt budget, worker-loss
-    events) match across backends.
+    Lazily yields outcomes, so a failed partition *i* (under
+    ``on_exhausted="fail"``) means partitions *i+1..n* never execute.
+    Injected worker kills are absorbed by the crash-retry loop that is
+    also the process backend's last tier, so recovery semantics
+    (attempt budget, worker-loss events) match across backends.
     """
 
     name = "sequential"

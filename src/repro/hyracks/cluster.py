@@ -74,28 +74,13 @@ class ClusterSpec:
         partition_seconds: list[float],
         exchange_bytes: int = 0,
         global_seconds: float = 0.0,
-        injected_seconds: list[float] | None = None,
     ) -> float:
         """Simulated wall-clock for the given per-partition work.
 
         ``partition_seconds[i]`` is the measured CPU time of partition
         ``i``; ``exchange_bytes`` crossed the network; ``global_seconds``
         ran on the coordinator after all partitions finished.
-        ``injected_seconds[i]`` is simulated-clock time charged to
-        partition ``i`` on top of its measured compute — retry backoff
-        and injected straggler delays; unlike measured times, these are
-        real skew, so callers smoothing measurements must pass them here
-        rather than folding them in beforehand.
         """
-        if injected_seconds:
-            width = max(len(partition_seconds), len(injected_seconds))
-            base = list(partition_seconds) + [0.0] * (
-                width - len(partition_seconds)
-            )
-            extra = list(injected_seconds) + [0.0] * (
-                width - len(injected_seconds)
-            )
-            partition_seconds = [b + e for b, e in zip(base, extra)]
         if not partition_seconds:
             return global_seconds
         node_times = []

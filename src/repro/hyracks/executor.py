@@ -41,14 +41,13 @@ can compose a simulated cluster makespan, plus the *measured* parallel
 wall time of the partition phases under the chosen backend.
 
 Partition work additionally runs under a
-:class:`~repro.resilience.policies.ResilienceConfig`: ``fail_fast`` (the
-default) wraps any failure in a
+:class:`~repro.resilience.policies.ResilienceConfig`: a failed partition
+runs again, up to ``max_attempts`` attempts in all, while the failure
+came from outside the query (:func:`~repro.errors.is_retryable`); then
+``on_exhausted="fail"`` (the default) wraps the failure in a
 :class:`~repro.errors.PartitionExecutionError` naming the collection,
-partition, and file; ``retry`` re-executes the partition under a
-:class:`~repro.resilience.retry.RetryPolicy`, charging backoff to a
-simulated clock (``QueryResult.injected_seconds``) so the cluster
-makespan accounts for retry time; ``skip_partition`` drops the failing
-partition and records it in the result's
+partition, and file, and ``"skip"`` drops the failing partition and
+records it in the result's
 :class:`~repro.resilience.report.DegradationReport`.  Per-partition
 stats and degradation entries are merged on the coordinator in
 partition order, so both backends produce identical results and reports
@@ -154,7 +153,6 @@ class QueryResult:
     peak_memory_bytes: int = 0
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     strategy: str = "global"
-    injected_seconds: list[float] = field(default_factory=list)
     degradation: DegradationReport = field(default_factory=DegradationReport)
     backend: str = "sequential"
     parallel_wall_seconds: float = 0.0
@@ -188,10 +186,6 @@ class QueryResult:
         exactly what a cluster placement should see, so smoothing is
         never applied there and ``smooth`` is ignored.  Pass
         ``smooth=False`` to place the raw sequential measurements too.
-
-        Injected seconds (retry backoff, straggler delays) are real
-        per-partition skew, never jitter, so they are charged *after*
-        smoothing.
         """
         seconds = self.partition_seconds
         if smooth and self.backend == "sequential" and seconds:
@@ -201,7 +195,6 @@ class QueryResult:
             seconds,
             exchange_bytes=self.stats.exchange_bytes,
             global_seconds=self.global_seconds,
-            injected_seconds=self.injected_seconds or None,
         )
 
 
@@ -224,7 +217,8 @@ class PartitionedExecutor:
     resilience:
         Per-partition error handling
         (:class:`~repro.resilience.policies.ResilienceConfig`); the
-        default is ``fail_fast``, today's behaviour.
+        default runs each partition once and fails the query on its
+        error.
     backend:
         Execution backend for partition work: ``"sequential"`` (default),
         ``"process"``, or an
@@ -457,14 +451,13 @@ class PartitionedExecutor:
         plan: LogicalPlan,
         works: list,
         result: QueryResult,
-        charge_delay: bool = True,
     ) -> list[PartitionOutcome]:
         """Run ``works[p]`` as partition *p* on the backend; fold the
         outcomes into *result*; return those of the partitions kept.
 
         Outcomes come back in submission (partition-id) order regardless
         of completion order, so the merged stats, degradation report,
-        and any ``fail_fast`` error are deterministic under every
+        and any partition error are deterministic under every
         backend.  Timing adds up per partition across calls (a join maps
         twice); a skipped partition is timed but not returned.
         """
@@ -477,7 +470,6 @@ class PartitionedExecutor:
                 source=self._source,
                 memory_budget=self._memory_budget,
                 resilience=self._resilience,
-                charge_delay=charge_delay,
                 profile=self._profile_config,
                 spill=self._query_spill,
                 limits=self._limits,
@@ -507,14 +499,12 @@ class PartitionedExecutor:
                 _fold_recovery_event(event, stats, report)
         if not result.partition_seconds:
             result.partition_seconds = [0.0] * len(outcomes)
-            result.injected_seconds = [0.0] * len(outcomes)
         for outcome in outcomes:
             stats.merge(outcome.stats)
             report.absorb(outcome.report)
             if self._profile is not None:
                 self._profile.absorb(outcome.profile)
             result.partition_seconds[outcome.partition] += outcome.measured_seconds
-            result.injected_seconds[outcome.partition] += outcome.injected_seconds
             result.peak_memory_bytes = max(
                 result.peak_memory_bytes, outcome.peak_memory_bytes
             )
@@ -676,7 +666,7 @@ class PartitionedExecutor:
         hash is process-stable so exchange sides hashed in different
         workers still meet in the same bucket.
 
-        The partition policy applies to both phases: a skipped phase-1
+        The resilience config applies to both phases: a skipped phase-1
         partition contributes no tuples to any bucket; a skipped phase-2
         bucket contributes nothing to the result.
         """
@@ -731,7 +721,6 @@ class PartitionedExecutor:
                 for bucket_parcels in parcels
             ],
             result,
-            charge_delay=False,
         )
         if use_two_step:
             tables = [outcome.value for outcome in bucket_outcomes]

@@ -40,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from copy import copy
+from datetime import datetime, timezone
 from itertools import islice, repeat
 from typing import Iterable, Iterator
 
@@ -751,13 +752,17 @@ def _key_component(item: Item) -> tuple | None:
     """One join-key component, canonical; an object or array raises like
     the ``eq`` the key came from would (``null`` still equals ``null``),
     and NaN, which equals nothing, not even NaN, is None: a key that
-    cannot join (grouping and ``distinct-values`` keep NaN one value)."""
+    cannot join (grouping and ``distinct-values`` keep NaN one value).
+    An aware dateTime is keyed in UTC: ``eq`` holds across offsets, and
+    the key's ``repr`` picks the exchange bucket."""
     if isinstance(item, (dict, list)):
         raise ItemTypeError(
             f"value comparison 'eq' over an {item_type_name(item)} item"
         )
     if isinstance(item, float) and item != item:
         return None
+    if isinstance(item, datetime) and item.utcoffset() is not None:
+        item = item.astimezone(timezone.utc)
     return (canonical_atomic(item),)
 
 

@@ -39,7 +39,8 @@ spec order with ties in arrival order for sorts).
 Spill writes run through an optional **fault hook** (the resilience
 layer's :meth:`~repro.resilience.faults.FaultPlan.fail_spill`), so a
 :class:`~repro.resilience.faults.FaultPlan` can kill a spill write and a
-:class:`~repro.resilience.retry.RetryPolicy` can recover the partition.
+second attempt (``ResilienceConfig(max_attempts=...)``) can recover the
+partition.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from repro.data.catalog import CollectionCatalog, InMemorySource
 from repro.errors import ReproError
 from repro.hyracks.executor import PartitionedExecutor, QueryResult
 from repro.jsonlib.items import Item
-from repro.resilience.faults import FaultPlan
 from repro.resilience.policies import ResilienceConfig
 from repro.stats.cost import resolve_cost_enabled
 
@@ -41,7 +40,11 @@ class JsonProcessor:
         :class:`~repro.data.catalog.CollectionCatalog`, an
         :class:`~repro.data.catalog.InMemorySource`, or anything
         implementing the protocol).  Optional for queries that only use
-        literals/constructors.
+        literals/constructors.  To inject faults (testing and chaos
+        experiments), pass ``plan.wrap(source)`` for a
+        :class:`~repro.resilience.faults.FaultPlan` *plan*: besides data
+        faults, it can kill workers (``kill_worker``) and stall
+        partitions (``stall_partition``) to exercise the recovery path.
     rewrite:
         Which rewrite-rule families to apply (default: all).
     memory_budget_bytes:
@@ -51,9 +54,11 @@ class JsonProcessor:
         can shed raises :class:`~repro.errors.MemoryBudgetExceededError`.
     resilience:
         Per-partition error handling
-        (:class:`~repro.resilience.policies.ResilienceConfig`):
-        ``fail_fast`` (default), ``retry``, or ``skip_partition``.  Its
-        ``recovery`` field
+        (:class:`~repro.resilience.policies.ResilienceConfig`): how many
+        attempts a partition gets while its failure is retryable
+        (``max_attempts``, default 1), and whether a partition that
+        still fails fails the query or is skipped (``on_exhausted``).
+        Its ``recovery`` field
         (:class:`~repro.resilience.policies.RecoveryPolicy`) governs
         worker-loss recovery on the process backend: a work unit whose
         worker crashes is rescheduled, up to three starts in all, and
@@ -61,12 +66,6 @@ class JsonProcessor:
         execution; a slow unit is waited for, never duplicated.  All
         recovery is recorded on the result's ``degradation`` report and
         ``stats``.
-    fault_plan:
-        Optional :class:`~repro.resilience.faults.FaultPlan`; when
-        given, *source* is wrapped so the plan's faults are injected
-        (testing and chaos experiments).  Besides data faults, the plan
-        can kill workers (``kill_worker``) and stall partitions
-        (``stall_partition``) to exercise the recovery path.
     backend:
         Execution backend for partition work: ``"sequential"``
         (default), ``"process"``, or an
@@ -118,7 +117,6 @@ class JsonProcessor:
         rewrite: RewriteConfig | None = None,
         memory_budget_bytes: int | None = None,
         resilience: ResilienceConfig | None = None,
-        fault_plan: FaultPlan | None = None,
         backend=None,
         max_workers: int | None = None,
         spill_dir: str | None = None,
@@ -137,8 +135,6 @@ class JsonProcessor:
                     "segment_cache_dir configuration"
                 )
             configure(scan_mode=scan_mode, segment_cache_dir=segment_cache_dir)
-        if fault_plan is not None:
-            source = fault_plan.wrap(source)
         self.source = source
         self._closed = False
         self.rewrite = rewrite if rewrite is not None else RewriteConfig.all()

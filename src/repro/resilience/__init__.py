@@ -6,11 +6,11 @@ the reproduction a production posture for that reality:
 
 - :mod:`~repro.resilience.faults` — a deterministic, seedable
   fault-injection layer (:class:`FaultPlan`) for testing it all;
-- :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, exponential
-  backoff on a simulated clock;
 - :mod:`~repro.resilience.policies` — :class:`ResilienceConfig`
-  (``fail_fast`` | ``retry`` | ``skip_partition``) and the scan-level
-  ``on_malformed`` policies (``fail`` | ``skip_record`` | ``skip_file``);
+  (``max_attempts`` and ``on_exhausted``: ``fail`` | ``skip``) and the
+  scan-level ``on_malformed`` policies (``fail`` | ``skip_record`` |
+  ``skip_file``); whether a failure is worth another attempt is
+  :func:`repro.errors.is_retryable`;
 - :mod:`~repro.resilience.report` — :class:`DegradationReport`, the
   record of everything a query survived, attached to every
   :class:`~repro.hyracks.executor.QueryResult`.
@@ -20,7 +20,7 @@ A five-line tour::
     plan = FaultPlan(seed=7).fail_partition(2, times=2)
     processor = JsonProcessor(
         source=plan.wrap(catalog),
-        resilience=ResilienceConfig(partition_policy="retry"),
+        resilience=ResilienceConfig(max_attempts=3),
     )
     result = processor.execute(query)
     print(result.degradation.warnings)
@@ -35,7 +35,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.policies import (
     ON_MALFORMED_POLICIES,
-    PARTITION_POLICIES,
     RecoveryPolicy,
     ResilienceConfig,
     validate_on_malformed,
@@ -49,7 +48,6 @@ from repro.resilience.report import (
     SkippedRecord,
     WorkerLossEvent,
 )
-from repro.resilience.retry import RetryPolicy, stable_seed
 
 __all__ = [
     "CorruptRecordError",
@@ -58,17 +56,14 @@ __all__ = [
     "FaultPlan",
     "LadderStep",
     "ON_MALFORMED_POLICIES",
-    "PARTITION_POLICIES",
     "PermanentFaultError",
     "RecoveryPolicy",
     "ResilienceConfig",
     "RetryEvent",
-    "RetryPolicy",
     "SkippedFile",
     "SkippedPartition",
     "SkippedRecord",
     "TransientFaultError",
     "WorkerLossEvent",
-    "stable_seed",
     "validate_on_malformed",
 ]

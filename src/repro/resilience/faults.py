@@ -2,8 +2,8 @@
 
 A :class:`FaultPlan` describes which partitions misbehave and how:
 raise a transient error for the first *n* attempts, raise permanently,
-run slow (a straggler delay charged to the simulated clock), or corrupt
-a fraction of the records they scan.  ``plan.wrap(source)`` returns a
+fail their spill writes or segment-cache I/O, kill or stall their
+worker, or corrupt a fraction of the records they scan.  ``plan.wrap(source)`` returns a
 :class:`FaultInjectingSource` that implements the
 :class:`~repro.algebra.context.DataSource` protocol and injects the
 plan's faults on the way through — the engine under test cannot tell an
@@ -19,13 +19,22 @@ from __future__ import annotations
 
 import copy
 import errno
+import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
 from repro.algebra.context import normalize_collection_name as _normalize
 from repro.errors import JsonSyntaxError, RuntimeExecutionError
 from repro.jsonlib.path import Path
-from repro.resilience.retry import stable_seed
+
+
+def stable_seed(*parts) -> int:
+    """A process-stable integer seed from arbitrary printable parts.
+
+    Python's ``hash()`` of strings is randomized per process, so every
+    seeded decision here derives from CRC32 instead.
+    """
+    return zlib.crc32(":".join(str(part) for part in parts).encode("utf-8"))
 
 
 class TransientFaultError(RuntimeExecutionError):
@@ -36,8 +45,6 @@ class TransientFaultError(RuntimeExecutionError):
 
 class PermanentFaultError(RuntimeExecutionError):
     """An injected fault that never goes away; retrying cannot help."""
-
-    retryable = False
 
 
 class CorruptRecordError(JsonSyntaxError):
@@ -122,9 +129,8 @@ class KillFault:
 class StallFault:
     """One partition's worker stalls (really sleeps) before executing.
 
-    Unlike :meth:`FaultPlan.delay_partition` — which charges a
-    *simulated* straggler delay — a stall burns wall-clock time: a
-    real slow worker, which the coordinator waits for.  ``attempt`` of
+    A stall burns wall-clock time: a real slow worker, which the
+    coordinator waits for.  ``attempt`` of
     ``None`` stalls every attempt; an integer stalls only that
     unit-level attempt (so a crash retry, running as the next attempt,
     escapes the stall).
@@ -146,7 +152,6 @@ class FaultPlan:
         self._cache_faults: list[CacheIOFault] = []
         self._kills: list[KillFault] = []
         self._stalls: list[StallFault] = []
-        self._delays: dict[int, float] = {}
         self._attempts: dict[tuple[str, int], int] = {}
 
     # -- declaring faults -------------------------------------------------------
@@ -184,9 +189,9 @@ class FaultPlan:
         """Make *partition*'s first *times* spill writes raise (or all).
 
         The error surfaces from the spilling operator's run-file write,
-        so a retrying resilience policy re-derives every run from the
-        source data on the next attempt — which is why spill runs are
-        safe to drop wholesale on failure.
+        so a partition run again (``max_attempts > 1``) re-derives every
+        run from the source data on the next attempt — which is why
+        spill runs are safe to drop wholesale on failure.
         """
         if message is None:
             kind = "permanent" if permanent else "transient"
@@ -266,11 +271,6 @@ class FaultPlan:
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds!r}")
         self._stalls.append(StallFault(partition, attempt, seconds))
-        return self
-
-    def delay_partition(self, partition: int, seconds: float) -> "FaultPlan":
-        """Make *partition* a straggler: charge *seconds* per attempt."""
-        self._delays[partition] = self._delays.get(partition, 0.0) + seconds
         return self
 
     def corrupt_records(
@@ -375,12 +375,6 @@ class FaultPlan:
                     f"{fault.message} (cache i/o {attempt} of {fault.failures})",
                 )
 
-    def injected_delay(self, partition: int | None) -> float:
-        """Straggler seconds charged to *partition* per attempt."""
-        if partition is None:
-            return 0.0
-        return self._delays.get(partition, 0.0)
-
     def worker_kill_message(
         self, partition: int | None, attempt: int
     ) -> str | None:
@@ -419,8 +413,8 @@ class FaultInjectingSource:
     a :class:`CorruptRecordError` or — when the wrapped source's
     ``on_malformed`` policy is ``skip_record`` — are dropped and recorded
     in the read's degradation report, exactly like a really-malformed
-    record would be.  The executor reads the plan's other faults (delays,
-    spill writes, worker kills, stalls) from :attr:`plan`.
+    record would be.  The executor reads the plan's other faults (spill
+    writes, worker kills, stalls) from :attr:`plan`.
 
     The wrapper reads through a shallow copy of *source* with a copy of
     its segment cache, so the plan's cache-I/O hook, and the cache-off

@@ -3,11 +3,11 @@
 Three independent knobs:
 
 - the **partition policy** (:class:`ResilienceConfig`) decides what the
-  executor does when a whole partition's work raises — fail the query
-  (``fail_fast``, today's behaviour and the default), re-execute the
-  partition under a :class:`~repro.resilience.retry.RetryPolicy`
-  (``retry``), or drop the partition from the result
-  (``skip_partition``);
+  executor does when a whole partition's work raises: run it again, up
+  to ``max_attempts`` attempts in all, while the failure is retryable
+  (:func:`~repro.errors.is_retryable`: it came from outside the query),
+  then fail the query (``on_exhausted="fail"``, the default) or drop
+  the partition from the result (``"skip"``);
 - the **on-malformed policy** (a string on the data source) decides what
   a raw scan does with malformed JSON — raise (``fail``), resync past
   the broken record (``skip_record``), or drop the whole file
@@ -25,9 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.resilience.retry import RetryPolicy
-
-PARTITION_POLICIES = ("fail_fast", "retry", "skip_partition")
 ON_MALFORMED_POLICIES = ("fail", "skip_record", "skip_file")
 ON_EXHAUSTED_POLICIES = ("fail", "skip")
 
@@ -68,29 +65,28 @@ class ResilienceConfig:
 
     Parameters
     ----------
-    partition_policy:
-        ``fail_fast`` | ``retry`` | ``skip_partition``.
-    retry:
-        The :class:`RetryPolicy` used by the ``retry`` policy.
+    max_attempts:
+        Attempts a partition gets, the first included.  A failed
+        attempt is followed by another only while the failure is
+        retryable (:func:`~repro.errors.is_retryable`); the default of 1
+        never runs a partition twice.
     on_exhausted:
-        What ``retry`` does once attempts run out (or the error is not
-        retryable): ``fail`` raises, ``skip`` degrades to skipping the
-        partition.
+        What happens to a partition whose last attempt failed: ``fail``
+        raises a :class:`~repro.errors.PartitionExecutionError`, ``skip``
+        drops the partition and records it in the degradation report.
     recovery:
         The :class:`RecoveryPolicy` governing worker-loss recovery
         and the degradation ladder.
     """
 
-    partition_policy: str = "fail_fast"
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    max_attempts: int = 1
     on_exhausted: str = "fail"
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
 
     def __post_init__(self):
-        if self.partition_policy not in PARTITION_POLICIES:
+        if self.max_attempts < 1:
             raise ValueError(
-                f"partition_policy must be one of {PARTITION_POLICIES}, "
-                f"got {self.partition_policy!r}"
+                f"max_attempts must be at least 1, got {self.max_attempts!r}"
             )
         if self.on_exhausted not in ON_EXHAUSTED_POLICIES:
             raise ValueError(

@@ -3,7 +3,7 @@
 A :class:`DegradationReport` accumulates everything a query execution
 survived rather than computed: partitions skipped after exhausted
 retries, records and files dropped by an ``on_malformed`` policy, and
-every retry that was charged to the simulated clock.  It hangs off
+every retry of a failed partition.  It hangs off
 :class:`~repro.hyracks.executor.QueryResult` so callers can distinguish
 a complete answer from a degraded one.
 
@@ -47,11 +47,10 @@ class SkippedFile:
 
 @dataclass(frozen=True)
 class RetryEvent:
-    """One retry of a failed partition, with its simulated backoff."""
+    """One retry of a failed partition: the attempt that failed, and why."""
 
     partition: int
     attempt: int
-    backoff_seconds: float
     message: str
 
 
@@ -158,12 +157,8 @@ class DegradationReport:
         self._seen_files.add(file_path)
         self.skipped_files.append(SkippedFile(file_path, str(cause)))
 
-    def record_retry(
-        self, partition: int, attempt: int, backoff_seconds: float, cause: Exception
-    ) -> None:
-        self.retries.append(
-            RetryEvent(partition, attempt, backoff_seconds, str(cause))
-        )
+    def record_retry(self, partition: int, attempt: int, cause: Exception) -> None:
+        self.retries.append(RetryEvent(partition, attempt, str(cause)))
 
     def record_cancellation(self, partition: int, cause: Exception) -> None:
         """Record a deadline/cancel observed while executing *partition*.
@@ -269,8 +264,8 @@ class DegradationReport:
             )
         for retry in self.retries:
             lines.append(
-                f"retried partition {retry.partition} (attempt {retry.attempt}, "
-                f"backoff {retry.backoff_seconds:.6f}s): {retry.message}"
+                f"retried partition {retry.partition} "
+                f"(attempt {retry.attempt}): {retry.message}"
             )
         for cancel in self.cancellations:
             lines.append(

@@ -70,13 +70,11 @@ from repro.algebra.plan import read_set
 from repro.algebra.rules import RewriteConfig
 from repro.compiler.pipeline import PLAN_CACHE_CAPACITY, PlanCache, compile_stats
 from repro.errors import (
-    AdmissionError,
     BackendError,
     QueryCancelledError,
-    QueryTimeoutError,
-    RecoveryExhaustedError,
     SlotFailureError,
     causes,
+    is_retryable,
 )
 from repro.hyracks.backends import BACKENDS, resolve_backend
 from repro.hyracks.executor import PartitionedExecutor
@@ -100,27 +98,6 @@ _EVENT_HISTORY = 256
 #: Consecutive backend-level failures on one slot before its backend is
 #: replaced in place.
 BACKEND_FAILURE_THRESHOLD = 3
-
-
-def _is_query_retryable(error: BaseException) -> bool:
-    """Whether a failed request may be re-executed on a fresh slot.
-
-    Walks the ``__cause__`` chain.  Timeouts and cancellations are
-    query-global verdicts (never retried); anything carrying
-    ``retryable = True`` (spill/cache I/O, transient injected faults,
-    slot death) or an exhausted-recovery escalation is retryable,
-    because a read-only query re-derives everything from the source.
-    """
-    for current in causes(error):
-        if isinstance(
-            current, (QueryCancelledError, QueryTimeoutError, AdmissionError)
-        ):
-            return False
-        if isinstance(current, RecoveryExhaustedError):
-            return True
-        if getattr(current, "retryable", False):
-            return True
-    return False
 
 
 def _count(requests, tenant: str) -> int:
@@ -312,8 +289,9 @@ class QueryService:
         Per-query execution defaults, as on
         :class:`~repro.JsonProcessor`.
     max_query_retries:
-        Bounded re-executions of a request after a classified-retryable
-        failure (default 1; 0 disables query-level retry).
+        Bounded re-executions of a request after a retryable failure
+        (:func:`~repro.errors.is_retryable`; default 1, 0 disables
+        query-level retry).
     max_slot_restarts:
         Per-slot supervisor restart budget (default 3); a slot that
         dies beyond it is abandoned for the life of the service.
@@ -579,13 +557,11 @@ class QueryService:
         """Send one execution outcome on: a retryable failure back to
         the queue, anything else to the ticket.
 
-        Queries are read-only, so a request that fails with a
-        classified-retryable error — a dead slot
-        (:class:`~repro.errors.SlotFailureError`), exhausted worker
-        recovery (:class:`~repro.errors.RecoveryExhaustedError`), or
-        transient spill/cache I/O (anything in the ``__cause__`` chain
-        with ``retryable = True``, never a timeout or cancellation) — is
-        re-queued at the front, preferring a different slot, up to
+        Queries are read-only, so a request that fails with a retryable
+        error (:func:`~repro.errors.is_retryable`: a dead slot,
+        exhausted worker recovery, spill or other I/O, a transient
+        injected fault; never a timeout or cancellation) is re-queued
+        at the front, preferring a different slot, up to
         ``max_query_retries`` times, with whatever remains of its
         *original* deadline and the same cancellation token.  Retry
         provenance rides on the response (``retries`` /
@@ -616,7 +592,7 @@ class QueryService:
     def _may_retry_locked(self, request: _Request, error) -> bool:
         return (
             request.retries < self._max_query_retries
-            and _is_query_retryable(error)
+            and is_retryable(error)
             and not request.token.cancelled
             and not (
                 request.deadline is not None

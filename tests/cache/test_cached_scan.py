@@ -17,7 +17,7 @@ from repro.errors import FileScanError, ReproError
 from repro.jsonlib.path import parse_path
 from repro.jsonlib.textscan import ScanCounters
 from repro.processor import JsonProcessor
-from repro.resilience import ResilienceConfig, RetryPolicy
+from repro.resilience import ResilienceConfig
 from repro.resilience.faults import FaultPlan
 from repro.resilience.report import DegradationReport
 
@@ -301,14 +301,13 @@ class TestProcessorIntegration:
         assert blobs["sequential"] == blobs["process"]
 
     def test_retried_partition_matches_uncached_run(self, tmp_path):
+        self.processors(tmp_path).close()  # lays the data out
+
         def run(**kwargs):
-            with self.processors(
-                tmp_path,
-                fault_plan=FaultPlan().fail_partition(0, times=1),
-                resilience=ResilienceConfig(
-                    partition_policy="retry",
-                    retry=RetryPolicy(max_attempts=3, seed=7),
-                ),
+            source = CollectionCatalog(str(tmp_path / "data"))
+            with JsonProcessor(
+                source=FaultPlan().fail_partition(0, times=1).wrap(source),
+                resilience=ResilienceConfig(max_attempts=3),
                 **kwargs,
             ) as p:
                 result = p.execute(Q0)

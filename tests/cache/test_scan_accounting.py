@@ -34,7 +34,7 @@ from repro.jsonlib.path import parse_path
 from repro.observability.profile import ProfileCollector, ProfileConfig
 from repro.processor import JsonProcessor
 from repro.resilience.faults import FaultPlan
-from repro.resilience.policies import ResilienceConfig, RetryPolicy
+from repro.resilience.policies import ResilienceConfig
 
 PATH = parse_path('("root")()("results")()')
 
@@ -214,7 +214,7 @@ def test_closed_around_a_frame_edge(plain_and_warm):
         assert run_datascan(wrapped, pull) == expected
 
 
-def broken_unit(base_dir, policy):
+def broken_unit(base_dir, config):
     """A scan of ``/varied`` partition 0 whose record 350 is corrupt: one
     full frame goes by and the failure is in the middle of the next."""
     source = (
@@ -233,26 +233,28 @@ def broken_unit(base_dir, policy):
         work=PipelinedWork(plan),
         source=source,
         memory_budget=None,
-        resilience=ResilienceConfig(
-            partition_policy=policy, retry=RetryPolicy(max_attempts=3)
-        ),
+        resilience=config,
         profile=ProfileConfig(clock="counter"),
     )
 
 
 @pytest.mark.parametrize(
-    "policy,attempts,skipped",
+    "case,max_attempts,skipped",
     [("fail_fast", 1, False), ("retry", 3, False), ("skip_partition", 1, True)],
 )
 def test_a_scan_failing_inside_a_frame_accounts_the_rows_before_it(
-    policy, attempts, skipped, base_dir
+    case, max_attempts, skipped, base_dir
 ):
-    # 350 rows and 95327 bytes per attempt: recorded at the parent
-    # commit, whose DATASCAN measured each row as it yielded it.
+    # 350 rows and 95327 bytes: recorded at the commit whose DATASCAN
+    # measured each row as it yielded it.  A corrupt record fails every
+    # attempt alike, so the unit runs once whatever max_attempts allows.
     assert physical._FRAME_ROWS < 350 < 2 * physical._FRAME_ROWS
-    outcome = execute_work_unit(broken_unit(base_dir, policy))
-    assert outcome.stats.items_scanned == 350 * attempts
-    assert outcome.stats.scanned_item_bytes == 95327 * attempts
+    config = ResilienceConfig(
+        max_attempts=max_attempts, on_exhausted="skip" if skipped else "fail"
+    )
+    outcome = execute_work_unit(broken_unit(base_dir, config))
+    assert outcome.stats.items_scanned == 350
+    assert outcome.stats.scanned_item_bytes == 95327
     assert outcome.skipped is skipped
     assert (outcome.error is None) is skipped
     if not skipped:

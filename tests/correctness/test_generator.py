@@ -180,3 +180,35 @@ def test_a_generated_join_meets_the_cost_phase():
             answer = processor.evaluate(case.query_text)
             assert sorted(map(repr, answer)) == sorted(map(repr, case.expected()))
     assert built_left
+
+
+def test_nested_templates_take_turns_of_the_keys_slot():
+    """The correlated nested FLWORs share ``keys``'s place in the
+    rotation and draw nothing from the case stream, so every other
+    case keeps its data; neither is vacuous: some measurements answer
+    an empty inner result and some a full one."""
+    from repro import JsonProcessor
+    from repro.algebra.rules import RewriteConfig
+    from repro.correctness.generator import COLLECTION
+    from repro.data.catalog import InMemorySource
+
+    cases = generate_cases(0, 200)
+    names = [c.name.split("-", 1)[1] for c in cases]
+    assert sum(n.startswith("keys") for n in names) == 9
+    literal = [c for c in cases if "-nested-literal-" in c.name]
+    member = [c for c in cases if "-nested-member-" in c.name]
+    assert len(literal) == len(member) == 8
+    assert "for $t in (-100, 0, 100) where" in literal[0].query_text
+    assert 'for $a in $m("attributes")()' in member[0].query_text
+    for variant in (literal, member):
+        answers = [inner for case in variant for inner in case.expected()]
+        assert [] in answers
+        assert any(answers)
+    for case in literal[:2] + member[:2]:
+        source = InMemorySource({COLLECTION: [list(p) for p in case.partitions]})
+        expected = sorted(map(repr, case.expected()))
+        for rewrite in (RewriteConfig(), RewriteConfig.none()):
+            answer = JsonProcessor(source=source, rewrite=rewrite).evaluate(
+                case.query_text
+            )
+            assert sorted(map(repr, answer)) == expected

@@ -12,7 +12,6 @@ from repro import (
     JsonProcessor,
     ProcessBackend,
     ResilienceConfig,
-    RetryPolicy,
     SequentialBackend,
 )
 from repro.data.catalog import CollectionCatalog
@@ -69,9 +68,9 @@ def make_source(on_malformed="fail", partitions=4, per_partition=6):
 
 
 def run_backend(backend, query=QUERY, plan=None, config=None, **kwargs):
+    source = make_source(**{k: kwargs.pop(k) for k in list(kwargs) if k == "on_malformed"})
     processor = JsonProcessor(
-        source=make_source(**{k: kwargs.pop(k) for k in list(kwargs) if k == "on_malformed"}),
-        fault_plan=plan,
+        source=source if plan is None else plan.wrap(source),
         resilience=config,
         backend=backend,
         **kwargs,
@@ -85,7 +84,6 @@ def fingerprint(result: QueryResult) -> dict:
     return {
         "items": result.items,
         "strategy": result.strategy,
-        "injected": result.injected_seconds,
         "stats": (
             result.stats.items_scanned,
             result.stats.scanned_item_bytes,
@@ -137,48 +135,37 @@ class TestFaultParity:
     """Identical degradation under a fixed fault seed, every backend."""
 
     def scenario_retry(self):
-        plan = FaultPlan(seed=7).fail_partition(1, times=2).delay_partition(3, 0.5)
-        config = ResilienceConfig(
-            partition_policy="retry",
-            retry=RetryPolicy(max_attempts=3, seed=7),
-        )
+        plan = FaultPlan(seed=7).fail_partition(1, times=2)
+        config = ResilienceConfig(max_attempts=3)
         return plan, config
 
     def scenario_skip_partition(self):
         plan = FaultPlan(seed=11).fail_partition(2, permanent=True)
-        config = ResilienceConfig(partition_policy="skip_partition")
+        config = ResilienceConfig(on_exhausted="skip")
         return plan, config
 
     def scenario_retry_then_skip(self):
         plan = FaultPlan(seed=13).fail_partition(0, permanent=True)
-        config = ResilienceConfig(
-            partition_policy="retry",
-            retry=RetryPolicy(max_attempts=4, seed=13),
-            on_exhausted="skip",
-        )
+        config = ResilienceConfig(max_attempts=4, on_exhausted="skip")
         return plan, config
 
     def scenario_corruption(self):
         plan = FaultPlan(seed=5).corrupt_records(1, fraction=0.5)
-        config = ResilienceConfig(partition_policy="fail_fast")
+        config = ResilienceConfig()
         return plan, config
 
     def scenario_retries_and_worker_loss(self):
-        # The parity gap satellite: retries on two partitions, a seeded
-        # delay, and a worker kill in one run — the merged report
+        # Retries on two partitions and a worker kill in one run: the
+        # merged report
         # (retry ordering AND the backend-neutral worker-loss event)
         # must come out identical on every backend.
         plan = (
             FaultPlan(seed=17)
             .fail_partition(1, times=2)
             .fail_partition(3, times=1)
-            .delay_partition(0, 0.25)
             .kill_worker(2, attempt=1)
         )
-        config = ResilienceConfig(
-            partition_policy="retry",
-            retry=RetryPolicy(max_attempts=3, seed=17),
-        )
+        config = ResilienceConfig(max_attempts=3)
         return plan, config
 
     @pytest.mark.parametrize(

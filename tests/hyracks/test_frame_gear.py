@@ -19,6 +19,7 @@ The vocabulary is not a list kept by hand: whatever answers
 
 import datetime
 import os
+from functools import lru_cache
 from itertools import islice
 
 import pytest
@@ -189,9 +190,11 @@ def call(name, argument):
     return FunctionCallExpr(name, [argument])
 
 
+@lru_cache(maxsize=None)
 def expressions(variables):
-    """``(conditions, values)`` over *variables*: mostly well typed (a
-    number against a number), sometimes anything against anything."""
+    """``(conditions, values)`` over the tuple *variables*: mostly well
+    typed (a number against a number), sometimes anything against
+    anything.  Built once per tuple: building is most of a draw's cost."""
     leaves = st.sampled_from(variables).map(VariableRef)
 
     def step(name):
@@ -245,9 +248,10 @@ ITEM_FUNCTIONS = sorted(
 )
 
 
+@lru_cache(maxsize=None)
 def library(sample, kind):
     """The item functions that make a *kind* of *sample*: the well-typed
-    vocabulary, read off the library by trying each entry."""
+    vocabulary, read off the library by trying each entry (once)."""
     names = []
     for name in ITEM_FUNCTIONS:
         try:
@@ -265,7 +269,7 @@ def runs(draw, shortest=1, keys=0):
     expressions over its variables as well."""
     variables, specs = ["$r"], []
     for index in range(draw(st.integers(shortest, 4))):
-        condition, value = expressions(variables)
+        condition, value = expressions(tuple(variables))
         if draw(st.booleans()):
             specs.append((None, draw(condition)))
         else:
@@ -276,7 +280,7 @@ def runs(draw, shortest=1, keys=0):
                 variables.append(variable)
     if not keys:
         return specs
-    value = expressions(variables)[1]
+    value = expressions(tuple(variables))[1]
     return specs, draw(st.lists(value, min_size=1, max_size=keys))
 
 
@@ -466,7 +470,7 @@ def grouped_runs(draw):
     ``(function, argument)``, over the run's variables."""
     specs, keys = draw(runs(shortest=0, keys=2))
     variables = ["$r"] + [v for v, _ in specs if v is not None and v != "$r"]
-    value = expressions(sorted(set(variables)))[1]
+    value = expressions(tuple(sorted(set(variables))))[1]
     aggregates = draw(
         st.lists(st.tuples(st.sampled_from(AGGREGATES), value), min_size=1, max_size=3)
     )

@@ -456,3 +456,53 @@ class TestNaNJoinKeys:
             max_workers=2,
         ) as processor:
             assert sorted(processor.evaluate(query)) == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# Aware dateTime keys: equal instants at different offsets
+# ---------------------------------------------------------------------------
+
+
+class TestAwareDateTimeJoinKeys:
+    """``eq`` compares aware dateTimes as instants, so every route must
+    join equal instants written at different offsets."""
+
+    A = ['{"d": "2003-12-25T00:00:00+00:00"}', '{"d": "2004-01-01T00:00:00"}']
+    B = ['{"d": "2003-12-25T03:00:00+03:00"}', '{"d": "2003-12-24T23:00:00-01:00"}']
+    QUERY = (
+        'for $a in collection("/a") for $b in collection("/b") '
+        'where dateTime($a("d")) eq dateTime($b("d")) return 1'
+    )
+    #: the budget of each route; two partitions a side, except that
+    #: "in-process hash" puts /a in one, and differently partitioned
+    #: collections run one global instance
+    ROUTES = {"in-process hash": None, "exchange": None, "grace": 64}
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_every_route_joins_equal_instants(self, route, backend):
+        a_texts = [[row] for row in self.A]
+        if route == "in-process hash":
+            a_texts = [["\n".join(self.A)]]
+        source = InMemorySource({"/a": a_texts, "/b": [[row] for row in self.B]})
+        with JsonProcessor(
+            source=source,
+            backend=backend,
+            max_workers=2,
+            memory_budget_bytes=self.ROUTES[route],
+        ) as processor:
+            result = processor.execute(self.QUERY)
+        assert result.items == [1, 1]
+        if route == "grace":
+            assert result.stats.spill_events > 0
+        else:
+            assert result.strategy == (
+                "global" if route == "in-process hash" else "hash-join"
+            )
+
+    def test_the_comparison_agrees(self):
+        source = InMemorySource(
+            {"/a": [["\n".join(self.A)]], "/b": [["\n".join(self.B)]]}
+        )
+        processor = JsonProcessor(source=source, rewrite=RewriteConfig.none())
+        assert processor.evaluate(self.QUERY) == [1, 1]

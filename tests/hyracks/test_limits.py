@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.errors import QueryCancelledError, QueryTimeoutError
+from repro.errors import QueryCancelledError, QueryTimeoutError, is_retryable
 from repro.data.catalog import InMemorySource
 from repro.hyracks.limits import (
     CHECK_STRIDE,
@@ -73,7 +73,7 @@ class TestQueryDeadline:
         error = exc_info.value
         assert error.deadline_seconds == 0.001
         assert error.elapsed_seconds >= 0.001
-        assert error.retryable is False
+        assert not is_retryable(error)
 
     def test_pickle_preserves_absolute_expiry(self):
         deadline = QueryDeadline.start(60.0)
@@ -91,7 +91,7 @@ class TestCancellationToken:
         with pytest.raises(QueryCancelledError) as exc_info:
             token.check()
         assert "operator abort" in str(exc_info.value)
-        assert exc_info.value.retryable is False
+        assert not is_retryable(exc_info.value)
 
     def test_flag_file_crosses_processes(self, tmp_path):
         flag = str(tmp_path / "cancel.flag")
@@ -206,14 +206,11 @@ class TestQueryLevelLimits:
 
     def test_timeout_never_retried(self, tmp_path):
         from repro.resilience.policies import ResilienceConfig
-        from repro.resilience.retry import RetryPolicy
 
         processor = JsonProcessor(
             source=make_source(),
             deadline_seconds=1e-6,
-            resilience=ResilienceConfig(
-                partition_policy="retry", retry=RetryPolicy(max_attempts=5)
-            ),
+            resilience=ResilienceConfig(max_attempts=5),
         )
         with pytest.raises(QueryTimeoutError) as exc_info:
             processor.execute(GROUP_QUERY)

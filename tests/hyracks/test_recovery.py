@@ -22,6 +22,7 @@ from repro import (
     ResilienceConfig,
     WorkerCrashError,
 )
+from repro.errors import is_retryable
 from repro.hyracks.recovery import cut_runs
 
 BACKEND_NAMES = ["sequential", "process"]
@@ -52,8 +53,7 @@ def make_source(partitions=PARTITIONS, per_partition=6):
 
 def run_backend(backend, query=QUERY, plan=None, config=None, **kwargs):
     processor = JsonProcessor(
-        source=make_source(),
-        fault_plan=plan,
+        source=make_source() if plan is None else plan.wrap(make_source()),
         resilience=config,
         backend=backend,
         **kwargs,
@@ -150,7 +150,7 @@ class TestCrashRecovery:
         backend = ProcessBackend(max_workers=1)
         try:
             doomed = JsonProcessor(
-                source=make_source(), fault_plan=plan, backend=backend
+                source=plan.wrap(make_source()), backend=backend
             )
             with pytest.raises(RecoveryExhaustedError):
                 doomed.execute(QUERY)
@@ -348,7 +348,7 @@ class TestErrorPlumbing:
         clone = pickle.loads(pickle.dumps(error))
         assert clone.partition == 3
         assert clone.attempt == 2
-        assert clone.retryable is False
+        assert not is_retryable(clone)
         assert "partition 3" in str(clone)
 
 

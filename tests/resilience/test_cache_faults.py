@@ -82,8 +82,7 @@ class TestFaultPlanCacheIO:
 class TestDiskFullDegradesToCacheOff:
     def run_query(self, tmp_path, plan=None, backend=None):
         processor = JsonProcessor(
-            source=make_source(),
-            fault_plan=plan,
+            source=make_source() if plan is None else plan.wrap(make_source()),
             segment_cache_dir=str(tmp_path),
             backend=backend,
         )
@@ -164,7 +163,7 @@ class TestWrappingLeavesTheCatalogAlone:
         )
 
     def execute(self, catalog, plan=None):
-        processor = JsonProcessor(catalog, fault_plan=plan)
+        processor = JsonProcessor(catalog if plan is None else plan.wrap(catalog))
         try:
             return processor.execute(QUERY).items
         finally:

@@ -2,7 +2,7 @@
 
 A 4-partition collection where one partition fails transiently twice
 and ~1% of another partition's records are injected-corrupt runs to
-completion under ``retry`` + ``skip_record``, returns the correct
+completion under ``max_attempts=3`` + ``skip_record``, returns the correct
 surviving items, and its degradation report lists exactly the injected
 faults — byte-identical across two runs with the same seed.
 """
@@ -14,7 +14,6 @@ from repro import (
     InMemorySource,
     JsonProcessor,
     ResilienceConfig,
-    RetryPolicy,
 )
 
 SEED = 7
@@ -43,12 +42,8 @@ def run_demo():
     }
     source = InMemorySource(collections, on_malformed="skip_record")
     processor = JsonProcessor(
-        source=source,
-        fault_plan=make_plan(),
-        resilience=ResilienceConfig(
-            partition_policy="retry",
-            retry=RetryPolicy(max_attempts=3, seed=SEED),
-        ),
+        source=make_plan().wrap(source),
+        resilience=ResilienceConfig(max_attempts=3),
     )
     result = processor.execute(QUERY)
     return result, json.dumps(result.degradation.to_dict(), sort_keys=True)
@@ -89,9 +84,6 @@ def test_demo_runs_to_completion_with_exact_degradation():
     assert report.skipped_partitions == []
     assert report.skipped_files == []
     assert result.is_partial  # records were dropped
-    # Retry backoff was charged to partition 2's simulated clock.
-    assert result.injected_seconds[2] > 0
-    assert result.injected_seconds[0] == result.injected_seconds[1] == 0.0
 
 
 def test_demo_is_byte_identical_across_runs():

@@ -9,10 +9,9 @@ from repro import (
     InMemorySource,
     JsonProcessor,
     ResilienceConfig,
-    RetryPolicy,
 )
 from repro.algebra.rules import RewriteConfig
-from repro.errors import PartitionExecutionError
+from repro.errors import ItemTypeError, PartitionExecutionError
 from repro.resilience import TransientFaultError
 
 QUERY = 'for $r in collection("/events") return $r("v")'
@@ -40,9 +39,9 @@ def all_values(partitions=4, per_partition=5):
 
 
 def make_processor(plan=None, config=None, on_malformed="fail", **kwargs):
+    source = make_source(on_malformed=on_malformed)
     return JsonProcessor(
-        source=make_source(on_malformed=on_malformed),
-        fault_plan=plan,
+        source=source if plan is None else plan.wrap(source),
         resilience=config,
         **kwargs,
     )
@@ -56,12 +55,11 @@ class TestFailFast:
         assert not result.degradation.is_degraded
         assert not result.is_partial
         assert result.warnings == []
-        assert result.injected_seconds == [0.0] * 4
 
     def test_default_matches_explicit_fail_fast(self):
         default = make_processor().execute(QUERY)
         explicit = make_processor(
-            config=ResilienceConfig(partition_policy="fail_fast")
+            config=ResilienceConfig(max_attempts=1, on_exhausted="fail")
         ).execute(QUERY)
         assert default.items == explicit.items
         assert default.strategy == explicit.strategy
@@ -89,36 +87,28 @@ class TestFailFast:
 class TestRetry:
     def test_retry_then_succeed(self):
         plan = FaultPlan(seed=3).fail_partition(1, times=2)
-        config = ResilienceConfig(
-            partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=3)
-        )
+        config = ResilienceConfig(max_attempts=3)
         result = make_processor(plan=plan, config=config).execute(QUERY)
         assert result.items == all_values()  # nothing lost
         assert not result.is_partial
         assert result.degradation.is_degraded
         retries = result.degradation.retries
         assert [(r.partition, r.attempt) for r in retries] == [(1, 1), (1, 2)]
-        assert all(r.backoff_seconds > 0 for r in retries)
-        # Backoff charged to the simulated clock of the failing partition.
-        assert result.injected_seconds[1] > 0
-        assert result.injected_seconds[0] == 0.0
+        assert result.warnings[0] == (
+            "retried partition 1 (attempt 1): injected transient fault on "
+            "partition 1 (attempt 1 of 2)"
+        )
 
     def test_retry_exhausted_fails_by_default(self):
         plan = FaultPlan().fail_partition(1, times=10)
-        config = ResilienceConfig(
-            partition_policy="retry", retry=RetryPolicy(max_attempts=3)
-        )
+        config = ResilienceConfig(max_attempts=3)
         with pytest.raises(PartitionExecutionError) as excinfo:
             make_processor(plan=plan, config=config).execute(QUERY)
         assert excinfo.value.attempts == 3
 
     def test_retry_exhausted_can_degrade_to_skip(self):
         plan = FaultPlan().fail_partition(1, times=10)
-        config = ResilienceConfig(
-            partition_policy="retry",
-            retry=RetryPolicy(max_attempts=3),
-            on_exhausted="skip",
-        )
+        config = ResilienceConfig(max_attempts=3, on_exhausted="skip")
         result = make_processor(plan=plan, config=config).execute(QUERY)
         assert result.items == [v for v in all_values() if not 100 <= v < 200]
         assert result.is_partial
@@ -129,21 +119,61 @@ class TestRetry:
 
     def test_permanent_fault_not_retried(self):
         plan = FaultPlan().fail_partition(1, permanent=True)
-        config = ResilienceConfig(
-            partition_policy="retry",
-            retry=RetryPolicy(max_attempts=5),
-            on_exhausted="skip",
-        )
+        config = ResilienceConfig(max_attempts=5, on_exhausted="skip")
         result = make_processor(plan=plan, config=config).execute(QUERY)
         assert result.degradation.retries == []  # no pointless retries
         (skip,) = result.degradation.skipped_partitions
         assert skip.attempts == 1
 
+    #: partition 1's number date is the query's own type error
+    DATES = {"/events": [['{"d": "2003-12-25T00:00:00"}'], ['{"d": 20031225}']]}
+    DATE_QUERY = 'for $r in collection("/events") return string(dateTime($r("d")))'
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_the_querys_own_error_runs_once(self, backend):
+        """A type error comes back on every attempt: the partition runs
+        once however many attempts it may have, and is failed."""
+        config = ResilienceConfig(max_attempts=3)
+        with JsonProcessor(
+            source=InMemorySource(self.DATES), resilience=config, backend=backend
+        ) as processor:
+            with pytest.raises(PartitionExecutionError) as excinfo:
+                processor.execute(self.DATE_QUERY)
+        error = excinfo.value
+        assert (error.partition, error.attempts) == (1, 1)
+        assert "after" not in str(error)
+        assert isinstance(error.__cause__, ItemTypeError)
+        assert error.degradation.retries == []
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_the_querys_own_error_is_skipped_after_one_attempt(self, backend):
+        config = ResilienceConfig(max_attempts=3, on_exhausted="skip")
+        with JsonProcessor(
+            source=InMemorySource(self.DATES), resilience=config, backend=backend
+        ) as processor:
+            result = processor.execute(self.DATE_QUERY)
+        assert result.items == ["2003-12-25T00:00:00"]
+        assert result.degradation.retries == []
+        (skip,) = result.degradation.skipped_partitions
+        assert (skip.partition, skip.attempts) == (1, 1)
+
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_a_transient_fault_still_retries_to_success(self, backend):
+        plan = FaultPlan().fail_partition(2, times=2)
+        config = ResilienceConfig(max_attempts=3)
+        with make_processor(plan=plan, config=config, backend=backend) as p:
+            result = p.execute(QUERY)
+        assert result.items == all_values()
+        assert [(r.partition, r.attempt) for r in result.degradation.retries] == [
+            (2, 1),
+            (2, 2),
+        ]
+
 
 class TestSkipPartition:
     def test_skips_on_first_failure(self):
         plan = FaultPlan().fail_partition(3, times=1)
-        config = ResilienceConfig(partition_policy="skip_partition")
+        config = ResilienceConfig(on_exhausted="skip")
         result = make_processor(plan=plan, config=config).execute(QUERY)
         assert result.items == [v for v in all_values() if v < 300]
         assert result.degradation.retries == []
@@ -152,7 +182,7 @@ class TestSkipPartition:
 
     def test_aggregate_over_skipped_partition_is_partial(self):
         plan = FaultPlan().fail_partition(0, times=1)
-        config = ResilienceConfig(partition_policy="skip_partition")
+        config = ResilienceConfig(on_exhausted="skip")
         result = make_processor(plan=plan, config=config).execute(COUNT_QUERY)
         assert result.strategy == "aggregated-two-step"
         assert result.items == [15]  # 3 of 4 partitions x 5 records
@@ -182,7 +212,7 @@ class TestSkipPartition:
         plan = FaultPlan()
         for partition in range(4):
             plan.fail_partition(partition, permanent=True)
-        config = ResilienceConfig(partition_policy="skip_partition")
+        config = ResilienceConfig(on_exhausted="skip")
         rewrite = RewriteConfig(two_step_aggregation=strategy != "aggregated-raw")
         with make_processor(
             plan=plan, config=config, rewrite=rewrite, backend=backend
@@ -195,9 +225,7 @@ class TestSkipPartition:
 
     def test_grouped_query_with_retry(self):
         plan = FaultPlan().fail_partition(2, times=1)
-        config = ResilienceConfig(
-            partition_policy="retry", retry=RetryPolicy(max_attempts=2)
-        )
+        config = ResilienceConfig(max_attempts=2)
         query = (
             'for $r in collection("/events") '
             'group by $k := $r("v") mod 2 '
@@ -209,51 +237,11 @@ class TestSkipPartition:
         assert faulty.degradation.retry_count == 1
 
 
-class TestSimulatedClock:
-    def test_straggler_delay_charged_to_makespan(self):
-        from repro import ClusterSpec
-
-        cluster = ClusterSpec(nodes=1, cores_per_node=4, partitions_per_node=4)
-        clean = make_processor().execute(QUERY)
-        plan = FaultPlan().delay_partition(2, 0.5)
-        config = ResilienceConfig(partition_policy="retry")
-        slow = make_processor(plan=plan, config=config).execute(QUERY)
-        assert slow.injected_seconds[2] == pytest.approx(0.5)
-        difference = slow.simulated_seconds(cluster) - clean.simulated_seconds(
-            cluster
-        )
-        assert difference >= 0.45  # the delay survives smoothing
-
-    def test_retry_backoff_charged_to_makespan(self):
-        from repro import ClusterSpec
-
-        cluster = ClusterSpec(nodes=1, cores_per_node=4, partitions_per_node=4)
-        plan = FaultPlan().fail_partition(1, times=2)
-        config = ResilienceConfig(
-            partition_policy="retry",
-            retry=RetryPolicy(max_attempts=3),
-        )
-        result = make_processor(plan=plan, config=config).execute(QUERY)
-        # About 0.05 + 0.1 backoff on partition 1, each up to 10% jitter.
-        backoff = config.retry.backoff_seconds(1) + config.retry.backoff_seconds(2)
-        assert 0.15 <= backoff <= 0.165
-        assert result.injected_seconds[1] == pytest.approx(backoff)
-        clean = make_processor().execute(QUERY)
-        difference = result.simulated_seconds(cluster) - clean.simulated_seconds(
-            cluster
-        )
-        assert difference >= backoff - 0.05
-
-
 class TestDeterminism:
     def run_once(self):
         plan = FaultPlan(seed=11).fail_partition(0, times=2)
         plan.corrupt_records(2, fraction=0.3)
-        config = ResilienceConfig(
-            partition_policy="retry",
-            retry=RetryPolicy(max_attempts=3, seed=11),
-            on_exhausted="skip",
-        )
+        config = ResilienceConfig(max_attempts=3, on_exhausted="skip")
         result = make_processor(
             plan=plan, config=config, on_malformed="skip_record"
         ).execute(QUERY)
@@ -271,6 +259,6 @@ class TestDeterminism:
 class TestConfigValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
-            ResilienceConfig(partition_policy="shrug")
+            ResilienceConfig(max_attempts=0)
         with pytest.raises(ValueError):
             ResilienceConfig(on_exhausted="maybe")

@@ -1,41 +1,98 @@
-"""Unit tests for RetryPolicy and FaultPlan determinism."""
+"""Unit tests for the retry rule and FaultPlan determinism."""
+
+import errno
 
 import pytest
 
+from repro import errors
+from repro.errors import is_retryable
 from repro.resilience import (
+    CorruptRecordError,
     FaultPlan,
     PermanentFaultError,
-    RetryPolicy,
+    ResilienceConfig,
     TransientFaultError,
 )
-from repro.resilience import retry
+
+#: every error class, built, and whether running its work again may help
+ERRORS = [
+    (errors.ReproError("x"), False),
+    (errors.JsonSyntaxError("bad", 3), False),
+    (errors.ItemTypeError("dateTime() expects a string"), False),
+    (errors.ItemDepthError("too deep"), False),
+    (errors.LexerError("bad token", 1), False),
+    (errors.ParseError("bad syntax", 1), False),
+    (errors.TranslationError("x"), False),
+    (errors.UnknownFunctionError("f", 1), False),
+    (errors.UnboundVariableError("v"), False),
+    (errors.PlanError("x"), False),
+    (errors.RewriteError("x"), False),
+    (errors.RuntimeExecutionError("x"), False),
+    (errors.MemoryBudgetExceededError(10, 5), False),
+    (errors.TypeCheckError("x"), False),
+    (errors.SpillError("disk gone"), True),
+    (errors.SlotFailureError(0), True),
+    (errors.QueryTimeoutError(1.0, 2.0), False),
+    (errors.QueryCancelledError("stop"), False),
+    (errors.WorkerCrashError(0, 1), False),
+    (errors.RecoveryExhaustedError((0,), (3,)), True),
+    (errors.ProcessorClosedError(), False),
+    (errors.AdmissionError("closed", "t", "closed"), False),
+    (errors.DocumentTooLargeError(10, 5), False),
+    (errors.LoadError("x"), False),
+    (TransientFaultError("flaky"), True),
+    (PermanentFaultError("broken"), False),
+    (CorruptRecordError("corrupt", 0), False),
+    (OSError(errno.ENOSPC, "disk full"), True),
+    (ValueError("x"), False),
+]
+
+
+def wrapped_in(kind, error):
+    """*error* as the ``__cause__`` of one of the wrapping errors."""
+    if kind == "FileScanError":
+        wrapper = errors.FileScanError("data.json", error)
+        wrapper.__cause__ = error
+        return wrapper
+    if kind == "PartitionExecutionError":
+        return errors.PartitionExecutionError(2, error, ("/c",), attempts=1)
+    return errors.BackendError("unit failed", (2,), (1,), cause=error)
 
 
 class TestRetryPolicy:
-    def test_backoff_grows_exponentially_without_jitter(self, monkeypatch):
-        monkeypatch.setattr(retry, "JITTER", 0.0)
-        policy = RetryPolicy()
-        assert policy.backoff_seconds(1) == pytest.approx(0.05)
-        assert policy.backoff_seconds(2) == pytest.approx(0.1)
-        assert policy.backoff_seconds(3) == pytest.approx(0.2)
+    @pytest.mark.parametrize(
+        "error,expected", ERRORS, ids=[type(e).__name__ for e, _ in ERRORS]
+    )
+    def test_is_retryable_bare(self, error, expected):
+        assert is_retryable(error) is expected
 
-    def test_jitter_is_deterministic_per_seed(self):
-        a = RetryPolicy(seed=42)
-        b = RetryPolicy(seed=42)
-        c = RetryPolicy(seed=43)
-        for attempt in (1, 2, 3):
-            assert a.backoff_seconds(attempt) == b.backoff_seconds(attempt)
-        assert a.backoff_seconds(1) != c.backoff_seconds(1)
+    @pytest.mark.parametrize(
+        "wrapper", ["FileScanError", "PartitionExecutionError", "BackendError"]
+    )
+    @pytest.mark.parametrize(
+        "error,expected", ERRORS, ids=[type(e).__name__ for e, _ in ERRORS]
+    )
+    def test_is_retryable_wrapped(self, wrapper, error, expected):
+        assert is_retryable(wrapped_in(wrapper, error)) is expected
 
-    def test_jitter_bounded(self):
-        policy = RetryPolicy(seed=3)
-        for attempt in range(1, 10):
-            base = 0.05 * 2.0 ** (attempt - 1)
-            assert base <= policy.backoff_seconds(attempt) <= base * 1.1
+    def test_the_first_error_that_decides_wins(self):
+        timeout = errors.QueryTimeoutError(1.0, 2.0)
+        timeout.__cause__ = OSError("late disk")
+        assert not is_retryable(timeout)
+        slot = errors.SlotFailureError(1)
+        slot.__cause__ = errors.QueryCancelledError()
+        assert is_retryable(slot)
+        assert not is_retryable(None)
+
+    def test_a_looping_chain_ends(self):
+        first = errors.ReproError("a")
+        second = errors.ReproError("b")
+        first.__cause__, second.__cause__ = second, first
+        assert not is_retryable(first)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
+            ResilienceConfig(max_attempts=0)
 
 
 class TestFaultPlan:
@@ -98,10 +155,3 @@ class TestFaultPlan:
         plan.corrupt_records(0, fraction=1.0)
         assert plan.should_corrupt("/c", 0, 123)
         assert not plan.should_corrupt("/c", None, 123)
-
-    def test_injected_delay(self):
-        plan = FaultPlan()
-        plan.delay_partition(2, 0.5).delay_partition(2, 0.25)
-        assert plan.injected_delay(2) == pytest.approx(0.75)
-        assert plan.injected_delay(0) == 0.0
-        assert plan.injected_delay(None) == 0.0

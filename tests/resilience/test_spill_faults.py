@@ -5,13 +5,12 @@ import os
 
 import pytest
 
-from repro.errors import PartitionExecutionError, QueryCancelledError
+from repro.errors import PartitionExecutionError, QueryCancelledError, is_retryable
 from repro.data.catalog import InMemorySource
 from repro.hyracks.limits import CancellationToken
 from repro.processor import JsonProcessor
 from repro.resilience.faults import FaultPlan, PermanentFaultError
 from repro.resilience.policies import ResilienceConfig
-from repro.resilience.retry import RetryPolicy
 
 
 def make_source(records: int = 150):
@@ -64,13 +63,10 @@ class TestSpillFaultInjection:
         oracle = JsonProcessor(source=source).execute(GROUP_QUERY)
         plan = FaultPlan(seed=3).fail_spill(1, times=2)
         processor = JsonProcessor(
-            source=make_source(),
+            source=plan.wrap(make_source()),
             memory_budget_bytes=512,
             spill_dir=spill_root,
-            fault_plan=plan,
-            resilience=ResilienceConfig(
-                partition_policy="retry", retry=RetryPolicy(max_attempts=4)
-            ),
+            resilience=ResilienceConfig(max_attempts=4),
         )
         result = processor.execute(GROUP_QUERY)
         assert result.items == oracle.items
@@ -80,10 +76,9 @@ class TestSpillFaultInjection:
     def test_fail_fast_names_the_partition(self, spill_root):
         plan = FaultPlan(seed=3).fail_spill(1, times=1)
         processor = JsonProcessor(
-            source=make_source(),
+            source=plan.wrap(make_source()),
             memory_budget_bytes=512,
             spill_dir=spill_root,
-            fault_plan=plan,
         )
         with pytest.raises(PartitionExecutionError) as exc_info:
             processor.execute(GROUP_QUERY)
@@ -92,11 +87,10 @@ class TestSpillFaultInjection:
     def test_permanent_fault_with_skip_degrades(self, spill_root):
         plan = FaultPlan(seed=3).fail_spill(0, permanent=True)
         processor = JsonProcessor(
-            source=make_source(),
+            source=plan.wrap(make_source()),
             memory_budget_bytes=512,
             spill_dir=spill_root,
-            fault_plan=plan,
-            resilience=ResilienceConfig(partition_policy="skip_partition"),
+            resilience=ResilienceConfig(on_exhausted="skip"),
         )
         result = processor.execute(GROUP_QUERY)
         assert result.is_partial
@@ -118,7 +112,7 @@ class TestSpillFaultInjection:
         plan = FaultPlan().fail_spill(0, permanent=True)
         with pytest.raises(PermanentFaultError) as exc_info:
             plan.spill_write_attempt(0)
-        assert exc_info.value.retryable is False
+        assert not is_retryable(exc_info.value)
 
 
 class TestCancellationCleanup:
@@ -126,10 +120,9 @@ class TestCancellationCleanup:
         """Cancel fired from inside the spill path (see CancelOnSpill)."""
         token = CancellationToken()
         processor = JsonProcessor(
-            source=make_source(),
+            source=CancelOnSpill(token).wrap(make_source()),
             memory_budget_bytes=512,
             spill_dir=spill_root,
-            fault_plan=CancelOnSpill(token),
         )
         with pytest.raises(QueryCancelledError) as exc_info:
             processor.execute(GROUP_QUERY, cancellation=token)

@@ -24,12 +24,12 @@ from repro.errors import (
     QueryTimeoutError,
     RecoveryExhaustedError,
     SlotFailureError,
+    is_retryable,
 )
 from repro.observability.clock import CLOCKS
 from repro.service import QueryService, TenantQuota
 from repro.service import service as service_module
 from repro.service.events import QueryRetryEvent, SlotRestartEvent
-from repro.service.service import _is_query_retryable
 
 from tests.service.conftest import (
     COUNT_QUERY,
@@ -57,17 +57,17 @@ def make_gated():
 
 def test_retryable_classification_walks_cause_chain():
     exhausted = RecoveryExhaustedError((1,), (3,), "process")
-    assert _is_query_retryable(exhausted)
-    assert _is_query_retryable(SlotFailureError(0, "died"))
+    assert is_retryable(exhausted)
+    assert is_retryable(SlotFailureError(0, "died"))
     wrapped = BackendError("boom", cause=SlotFailureError(1))
-    assert _is_query_retryable(wrapped)
-    assert not _is_query_retryable(QueryCancelledError("client cancel"))
-    assert not _is_query_retryable(QueryTimeoutError(1.0, 2.0))
-    assert not _is_query_retryable(ValueError("not classified"))
+    assert is_retryable(wrapped)
+    assert not is_retryable(QueryCancelledError("client cancel"))
+    assert not is_retryable(QueryTimeoutError(1.0, 2.0))
+    assert not is_retryable(ValueError("not classified"))
     # Terminal classifications win even with a retryable cause below.
     timeout = QueryTimeoutError(1.0, 2.0)
     timeout.__cause__ = SlotFailureError(0)
-    assert not _is_query_retryable(timeout)
+    assert not is_retryable(timeout)
 
 
 def test_selfhealing_errors_and_events_pickle_round_trip():
@@ -75,7 +75,7 @@ def test_selfhealing_errors_and_events_pickle_round_trip():
         clone = pickle.loads(pickle.dumps(original))
         assert type(clone) is type(original)
         assert str(clone) == str(original)
-        assert clone.retryable
+        assert is_retryable(clone)
     for event in (
         SlotRestartEvent(slot=1, kind="worker-death", restarts=2, message="m"),
         QueryRetryEvent(

@@ -56,13 +56,13 @@ def make_source():
 
 
 def run(backend, cost, memory_budget=None, fault_plan=None):
+    source = make_source()
     with JsonProcessor(
-        source=make_source(),
+        source=source if fault_plan is None else fault_plan.wrap(source),
         backend=backend,
         max_workers=2,
         cost=cost,
         memory_budget_bytes=memory_budget,
-        fault_plan=fault_plan,
     ) as processor:
         return processor.evaluate(QUERY)
 

@@ -32,7 +32,6 @@ from repro import (
     JsonProcessor,
     RecoveryPolicy,
     ResilienceConfig,
-    RetryPolicy,
 )
 from repro.hyracks.backends import BACKENDS
 
@@ -126,14 +125,12 @@ def schedule_cascade():
     """A worker kill plus a transient in-partition failure elsewhere.
 
     Exercises both recovery layers at once: the backend reschedules the
-    killed unit while the partition retry policy absorbs the transient
-    error on a different partition.
+    killed unit while a second partition attempt (``max_attempts=3``)
+    absorbs the transient error on a different partition.
     """
     plan = FaultPlan(seed=7).kill_worker(1, attempt=1)
     plan.fail_partition(2, times=1)
-    config = ResilienceConfig(
-        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=7)
-    )
+    config = ResilienceConfig(max_attempts=3)
     return plan, config
 
 
@@ -167,9 +164,9 @@ def canonical_items(result) -> str:
 
 
 def run_cell(query_text, backend, plan, config, max_workers):
+    source = make_source()
     processor = JsonProcessor(
-        source=make_source(),
-        fault_plan=plan,
+        source=source if plan is None else plan.wrap(source),
         resilience=config,
         backend=backend,
         max_workers=max_workers,

@@ -27,8 +27,9 @@ shape (``dateTime(data($r("date")))`` and three accessor conjuncts)
 runs over ``/dates``, whose homogeneous date columns the column
 kernels take in bulk; one partition's column mixes in a null, so the
 kernels go row by row there, and another's a null and a number, which
-fails that partition on every attempt until it is skipped.  Exits
-non-zero on any mismatch.
+fails that partition with the query's own type error: it is not
+retried, and is skipped after one attempt.  Exits non-zero on any
+mismatch.
 
 ``--chaos`` switches to the worker-crash battery: seeded kill/stall
 schedules replayed twice with ``max_workers=1`` (serialized pool
@@ -55,7 +56,6 @@ from repro import (
     JsonProcessor,
     RecoveryPolicy,
     ResilienceConfig,
-    RetryPolicy,
 )
 
 PARTITIONS = 4
@@ -190,28 +190,21 @@ def scenario_retry_and_corruption(seed: int):
     plan = FaultPlan(seed=seed)
     plan.fail_partition(2, times=2)
     plan.corrupt_records(1, fraction=0.02)
-    config = ResilienceConfig(
-        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
-    )
+    config = ResilienceConfig(max_attempts=3)
     return make_source("skip_record"), plan, config, QUERY
 
 
 def scenario_skip_partition(seed: int):
     plan = FaultPlan(seed=seed)
     plan.fail_partition(0, permanent=True)
-    config = ResilienceConfig(partition_policy="skip_partition")
+    config = ResilienceConfig(on_exhausted="skip")
     return make_source("fail"), plan, config, COUNT_QUERY
 
 
 def scenario_exhausted_degrades(seed: int):
     plan = FaultPlan(seed=seed)
     plan.fail_partition(3, times=10)
-    plan.delay_partition(1, 0.25)
-    config = ResilienceConfig(
-        partition_policy="retry",
-        retry=RetryPolicy(max_attempts=3, seed=seed),
-        on_exhausted="skip",
-    )
+    config = ResilienceConfig(max_attempts=3, on_exhausted="skip")
     return make_source("skip_record"), plan, config, QUERY
 
 
@@ -219,9 +212,7 @@ def scenario_join_exchange(seed: int):
     plan = FaultPlan(seed=seed)
     plan.fail_partition(1, times=1)
     plan.corrupt_records(3, fraction=0.02)
-    config = ResilienceConfig(
-        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
-    )
+    config = ResilienceConfig(max_attempts=3)
     return make_source("skip_record", keys=True), plan, config, JOIN_QUERY
 
 
@@ -229,9 +220,7 @@ def scenario_self_join_exchange(seed: int):
     plan = FaultPlan(seed=seed)
     plan.fail_partition(2, times=1)
     plan.corrupt_records(0, fraction=0.02)
-    config = ResilienceConfig(
-        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
-    )
+    config = ResilienceConfig(max_attempts=3)
     return make_source("skip_record"), plan, config, SELF_JOIN_QUERY
 
 
@@ -243,9 +232,7 @@ def scenario_group_by(function: str):
         plan = FaultPlan(seed=seed)
         plan.fail_partition(2, times=1)
         plan.corrupt_records(1, fraction=0.03)
-        config = ResilienceConfig(
-            partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
-        )
+        config = ResilienceConfig(max_attempts=3)
         query = GROUP_QUERY.replace("{function}", function)
         return make_source("skip_record", groups=True), plan, config, query
 
@@ -256,23 +243,17 @@ def scenario_order_by(seed: int):
     plan = FaultPlan(seed=seed)
     plan.fail_partition(0, times=1)
     plan.corrupt_records(2, fraction=0.03)
-    config = ResilienceConfig(
-        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
-    )
+    config = ResilienceConfig(max_attempts=3)
     return make_source("skip_record", groups=True), plan, config, ORDER_QUERY
 
 
 def scenario_date_filter(seed: int):
-    """Q0's shape; partition 3's number date fails it for good, and
-    the partition is skipped once retrying cannot help."""
+    """Q0's shape; partition 3's number date is the query's own type
+    error, so the partition is skipped after one attempt."""
     plan = FaultPlan(seed=seed)
     plan.fail_partition(0, times=1)
     plan.corrupt_records(2, fraction=0.02)
-    config = ResilienceConfig(
-        partition_policy="retry",
-        retry=RetryPolicy(max_attempts=3, seed=seed),
-        on_exhausted="skip",
-    )
+    config = ResilienceConfig(max_attempts=3, on_exhausted="skip")
     return make_source("skip_record", dates=True), plan, config, DATE_QUERY
 
 
@@ -280,16 +261,14 @@ def scenario_nested_loop_join(seed: int):
     plan = FaultPlan(seed=seed)
     plan.fail_partition(3, times=1)
     plan.corrupt_records(1, fraction=0.02)
-    config = ResilienceConfig(
-        partition_policy="retry", retry=RetryPolicy(max_attempts=3, seed=seed)
-    )
+    config = ResilienceConfig(max_attempts=3)
     return make_source("skip_record", keys=True), plan, config, NESTED_LOOP_QUERY
 
 
 SCENARIOS = {
     "retry+corruption": scenario_retry_and_corruption,
     "skip_partition": scenario_skip_partition,
-    "retry-exhausted+straggler": scenario_exhausted_degrades,
+    "retry-exhausted": scenario_exhausted_degrades,
     "join-exchange+retry+corruption": scenario_join_exchange,
     "self-join-exchange+retry+corruption": scenario_self_join_exchange,
     "group-by-count+retry+corruption": scenario_group_by("count"),
@@ -369,8 +348,7 @@ def run_once(
     if chaos:
         max_workers = 1
     processor = JsonProcessor(
-        source=source,
-        fault_plan=plan,
+        source=plan.wrap(source),
         resilience=config,
         backend=backend,
         max_workers=max_workers,
@@ -390,7 +368,6 @@ def describe(result, budget: int | None, chaos: bool) -> str:
     payload = {
         "items": result.items,
         "strategy": result.strategy,
-        "injected_seconds": result.injected_seconds,
         "degradation": result.degradation.to_dict(),
         "items_scanned": result.stats.items_scanned,
         "scanned_item_bytes": result.stats.scanned_item_bytes,
