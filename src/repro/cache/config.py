@@ -1,4 +1,5 @@
-"""Scan-mode and segment-cache resolution (explicit > env > default).
+"""Scan-mode and segment-cache resolution (explicit > env > default),
+done once, by a source's constructor; nothing changes either later.
 
 Scan modes select the per-record projector used by every DATASCAN:
 
@@ -38,7 +39,8 @@ SEGMENT_CACHE_ENV = "REPRO_SEGMENT_CACHE"
 #: How caches fingerprint on-disk sources: ``stat`` (size, timestamps,
 #: inode — fast, with a same-size in-place rewrite staleness window; a
 #: segment cache's default) or ``content`` (hash the bytes — no
-#: staleness window; what the long-lived query service configures).
+#: staleness window; the long-lived query service's result cache and
+#: its private copy of a source's segment cache).
 FINGERPRINT_MODES = ("stat", "content")
 
 
@@ -73,7 +75,8 @@ def resolve_segment_cache(cache_dir: str | None = None):
     """Resolve a segment cache: explicit directory > $REPRO_SEGMENT_CACHE > off.
 
     Returns a :class:`~repro.cache.segments.SegmentCache` with ``stat``
-    fingerprints or ``None`` (cache disabled).
+    fingerprints or ``None`` (cache disabled); a source calls it once,
+    from its constructor.
     """
     from repro.cache.segments import SegmentCache
 
@@ -81,7 +84,6 @@ def resolve_segment_cache(cache_dir: str | None = None):
         cache_dir = env_setting(SEGMENT_CACHE_ENV, "")
     if not cache_dir:
         # An explicit empty string disables the cache even when the
-        # environment sets a directory — same contract as
-        # ``configure_scan(segment_cache_dir="")``.
+        # environment sets a directory.
         return None
     return SegmentCache(cache_dir)

@@ -109,10 +109,9 @@ def file_fingerprint(file_path: str) -> tuple:
     Staleness window: a same-size in-place rewrite that lands within
     the filesystem's timestamp granularity (coarse-mtime filesystems,
     or sub-resolution back-to-back writes) is undetectable by ``stat``
-    alone and would serve the old segment.  For correctness-critical
-    runs on such inputs, fingerprint the bytes instead::
-
-        fingerprint = text_fingerprint(open(path, encoding="utf-8").read())
+    alone and would serve the old segment.  :func:`content_file_fingerprint`
+    hashes the bytes instead and has no such window; the query service
+    reads through a copy of a source's segment cache that uses it.
     """
     stat = os.stat(file_path)
     return (

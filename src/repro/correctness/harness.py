@@ -152,17 +152,6 @@ class EagerNavigationSource:
     def attach_scan_counters(self, counters):
         self._inner.attach_scan_counters(counters)
 
-    def configure_scan(
-        self, scan_mode=None, segment_cache_dir=None, fingerprint_mode=None
-    ):
-        configure = getattr(self._inner, "configure_scan", None)
-        if configure is not None:
-            configure(
-                scan_mode=scan_mode,
-                segment_cache_dir=segment_cache_dir,
-                fingerprint_mode=fingerprint_mode,
-            )
-
 
 # ---------------------------------------------------------------------------
 # Report structures
@@ -274,9 +263,24 @@ class _MatrixRunner:
         shutil.rmtree(self._spill_dir, ignore_errors=True)
         shutil.rmtree(self._cache_dir, ignore_errors=True)
 
+    def sources(self, collections: dict) -> dict:
+        """One :class:`InMemorySource` over *collections* per scan mode of
+        :data:`SCAN_MODE_AXIS`: ``cached-warm`` reads on demand through
+        the shared segment cache, the other modes through none."""
+        return {
+            scan_mode: InMemorySource(
+                collections,
+                scan_mode="ondemand" if scan_mode == "cached-warm" else scan_mode,
+                segment_cache_dir=(
+                    self._cache_dir if scan_mode == "cached-warm" else ""
+                ),
+            )
+            for scan_mode in SCAN_MODE_AXIS
+        }
+
     def run(
         self,
-        source,
+        sources: dict,
         query_text: str,
         config: RewriteConfig,
         backend_name: str,
@@ -286,20 +290,14 @@ class _MatrixRunner:
         fault_plan: FaultPlan | None = None,
         cost: bool = True,
     ):
-        """Run one cell; returns the full :class:`QueryResult`.
+        """Run one cell over the *scan_mode* source of *sources* (built by
+        :meth:`sources`); returns the full :class:`QueryResult`.
 
         ``scan_mode="cached-warm"`` executes twice through the shared
         segment cache and returns the warm result — the one whose items
         came from segment files.
         """
-        configure = getattr(source, "configure_scan", None)
-        if configure is not None:
-            if scan_mode == "cached-warm":
-                configure(
-                    scan_mode="ondemand", segment_cache_dir=self._cache_dir
-                )
-            else:
-                configure(scan_mode=scan_mode, segment_cache_dir="")
+        source = sources[scan_mode]
         if projection == "eager":
             source = EagerNavigationSource(source)
         if fault_plan is not None:
@@ -354,7 +352,7 @@ class ExpectedError:
 def _check_cell(
     runner: _MatrixRunner,
     report: DiffCheckReport,
-    source,
+    sources: dict,
     case_name: str,
     query_text: str,
     expected,
@@ -409,7 +407,7 @@ def _check_cell(
         runs += 1
         try:
             result = runner.run(
-                source,
+                sources,
                 query_text,
                 TOGGLE_CONFIGS[config_name],
                 backend_name,
@@ -610,8 +608,9 @@ BUDGETS = {
 }
 
 
-def _paper_sources(seed: int, config: SensorDataConfig):
-    """The benchmark dataset as a 2-partition in-memory collection."""
+def _paper_collections(seed: int, config: SensorDataConfig):
+    """The benchmark dataset as a 2-partition ``/sensors`` collection of
+    texts, and its documents."""
     rng = random.Random(seed)
     partitions = [
         [generate_file_text(rng, config, wrapped=True)] for _ in range(2)
@@ -622,7 +621,7 @@ def _paper_sources(seed: int, config: SensorDataConfig):
         for text in partition
         for doc in reference_documents(text)
     ]
-    return InMemorySource(collections={"/sensors": partitions}), documents
+    return {"/sensors": partitions}, documents
 
 
 def run_diffcheck(
@@ -668,13 +667,14 @@ def run_diffcheck(
 
 
 def _run_paper_queries(runner, report, seed, data_config, queries, progress):
-    source, documents = _paper_sources(seed, data_config)
+    collections, documents = _paper_collections(seed, data_config)
+    sources = runner.sources(collections)
     for name, builder in queries.items():
         query_text = builder(collection="/sensors", wrapped=True)
         expected = canonical_result(oracle_result(name, documents))
         for cell in _cells(TOGGLE_CONFIGS, BACKEND_NAMES, PROJECTION_MODES):
             runs, mismatch = _check_cell(
-                runner, report, source, name, query_text, expected, *cell
+                runner, report, sources, name, query_text, expected, *cell
             )
             report.paper_cells += runs
             if mismatch is not None:
@@ -684,7 +684,7 @@ def _run_paper_queries(runner, report, seed, data_config, queries, progress):
         # result must still match the oracle bit-for-bit.
         for backend_name in BACKEND_NAMES:
             runs, mismatch = _check_cell(
-                runner, report, source, name, query_text, expected,
+                runner, report, sources, name, query_text, expected,
                 "all", backend_name, "projected",
                 memory_budget=SPILL_BUDGET_BYTES,
             )
@@ -699,7 +699,7 @@ def _run_paper_queries(runner, report, seed, data_config, queries, progress):
         crash_plan = FaultPlan().kill_worker(0, attempt=1)
         for backend_name in BACKEND_NAMES:
             runs, mismatch = _check_cell(
-                runner, report, source, name, query_text, expected,
+                runner, report, sources, name, query_text, expected,
                 "all", backend_name, "projected",
                 fault_plan=crash_plan,
             )
@@ -717,7 +717,7 @@ def _run_paper_queries(runner, report, seed, data_config, queries, progress):
         cost_off_cells.append(("sequential", None, crash_plan))
         for backend_name, budget, plan in cost_off_cells:
             runs, mismatch = _check_cell(
-                runner, report, source, name, query_text, expected,
+                runner, report, sources, name, query_text, expected,
                 "all", backend_name, "projected",
                 memory_budget=budget, fault_plan=plan, cost=False,
             )
@@ -737,9 +737,7 @@ def _run_generated_cases(runner, report, seed, case_count, shrink, progress):
         for projection in PROJECTION_MODES
     ]
     for index, case in enumerate(cases):
-        source = InMemorySource(
-            collections={COLLECTION: [list(p) for p in case.partitions]}
-        )
+        sources = runner.sources({COLLECTION: [list(p) for p in case.partitions]})
         try:
             expected = canonical_result(case.expected())
         except ReproError as error:
@@ -768,7 +766,7 @@ def _run_generated_cases(runner, report, seed, case_count, shrink, progress):
         )
         for config_name, backend_name, projection, budget, cost in cells:
             runs, mismatch = _check_cell(
-                runner, report, source, case.name, case.query_text,
+                runner, report, sources, case.name, case.query_text,
                 expected, config_name, backend_name, projection,
                 memory_budget=budget, cost=cost,
             )
@@ -789,12 +787,12 @@ def _shrink_mismatch(runner, case, mismatch: Mismatch) -> Mismatch:
     config = TOGGLE_CONFIGS[mismatch.config]
 
     def still_fails(candidate: GeneratedCase) -> bool:
-        source = InMemorySource(
-            collections={COLLECTION: [list(p) for p in candidate.partitions]}
+        sources = runner.sources(
+            {COLLECTION: [list(p) for p in candidate.partitions]}
         )
         try:
             got = runner.run(
-                source,
+                sources,
                 candidate.query_text,
                 config,
                 mismatch.backend,

@@ -17,7 +17,10 @@ concrete class only registers collections and says where a unit's text
 comes from.
 
 Both sources take an ``on_malformed`` policy (``fail`` | ``skip_record``
-| ``skip_file``) deciding what a scan does with malformed JSON.  Each
+| ``skip_file``) deciding what a scan does with malformed JSON, and
+their scan mode and segment cache (``scan_mode=`` /
+``segment_cache_dir=``, else the environment), all when they are built;
+nothing rewires a source afterwards.  Each
 read takes the :class:`~repro.resilience.report.DegradationReport` its
 skips and cache events go to as ``report=`` (None: not recorded), so a
 catalog shared by concurrent queries holds no per-query state.
@@ -25,20 +28,15 @@ catalog shared by concurrent queries holds no per-query state.
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 from functools import partial
 from typing import Iterable, Iterator
 
 from repro.algebra.context import normalize_collection_name as _normalize
-from repro.cache.config import (
-    resolve_scan_mode,
-    resolve_segment_cache,
-    validate_fingerprint_mode,
-    validate_scan_mode,
-)
+from repro.cache.config import resolve_scan_mode, resolve_segment_cache
 from repro.cache.segments import (
-    SegmentCache,
     canonical_projection,
     content_file_fingerprint,
     file_fingerprint,
@@ -106,14 +104,13 @@ def _scan_plain(
 
 def _scan_cached(
     source, source_id: str, fingerprint_of, scan, path: Path, report
-) -> tuple[list[Item], list[int] | None, bool]:
+) -> tuple[list[Item], list[int] | None]:
     """Serve one file or text from the segment cache, scanning cold on miss.
 
-    Returns ``(items, sizes, hit)``: *sizes* is ``sizeof_item`` of each
-    item, read from the segment on a hit and measured once for the store
-    on a miss (the whole file as one frame of ``sizeof_rows``); None when
-    nothing was stored or a skipped file yields nothing.  *hit* says the
-    items came from a segment.
+    Returns ``(items, sizes)``: *sizes* is ``sizeof_item`` of each item,
+    read from the segment on a hit and measured once for the store on a
+    miss (the whole file as one frame of ``sizeof_rows``); None when
+    nothing was stored or a skipped file yields nothing.
 
     The observable behaviour (items, errors, skip events, and the
     ``matched``/``skipped`` counter deltas) is byte-identical with the
@@ -151,7 +148,7 @@ def _scan_cached(
                 counters.absorb(segment.counters)
             for offset, message in segment.skip_events:
                 record_skipped(offset, message)
-            return segment.items, segment.sizes, True
+            return segment.items, segment.sizes
         if status == "corrupt":
             if counters is not None:
                 counters.cache_corrupt += 1
@@ -178,7 +175,7 @@ def _scan_cached(
     except JsonError as error:
         if policy == "skip_file":
             _skip_file(report, source_id, error)
-            return [], None, False
+            return [], None
         if policy == "fail":
             raise FileScanError(source_id, error) from error
         raise
@@ -186,7 +183,7 @@ def _scan_cached(
         if counters is not None:
             counters.merge(attempt)
     if fingerprint is None:
-        return items, None, False
+        return items, None
     sizes = sizeof_rows(items)
     stored = cache.store(
         source_id, fingerprint, projection, policy,
@@ -194,7 +191,7 @@ def _scan_cached(
     )
     if not stored and cache.disabled_reason is not None:
         cache_event("disabled", cache.disabled_reason)
-    return items, sizes, False
+    return items, sizes
 
 
 class _PartitionedSource:
@@ -216,6 +213,10 @@ class _PartitionedSource:
       fingerprint mode (``stat`` | ``content``), for the segment and
       result caches (may raise :class:`OSError`: scan cold);
     - ``_size(unit)``: its size, for the sampler's extrapolation.
+
+    The scan mode and the segment cache are fixed when the source is
+    built.  A holder that needs a cache of its own (the fault wrapper,
+    the query service) reads through :func:`copy.copy` of the source.
     """
 
     def __init__(self, on_malformed, scan_mode, segment_cache_dir, stats_sample):
@@ -226,36 +227,17 @@ class _PartitionedSource:
         self.stats = SourceStatistics(stats_sample)
         self._local = threading.local()
 
-    def configure_scan(
-        self,
-        scan_mode: str | None = None,
-        segment_cache_dir: str | None = None,
-        fingerprint_mode: str | None = None,
-    ) -> None:
-        """Override the scan mode and/or segment cache after construction.
-
-        ``None`` leaves a setting untouched; an empty
-        ``segment_cache_dir`` string disables the cache.
-        ``fingerprint_mode`` (``"stat"``, the default, | ``"content"``)
-        selects how cached segments detect file changes; in-memory texts
-        are always keyed by content hash, so the mode changes nothing
-        for them.
-        """
-        if scan_mode is not None:
-            self.scan_mode = validate_scan_mode(scan_mode)
-        if segment_cache_dir is not None:
-            self.segment_cache = (
-                SegmentCache(
-                    segment_cache_dir,
-                    "stat" if fingerprint_mode is None else fingerprint_mode,
-                )
-                if segment_cache_dir
-                else None
-            )
-        elif fingerprint_mode is not None and self.segment_cache is not None:
-            self.segment_cache.fingerprint_mode = validate_fingerprint_mode(
-                fingerprint_mode
-            )
+    def __copy__(self):
+        """A private copy: the same registrations and statistics, its own
+        per-thread counters and its own copy of the segment cache, so
+        what the copy's holder does to the cache (a fault hook, the
+        fingerprint mode, the cache-off state) stays with it."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone._local = threading.local()
+        if self.segment_cache is not None:
+            clone.segment_cache = copy.copy(self.segment_cache)
+        return clone
 
     # -- scan counters -----------------------------------------------------------
 
@@ -394,42 +376,34 @@ class _PartitionedSource:
         largest top-level value (by the largest unit under ``skip_file``
         or a segment cache, which buffer one unit's matches).
         """
-        for items, _sizes, _again in self.scan_units(
-            name, path, partition, report
-        ):
+        for items, _sizes in self.scan_units(name, path, partition, report):
             yield from items
 
     def scan_units(
         self, name: str, path: Path, partition: int | None = None, report=None
-    ) -> Iterator[tuple[Iterable[Item], list[int] | None, object]]:
-        """:meth:`scan_collection` one unit at a time, as ``(items, sizes,
-        again)``.
+    ) -> Iterator[tuple[Iterable[Item], list[int] | None]]:
+        """:meth:`scan_collection` one unit at a time, as ``(items,
+        sizes)``.
 
         *sizes* is ``sizeof_item`` of each item where the segment cache
         already knows it (a hit, or a miss just sized for its store),
         so DATASCAN need not measure the items again; it is None for
         items streamed from text, which DATASCAN cuts into frames and
-        sizes itself.  *again* is for a read two DATASCANs of one join
-        share: None when the unit's items may serve both (streamed from
-        text, or a segment-cache hit), else a callable serving the unit
-        again as a read of its own would (a second cache probe, which
-        finds what the first one stored), as ``(items, sizes, hit)``.
+        sizes itself.
         """
         for source_id, unit in self._units(name, partition):
             scan = self._scanner(unit)
             if self.segment_cache is None:
                 yield _scan_plain(
                     self, source_id, scan, path, self._counters, report
-                ), None, None
+                ), None
                 continue
             fingerprint_of = partial(
                 self._fingerprint, unit, self.segment_cache.fingerprint_mode
             )
-            serve = partial(
-                _scan_cached, self, source_id, fingerprint_of, scan, path, report
+            yield _scan_cached(
+                self, source_id, fingerprint_of, scan, path, report
             )
-            items, sizes, hit = serve()
-            yield items, sizes, None if hit else serve
 
 
 class CollectionCatalog(_PartitionedSource):

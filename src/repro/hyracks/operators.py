@@ -222,9 +222,8 @@ _FRAME_ROWS = 256
 
 def _sized_frames(
     op: DataScan, ctx: EvaluationContext, track: bool
-) -> Iterator[tuple[list[Item], Iterable[int], object]]:
-    """The scan under *op* as ``(items, sizes, again)`` frames, *items* a
-    list.
+) -> Iterator[tuple[list[Item], Iterable[int]]]:
+    """The scan under *op* as ``(items, sizes)`` frames, *items* a list.
 
     A source that keeps row sizes (the catalogs' segment cache) hands
     them over per unit, and such a frame passes through.  Any other
@@ -232,12 +231,6 @@ def _sized_frames(
     in one call (not at all unless *track*).  Rows taken before the
     stream raised go out, sized, before the error does; closing this
     closes the stream being cut.
-
-    *again* matters only to a read two DATASCANs share
-    (:func:`keyed_inputs`): what the source's ``scan_units`` says of the
-    frame's unit on its first frame (None: the frame serves both; a
-    callable: it serves the second DATASCAN the unit again), and False
-    on the unit's later frames, which that second serving covered.
     """
     scan_units = getattr(ctx.source, "scan_units", None)
     if scan_units is not None:
@@ -251,17 +244,17 @@ def _sized_frames(
             partition=ctx.partition,
             report=ctx.report,
         )
-        units = ((scan, None, None),)
-    for items, sizes, again in units:
-        yield from _cut(items, sizes, track, again)
+        units = ((scan, None),)
+    for items, sizes in units:
+        yield from _cut(items, sizes, track)
 
 
 def _cut(
-    items: Iterable[Item], sizes, track: bool, again: object = None
-) -> Iterator[tuple[list[Item], Iterable[int], object]]:
+    items: Iterable[Item], sizes, track: bool
+) -> Iterator[tuple[list[Item], Iterable[int]]]:
     """One unit's *items* as :func:`_sized_frames` frames."""
     if sizes is not None:
-        yield items, sizes, again
+        yield items, sizes
         return
     stream = iter(items)
     try:
@@ -273,9 +266,7 @@ def _cut(
                 rows.extend(islice(stream, _FRAME_ROWS))
             except Exception as error:
                 failure = error
-            yield rows, sizeof_rows(rows) if track else repeat(0), again
-            if again:
-                again = False
+            yield rows, sizeof_rows(rows) if track else repeat(0)
             if failure is not None:
                 raise failure
             if len(rows) < _FRAME_ROWS:
@@ -389,7 +380,7 @@ def _execute_datascan(
     frames = _sized_frames(op, ctx, scan.track)
     try:
         started = scan.clock()
-        for items, sizes, _again in frames:
+        for items, sizes in frames:
             try:
                 yield from scan.frame(items, sizes, started)
             finally:
@@ -876,7 +867,7 @@ def keyed_inputs(
         zip((join.left, join.right), (left_keys, right_keys), _side_counters(join))
     )
     keyings = [_keying(side, key_exprs, ctx) for side, key_exprs, _ in inputs]
-    if None not in keyings and _reads_once(ctx.source):
+    if None not in keyings:
         left_scan, right_scan = (keying[0][0] for keying in keyings)
         if (left_scan.collection, left_scan.project_path) == (
             right_scan.collection, right_scan.project_path
@@ -885,18 +876,6 @@ def keyed_inputs(
             return
     for side, (op, key_exprs, counter) in enumerate(inputs):
         yield side, _kept(keyed_tuples(op, key_exprs, ctx, join), join, counter, ctx)
-
-
-def _reads_once(source) -> bool:
-    """Whether *source* can serve two DATASCANs one read: it says per
-    unit what the segment cache served (``scan_units``), or it has no
-    segment cache, so a second read would have served the same."""
-    if source is None:
-        return False
-    return (
-        hasattr(source, "scan_units")
-        or getattr(source, "segment_cache", None) is None
-    )
 
 
 def _read_once(join: Join, inputs: list, keyings: list, ctx: EvaluationContext):
@@ -910,10 +889,7 @@ def _read_once(join: Join, inputs: list, keyings: list, ctx: EvaluationContext):
     reads), and its scan is accounted, and the fork absorbed, once the
     left input has finished; an error it raises is held until then, and
     a left error, which would have come first, wins.  Its scan counters
-    are the share of the read's counters each frame it took added; a
-    unit the segment cache did not serve from a segment it is served
-    again (``again``, :func:`_sized_frames`), counted on counters of its
-    own, as its own read would have been.
+    are the share of the read's counters each frame it took added.
     """
     right_ctx = ctx
     if ctx.profile is not None:
@@ -928,8 +904,7 @@ def _read_once(join: Join, inputs: list, keyings: list, ctx: EvaluationContext):
     shared = _attached_counters(ctx)  # the left input's: the read credits them
     if shared is not None:
         right.counters = ScanCounters()
-    track = left.scan.track
-    frames = _sized_frames(left.scan.op, ctx, track)
+    frames = _sized_frames(left.scan.op, ctx, left.scan.track)
     held = None
     finished = False
     try:
@@ -937,22 +912,18 @@ def _read_once(join: Join, inputs: list, keyings: list, ctx: EvaluationContext):
             started = left.scan.clock()
             before = None if shared is None else shared.as_dict()
             frame = next(frames, None)
-            again = None if frame is None else frame[2]
-            if before is not None and held is None and again is None:
+            if before is not None and held is None:
                 right.counters.merge(_since(shared, before))
             if frame is None:
                 break
-            items, sizes, again = frame
+            items, sizes = frame
             # A run is a frame's pairs in a list: what an input raises
             # is raised here, where its accounting is closed.
             yield 0, list(left.pairs(items, sizes, started))
-            if held is not None or again is False:
+            if held is not None:
                 continue
             try:
-                if again is None:
-                    served = list(right.pairs(items, sizes, right.scan.clock()))
-                else:
-                    served = list(right.served_again(again, shared, track))
+                served = list(right.pairs(items, sizes, right.scan.clock()))
             except Exception as error:
                 held = error
                 continue
@@ -1003,24 +974,6 @@ class _FedInput:
             yield from _kept(keyed, self.join, self.counter, self.ctx)
         finally:
             tuples.close()
-
-    def served_again(self, again, shared, track: bool) -> Iterator[tuple]:
-        """The pairs of a unit served to this input again (by *again*),
-        its scan counters credited to this input's alone meanwhile and
-        *shared* attached again after; the clock is read before each
-        frame is fetched."""
-        source = self.ctx.source
-        started = self.scan.clock()
-        own = _attached_counters(self.ctx)
-        try:
-            items, sizes, _hit = again()
-        finally:
-            if own is not None:
-                source.attach_scan_counters(shared)
-                self.counters.merge(own)
-        for items, sizes, _again in _cut(items, sizes, track):
-            yield from self.pairs(items, sizes, started)
-            started = self.scan.clock()
 
     def _observed(self, tuples):
         """*tuples* timed and counted as ``profile.observe`` times the

@@ -23,7 +23,6 @@ from __future__ import annotations
 from repro.algebra.rules import RewriteConfig
 from repro.compiler.pipeline import CompiledQuery, PlanCache, compile_stats
 from repro.data.catalog import CollectionCatalog, InMemorySource
-from repro.errors import ReproError
 from repro.hyracks.executor import PartitionedExecutor, QueryResult
 from repro.jsonlib.items import Item
 from repro.resilience.policies import ResilienceConfig
@@ -40,7 +39,10 @@ class JsonProcessor:
         :class:`~repro.data.catalog.CollectionCatalog`, an
         :class:`~repro.data.catalog.InMemorySource`, or anything
         implementing the protocol).  Optional for queries that only use
-        literals/constructors.  To inject faults (testing and chaos
+        literals/constructors.  It is read as it was built, never
+        changed: its scan mode and segment cache are its constructor's
+        (or ``from_directory``'s / ``in_memory``'s) ``scan_mode=`` and
+        ``segment_cache_dir=``.  To inject faults (testing and chaos
         experiments), pass ``plan.wrap(source)`` for a
         :class:`~repro.resilience.faults.FaultPlan` *plan*: besides data
         faults, it can kill workers (``kill_worker``) and stall
@@ -84,22 +86,6 @@ class JsonProcessor:
         :class:`~repro.errors.QueryTimeoutError` and releases every
         spill file on the way out.  ``None`` consults the
         ``REPRO_DEADLINE`` environment variable.
-    scan_mode:
-        How DATASCAN projects raw JSON: ``"ondemand"`` (single-pass
-        navigator, the default) or ``"text"`` (raw-text skipper, the
-        reference the navigator falls back to).  The two are
-        byte-identical in results, errors and degradation reports.
-        ``None`` leaves the source's own setting (which consults the
-        ``REPRO_SCAN_MODE`` environment variable).
-    segment_cache_dir:
-        Directory for the binary columnar segment cache; warm reruns of
-        an unchanged file × projection deserialize segments instead of
-        scanning JSON.  ``None`` leaves the source's own setting
-        (``REPRO_SEGMENT_CACHE`` environment variable); an empty string
-        disables the cache explicitly.  Cached segments detect file
-        changes by ``stat`` fingerprint (size, timestamps, inode);
-        :class:`~repro.service.QueryService` configures ``content``
-        fingerprints instead.
     cost:
         Cost-based join planning: when on and the source samples
         statistics (``stats_snapshot``), compilation runs the cost phase
@@ -121,20 +107,8 @@ class JsonProcessor:
         max_workers: int | None = None,
         spill_dir: str | None = None,
         deadline_seconds: float | None = None,
-        scan_mode: str | None = None,
-        segment_cache_dir: str | None = None,
         cost: bool | None = None,
     ):
-        if (
-            scan_mode is not None or segment_cache_dir is not None
-        ) and source is not None:
-            configure = getattr(source, "configure_scan", None)
-            if configure is None:
-                raise ReproError(
-                    "this data source does not support scan_mode/"
-                    "segment_cache_dir configuration"
-                )
-            configure(scan_mode=scan_mode, segment_cache_dir=segment_cache_dir)
         self.source = source
         self._closed = False
         self.rewrite = rewrite if rewrite is not None else RewriteConfig.all()
@@ -155,13 +129,18 @@ class JsonProcessor:
 
     @classmethod
     def from_directory(
-        cls, base_dir: str, on_malformed: str = "fail", **kwargs
+        cls,
+        base_dir: str,
+        on_malformed: str = "fail",
+        scan_mode: str | None = None,
+        segment_cache_dir: str | None = None,
+        **kwargs,
     ) -> "JsonProcessor":
-        """Processor over ``<base_dir>/<collection>/partition<i>/*.json``."""
-        return cls(
-            source=CollectionCatalog(base_dir, on_malformed=on_malformed),
-            **kwargs,
-        )
+        """Processor over ``<base_dir>/<collection>/partition<i>/*.json``;
+        the catalog is built with the source arguments, the processor
+        with *kwargs*."""
+        source = CollectionCatalog(base_dir, on_malformed, scan_mode, segment_cache_dir)
+        return cls(source=source, **kwargs)
 
     @classmethod
     def in_memory(
@@ -169,13 +148,16 @@ class JsonProcessor:
         collections: dict[str, list[list[str]]] | None = None,
         documents: dict[str, str] | None = None,
         on_malformed: str = "fail",
+        scan_mode: str | None = None,
+        segment_cache_dir: str | None = None,
         **kwargs,
     ) -> "JsonProcessor":
-        """Processor over in-memory JSON texts (tests, notebooks)."""
-        return cls(
-            source=InMemorySource(collections, documents, on_malformed=on_malformed),
-            **kwargs,
+        """Processor over in-memory JSON texts (tests, notebooks), built
+        as :meth:`from_directory` builds its own."""
+        source = InMemorySource(
+            collections, documents, on_malformed, scan_mode, segment_cache_dir
         )
+        return cls(source=source, **kwargs)
 
     # -- query API ---------------------------------------------------------------
 

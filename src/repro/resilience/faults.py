@@ -416,51 +416,32 @@ class FaultInjectingSource:
     record would be.  The executor reads the plan's other faults (spill
     writes, worker kills, stalls) from :attr:`plan`.
 
-    The wrapper reads through a shallow copy of *source* with a copy of
-    its segment cache, so the plan's cache-I/O hook, and the cache-off
-    state a permanent cache fault drives, stay with the wrapper: the
-    caller's source is never rewired.
+    The wrapper reads through its own copy of *source*
+    (:func:`copy.copy`: a catalog's copy has a copy of its segment
+    cache), so the plan's cache-I/O hook, and the cache-off state a
+    permanent cache fault drives, stay with the wrapper: the caller's
+    source is never rewired.  A copy of the wrapper is a fresh wrapper
+    of the same plan over a fresh copy of its source.
     """
 
     def __init__(self, plan: FaultPlan, source):
         self.plan = plan
         self._source = copy.copy(source)
-        cache = getattr(source, "segment_cache", None)
+        cache = self.segment_cache
         if cache is not None:
-            self._source.segment_cache = copy.copy(cache)
-        self._hook_segment_cache()
+            cache.fault_hook = plan.cache_io_attempt
+
+    def __copy__(self):
+        return FaultInjectingSource(self.plan, self._source)
 
     @property
     def on_malformed(self) -> str:
         return getattr(self._source, "on_malformed", "fail")
 
-    def configure_scan(
-        self, scan_mode=None, segment_cache_dir=None, fingerprint_mode=None
-    ) -> None:
-        """Delegate scan-mode/segment-cache configuration to the wrapper's
-        copy of the source.
-
-        Any segment cache the copy ends up with (including one just
-        built here) gets the plan's cache-I/O fault hook.
-        """
-        configure = getattr(self._source, "configure_scan", None)
-        if configure is not None:
-            configure(
-                scan_mode=scan_mode,
-                segment_cache_dir=segment_cache_dir,
-                fingerprint_mode=fingerprint_mode,
-            )
-        self._hook_segment_cache()
-
     @property
     def segment_cache(self):
         """The wrapper's segment cache (None when caching is off)."""
         return getattr(self._source, "segment_cache", None)
-
-    def _hook_segment_cache(self) -> None:
-        cache = self.segment_cache
-        if cache is not None:
-            cache.fault_hook = self.plan.cache_io_attempt
 
     # -- DataSource protocol ----------------------------------------------------
 

@@ -44,7 +44,8 @@ Around them:
 - **result cache** (optional): keyed by plan fingerprint × source
   fingerprints with file-change invalidation — see
   :mod:`repro.service.result_cache`.  Both the result cache and the
-  source's segment cache, however it was configured, use ``content``
+  segment cache the service reads through (a private copy of the
+  source's, the caller's source left as it was built) use ``content``
   fingerprints: a long-lived server must not serve stale bytes through
   the ``stat`` fingerprint's same-size rewrite window.
 
@@ -57,6 +58,7 @@ and the :class:`~repro.resilience.report.DegradationReport`.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import shutil
@@ -256,7 +258,11 @@ class QueryService:
     Parameters
     ----------
     source:
-        The shared data source (catalog) all queries run against.
+        The shared data source (catalog) all queries run against.  The
+        service never changes it: when it has a segment cache, the
+        service reads through one private copy (:func:`copy.copy`: the
+        same registrations and statistics, a copy of the cache) whose
+        cache fingerprints by ``content``.
     rewrite:
         Rewrite-toggle config applied to every query (default: all
         rules).  Part of the plan-cache key.  The cost phase runs as
@@ -281,10 +287,6 @@ class QueryService:
         result caching.  The result cache fingerprints sources by
         content (a long-lived server must detect same-size in-place
         rewrites).
-    segment_cache_dir:
-        When given, replaces the source's segment cache.  Whichever
-        segment cache the source then has uses ``content``
-        fingerprints.
     memory_budget_bytes / spill_dir / resilience:
         Per-query execution defaults, as on
         :class:`~repro.JsonProcessor`.
@@ -314,7 +316,6 @@ class QueryService:
         quotas: dict[str, TenantQuota] | None = None,
         plan_cache_size: int = PLAN_CACHE_CAPACITY,
         result_cache_size: int = 0,
-        segment_cache_dir: str | None = None,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
         resilience: ResilienceConfig | None = None,
@@ -345,6 +346,9 @@ class QueryService:
                 f"unknown service clock {clock!r}; "
                 f"expected one of {sorted(CLOCKS)}"
             )
+        if getattr(source, "segment_cache", None) is not None:
+            source = copy.copy(source)
+            source.segment_cache.fingerprint_mode = "content"
         self._source = source
         self._rewrite = rewrite if rewrite is not None else RewriteConfig.all()
         self._cost = resolve_cost_enabled()
@@ -352,11 +356,6 @@ class QueryService:
         self._memory_budget = memory_budget_bytes
         self._spill_dir = spill_dir
         self._max_workers = max_workers
-        configure = getattr(source, "configure_scan", None)
-        if configure is not None:
-            configure(
-                segment_cache_dir=segment_cache_dir, fingerprint_mode="content"
-            )
         self.default_quota = (
             default_quota if default_quota is not None else TenantQuota()
         )

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cache.config import SCAN_MODES
 from repro.data.catalog import CollectionCatalog, InMemorySource
-from repro.errors import FileScanError, ReproError
+from repro.errors import FileScanError
 from repro.jsonlib.path import parse_path
 from repro.jsonlib.textscan import ScanCounters
 from repro.processor import JsonProcessor
@@ -255,17 +255,6 @@ class TestProcessorIntegration:
                 )
         return JsonProcessor.from_directory(str(tmp_path / "data"), **kwargs)
 
-    def test_unsupported_source_rejected(self):
-        class Bare:
-            def read_collection(self, name, partition=None, report=None):
-                return []
-
-            def partition_count(self, name):
-                return 1
-
-        with pytest.raises(ReproError, match="scan_mode"):
-            JsonProcessor(source=Bare(), scan_mode="text")
-
     def test_projection_counters_identical_across_cache_states(
         self, tmp_path
     ):
@@ -303,12 +292,13 @@ class TestProcessorIntegration:
     def test_retried_partition_matches_uncached_run(self, tmp_path):
         self.processors(tmp_path).close()  # lays the data out
 
-        def run(**kwargs):
-            source = CollectionCatalog(str(tmp_path / "data"))
+        def run(segment_cache_dir=None):
+            source = CollectionCatalog(
+                str(tmp_path / "data"), segment_cache_dir=segment_cache_dir
+            )
             with JsonProcessor(
                 source=FaultPlan().fail_partition(0, times=1).wrap(source),
                 resilience=ResilienceConfig(max_attempts=3),
-                **kwargs,
             ) as p:
                 result = p.execute(Q0)
             return result.items, repr(result.degradation)

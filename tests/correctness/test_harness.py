@@ -17,7 +17,6 @@ from repro.correctness.harness import (
 )
 from repro.data.catalog import InMemorySource
 from repro.jsonlib.path import Path, ValueByKey
-from repro.processor import JsonProcessor
 
 
 class TestCanonicalResult:
@@ -63,21 +62,6 @@ class TestEagerNavigationSource:
         assert eager.read_collection("/c", 0) == inner.read_collection(
             "/c", 0
         )
-
-    def test_processor_scan_configuration_reaches_the_inner_source(
-        self, tmp_path
-    ):
-        inner = InMemorySource(collections={"/c": [['{"v": 1}']]})
-        processor = JsonProcessor(
-            EagerNavigationSource(inner),
-            scan_mode="text",
-            segment_cache_dir=str(tmp_path),
-        )
-        assert inner.scan_mode == "text"
-        assert inner.segment_cache.cache_dir == str(tmp_path)
-        assert processor.evaluate(
-            'for $r in collection("/c") return $r("v")'
-        ) == [1]
 
 
 class TestRunDiffcheck:

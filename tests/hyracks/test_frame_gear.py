@@ -74,7 +74,7 @@ class FrameSource:
         self.files, self.fail_after, self.fail = files, fail_after, fail
         if sized:
             self.scan_units = lambda name, path, partition, report: (
-                (list(rows), sizeof_rows(rows), None) for rows in self.files
+                (list(rows), sizeof_rows(rows)) for rows in self.files
             )
 
     def scan_collection(self, name, path, partition=None, report=None):

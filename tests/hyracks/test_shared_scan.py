@@ -6,7 +6,11 @@ partition once and hands every frame to the left input, then to the right
 The reference for everything a shared read shows is the same texts
 registered a second time, as ``/c2``, and joined with ``/c``: two reads,
 the left drained first.  The two runs must agree in items, scan and
-exchange accounting, memory peak, counter profile and errors.
+exchange accounting, memory peak, counter profile and errors.  Through a
+segment cache the reference's right input hits what its left one stored,
+while a self-join's right input shows the one read's cache counters, so
+there the profiles differ by those alone.  Every self-join reads once,
+whatever the cache's state.
 """
 
 import dataclasses
@@ -19,11 +23,13 @@ import repro.data.catalog as catalog
 import repro.hyracks.operators as physical
 from repro import (
     CollectionCatalog,
+    FaultPlan,
     JsonProcessor,
     SensorDataConfig,
     write_sensor_collection,
 )
 from repro.bench.queries import q2
+from repro.cache.segments import SegmentCache
 from repro.errors import FileScanError, ReproError
 
 BACKENDS = ["sequential", "process"]
@@ -78,8 +84,7 @@ def write_collection(base, partitions=2, files=2, rows=300, record=row, broken=(
 def make_catalog(directory, **options):
     """``/c`` and ``/c2`` over *directory*, with no segment cache unless
     *options* give one: a cache from the environment would serve
-    ``/c2`` what ``/c`` stored, and a self-join a unit again from the
-    segment its left read stored."""
+    ``/c2`` what ``/c`` stored."""
     options.setdefault("segment_cache_dir", "")
     source = CollectionCatalog(stats_sample=10_000, **options)
     source.register_directory("/c", directory)
@@ -133,6 +138,39 @@ def reads(monkeypatch, tmp_path):
     return take
 
 
+@pytest.fixture
+def scans_and_probes(monkeypatch, tmp_path):
+    """Log every unit a catalog scans (its scanner called) and every
+    segment probe (also in pool workers: patched before a pool forks);
+    returns a function taking ``(scans, probes)`` from the log."""
+    log = tmp_path / "scans.log"
+
+    def logged(kind, real):
+        def spy(*args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(kind + "\n")
+            return real(*args, **kwargs)
+
+        return spy
+
+    scanner = CollectionCatalog._scanner
+    monkeypatch.setattr(
+        CollectionCatalog, "_scanner",
+        lambda self, unit: logged("scan", scanner(self, unit)),
+    )
+    monkeypatch.setattr(
+        SegmentCache, "load_classified",
+        logged("probe", SegmentCache.load_classified),
+    )
+
+    def take():
+        kinds = log.read_text().split() if log.exists() else []
+        log.write_text("")
+        return kinds.count("scan"), kinds.count("probe")
+
+    return take
+
+
 def unit_files(directory):
     return sorted(
         os.path.join(root, name)
@@ -158,6 +196,38 @@ class TestOneRead:
         files = unit_files(base / "sensors")
         assert len(files) > 2
         assert reads() == files
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_q2_reads_once_on_every_cache_state(
+        self, backend, scans_and_probes, tmp_path
+    ):
+        base = tmp_path / "data"
+        write_sensor_collection(
+            str(base), "/sensors", 2, 8 * 1024,
+            SensorDataConfig(seed=5, stations=20, target_file_bytes=8 * 1024),
+        )
+        assert len(unit_files(base / "sensors")) == 2
+
+        def run(catalog):
+            with JsonProcessor(catalog, backend=backend, max_workers=2) as processor:
+                result = processor.execute(q2())
+            assert result.strategy == "hash-join"
+            return scans_and_probes()
+
+        cache = str(tmp_path / "cache")
+        seen = {"none": run(CollectionCatalog(str(base), segment_cache_dir=""))}
+        cached = CollectionCatalog(str(base), segment_cache_dir=cache)
+        seen["cold"] = run(cached)
+        seen["warm"] = run(cached)
+        off = CollectionCatalog(str(base), segment_cache_dir=cache)
+        off.segment_cache.disabled_reason = "turned off by I/O errors"
+        seen["off"] = run(off)
+        wrapped = CollectionCatalog(str(base), segment_cache_dir=str(tmp_path / "w"))
+        seen["fault-wrapped cold"] = run(FaultPlan().wrap(wrapped))
+        assert seen == {
+            "none": (2, 0), "cold": (2, 2), "warm": (0, 2), "off": (2, 0),
+            "fault-wrapped cold": (2, 2),
+        }
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("differ", ["collection", "projection"])
@@ -211,7 +281,7 @@ class TestAccounting:
             cold = self.run(directory, text, backend, segment_cache_dir=str(cache))
             warm = self.run(directory, text, backend, segment_cache_dir=str(cache))
             # one corrupt segment: a miss and a cold read for the left
-            # input, a hit on what it stored again for the right one
+            # input (and the right one, which shares it)
             segment = sorted(
                 os.path.join(root, file)
                 for root, _, files in os.walk(cache)
@@ -225,18 +295,33 @@ class TestAccounting:
                 handle.write(bytes([byte[0] ^ 0xFF]))
             corrupt = self.run(directory, text, backend, segment_cache_dir=str(cache))
             runs[name] = [observed(cold), observed(warm), observed(corrupt)]
-        assert runs["shared"] == runs["unshared"]
+        # The reference's right input hits what its left one stored; the
+        # shared read's right input shows the one read's counters.
+        for shared, unshared in zip(runs["shared"], runs["unshared"]):
+            for shown in ("items", "stats", "peak_memory_bytes", "degradation"):
+                assert shared[shown] == unshared[shown]
         cold, warm, corrupt = runs["shared"]
+        assert warm == runs["unshared"][1]
         counters = [
             [scan["counters"] for scan in find(run["profile"]["plan"], "DATASCAN")]
             for run in (cold, warm, corrupt)
         ]
-        assert [c.get("cache_misses", 0) for c in counters[0]] == [4, 0]
-        assert [c.get("cache_hits", 0) for c in counters[0]] == [0, 4]
+        for left, right in (counters[0], counters[2]):
+            assert {name: right.get(name) for name in SCAN_COUNTERS} == {
+                name: left.get(name) for name in SCAN_COUNTERS
+            }
+        assert [c.get("cache_misses", 0) for c in counters[0]] == [4, 4]
         assert [c.get("cache_hits", 0) for c in counters[1]] == [4, 4]
-        assert [c.get("cache_corrupt", 0) for c in counters[2]] == [1, 0]
-        assert [c.get("cache_hits", 0) for c in counters[2]] == [3, 4]
+        assert [c.get("cache_corrupt", 0) for c in counters[2]] == [1, 1]
+        assert [c.get("cache_hits", 0) for c in counters[2]] == [3, 3]
         assert corrupt["degradation"]["cache_events"][0]["kind"] == "corrupt"
+
+
+#: what a DATASCAN's profile counts of its read
+SCAN_COUNTERS = (
+    "projection_hits", "projection_skips", "tape_records", "tape_tokens",
+    "cache_hits", "cache_misses", "cache_corrupt",
+)
 
 
 def find(node: dict, operator: str) -> list:

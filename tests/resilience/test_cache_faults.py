@@ -17,7 +17,7 @@ RECORDS = 40
 QUERY = 'for $r in collection("/events") return $r("v")'
 
 
-def make_source():
+def make_source(segment_cache_dir=None):
     collections = {
         "/events": [
             [
@@ -28,7 +28,7 @@ def make_source():
             for p in range(PARTITIONS)
         ]
     }
-    return InMemorySource(collections)
+    return InMemorySource(collections, segment_cache_dir=segment_cache_dir)
 
 
 def expected_items():
@@ -63,15 +63,13 @@ class TestFaultPlanCacheIO:
             FaultPlan().fail_cache_io(operation="delete")
 
     def test_wrap_hooks_segment_cache(self, tmp_path):
-        source = make_source()
-        source.configure_scan(segment_cache_dir=str(tmp_path))
+        source = make_source(str(tmp_path))
         plan = FaultPlan().fail_cache_io(permanent=True)
         wrapped = plan.wrap(source)
         assert wrapped.segment_cache.fault_hook == plan.cache_io_attempt
 
     def test_hook_pickles_with_the_cache(self, tmp_path):
-        source = make_source()
-        source.configure_scan(segment_cache_dir=str(tmp_path))
+        source = make_source(str(tmp_path))
         plan = FaultPlan().fail_cache_io(permanent=True)
         wrapped = plan.wrap(source)
         clone = pickle.loads(pickle.dumps(wrapped.segment_cache))
@@ -81,9 +79,9 @@ class TestFaultPlanCacheIO:
 
 class TestDiskFullDegradesToCacheOff:
     def run_query(self, tmp_path, plan=None, backend=None):
+        source = make_source(str(tmp_path))
         processor = JsonProcessor(
-            source=make_source() if plan is None else plan.wrap(make_source()),
-            segment_cache_dir=str(tmp_path),
+            source=source if plan is None else plan.wrap(source),
             backend=backend,
         )
         try:
@@ -190,9 +188,7 @@ class TestWrappingLeavesTheCatalogAlone:
 class TestCorruptSegmentsDetected:
     def test_bit_flipped_segments_rescan_with_event(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        primer = JsonProcessor(
-            source=make_source(), segment_cache_dir=str(cache_dir)
-        )
+        primer = JsonProcessor(source=make_source(str(cache_dir)))
         try:
             warm = primer.execute(QUERY)
         finally:
@@ -208,9 +204,7 @@ class TestCorruptSegmentsDetected:
             raw[-1] ^= 0xFF
             path.write_bytes(bytes(raw))
 
-        reader = JsonProcessor(
-            source=make_source(), segment_cache_dir=str(cache_dir)
-        )
+        reader = JsonProcessor(source=make_source(str(cache_dir)))
         try:
             result = reader.execute(QUERY)
         finally:

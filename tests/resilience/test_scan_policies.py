@@ -243,7 +243,7 @@ class TestReportPerRead:
         streams = {
             name: chain.from_iterable(
                 items
-                for items, _sizes, _again in source.scan_units(
+                for items, _sizes in source.scan_units(
                     name, parse_path('("v")'), report=report
                 )
             )

@@ -10,6 +10,7 @@ import pytest
 from repro.data.catalog import CollectionCatalog
 from repro.errors import AdmissionError, QueryCancelledError, ReproError
 from repro.processor import JsonProcessor
+from repro.resilience.faults import FaultPlan
 from repro.service import QueryService, TenantQuota
 
 from tests.service.conftest import (
@@ -139,8 +140,8 @@ class TestResultCache:
 
 
 class TestSegmentCacheFingerprints:
-    """The service fingerprints segments by content whichever way the
-    source's segment cache was configured."""
+    """The service fingerprints segments by content, through its own copy
+    of the source's segment cache."""
 
     def test_a_same_size_rewrite_is_seen(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SEGMENT_CACHE", str(tmp_path / "segments"))
@@ -160,7 +161,7 @@ class TestSegmentCacheFingerprints:
         path = os.path.join(base, "s", "part.json")
         catalog = CollectionCatalog(base)
         with QueryService(catalog, backend="sequential") as service:
-            assert catalog.segment_cache.fingerprint_mode == "content"
+            assert catalog.segment_cache.fingerprint_mode == "stat"
             first = service.execute(FILTER_QUERY)
             before = os.stat(path)
             with open(path, encoding="utf-8") as handle:
@@ -170,6 +171,52 @@ class TestSegmentCacheFingerprints:
             os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
             second = service.execute(FILTER_QUERY)
         assert first.items and second.items == []
+
+
+def segment_files(directory) -> list:
+    if not os.path.isdir(directory):
+        return []
+    return sorted(name for name in os.listdir(directory) if name.endswith(".seg"))
+
+
+class TestTheSourceStaysAsBuilt:
+    """A processor or a service reads the source it is handed as that
+    source was built: its scan mode, its segment cache object and that
+    cache's ``stat`` fingerprints stay, so a processor built on it
+    earlier stores the segments a control catalog stores, where its own
+    cache says."""
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["catalog", "fault-wrapped"])
+    def test_neither_a_processor_nor_a_service_rewires_it(self, tmp_path, wrapped):
+        base = TestResultCache().make_base(tmp_path, make_rows(20))
+        cache_dir = tmp_path / "segments"
+        catalog = CollectionCatalog(
+            base, scan_mode="text", segment_cache_dir=str(cache_dir)
+        )
+        source = FaultPlan().wrap(catalog) if wrapped else catalog
+        cache = source.segment_cache
+        earlier = JsonProcessor(source, backend="sequential")
+        with JsonProcessor(source, backend="sequential") as processor:
+            expected = processor.evaluate(FILTER_QUERY)
+        with QueryService(source, backend="sequential") as service:
+            assert service.execute(FILTER_QUERY).items == expected
+        for held in (catalog, source):
+            assert held.segment_cache.fingerprint_mode == "stat"
+        assert catalog.scan_mode == "text"
+        assert source.segment_cache is cache
+
+        control_dir = tmp_path / "control"
+        control = CollectionCatalog(
+            base, scan_mode="text", segment_cache_dir=str(control_dir)
+        )
+        with JsonProcessor(control, backend="sequential") as processor:
+            assert processor.evaluate(FILTER_QUERY) == expected
+        for name in segment_files(cache_dir):
+            os.unlink(cache_dir / name)
+        with earlier:
+            assert earlier.evaluate(FILTER_QUERY) == expected
+        assert segment_files(cache_dir) == segment_files(control_dir)
+        assert len(segment_files(control_dir)) == 1
 
 
 class TestCancellation:

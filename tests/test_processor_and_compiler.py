@@ -28,13 +28,15 @@ GROUP = (
 )
 
 
-def rows_source(collections, partitions=1):
+def rows_source(collections, partitions=1, segment_cache_dir=None):
     """In-memory collections, each partition one JSON array of rows."""
     data = {}
     for name, rows in collections.items():
         parts = [rows[index::partitions] for index in range(partitions)]
         data[name] = [[json.dumps(part)] for part in parts]
-    return InMemorySource(data, stats_sample=10_000)
+    return InMemorySource(
+        data, segment_cache_dir=segment_cache_dir, stats_sample=10_000
+    )
 
 
 @pytest.fixture
@@ -207,8 +209,10 @@ class TestPlanCache:
         part = tmp_path / "big" / "partition0"
         part.mkdir(parents=True)
         (part / "a.json").write_text(json.dumps(BIG), encoding="utf-8")
-        catalog = CollectionCatalog(str(tmp_path), stats_sample=10_000)
-        processor = JsonProcessor(catalog, cost=True, segment_cache_dir="")
+        catalog = CollectionCatalog(
+            str(tmp_path), segment_cache_dir="", stats_sample=10_000
+        )
+        processor = JsonProcessor(catalog, cost=True)
         assert processor.evaluate(GROUP)
         (part / "a.json").write_text(json.dumps(BIG * 2), encoding="utf-8")
         # sampled statistics are kept until refreshed: still a hit
@@ -262,7 +266,9 @@ class TestPlanCache:
     @pytest.mark.parametrize("query", [JOIN, GROUP], ids=["join", "group"])
     @pytest.mark.parametrize("backend", ["sequential", "process"])
     def test_a_hit_answers_like_a_miss(self, backend, query):
-        source = rows_source({"/tiny": TINY, "/big": BIG}, partitions=2)
+        source = rows_source(
+            {"/tiny": TINY, "/big": BIG}, partitions=2, segment_cache_dir=""
+        )
 
         def payload(result):
             return json.dumps(
@@ -281,7 +287,6 @@ class TestPlanCache:
             backend=backend,
             max_workers=2,
             cost=True,
-            segment_cache_dir="",
         ) as processor:
             miss = processor.execute(query, profile="counter")
             hit = processor.execute(query, profile="counter")

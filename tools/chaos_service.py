@@ -85,14 +85,13 @@ def build_data(root: str) -> str:
 
 
 def make_service(data_dir, backend, cache_dir=None, plan=None, **kwargs):
-    source = CollectionCatalog(data_dir)
+    source = CollectionCatalog(data_dir, segment_cache_dir=cache_dir)
     if plan is not None:
         source = plan.wrap(source)
     kwargs.setdefault("max_concurrent_queries", 1)
     return QueryService(
         source,
         backend=backend,
-        segment_cache_dir=cache_dir,
         result_cache_size=0,
         **kwargs,
     )

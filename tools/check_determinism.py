@@ -22,10 +22,12 @@ groups to disk.  An ORDER BY on two keys, the first descending, and a
 non-equi self-join of ``/keys``, which runs as a nested loop, are
 replayed under a budget that sorts runs to disk and sends the join's
 inner side to run files.  Every spilling replay carries spill events,
-run files and recursion depth in its payload.  A date filter of Q0's
-shape (``dateTime(data($r("date")))`` and three accessor conjuncts)
-runs over ``/dates``, whose homogeneous date columns the column
-kernels take in bulk; one partition's column mixes in a null, so the
+run files and recursion depth in its payload.  The self-join scenario
+also runs through a fresh segment cache of its own, cold and then warm,
+and both payloads must equal its payload through no cache.  A date
+filter of Q0's shape (``dateTime(data($r("date")))`` and three
+accessor conjuncts) runs over ``/dates``, whose homogeneous date
+columns the column kernels take in bulk; one partition's column mixes in a null, so the
 kernels go row by row there, and another's a null and a number, which
 fails that partition with the query's own type error: it is not
 retried, and is skipped after one attempt.  Exits non-zero on any
@@ -49,6 +51,8 @@ import argparse
 import difflib
 import json
 import sys
+import tempfile
+from functools import partial
 
 from repro import (
     FaultPlan,
@@ -125,7 +129,11 @@ GROUP_ROWS_PER_LINE = 10
 
 
 def make_source(
-    on_malformed: str, keys: bool = False, groups: bool = False, dates: bool = False
+    on_malformed: str,
+    keys: bool = False,
+    groups: bool = False,
+    dates: bool = False,
+    segment_cache_dir: str | None = None,
 ) -> InMemorySource:
     """``/events``, and with *keys* the join's other side ``/keys``: per
     partition, keys that unify with an event's ``v + 1`` (every third a
@@ -136,7 +144,8 @@ def make_source(
     rows to a line.  With *dates*, ``/dates``: per partition ``RECORDS``
     rows over the ``DATES`` timestamps, as many to a line; partition 1
     has a null date, and partition 3 a null and a number, which
-    ``dateTime`` rejects."""
+    ``dateTime`` rejects.  *segment_cache_dir* is the source's segment
+    cache (None: ``REPRO_SEGMENT_CACHE``; empty: none)."""
     collections = {
         "/events": [
             ["\n".join(json.dumps({"v": p * 1000 + i}) for i in range(RECORDS))]
@@ -183,7 +192,9 @@ def make_source(
             rows += [{"w": p}, {"v": None}]
             rows += [{"v": 5, "w": i} for i in range(HOT_ROWS)]
             collections["/keys"].append(["\n".join(map(json.dumps, rows))])
-    return InMemorySource(collections, on_malformed=on_malformed)
+    return InMemorySource(
+        collections, on_malformed=on_malformed, segment_cache_dir=segment_cache_dir
+    )
 
 
 def scenario_retry_and_corruption(seed: int):
@@ -216,12 +227,13 @@ def scenario_join_exchange(seed: int):
     return make_source("skip_record", keys=True), plan, config, JOIN_QUERY
 
 
-def scenario_self_join_exchange(seed: int):
+def scenario_self_join_exchange(seed: int, segment_cache_dir: str | None = None):
     plan = FaultPlan(seed=seed)
     plan.fail_partition(2, times=1)
     plan.corrupt_records(0, fraction=0.02)
     config = ResilienceConfig(max_attempts=3)
-    return make_source("skip_record"), plan, config, SELF_JOIN_QUERY
+    source = make_source("skip_record", segment_cache_dir=segment_cache_dir)
+    return source, plan, config, SELF_JOIN_QUERY
 
 
 def scenario_group_by(function: str):
@@ -286,6 +298,8 @@ SPILL_BUDGETS = {
     "order-by+retry+corruption": MATERIALIZE_BUDGET,
     "nested-loop-join+retry+corruption": MATERIALIZE_BUDGET,
 }
+#: the scenario replayed once more through a segment cache of its own
+CACHED_REPLAY = "self-join-exchange+retry+corruption"
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +405,23 @@ def describe(result, budget: int | None, chaos: bool) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def replay_cached(factory) -> int:
+    """Mismatches of *factory*'s scenario run through a fresh segment
+    cache of its own, cold and then warm, against its run through none."""
+    uncached, _ = run_once(partial(factory, segment_cache_dir=""), seed=7)
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="repro-determinism-cache-") as cache_dir:
+        for state in ("cold", "warm"):
+            replay, _ = run_once(partial(factory, segment_cache_dir=cache_dir), seed=7)
+            failures += differ(
+                f"{CACHED_REPLAY} [{state} segment cache vs none]",
+                uncached,
+                replay,
+                ("uncached", state),
+            )
+    return failures
+
+
 def differ(label: str, first: str, second: str, names) -> bool:
     """Print the verdict (and the head of the diff); True on a mismatch."""
     if first == second:
@@ -426,6 +457,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.chaos:
             continue
+        if name == CACHED_REPLAY:
+            failures += replay_cached(factory)
         # the joins, the GROUP-BYs and the ORDER BY are replayed once
         # more, spilling
         budgets = (None, SPILL_BUDGETS[name]) if name in SPILL_BUDGETS else (None,)
