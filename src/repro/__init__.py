@@ -66,11 +66,9 @@ from repro.resilience import (
     ResilienceConfig,
 )
 from repro.service import (
-    QueryRetryEvent,
     QueryService,
     QueryTicket,
     ServiceResponse,
-    SlotRestartEvent,
     TenantQuota,
 )
 
@@ -95,7 +93,6 @@ __all__ = [
     "QueryDeadline",
     "QueryProfile",
     "QueryResult",
-    "QueryRetryEvent",
     "QueryService",
     "QueryTicket",
     "QueryTimeoutError",
@@ -111,7 +108,6 @@ __all__ = [
     "SequentialBackend",
     "ServiceResponse",
     "SlotFailureError",
-    "SlotRestartEvent",
     "SpillError",
     "TenantQuota",
     "resolve_scan_mode",

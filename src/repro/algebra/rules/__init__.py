@@ -27,19 +27,12 @@ class RewriteConfig:
     +pipelining → +group-by); ``two_step_aggregation`` is the
     partition-local/global aggregation scheme the group-by section
     enables, honored by the physical compiler.
-
-    ``validate`` wires the plan invariant validator
-    (:func:`repro.correctness.validator.validate_plan`) into the rule
-    engine so every rule fire is checked; it is on by default and only
-    meant to be disabled by tests that construct deliberately broken
-    plans.
     """
 
     path: bool = True
     pipelining: bool = True
     groupby: bool = True
     two_step_aggregation: bool = True
-    validate: bool = True
 
     @classmethod
     def none(cls) -> "RewriteConfig":
@@ -97,9 +90,12 @@ TOGGLE_CONFIGS: dict[str, RewriteConfig] = {
 
 
 def rule_pipeline(config: RewriteConfig) -> RuleEngine:
-    """Build the rule engine for *config*."""
+    """Build the rule engine for *config*, with the plan invariant
+    validator (:func:`repro.correctness.validator.validate_plan`)
+    checking the translated plan and every rule fire."""
     from repro.algebra.rules import builtin, groupby_rules, path_rules
     from repro.algebra.rules import pipelining_rules
+    from repro.correctness.validator import validate_plan
 
     rules: list[RewriteRule] = []
     if config.path:
@@ -109,12 +105,7 @@ def rule_pipeline(config: RewriteConfig) -> RuleEngine:
     if config.groupby:
         rules.extend(groupby_rules.GROUPBY_RULES)
     rules.extend(builtin.BUILTIN_RULES)
-    validator = None
-    if config.validate:
-        from repro.correctness.validator import validate_plan
-
-        validator = validate_plan
-    return RuleEngine(rules, validator=validator)
+    return RuleEngine(rules, validator=validate_plan)
 
 
 __all__ = [

@@ -9,7 +9,8 @@ and for the before/after experiments.
 As in VXQuery, a query is compiled once and the compiled job is run
 many times: :class:`PlanCache` is the LRU that
 :class:`~repro.JsonProcessor` and the query service both compile
-through.
+through.  :class:`LRUCache` is the one thread-safe LRU it is built on;
+the service's result cache is one too.
 """
 
 from __future__ import annotations
@@ -125,26 +126,16 @@ def compile_stats(source, cost: bool):
     return snapshot() if snapshot is not None else None
 
 
-class PlanCache:
-    """Thread-safe LRU over ``(query text, RewriteConfig, stats
-    fingerprint) -> CompiledQuery``.
+class LRUCache:
+    """A thread-safe LRU with hit, miss and eviction counters.
 
-    :func:`compile_query` is pure — parse, translate, the rewrite
-    fixpoint and the cost phase depend only on the text, the rewrite
-    config and the statistics snapshot — so that triple is the key: a
-    :class:`RewriteConfig` is a frozen dataclass and a snapshot adds its
-    fingerprint (None when there are no statistics).  Refreshed or
-    re-registered statistics change the fingerprint, so no caller is
-    ever served a plan costed against stale statistics.  A text that
-    fails to compile raises and leaves no entry.
-
-    A compiled query is shared and read-only at execution time (the
-    same contract that lets the process backend pickle one plan into
-    many workers), so one entry serves any number of queries, on any
-    thread.
+    :meth:`get` counts a hit or a miss, :meth:`put` stores (nothing at
+    capacity 0) and evicts the least recently used entries past
+    ``capacity``.  The plan cache and the service's result cache are
+    both one of these.
     """
 
-    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity!r}")
         self.capacity = capacity
@@ -154,34 +145,33 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
 
-    def get_or_compile(
-        self, text: str, config: RewriteConfig, stats=None
-    ) -> tuple[CompiledQuery, bool]:
-        """Return ``(compiled, was_hit)`` for *text* under *config*.
+    def _hit_locked(self, key):
+        """The entry under *key*, counted as a hit, or None."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+        return entry
 
-        *stats* (a :class:`~repro.stats.sampling.StatsSnapshot`, or
-        None) feeds the cost phase; its fingerprint is part of the
-        cache key so refreshed statistics always recompile.
-        """
-        key = (text, config, stats.fingerprint() if stats else None)
+    def _store_locked(self, key, value) -> None:
+        if not self.capacity:
+            return
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def get(self, key):
         with self._lock:
-            compiled = self._entries.get(key)
-            if compiled is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return compiled, True
-        # Compile outside the lock: compilation is pure, so two threads
-        # racing the same cold key at worst compile twice and store the
-        # same plan — far better than serializing every compilation.
-        compiled = compile_query(text, config, stats=stats)
+            entry = self._hit_locked(key)
+            if entry is None:
+                self.misses += 1
+            return entry
+
+    def put(self, key, value) -> None:
         with self._lock:
-            self.misses += 1
-            if self.capacity and key not in self._entries:
-                self._entries[key] = compiled
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-        return compiled, False
+            self._store_locked(key, value)
 
     def clear(self) -> None:
         with self._lock:
@@ -200,3 +190,49 @@ class PlanCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
+
+
+class PlanCache(LRUCache):
+    """An :class:`LRUCache` over ``(query text, RewriteConfig, stats
+    fingerprint) -> CompiledQuery``.
+
+    :func:`compile_query` is pure — parse, translate, the rewrite
+    fixpoint and the cost phase depend only on the text, the rewrite
+    config and the statistics snapshot — so that triple is the key: a
+    :class:`RewriteConfig` is a frozen dataclass and a snapshot adds its
+    fingerprint (None when there are no statistics).  Refreshed or
+    re-registered statistics change the fingerprint, so no caller is
+    ever served a plan costed against stale statistics.  A text that
+    fails to compile raises, counts no miss and leaves no entry.
+
+    A compiled query is shared and read-only at execution time (the
+    same contract that lets the process backend pickle one plan into
+    many workers), so one entry serves any number of queries, on any
+    thread.
+    """
+
+    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
+        super().__init__(capacity)
+
+    def get_or_compile(
+        self, text: str, config: RewriteConfig, stats=None
+    ) -> tuple[CompiledQuery, bool]:
+        """Return ``(compiled, was_hit)`` for *text* under *config*.
+
+        *stats* (a :class:`~repro.stats.sampling.StatsSnapshot`, or
+        None) feeds the cost phase; its fingerprint is part of the
+        cache key so refreshed statistics always recompile.
+        """
+        key = (text, config, stats.fingerprint() if stats else None)
+        with self._lock:
+            compiled = self._hit_locked(key)
+        if compiled is not None:
+            return compiled, True
+        # Compile outside the lock: compilation is pure, so two threads
+        # racing the same cold key at worst compile twice and store the
+        # same plan — far better than serializing every compilation.
+        compiled = compile_query(text, config, stats=stats)
+        with self._lock:
+            self.misses += 1
+            self._store_locked(key, compiled)
+        return compiled, False

@@ -229,8 +229,7 @@ class PartitionedExecutor:
         process may run on); must be positive.
     spill_dir:
         Root directory for spill run files (default: ``REPRO_SPILL_DIR``
-        or the system temp dir), or a
-        :class:`~repro.hyracks.spill.SpillConfig` for full control.
+        or the system temp dir).
     deadline_seconds:
         Per-query deadline; a query running past it raises a
         :class:`~repro.errors.QueryTimeoutError`.  ``None`` consults the

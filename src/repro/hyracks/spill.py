@@ -74,6 +74,16 @@ SPILL_DIR_ENV_VAR = "REPRO_SPILL_DIR"
 #: entry after emission, importing it from here)
 GROUP_ENTRY_BYTES = 96
 
+#: bytes of records a run file batches into one disk write
+FRAME_BYTES = DEFAULT_FRAME_BYTES
+
+#: bucket runs one split of a GROUP-BY table or of each join side opens
+FANOUT = 8
+
+#: how deep an overflowing bucket may split again before it is forced
+#: into memory
+MAX_RECURSION = 6
+
 
 def estimate_record_bytes(record) -> int:
     """Rough in-memory size of an arbitrary spill record.
@@ -132,7 +142,7 @@ def new_query_scope() -> str:
 
 @dataclass(frozen=True)
 class SpillConfig:
-    """How spilling operators write and recurse.
+    """Where spilling operators write their run files.
 
     Picklable (it rides inside process-pool work units).  ``directory``
     is the *root* under which each attempt makes its own temp dir;
@@ -153,9 +163,6 @@ class SpillConfig:
     """
 
     directory: str | None = None
-    frame_bytes: int = DEFAULT_FRAME_BYTES
-    fanout: int = 8
-    max_recursion: int = 6
     scope: str | None = None
 
     def root_directory(self) -> str:
@@ -179,10 +186,8 @@ class SpillConfig:
         return os.path.join(self.root_directory(), f"repro-spill-q{self.scope}")
 
 
-def resolve_spill_config(spill_dir=None) -> SpillConfig:
-    """Normalize a ``spill_dir`` argument into a :class:`SpillConfig`."""
-    if isinstance(spill_dir, SpillConfig):
-        return spill_dir
+def resolve_spill_config(spill_dir: str | None = None) -> SpillConfig:
+    """The :class:`SpillConfig` of a ``spill_dir`` argument."""
     return SpillConfig(directory=spill_dir)
 
 
@@ -252,7 +257,7 @@ class RunWriter:
         self._records = 0
         self._batch: list = []
         self._batch_bytes = 0
-        self._frame_bytes = manager.config.frame_bytes
+        self._frame_bytes = FRAME_BYTES
         self.closed = False
         try:
             self._file = open(path, "wb")
@@ -447,12 +452,10 @@ def _spill_event(ctx, op, files: int) -> None:
 
 
 def _bucket_runs(spill: "SpillManager", label: str, depth: int) -> list:
-    """Open the ``fanout`` bucket runs of one split at *depth*
+    """Open the :data:`FANOUT` bucket runs of one split at *depth*
     (``group-b3`` at depth 0, ``group-d2-b3`` below)."""
     prefix = label if depth == 0 else f"{label}-d{depth}"
-    return [
-        spill.new_run(f"{prefix}-b{b}") for b in range(spill.config.fanout)
-    ]
+    return [spill.new_run(f"{prefix}-b{b}") for b in range(FANOUT)]
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +571,7 @@ def fold_group_table(op, source: Iterable, ctx) -> tuple[GroupStates, dict]:
         nonlocal writers
         if not table:
             return
-        fanout = ctx.spill.config.fanout
-        _spill_event(ctx, op, fanout if writers is None else 0)
+        _spill_event(ctx, op, FANOUT if writers is None else 0)
         if writers is None:
             writers = _bucket_runs(ctx.spill, "group", 0)
         _shed_groups(table, aggregates, writers, 0, ctx)
@@ -646,7 +648,6 @@ def _merge_group_bucket(handle, aggregates, ctx, op, depth: int, entries: list):
     limits = ctx.limits
     spill = ctx.spill
     memory = ctx.memory
-    fanout = spill.config.fanout
     spill.note_recursion(depth)
     table: dict = {}
     writers: list[RunWriter] | None = None
@@ -656,18 +657,18 @@ def _merge_group_bucket(handle, aggregates, ctx, op, depth: int, entries: list):
             limits.checkpoint()
         key, key_values, partials, first_seq = record
         if writers is not None:
-            writers[stable_bucket(key, fanout, salt=depth)].write(record)
+            writers[stable_bucket(key, FANOUT, salt=depth)].write(record)
             continue
         state = table.get(key)
         if state is None:
             if memory is not None and not memory.try_allocate(
                 GROUP_ENTRY_BYTES
             ):
-                if table and depth < spill.config.max_recursion:
-                    _spill_event(ctx, op, fanout)
+                if table and depth < MAX_RECURSION:
+                    _spill_event(ctx, op, FANOUT)
                     writers = _bucket_runs(spill, "group", depth)
                     _shed_groups(table, aggregates, writers, depth, ctx)
-                    writers[stable_bucket(key, fanout, salt=depth)].write(
+                    writers[stable_bucket(key, FANOUT, salt=depth)].write(
                         record
                     )
                     continue
@@ -741,23 +742,22 @@ def _split_join(
     """
     limits = ctx.limits
     spill = ctx.spill
-    fanout = spill.config.fanout
-    _spill_event(ctx, op, 2 * fanout)
+    _spill_event(ctx, op, 2 * FANOUT)
 
     build_writers = _bucket_runs(spill, "join-build", depth)
     for key, rows in table.items():
-        bucket = build_writers[stable_bucket(key, fanout, salt=depth)]
+        bucket = build_writers[stable_bucket(key, FANOUT, salt=depth)]
         for tup in rows:
             bucket.write((key, tup))
     ctx.release(charged)
     table.clear()
     for key, tup in extra:
-        build_writers[stable_bucket(key, fanout, salt=depth)].write((key, tup))
+        build_writers[stable_bucket(key, FANOUT, salt=depth)].write((key, tup))
     for key, tup in rest:
         if limits is not None:
             limits.checkpoint()
         if key is not None:
-            build_writers[stable_bucket(key, fanout, salt=depth)].write(
+            build_writers[stable_bucket(key, FANOUT, salt=depth)].write(
                 (key, tup)
             )
     build_handles = [writer.finish() for writer in build_writers]
@@ -767,7 +767,7 @@ def _split_join(
         if limits is not None:
             limits.checkpoint()
         if key is not None:
-            probe_writers[stable_bucket(key, fanout, salt=depth)].write(
+            probe_writers[stable_bucket(key, FANOUT, salt=depth)].write(
                 (seq, key, tup)
             )
     probe_handles = [writer.finish() for writer in probe_writers]
@@ -796,7 +796,7 @@ def _join_bucket(build_handle, probe_handle, residual, ctx, op, depth, out):
             limits.checkpoint()
         n_bytes = sizeof_tuple(tup)
         if memory is not None and not memory.try_allocate(n_bytes):
-            if table and depth < spill.config.max_recursion:
+            if table and depth < MAX_RECURSION:
                 _split_join(
                     table, charged, [(key, tup)], build, probe_handle,
                     depth, residual, ctx, op, out,

@@ -52,19 +52,39 @@ class CorruptRecordError(JsonSyntaxError):
 
 
 @dataclass
-class PartitionFault:
-    """One partition's injected failure behaviour."""
+class CountedFault:
+    """A fault on counted attempts: a partition's scans, a partition's
+    spill writes, or segment-cache I/O.
 
-    partition: int
-    collection: str | None  # None matches any collection
+    The first ``failures`` attempts raise (every attempt when
+    ``permanent``).  ``partition``, ``collection`` and ``operation``
+    (``"store"`` | ``"load"``) say which attempts it matches; None
+    matches any.
+    """
+
     permanent: bool
     failures: int  # attempts that fail (ignored when permanent)
     message: str
+    partition: int | None = None
+    collection: str | None = None
+    operation: str | None = None
 
-    def matches(self, collection: str, partition: int) -> bool:
-        if self.partition != partition:
-            return False
-        return self.collection is None or self.collection == collection
+    def matches(self, collection, partition, operation=None) -> bool:
+        return (
+            self.collection in (None, collection)
+            and self.partition in (None, partition)
+            and self.operation in (None, operation)
+        )
+
+
+def _fault_error(message: str, permanent: bool) -> Exception:
+    """The error a scan or spill-write fault raises."""
+    return (PermanentFaultError if permanent else TransientFaultError)(message)
+
+
+def _disk_full(message: str, permanent: bool) -> Exception:
+    """The error a segment-cache fault raises: a full disk."""
+    return OSError(errno.ENOSPC, message)
 
 
 @dataclass
@@ -79,33 +99,6 @@ class CorruptionFault:
         if self.partition != partition:
             return False
         return self.collection is None or self.collection == collection
-
-
-@dataclass
-class SpillFault:
-    """One partition's spill writes fail (transiently or permanently)."""
-
-    partition: int
-    permanent: bool
-    failures: int  # spill writes that fail (ignored when permanent)
-    message: str
-
-
-@dataclass
-class CacheIOFault:
-    """Segment-cache I/O operations fail (transiently or permanently).
-
-    ``operation`` of ``None`` matches both stores and loads; the
-    injected error is a real :class:`OSError` with ``errno.ENOSPC``, so
-    the cache layer exercises exactly the code path a full disk takes
-    (skip the store / miss the load, count the failure, and turn the
-    cache off after its consecutive-error budget).
-    """
-
-    operation: str | None  # "store" | "load" | None = both
-    permanent: bool
-    failures: int  # cache I/O attempts that fail (ignored when permanent)
-    message: str
 
 
 @dataclass
@@ -146,10 +139,10 @@ class FaultPlan:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._failures: list[PartitionFault] = []
+        self._failures: list[CountedFault] = []
         self._corruptions: list[CorruptionFault] = []
-        self._spill_faults: list[SpillFault] = []
-        self._cache_faults: list[CacheIOFault] = []
+        self._spill_faults: list[CountedFault] = []
+        self._cache_faults: list[CountedFault] = []
         self._kills: list[KillFault] = []
         self._stalls: list[StallFault] = []
         self._attempts: dict[tuple[str, int], int] = {}
@@ -168,13 +161,11 @@ class FaultPlan:
         if message is None:
             kind = "permanent" if permanent else "transient"
             message = f"injected {kind} fault on partition {partition}"
+        if collection is not None:
+            collection = _normalize(collection)
         self._failures.append(
-            PartitionFault(
-                partition,
-                None if collection is None else _normalize(collection),
-                permanent,
-                times,
-                message,
+            CountedFault(
+                permanent, times, message, partition, collection=collection
             )
         )
         return self
@@ -197,7 +188,7 @@ class FaultPlan:
             kind = "permanent" if permanent else "transient"
             message = f"injected {kind} spill-write fault on partition {partition}"
         self._spill_faults.append(
-            SpillFault(partition, permanent, times, message)
+            CountedFault(permanent, times, message, partition)
         )
         return self
 
@@ -209,6 +200,9 @@ class FaultPlan:
         message: str | None = None,
     ) -> "FaultPlan":
         """Make the first *times* segment-cache I/O attempts fail (or all).
+
+        ``operation`` (``"store"`` | ``"load"``) limits the fault to one
+        kind of I/O; ``None`` fails both.
 
         ``wrap()`` hooks it into the wrapper's own copy of the wrapped
         source's ``segment_cache`` (the caller's cache is left alone);
@@ -231,7 +225,7 @@ class FaultPlan:
             what = operation or "i/o"
             message = f"injected {kind} cache {what} fault"
         self._cache_faults.append(
-            CacheIOFault(operation, permanent, times, message)
+            CountedFault(permanent, times, message, operation=operation)
         )
         return self
 
@@ -294,6 +288,20 @@ class FaultPlan:
 
     # -- injection hooks --------------------------------------------------------
 
+    def _count_attempt(self, key, faults, label: str, error) -> None:
+        """Count one attempt under *key*; raise ``error(message,
+        permanent)`` for the first of *faults* that is due."""
+        attempt = self._attempts.get(key, 0) + 1
+        self._attempts[key] = attempt
+        for fault in faults:
+            if fault.permanent:
+                raise error(fault.message, True)
+            if attempt <= fault.failures:
+                raise error(
+                    f"{fault.message} ({label} {attempt} of {fault.failures})",
+                    False,
+                )
+
     def begin_attempt(self, collection: str, partition: int | None) -> None:
         """Count an attempt on (collection, partition); raise if a fault is due.
 
@@ -303,18 +311,12 @@ class FaultPlan:
         if partition is None:
             return
         collection = _normalize(collection)
-        key = (collection, partition)
-        attempt = self._attempts.get(key, 0) + 1
-        self._attempts[key] = attempt
-        for fault in self._failures:
-            if not fault.matches(collection, partition):
-                continue
-            if fault.permanent:
-                raise PermanentFaultError(fault.message)
-            if attempt <= fault.failures:
-                raise TransientFaultError(
-                    f"{fault.message} (attempt {attempt} of {fault.failures})"
-                )
+        self._count_attempt(
+            (collection, partition),
+            (f for f in self._failures if f.matches(collection, partition)),
+            "attempt",
+            _fault_error,
+        )
 
     def should_corrupt(
         self, collection: str, partition: int | None, index: int
@@ -340,18 +342,12 @@ class FaultPlan:
         """Count one spill write on *partition*; raise if a fault is due."""
         if partition is None or not self._spill_faults:
             return
-        key = ("__spill__", partition)
-        attempt = self._attempts.get(key, 0) + 1
-        self._attempts[key] = attempt
-        for fault in self._spill_faults:
-            if fault.partition != partition:
-                continue
-            if fault.permanent:
-                raise PermanentFaultError(fault.message)
-            if attempt <= fault.failures:
-                raise TransientFaultError(
-                    f"{fault.message} (spill write {attempt} of {fault.failures})"
-                )
+        self._count_attempt(
+            ("__spill__", partition),
+            (f for f in self._spill_faults if f.matches(None, partition)),
+            "spill write",
+            _fault_error,
+        )
 
     def cache_io_attempt(self, operation: str = "store") -> None:
         """Count one segment-cache I/O; raise ``OSError`` if a fault is due.
@@ -361,19 +357,13 @@ class FaultPlan:
         """
         if not self._cache_faults:
             return
-        key = ("__cache_io__", 0)
-        attempt = self._attempts.get(key, 0) + 1
-        self._attempts[key] = attempt
-        for fault in self._cache_faults:
-            if fault.operation is not None and fault.operation != operation:
-                continue
-            if fault.permanent:
-                raise OSError(errno.ENOSPC, fault.message)
-            if attempt <= fault.failures:
-                raise OSError(
-                    errno.ENOSPC,
-                    f"{fault.message} (cache i/o {attempt} of {fault.failures})",
-                )
+        self._count_attempt(
+            ("__cache_io__", 0),
+            (f for f in self._cache_faults
+             if f.matches(None, None, operation)),
+            "cache i/o",
+            _disk_full,
+        )
 
     def worker_kill_message(
         self, partition: int | None, attempt: int

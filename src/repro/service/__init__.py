@@ -3,7 +3,6 @@
 from repro.compiler.pipeline import PlanCache
 from repro.errors import AdmissionError, SlotFailureError
 from repro.service.admission import TenantQuota
-from repro.service.events import QueryRetryEvent, SlotRestartEvent
 from repro.service.result_cache import (
     CachedResult,
     ResultCache,
@@ -15,13 +14,11 @@ __all__ = [
     "AdmissionError",
     "CachedResult",
     "PlanCache",
-    "QueryRetryEvent",
     "QueryService",
     "QueryTicket",
     "ResultCache",
     "ServiceResponse",
     "SlotFailureError",
-    "SlotRestartEvent",
     "TenantQuota",
     "source_fingerprints",
 ]

@@ -25,11 +25,10 @@ contract (like the segment cache's) is that results are read-only.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.cache.config import validate_fingerprint_mode
+from repro.compiler.pipeline import LRUCache
 
 
 def source_fingerprints(source, collections, mode: str):
@@ -56,53 +55,6 @@ class CachedResult:
     strategy: str
 
 
-class ResultCache:
-    """Thread-safe LRU over ``(plan key, source fingerprints) -> result``."""
-
-    def __init__(self, capacity: int = 64):
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key) -> CachedResult | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key, result: CachedResult) -> None:
-        with self._lock:
-            if not self.capacity:
-                return
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+class ResultCache(LRUCache):
+    """An :class:`~repro.compiler.pipeline.LRUCache` over ``(plan key,
+    source fingerprints) -> CachedResult``."""

@@ -14,9 +14,11 @@ three pieces, each the one owner of its facts:
   :meth:`QueryService._move_locked` the only code that moves it, so the
   admission queue and the running list never disagree with it;
 - **slot repair**: :meth:`QueryService._repair_slot` is the one way a
-  slot's backend (and, after a death, its thread) is replaced: after a
-  death, or once ``BACKEND_FAILURE_THRESHOLD`` consecutive backend-level
-  failures wore the backend out.
+  slot's backend and thread are replaced, and only after its thread
+  died.  A worker lost inside a query is the backend's own repair
+  (:func:`~repro.hyracks.recovery.run_units_with_recovery` closes a
+  broken pool before its error reaches the service), so a backend
+  error is routed like any other query error.
 
 Around them:
 
@@ -43,11 +45,13 @@ Around them:
   :class:`~repro.JsonProcessor` compiles through too;
 - **result cache** (optional): keyed by plan fingerprint × source
   fingerprints with file-change invalidation — see
-  :mod:`repro.service.result_cache`.  Both the result cache and the
-  segment cache the service reads through (a private copy of the
-  source's, the caller's source left as it was built) use ``content``
-  fingerprints: a long-lived server must not serve stale bytes through
-  the ``stat`` fingerprint's same-size rewrite window.
+  :mod:`repro.service.result_cache`; the same
+  :class:`~repro.compiler.pipeline.LRUCache` as the plan cache.  Both
+  the result cache and the segment cache the service reads through (a
+  private copy of the source's, the caller's source left as it was
+  built) use ``content`` fingerprints: a long-lived server must not
+  serve stale bytes through the ``stat`` fingerprint's same-size
+  rewrite window.
 
 Every completed query returns a :class:`ServiceResponse` carrying the
 result items plus the per-request telemetry the observability layers
@@ -71,21 +75,13 @@ from dataclasses import dataclass, field
 from repro.algebra.plan import read_set
 from repro.algebra.rules import RewriteConfig
 from repro.compiler.pipeline import PLAN_CACHE_CAPACITY, PlanCache, compile_stats
-from repro.errors import (
-    BackendError,
-    QueryCancelledError,
-    SlotFailureError,
-    causes,
-    is_retryable,
-)
+from repro.errors import QueryCancelledError, SlotFailureError, is_retryable
 from repro.hyracks.backends import BACKENDS, resolve_backend
 from repro.hyracks.executor import PartitionedExecutor
 from repro.hyracks.limits import CancellationToken
 from repro.observability.clock import CLOCKS, make_clock
 from repro.observability.profile import resolve_profile_config
-from repro.resilience.policies import ResilienceConfig
 from repro.service.admission import TenantQuota, admit
-from repro.service.events import QueryRetryEvent, SlotRestartEvent
 from repro.service.result_cache import (
     CachedResult,
     ResultCache,
@@ -96,10 +92,6 @@ from repro.stats.cost import resolve_cost_enabled
 #: Slot and retry events kept for ``stats()``: the most recent ones.  A
 #: long-lived service under chaos must not grow with its history.
 _EVENT_HISTORY = 256
-
-#: Consecutive backend-level failures on one slot before its backend is
-#: replaced in place.
-BACKEND_FAILURE_THRESHOLD = 3
 
 
 def _count(requests, tenant: str) -> int:
@@ -198,7 +190,6 @@ class _Slot:
         "backend",
         "thread",
         "restarts",
-        "backend_failures",
         "abandoned",
         "current",
     )
@@ -208,7 +199,6 @@ class _Slot:
         self.backend = backend
         self.thread = None
         self.restarts = 0
-        self.backend_failures = 0
         self.abandoned = False
         self.current = None  # the _Request in flight (worker thread only)
 
@@ -287,9 +277,11 @@ class QueryService:
         result caching.  The result cache fingerprints sources by
         content (a long-lived server must detect same-size in-place
         rewrites).
-    memory_budget_bytes / spill_dir / resilience:
-        Per-query execution defaults, as on
-        :class:`~repro.JsonProcessor`.
+    spill_dir:
+        Root directory for spill run files, as on
+        :class:`~repro.JsonProcessor`.  A request's memory budget is
+        the one it asks for, else its tenant quota's
+        ``memory_budget_bytes`` (None: unbudgeted).
     max_query_retries:
         Bounded re-executions of a request after a retryable failure
         (:func:`~repro.errors.is_retryable`; default 1, 0 disables
@@ -316,9 +308,7 @@ class QueryService:
         quotas: dict[str, TenantQuota] | None = None,
         plan_cache_size: int = PLAN_CACHE_CAPACITY,
         result_cache_size: int = 0,
-        memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
-        resilience: ResilienceConfig | None = None,
         max_query_retries: int = 1,
         max_slot_restarts: int = 3,
         clock: str = "wall",
@@ -352,8 +342,6 @@ class QueryService:
         self._source = source
         self._rewrite = rewrite if rewrite is not None else RewriteConfig.all()
         self._cost = resolve_cost_enabled()
-        self._resilience = resilience
-        self._memory_budget = memory_budget_bytes
         self._spill_dir = spill_dir
         self._max_workers = max_workers
         self.default_quota = (
@@ -397,12 +385,8 @@ class QueryService:
         self._recent_durations: deque = deque(maxlen=32)
         # The most recent events only; the ``retried`` and
         # ``slot_restarts_total`` counters hold the exact totals.
-        self._slot_events: deque[SlotRestartEvent] = deque(
-            maxlen=_EVENT_HISTORY
-        )
-        self._retry_events: deque[QueryRetryEvent] = deque(
-            maxlen=_EVENT_HISTORY
-        )
+        self._slot_events: deque[dict] = deque(maxlen=_EVENT_HISTORY)
+        self._retry_events: deque[dict] = deque(maxlen=_EVENT_HISTORY)
         # slot index → pending injected-death count (see
         # inject_slot_failure); a dict of counts so tests can queue
         # several deterministic deaths on one slot.
@@ -484,9 +468,7 @@ class QueryService:
                 profile,
                 memory_budget_bytes
                 if memory_budget_bytes is not None
-                else quota.memory_budget_bytes
-                if quota.memory_budget_bytes is not None
-                else self._memory_budget,
+                else quota.memory_budget_bytes,
                 deadline_seconds
                 if deadline_seconds is not None
                 else quota.deadline_ceiling_seconds,
@@ -529,6 +511,10 @@ class QueryService:
         is at its concurrency limit — a backlogged tenant never blocks
         another tenant's work — and requests that just failed on *this*
         slot (honored only while another live slot could take them).
+        That preference is what makes retries repeatable: without it, a
+        retry goes to whichever slot wakes first, so the same schedule
+        of injected deaths lands its retries on different queries from
+        run to run.
         """
         with self._work_ready:
             while not slot.abandoned:
@@ -573,16 +559,14 @@ class QueryService:
                 request.avoid_slot = slot.index
                 self._move_locked(request, "queued")
                 self._counters["retried"] += 1
-                self._retry_events.append(
-                    QueryRetryEvent(
-                        request_id=request.id,
-                        tenant=request.tenant,
-                        attempt=request.retries,
-                        slot=slot.index,
-                        error=type(error).__name__,
-                        message=str(error),
-                    )
-                )
+                self._retry_events.append({
+                    "request_id": request.id,
+                    "tenant": request.tenant,
+                    "attempt": request.retries,
+                    "slot": slot.index,
+                    "error": type(error).__name__,
+                    "message": str(error),
+                })
                 self._work_ready.notify_all()
                 return
             self._finish_locked(request, response, error, duration)
@@ -676,65 +660,42 @@ class QueryService:
             except BaseException as failure:  # noqa: BLE001 - routed to ticket
                 error = failure
             slot.current = None
-            duration = self._clock() - started
-            with self._lock:
-                if any(
-                    isinstance(current, (BackendError, SlotFailureError))
-                    for current in causes(error)
-                ):
-                    slot.backend_failures += 1
-                else:
-                    slot.backend_failures = 0
-                worn = slot.backend_failures >= BACKEND_FAILURE_THRESHOLD
-            if worn:
-                self._repair_slot(slot, request, error, duration=duration)
-            else:
-                self._route(slot, request, response, error, duration)
+            self._route(
+                slot, request, response, error, self._clock() - started
+            )
 
-    def _repair_slot(
-        self, slot: _Slot, request, error, died=None, duration=None
-    ) -> None:
-        """Replace a slot's backend, and its thread after a death, then
-        route the request it held; the one place a slot is mended.
+    def _repair_slot(self, slot: _Slot, request, error, died: str) -> None:
+        """Replace a dead slot's backend and thread, then route the
+        request it held; the one place a slot is mended.
 
-        Two things call it, each on the thread that owned the slot, so
-        nothing else is running on the backend it closes: the worker
-        loop, once ``BACKEND_FAILURE_THRESHOLD`` consecutive backend-
-        level failures wore the backend out (the thread lives on), and
-        the supervisor, once the worker thread died (*died* says how).
-        A death costs one of the slot's ``max_slot_restarts``; past the
-        budget, or once the service is closed, the slot is *abandoned*
-        for the life of the service instead.  So is a slot whose new
-        backend or thread cannot be built (a fork failing under the
-        resource exhaustion that killed the slot, say), rather than
-        lingering as a live slot that never runs anything.  Each step is
-        a :class:`~repro.service.events.SlotRestartEvent` naming the
-        request in flight; the request is then retried or finished with
-        *error* whatever happened to the slot.  Once every slot is
-        abandoned, queued requests fail with a ``SlotFailureError`` and
-        new submissions are rejected with ``"no-slots"``.
+        The supervisor calls it on the thread that owned the slot, once
+        that thread's loop died (*died* says how), so nothing else is
+        running on the backend it closes.  A death costs one of the
+        slot's ``max_slot_restarts``; past the budget, or once the
+        service is closed, the slot is *abandoned* for the life of the
+        service instead.  So is a slot whose new backend or thread
+        cannot be built (a fork failing under the resource exhaustion
+        that killed the slot, say), rather than lingering as a live slot
+        that never runs anything.  Each step is a ``slot_restarts``
+        event in ``stats()`` naming the request in flight; the request
+        is then retried or finished with *error* whatever happened to
+        the slot.  Once every slot is abandoned, queued requests fail
+        with a ``SlotFailureError`` and new submissions are rejected
+        with ``"no-slots"``.
         """
 
         def record(kind, message):
-            self._slot_events.append(
-                SlotRestartEvent(
-                    slot=slot.index,
-                    kind=kind,
-                    restarts=slot.restarts,
-                    message=message,
-                    request_id=request.id if request is not None else None,
-                )
-            )
+            self._slot_events.append({
+                "slot": slot.index,
+                "kind": kind,
+                "restarts": slot.restarts,
+                "message": message,
+                "request_id": request.id if request is not None else None,
+            })
             self._counters["slot_restarts_total"] += 1
 
         with self._lock:
-            if died is None:
-                record(
-                    "backend-replaced",
-                    f"replaced backend after {BACKEND_FAILURE_THRESHOLD}"
-                    f" consecutive backend failures",
-                )
-            elif self._closed or slot.restarts >= self._max_slot_restarts:
+            if self._closed or slot.restarts >= self._max_slot_restarts:
                 slot.abandoned = True
                 record("abandoned", died)
             else:
@@ -752,9 +713,7 @@ class QueryService:
                 )
                 with self._lock:
                     slot.backend = backend
-                    slot.backend_failures = 0
-                if died is not None:
-                    self._spawn_worker(slot)
+                self._spawn_worker(slot)
             except Exception as failure:
                 with self._lock:
                     slot.abandoned = True
@@ -763,7 +722,7 @@ class QueryService:
                         f"respawn failed: {type(failure).__name__}: {failure}",
                     )
         if request is not None:
-            self._route(slot, request, error=error, duration=duration)
+            self._route(slot, request, error=error)
         if slot.abandoned:
             self._fail_orphans()
 
@@ -801,24 +760,6 @@ class QueryService:
         with self._lock:
             self._kill_slots[slot] = self._kill_slots.get(slot, 0) + 1
             self._work_ready.notify_all()
-
-    # -- statistics ------------------------------------------------------------
-
-    def collection_stats(self, name: str):
-        """The source's sampled stats for one collection (or None)."""
-        stats = getattr(self._source, "collection_stats", None)
-        return stats(name) if stats is not None else None
-
-    def refresh_stats(self, name: str | None = None) -> None:
-        """Drop sampled statistics so the next query re-samples.
-
-        The snapshot fingerprint is part of the plan-cache key, so
-        queries compiled after a refresh never reuse plans costed
-        against the stale statistics.
-        """
-        refresh = getattr(self._source, "refresh_stats", None)
-        if refresh is not None:
-            refresh(name)
 
     # -- execution -------------------------------------------------------------
 
@@ -870,7 +811,6 @@ class QueryService:
                 self._source,
                 two_step_aggregation=self._rewrite.two_step_aggregation,
                 memory_budget_bytes=request.memory_budget,
-                resilience=self._resilience,
                 backend=backend,
                 spill_dir=self._spill_dir,
                 deadline_seconds=remaining_deadline,
@@ -928,12 +868,8 @@ class QueryService:
             )
             counters["queued"] = len(self._queue)
             counters["running"] = len(self._running)
-            counters["slot_restarts"] = [
-                event.to_dict() for event in self._slot_events
-            ]
-            counters["query_retries"] = [
-                event.to_dict() for event in self._retry_events
-            ]
+            counters["slot_restarts"] = [dict(e) for e in self._slot_events]
+            counters["query_retries"] = [dict(e) for e in self._retry_events]
             live = self._live_slots_locked()
             counters["slots"] = {
                 "total": len(self._slots),

@@ -19,7 +19,7 @@ from repro.algebra.operators import (
     Subplan,
 )
 from repro.algebra.plan import LogicalPlan
-from repro.algebra.rules import TOGGLE_CONFIGS, RewriteConfig, rule_pipeline
+from repro.algebra.rules import TOGGLE_CONFIGS, rule_pipeline
 from repro.bench.queries import ALL_QUERIES
 from repro.compiler.pipeline import compile_query
 from repro.correctness.validator import PlanInvariantError, validate_plan
@@ -181,10 +181,9 @@ class TestEngineIntegration:
         with pytest.raises(RewriteError, match="translated plan"):
             engine.rewrite(broken)
 
-    def test_validate_flag_disables_the_hook(self):
-        config = RewriteConfig(validate=False)
-        assert rule_pipeline(config).validator is None
-        assert rule_pipeline(RewriteConfig.all()).validator is not None
+    def test_every_pipeline_wires_the_validator(self):
+        for config in TOGGLE_CONFIGS.values():
+            assert rule_pipeline(config).validator is validate_plan
 
     def test_default_pipeline_compiles_with_validator(self):
         query = 'for $x in collection("/c")() where $x gt 1 return $x'

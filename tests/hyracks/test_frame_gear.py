@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.hyracks.operators as physical
+import repro.hyracks.spill as spill_module
 from repro.algebra.context import EvaluationContext
 from repro.algebra.expressions import (
     AndExpr,
@@ -613,13 +614,15 @@ def test_an_argument_without_a_column_form_keeps_the_tuple_route():
     assert [tup["$a0"] for tup in seen["tuples"]] == [[3], [0]]
 
 
-def test_a_budget_sheds_the_table_alike_on_both_routes(tmp_path):
+def test_a_budget_sheds_the_table_alike_on_both_routes(tmp_path, monkeypatch):
     rows = [{"k": i % 40, "v": i} for i in range(300)] + [{"v": 0}]
     specs = [(None, compare("ge", key("v"), 0))]
     _, group_by, column_route, tuple_route = grouped_streams(
         specs, [key("k")], [("count", key("v")), ("sum", key("v"))]
     )
     run = build_run(specs)
+    monkeypatch.setattr(spill_module, "FANOUT", 2)
+    monkeypatch.setattr(spill_module, "MAX_RECURSION", 3)
 
     def spilled(route):
         labels = []
@@ -630,7 +633,7 @@ def test_a_budget_sheds_the_table_alike_on_both_routes(tmp_path):
                 return super().new_run(label)
 
         memory = MemoryTracker(96 * 9)
-        spill = Manager(SpillConfig(directory=str(tmp_path), fanout=2, max_recursion=3))
+        spill = Manager(SpillConfig(directory=str(tmp_path)))
         stats = ExecutionStats()
         ctx = EvaluationContext(
             source=FrameSource([rows[:150], rows[150:]], sized=True),

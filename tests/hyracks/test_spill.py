@@ -17,6 +17,7 @@ from repro.algebra.expressions import VariableRef
 from repro.algebra.rules import RewriteConfig
 from repro.compiler.pipeline import compile_query
 from repro.data.catalog import InMemorySource
+from repro.hyracks import spill as spill_module
 from repro.hyracks.executor import ExecutionStats, PartitionedExecutor
 from repro.hyracks.memory import MemoryTracker
 from repro.hyracks.spill import (
@@ -162,9 +163,9 @@ class TestRunFiles:
         manager.close()
 
     @pytest.mark.parametrize("cut", ["batch-boundary", "inside-batch", "10-bytes"])
-    def test_short_run_fails_loudly(self, spill_root, cut):
-        config = SpillConfig(directory=spill_root, frame_bytes=256)
-        with SpillManager(config) as manager:
+    def test_short_run_fails_loudly(self, spill_root, cut, monkeypatch):
+        monkeypatch.setattr(spill_module, "FRAME_BYTES", 256)
+        with SpillManager(SpillConfig(directory=spill_root)) as manager:
             writer = manager.new_run("short")
             for i in range(200):
                 writer.write(("key", i))
@@ -335,17 +336,17 @@ class TestQueryLevelByteIdentity:
         ids=["group", "group-sequence", "join"],
     )
     def test_recursion_reaches_its_bound(
-        self, spill_root, query, budget, max_recursion
+        self, spill_root, query, budget, max_recursion, monkeypatch
     ):
         # With two buckets per split, a budget this small keeps every
         # bucket overflowing until the recursion bound stops the split.
+        # A process pool forked after the patch inherits it.
         source = make_source()
         unlimited = run(source, query)
-        config = SpillConfig(
-            directory=spill_root, fanout=2, max_recursion=max_recursion
-        )
+        monkeypatch.setattr(spill_module, "FANOUT", 2)
+        monkeypatch.setattr(spill_module, "MAX_RECURSION", max_recursion)
         spilled = run(
-            source, query, spill_root=config, memory_budget_bytes=budget
+            source, query, spill_root=spill_root, memory_budget_bytes=budget
         )
         assert spilled.items == unlimited.items
         assert spilled.stats.spill_recursion_depth == max_recursion
@@ -384,9 +385,8 @@ class TestQueryLevelByteIdentity:
 
 class TestSpillConfig:
     def test_resolve_passthrough(self):
-        config = SpillConfig(directory="/x", fanout=4)
-        assert resolve_spill_config(config) is config
-        assert resolve_spill_config("/y").directory == "/y"
+        assert resolve_spill_config("/y") == SpillConfig(directory="/y")
+        assert resolve_spill_config() == SpillConfig()
 
     def test_env_var_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
@@ -395,7 +395,7 @@ class TestSpillConfig:
         assert SpillConfig().root_directory()  # system tmp
 
     def test_config_is_picklable(self):
-        config = SpillConfig(directory="/x", fanout=4, max_recursion=3)
+        config = SpillConfig(directory="/x").scoped()
         assert pickle.loads(pickle.dumps(config)) == config
 
 

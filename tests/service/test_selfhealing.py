@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.data.catalog import InMemorySource
 from repro.errors import (
     AdmissionError,
     BackendError,
@@ -27,9 +28,9 @@ from repro.errors import (
     is_retryable,
 )
 from repro.observability.clock import CLOCKS
+from repro.resilience.faults import FaultPlan
 from repro.service import QueryService, TenantQuota
 from repro.service import service as service_module
-from repro.service.events import QueryRetryEvent, SlotRestartEvent
 
 from tests.service.conftest import (
     COUNT_QUERY,
@@ -76,15 +77,6 @@ def test_selfhealing_errors_and_events_pickle_round_trip():
         assert type(clone) is type(original)
         assert str(clone) == str(original)
         assert is_retryable(clone)
-    for event in (
-        SlotRestartEvent(slot=1, kind="worker-death", restarts=2, message="m"),
-        QueryRetryEvent(
-            request_id=7, tenant="t", attempt=1, slot=0, error="E", message="m"
-        ),
-    ):
-        clone = pickle.loads(pickle.dumps(event))
-        assert clone == event
-        assert clone.to_dict() == event.to_dict()
 
 
 # -- slot supervision + query retry -------------------------------------------
@@ -447,106 +439,54 @@ def test_drain_times_out_on_the_service_clock(monkeypatch):
         assert running.result().items == [120]
 
 
-# -- backend replacement ------------------------------------------------------
+# -- worker loss is the backend's to repair ----------------------------------
 
 
-def test_backend_replaced_after_consecutive_backend_errors(monkeypatch):
-    """``BACKEND_FAILURE_THRESHOLD`` (3) consecutive backend errors on a
-    slot swap in a fresh backend, once, and the next query answers."""
-    from repro.hyracks.backends import SequentialBackend
+def test_exhausted_worker_recovery_keeps_the_slots_backend():
+    """A query whose worker recovery is exhausted fails on its ticket;
+    the backend already dropped its lost pool, so the slot keeps the
+    same backend instance and the next query answers from a fresh pool
+    of it, with no slot restart and no loss inherited."""
 
-    left = [3]
-    run_units = SequentialBackend.run_units
+    def rows(partition):
+        return [json.dumps({"p": partition, "i": i}) for i in range(4)]
 
-    def flaky(self, units, events):
-        if left[0]:
-            left[0] -= 1
-            raise BackendError("injected backend failure")
-        return run_units(self, units, events)
-
-    monkeypatch.setattr(SequentialBackend, "run_units", flaky)
+    source = InMemorySource(
+        collections={
+            "/doomed": [rows(p) for p in range(3)],
+            "/fine": [rows(p) for p in range(2)],
+        }
+    )
+    plan = (
+        FaultPlan()
+        .kill_worker(2, attempt=1)
+        .kill_worker(2, attempt=2)
+        .kill_worker(2, attempt=3)
+    )
+    query = 'for $r in collection("{}") return $r("p")'
     with QueryService(
-        make_source(),
-        backend="sequential",
+        plan.wrap(source),
+        backend="process",
         max_concurrent_queries=1,
+        max_workers=1,
         max_query_retries=0,
     ) as service:
-        first = service._slots[0].backend
-        for attempt in range(3):
-            with pytest.raises(BackendError):
-                service.execute(COUNT_QUERY)
-            replaced = service._slots[0].backend is not first
-            assert replaced == (attempt == 2)
-        assert service.execute(COUNT_QUERY).items == [120]
-        events = service.stats()["slot_restarts"]
-    assert [e["kind"] for e in events] == ["backend-replaced"]
-    assert events[0]["slot"] == 0
-    assert "3 consecutive backend failures" in events[0]["message"]
-
-
-@pytest.mark.parametrize("failed_builds", [1, 10])
-def test_failed_backend_replacement_still_finishes_the_request(
-    monkeypatch, failed_builds
-):
-    """A backend worn out by ``BACKEND_FAILURE_THRESHOLD`` failures whose
-    replacement cannot be built (once, or every time) abandons the slot,
-    and the request that wore it out still reaches its ticket: it used
-    to stay ``running`` forever, so ``drain`` and ``close`` never
-    returned."""
-    from repro.hyracks.backends import SequentialBackend
-
-    run_units = SequentialBackend.run_units
-    backend_failures = [1]
-
-    def flaky(self, units, events):
-        if backend_failures[0]:
-            backend_failures[0] -= 1
-            raise BackendError("injected backend failure")
-        return run_units(self, units, events)
-
-    monkeypatch.setattr(SequentialBackend, "run_units", flaky)
-    monkeypatch.setattr(service_module, "BACKEND_FAILURE_THRESHOLD", 1)
-    service = QueryService(
-        make_source(),
-        backend="sequential",
-        max_concurrent_queries=1,
-        max_query_retries=0,
-    )
-    resolve = service_module.resolve_backend
-    builds_to_fail = [failed_builds]
-
-    def broken_resolve(*args, **kwargs):
-        if builds_to_fail[0]:
-            builds_to_fail[0] -= 1
-            raise RuntimeError("fork failed: out of resources")
-        return resolve(*args, **kwargs)
-
-    monkeypatch.setattr(
-        "repro.service.service.resolve_backend", broken_resolve
-    )
-    try:
-        ticket = service.submit(COUNT_QUERY)
-        with pytest.raises(BackendError):
-            ticket.result(timeout=5)
-        assert service.drain(2)
+        backend = service._slots[0].backend
+        with pytest.raises(RecoveryExhaustedError):
+            service.execute(query.format("/doomed"))
+        assert backend._pool is None
+        response = service.execute(query.format("/fine"))
+        assert service._slots[0].backend is backend
         stats = service.stats()
-        assert (stats["running"], stats["failed"]) == (0, 1)
-        events = stats["slot_restarts"]
-        assert [event["kind"] for event in events] == [
-            "backend-replaced",
-            "abandoned",
-        ]
-        assert {event["request_id"] for event in events} == {
-            ticket.request_id
-        }
-        assert "respawn failed: RuntimeError" in events[-1]["message"]
-        assert stats["slots"] == {"total": 1, "live": 0, "abandoned": 1}
-        with pytest.raises(AdmissionError) as excinfo:
-            service.submit(COUNT_QUERY)
-        assert excinfo.value.reason == "no-slots"
-        assert close_within(service)
-    finally:
-        close_within(service)
+    assert response.items == [0] * 4 + [1] * 4
+    assert response.degradation.worker_losses == []
+    assert not response.degradation.is_degraded
+    assert response.stats.worker_crashes == 0
+    assert response.stats.pool_rebuilds == 0
+    assert stats["slot_restarts_total"] == 0
+    assert stats["slot_restarts"] == []
+    assert stats["slots"] == {"total": 1, "live": 1, "abandoned": 0}
+    assert (stats["failed"], stats["completed"]) == (1, 1)
 
 
 def test_per_tenant_state_is_not_kept_for_tenants_that_never_failed():

@@ -78,6 +78,62 @@ class TestConcurrentEquivalence:
             assert service.stats()["failed"] == 1
 
 
+class TestStatsContract:
+    """The ``stats()`` shape that ``tools/serve.py`` sends on its
+    ``stats`` op and ``perfbench`` reads: keys, event fields in order,
+    and the cache fields."""
+
+    CACHE_FIELDS = ["capacity", "entries", "hits", "misses", "evictions"]
+
+    def test_keys_event_fields_and_cache_fields(self):
+        with QueryService(
+            make_source(5),
+            backend="sequential",
+            max_concurrent_queries=1,
+            result_cache_size=4,
+        ) as service:
+            service.inject_slot_failure(0)
+            assert service.execute(COUNT_QUERY).retries == 1
+            stats = service.stats()
+        assert list(stats) == [
+            "submitted",
+            "completed",
+            "failed",
+            "cancelled",
+            "rejected",
+            "retried",
+            "slot_restarts_total",
+            "rejected_by_reason",
+            "queued",
+            "running",
+            "slot_restarts",
+            "query_retries",
+            "slots",
+            "plan_cache",
+            "result_cache",
+        ]
+        (restart,) = stats["slot_restarts"]
+        assert list(restart) == [
+            "slot", "kind", "restarts", "message", "request_id",
+        ]
+        assert restart["kind"] == "worker-death"
+        (retry,) = stats["query_retries"]
+        assert list(retry) == [
+            "request_id", "tenant", "attempt", "slot", "error", "message",
+        ]
+        assert retry["error"] == "SlotFailureError"
+        assert list(stats["slots"]) == ["total", "live", "abandoned"]
+        assert list(stats["plan_cache"]) == self.CACHE_FIELDS
+        assert list(stats["result_cache"]) == self.CACHE_FIELDS
+        assert (stats["retried"], stats["rejected"]) == (1, 0)
+        assert stats["slot_restarts_total"] == 1
+        json.dumps(stats)  # the serve tool's protocol line
+
+    def test_without_a_result_cache(self):
+        with QueryService(make_source(5), backend="sequential") as service:
+            assert service.stats()["result_cache"] is None
+
+
 class TestPlanCache:
     def test_warm_hits_across_tenants(self):
         with QueryService(make_source(5), backend="sequential") as service:

@@ -1,9 +1,10 @@
 """A stateful test of the query service: hypothesis drives one service
 through submits, held and released slots, cancels, slot deaths, backend
-failures, failed backend rebuilds, a scripted clock and close, and
-checks the service's books after every step.  The service runs under a
-memory budget that makes its GROUP-BY spill, into a spill root of its
-own, so every check also sees what the spill scopes left behind.
+failures (each fails the request it hits), failed backend rebuilds (met
+when a dead slot is rebuilt), a scripted clock and close, and checks the
+service's books after every step.  Its tenants' quota gives every
+request a memory budget that makes the GROUP-BY spill, into a spill root
+of its own, so every check also sees what the spill scopes left behind.
 
 Every wait is bounded, so a request stranded in flight fails the test
 instead of hanging it.
@@ -79,7 +80,7 @@ class ServiceMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.now = 0.0
-        self.backend_failures = 0  # run_units calls left to fail
+        self.failing_runs = 0  # run_units calls left to fail
         self.failed_builds = 0  # resolve_backend calls left to fail
         # Faults injected so far, capped so that most runs keep a slot.
         self.faults = 0
@@ -88,8 +89,8 @@ class ServiceMachine(RuleBasedStateMachine):
 
         class FlakyBackend(SequentialBackend):
             def run_units(self, units, events):
-                if machine.backend_failures:
-                    machine.backend_failures -= 1
+                if machine.failing_runs:
+                    machine.failing_runs -= 1
                     raise BackendError("injected backend failure")
                 return super().run_units(units, events)
 
@@ -101,9 +102,6 @@ class ServiceMachine(RuleBasedStateMachine):
 
         self.real_resolve = service_module.resolve_backend
         service_module.resolve_backend = resolve
-        # One backend-level failure wears a slot's backend out.
-        self.real_threshold = service_module.BACKEND_FAILURE_THRESHOLD
-        service_module.BACKEND_FAILURE_THRESHOLD = 1
         self.spill_root = tempfile.mkdtemp(prefix="repro-stateful-spill-")
         self.source = ValveSource(
             collections={
@@ -115,11 +113,12 @@ class ServiceMachine(RuleBasedStateMachine):
             backend="sequential",
             max_concurrent_queries=2,
             max_queue_depth=4,
-            default_quota=TenantQuota(max_concurrent=1, max_queued=2),
+            default_quota=TenantQuota(
+                max_concurrent=1, max_queued=2, memory_budget_bytes=BUDGET
+            ),
             max_query_retries=1,
             max_slot_restarts=2,
             clock=CLOCK,
-            memory_budget_bytes=BUDGET,
             spill_dir=self.spill_root,
         )
         self.tickets = []
@@ -134,7 +133,6 @@ class ServiceMachine(RuleBasedStateMachine):
                 self.close_service()
         finally:
             service_module.resolve_backend = self.real_resolve
-            service_module.BACKEND_FAILURE_THRESHOLD = self.real_threshold
             CLOCKS.pop(CLOCK, None)
             shutil.rmtree(self.spill_root, ignore_errors=True)
 
@@ -191,7 +189,7 @@ class ServiceMachine(RuleBasedStateMachine):
     @rule()
     def fail_backend(self):
         self.faults += 1
-        self.backend_failures += 1
+        self.failing_runs += 1
 
     @precondition(lambda self: not self.closed and self.faults < FAULTS)
     @rule()

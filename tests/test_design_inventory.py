@@ -77,7 +77,7 @@ def listed_modules() -> list[str]:
 
 def test_every_listed_module_exists():
     listed = listed_modules()
-    assert "jsonlib/parser.py" in listed and "service/events.py" in listed
+    assert "jsonlib/parser.py" in listed and "service/admission.py" in listed
     gone = [
         module for module in listed
         if not os.path.isfile(os.path.join(PACKAGE_ROOT, module))

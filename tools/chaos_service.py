@@ -20,6 +20,10 @@ scenarios across every execution backend through the long-lived
 * ``disk-full``     — every segment-cache I/O raises ``ENOSPC`` via
   ``FaultPlan.fail_cache_io``; the cache must degrade to cache-off
   (structured ``disabled`` event) without touching results.
+* ``pool-loss``     — partition 1's worker dies on its first attempt in
+  every query (``FaultPlan.kill_worker``); the backend recovers inside
+  the query, so each answer carries the worker loss with no retry, and
+  the service neither restarts nor swaps a slot or its backend.
 
 Every disturbed cell's items must be byte-identical to the undisturbed
 sequential baseline, and no slot may end a scenario abandoned.  Writes
@@ -348,11 +352,58 @@ def scenario_disk_full(data_dir, backend, baselines, budget):
     return cells
 
 
+def scenario_pool_loss(data_dir, backend, baselines, budget):
+    """A worker lost in every query is the backend's to recover."""
+    plan = FaultPlan().kill_worker(1, attempt=1)
+    service = make_service(data_dir, backend, plan=plan)
+    backends = [slot.backend for slot in service._slots]
+    cells = []
+    try:
+        for name, text in QUERIES.items():
+            cell = {"scenario": "pool-loss", "query": name, "backend": backend}
+            problems = []
+            response = run_one(service, text)
+            cell["retries"] = response.retries
+            cell["worker_losses"] = len(response.degradation.worker_losses)
+            if response.retries:
+                problems.append("the service retried a recovered query")
+            if not response.degradation.worker_losses:
+                problems.append("no worker loss in the degradation report")
+            cells.append(
+                _finish_cell(cell, response.items, baselines[name], problems)
+            )
+        stats = service.stats()
+        summary = {
+            "scenario": "pool-loss",
+            "query": "__slots__",
+            "backend": backend,
+            "slot_restarts": stats["slot_restarts_total"],
+            "slots": stats["slots"],
+        }
+        problems = []
+        if stats["slot_restarts_total"]:
+            problems.append("a slot was restarted")
+        if stats["slots"]["abandoned"]:
+            problems.append(
+                f"{stats['slots']['abandoned']} slot(s) abandoned"
+            )
+        if [slot.backend for slot in service._slots] != backends:
+            problems.append("a slot's backend was replaced")
+        summary["ok"] = not problems
+        if problems:
+            summary["error"] = "; ".join(problems)
+        cells.append(summary)
+    finally:
+        shut(service)
+    return cells
+
+
 SCENARIOS = {
     "slot-death": scenario_slot_death,
     "slot-storm": scenario_slot_storm,
     "cache-corrupt": scenario_cache_corrupt,
     "disk-full": scenario_disk_full,
+    "pool-loss": scenario_pool_loss,
 }
 
 
